@@ -153,6 +153,24 @@ fn drive_skewed(
     });
 }
 
+/// The default engine (`partial`) or the all-locks baseline it is
+/// compared against, with GC driven by commit backpressure only
+/// (deterministic work).
+fn ab_engine(shards: usize, partial: bool) -> Engine {
+    let cfg = EngineConfig {
+        shards,
+        gc: GcPolicy::Noncurrent,
+        background_gc: false,
+        record_history: false,
+        ..EngineConfig::default()
+    };
+    if partial {
+        Engine::new(cfg)
+    } else {
+        Engine::open_all_locks_baseline(cfg).expect("open engine").0
+    }
+}
+
 /// Partial vs all-locks escalation on the skewed workload — the
 /// headline comparison: escalated commits should lock a strict subset
 /// of shards (~the hot pair) and stop serializing the fast-path
@@ -160,16 +178,7 @@ fn drive_skewed(
 /// runs so CI can publish them.
 fn bench_escalation(c: &mut Criterion) {
     const ESC_SHARDS: usize = 8;
-    let esc_engine = |partial: bool| {
-        Engine::new(EngineConfig {
-            shards: ESC_SHARDS,
-            gc: GcPolicy::Noncurrent,
-            background_gc: false,
-            record_history: false,
-            partial_escalation: partial,
-            ..EngineConfig::default()
-        })
-    };
+    let esc_engine = |partial: bool| ab_engine(ESC_SHARDS, partial);
     let mut g = c.benchmark_group("c5_engine/escalation");
     let txns = 4_000;
     g.throughput(Throughput::Elements(txns as u64));
@@ -217,31 +226,22 @@ fn bench_escalation(c: &mut Criterion) {
 }
 
 /// Closure-scoped vs stop-the-world multi-shard GC on the skewed
-/// workload: with `partial_gc` the deletion pass locks only each
-/// candidate's closure (~the hot pair), so cold fast-path shards are
-/// no longer paused every ~32 multi-shard commits. Prints the
+/// workload: the default deletion pass locks only each candidate's
+/// closure (~the hot pair), so cold fast-path shards are not paused
+/// every ~32 multi-shard commits as they are on the all-locks
+/// baseline (whose escalated commits take every lock too). Prints the
 /// gc-closure-size metrics after the timed runs so CI can publish
 /// them; the headline number is mean GC closure size < all-shards.
 fn bench_gc_escalation(c: &mut Criterion) {
     const GC_SHARDS: usize = 8;
-    let gc_engine = |partial_gc: bool| {
-        Engine::new(EngineConfig {
-            shards: GC_SHARDS,
-            gc: GcPolicy::Noncurrent,
-            background_gc: false, // backpressure GC only: deterministic work
-            record_history: false,
-            partial_escalation: true,
-            partial_gc,
-            ..EngineConfig::default()
-        })
-    };
+    let gc_engine = |partial: bool| ab_engine(GC_SHARDS, partial);
     let mut g = c.benchmark_group("c5_engine/gc_escalation");
     let txns = 4_000;
     g.throughput(Throughput::Elements(txns as u64));
-    for (name, partial_gc) in [("partial", true), ("all-locks", false)] {
+    for (name, partial) in [("partial", true), ("all-locks", false)] {
         g.bench_function(BenchmarkId::new("skewed", name), |b| {
             b.iter(|| {
-                let e = gc_engine(partial_gc);
+                let e = gc_engine(partial);
                 drive_skewed(&e, GC_SHARDS, 4, txns, 30, 5);
                 e.gc_sweep();
                 e.metrics().gc_deletions

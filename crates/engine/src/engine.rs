@@ -1,0 +1,494 @@
+//! The engine shell: configuration, construction, the public
+//! [`Engine`] handle, and the shard/lock plumbing every regime shares.
+//!
+//! The regimes themselves live next door: [`crate::ops`] (fast path and
+//! escalated session operations), [`crate::coord`] (the coordination
+//! registry and summary mirrors), [`crate::gc`] (single- and
+//! multi-shard deletion), [`crate::recovery`] (WAL replay) and
+//! [`crate::planner`] (the closure planner the commit path and the GC
+//! share).
+
+use crate::coord::Coordination;
+use crate::error::EngineError;
+use crate::history::{Event, RecordedHistory};
+use crate::metrics::{EngineMetrics, MetricsSnapshot};
+use crate::planner::Planner;
+use crate::session::Session;
+use deltx_core::policy::PolicyKind;
+use deltx_core::{Applied, CgState};
+use deltx_model::{EntityId, Op, Step, TxnId};
+use deltx_runtime::{OsRuntime, RtEvent, Runtime, TaskHandle};
+use deltx_sched::StateSize;
+use deltx_storage::{Store, Value};
+use deltx_wal::{
+    CrashPoint, DurabilityConfig, QuarantinedSegment, RecoveryScan, Wal, WalHealth, WalStats,
+};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
+
+/// Which deletion policy the GC applies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GcPolicy {
+    /// No deletion: the live graph grows without bound (baseline).
+    Off,
+    /// Corollary 1's noncurrent test, applied incrementally from the
+    /// per-shard candidate queues, with full cross-shard deletion
+    /// support (ghost bridging). The default.
+    Noncurrent,
+    /// A `deltx-core` deletion policy run per shard, only on shards
+    /// with no boundary nodes (where the shard graph is a
+    /// self-contained component of the union graph, so per-shard
+    /// safety is union safety). Multi-shard transactions are retained.
+    ShardLocal(PolicyKind),
+}
+
+/// Engine construction parameters.
+#[derive(Clone, Debug)]
+pub struct EngineConfig {
+    /// Number of entity partitions (each with its own lock, conflict
+    /// graph, and store).
+    pub shards: usize,
+    /// Deletion policy applied by GC sweeps.
+    pub gc: GcPolicy,
+    /// Interval between background GC sweeps.
+    pub gc_interval: Duration,
+    /// Spawn the background GC thread. Disable for tests that drive
+    /// [`Engine::gc_sweep`] manually.
+    pub background_gc: bool,
+    /// Record the linearized step history (for replay verification;
+    /// costs one mutex append per operation).
+    pub record_history: bool,
+    /// Opt-in durability: a write-ahead log under the given directory.
+    /// Commits block until their record's group-commit flush; opening
+    /// an engine over an existing log replays the surviving commits
+    /// (see [`Engine::open`]). `None` (the default) keeps the engine
+    /// purely in-memory.
+    pub durability: Option<DurabilityConfig>,
+    /// Host runtime for every thread, clock, sleep, and blocking wait
+    /// the engine (and its WAL) performs. The default [`OsRuntime`]
+    /// uses real threads and the monotonic clock; the simulation
+    /// testkit substitutes a seeded virtual scheduler so whole
+    /// concurrent runs replay deterministically.
+    pub runtime: Arc<dyn Runtime>,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        Self {
+            shards: 8,
+            gc: GcPolicy::Noncurrent,
+            gc_interval: Duration::from_millis(2),
+            background_gc: true,
+            record_history: false,
+            durability: None,
+            runtime: OsRuntime::shared(),
+        }
+    }
+}
+
+/// What [`Engine::open`] rebuilt from the write-ahead log.
+#[derive(Clone, Debug, Default)]
+pub struct RecoveryReport {
+    /// Committed transactions replayed into the fresh engine.
+    pub commits_replayed: u64,
+    /// Segment files present when the scan started.
+    pub segments_scanned: u64,
+    /// Segments discarded (past a corruption, or holding no commits).
+    pub segments_dropped: u64,
+    /// Bytes cut from the log (torn tails plus dropped segments).
+    pub bytes_discarded: u64,
+    /// Whether a torn or corrupt tail was found and truncated.
+    pub torn_tail: bool,
+    /// Highest LSN surviving the scan.
+    pub max_lsn: u64,
+    /// Sealed mid-log segments the recovery scrub moved aside (only
+    /// under [`deltx_wal::RecoverPolicy::Quarantine`]; the default
+    /// strict policy refuses to open instead). Each entry names the
+    /// exact LSN range whose records are gone — surviving commits
+    /// outside those ranges were replayed normally.
+    pub quarantined: Vec<QuarantinedSegment>,
+    /// Wall-clock time of the whole open: scan + replay + the
+    /// checkpointing GC sweep.
+    pub elapsed: Duration,
+}
+
+/// One partition: the conflict graph and store for the entities it
+/// owns, plus the boundary-node count that gates the fast path.
+pub(crate) struct Shard {
+    pub(crate) cg: CgState,
+    pub(crate) store: Store,
+    /// Live nodes in this shard belonging to multi-shard transactions
+    /// (ghosts included). Zero means no path can leave this shard.
+    pub(crate) boundary: usize,
+    /// [`CgState::summary_rev`] at the last mirror into
+    /// [`Coordination`] — skips the copy when nothing changed.
+    pub(crate) mirrored_rev: u64,
+    /// [`CgState::summary_epoch`] at the last mirror — growth since
+    /// then bumps the published epoch.
+    pub(crate) mirrored_epoch: u64,
+    /// [`CgState`] bridge-arc count at the last ghost compaction:
+    /// deletions are the only source of new ghost arcs, so an
+    /// unchanged count lets the sweep skip the compaction scan.
+    pub(crate) compacted_bridge_arcs: u64,
+}
+
+/// Shard locks held by one escalated operation, keyed by shard index.
+/// Always acquired in ascending order (the map iterates that way).
+pub(crate) type Guards<'a> = BTreeMap<usize, MutexGuard<'a, Shard>>;
+
+pub(crate) struct EngineInner {
+    pub(crate) shards: Vec<Mutex<Shard>>,
+    pub(crate) coord: Coordination,
+    /// The shared closure planner (see [`crate::planner`]): lock-free
+    /// adjacency masks + growth epochs, written only under the
+    /// coordination lock (and, for changes derived from a shard graph,
+    /// before that shard's lock is released — so a post-acquisition
+    /// epoch re-read is authoritative). Escalated operations and the
+    /// multi-shard GC both plan their lock subsets through it.
+    pub(crate) planner: Planner,
+    /// Multi-shard transactions awaiting a GC decision.
+    pub(crate) pending_multi: Mutex<BTreeSet<TxnId>>,
+    history: Option<Mutex<RecordedHistory>>,
+    pub(crate) metrics: EngineMetrics,
+    /// The write-ahead log (durability on) — see the commit path for
+    /// the submit-under-locks / wait-after-release protocol.
+    pub(crate) wal: Option<Arc<Wal>>,
+    pub(crate) next_txn: AtomicU32,
+    pub(crate) gc_policy: GcPolicy,
+    /// The all-locks baseline ([`Engine::open_all_locks_baseline`]):
+    /// escalated operations take every shard lock instead of a planned
+    /// subset, the multi-shard GC pass stops the world instead of
+    /// locking closures, and — since nothing then consults them — the
+    /// boundary summaries are not maintained.
+    pub(crate) all_locks: bool,
+    /// Host runtime: clock for the duration metrics, yield points on
+    /// the operation entries, and the GC task's sleep/wakeup.
+    pub(crate) rt: Arc<dyn Runtime>,
+    pub(crate) shutdown: AtomicBool,
+    /// Notified (after `shutdown` is set) to cut the GC task's sleep
+    /// short on engine drop.
+    pub(crate) shutdown_ev: Arc<dyn RtEvent>,
+}
+
+/// The engine: construct once, [`Engine::begin`] sessions from any
+/// thread. Dropping the engine stops the GC task.
+pub struct Engine {
+    pub(crate) inner: Arc<EngineInner>,
+    gc_thread: Option<TaskHandle>,
+}
+
+impl Engine {
+    /// Builds an engine per `cfg` (spawning the GC thread unless
+    /// disabled). With durability configured this opens (and possibly
+    /// recovers) the log — panics if the log cannot be opened; use
+    /// [`Engine::open`] to handle that and to see the recovery report.
+    pub fn new(cfg: EngineConfig) -> Self {
+        Engine::open(cfg).expect("open engine").0
+    }
+
+    /// Builds an engine per `cfg`, recovering from the write-ahead log
+    /// when durability is configured: surviving commit records are
+    /// replayed in LSN order into the fresh shards (conflict graph,
+    /// store values, multi-shard registry), then one GC sweep runs so
+    /// replayed-but-already-deletable transactions are reclaimed — and
+    /// their log segments truncated — immediately. The report says
+    /// what was rebuilt; for a non-durable engine it is all zeros.
+    ///
+    /// Recovery is `O(live graph)`, not `O(history)`: GC-driven
+    /// checkpointing removed every segment whose commits were all
+    /// deleted, and the noncurrent policy guarantees each entity's
+    /// current writer was never deleted, so replaying what remains
+    /// reproduces every current value exactly.
+    pub fn open(cfg: EngineConfig) -> Result<(Self, RecoveryReport), EngineError> {
+        Self::open_with(cfg, false)
+    }
+
+    /// [`Engine::open`] on the **all-locks baseline**: every escalated
+    /// operation takes every shard lock and the multi-shard GC pass
+    /// stops the world. This is the path the default engine falls back
+    /// to when a planned lock subset goes stale, and the reference the
+    /// twin oracles and the A/B benches compare the default against;
+    /// decisions, deletions and stores are identical.
+    #[doc(hidden)]
+    pub fn open_all_locks_baseline(
+        cfg: EngineConfig,
+    ) -> Result<(Self, RecoveryReport), EngineError> {
+        Self::open_with(cfg, true)
+    }
+
+    fn open_with(
+        cfg: EngineConfig,
+        all_locks: bool,
+    ) -> Result<(Self, RecoveryReport), EngineError> {
+        let rt = Arc::clone(&cfg.runtime);
+        let t0 = rt.now();
+        let (wal, commits, scan) = match &cfg.durability {
+            Some(d) => {
+                let (w, commits, scan) = Wal::open_on(d.clone(), Arc::clone(&rt))
+                    .map_err(|e| EngineError::Durability(format!("open log: {e}")))?;
+                (Some(Arc::new(w)), commits, scan)
+            }
+            None => (None, Vec::new(), RecoveryScan::default()),
+        };
+        let engine = Self::build(cfg, wal, all_locks);
+        let replayed = engine.inner.replay_commits(&commits);
+        if replayed > 0 {
+            // GC-as-checkpoint, applied to the replay itself: anything
+            // already deletable goes now, truncating its segments.
+            engine.inner.gc_sweep();
+        }
+        let report = RecoveryReport {
+            commits_replayed: replayed,
+            segments_scanned: scan.segments_scanned,
+            segments_dropped: scan.segments_dropped,
+            bytes_discarded: scan.bytes_discarded,
+            torn_tail: scan.torn_tail,
+            max_lsn: scan.max_lsn,
+            quarantined: scan.quarantined,
+            elapsed: rt.now().saturating_sub(t0),
+        };
+        Ok((engine, report))
+    }
+
+    fn build(cfg: EngineConfig, wal: Option<Arc<Wal>>, all_locks: bool) -> Self {
+        assert!(cfg.shards > 0, "need at least one shard");
+        let inner = Arc::new(EngineInner {
+            shards: (0..cfg.shards)
+                .map(|_| {
+                    let mut cg = CgState::new();
+                    cg.set_gc_tracking(true);
+                    Mutex::new(Shard {
+                        cg,
+                        store: Store::new(),
+                        boundary: 0,
+                        mirrored_rev: 0,
+                        mirrored_epoch: 0,
+                        compacted_bridge_arcs: 0,
+                    })
+                })
+                .collect(),
+            coord: Coordination::new(cfg.shards),
+            planner: Planner::new(cfg.shards),
+            pending_multi: Mutex::new(BTreeSet::new()),
+            history: cfg
+                .record_history
+                .then(|| Mutex::new(RecordedHistory::default())),
+            metrics: EngineMetrics::default(),
+            wal,
+            next_txn: AtomicU32::new(1),
+            gc_policy: cfg.gc,
+            all_locks,
+            rt: Arc::clone(&cfg.runtime),
+            shutdown: AtomicBool::new(false),
+            shutdown_ev: cfg.runtime.event(),
+        });
+        let gc_thread = (cfg.background_gc && cfg.gc != GcPolicy::Off).then(|| {
+            let inner = Arc::clone(&inner);
+            let interval = cfg.gc_interval;
+            cfg.runtime
+                .spawn("deltx-gc", Box::new(move || inner.gc_loop(interval)))
+        });
+        Self { inner, gc_thread }
+    }
+
+    /// Starts a new transaction.
+    pub fn begin(&self) -> Session {
+        Session::new(Arc::clone(&self.inner), self.inner.begin_txn())
+    }
+
+    /// Runs one synchronous GC sweep (what the background thread does
+    /// on every tick).
+    pub fn gc_sweep(&self) {
+        self.inner.gc_sweep();
+    }
+
+    /// Audits the incremental bitmask boundary summaries against the
+    /// from-scratch DFS oracle ([`deltx_core::CgState::naive_boundary_reach`]),
+    /// shard by shard. The summaries only gate *optimizations*
+    /// (subset escalation, closure-scoped GC), so a corrupted mask
+    /// shows up as silent over- or under-locking rather than a wrong
+    /// answer — this audit is the oracle that makes such corruption a
+    /// hard failure. Returns the first divergence as an error. Call
+    /// at quiescence (no in-flight sessions).
+    pub fn summary_audit(&self) -> Result<(), String> {
+        for (s, shard) in self.inner.shards.iter().enumerate() {
+            let mut g = shard.lock().unwrap();
+            g.cg.end_summary_batch();
+            let got = g.cg.boundary_reach_map();
+            let marked: Vec<TxnId> = got.keys().copied().collect();
+            let want = g.cg.naive_boundary_reach(&marked);
+            if got != want {
+                let diverged: Vec<TxnId> = got
+                    .iter()
+                    .filter(|(t, set)| want.get(*t) != Some(*set))
+                    .map(|(t, _)| *t)
+                    .collect();
+                return Err(format!(
+                    "summary audit: shard {s} boundary summary diverged from the naive \
+                     DFS oracle for {} of {} marked txns (first: {:?})",
+                    diverged.len(),
+                    marked.len(),
+                    diverged.first()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Current metrics, including the union-graph size gauge and the
+    /// WAL counters when durability is on.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.inner
+            .metrics
+            .snapshot(self.inner.graph_size(), self.wal_stats())
+    }
+
+    /// WAL activity counters (`None` when durability is off).
+    pub fn wal_stats(&self) -> Option<WalStats> {
+        self.inner.wal.as_ref().map(|w| w.stats())
+    }
+
+    /// Whether the engine is in degraded read-only mode: the
+    /// write-ahead log stopped accepting records (fsync poisoning, a
+    /// crash, terminal `ENOSPC`, or an I/O failure). Reads keep
+    /// working against the in-memory state; commits that write are
+    /// rejected with [`EngineError::Durability`] before they touch
+    /// the conflict graph. Always `false` for a non-durable engine.
+    pub fn degraded(&self) -> bool {
+        self.inner
+            .wal
+            .as_ref()
+            .is_some_and(|w| w.health() != WalHealth::Ok)
+    }
+
+    /// The WAL's coarse health ([`WalHealth::Ok`] when durability is
+    /// off — a purely in-memory engine has nothing to degrade).
+    pub fn wal_health(&self) -> WalHealth {
+        self.inner
+            .wal
+            .as_ref()
+            .map_or(WalHealth::Ok, |w| w.health())
+    }
+
+    /// Arms a crash at `cp`: the next commit's WAL submission executes
+    /// the crash instead of appending, after which every durable
+    /// commit fails with [`EngineError::Durability`] until the engine
+    /// is re-opened over the same directory. For fault-injection
+    /// harnesses.
+    ///
+    /// # Panics
+    /// If durability is not configured.
+    pub fn inject_crash(&self, cp: CrashPoint) {
+        self.inner
+            .wal
+            .as_ref()
+            .expect("inject_crash requires durability")
+            .arm_crash(cp);
+    }
+
+    /// Union-graph size: distinct nodes (ghost twins counted) and arcs
+    /// across all shards.
+    pub fn graph_size(&self) -> StateSize {
+        self.inner.graph_size()
+    }
+
+    /// The recorded history so far (only if
+    /// [`EngineConfig::record_history`] was set).
+    pub fn recorded_history(&self) -> Option<RecordedHistory> {
+        self.inner
+            .history
+            .as_ref()
+            .map(|h| h.lock().unwrap().clone())
+    }
+
+    /// The committed value of `x` (current version), outside any
+    /// transaction — a dirty-read-free peek for tests and tools.
+    pub fn peek(&self, x: u32) -> Value {
+        let x = EntityId(x);
+        let s = self.inner.shard_of(x);
+        self.inner.shards[s].lock().unwrap().store.read(x)
+    }
+}
+
+impl Drop for Engine {
+    fn drop(&mut self) {
+        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.shutdown_ev.notify();
+        if let Some(t) = self.gc_thread.take() {
+            t.join();
+        }
+        // After the GC task: its sweeps may still note deletions.
+        if let Some(w) = &self.inner.wal {
+            w.close();
+        }
+    }
+}
+
+impl EngineInner {
+    pub(crate) fn shard_of(&self, x: EntityId) -> usize {
+        x.index() % self.shards.len()
+    }
+
+    fn begin_txn(&self) -> TxnId {
+        let t = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
+        self.metrics.txn_became_live();
+        self.record_step(Step::new(t, Op::Begin), Applied::Accepted);
+        t
+    }
+
+    pub(crate) fn record(&self, e: Event) {
+        if let Some(h) = &self.history {
+            h.lock().unwrap().events.push(e);
+        }
+    }
+
+    pub(crate) fn record_step(&self, step: Step, outcome: Applied) {
+        self.record(Event::Step { step, outcome });
+    }
+
+    pub(crate) fn lock_all(&self) -> Guards<'_> {
+        (0..self.shards.len())
+            .map(|s| (s, self.shards[s].lock().unwrap()))
+            .collect()
+    }
+
+    /// Locks `subset` in ascending index order (the GC and all-locks
+    /// paths obey the same order, so mixed acquisitions cannot
+    /// deadlock).
+    pub(crate) fn lock_subset(&self, subset: &BTreeSet<usize>) -> Guards<'_> {
+        subset
+            .iter()
+            .map(|&s| (s, self.shards[s].lock().unwrap()))
+            .collect()
+    }
+
+    fn graph_size(&self) -> StateSize {
+        let guards = self.lock_all();
+        let mut size = StateSize::default();
+        for g in guards.values() {
+            size.nodes += g.cg.graph().node_count();
+            size.arcs += g.cg.graph().arc_count();
+        }
+        size
+    }
+
+    /// Creates `txn`'s node in `shard` if absent (lazy Rule 1).
+    pub(crate) fn ensure_node(shard: &mut Shard, txn: TxnId) -> Result<(), EngineError> {
+        if shard.cg.node_of(txn).is_none() {
+            match shard.cg.apply(&Step::new(txn, Op::Begin))? {
+                Applied::Accepted => {}
+                out => {
+                    return Err(EngineError::Protocol(deltx_core::CgError::WrongModel(
+                        match out {
+                            Applied::IgnoredAborted => "begin for aborted txn",
+                            _ => "begin rejected",
+                        },
+                    )))
+                }
+            }
+        }
+        Ok(())
+    }
+}

@@ -23,14 +23,6 @@ pub enum EngineError {
     /// — after recovery it may be absent — and the engine accepts no
     /// further commits until re-opened.
     Durability(String),
-    /// A cross-shard pin acquisition closed a wait-for cycle under
-    /// [`crate::ExecutionMode::ShardLoops`]: the report names every
-    /// participant and the shard each is waiting to pin. The engine's
-    /// own choreography always pins in ascending shard order and can
-    /// never hit this; it exists for front ends that pin shards in
-    /// client-chosen order (a blocking 2PL or predeclared-§5 API),
-    /// which get a named report instead of a hang.
-    Deadlock(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -40,7 +32,6 @@ impl std::fmt::Display for EngineError {
             EngineError::Closed(t) => write!(f, "session for {t} is closed"),
             EngineError::Protocol(e) => write!(f, "scheduler protocol error: {e}"),
             EngineError::Durability(e) => write!(f, "durability failure: {e}"),
-            EngineError::Deadlock(r) => write!(f, "cross-shard deadlock detected: {r}"),
         }
     }
 }

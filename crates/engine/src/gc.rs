@@ -1,0 +1,616 @@
+//! GC sweeps and cross-shard deletion.
+//!
+//! Deleting a completed transaction is the paper's `D(G, N)`: remove
+//! the node, connect every predecessor to every successor. For a
+//! single-shard transaction all of that is shard-local. For a
+//! multi-shard transaction, a predecessor in shard A and a successor in
+//! shard B need a bridge no single shard can express — so the engine
+//! materializes the predecessor as a **ghost node** in B (an
+//! access-free node carrying only ordering arcs,
+//! [`deltx_core::CgState::admit_completed_ghost`]) and bridges there.
+//! Union reachability is preserved exactly, which keeps the engine
+//! step-for-step equivalent to a monolithic reduced scheduler — and
+//! Theorem 2 lifts that to equivalence with the full, never-deleting
+//! scheduler. Sustained cross-shard traffic accretes ordering arcs
+//! between ghosts; the sweeps run a transitive-reduction compaction
+//! over the ghost-only subgraph
+//! ([`deltx_core::CgState::compact_ghost_arcs`]), which provably
+//! changes no reachability.
+//!
+//! The multi-shard pass does **not** stop the world: per candidate it
+//! plans the shard **closure** its bridges can touch — the
+//! transaction's own shards plus the summary-closure neighbors, from
+//! the same [`crate::planner::Planner`] the commit path uses — locks
+//! each closure ascending, re-validates the growth epochs after
+//! acquisition, and batches every other pending candidate the locked
+//! closure turns out to cover (a hot shard pair's backlog drains under
+//! one acquisition). The epoch check
+//! is an optimization; the authoritative guard runs under the held
+//! locks: before its first mutation, each candidate re-checks that
+//! its registered span and every neighbor's span are fully locked
+//! (a bridge lands either in a ghost target — one of the candidate's
+//! own shards — or in a shard both neighbors already inhabit). A
+//! candidate whose real closure escaped the subset is retried under
+//! every lock in the same sweep, so a stale plan can delay a deletion
+//! but never misplace a bridge. Within a shard, `D(G, N)` bridging
+//! preserves the boundary summary exactly except for the deleted
+//! endpoint's own pairs — a pure shrink, which cannot invalidate any
+//! concurrently planned subset (the all-locks baseline,
+//! [`crate::Engine::open_all_locks_baseline`], stops the world
+//! instead; `gc_oracle.rs` proves the decisions bit-identical).
+
+use crate::engine::{EngineInner, GcPolicy, Guards, Shard};
+use deltx_core::policy::PolicyKind;
+use deltx_core::{noncurrent, TxnState};
+use deltx_graph::NodeId;
+use deltx_model::{EntityId, Op, Step, TxnId};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::Ordering;
+use std::time::Duration;
+
+/// Candidate-queue length at which a committer reclaims its shard
+/// inline rather than waiting for the next background sweep.
+pub(crate) const SHARD_GC_THRESHOLD: usize = 32;
+/// Pending multi-shard count at which an escalated committer (already
+/// holding every lock) runs the multi-shard pass inline.
+pub(crate) const MULTI_GC_THRESHOLD: usize = 32;
+
+/// Outcome of one multi-shard GC candidate under the held locks.
+#[derive(Debug)]
+enum MultiDelete {
+    /// Deleted from every shard, bridges materialized.
+    Deleted,
+    /// Not deletable now (gone, active somewhere, or still current);
+    /// dropped from the queue per the re-enqueue rules.
+    Skipped,
+    /// The candidate's real closure exceeds the locked subset: retry
+    /// under every lock.
+    NeedsWider,
+}
+
+impl EngineInner {
+    pub(crate) fn gc_loop(&self, interval: Duration) {
+        loop {
+            let key = self.shutdown_ev.prepare();
+            if self.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            // ENOSPC escalation: while a WAL append is parked on its
+            // space backoff, every sweep is a rescue attempt — each
+            // deleted transaction can retire a sealed segment and free
+            // the bytes the parked append needs. Shrink the tick so a
+            // rescue lands inside the append's escalation window
+            // instead of one full interval later.
+            let pressured = self.wal.as_ref().is_some_and(|w| w.space_pressure());
+            let wait = if pressured {
+                self.metrics.gc_pressure_sweeps.add(1);
+                Duration::from_micros(200).min(interval)
+            } else {
+                interval
+            };
+            // Timed out → a normal tick; notified → recheck the flag
+            // (shutdown is the event's only notifier).
+            let _ = self.shutdown_ev.wait_timeout(key, wait);
+            if self.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            self.gc_sweep();
+        }
+    }
+
+    /// One full GC sweep: per-shard incremental pass (including ghost
+    /// compaction), then the multi-shard pass.
+    pub(crate) fn gc_sweep(&self) {
+        match self.gc_policy {
+            GcPolicy::Off => {}
+            GcPolicy::Noncurrent => {
+                self.sweep_shards_noncurrent();
+                self.sweep_multi_shard();
+            }
+            GcPolicy::ShardLocal(kind) => self.sweep_shard_local(kind),
+        }
+        self.metrics.gc_sweeps.add(1);
+    }
+
+    /// Incremental noncurrent reclaim of one shard: drains the
+    /// candidate queue, deletes noncurrent single-shard transactions,
+    /// defers multi-shard candidates to the multi pass, prunes stale
+    /// store versions. Caller holds the shard's lock.
+    pub(crate) fn reclaim_shard(&self, s: usize, g: &mut Shard) {
+        let t0 = self.rt.now();
+        let candidates = g.cg.drain_gc_candidates();
+        if candidates.is_empty() {
+            return;
+        }
+        let mut deleted: Vec<TxnId> = Vec::new();
+        let mut deferred: Vec<TxnId> = Vec::new();
+        let mut written: Vec<EntityId> = Vec::new();
+        for n in candidates {
+            if !g.cg.is_completed(n) {
+                continue;
+            }
+            let txn = g.cg.info(n).txn;
+            if self.coord.reg_contains(txn, &self.metrics) {
+                deferred.push(txn);
+                continue;
+            }
+            if !noncurrent::is_current(&g.cg, n) {
+                for (&x, rec) in &g.cg.info(n).access {
+                    if rec.mode == deltx_model::AccessMode::Write {
+                        written.push(x);
+                    }
+                }
+                g.cg.delete(n).expect("completed node deletes");
+                deleted.push(txn);
+            }
+        }
+        let truncated = g.store.truncate_versions_in(&deleted, &written);
+        // D(G, N) deletion doubles as the durability checkpoint: dead
+        // commits release their log segments.
+        if let Some(w) = &self.wal {
+            w.note_deleted(&deleted);
+        }
+        if !deferred.is_empty() {
+            self.pending_multi.lock().unwrap().extend(deferred);
+        }
+        self.mirror_shard(s, g);
+        self.metrics.gc_deletions.add(deleted.len() as u64);
+        self.metrics.txns_left(deleted.len() as u64);
+        self.metrics.gc_versions_truncated.add(truncated as u64);
+        self.metrics
+            .gc_pause_nanos
+            .add(self.rt.now().saturating_sub(t0).as_nanos() as u64);
+    }
+
+    /// Transitive-reduction compaction of a shard's ghost arcs,
+    /// skipped entirely unless deletions added bridge arcs since the
+    /// last pass (compaction needs no coordination: it changes no
+    /// reachability).
+    fn compact_shard_ghosts(&self, g: &mut Shard) {
+        let bridges = g.cg.stats().bridge_arcs;
+        if bridges == g.compacted_bridge_arcs {
+            return;
+        }
+        g.compacted_bridge_arcs = bridges;
+        let removed = g.cg.compact_ghost_arcs();
+        if removed > 0 {
+            self.metrics.gc_ghost_arcs_removed.add(removed as u64);
+        }
+    }
+
+    /// Per-shard incremental noncurrent pass over all shards, plus the
+    /// ghost-arc compaction (which needs no coordination: it changes no
+    /// reachability).
+    fn sweep_shards_noncurrent(&self) {
+        for s in 0..self.shards.len() {
+            let mut g = self.shards[s].lock().unwrap();
+            self.compact_shard_ghosts(&mut g);
+            let needs_mirror = g.cg.summary_rev() != g.mirrored_rev;
+            if g.cg.gc_candidate_count() == 0 && !needs_mirror {
+                continue;
+            }
+            if g.cg.gc_candidate_count() > 0 {
+                self.reclaim_shard(s, &mut g);
+            }
+            // Re-tighten the mirror: hot paths skip shrink copies.
+            self.mirror_shard(s, &mut g);
+        }
+    }
+
+    /// Multi-shard deletion pass: noncurrent-everywhere transactions
+    /// are deleted from every shard, with `D(G, N)` bridges
+    /// re-materialized across shards via ghosts.
+    ///
+    /// With more than one shard the pass locks per-candidate
+    /// **closures** instead of stopping the world; the all-locks
+    /// baseline takes every lock.
+    pub(crate) fn sweep_multi_shard(&self) {
+        if self.pending_multi.lock().unwrap().is_empty() {
+            return;
+        }
+        if !self.all_locks && self.shards.len() > 1 {
+            self.sweep_multi_partial();
+        } else {
+            let mut guards = self.lock_all();
+            // The stop-the-world baseline: these locks were taken for
+            // GC, so the acquisition is recorded.
+            if self.sweep_multi_locked(&mut guards) {
+                self.metrics
+                    .record_gc_closure(self.shards.len(), self.shards.len());
+                self.rt.emit("gc_closure", self.shards.len() as u64);
+            }
+        }
+    }
+
+    /// The all-locks multi-shard pass, for callers already holding
+    /// every shard lock plus the coordination lock (the stop-the-world
+    /// baseline, and escalated committers applying backpressure while
+    /// they happen to hold everything anyway). Returns whether there
+    /// was anything to process — the caller decides whether the lock
+    /// acquisition counts toward the GC closure metrics (an inline
+    /// committer's locks were taken for the commit, not for GC).
+    pub(crate) fn sweep_multi_locked(&self, guards: &mut Guards<'_>) -> bool {
+        let pending: Vec<TxnId> = {
+            let mut p = self.pending_multi.lock().unwrap();
+            std::mem::take(&mut *p).into_iter().collect()
+        };
+        if pending.is_empty() {
+            return false;
+        }
+        let widen = self.sweep_multi_batch(guards, &pending);
+        debug_assert!(widen.is_empty(), "all-locks batch cannot need wider");
+        true
+    }
+
+    /// The closure-scoped multi-shard pass. Repeatedly: plan the lead
+    /// candidate's closure — the shard set its `D(G, N)` bridges can
+    /// touch (its own shards plus the summary-closure neighbors), via
+    /// the shared [`Planner`] — lock it in ascending order,
+    /// re-validate the growth epochs after acquisition, and offer
+    /// **every** remaining candidate to the batch: the ones whose
+    /// spans the locked subset covers are processed for free (a hot
+    /// shard pair's whole backlog drains under one acquisition), the
+    /// rest come back and lead a later round with a *fresh* plan — so
+    /// the spans this round's bridging grew are re-planned rather
+    /// than invalidating pre-made plans. A saturated or stale plan
+    /// defers its candidate to one final all-locks pass. The epoch
+    /// check is an optimization; the authoritative guard is the
+    /// per-candidate span re-check under the held locks inside
+    /// [`Self::try_delete_multi`], so a stale plan can delay a
+    /// deletion but never misplace a bridge.
+    fn sweep_multi_partial(&self) {
+        let pending: BTreeSet<TxnId> = std::mem::take(&mut *self.pending_multi.lock().unwrap());
+        if pending.is_empty() {
+            return;
+        }
+        let n = self.shards.len();
+        let mut queue: Vec<TxnId> = pending.into_iter().collect();
+        let mut widen: Vec<TxnId> = Vec::new();
+        while let Some(&lead) = queue.first() {
+            // The lead's entry shards, from the current registry.
+            let base: Option<BTreeSet<usize>> = self
+                .coord
+                .reg_get(lead, &self.metrics)
+                .map(|v| v.into_iter().collect());
+            let Some(base) = base else {
+                // Aborted or already deleted: drop it from the queue.
+                queue.remove(0);
+                continue;
+            };
+            let (subset, token) = self.planner.plan(lead, &base, &self.coord, &self.metrics);
+            if subset.len() >= n {
+                // Saturated closure: the final all-locks pass takes it.
+                widen.push(queue.remove(0));
+                continue;
+            }
+            let mut guards = self.lock_subset(&subset);
+            if !self.planner.validate(&subset, token) {
+                drop(guards);
+                self.metrics.gc_closure_fallbacks.add(1);
+                self.rt.emit("gc_closure_fallback", 0);
+                widen.push(queue.remove(0));
+                continue;
+            }
+            self.metrics.record_gc_closure(subset.len(), n);
+            self.rt.emit("gc_closure", subset.len() as u64);
+            let batch = std::mem::take(&mut queue);
+            let mut leftover = self.sweep_multi_batch(&mut guards, &batch);
+            drop(guards);
+            // The lead planned this validated closure, so its span is
+            // covered and it cannot come back — except through a
+            // concurrent sweep's interleaving; route it to the
+            // all-locks pass (a fallback) rather than looping.
+            if let Some(pos) = leftover.iter().position(|&t| t == lead) {
+                self.metrics.gc_closure_fallbacks.add(1);
+                self.rt.emit("gc_closure_fallback", 1);
+                widen.push(leftover.remove(pos));
+            }
+            queue = leftover;
+        }
+        if !widen.is_empty() {
+            let mut guards = self.lock_all();
+            self.metrics.record_gc_closure(n, n);
+            self.rt.emit("gc_closure", n as u64);
+            let w = self.sweep_multi_batch(&mut guards, &widen);
+            debug_assert!(w.is_empty(), "all-locks batch cannot need wider");
+        }
+    }
+
+    /// Deletes every deletable candidate of `batch` under whatever
+    /// shard locks are held, then truncates stores, re-queues ghosted
+    /// predecessors, and mirrors the touched summaries. Returns the
+    /// candidates whose closure turned out to exceed the locked subset
+    /// (never non-empty when every lock is held).
+    fn sweep_multi_batch(&self, guards: &mut Guards<'_>, batch: &[TxnId]) -> Vec<TxnId> {
+        let t0 = self.rt.now();
+        // Batch the bridge-arc summary maintenance: ghost marks and
+        // ordering arcs between deletes coalesce, and deletes flush
+        // their shard's queue themselves to stay exact.
+        for g in guards.values_mut() {
+            g.cg.begin_summary_batch();
+        }
+        let mut still_pending: BTreeSet<TxnId> = BTreeSet::new();
+        let mut deleted: Vec<TxnId> = Vec::new();
+        // Entities the deleted transactions wrote, per shard — the
+        // targets for store truncation afterwards.
+        let mut written: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
+        let mut ghosts_made = 0u64;
+        let mut widen: Vec<TxnId> = Vec::new();
+        for &txn in batch {
+            match self.try_delete_multi(
+                guards,
+                txn,
+                &mut still_pending,
+                &mut written,
+                &mut ghosts_made,
+            ) {
+                MultiDelete::Deleted => deleted.push(txn),
+                MultiDelete::Skipped => {}
+                MultiDelete::NeedsWider => widen.push(txn),
+            }
+        }
+        // Prune the reclaimed writers' stale versions, only in the
+        // entities they actually wrote.
+        let mut truncated = 0usize;
+        for (s, xs) in &written {
+            let g = guards.get_mut(s).expect("written shard is locked");
+            truncated += g.store.truncate_versions_in(&deleted, xs);
+        }
+        if let Some(w) = &self.wal {
+            w.note_deleted(&deleted);
+        }
+        if !still_pending.is_empty() {
+            self.pending_multi.lock().unwrap().extend(still_pending);
+        }
+        self.mirror_guards(guards);
+        self.metrics.gc_deletions.add(deleted.len() as u64);
+        self.metrics.txns_left(deleted.len() as u64);
+        self.metrics.gc_ghosts.add(ghosts_made);
+        self.metrics.gc_versions_truncated.add(truncated as u64);
+        self.metrics
+            .gc_pause_nanos
+            .add(self.rt.now().saturating_sub(t0).as_nanos() as u64);
+        widen
+    }
+
+    /// One candidate of the multi-shard pass: checks deletability,
+    /// verifies the locked subset covers everything the deletion can
+    /// touch, then deletes the transaction from every shard and
+    /// re-materializes its `D(G, N)` bridges.
+    ///
+    /// The coverage check is authoritative because it runs under the
+    /// held locks: the registry entries it reads (the candidate's own
+    /// span and the spans of its boundary neighbors) can only be
+    /// mutated by a thread holding the lock of a shard where the
+    /// respective transaction resides — and those shards are exactly
+    /// the ones this check demands be in `guards`. Bridging during
+    /// *this* candidate can grow a predecessor's span, but only ever
+    /// by ghost-target shards, which are shards of the candidate
+    /// itself — already locked.
+    fn try_delete_multi(
+        &self,
+        guards: &mut Guards<'_>,
+        txn: TxnId,
+        still_pending: &mut BTreeSet<TxnId>,
+        written: &mut BTreeMap<usize, Vec<EntityId>>,
+        ghosts_made: &mut u64,
+    ) -> MultiDelete {
+        let Some(shards) = self.coord.reg_get(txn, &self.metrics) else {
+            return MultiDelete::Skipped; // aborted or already deleted
+        };
+        // The candidate's own span must be fully locked (a commit or a
+        // concurrent sweep may have ghosted it into new shards since
+        // the plan was made).
+        if shards.iter().any(|s| !guards.contains_key(s)) {
+            return MultiDelete::NeedsWider;
+        }
+        let nodes: Vec<(usize, NodeId)> = shards
+            .iter()
+            .filter_map(|&s| guards[&s].cg.node_of(txn).map(|n| (s, n)))
+            .collect();
+        // Not deletable yet? Drop it from the queue: the events
+        // that can change the answer re-enqueue it — committing
+        // (commit_escalated), an overwrite of one of its entities
+        // (the shard candidate queue -> reclaim_shard deferral),
+        // or being ghosted (bridge_cross_shard).
+        let all_completed = nodes.iter().all(|&(s, n)| guards[&s].cg.is_completed(n));
+        if !all_completed {
+            return MultiDelete::Skipped;
+        }
+        let current = nodes
+            .iter()
+            .any(|&(s, n)| noncurrent::is_current(&guards[&s].cg, n));
+        if current {
+            return MultiDelete::Skipped;
+        }
+        // Collect cross-shard pred/succ transaction pairs (local
+        // pairs are bridged by `delete` itself) and the written
+        // entities, before deleting forgets them.
+        let mut preds: Vec<(usize, TxnId)> = Vec::new();
+        let mut succs: Vec<(usize, TxnId)> = Vec::new();
+        let mut written_local: Vec<(usize, EntityId)> = Vec::new();
+        for &(s, n) in &nodes {
+            for &p in guards[&s].cg.graph().preds(n) {
+                preds.push((s, guards[&s].cg.info(p).txn));
+            }
+            for &q in guards[&s].cg.graph().succs(n) {
+                succs.push((s, guards[&s].cg.info(q).txn));
+            }
+            for (&x, rec) in &guards[&s].cg.info(n).access {
+                if rec.mode == deltx_model::AccessMode::Write {
+                    written_local.push((s, x));
+                }
+            }
+        }
+        // Every shard the bridges can touch must be locked: a bridge
+        // lands in a ghost target (a shard of `txn` — covered above)
+        // or in a shard both neighbors already inhabit (a shard of a
+        // neighbor's span). Checked BEFORE the first mutation so a
+        // too-narrow plan defers the whole candidate instead of
+        // half-deleting it.
+        let covered = preds.iter().chain(succs.iter()).all(|(_, t)| {
+            match self.coord.reg_get(*t, &self.metrics) {
+                Some(span) => span.iter().all(|s| guards.contains_key(s)),
+                None => true, // single-shard neighbor: its only shard is txn's
+            }
+        });
+        if !covered {
+            return MultiDelete::NeedsWider;
+        }
+        for &(s, n) in &nodes {
+            let g = guards.get_mut(&s).expect("span shard is locked");
+            if g.cg.node_of(txn) == Some(n) {
+                self.dec_boundary(g);
+                g.cg.delete(n).expect("completed node deletes");
+            }
+        }
+        self.unregister_txn(txn);
+        for &(ps, p) in &preds {
+            for &(qs, q) in &succs {
+                if ps == qs || p == q {
+                    continue; // same shard: bridged locally
+                }
+                *ghosts_made += self.bridge_cross_shard(guards, still_pending, (ps, p), (qs, q));
+            }
+        }
+        for (s, x) in written_local {
+            written.entry(s).or_default().push(x);
+        }
+        MultiDelete::Deleted
+    }
+
+    /// Ensures an ordering arc `pred -> succ` exists somewhere in the
+    /// union graph, materializing a ghost for `pred` in `succ`'s shard
+    /// if the two transactions share no shard. Returns how many ghosts
+    /// were created (0 or 1). Caller holds the locks of both
+    /// transactions' full spans plus the deleted transaction's shards
+    /// (the ghost target) — [`Self::try_delete_multi`]'s coverage
+    /// check, or all locks.
+    fn bridge_cross_shard(
+        &self,
+        guards: &mut Guards<'_>,
+        pending: &mut BTreeSet<TxnId>,
+        (ps, p): (usize, TxnId),
+        (qs, q): (usize, TxnId),
+    ) -> u64 {
+        // Planted bug: drop the D(G, N) bridge entirely — deleting N
+        // silently loses the induced pred -> succ ordering, exactly
+        // the class of bug the schedule-space search must rediscover
+        // (the never-deleting oracle replay convicts it).
+        #[cfg(feature = "planted")]
+        if crate::planted::drop_gc_bridge_bug() {
+            return 0;
+        }
+        // A shard where both live already?
+        let p_shards: Vec<usize> = self
+            .coord
+            .reg_get(p, &self.metrics)
+            .unwrap_or_else(|| vec![ps]);
+        let q_shards: Vec<usize> = self
+            .coord
+            .reg_get(q, &self.metrics)
+            .unwrap_or_else(|| vec![qs]);
+        for &c in &p_shards {
+            if q_shards.contains(&c) {
+                let g = guards.get_mut(&c).expect("common neighbor shard is locked");
+                let (pn, qn) = (
+                    g.cg.node_of(p).expect("registered node"),
+                    g.cg.node_of(q).expect("registered node"),
+                );
+                g.cg.add_order_arc(pn, qn)
+                    .expect("bridge follows an existing union path");
+                self.rt.emit("gc_bridge_local", 1);
+                return 0;
+            }
+        }
+        // Materialize p as a ghost in q's shard.
+        let target = qs;
+        let was_single = p_shards.len() == 1;
+        let p_completed = {
+            let g = &guards[&ps];
+            let pn = g.cg.node_of(p).expect("registered node");
+            g.cg.info(pn).state == TxnState::Completed
+        };
+        {
+            let tg = guards
+                .get_mut(&target)
+                .expect("ghost target shard is locked");
+            let ghost = if p_completed {
+                tg.cg
+                    .admit_completed_ghost(p)
+                    .expect("ghost id unseen in target shard")
+            } else {
+                // Active predecessor: an access-free *active* node — it
+                // will be completed by p's own commit (which consults
+                // the registry) or removed by p's abort.
+                tg.cg.apply(&Step::new(p, Op::Begin)).expect("ghost begin");
+                tg.cg.node_of(p).expect("just admitted")
+            };
+            // Mark the ghost boundary *before* bridging so the new arc
+            // lands in the summary.
+            if !self.all_locks {
+                tg.cg.set_boundary(p, true);
+            }
+            tg.boundary += 1;
+            let qn = tg.cg.node_of(q).expect("registered node");
+            tg.cg
+                .add_order_arc(ghost, qn)
+                .expect("bridge follows an existing union path");
+        }
+        // p is now multi-shard: update registry and boundary marks.
+        if was_single {
+            let pg = guards.get_mut(&ps).expect("predecessor shard is locked");
+            pg.boundary += 1;
+            if !self.all_locks {
+                pg.cg.set_boundary(p, true);
+            }
+        }
+        let mut shards: BTreeSet<usize> = p_shards.iter().copied().collect();
+        shards.insert(target);
+        self.set_txn_shards(p, &shards);
+        if p_completed {
+            pending.insert(p);
+        }
+        self.rt.emit("gc_bridge_ghost", 1);
+        1
+    }
+
+    /// Per-shard sweep with a `deltx-core` policy, restricted to shards
+    /// whose graph is a closed component (no boundary nodes).
+    fn sweep_shard_local(&self, kind: PolicyKind) {
+        let mut policy = kind.build();
+        for s in 0..self.shards.len() {
+            let t0 = self.rt.now();
+            let mut g = self.shards[s].lock().unwrap();
+            let _ = g.cg.drain_gc_candidates(); // keep the queue bounded
+            self.compact_shard_ghosts(&mut g);
+            if g.boundary != 0 {
+                continue;
+            }
+            let before: HashMap<TxnId, ()> =
+                g.cg.completed_nodes()
+                    .into_iter()
+                    .map(|n| (g.cg.info(n).txn, ()))
+                    .collect();
+            let deletions_before = g.cg.stats().deletions;
+            policy.reduce(&mut g.cg);
+            let deleted: Vec<TxnId> = before
+                .keys()
+                .filter(|t| g.cg.node_of(**t).is_none())
+                .copied()
+                .collect();
+            let n_deleted = g.cg.stats().deletions - deletions_before;
+            let truncated = g.store.truncate_versions(&deleted);
+            drop(g);
+            if let Some(w) = &self.wal {
+                w.note_deleted(&deleted);
+            }
+            self.metrics.gc_deletions.add(n_deleted);
+            self.metrics.txns_left(deleted.len() as u64);
+            self.metrics.gc_versions_truncated.add(truncated as u64);
+            self.metrics
+                .gc_pause_nanos
+                .add(self.rt.now().saturating_sub(t0).as_nanos() as u64);
+        }
+    }
+}

@@ -67,23 +67,13 @@
 //!   ascending, deadlock-free). The union cycle check then runs
 //!   restricted to the locked subset, hopping between shards at
 //!   multi-shard nodes — provably equal to the all-shards check (see
-//!   `core_engine` module docs). One hot cross-shard pair no longer
+//!   `ops` module docs). One hot cross-shard pair no longer
 //!   serializes the whole engine — two commits (or GC sweeps) with
 //!   disjoint closures share no lock at all — and accept/reject
-//!   decisions are bit-identical to the all-locks baseline
-//!   ([`EngineConfig::partial_escalation`] toggles it for A/B runs).
-//! * **Execution modes** ([`ExecutionMode`]): the mutex-per-shard model
-//!   above is the baseline; [`ExecutionMode::ShardLoops`] instead runs
-//!   each shard as a **single-writer loop task** fed by an MPSC command
-//!   mailbox (with a flat-combining fast path: a client finding the
-//!   shard idle serves the queued batch plus its own command inline),
-//!   and choreographs cross-shard plans by **pinning** the closure's
-//!   loops in ascending shard order — the planner, validation, and
-//!   decide bodies are shared verbatim, so decisions and final stores
-//!   are bit-identical across modes (the `shard_loop_oracle` proves
-//!   it). Pin waits form a wait-for graph, so out-of-order front ends
-//!   get named [`EngineError::Deadlock`] reports instead of hangs. See
-//!   `docs/architecture.md` §"Shard loops".
+//!   decisions are bit-identical to the all-locks baseline (a hidden
+//!   constructor the twin oracles and A/B benches build their
+//!   reference engine with; it is also what a stale plan falls back
+//!   to at run time).
 //! * **GC**: a background thread drains per-shard candidate queues
 //!   (fed by [`deltx_core::CgState::drain_gc_candidates`] — bounded
 //!   and deduplicated; no full scans) and deletes completed
@@ -96,9 +86,8 @@
 //!   summary-closure neighbors its bridges can touch, planned by the
 //!   same module as escalated commits), batching the candidates each
 //!   closure covers and falling back to all locks on stale plans,
-//!   instead of stopping the world ([`EngineConfig::partial_gc`]
-//!   toggles the baseline). Sweeps also run a transitive-reduction
-//!   compaction over ghost-only subgraphs
+//!   instead of stopping the world. Sweeps also run a
+//!   transitive-reduction compaction over ghost-only subgraphs
 //!   ([`deltx_core::CgState::compact_ghost_arcs`]) so bridge arcs
 //!   cannot accrete without bound, and prune reclaimed writers' stale
 //!   versions with [`deltx_storage::Store::truncate_versions`].
@@ -128,8 +117,8 @@
 //! A prose walkthrough of the four locking regimes (fast path,
 //! partial escalation, all-locks fallback, GC closures) with the
 //! soundness argument for each lives in `docs/architecture.md` at the
-//! repository root; the inline versions live in the `core_engine` and
-//! `planner` module docs.
+//! repository root; the inline versions live in the `ops`, `coord`,
+//! `gc` and `planner` module docs.
 //!
 //! ## Quickstart
 //!
@@ -151,13 +140,16 @@
 #![warn(missing_docs)]
 
 pub mod bench_report;
-mod core_engine;
+mod coord;
+mod engine;
+mod gc;
 mod history;
 pub mod metrics;
+mod ops;
 mod planner;
+mod recovery;
 mod seed;
 mod session;
-mod shard_loops;
 
 pub mod error;
 
@@ -174,15 +166,14 @@ pub mod planted {
     pub use deltx_wal::planted::{retry_after_fsync_fail_bug, set_retry_after_fsync_fail_bug};
 }
 
-pub use core_engine::{Engine, EngineConfig, GcPolicy, RecoveryReport};
 pub use deltx_runtime::{OsRuntime, RtEvent, Runtime, TaskHandle};
 pub use deltx_wal::{
     CrashPoint, DurabilityConfig, FaultSpec, FaultyStorage, FsStorage, QuarantinedSegment,
     RecoverPolicy, WalError, WalHealth, WalStats, WalStorage, ALL_CRASH_POINTS,
 };
+pub use engine::{Engine, EngineConfig, GcPolicy, RecoveryReport};
 pub use error::EngineError;
 pub use history::{Event, RecordedHistory};
 pub use metrics::MetricsSnapshot;
 pub use seed::{run_seed, run_seed_arg};
 pub use session::Session;
-pub use shard_loops::ExecutionMode;

@@ -121,21 +121,6 @@ pub(crate) struct EngineMetrics {
     /// GC ticks shortened because a WAL append was parked on ENOSPC
     /// backoff (each shortened tick is a rescue-sweep attempt).
     pub gc_pressure_sweeps: Counter,
-    /// Shard-loops mode: histogram of mailbox batch depths (commands
-    /// served per loop iteration or combining pass).
-    pub mailbox_depth_hist: [Counter; SUBSET_HIST_BUCKETS],
-    /// Shard-loops mode: cross-shard coordinator rounds completed
-    /// (escalated reads/commits through the pin choreography).
-    pub coord_round_trips: Counter,
-    /// Shard-loops mode: total nanoseconds those coordinator rounds
-    /// took, pin-to-release. Sampled: only rounds counted in
-    /// `coord_timed_rounds` read the clock — on contention-bound
-    /// workloads every operation escalates, and two clock reads per
-    /// round is a measurable tax on the thing being measured.
-    pub coord_round_trip_nanos: Counter,
-    /// Shard-loops mode: how many coordinator rounds were actually
-    /// timed (the denominator for the round-trip mean).
-    pub coord_timed_rounds: Counter,
 }
 
 impl EngineMetrics {
@@ -182,29 +167,7 @@ impl EngineMetrics {
         self.live_txns.0.fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Records one mailbox batch of `depth` commands served by a shard
-    /// loop (or a flat-combining client on its behalf).
-    pub(crate) fn record_mailbox_batch(&self, depth: usize) {
-        self.mailbox_depth_hist[subset_bucket(depth)].add(1);
-    }
-
-    /// Records one cross-shard coordinator round trip. `nanos` is
-    /// `Some` only for the sampled rounds that read the clock.
-    pub(crate) fn record_coord_round_trip(&self, nanos: Option<u64>) {
-        self.coord_round_trips.add(1);
-        if let Some(nanos) = nanos {
-            self.coord_timed_rounds.add(1);
-            self.coord_round_trip_nanos.add(nanos);
-        }
-    }
-
-    pub(crate) fn snapshot(
-        &self,
-        graph: StateSize,
-        wal: Option<WalStats>,
-        loop_commands: Vec<u64>,
-        hint_escalations: u64,
-    ) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self, graph: StateSize, wal: Option<WalStats>) -> MetricsSnapshot {
         MetricsSnapshot {
             commits: self.commits.get(),
             aborts_scheduler: self.aborts_scheduler.get(),
@@ -238,12 +201,6 @@ impl EngineMetrics {
             wal_recovery_replayed: self.wal_recovery_replayed.get(),
             degraded_commit_rejections: self.degraded_commit_rejections.get(),
             gc_pressure_sweeps: self.gc_pressure_sweeps.get(),
-            mailbox_depth_hist: std::array::from_fn(|i| self.mailbox_depth_hist[i].get()),
-            coord_round_trips: self.coord_round_trips.get(),
-            coord_round_trip_nanos: self.coord_round_trip_nanos.get(),
-            coord_timed_rounds: self.coord_timed_rounds.get(),
-            hint_escalations,
-            loop_commands,
             wal,
             graph,
         }
@@ -350,31 +307,6 @@ pub struct MetricsSnapshot {
     /// GC ticks shortened under WAL space pressure (ENOSPC rescue
     /// sweeps attempted by the background thread).
     pub gc_pressure_sweeps: u64,
-    /// Shard-loops mode: histogram of mailbox batch depths (commands
-    /// per loop iteration or combining pass). Buckets: 1, 2, 3, 4,
-    /// 5–8, 9–16, 17–32, 33+. All zero under [`Mutex`] mode.
-    ///
-    /// [`Mutex`]: crate::ExecutionMode::Mutex
-    pub mailbox_depth_hist: [u64; SUBSET_HIST_BUCKETS],
-    /// Shard-loops mode: cross-shard coordinator rounds (escalated
-    /// reads/commits driven through the pin choreography).
-    pub coord_round_trips: u64,
-    /// Total nanoseconds the *timed* coordinator rounds took,
-    /// pin-to-release (divide by `coord_timed_rounds` for the mean —
-    /// the clock is sampled, not read every round).
-    pub coord_round_trip_nanos: u64,
-    /// How many coordinator rounds were actually timed.
-    pub coord_timed_rounds: u64,
-    /// Shard-loops mode: submissions answered `Escalate` straight from
-    /// the per-loop boundary hint, skipping the probe lock (and, on
-    /// pinned shards, the mailbox round trip). Summed across the
-    /// per-loop counters at snapshot time.
-    pub hint_escalations: u64,
-    /// Shard-loops mode: commands processed per shard loop, indexed by
-    /// shard (empty under [`Mutex`] mode).
-    ///
-    /// [`Mutex`]: crate::ExecutionMode::Mutex
-    pub loop_commands: Vec<u64>,
     /// WAL activity counters (`None` when durability is off): flushes,
     /// group-commit batch sizes, segments created/truncated.
     pub wal: Option<WalStats>,
@@ -460,26 +392,6 @@ impl std::fmt::Display for MetricsSnapshot {
             self.boundary_index_hwm,
             self.registry_slot_contention
         )?;
-        if !self.loop_commands.is_empty() || self.coord_round_trips > 0 {
-            let coord_mean_ns = if self.coord_timed_rounds == 0 {
-                0.0
-            } else {
-                self.coord_round_trip_nanos as f64 / self.coord_timed_rounds as f64
-            };
-            write!(
-                f,
-                "\nshard loops: commands per loop {:?}, \
-                 mailbox depth hist [1|2|3|4|≤8|≤16|≤32|>32] = {:?}, \
-                 {} hint escalations, \
-                 {} coordinator rounds (mean {:.0} ns over {} timed)",
-                self.loop_commands,
-                self.mailbox_depth_hist,
-                self.hint_escalations,
-                self.coord_round_trips,
-                coord_mean_ns,
-                self.coord_timed_rounds
-            )?;
-        }
         if let Some(w) = &self.wal {
             write!(
                 f,

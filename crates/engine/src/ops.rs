@@ -1,0 +1,694 @@
+//! Session operations — read, commit, client abort — on the fast path
+//! and escalated, with the union-graph cycle check.
+//!
+//! ## Soundness of the sharded cycle check
+//!
+//! Entities are partitioned across shards, and every conflict arc is
+//! witnessed by one entity, so **every arc is intra-shard** and the
+//! global conflict graph is the union of the shard graphs with nodes of
+//! the same transaction identified. Three facts make the check exact:
+//!
+//! 1. *Fast path.* If a transaction has touched only shard `s` and `s`
+//!    contains no **boundary nodes** (nodes of transactions present in
+//!    more than one shard), then no path can leave `s`'s graph — a path
+//!    switches shards only through a boundary node — so the shard-local
+//!    cycle check equals the union check. One lock, no coordination.
+//! 2. *Partial escalation.* Otherwise the engine locks only the shards
+//!    a cycle through the committing transaction could traverse. A
+//!    path leaves the transaction's own shards through a resident
+//!    boundary transaction, enters another shard at that transaction's
+//!    twin, and can only leave *that* shard through a boundary
+//!    transaction the shard's published summary (see [`crate::coord`])
+//!    says the twin reaches — so chasing summaries across the mirror
+//!    slots closes the set of traversable shards. Those are locked in
+//!    ascending index order and the would-be arc sources are checked
+//!    against union reachability by a BFS that hops to a transaction's
+//!    twin nodes when it meets a multi-shard transaction, restricted
+//!    to the locked subset.
+//! 3. *Staleness.* The subset is planned from a lock-free snapshot, so
+//!    each shard summary carries a **growth epoch** (bumped whenever
+//!    its published reachability or a resident transaction's shard
+//!    set *grows* — shrinkage cannot invalidate a superset). After
+//!    acquisition the planner re-reads the epochs of the locked
+//!    shards: any movement means the plan may be too small and the
+//!    engine falls back to all-locks. The same fallback fires if the
+//!    restricted BFS meets a shard outside the subset.
+//!    [`EngineInner::escalate`] is the one place that sequence is
+//!    written.
+
+use crate::engine::{EngineInner, GcPolicy, Guards};
+use crate::error::EngineError;
+use crate::gc::{MULTI_GC_THRESHOLD, SHARD_GC_THRESHOLD};
+use crate::history::Event;
+use crate::session::SessionState;
+use deltx_core::Applied;
+use deltx_graph::NodeId;
+use deltx_model::{EntityId, Op, Step, TxnId};
+use deltx_storage::Value;
+use deltx_wal::WalHealth;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// A planned lock subset went stale (summary epoch moved, or the BFS
+/// met a shard outside the subset): retake as all-locks.
+#[derive(Debug)]
+struct Stale;
+
+/// What a commit installs, gathered from the session's buffers before
+/// any lock is taken.
+struct StagedCommit {
+    /// Shards the transaction read or wrote.
+    involved: BTreeSet<usize>,
+    /// Entities staged per shard.
+    writes: BTreeMap<usize, Vec<EntityId>>,
+    /// Every staged entity, in shard then entity order.
+    all_entities: Vec<EntityId>,
+    /// The durable record's payload: every staged (entity, value)
+    /// pair. Empty without a WAL, and for commits that write nothing —
+    /// they leave no record, having no replayable effect.
+    wal_writes: Vec<(EntityId, Value)>,
+}
+
+impl EngineInner {
+    /// Union-graph reachability restricted to the locked shards: can
+    /// `from_txn` reach any of `targets` following shard arcs and
+    /// twin-node identities? `None` means the BFS met a shard outside
+    /// the locked subset — the plan was too small, retake all locks.
+    fn union_reaches(
+        &self,
+        guards: &Guards<'_>,
+        from_txn: TxnId,
+        targets: &HashSet<(usize, NodeId)>,
+    ) -> Option<bool> {
+        if targets.is_empty() {
+            return Some(false);
+        }
+        let mut visited: HashSet<(usize, NodeId)> = HashSet::new();
+        let mut frontier: Vec<(usize, NodeId)> = Vec::new();
+        // Registry spans memoized for the whole BFS: the reads are
+        // stable under the held locks (see below), a transaction is
+        // revisited once per twin node, and each miss costs a stripe
+        // lock + clone — pay it once per transaction, not per node.
+        let mut spans: HashMap<TxnId, Option<Vec<usize>>> = HashMap::new();
+        for (&s, g) in guards.iter() {
+            if let Some(n) = g.cg.node_of(from_txn) {
+                visited.insert((s, n));
+                frontier.push((s, n));
+            }
+        }
+        while let Some((s, n)) = frontier.pop() {
+            // Hop to twin nodes of the same transaction first. The
+            // registry read is stable: the transaction has a node in a
+            // locked shard, so its entry can only be mutated by a
+            // thread holding one of the locks we hold.
+            let txn = guards[&s].cg.info(n).txn;
+            let span = spans
+                .entry(txn)
+                .or_insert_with(|| self.coord.reg_get(txn, &self.metrics));
+            if let Some(shards) = span {
+                for &t in shards.iter() {
+                    if t == s {
+                        continue;
+                    }
+                    let tg = guards.get(&t)?;
+                    if let Some(twin) = tg.cg.node_of(txn) {
+                        if visited.insert((t, twin)) {
+                            if targets.contains(&(t, twin)) {
+                                return Some(true);
+                            }
+                            frontier.push((t, twin));
+                        }
+                    }
+                }
+            }
+            for &succ in guards[&s].cg.graph().succs(n) {
+                if visited.insert((s, succ)) {
+                    if targets.contains(&(s, succ)) {
+                        return Some(true);
+                    }
+                    frontier.push((s, succ));
+                }
+            }
+        }
+        Some(false)
+    }
+
+    /// Aborts `txn` everywhere it has nodes. Caller holds the locks of
+    /// every shard the transaction inhabits.
+    fn abort_everywhere(&self, guards: &mut Guards<'_>, txn: TxnId) {
+        let multi = self.unregister_txn(txn);
+        for g in guards.values_mut() {
+            if g.cg.node_of(txn).is_some() {
+                if multi.is_some() {
+                    self.dec_boundary(g);
+                }
+                g.cg.abort_txn(txn).expect("live node aborts");
+            }
+        }
+    }
+
+    /// Runs one escalated operation: plan the lock subset a cycle
+    /// through `txn` could traverse (the closure of `entry`, from the
+    /// shared [`crate::planner::Planner`]), lock it ascending, validate
+    /// the growth epochs, and run `body` under the guards. If the plan
+    /// does not validate, or `body` finds it too small ([`Stale`]),
+    /// retake every lock and run `body` again — under all locks it
+    /// cannot go stale. The all-locks baseline skips the plan.
+    /// `stale_tag` is what the simulator's coverage signal sees when
+    /// `body` reports staleness (0 = read, 1 = commit).
+    fn escalate<T>(
+        &self,
+        txn: TxnId,
+        entry: &BTreeSet<usize>,
+        stale_tag: u64,
+        mut body: impl FnMut(Guards<'_>) -> Result<T, Stale>,
+    ) -> T {
+        let n = self.shards.len();
+        if !self.all_locks {
+            let (subset, token) = self.planner.plan(txn, entry, &self.coord, &self.metrics);
+            if subset.len() < n {
+                let guards = self.lock_subset(&subset);
+                if self.planner.validate(&subset, token) {
+                    self.metrics.record_escalation(subset.len(), n);
+                    self.rt.emit("esc_subset", subset.len() as u64);
+                    match body(guards) {
+                        Ok(out) => return out,
+                        Err(Stale) => self.rt.emit("esc_stale", stale_tag),
+                    }
+                } else {
+                    drop(guards);
+                    self.rt.emit("esc_fallback", subset.len() as u64);
+                }
+                self.metrics.escalation_fallbacks.add(1);
+            }
+        }
+        let guards = self.lock_all();
+        self.metrics.record_escalation(n, n);
+        body(guards).expect("all-locks body cannot go stale")
+    }
+
+    /// A transaction's read of `x`.
+    pub(crate) fn read(&self, st: &mut SessionState, x: EntityId) -> Result<Value, EngineError> {
+        st.check_open()?;
+        // Yield point: under simulation the scheduler may interleave
+        // another session here, before any lock is taken.
+        self.rt.yield_now();
+        let s = self.shard_of(x);
+        let single = st.shards.is_empty() || (st.shards.len() == 1 && st.shards.contains(&s));
+        if single {
+            let mut g = self.shards[s].lock().unwrap();
+            if g.boundary == 0 {
+                // Fast path: this shard is a closed component of the
+                // union graph, so the local cycle check is complete.
+                Self::ensure_node(&mut g, st.txn)?;
+                let step = Step::new(st.txn, Op::Read(x));
+                let out = g.cg.apply(&step)?;
+                return match out {
+                    Applied::Accepted => {
+                        let v = st.buf(s).read(&g.store, x);
+                        self.record_step(step, Applied::Accepted);
+                        drop(g);
+                        st.shards.insert(s);
+                        self.metrics.reads.add(1);
+                        self.metrics.fast_path_ops.add(1);
+                        Ok(v)
+                    }
+                    Applied::SelfAborted => {
+                        self.record_step(step, Applied::SelfAborted);
+                        drop(g);
+                        self.after_scheduler_abort(st);
+                        Err(EngineError::Aborted(st.txn))
+                    }
+                    Applied::IgnoredAborted => Err(EngineError::Closed(st.txn)),
+                };
+            }
+            // Boundary nodes present: fall through to escalation.
+        }
+        self.metrics.escalated_ops.add(1);
+        let mut entry: BTreeSet<usize> = st.shards.iter().copied().collect();
+        entry.insert(s);
+        self.escalate(st.txn, &entry, 0, |guards| {
+            self.read_escalated_locked(st, x, s, guards)
+        })
+    }
+
+    fn read_escalated_locked(
+        &self,
+        st: &mut SessionState,
+        x: EntityId,
+        s: usize,
+        mut guards: Guards<'_>,
+    ) -> Result<Result<Value, EngineError>, Stale> {
+        let mut touched: BTreeSet<usize> = st.shards.iter().copied().collect();
+        touched.insert(s);
+        for t in self
+            .coord
+            .reg_get(st.txn, &self.metrics)
+            .into_iter()
+            .flatten()
+        {
+            touched.insert(t);
+        }
+        if touched.iter().any(|t| !guards.contains_key(t)) {
+            return Err(Stale);
+        }
+        // One summary update per operation: batch the mark + fan-in
+        // maintenance, flushed by the mirror pass before lock release.
+        for g in guards.values_mut() {
+            g.cg.begin_summary_batch();
+        }
+        if let Err(e) = Self::ensure_node(guards.get_mut(&s).expect("entry shard locked"), st.txn) {
+            self.mirror_guards(&mut guards);
+            return Ok(Err(e));
+        }
+        self.note_multi_shard(&mut guards, st.txn, &touched);
+        let own = guards[&s].cg.node_of(st.txn);
+        let targets: HashSet<(usize, NodeId)> = guards[&s]
+            .cg
+            .writers_of(x)
+            .into_iter()
+            .filter(|&n| Some(n) != own)
+            .map(|n| (s, n))
+            .collect();
+        let step = Step::new(st.txn, Op::Read(x));
+        let reached = match self.union_reaches(&guards, st.txn, &targets) {
+            Some(r) => r,
+            None => {
+                self.mirror_guards(&mut guards);
+                return Err(Stale);
+            }
+        };
+        if reached {
+            self.abort_everywhere(&mut guards, st.txn);
+            self.record_step(step, Applied::SelfAborted);
+            self.mirror_guards(&mut guards);
+            drop(guards);
+            self.after_scheduler_abort(st);
+            return Ok(Err(EngineError::Aborted(st.txn)));
+        }
+        let g = guards.get_mut(&s).expect("entry shard locked");
+        let out = match g.cg.apply(&step) {
+            Ok(o) => o,
+            Err(e) => {
+                self.mirror_guards(&mut guards);
+                return Ok(Err(e.into()));
+            }
+        };
+        debug_assert_eq!(out, Applied::Accepted, "local check is a union subset");
+        let v = st.buf(s).read(&g.store, x);
+        self.record_step(step, Applied::Accepted);
+        self.mirror_guards(&mut guards);
+        drop(guards);
+        st.shards.insert(s);
+        self.metrics.reads.add(1);
+        Ok(Ok(v))
+    }
+
+    /// The transaction's final atomic write: install every staged
+    /// write, complete the transaction.
+    pub(crate) fn commit(&self, st: &mut SessionState) -> Result<(), EngineError> {
+        st.check_open()?;
+        // Yield point: the pre-lock seam where the simulator explores
+        // commit-order interleavings.
+        self.rt.yield_now();
+        let mut writes: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
+        for (&s, buf) in &st.bufs {
+            let ws = buf.write_set();
+            if !ws.is_empty() {
+                writes.insert(s, ws);
+            }
+        }
+        let mut involved: BTreeSet<usize> = st.shards.iter().copied().collect();
+        involved.extend(writes.keys().copied());
+        let all_entities: Vec<EntityId> = writes.values().flatten().copied().collect();
+        let wal_writes: Vec<(EntityId, Value)> = if self.wal.is_some() {
+            writes
+                .keys()
+                .flat_map(|s| st.bufs[s].staged_writes())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let c = StagedCommit {
+            involved,
+            writes,
+            all_entities,
+            wal_writes,
+        };
+
+        // Degraded-mode gate: once the WAL stops accepting records
+        // (fsync poisoning, crash, terminal ENOSPC, I/O failure) the
+        // engine is loudly read-only. A writing commit is rejected
+        // *here* — before its `WriteAll` touches any conflict graph or
+        // store — so the in-memory state never drifts ahead of what
+        // the log can make durable. The session rolls back like a
+        // client abort; reads and read-only commits still succeed.
+        if !c.wal_writes.is_empty() {
+            if let Some(w) = &self.wal {
+                if w.health() != WalHealth::Ok {
+                    let reason = w
+                        .fail_reason()
+                        .map(|e| e.to_string())
+                        .unwrap_or_else(|| "write-ahead log unavailable".to_string());
+                    self.metrics.degraded_commit_rejections.add(1);
+                    self.rt.emit("degraded_reject", 1);
+                    self.client_abort(st);
+                    return Err(EngineError::Durability(reason));
+                }
+            }
+        }
+
+        if c.involved.is_empty() {
+            // Touched nothing: trivially committed (the recorded Begin
+            // gives the replayed graph a node; complete it there too).
+            self.record_step(
+                Step::new(st.txn, Op::WriteAll(Vec::new())),
+                Applied::Accepted,
+            );
+            st.closed = true;
+            self.metrics.commits.add(1);
+            self.metrics.txns_left(1);
+            return Ok(());
+        }
+
+        if c.involved.len() == 1 {
+            let s = *c.involved.iter().next().unwrap();
+            let mut g = self.shards[s].lock().unwrap();
+            Self::ensure_node(&mut g, st.txn)?;
+            if g.boundary == 0 {
+                let n_written = c.all_entities.len() as u64;
+                let step = Step::new(st.txn, Op::WriteAll(c.all_entities));
+                let out = g.cg.apply(&step)?;
+                return match out {
+                    Applied::Accepted => {
+                        // Submit the commit record while the shard
+                        // lock is held (log order = conflict order)
+                        // and BEFORE the install: a version the log
+                        // refused must never become visible, or GC
+                        // would judge its predecessors noncurrent and
+                        // retire records that are still the only
+                        // durable copy of their entities.
+                        if !c.wal_writes.is_empty() {
+                            if let Some(w) = &self.wal {
+                                st.wal_submit =
+                                    Some(w.submit_commit(st.txn, &c.wal_writes, &[s as u32]));
+                            }
+                        }
+                        if !matches!(st.wal_submit, Some(Err(_))) {
+                            if let Some(buf) = st.bufs.get_mut(&s) {
+                                buf.install(&mut g.store);
+                            }
+                        }
+                        self.record_step(step, Applied::Accepted);
+                        // Backpressure GC: a hot shard reclaims inline
+                        // instead of waiting for the background tick.
+                        if self.gc_policy == GcPolicy::Noncurrent
+                            && g.cg.gc_candidate_count() >= SHARD_GC_THRESHOLD
+                        {
+                            self.reclaim_shard(s, &mut g);
+                        }
+                        drop(g);
+                        st.closed = true;
+                        self.finish_durable(st)?;
+                        self.metrics.commits.add(1);
+                        self.metrics.entities_written.add(n_written);
+                        self.metrics.fast_path_ops.add(1);
+                        Ok(())
+                    }
+                    Applied::SelfAborted => {
+                        self.record_step(step, Applied::SelfAborted);
+                        drop(g);
+                        self.after_scheduler_abort(st);
+                        Err(EngineError::Aborted(st.txn))
+                    }
+                    Applied::IgnoredAborted => Err(EngineError::Closed(st.txn)),
+                };
+            }
+            drop(g);
+        }
+
+        self.metrics.escalated_ops.add(1);
+        let res = self.escalate(st.txn, &c.involved, 1, |guards| {
+            self.commit_escalated_locked(st, &c, guards)
+        });
+        // Backpressure for the multi-shard backlog: a partial committer
+        // cannot run the multi pass inline (it needs every lock), so it
+        // runs standalone here, after this commit's locks are released
+        // — otherwise multi-shard transactions would only be reclaimed
+        // by the background thread, and with that disabled the backlog
+        // (and with it every summary) would grow without bound.
+        if self.gc_policy == GcPolicy::Noncurrent
+            && self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD
+        {
+            self.sweep_multi_shard();
+        }
+        res
+    }
+
+    fn commit_escalated_locked(
+        &self,
+        st: &mut SessionState,
+        c: &StagedCommit,
+        mut guards: Guards<'_>,
+    ) -> Result<Result<(), EngineError>, Stale> {
+        let mut touched: BTreeSet<usize> = c.involved.clone();
+        for t in self
+            .coord
+            .reg_get(st.txn, &self.metrics)
+            .into_iter()
+            .flatten()
+        {
+            touched.insert(t);
+        }
+        if touched.iter().any(|t| !guards.contains_key(t)) {
+            return Err(Stale);
+        }
+        // One summary update per shard per commit: the boundary mark
+        // and every Rule 2/3 fan-in below coalesce into one batched
+        // propagation, flushed by the mirror pass before lock release.
+        for g in guards.values_mut() {
+            g.cg.begin_summary_batch();
+        }
+        for &s in &touched {
+            if let Err(e) = Self::ensure_node(guards.get_mut(&s).expect("locked"), st.txn) {
+                self.mirror_guards(&mut guards);
+                return Ok(Err(e));
+            }
+        }
+        self.note_multi_shard(&mut guards, st.txn, &touched);
+        // Rule 3 arc sources for the combined atomic write.
+        let mut targets: HashSet<(usize, NodeId)> = HashSet::new();
+        for (&s, xs) in &c.writes {
+            let own = guards[&s].cg.node_of(st.txn);
+            for &x in xs {
+                for n in guards[&s].cg.accessors_of(x) {
+                    if Some(n) != own {
+                        targets.insert((s, n));
+                    }
+                }
+            }
+        }
+        let step = Step::new(st.txn, Op::WriteAll(c.all_entities.clone()));
+        let reached = match self.union_reaches(&guards, st.txn, &targets) {
+            Some(r) => r,
+            None => {
+                self.mirror_guards(&mut guards);
+                return Err(Stale);
+            }
+        };
+        if reached {
+            self.abort_everywhere(&mut guards, st.txn);
+            self.record_step(step, Applied::SelfAborted);
+            self.mirror_guards(&mut guards);
+            drop(guards);
+            self.after_scheduler_abort(st);
+            return Ok(Err(EngineError::Aborted(st.txn)));
+        }
+        // Submit the commit record while every involved shard lock is
+        // still held, so the log order of conflicting commits matches
+        // their serialization order — and BEFORE the installs below: a
+        // version the log refused must never become visible, or GC
+        // would judge its predecessors noncurrent and retire records
+        // that are still the only durable copy of their entities. The
+        // durable wait happens after the locks are released.
+        if !c.wal_writes.is_empty() {
+            if let Some(w) = &self.wal {
+                let spans: Vec<u32> = touched.iter().map(|&s| s as u32).collect();
+                st.wal_submit = Some(w.submit_commit(st.txn, &c.wal_writes, &spans));
+            }
+        }
+        let wal_ok = !matches!(st.wal_submit, Some(Err(_)));
+        let empty: Vec<EntityId> = Vec::new();
+        for &s in &touched {
+            let xs = c.writes.get(&s).unwrap_or(&empty);
+            let sub = Step::new(st.txn, Op::WriteAll(xs.clone()));
+            let g = guards.get_mut(&s).expect("locked");
+            let out = match g.cg.apply(&sub) {
+                Ok(o) => o,
+                Err(e) => {
+                    self.mirror_guards(&mut guards);
+                    return Ok(Err(e.into()));
+                }
+            };
+            debug_assert_eq!(out, Applied::Accepted, "local check is a union subset");
+            if !xs.is_empty() && wal_ok {
+                if let Some(buf) = st.bufs.get_mut(&s) {
+                    buf.install(&mut g.store);
+                }
+            }
+        }
+        if touched.len() > 1 {
+            self.pending_multi.lock().unwrap().insert(st.txn);
+        }
+        self.record_step(step, Applied::Accepted);
+        // Backpressure GC while the locks are already held.
+        if self.gc_policy == GcPolicy::Noncurrent {
+            for &s in &touched {
+                let g = guards.get_mut(&s).expect("locked");
+                if g.cg.gc_candidate_count() >= SHARD_GC_THRESHOLD {
+                    self.reclaim_shard(s, g);
+                }
+            }
+            if guards.len() == self.shards.len()
+                && self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD
+            {
+                self.sweep_multi_locked(&mut guards);
+            }
+        }
+        self.mirror_guards(&mut guards);
+        drop(guards);
+        st.closed = true;
+        if let Err(e) = self.finish_durable(st) {
+            return Ok(Err(e));
+        }
+        self.metrics.commits.add(1);
+        self.metrics
+            .entities_written
+            .add(c.all_entities.len() as u64);
+        Ok(Ok(()))
+    }
+
+    /// Completes a commit's durability: waits for the group-commit
+    /// flush covering the record submitted under the shard locks. An
+    /// error means the record was never acknowledged as durable — the
+    /// commit must fail even though the in-memory install happened
+    /// (the WAL is crashed; no later commit will be accepted either,
+    /// so the discrepancy cannot be observed by a recovering client).
+    fn finish_durable(&self, st: &mut SessionState) -> Result<(), EngineError> {
+        let Some(sub) = st.wal_submit.take() else {
+            return Ok(());
+        };
+        let lsn = sub.map_err(|e| EngineError::Durability(e.to_string()))?;
+        self.wal
+            .as_ref()
+            .expect("submission implies a wal")
+            .wait_durable(lsn)
+            .map_err(|e| EngineError::Durability(e.to_string()))
+    }
+
+    /// Client rollback (or session drop): locks only the shards the
+    /// transaction inhabits (its read set plus registered ghost
+    /// shards), widening to all locks in the rare race where a GC
+    /// bridge grows the registry entry mid-acquisition. Not an
+    /// [`Self::escalate`] client: there is no cycle to check, so no
+    /// plan to validate — the registry re-read under the held locks is
+    /// the whole protocol.
+    pub(crate) fn client_abort(&self, st: &mut SessionState) {
+        if st.closed {
+            return;
+        }
+        st.closed = true;
+        for attempt in 0..2 {
+            let subset: BTreeSet<usize> = {
+                let mut s: BTreeSet<usize> = st.shards.iter().copied().collect();
+                s.extend(
+                    self.coord
+                        .reg_get(st.txn, &self.metrics)
+                        .into_iter()
+                        .flatten(),
+                );
+                s
+            };
+            if subset.is_empty() {
+                // Never touched a shard.
+                self.record(Event::ClientAbort(st.txn));
+                self.note_abort(st.txn);
+                self.metrics.aborts_voluntary.add(1);
+                self.metrics.txns_left(1);
+                return;
+            }
+            let mut guards = if attempt == 0 {
+                self.lock_subset(&subset)
+            } else {
+                self.lock_all()
+            };
+            let grown = self
+                .coord
+                .reg_get(st.txn, &self.metrics)
+                .into_iter()
+                .flatten()
+                .any(|t| !guards.contains_key(&t));
+            if grown {
+                drop(guards);
+                continue;
+            }
+            self.abort_everywhere(&mut guards, st.txn);
+            self.record(Event::ClientAbort(st.txn));
+            self.mirror_guards(&mut guards);
+            drop(guards);
+            self.note_abort(st.txn);
+            self.metrics.aborts_voluntary.add(1);
+            self.metrics.txns_left(1);
+            return;
+        }
+        unreachable!("second attempt holds every lock");
+    }
+
+    fn after_scheduler_abort(&self, st: &mut SessionState) {
+        st.closed = true;
+        self.note_abort(st.txn);
+        self.metrics.aborts_scheduler.add(1);
+        self.metrics.txns_left(1);
+    }
+
+    /// Logs an abort record (fire-and-forget: absence from the log
+    /// already means aborted; the record only eases tail diagnosis).
+    fn note_abort(&self, txn: TxnId) {
+        if let Some(w) = &self.wal {
+            w.submit_abort(txn);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Engine, EngineConfig};
+
+    #[test]
+    fn escalate_reruns_a_stale_body_once_under_every_lock() {
+        let e = Engine::new(EngineConfig {
+            background_gc: false,
+            ..EngineConfig::default()
+        });
+        let n = e.inner.shards.len();
+        // A fresh engine has no boundary transactions, so the plan for
+        // entry shard 0 is {0} and it validates.
+        let mut guards_seen: Vec<usize> = Vec::new();
+        let out = e
+            .inner
+            .escalate(TxnId(1), &BTreeSet::from([0]), 0, |guards| {
+                guards_seen.push(guards.len());
+                if guards_seen.len() == 1 {
+                    Err(Stale)
+                } else {
+                    Ok(guards_seen.len())
+                }
+            });
+        assert_eq!(guards_seen, [1, n], "planned subset, then every shard");
+        assert_eq!(out, 2, "the second call's value is returned");
+        let m = e.metrics();
+        assert_eq!(m.escalation_fallbacks, 1);
+        assert_eq!(m.escalated_partial, 1);
+        assert_eq!(m.escalated_locks_taken, 1 + n as u64);
+    }
+}

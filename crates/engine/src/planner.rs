@@ -42,7 +42,7 @@
 //! — which is what makes the post-acquisition epoch re-read
 //! authoritative.
 
-use crate::core_engine::Coordination;
+use crate::coord::Coordination;
 use crate::metrics::{lock_counted, EngineMetrics};
 use deltx_model::TxnId;
 use std::collections::{BTreeSet, HashSet};

@@ -1,8 +1,7 @@
 //! Client sessions: one per in-flight transaction.
 
-use crate::core_engine::EngineInner;
+use crate::engine::EngineInner;
 use crate::error::EngineError;
-use crate::shard_loops::ReplySlot;
 use deltx_model::{EntityId, TxnId};
 use deltx_storage::{TxnBuffer, Value};
 use deltx_wal::WalError;
@@ -24,9 +23,6 @@ pub(crate) struct SessionState {
     /// on after releasing them. `None` when durability is off or the
     /// commit wrote nothing.
     pub(crate) wal_submit: Option<Result<u64, WalError>>,
-    /// Shard-loops mode: this session's reusable reply slot, allocated
-    /// lazily on the first routed command (`None` under mutex mode).
-    pub(crate) reply: Option<Arc<ReplySlot>>,
 }
 
 impl SessionState {
@@ -68,7 +64,6 @@ impl Session {
                 bufs: HashMap::new(),
                 closed: false,
                 wal_submit: None,
-                reply: None,
             },
         }
     }

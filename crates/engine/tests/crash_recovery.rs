@@ -23,7 +23,8 @@
 
 use deltx_core::CgState;
 use deltx_engine::{
-    run_seed, CrashPoint, DurabilityConfig, Engine, EngineConfig, Event, GcPolicy, ALL_CRASH_POINTS,
+    run_seed, CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event, GcPolicy,
+    RecoveryReport, ALL_CRASH_POINTS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,7 +52,8 @@ impl Drop for TestDir {
     }
 }
 
-/// Lock modes to sweep: `(partial_escalation, label)`.
+/// Lock modes to sweep: `(partial, label)` — the default engine, or
+/// the all-locks baseline (see [`open`]).
 fn lock_modes() -> Vec<(bool, &'static str)> {
     match std::env::var("DELTX_LOCK_MODE").as_deref() {
         Ok("partial") => vec![(true, "partial")],
@@ -60,19 +62,27 @@ fn lock_modes() -> Vec<(bool, &'static str)> {
     }
 }
 
-fn config(dir: &TestDir, partial: bool, record_history: bool) -> EngineConfig {
+fn config(dir: &TestDir, record_history: bool) -> EngineConfig {
     EngineConfig {
         shards: 4,
         gc: GcPolicy::Noncurrent,
         background_gc: false, // deterministic: the test drives GC
         record_history,
-        partial_escalation: partial,
-        partial_gc: partial,
         durability: Some(DurabilityConfig {
             fsync: false, // crash points are simulated; no device needed
             ..DurabilityConfig::new(dir.0.clone())
         }),
         ..EngineConfig::default()
+    }
+}
+
+/// Opens `cfg` in the swept lock mode: the default engine (`partial`),
+/// or the all-locks baseline it must stay identical to.
+fn open(partial: bool, cfg: EngineConfig) -> Result<(Engine, RecoveryReport), EngineError> {
+    if partial {
+        Engine::open(cfg)
+    } else {
+        Engine::open_all_locks_baseline(cfg)
     }
 }
 
@@ -124,7 +134,7 @@ fn every_crash_point_recovers_to_the_oracle_state() {
         for &cp in ALL_CRASH_POINTS.iter() {
             let ctx = format!("{mode}/{cp:?}");
             let dir = TestDir::new(&format!("pt-{mode}-{cp:?}"));
-            let (e, _) = Engine::open(config(&dir, partial, false)).expect("fresh open");
+            let (e, _) = open(partial, config(&dir, false)).expect("fresh open");
 
             // A deterministic pre-crash workload: single-threaded, so
             // every commit is acknowledged and the client mirror is
@@ -160,8 +170,7 @@ fn every_crash_point_recovers_to_the_oracle_state() {
             drop(e);
 
             // Recover into a fresh engine and check the contract.
-            let (r, report) =
-                Engine::open(config(&dir, partial, true)).expect("recovery must succeed");
+            let (r, report) = open(partial, config(&dir, true)).expect("recovery must succeed");
             let marker_applied = cp == CrashPoint::AfterFlushBeforeVisibility;
             if marker_applied {
                 expected[0] -= 7;
@@ -220,9 +229,9 @@ fn crash_under_concurrent_load_recovers_conserved_balances() {
         let cfg = EngineConfig {
             background_gc: true,
             gc_interval: Duration::from_millis(1),
-            ..config(&dir, partial, false)
+            ..config(&dir, false)
         };
-        let (e, _) = Engine::open(cfg).expect("fresh open");
+        let (e, _) = open(partial, cfg).expect("fresh open");
         let seed = run_seed(0x0C4A);
 
         // 4 threads transfer at full speed; the main thread pulls the
@@ -255,7 +264,7 @@ fn crash_under_concurrent_load_recovers_conserved_balances() {
         });
         drop(e);
 
-        let (r, report) = Engine::open(config(&dir, partial, true)).expect("recovery");
+        let (r, report) = open(partial, config(&dir, true)).expect("recovery");
         let sum: i64 = (0..n).map(|x| r.peek(x)).sum();
         assert_eq!(
             sum, 0,
@@ -281,7 +290,7 @@ fn gc_checkpointing_keeps_recovery_o_live_not_o_history() {
             fsync: false,
             ..DurabilityConfig::new(dir.0.clone())
         }),
-        ..config(&dir, true, false)
+        ..config(&dir, false)
     };
     let (e, _) = Engine::open(cfg).expect("fresh open");
     let n = 8u32;
@@ -307,7 +316,7 @@ fn gc_checkpointing_keeps_recovery_o_live_not_o_history() {
     );
     drop(e);
 
-    let (r, report) = Engine::open(config(&dir, true, false)).expect("recovery");
+    let (r, report) = Engine::open(config(&dir, false)).expect("recovery");
     assert!(
         report.commits_replayed < u64::from(total) / 2,
         "recovery replayed {} of {total} commits — the log is not bounded",
@@ -339,7 +348,7 @@ fn torn_write_at_any_offset_recovers_a_clean_prefix() {
         for &off in &[0u32, 1, 9, u32::MAX] {
             let ctx = format!("{mode}/TornWriteAt({off})");
             let dir = TestDir::new(&format!("torn-{mode}-{off}"));
-            let (e, _) = Engine::open(config(&dir, partial, false)).expect("fresh open");
+            let (e, _) = open(partial, config(&dir, false)).expect("fresh open");
 
             let mut expected = vec![0i64; n as usize];
             for i in 0..40u32 {
@@ -362,8 +371,7 @@ fn torn_write_at_any_offset_recovers_a_clean_prefix() {
             t.commit().expect_err("commit must surface the crash");
             drop(e);
 
-            let (r, report) =
-                Engine::open(config(&dir, partial, true)).expect("recovery must succeed");
+            let (r, report) = open(partial, config(&dir, true)).expect("recovery must succeed");
             // All-or-nothing: the marker is present exactly when the
             // cut covered the whole record (only the clamped offset).
             let marker_applied = off == u32::MAX;

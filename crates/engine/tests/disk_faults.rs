@@ -24,7 +24,7 @@
 
 use deltx_engine::{
     run_seed, DurabilityConfig, Engine, EngineConfig, EngineError, FaultSpec, FaultyStorage,
-    FsStorage, GcPolicy, RecoverPolicy, WalHealth, WalStorage,
+    FsStorage, GcPolicy, RecoverPolicy, RecoveryReport, WalHealth, WalStorage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +53,8 @@ impl Drop for TestDir {
     }
 }
 
-/// Lock modes to sweep: `(partial_escalation, label)`.
+/// Lock modes to sweep: `(partial, label)` — the default engine, or
+/// the all-locks baseline (see [`open`]).
 fn lock_modes() -> Vec<(bool, &'static str)> {
     match std::env::var("DELTX_LOCK_MODE").as_deref() {
         Ok("partial") => vec![(true, "partial")],
@@ -70,7 +71,6 @@ static FSYNC_PATH: Mutex<()> = Mutex::new(());
 
 fn config(
     dir: &TestDir,
-    partial: bool,
     storage: Option<Arc<dyn WalStorage>>,
     segment_bytes: u64,
     fsync: bool,
@@ -81,8 +81,6 @@ fn config(
         gc: GcPolicy::Noncurrent,
         background_gc: false, // deterministic: the test drives GC
         record_history: false,
-        partial_escalation: partial,
-        partial_gc: partial,
         durability: Some(DurabilityConfig {
             segment_bytes,
             fsync,
@@ -91,6 +89,16 @@ fn config(
             ..DurabilityConfig::new(dir.0.clone())
         }),
         ..EngineConfig::default()
+    }
+}
+
+/// Opens `cfg` in the swept lock mode: the default engine (`partial`),
+/// or the all-locks baseline it must stay identical to.
+fn open(partial: bool, cfg: EngineConfig) -> Result<(Engine, RecoveryReport), EngineError> {
+    if partial {
+        Engine::open(cfg)
+    } else {
+        Engine::open_all_locks_baseline(cfg)
     }
 }
 
@@ -183,14 +191,10 @@ fn run_transient(partial: bool, mode: &str, seed: u64) -> u64 {
         ..FaultSpec::default()
     };
     let storage: Arc<dyn WalStorage> = faulty(&dir, spec);
-    let (e, _) = Engine::open(config(
-        &dir,
+    let (e, _) = open(
         partial,
-        Some(storage),
-        64 * 1024,
-        false,
-        RecoverPolicy::Strict,
-    ))
+        config(&dir, Some(storage), 64 * 1024, false, RecoverPolicy::Strict),
+    )
     .expect("fresh open");
     let n = 16usize;
     let mut mirror = vec![0i64; n];
@@ -213,14 +217,10 @@ fn run_transient(partial: bool, mode: &str, seed: u64) -> u64 {
     assert_mirror(&e, &mirror, &ctx, seed);
     drop(e);
 
-    let (r, _) = Engine::open(config(
-        &dir,
+    let (r, _) = open(
         partial,
-        None,
-        64 * 1024,
-        false,
-        RecoverPolicy::Strict,
-    ))
+        config(&dir, None, 64 * 1024, false, RecoverPolicy::Strict),
+    )
     .expect("clean reopen");
     assert_mirror(&r, &mirror, &format!("{ctx}/reopen"), seed);
     retries
@@ -240,14 +240,10 @@ fn run_fsync_poison(partial: bool, mode: &str, seed: u64) -> u64 {
         ..FaultSpec::default()
     };
     let storage: Arc<dyn WalStorage> = faulty(&dir, spec);
-    let (e, _) = Engine::open(config(
-        &dir,
+    let (e, _) = open(
         partial,
-        Some(storage),
-        64 * 1024,
-        true,
-        RecoverPolicy::Strict,
-    ))
+        config(&dir, Some(storage), 64 * 1024, true, RecoverPolicy::Strict),
+    )
     .expect("fresh open");
     let n = 16usize;
     let mut mirror = vec![0i64; n];
@@ -278,14 +274,10 @@ fn run_fsync_poison(partial: bool, mode: &str, seed: u64) -> u64 {
 
     // The device dropped the un-synced suffix; recovery must land on
     // exactly the acknowledged prefix — no more, no less.
-    let (r, report) = Engine::open(config(
-        &dir,
+    let (r, report) = open(
         partial,
-        None,
-        64 * 1024,
-        false,
-        RecoverPolicy::Strict,
-    ))
+        config(&dir, None, 64 * 1024, false, RecoverPolicy::Strict),
+    )
     .expect("recovery after poison");
     assert_eq!(
         report.commits_replayed, acked,
@@ -313,16 +305,9 @@ fn run_enospc(partial: bool, mode: &str, seed: u64) -> (u64, WalHealth) {
     let cfg = EngineConfig {
         background_gc: true,
         gc_interval: Duration::from_millis(1),
-        ..config(
-            &dir,
-            partial,
-            Some(storage),
-            512,
-            false,
-            RecoverPolicy::Strict,
-        )
+        ..config(&dir, Some(storage), 512, false, RecoverPolicy::Strict)
     };
-    let (e, _) = Engine::open(cfg).expect("fresh open");
+    let (e, _) = open(partial, cfg).expect("fresh open");
     let n = 16usize;
     let mut mirror = vec![0i64; n];
     let mut rng = StdRng::seed_from_u64(seed ^ 0xE05C);
@@ -357,14 +342,10 @@ fn run_enospc(partial: bool, mode: &str, seed: u64) -> (u64, WalHealth) {
     );
     drop(e);
 
-    let (r, _) = Engine::open(config(
-        &dir,
+    let (r, _) = open(
         partial,
-        None,
-        512,
-        false,
-        RecoverPolicy::Strict,
-    ))
+        config(&dir, None, 512, false, RecoverPolicy::Strict),
+    )
     .expect("clean reopen");
     assert_mirror(&r, &mirror, &format!("{ctx}/reopen"), seed);
     (acked, health)
@@ -380,14 +361,10 @@ fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) -> (u64, u64, u64) {
     // survives to be a corruption target.
     let storage = faulty(&dir, FaultSpec::default());
     let dyn_storage: Arc<dyn WalStorage> = storage.clone();
-    let (e, _) = Engine::open(config(
-        &dir,
+    let (e, _) = open(
         partial,
-        Some(dyn_storage),
-        256,
-        false,
-        RecoverPolicy::Strict,
-    ))
+        config(&dir, Some(dyn_storage), 256, false, RecoverPolicy::Strict),
+    )
     .expect("fresh open");
     let n = 16usize;
     let mut mirror = vec![0i64; n];
@@ -421,14 +398,10 @@ fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) -> (u64, u64, u64) {
     );
 
     // Strict: refuse, do not modify the disk, name the opt-in.
-    let msg = match Engine::open(config(
-        &dir,
+    let msg = match open(
         partial,
-        None,
-        256,
-        false,
-        RecoverPolicy::Strict,
-    )) {
+        config(&dir, None, 256, false, RecoverPolicy::Strict),
+    ) {
         Err(err) => err.to_string(),
         Ok(_) => panic!("[{ctx}] strict open over mid-log corruption must refuse [seed {seed}]"),
     };
@@ -438,14 +411,10 @@ fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) -> (u64, u64, u64) {
     );
 
     // Quarantine: open with the survivors and an exact loss report.
-    let (r, report) = Engine::open(config(
-        &dir,
+    let (r, report) = open(
         partial,
-        None,
-        256,
-        false,
-        RecoverPolicy::Quarantine,
-    ))
+        config(&dir, None, 256, false, RecoverPolicy::Quarantine),
+    )
     .expect("quarantine open");
     let quarantined: Vec<u64> = report.quarantined.iter().map(|q| q.segment).collect();
     assert_eq!(
@@ -584,7 +553,6 @@ fn planted_retry_after_fsync_fail_acknowledges_lost_commits() {
     let storage: Arc<dyn WalStorage> = faulty(&dir, spec);
     let (e, _) = Engine::open(config(
         &dir,
-        true,
         Some(storage),
         64 * 1024,
         true,
@@ -614,15 +582,8 @@ fn planted_retry_after_fsync_fail_acknowledges_lost_commits() {
 
     // ...but the data is gone: recovery replays fewer commits than
     // were acknowledged, and the mirror diverges.
-    let (r, report) = Engine::open(config(
-        &dir,
-        true,
-        None,
-        64 * 1024,
-        false,
-        RecoverPolicy::Strict,
-    ))
-    .expect("reopen");
+    let (r, report) =
+        Engine::open(config(&dir, None, 64 * 1024, false, RecoverPolicy::Strict)).expect("reopen");
     assert!(
         report.commits_replayed < acked,
         "the dropped flush must be missing from the log: {} replayed of {acked} acked [seed {seed}]",

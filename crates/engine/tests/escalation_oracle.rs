@@ -11,7 +11,7 @@
 //!    scheduler's — even while GC keeps deleting between steps
 //!    (Theorem 2 lifts reduced-graph equivalence to the full graph).
 //! 2. **A/B against all-locks**: the identical workload driven through
-//!    a `partial_escalation: false` twin engine must produce the
+//!    the all-locks baseline twin engine must produce the
 //!    identical outcome sequence — the union cycle check restricted to
 //!    the planned subset equals the all-shards check.
 //!
@@ -110,7 +110,6 @@ fn partial_escalation_decisions_match_full_scheduler_lockstep() {
         gc: GcPolicy::Noncurrent,
         background_gc: false, // deterministic: sweep from the driver
         record_history: true,
-        partial_escalation: true,
         ..EngineConfig::default()
     });
     let scripts = make_scripts(1200, run_seed(0xE5CA));
@@ -159,14 +158,18 @@ fn partial_and_all_locks_engines_agree_on_every_decision() {
     // engine and an all-locks twin: the decision sequences must be
     // equal, operation for operation.
     let mk = |partial: bool| {
-        Engine::new(EngineConfig {
+        let cfg = EngineConfig {
             shards: SHARDS,
             gc: GcPolicy::Noncurrent,
             background_gc: false,
             record_history: false,
-            partial_escalation: partial,
             ..EngineConfig::default()
-        })
+        };
+        if partial {
+            Engine::new(cfg)
+        } else {
+            Engine::open_all_locks_baseline(cfg).expect("open engine").0
+        }
     };
     let a = mk(true);
     let b = mk(false);
@@ -209,7 +212,6 @@ fn escalated_subsets_are_strict_on_skewed_traffic() {
         gc: GcPolicy::Noncurrent,
         background_gc: false,
         record_history: false,
-        partial_escalation: true,
         ..EngineConfig::default()
     });
     let mut rng = StdRng::seed_from_u64(run_seed(7));
@@ -259,7 +261,6 @@ fn boundary_underflow_regression_cross_shard_abort_churn() {
         gc: GcPolicy::Noncurrent,
         background_gc: false,
         record_history: true,
-        partial_escalation: true,
         ..EngineConfig::default()
     });
 
@@ -331,7 +332,6 @@ fn empty_write_set_commit_completes_ghost_spanning_txn() {
         shards: 2,
         background_gc: false,
         record_history: false,
-        partial_escalation: true,
         ..EngineConfig::default()
     });
     let mut t = e.begin();

@@ -13,7 +13,7 @@
 //!    must produce identical outcomes (Theorem 2 lifts reduced-graph
 //!    equivalence to the full graph).
 //! 2. **A/B against the all-locks sweep**: the identical workload
-//!    driven through a `partial_gc: false` twin must yield the
+//!    driven through the all-locks baseline twin must yield the
 //!    identical decision sequence and identical committed values.
 //! 3. **A constructed scenario** where losing a single cross-shard
 //!    bridge would flip a decision: the subset-locked deletion must
@@ -102,16 +102,21 @@ fn run_script(e: &Engine, sc: &Script) -> Outcome {
     }
 }
 
-fn mk_engine(partial_gc: bool, record: bool) -> Engine {
-    Engine::new(EngineConfig {
+/// The default engine (`partial`), or the all-locks baseline whose
+/// multi-shard GC pass stops the world.
+fn mk_engine(partial: bool, record: bool) -> Engine {
+    let cfg = EngineConfig {
         shards: SHARDS,
         gc: GcPolicy::Noncurrent,
         background_gc: false, // deterministic: sweep from the driver
         record_history: record,
-        partial_escalation: true,
-        partial_gc,
         ..EngineConfig::default()
-    })
+    };
+    if partial {
+        Engine::new(cfg)
+    } else {
+        Engine::open_all_locks_baseline(cfg).expect("open engine").0
+    }
 }
 
 #[test]
@@ -306,7 +311,6 @@ fn single_shard_engine_degenerates_to_all_locks_gc() {
         shards: 1,
         gc: GcPolicy::Noncurrent,
         background_gc: false,
-        partial_gc: true,
         ..EngineConfig::default()
     });
     for i in 0..200 {

@@ -135,8 +135,6 @@ fn gc_under_churn_partial_sweeps_keep_graph_bounded_and_balances_exact() {
         background_gc: true,
         gc_interval: std::time::Duration::from_millis(1),
         record_history: false,
-        partial_escalation: true,
-        partial_gc: true,
         ..EngineConfig::default()
     });
     run_mix(&e, 8, 200, n_entities, 60, run_seed(0xC0FE));

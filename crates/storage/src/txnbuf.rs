@@ -61,20 +61,6 @@ impl TxnBuffer {
         self.writes.keys().copied().collect()
     }
 
-    /// The staged value for `x`, if this transaction wrote it — the
-    /// read-your-own-writes half of [`TxnBuffer::read`], for callers
-    /// whose store access happens elsewhere (a shard loop serves the
-    /// committed value under its own ownership).
-    pub fn staged(&self, x: EntityId) -> Option<Value> {
-        self.writes.get(&x).copied()
-    }
-
-    /// Logs an observation made on this transaction's behalf elsewhere
-    /// — the bookkeeping half of [`TxnBuffer::read`].
-    pub fn note_read(&mut self, x: EntityId, v: Value) {
-        self.reads.push((x, v));
-    }
-
     /// The staged writes with their values, ascending by entity — what
     /// [`TxnBuffer::install`] will put in the store, and what a
     /// write-ahead log must record to replay the install.

@@ -39,9 +39,9 @@
 use crate::sim::{ScheduleTrace, SimConfig, VirtualRuntime};
 use deltx_core::CgState;
 use deltx_engine::{
-    CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event, ExecutionMode,
-    FaultSpec, FaultyStorage, FsStorage, GcPolicy, MetricsSnapshot, RecoverPolicy, Runtime,
-    Session, TaskHandle, WalHealth, WalStorage,
+    CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event, FaultSpec,
+    FaultyStorage, FsStorage, GcPolicy, MetricsSnapshot, RecoverPolicy, Runtime, Session,
+    TaskHandle, WalHealth, WalStorage,
 };
 use deltx_model::{Schedule, TxnId};
 use rand::rngs::StdRng;
@@ -189,15 +189,6 @@ pub enum FaultPlan {
         /// The storage-level fault schedule.
         fault: DiskFault,
     },
-    /// Reserved: a network partition between session groups. The
-    /// runner rejects it with [`SimError::Unsupported`] until a
-    /// distributed layer exists to partition.
-    Partition {
-        /// Acknowledged commits before the partition starts.
-        at_commits: u64,
-        /// Virtual nanoseconds until it heals.
-        heal_after_ns: u64,
-    },
 }
 
 /// Which oracles to run after the workload drains.
@@ -264,9 +255,6 @@ pub struct WorkloadSpec {
     pub gc_interval_us: u64,
     /// Run with the write-ahead log (group commit under the sim).
     pub durable: bool,
-    /// How the engine drives its shards: the mutex baseline or
-    /// single-writer shard loops (`ExecutionMode::ShardLoops`).
-    pub execution: ExecutionMode,
     /// Fault to inject.
     pub fault: FaultPlan,
     /// Oracles to run.
@@ -375,19 +363,11 @@ impl WorkloadSpec {
                 crash_point_text(point)
             ),
             FaultPlan::Disk { fault } => format!("disk {}", disk_fault_text(fault)),
-            FaultPlan::Partition {
-                at_commits,
-                heal_after_ns,
-            } => format!("partition {at_commits} {heal_after_ns}"),
         };
         let c = &self.checks;
-        let execution = match self.execution {
-            ExecutionMode::Mutex => "mutex",
-            ExecutionMode::ShardLoops => "shard_loops",
-        };
         format!(
             "name {}\nsessions {}\ntxns {}\nentities {}\nshards {}\nprofile {}\n\
-             abort_every {}\nthink_ns {}\ngc_interval_us {}\ndurable {}\nexecution {}\nfault {}\n\
+             abort_every {}\nthink_ns {}\ngc_interval_us {}\ndurable {}\nfault {}\n\
              checks replay={} csr={} balance={} bound={} summary={}\n",
             self.name,
             self.sessions,
@@ -399,7 +379,6 @@ impl WorkloadSpec {
             self.think_ns,
             self.gc_interval_us,
             flag(self.durable),
-            execution,
             fault,
             flag(c.oracle_replay),
             flag(c.csr),
@@ -428,7 +407,6 @@ impl WorkloadSpec {
             think_ns: 0,
             gc_interval_us: 50,
             durable: false,
-            execution: ExecutionMode::Mutex,
             fault: FaultPlan::None,
             checks: Checks::all(),
         };
@@ -454,13 +432,6 @@ impl WorkloadSpec {
                     spec.gc_interval_us = num(parts.next(), "gc_interval_us").map_err(at)?
                 }
                 "durable" => spec.durable = parts.next() == Some("1"),
-                "execution" => {
-                    spec.execution = match parts.next() {
-                        Some("mutex") | None => ExecutionMode::Mutex,
-                        Some("shard_loops") => ExecutionMode::ShardLoops,
-                        other => return Err(at(format!("unknown execution mode {other:?}"))),
-                    };
-                }
                 "profile" => {
                     spec.profile = match parts.next() {
                         Some("transfer") => Profile::Transfer {
@@ -499,10 +470,6 @@ impl WorkloadSpec {
                         },
                         Some("disk") => FaultPlan::Disk {
                             fault: disk_fault_parse(parts.next().unwrap_or("")).map_err(at)?,
-                        },
-                        Some("partition") => FaultPlan::Partition {
-                            at_commits: num(parts.next(), "at_commits").map_err(at)?,
-                            heal_after_ns: num(parts.next(), "heal_after_ns").map_err(at)?,
                         },
                         other => return Err(at(format!("unknown fault {other:?}"))),
                     };
@@ -834,14 +801,6 @@ fn durability(dir: &Path) -> DurabilityConfig {
 }
 
 fn precheck(spec: &WorkloadSpec) -> Result<(), SimError> {
-    if let FaultPlan::Partition { .. } = spec.fault {
-        return Err(SimError::Unsupported(
-            "FaultPlan::Partition needs a distributed layer to partition; \
-             the variant exists so zoo specs can carry it, but no runner \
-             does yet"
-                .into(),
-        ));
-    }
     match spec.fault {
         FaultPlan::Crash { .. } | FaultPlan::CrashLoop { .. } if !spec.durable => {
             return Err(SimError::Unsupported(
@@ -1142,9 +1101,6 @@ fn run_body(
             gc_interval: Duration::from_micros(spec.gc_interval_us.max(1)),
             background_gc: true,
             record_history: true,
-            partial_escalation: true,
-            partial_gc: true,
-            execution: spec.execution,
             durability: wal_dir.map(durability),
             runtime: Arc::clone(rt) as Arc<dyn Runtime>,
         })
@@ -1294,9 +1250,6 @@ fn run_disk_body(
         gc_interval: Duration::from_micros(spec.gc_interval_us.max(1)),
         background_gc: true,
         record_history: true,
-        partial_escalation: true,
-        partial_gc: true,
-        execution: spec.execution,
         durability: Some(disk_durability(
             Some(Arc::clone(&storage) as Arc<dyn WalStorage>),
             RecoverPolicy::Strict,

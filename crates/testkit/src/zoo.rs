@@ -11,7 +11,7 @@
 //! self-test replays each spec twice per seed.
 
 use crate::workload::{Checks, DiskFault, FaultPlan, Profile, WorkloadSpec};
-use deltx_engine::{CrashPoint, ExecutionMode};
+use deltx_engine::CrashPoint;
 
 /// The stress suite's banking mix (`stress_replay::run_mix` ported to
 /// the simulator): uniform transfers, 30% cross-shard, client
@@ -28,7 +28,6 @@ pub fn transfer_mix() -> WorkloadSpec {
         think_ns: 2_000,
         gc_interval_us: 50,
         durable: false,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::None,
         checks: Checks::all(),
     }
@@ -49,7 +48,6 @@ pub fn hot_key_skew() -> WorkloadSpec {
         think_ns: 2_000,
         gc_interval_us: 50,
         durable: false,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::None,
         checks: Checks::all(),
     }
@@ -73,7 +71,6 @@ pub fn long_readers() -> WorkloadSpec {
         think_ns: 4_000,
         gc_interval_us: 50,
         durable: false,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::None,
         checks: Checks::all(),
     }
@@ -93,7 +90,6 @@ pub fn batch_jobs() -> WorkloadSpec {
         think_ns: 3_000,
         gc_interval_us: 50,
         durable: false,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::None,
         checks: Checks::all(),
     }
@@ -113,7 +109,6 @@ pub fn read_mostly_fanout() -> WorkloadSpec {
         think_ns: 2_000,
         gc_interval_us: 50,
         durable: false,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::None,
         checks: Checks {
             balance_sum: false,
@@ -137,7 +132,6 @@ pub fn cross_shard_chain() -> WorkloadSpec {
         think_ns: 2_000,
         gc_interval_us: 50,
         durable: false,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::None,
         checks: Checks::all(),
     }
@@ -158,7 +152,6 @@ pub fn durable_crash_mid_run() -> WorkloadSpec {
         think_ns: 3_000,
         gc_interval_us: 50,
         durable: true,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::Crash {
             after_commits: 40,
             point: CrashPoint::TornWriteAt(11),
@@ -191,7 +184,6 @@ pub fn boundary_flood() -> WorkloadSpec {
         think_ns: 1_000,
         gc_interval_us: 50,
         durable: false,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::None,
         checks: Checks::all(),
     }
@@ -217,7 +209,6 @@ pub fn hot_contention() -> WorkloadSpec {
         think_ns: 0,
         gc_interval_us: 20,
         durable: false,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::None,
         checks: Checks {
             // Zero think time starves the background GC tick (virtual
@@ -245,7 +236,6 @@ pub fn durable_crash_recover_twice() -> WorkloadSpec {
         think_ns: 3_000,
         gc_interval_us: 50,
         durable: true,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::CrashLoop {
             after_commits: 30,
             point: CrashPoint::MidFlushTorn,
@@ -276,7 +266,6 @@ pub fn disk_transient_appends() -> WorkloadSpec {
         think_ns: 3_000,
         gc_interval_us: 50,
         durable: true,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::Disk {
             fault: DiskFault::TransientAppend { at: 2, burst: 2 },
         },
@@ -300,7 +289,6 @@ pub fn disk_fsync_poison() -> WorkloadSpec {
         think_ns: 3_000,
         gc_interval_us: 50,
         durable: true,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::Disk {
             fault: DiskFault::FsyncFail { at: 1 },
         },
@@ -329,7 +317,6 @@ pub fn disk_enospc_pressure() -> WorkloadSpec {
         think_ns: 3_000,
         gc_interval_us: 50,
         durable: true,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::Disk {
             fault: DiskFault::Capacity { bytes: 6 * 1024 },
         },
@@ -359,7 +346,6 @@ pub fn disk_corrupt_sealed_scrub() -> WorkloadSpec {
         think_ns: 3_000,
         gc_interval_us: 400,
         durable: true,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::Disk {
             fault: DiskFault::CorruptSealed { sector: 0 },
         },
@@ -369,31 +355,6 @@ pub fn disk_corrupt_sealed_scrub() -> WorkloadSpec {
             live_graph_bound: false,
             ..Checks::all()
         },
-    }
-}
-
-/// The adversarial cross-shard chain rerun under
-/// [`ExecutionMode::ShardLoops`]: every commit escalates, so the pin
-/// choreography (ascending pin → validate → decide → release) carries
-/// essentially all the traffic, with the full oracle battery watching.
-pub fn loop_cross_chain() -> WorkloadSpec {
-    WorkloadSpec {
-        name: "loop_cross_chain".into(),
-        execution: ExecutionMode::ShardLoops,
-        ..cross_shard_chain()
-    }
-}
-
-/// Hot-pair skew under shard loops **with the WAL on**: mailbox-routed
-/// single-shard commits submit log records under loop ownership while
-/// escalated ones submit under pins — recovery and balance conservation
-/// must hold across both submission paths.
-pub fn loop_skew_durable() -> WorkloadSpec {
-    WorkloadSpec {
-        name: "loop_skew_durable".into(),
-        execution: ExecutionMode::ShardLoops,
-        durable: true,
-        ..hot_key_skew()
     }
 }
 
@@ -414,7 +375,5 @@ pub fn all() -> Vec<WorkloadSpec> {
         disk_fsync_poison(),
         disk_enospc_pressure(),
         disk_corrupt_sealed_scrub(),
-        loop_cross_chain(),
-        loop_skew_durable(),
     ]
 }

