@@ -1028,17 +1028,71 @@ impl CgState {
     /// ```
     pub fn boundary_reach_map(&self) -> BTreeMap<TxnId, BTreeSet<TxnId>> {
         debug_assert!(!self.summary_batch_pending(), "summary batch not flushed");
-        let mut out = BTreeMap::new();
-        for n in self.graph.nodes() {
-            if self.bindex.slot_of(n).is_some() {
-                let set: BTreeSet<TxnId> = self.reach_mask[n.index()]
-                    .iter()
-                    .map(|s| self.bindex.txn_of[s])
-                    .collect();
-                out.insert(self.info(n).txn, set);
+        self.graph
+            .nodes()
+            .filter(|&n| self.bindex.slot_of(n).is_some())
+            .map(|n| self.reach_entry(n))
+            .collect()
+    }
+
+    /// `n`'s transaction and the boundary transactions its mask names.
+    fn reach_entry(&self, n: NodeId) -> (TxnId, BTreeSet<TxnId>) {
+        let reached = self.reach_mask[n.index()].iter();
+        let set = reached.map(|s| self.bindex.txn_of[s]).collect();
+        (self.info(n).txn, set)
+    }
+
+    /// [`CgState::boundary_reach_map`] without the restriction to
+    /// boundary nodes: **every** live transaction mapped to the
+    /// boundary transactions its node reaches through this graph. The
+    /// audit surface for [`CgState::boundary_exposed`], which trusts
+    /// the masks of non-boundary nodes too.
+    pub fn reach_map(&self) -> BTreeMap<TxnId, BTreeSet<TxnId>> {
+        debug_assert!(!self.summary_batch_pending(), "summary batch not flushed");
+        self.graph.nodes().map(|n| self.reach_entry(n)).collect()
+    }
+
+    /// Whether a path that starts at `t`'s node can leave this graph:
+    /// the node is a boundary node or reaches one. `false` for a
+    /// transaction with no live node here. This is the sharded
+    /// engine's per-operation fast-path gate — when it is `false`,
+    /// every union-graph path from `t` stays inside this graph, so the
+    /// local cycle check is the union check, and arcs into `t` change
+    /// no boundary reach-pair (the fan-in maintenance pushes an empty
+    /// delta). One slot lookup plus one word test; a wrong
+    /// `false` is a missed cross-shard cycle, so debug builds re-derive
+    /// every `false` with a from-scratch DFS.
+    pub fn boundary_exposed(&self, t: TxnId) -> bool {
+        debug_assert!(!self.summary_batch_pending(), "summary batch not flushed");
+        let Some(&n) = self.by_txn.get(&t) else {
+            return false;
+        };
+        let exposed = self.bindex.slot_of(n).is_some() || !self.reach_mask[n.index()].is_empty();
+        debug_assert!(
+            exposed || !self.dfs_reaches_boundary(n),
+            "{t:?} judged sealed but a boundary node is reachable from it"
+        );
+        exposed
+    }
+
+    /// The mask-free oracle behind [`CgState::boundary_exposed`]'s
+    /// debug assertion: does a DFS over successors from `n` meet a
+    /// boundary node?
+    fn dfs_reaches_boundary(&self, n: NodeId) -> bool {
+        if self.bindex.live == 0 {
+            return false;
+        }
+        let mut visited: HashSet<NodeId> = HashSet::new();
+        let mut stack: Vec<NodeId> = self.graph.succs(n).to_vec();
+        while let Some(m) = stack.pop() {
+            if visited.insert(m) {
+                if self.bindex.slot_of(m).is_some() {
+                    return true;
+                }
+                stack.extend_from_slice(self.graph.succs(m));
             }
         }
-        out
+        false
     }
 
     /// The raw reach bitmask of one boundary transaction over the
@@ -1314,27 +1368,39 @@ impl CgState {
     #[doc(hidden)]
     pub fn naive_boundary_reach(&self, marked: &[TxnId]) -> BTreeMap<TxnId, BTreeSet<TxnId>> {
         let marked_set: BTreeSet<TxnId> = marked.iter().copied().collect();
-        let mut out = BTreeMap::new();
-        for &t in &marked_set {
-            let Some(start) = self.node_of(t) else {
+        marked_set
+            .iter()
+            .filter_map(|&t| Some((t, self.naive_reach_from(self.node_of(t)?, &marked_set))))
+            .collect()
+    }
+
+    /// [`CgState::naive_boundary_reach`] started from **every** live
+    /// node — the oracle for [`CgState::reach_map`], i.e. for the
+    /// masks [`CgState::boundary_exposed`] reads.
+    #[doc(hidden)]
+    pub fn naive_reach(&self, marked: &[TxnId]) -> BTreeMap<TxnId, BTreeSet<TxnId>> {
+        let marked_set: BTreeSet<TxnId> = marked.iter().copied().collect();
+        self.graph
+            .nodes()
+            .map(|n| (self.info(n).txn, self.naive_reach_from(n, &marked_set)))
+            .collect()
+    }
+
+    fn naive_reach_from(&self, start: NodeId, marked: &BTreeSet<TxnId>) -> BTreeSet<TxnId> {
+        let mut reached = BTreeSet::new();
+        let mut visited = BTreeSet::new();
+        let mut stack: Vec<NodeId> = self.graph.succs(start).to_vec();
+        while let Some(n) = stack.pop() {
+            if !visited.insert(n) {
                 continue;
-            };
-            let mut reached = BTreeSet::new();
-            let mut visited = BTreeSet::new();
-            let mut stack: Vec<NodeId> = self.graph.succs(start).to_vec();
-            while let Some(n) = stack.pop() {
-                if !visited.insert(n) {
-                    continue;
-                }
-                let txn = self.info(n).txn;
-                if marked_set.contains(&txn) {
-                    reached.insert(txn);
-                }
-                stack.extend_from_slice(self.graph.succs(n));
             }
-            out.insert(t, reached);
+            let txn = self.info(n).txn;
+            if marked.contains(&txn) {
+                reached.insert(txn);
+            }
+            stack.extend_from_slice(self.graph.succs(n));
         }
-        out
+        reached
     }
 
     /// Transitive-reduction compaction of the **ghost-only** subgraph:
@@ -2115,6 +2181,92 @@ mod tests {
         assert_eq!(cg.boundary_index_hwm(), 2, "slot recycled, not grown");
         assert!(cg.boundary_reach_map()[&TxnId(2)].contains(&TxnId(3)));
         cg.check_invariants();
+    }
+
+    #[test]
+    fn boundary_exposed_tracks_marks_arcs_deletes_aborts_and_recycling() {
+        // Every maintenance path the masks of NON-boundary nodes go
+        // through, checked through the gate accessor and, after each
+        // step, against the all-nodes naive oracle.
+        fn audit(cg: &CgState, marked: &[u32]) {
+            let marked: Vec<TxnId> = marked.iter().map(|&t| TxnId(t)).collect();
+            assert_eq!(cg.reach_map(), cg.naive_reach(&marked));
+            cg.check_invariants();
+        }
+        let (x, y, z) = (0u32, 1, 2);
+        fn rw(cg: &mut CgState, t: u32, x: u32) {
+            cg.run(&[Step::begin(t), Step::read(t, x), Step::write_all(t, [x])])
+                .unwrap();
+        }
+        fn r(cg: &mut CgState, t: u32, x: u32) {
+            cg.run(&[Step::begin(t), Step::read(t, x)]).unwrap();
+        }
+        let exposed = |cg: &CgState, t: u32| cg.boundary_exposed(TxnId(t));
+        let node = |cg: &CgState, t: u32| cg.node_of(TxnId(t)).unwrap();
+
+        let mut cg = CgState::new();
+        assert!(!exposed(&cg, 1), "no node yet: sealed");
+        // Chain 1 -> 2 -> 3 through x, and a bystander 4 on y.
+        rw(&mut cg, 1, x);
+        rw(&mut cg, 2, x);
+        r(&mut cg, 3, x);
+        r(&mut cg, 4, y);
+        assert!((1..=4).all(|t| !exposed(&cg, t)), "no marks: all sealed");
+        // Mark: the node itself and its whole backward cone are exposed;
+        // nodes off the cone stay sealed.
+        cg.set_boundary(TxnId(2), true);
+        assert!(exposed(&cg, 2), "boundary node itself");
+        assert!(exposed(&cg, 1), "reaches the marked node");
+        assert!(!exposed(&cg, 3), "downstream of the mark");
+        assert!(!exposed(&cg, 4));
+        audit(&cg, &[2]);
+        // Fan-in INTO a sealed node: nothing to publish, it stays sealed.
+        let rev = cg.summary_rev();
+        rw(&mut cg, 5, y); // 4 -> 5
+        assert!(!exposed(&cg, 4) && !exposed(&cg, 5));
+        assert_eq!(cg.summary_rev(), rev, "arcs into a sealed node are silent");
+        // Fan-in that hangs a sealed node in front of an exposed one.
+        let n1 = node(&cg, 1);
+        cg.add_order_arc(node(&cg, 4), n1).unwrap();
+        assert!(exposed(&cg, 4), "4 -> 1 -> 2(boundary)");
+        assert!(!exposed(&cg, 5));
+        audit(&cg, &[2]);
+        // `delete` of an intermediate node bridges: exposure survives.
+        cg.delete(n1).unwrap();
+        assert!(exposed(&cg, 4), "bridged 4 -> 2");
+        audit(&cg, &[2]);
+        // Open batch: marks and fan-ins queue, the flush makes them exact.
+        cg.begin_summary_batch();
+        cg.set_boundary(TxnId(5), true);
+        r(&mut cg, 6, y); // 5 -> 6
+        cg.end_summary_batch();
+        assert!(exposed(&cg, 5) && !exposed(&cg, 6));
+        assert!(exposed(&cg, 4), "4 -> 5(boundary) too");
+        audit(&cg, &[2, 5]);
+        // Unbridged abort with preds and succs: the recompute reseals
+        // what only reached a boundary node through the aborted one.
+        r(&mut cg, 7, z);
+        r(&mut cg, 8, z);
+        cg.add_order_arc(node(&cg, 7), node(&cg, 8)).unwrap();
+        cg.add_order_arc(node(&cg, 8), node(&cg, 5)).unwrap();
+        assert!(exposed(&cg, 7), "7 -> 8 -> 5(boundary)");
+        cg.abort_txn(TxnId(8)).unwrap();
+        assert!(!exposed(&cg, 7), "path severed by the abort");
+        audit(&cg, &[2, 5]);
+        // Slot recycling: freeing a slot clears its bit everywhere, so
+        // the next holder of the slot exposes only its own cone.
+        cg.delete(node(&cg, 2)).unwrap();
+        cg.set_boundary(TxnId(5), false);
+        assert_eq!(cg.boundary_count(), 0);
+        assert!(
+            [3, 4, 5, 6, 7].iter().all(|&t| !exposed(&cg, t)),
+            "no boundary node left"
+        );
+        cg.set_boundary(TxnId(6), true); // reuses a freed slot
+        assert_eq!(cg.boundary_index_hwm(), 2, "slot recycled, not grown");
+        assert!(exposed(&cg, 4), "4 -> 5 -> 6(boundary)");
+        assert!(!exposed(&cg, 3) && !exposed(&cg, 7));
+        audit(&cg, &[6]);
     }
 
     #[test]

@@ -2,22 +2,45 @@
 //! random interleavings of conflict arcs (Rule 2/3 fan-ins), boundary
 //! marks/unmarks, voluntary aborts, ghost bridges, and `D(G, N)`
 //! deletes — with summary batching toggled on and off mid-stream — the
-//! incrementally maintained summary must stay equivalent to a naive
-//! `BTreeSet` recomputation oracle that BFSes the graph from scratch
-//! after every operation.
+//! incrementally maintained reach mask of **every live node** (the
+//! boundary summary is its restriction to boundary nodes; the engine's
+//! fast-path gate, `CgState::boundary_exposed`, reads the rest) must
+//! stay equivalent to a naive `BTreeSet` recomputation oracle that
+//! DFSes the graph from scratch after every operation.
 
 use deltx_core::CgState;
 use deltx_model::{Step, TxnId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The oracle: [`CgState::naive_boundary_reach`] — a from-scratch DFS
-/// per marked transaction that shares no code or state with the
-/// incremental bitmask maintainer (the marked list is this test's
-/// own, tracked independently of `CgState`).
-fn naive_summary(cg: &CgState, marked: &BTreeSet<TxnId>) -> BTreeMap<TxnId, BTreeSet<TxnId>> {
+/// The oracle: [`CgState::naive_reach`] — a from-scratch DFS per live
+/// node that shares no code or state with the incremental bitmask
+/// maintainer (the marked list is this test's own, tracked
+/// independently of `CgState`).
+fn naive_reach(cg: &CgState, marked: &BTreeSet<TxnId>) -> BTreeMap<TxnId, BTreeSet<TxnId>> {
     let marked: Vec<TxnId> = marked.iter().copied().collect();
-    cg.naive_boundary_reach(&marked)
+    cg.naive_reach(&marked)
+}
+
+/// Every node's mask equals the oracle's answer, the boundary summary
+/// is exactly the oracle restricted to the marked transactions, and
+/// the gate accessor is "is marked or reaches a marked one".
+fn check_exact(cg: &CgState, marked: &BTreeSet<TxnId>) -> Result<(), String> {
+    let want = naive_reach(cg, marked);
+    if cg.reach_map() != want {
+        return Err("a node's reach mask diverged from the naive oracle".into());
+    }
+    for (t, reached) in &want {
+        if cg.boundary_exposed(*t) != (marked.contains(t) || !reached.is_empty()) {
+            return Err(format!("boundary_exposed({t:?}) disagrees with the oracle"));
+        }
+    }
+    let mut boundary = want;
+    boundary.retain(|t, _| marked.contains(t));
+    if cg.boundary_reach_map() != boundary {
+        return Err("boundary summary diverged from the naive oracle".into());
+    }
+    Ok(())
 }
 
 /// One scripted operation, decoded from three generated bytes.
@@ -179,18 +202,14 @@ proptest! {
             if !d.batch_open {
                 // Batching defers propagation; once closed the summary
                 // must be exact again.
-                prop_assert_eq!(
-                    d.cg.boundary_reach_map(),
-                    naive_summary(&d.cg, &d.marked),
-                    "summary diverged from the naive oracle after op {}", i
-                );
+                prop_assert_eq!(check_exact(&d.cg, &d.marked), Ok(()), "after op {}", i);
             }
             if i % 16 == 15 && !d.batch_open {
                 d.cg.check_invariants();
             }
         }
         d.cg.end_summary_batch();
-        prop_assert_eq!(d.cg.boundary_reach_map(), naive_summary(&d.cg, &d.marked));
+        prop_assert_eq!(check_exact(&d.cg, &d.marked), Ok(()));
         d.cg.check_invariants();
     }
 }

@@ -5,8 +5,7 @@
 //! escalated session operations), [`crate::coord`] (the coordination
 //! registry and summary mirrors), [`crate::gc`] (single- and
 //! multi-shard deletion), [`crate::recovery`] (WAL replay) and
-//! [`crate::planner`] (the closure planner the commit path and the GC
-//! share).
+//! [`crate::planner`] (the closure planner of the multi-shard GC pass).
 
 use crate::coord::Coordination;
 use crate::error::EngineError;
@@ -115,12 +114,14 @@ pub struct RecoveryReport {
 }
 
 /// One partition: the conflict graph and store for the entities it
-/// owns, plus the boundary-node count that gates the fast path.
+/// owns, plus the boundary-node count (the coarse half of the
+/// fast-path gate, see [`EngineInner::sealed`]).
 pub(crate) struct Shard {
     pub(crate) cg: CgState,
     pub(crate) store: Store,
     /// Live nodes in this shard belonging to multi-shard transactions
-    /// (ghosts included). Zero means no path can leave this shard.
+    /// (ghosts included). Zero means no path can leave this shard;
+    /// nonzero, the per-transaction test decides.
     pub(crate) boundary: usize,
     /// [`CgState::summary_rev`] at the last mirror into
     /// [`Coordination`] — skips the copy when nothing changed.
@@ -134,6 +135,13 @@ pub(crate) struct Shard {
     pub(crate) compacted_bridge_arcs: u64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Shard-mutex acquisitions made by this thread, so a unit test can
+    /// count what an operation took (the guard hand-off into `escalate`).
+    pub(crate) static SHARD_LOCKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Shard locks held by one escalated operation, keyed by shard index.
 /// Always acquired in ascending order (the map iterates that way).
 pub(crate) type Guards<'a> = BTreeMap<usize, MutexGuard<'a, Shard>>;
@@ -141,12 +149,13 @@ pub(crate) type Guards<'a> = BTreeMap<usize, MutexGuard<'a, Shard>>;
 pub(crate) struct EngineInner {
     pub(crate) shards: Vec<Mutex<Shard>>,
     pub(crate) coord: Coordination,
-    /// The shared closure planner (see [`crate::planner`]): lock-free
-    /// adjacency masks + growth epochs, written only under the
-    /// coordination lock (and, for changes derived from a shard graph,
-    /// before that shard's lock is released — so a post-acquisition
-    /// epoch re-read is authoritative). Escalated operations and the
-    /// multi-shard GC both plan their lock subsets through it.
+    /// The closure planner of the multi-shard GC pass (see
+    /// [`crate::planner`]): lock-free adjacency masks + growth epochs,
+    /// written under the mirror-slot / registry-stripe locks and always
+    /// before the lock of the shard the change derives from is
+    /// released — so a post-acquisition epoch re-read is authoritative.
+    /// Session operations no longer plan: they lock their own shards
+    /// and let the BFS report a miss ([`EngineInner::escalate`]).
     pub(crate) planner: Planner,
     /// Multi-shard transactions awaiting a GC decision.
     pub(crate) pending_multi: Mutex<BTreeSet<TxnId>>,
@@ -158,10 +167,11 @@ pub(crate) struct EngineInner {
     pub(crate) next_txn: AtomicU32,
     pub(crate) gc_policy: GcPolicy,
     /// The all-locks baseline ([`Engine::open_all_locks_baseline`]):
-    /// escalated operations take every shard lock instead of a planned
-    /// subset, the multi-shard GC pass stops the world instead of
-    /// locking closures, and — since nothing then consults them — the
-    /// boundary summaries are not maintained.
+    /// escalated operations take every shard lock instead of their own
+    /// shards, the multi-shard GC pass stops the world instead of
+    /// locking closures, the fast path is gated on the shard flag
+    /// alone, and — since nothing then consults them — the boundary
+    /// summaries are not maintained.
     pub(crate) all_locks: bool,
     /// Host runtime: clock for the duration metrics, yield points on
     /// the operation entries, and the GC task's sleep/wakeup.
@@ -208,7 +218,8 @@ impl Engine {
     /// [`Engine::open`] on the **all-locks baseline**: every escalated
     /// operation takes every shard lock and the multi-shard GC pass
     /// stops the world. This is the path the default engine falls back
-    /// to when a planned lock subset goes stale, and the reference the
+    /// to when an operation's own shards turn out not to cover its
+    /// cycle check, and the reference the
     /// twin oracles and the A/B benches compare the default against;
     /// decisions, deletions and stores are identical.
     #[doc(hidden)]
@@ -304,21 +315,22 @@ impl Engine {
         self.inner.gc_sweep();
     }
 
-    /// Audits the incremental bitmask boundary summaries against the
-    /// from-scratch DFS oracle ([`deltx_core::CgState::naive_boundary_reach`]),
-    /// shard by shard. The summaries only gate *optimizations*
-    /// (subset escalation, closure-scoped GC), so a corrupted mask
-    /// shows up as silent over- or under-locking rather than a wrong
-    /// answer — this audit is the oracle that makes such corruption a
-    /// hard failure. Returns the first divergence as an error. Call
-    /// at quiescence (no in-flight sessions).
+    /// Audits the incremental reach bitmasks of **every live node**
+    /// against the from-scratch DFS oracle
+    /// ([`deltx_core::CgState::naive_reach`]), shard by shard. The
+    /// masks of boundary nodes are the published summary (GC closure
+    /// plans); the masks of all other nodes are what the per-operation
+    /// fast-path gate reads, where a missing bit is a missed
+    /// cross-shard cycle — so a divergence anywhere is a hard failure.
+    /// Returns the first one as an error. Call at quiescence (no
+    /// in-flight sessions).
     pub fn summary_audit(&self) -> Result<(), String> {
         for (s, shard) in self.inner.shards.iter().enumerate() {
             let mut g = shard.lock().unwrap();
             g.cg.end_summary_batch();
-            let got = g.cg.boundary_reach_map();
-            let marked: Vec<TxnId> = got.keys().copied().collect();
-            let want = g.cg.naive_boundary_reach(&marked);
+            let got = g.cg.reach_map();
+            let marked: Vec<TxnId> = g.cg.boundary_reach_map().into_keys().collect();
+            let want = g.cg.naive_reach(&marked);
             if got != want {
                 let diverged: Vec<TxnId> = got
                     .iter()
@@ -326,9 +338,10 @@ impl Engine {
                     .map(|(t, _)| *t)
                     .collect();
                 return Err(format!(
-                    "summary audit: shard {s} boundary summary diverged from the naive \
-                     DFS oracle for {} of {} marked txns (first: {:?})",
+                    "summary audit: shard {s} reach masks diverged from the naive DFS \
+                     oracle for {} of {} live txns, {} marked boundary (first: {:?})",
                     diverged.len(),
+                    got.len(),
                     marked.len(),
                     diverged.first()
                 ));
@@ -448,20 +461,30 @@ impl EngineInner {
         self.record(Event::Step { step, outcome });
     }
 
-    pub(crate) fn lock_all(&self) -> Guards<'_> {
-        (0..self.shards.len())
-            .map(|s| (s, self.shards[s].lock().unwrap()))
-            .collect()
+    /// Takes shard `s`'s lock (unit tests count the acquisitions).
+    pub(crate) fn lock_shard(&self, s: usize) -> MutexGuard<'_, Shard> {
+        #[cfg(test)]
+        SHARD_LOCKS.with(|c| c.set(c.get() + 1));
+        self.shards[s].lock().unwrap()
     }
 
-    /// Locks `subset` in ascending index order (the GC and all-locks
-    /// paths obey the same order, so mixed acquisitions cannot
-    /// deadlock).
-    pub(crate) fn lock_subset(&self, subset: &BTreeSet<usize>) -> Guards<'_> {
-        subset
-            .iter()
-            .map(|&s| (s, self.shards[s].lock().unwrap()))
-            .collect()
+    pub(crate) fn lock_all(&self) -> Guards<'_> {
+        self.lock_subset(&(0..self.shards.len()).collect(), None)
+    }
+
+    /// Locks `subset` in ascending index order (every path obeys the
+    /// same order, so mixed acquisitions cannot deadlock). A guard the
+    /// caller already `held` is reused only as the subset's lowest
+    /// shard — everything still to take then lies above it — and
+    /// dropped first otherwise.
+    pub(crate) fn lock_subset<'a>(
+        &'a self,
+        subset: &BTreeSet<usize>,
+        held: Option<(usize, MutexGuard<'a, Shard>)>,
+    ) -> Guards<'a> {
+        let mut held = held.filter(|(s, _)| subset.first() == Some(s));
+        let lock = |&s: &usize| held.take().unwrap_or_else(|| (s, self.lock_shard(s)));
+        subset.iter().map(lock).collect()
     }
 
     fn graph_size(&self) -> StateSize {

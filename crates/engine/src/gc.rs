@@ -20,7 +20,7 @@
 //! The multi-shard pass does **not** stop the world: per candidate it
 //! plans the shard **closure** its bridges can touch — the
 //! transaction's own shards plus the summary-closure neighbors, from
-//! the same [`crate::planner::Planner`] the commit path uses — locks
+//! [`crate::planner::Planner`] (this pass is its only client) — locks
 //! each closure ascending, re-validates the growth epochs after
 //! acquisition, and batches every other pending candidate the locked
 //! closure turns out to cover (a hot shard pair's backlog drains under
@@ -223,9 +223,10 @@ impl EngineInner {
     }
 
     /// The all-locks multi-shard pass, for callers already holding
-    /// every shard lock plus the coordination lock (the stop-the-world
-    /// baseline, and escalated committers applying backpressure while
-    /// they happen to hold everything anyway). Returns whether there
+    /// every shard lock (the stop-the-world baseline, and escalated
+    /// committers applying backpressure while they happen to hold
+    /// everything anyway — the coordination registry needs no lock of
+    /// its own: its mirror slots and stripes are leaf locks). Returns whether there
     /// was anything to process — the caller decides whether the lock
     /// acquisition counts toward the GC closure metrics (an inline
     /// committer's locks were taken for the commit, not for GC).
@@ -245,7 +246,7 @@ impl EngineInner {
     /// The closure-scoped multi-shard pass. Repeatedly: plan the lead
     /// candidate's closure — the shard set its `D(G, N)` bridges can
     /// touch (its own shards plus the summary-closure neighbors), via
-    /// the shared [`Planner`] — lock it in ascending order,
+    /// the [`crate::planner::Planner`] — lock it in ascending order,
     /// re-validate the growth epochs after acquisition, and offer
     /// **every** remaining candidate to the batch: the ones whose
     /// spans the locked subset covers are processed for free (a hot
@@ -283,7 +284,7 @@ impl EngineInner {
                 widen.push(queue.remove(0));
                 continue;
             }
-            let mut guards = self.lock_subset(&subset);
+            let mut guards = self.lock_subset(&subset, None);
             if !self.planner.validate(&subset, token) {
                 drop(guards);
                 self.metrics.gc_closure_fallbacks.add(1);

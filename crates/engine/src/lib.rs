@@ -25,7 +25,7 @@
 //!  │   CgState +  │  │   CgState +  │       │   CgState +  │
 //!  │   Store>     │  │   Store>     │       │   Store>     │
 //!  └──────▲───────┘  └──────▲───────┘       └──────▲───────┘
-//!         │ lock one (fast path) or all, ascending │
+//!         │ lock one (fast path) or own, ascending │
 //!         └────────────┬───────────────────────────┘
 //!                ┌─────▼──────┐
 //!                │  GC thread │  noncurrent / C1 / C2 sweeps,
@@ -45,35 +45,35 @@
 //!   a single entity, so every arc is *intra-shard*, and the global
 //!   conflict graph is exactly the union of the shard graphs with nodes
 //!   of the same transaction identified.
-//! * **Cross-shard commits**: a transaction that stays inside one shard
-//!   whose graph contains no *boundary nodes* (nodes of multi-shard
-//!   transactions) takes the fast path — one lock, one local cycle
-//!   check, which is complete because no path can leave such a shard's
-//!   graph. Anything else escalates **partially**: each shard's
-//!   `CgState` maintains a *boundary reachability summary* (which
-//!   boundary transactions reach which through that shard's graph,
-//!   ghosts included) as **bitmask reach-sets over a compact
-//!   boundary-txn index** — word-parallel propagation on arc fan-ins,
-//!   one batched update per commit — mirrored into a **sharded
-//!   coordination registry** (per-shard mirror slots behind their own
-//!   leaf locks + a stripe-locked span registry; no global
-//!   coordination mutex) with a per-shard *growth epoch*. The
-//!   committer plans the closure of shards a cycle through it could
-//!   traverse — a lock-free adjacency-mask fixpoint, refined by
-//!   chasing summaries across the mirror slots — locks only that
-//!   subset in ascending order, and re-validates the epochs after
-//!   acquisition; if a summary grew in the meantime the plan may be
-//!   too small and the commit falls back to all locks (still
-//!   ascending, deadlock-free). The union cycle check then runs
-//!   restricted to the locked subset, hopping between shards at
-//!   multi-shard nodes — provably equal to the all-shards check (see
-//!   `ops` module docs). One hot cross-shard pair no longer
-//!   serializes the whole engine — two commits (or GC sweeps) with
-//!   disjoint closures share no lock at all — and accept/reject
-//!   decisions are bit-identical to the all-locks baseline (a hidden
-//!   constructor the twin oracles and A/B benches build their
-//!   reference engine with; it is also what a stale plan falls back
-//!   to at run time).
+//! * **Cross-shard commits**: every step adds arcs only *into* the
+//!   operating transaction, so it closes a cycle iff the transaction
+//!   already reaches an arc source — and a path leaves a shard's graph
+//!   only through a *boundary node* (a node of a multi-shard
+//!   transaction). An operation of a transaction that has stayed
+//!   inside one shard therefore takes the **fast path** — one lock,
+//!   one local cycle check — whenever that shard has no boundary node
+//!   *or the transaction's own node reaches none*: each shard's
+//!   `CgState` keeps, for every node, a **bitmask of the boundary
+//!   nodes it reaches** over a compact boundary-txn index
+//!   (word-parallel propagation on arc fan-ins, one batched update per
+//!   escalated commit), and the gate is one word test on it
+//!   ([`deltx_core::CgState::boundary_exposed`]). A parked multi-shard
+//!   reader thus costs only the operations that actually reach it.
+//!   Anything else escalates **own shards first**: the operation locks
+//!   the shards it touches plus the transaction's registered span, in
+//!   ascending order, and runs the union cycle check as a BFS that
+//!   hops between shards at multi-shard nodes. A BFS that finishes
+//!   inside the held locks is exact; one that meets a twin in an
+//!   unlocked shard retakes every lock (still ascending,
+//!   deadlock-free) and runs again — see the `ops` module docs. Two
+//!   commits (or GC sweeps) with disjoint lock sets share no lock at
+//!   all — the cross-shard state they consult is a **sharded
+//!   coordination registry** (a stripe-locked span registry plus
+//!   per-shard summary mirrors behind leaf locks; no global
+//!   coordination mutex) — and accept/reject decisions are
+//!   bit-identical to the all-locks baseline (a hidden constructor the
+//!   twin oracles and A/B benches build their reference engine with;
+//!   it is also what a too-small lock set falls back to at run time).
 //! * **GC**: a background thread drains per-shard candidate queues
 //!   (fed by [`deltx_core::CgState::drain_gc_candidates`] — bounded
 //!   and deduplicated; no full scans) and deletes completed
@@ -83,9 +83,10 @@
 //!   ([`deltx_core::CgState::admit_completed_ghost`]), so union
 //!   reachability is preserved exactly — and the pass locks only each
 //!   candidate's **closure** (its own shards plus the
-//!   summary-closure neighbors its bridges can touch, planned by the
-//!   same module as escalated commits), batching the candidates each
-//!   closure covers and falling back to all locks on stale plans,
+//!   summary-closure neighbors its bridges can touch, planned from the
+//!   mirrored boundary summaries and validated against per-shard
+//!   *growth epochs* — the `planner` module), batching the candidates
+//!   each closure covers and falling back to all locks on stale plans,
 //!   instead of stopping the world. Sweeps also run a
 //!   transitive-reduction compaction over ghost-only subgraphs
 //!   ([`deltx_core::CgState::compact_ghost_arcs`]) so bridge arcs
@@ -107,16 +108,17 @@
 //!   crash points ([`CrashPoint`]) for fault-injection tests; the
 //!   protocol and proofs live in `docs/durability.md`.
 //! * **Metrics** ([`metrics`]): throughput, aborts, live-graph size,
-//!   deletions, GC pause time, and the escalation economics — partial
-//!   vs full acquisitions, escalated-subset-size and GC-closure-size
-//!   histograms, plan fallbacks, a boundary-count underflow tripwire,
+//!   deletions, GC pause time, and the escalation economics — fast
+//!   vs escalated operations, own-shards vs full acquisitions,
+//!   escalated-lock-set-size and GC-closure-size histograms,
+//!   fallbacks, a boundary-count underflow tripwire,
 //!   plus the summary's own maintenance economics: a summary-update
 //!   latency histogram, the boundary-txn index high-water mark, and a
 //!   registry-slot contention counter.
 //!
-//! A prose walkthrough of the four locking regimes (fast path,
-//! partial escalation, all-locks fallback, GC closures) with the
-//! soundness argument for each lives in `docs/architecture.md` at the
+//! A prose walkthrough of the four locking regimes (per-operation
+//! fast path, own-shards escalation, all-locks fallback, GC closures)
+//! with the soundness argument for each lives in `docs/architecture.md` at the
 //! repository root; the inline versions live in the `ops`, `coord`,
 //! `gc` and `planner` module docs.
 //!

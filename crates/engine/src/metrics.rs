@@ -220,21 +220,29 @@ pub struct MetricsSnapshot {
     pub reads: u64,
     /// Entities installed by commits.
     pub entities_written: u64,
-    /// Operations that ran under a single shard lock.
+    /// Operations that ran under a single shard lock with the
+    /// shard-local cycle check: the per-operation gate found the
+    /// transaction sealed (its shard has no boundary node, or its own
+    /// node reaches none).
     pub fast_path_ops: u64,
-    /// Operations that could not take the fast path and escalated to a
-    /// multi-shard lock acquisition (partial or full).
+    /// Operations that could not take the fast path — the transaction
+    /// spans shards, is a boundary node, or reaches one — and ran the
+    /// union cycle check under an escalated lock acquisition (own
+    /// shards, or every shard after a fallback).
     pub escalated_ops: u64,
     /// Escalated lock acquisitions that locked a **strict subset** of
-    /// the shards (the summary closure proved the rest unreachable).
+    /// the shards: the operation's own shards (the ones it touches plus
+    /// the transaction's registered span).
     pub escalated_partial: u64,
-    /// Planned subsets found stale after acquisition (a summary epoch
-    /// moved, or a shard was missing mid-check): retaken as all-locks.
+    /// Own-shards acquisitions that turned out too small under the
+    /// held locks (the registered span had grown, or the cycle-check
+    /// BFS met a twin in an unlocked shard): retaken as all-locks.
     pub escalation_fallbacks: u64,
-    /// Total shard locks taken across escalated acquisitions; divided
-    /// by the histogram's total count this is the mean subset size.
+    /// Total shard locks taken across escalated acquisitions (a
+    /// fallback counts both of its acquisitions); divided by the
+    /// histogram's total count this is the mean lock-set size.
     pub escalated_locks_taken: u64,
-    /// Histogram of escalated lock-subset sizes. Buckets: 1, 2, 3, 4,
+    /// Histogram of escalated lock-set sizes. Buckets: 1, 2, 3, 4,
     /// 5–8, 9–16, 17–32, 33+ locks per acquisition.
     pub escalated_subset_hist: [u64; SUBSET_HIST_BUCKETS],
     /// Boundary-count decrements that would have underflowed (registry
@@ -275,8 +283,9 @@ pub struct MetricsSnapshot {
     pub gc_closure_hist: [u64; SUBSET_HIST_BUCKETS],
     /// Total nanoseconds spent flushing batched summary propagation
     /// and mirroring dirty entries into the coordination registry —
-    /// the maintenance tax partial locking pays over the all-locks
-    /// baseline, measured directly.
+    /// the maintenance tax escalated operations and GC pay over the
+    /// all-locks baseline, measured directly (sealed fast-path
+    /// operations have nothing to flush).
     pub summary_update_nanos: u64,
     /// Number of summary flush + mirror spans measured.
     pub summary_updates: u64,
@@ -339,8 +348,8 @@ impl std::fmt::Display for MetricsSnapshot {
         };
         writeln!(
             f,
-            "escalation: {} partial / {} acquisitions (mean {:.1} locks, fallbacks {}), \
-             subset hist [1|2|3|4|≤8|≤16|≤32|>32] = {:?}, boundary underflows {}",
+            "escalation: {} own-shards / {} acquisitions (mean {:.1} locks, fallbacks {}), \
+             lock-set hist [1|2|3|4|≤8|≤16|≤32|>32] = {:?}, boundary underflows {}",
             self.escalated_partial,
             acquisitions,
             mean,

@@ -8,35 +8,34 @@
 //! global conflict graph is the union of the shard graphs with nodes of
 //! the same transaction identified. Three facts make the check exact:
 //!
-//! 1. *Fast path.* If a transaction has touched only shard `s` and `s`
-//!    contains no **boundary nodes** (nodes of transactions present in
-//!    more than one shard), then no path can leave `s`'s graph — a path
-//!    switches shards only through a boundary node — so the shard-local
-//!    cycle check equals the union check. One lock, no coordination.
-//! 2. *Partial escalation.* Otherwise the engine locks only the shards
-//!    a cycle through the committing transaction could traverse. A
-//!    path leaves the transaction's own shards through a resident
-//!    boundary transaction, enters another shard at that transaction's
-//!    twin, and can only leave *that* shard through a boundary
-//!    transaction the shard's published summary (see [`crate::coord`])
-//!    says the twin reaches — so chasing summaries across the mirror
-//!    slots closes the set of traversable shards. Those are locked in
-//!    ascending index order and the would-be arc sources are checked
-//!    against union reachability by a BFS that hops to a transaction's
-//!    twin nodes when it meets a multi-shard transaction, restricted
-//!    to the locked subset.
-//! 3. *Staleness.* The subset is planned from a lock-free snapshot, so
-//!    each shard summary carries a **growth epoch** (bumped whenever
-//!    its published reachability or a resident transaction's shard
-//!    set *grows* — shrinkage cannot invalidate a superset). After
-//!    acquisition the planner re-reads the epochs of the locked
-//!    shards: any movement means the plan may be too small and the
-//!    engine falls back to all-locks. The same fallback fires if the
-//!    restricted BFS meets a shard outside the subset.
-//!    [`EngineInner::escalate`] is the one place that sequence is
-//!    written.
+//! 1. *Fast path, gated per operation.* A step adds arcs only *into*
+//!    the operating transaction (Rule 2: writers → reader; Rule 3:
+//!    accessors → writer), so it closes a cycle iff the transaction
+//!    already reaches an arc source. A path switches shards only
+//!    through a **boundary node** (a node of a transaction present in
+//!    more than one shard). So if the transaction has touched only
+//!    shard `s` and its node there is neither a boundary node nor
+//!    reaches one — or `s` holds none at all — every union path from
+//!    it stays inside `s`, and the shard-local cycle check equals the
+//!    union check. One lock, and nothing to publish: arcs into such a
+//!    node grow no boundary reach-pair ([`EngineInner::sealed`]).
+//! 2. *Own-shards-first escalation.* Otherwise the engine locks the
+//!    shards the operation touches plus the transaction's registered
+//!    span, ascending, and checks the would-be arc sources against
+//!    union reachability by a BFS that hops to a transaction's twin
+//!    nodes when it meets a multi-shard transaction. A BFS that
+//!    completes without needing an unlocked shard has followed every
+//!    union path from the transaction under frozen graphs — it is
+//!    exact, with no plan to validate.
+//! 3. *Staleness.* The only staleness signal is the body's own: the
+//!    transaction's registered span is not covered by the held locks
+//!    (a GC bridge grew it), or the BFS met a twin in an unlocked
+//!    shard. Either way the operation retakes **every** lock and runs
+//!    again; [`EngineInner::escalate`] is the one place that sequence
+//!    is written. (Growth epochs and the closure planner serve the GC
+//!    pass only — see [`crate::planner`].)
 
-use crate::engine::{EngineInner, GcPolicy, Guards};
+use crate::engine::{EngineInner, GcPolicy, Guards, Shard};
 use crate::error::EngineError;
 use crate::gc::{MULTI_GC_THRESHOLD, SHARD_GC_THRESHOLD};
 use crate::history::Event;
@@ -47,9 +46,10 @@ use deltx_model::{EntityId, Op, Step, TxnId};
 use deltx_storage::Value;
 use deltx_wal::WalHealth;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::MutexGuard;
 
-/// A planned lock subset went stale (summary epoch moved, or the BFS
-/// met a shard outside the subset): retake as all-locks.
+/// The held locks do not cover the operation (its registered span grew,
+/// or the BFS met a twin in an unlocked shard): retake as all-locks.
 #[derive(Debug)]
 struct Stale;
 
@@ -71,8 +71,10 @@ struct StagedCommit {
 impl EngineInner {
     /// Union-graph reachability restricted to the locked shards: can
     /// `from_txn` reach any of `targets` following shard arcs and
-    /// twin-node identities? `None` means the BFS met a shard outside
-    /// the locked subset — the plan was too small, retake all locks.
+    /// twin-node identities? `None` means the BFS met a transaction
+    /// with a twin in an unlocked shard — retake all locks. `Some` is
+    /// exact: every path from `from_txn` was followed to its end under
+    /// held locks.
     fn union_reaches(
         &self,
         guards: &Guards<'_>,
@@ -146,41 +148,56 @@ impl EngineInner {
         }
     }
 
-    /// Runs one escalated operation: plan the lock subset a cycle
-    /// through `txn` could traverse (the closure of `entry`, from the
-    /// shared [`crate::planner::Planner`]), lock it ascending, validate
-    /// the growth epochs, and run `body` under the guards. If the plan
-    /// does not validate, or `body` finds it too small ([`Stale`]),
-    /// retake every lock and run `body` again — under all locks it
-    /// cannot go stale. The all-locks baseline skips the plan.
-    /// `stale_tag` is what the simulator's coverage signal sees when
-    /// `body` reports staleness (0 = read, 1 = commit).
-    fn escalate<T>(
-        &self,
+    /// The per-operation fast-path gate, under shard `g`'s lock: can a
+    /// cycle through `txn` — which has touched no other shard — leave
+    /// this shard? Not if the shard has no boundary node, and not if
+    /// `txn`'s node here is neither one nor reaches one (module docs,
+    /// fact 1). The all-locks baseline never marks boundary nodes, so
+    /// its masks say nothing and it keeps the shard flag alone.
+    fn sealed(&self, g: &Shard, txn: TxnId) -> bool {
+        let sealed = g.boundary == 0 || (!self.all_locks && !g.cg.boundary_exposed(txn));
+        let key = if sealed {
+            "gate_sealed"
+        } else {
+            "gate_exposed"
+        };
+        self.rt.emit(key, (g.boundary != 0) as u64);
+        sealed
+    }
+
+    /// Runs one escalated operation: lock the transaction's own shards
+    /// — `entry` plus its registered span — ascending (reusing the
+    /// `held` guard of a single-shard operation whose gate failed) and
+    /// run `body` under the guards. If `body` finds them too few
+    /// ([`Stale`]), retake every lock and run `body` again — under all
+    /// locks it cannot go stale. The all-locks baseline goes straight
+    /// there. `stale_tag` is what the simulator's coverage signal sees
+    /// when `body` reports staleness (0 = read, 1 = commit).
+    fn escalate<'a, T>(
+        &'a self,
         txn: TxnId,
         entry: &BTreeSet<usize>,
+        mut held: Option<(usize, MutexGuard<'a, Shard>)>,
         stale_tag: u64,
-        mut body: impl FnMut(Guards<'_>) -> Result<T, Stale>,
+        mut body: impl FnMut(Guards<'a>) -> Result<T, Stale>,
     ) -> T {
         let n = self.shards.len();
+        self.metrics.escalated_ops.add(1);
         if !self.all_locks {
-            let (subset, token) = self.planner.plan(txn, entry, &self.coord, &self.metrics);
-            if subset.len() < n {
-                let guards = self.lock_subset(&subset);
-                if self.planner.validate(&subset, token) {
-                    self.metrics.record_escalation(subset.len(), n);
-                    self.rt.emit("esc_subset", subset.len() as u64);
-                    match body(guards) {
-                        Ok(out) => return out,
-                        Err(Stale) => self.rt.emit("esc_stale", stale_tag),
-                    }
-                } else {
-                    drop(guards);
-                    self.rt.emit("esc_fallback", subset.len() as u64);
+            let mut own = entry.clone();
+            own.extend(self.coord.reg_get(txn, &self.metrics).into_iter().flatten());
+            if own.len() < n {
+                let guards = self.lock_subset(&own, held.take());
+                self.metrics.record_escalation(own.len(), n);
+                self.rt.emit("esc_subset", own.len() as u64);
+                match body(guards) {
+                    Ok(out) => return out,
+                    Err(Stale) => self.rt.emit("esc_stale", stale_tag),
                 }
                 self.metrics.escalation_fallbacks.add(1);
             }
         }
+        drop(held); // the baseline's gate guard: lock_all takes it afresh
         let guards = self.lock_all();
         self.metrics.record_escalation(n, n);
         body(guards).expect("all-locks body cannot go stale")
@@ -194,11 +211,12 @@ impl EngineInner {
         self.rt.yield_now();
         let s = self.shard_of(x);
         let single = st.shards.is_empty() || (st.shards.len() == 1 && st.shards.contains(&s));
+        let mut held = None;
         if single {
-            let mut g = self.shards[s].lock().unwrap();
-            if g.boundary == 0 {
-                // Fast path: this shard is a closed component of the
-                // union graph, so the local cycle check is complete.
+            let mut g = self.lock_shard(s);
+            if self.sealed(&g, st.txn) {
+                // Fast path: no union path from this transaction leaves
+                // the shard, so the local cycle check is complete.
                 Self::ensure_node(&mut g, st.txn)?;
                 let step = Step::new(st.txn, Op::Read(x));
                 let out = g.cg.apply(&step)?;
@@ -221,12 +239,12 @@ impl EngineInner {
                     Applied::IgnoredAborted => Err(EngineError::Closed(st.txn)),
                 };
             }
-            // Boundary nodes present: fall through to escalation.
+            // Exposed: escalate, handing the held guard in.
+            held = Some((s, g));
         }
-        self.metrics.escalated_ops.add(1);
         let mut entry: BTreeSet<usize> = st.shards.iter().copied().collect();
         entry.insert(s);
-        self.escalate(st.txn, &entry, 0, |guards| {
+        self.escalate(st.txn, &entry, held, 0, |guards| {
             self.read_escalated_locked(st, x, s, guards)
         })
     }
@@ -370,11 +388,12 @@ impl EngineInner {
             return Ok(());
         }
 
+        let mut held = None;
         if c.involved.len() == 1 {
             let s = *c.involved.iter().next().unwrap();
-            let mut g = self.shards[s].lock().unwrap();
+            let mut g = self.lock_shard(s);
             Self::ensure_node(&mut g, st.txn)?;
-            if g.boundary == 0 {
+            if self.sealed(&g, st.txn) {
                 let n_written = c.all_entities.len() as u64;
                 let step = Step::new(st.txn, Op::WriteAll(c.all_entities));
                 let out = g.cg.apply(&step)?;
@@ -423,15 +442,14 @@ impl EngineInner {
                     Applied::IgnoredAborted => Err(EngineError::Closed(st.txn)),
                 };
             }
-            drop(g);
+            held = Some((s, g));
         }
 
-        self.metrics.escalated_ops.add(1);
-        let res = self.escalate(st.txn, &c.involved, 1, |guards| {
+        let res = self.escalate(st.txn, &c.involved, held, 1, |guards| {
             self.commit_escalated_locked(st, &c, guards)
         });
-        // Backpressure for the multi-shard backlog: a partial committer
-        // cannot run the multi pass inline (it needs every lock), so it
+        // Backpressure for the multi-shard backlog: a committer holding
+        // only its own shards cannot run the multi pass inline, so it
         // runs standalone here, after this commit's locks are released
         // — otherwise multi-shard transactions would only be reclaimed
         // by the background thread, and with that disabled the backlog
@@ -589,9 +607,8 @@ impl EngineInner {
     /// transaction inhabits (its read set plus registered ghost
     /// shards), widening to all locks in the rare race where a GC
     /// bridge grows the registry entry mid-acquisition. Not an
-    /// [`Self::escalate`] client: there is no cycle to check, so no
-    /// plan to validate — the registry re-read under the held locks is
-    /// the whole protocol.
+    /// [`Self::escalate`] client: there is no cycle to check, so the
+    /// registry re-read under the held locks is the whole protocol.
     pub(crate) fn client_abort(&self, st: &mut SessionState) {
         if st.closed {
             return;
@@ -617,7 +634,7 @@ impl EngineInner {
                 return;
             }
             let mut guards = if attempt == 0 {
-                self.lock_subset(&subset)
+                self.lock_subset(&subset, None)
             } else {
                 self.lock_all()
             };
@@ -662,21 +679,26 @@ impl EngineInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SHARD_LOCKS;
     use crate::{Engine, EngineConfig};
+
+    fn engine(shards: usize) -> Engine {
+        Engine::new(EngineConfig {
+            shards,
+            background_gc: false,
+            ..EngineConfig::default()
+        })
+    }
 
     #[test]
     fn escalate_reruns_a_stale_body_once_under_every_lock() {
-        let e = Engine::new(EngineConfig {
-            background_gc: false,
-            ..EngineConfig::default()
-        });
+        let e = engine(8);
         let n = e.inner.shards.len();
-        // A fresh engine has no boundary transactions, so the plan for
-        // entry shard 0 is {0} and it validates.
+        // An unregistered transaction's own shards are its entry set.
         let mut guards_seen: Vec<usize> = Vec::new();
         let out = e
             .inner
-            .escalate(TxnId(1), &BTreeSet::from([0]), 0, |guards| {
+            .escalate(TxnId(1), &BTreeSet::from([0]), None, 0, |guards| {
                 guards_seen.push(guards.len());
                 if guards_seen.len() == 1 {
                     Err(Stale)
@@ -684,11 +706,64 @@ mod tests {
                     Ok(guards_seen.len())
                 }
             });
-        assert_eq!(guards_seen, [1, n], "planned subset, then every shard");
+        assert_eq!(guards_seen, [1, n], "own shards, then every shard");
         assert_eq!(out, 2, "the second call's value is returned");
         let m = e.metrics();
         assert_eq!(m.escalation_fallbacks, 1);
         assert_eq!(m.escalated_partial, 1);
         assert_eq!(m.escalated_locks_taken, 1 + n as u64);
+    }
+
+    #[test]
+    fn escalate_locks_entry_and_registered_span() {
+        let e = engine(8);
+        let t = TxnId(9);
+        e.inner.set_txn_shards(t, &BTreeSet::from([0, 3]));
+        let mut seen: Vec<Vec<usize>> = Vec::new();
+        e.inner
+            .escalate(t, &BTreeSet::from([0]), None, 0, |guards| {
+                seen.push(guards.keys().copied().collect());
+                Ok::<_, Stale>(())
+            });
+        assert_eq!(seen, [vec![0, 3]], "first attempt: entry ∪ registered span");
+        assert_eq!(e.metrics().escalation_fallbacks, 0);
+        // A held guard that is not the lowest of the set would break the
+        // ascending order: it is dropped and retaken in turn.
+        let held = (3, e.inner.lock_shard(3));
+        SHARD_LOCKS.with(|c| c.set(0));
+        e.inner
+            .escalate(t, &BTreeSet::from([3]), Some(held), 0, |guards| {
+                seen.push(guards.keys().copied().collect());
+                Ok::<_, Stale>(())
+            });
+        assert_eq!(seen[1], [0, 3]);
+        assert_eq!(SHARD_LOCKS.with(|c| c.get()), 2, "0 then 3, both fresh");
+    }
+
+    #[test]
+    fn exposed_single_shard_read_locks_its_shard_once() {
+        let e = engine(2);
+        let mut t = e.begin();
+        t.read(0).unwrap(); // shard 0, fast path
+        let mut m = e.begin();
+        m.write(0, 1);
+        m.write(1, 1);
+        m.commit().unwrap(); // arc T -> M in shard 0; M spans {0, 1}
+        let before = e.metrics();
+        SHARD_LOCKS.with(|c| c.set(0));
+        t.read(2).unwrap(); // shard 0 again, but T now reaches M
+        let locks = SHARD_LOCKS.with(|c| c.get());
+        let after = e.metrics();
+        assert_eq!(after.fast_path_ops, before.fast_path_ops, "gate failed");
+        assert_eq!(after.escalated_ops, before.escalated_ops + 1);
+        assert_eq!(
+            after.escalated_locks_taken,
+            before.escalated_locks_taken + 1,
+            "own shards = {{0}}; nothing to check, so no fallback"
+        );
+        assert_eq!(
+            locks, 1,
+            "the gate's guard was handed to escalate, not dropped and retaken"
+        );
     }
 }

@@ -1,16 +1,17 @@
-//! The shard-closure planner, shared by the commit path and the GC.
+//! The shard-closure planner of the multi-shard GC pass.
 //!
-//! Both escalated commits and multi-shard deletions need the same
-//! answer: *which shards could a path through this transaction
-//! traverse?* For a commit the answer bounds where a cycle through the
-//! committer could run; for a deletion it bounds where the `D(G, N)`
-//! bridges can land (the transaction's own shards plus the shard sets
-//! of its boundary neighbors — every one of which is a resident
-//! boundary transaction the summary chase visits). One planner serves
-//! both, so the two escalation regimes cannot drift apart.
+//! A multi-shard deletion needs to know, before it holds any lock,
+//! *which shards its `D(G, N)` bridges can land in*: the transaction's
+//! own shards plus the shard sets of its boundary neighbors — every one
+//! of which is a resident boundary transaction the summary chase
+//! visits. The planner answers that from lock-free state. (Session
+//! operations used to plan their lock subsets here too; they now lock
+//! their own shards and let the cycle-check BFS report a miss — see
+//! [`crate::ops`] — so the GC closure pass is the planner's only
+//! client.)
 //!
 //! The planner is a pair of lock-free per-shard atomics plus a fine,
-//! summary-driven chase under the coordination lock:
+//! summary-driven chase over the per-shard mirror slots:
 //!
 //! * `plan_adj[s]` — adjacency bitmask: shard `s` itself plus the
 //!   union of the shard sets of boundary transactions resident in
@@ -22,9 +23,9 @@
 //!   published reachability, boundary membership, or a resident
 //!   transaction's shard set *grows*. A subset planned at epoch `e`
 //!   is still a superset of every reachable shard while the epoch
-//!   stays `e` — shrinkage can never invalidate a superset — so a
-//!   planner client locks its subset, re-reads the epochs, and falls
-//!   back to all locks only on movement.
+//!   stays `e` — shrinkage can never invalidate a superset — so the
+//!   sweep locks its subset, re-reads the epochs, and defers the
+//!   candidate to its all-locks pass only on movement.
 //!
 //! The coordination state the fine chase reads is **sharded** (one
 //! mirror slot per shard, a stripe-locked span registry), so the chase
@@ -36,7 +37,10 @@
 //! the epochs of the planned subset are unmoved after acquisition,
 //! none of the subset's inputs grew anywhere in the window, so each
 //! slot the chase read was the validation-time truth or a superset of
-//! it (shrinks only) — and a superset only over-locks.
+//! it (shrinks only) — and a superset only over-locks. (A sealed
+//! fast-path operation adds arcs under one shard lock without
+//! publishing anything — correctly: arcs into a node that reaches no
+//! boundary node grow no reach-pair.)
 //!
 //! Both atomics are written before the owning shard's lock is released
 //! — which is what makes the post-acquisition epoch re-read
@@ -108,22 +112,22 @@ impl Planner {
         }) == token
     }
 
-    /// Plans the shard subset a path through `txn` could traverse: the
-    /// entry shards (`base` plus `txn`'s registered shards) closed
-    /// under summary-chasing. Any boundary transaction resident in an
-    /// entry shard may lie on a local path from `txn`, so all of them
-    /// are potential exits; entering shard `t` at transaction `b`'s
-    /// twin, a path can only leave `t` through `b` itself or a
-    /// boundary transaction `t`'s summary says `b` reaches. Returns
-    /// the subset plus the epoch token to validate after acquisition.
+    /// Plans the shard closure of deletion candidate `txn`: the entry
+    /// shards (`base`, the candidate's registered span) closed under
+    /// summary-chasing. Any boundary transaction resident in an entry
+    /// shard may be a neighbor of `txn`, so all of them are potential
+    /// exits; entering shard `t` at transaction `b`'s twin, a path can
+    /// only leave `t` through `b` itself or a boundary transaction
+    /// `t`'s summary says `b` reaches. Returns the subset plus the
+    /// epoch token to validate after acquisition.
     ///
     /// The common cases never touch a lock: the adjacency-mask
     /// fixpoint over `plan_adj` computes a superset of the summary
     /// chase, so when it saturates (uniform cross-shard traffic —
     /// plan is every shard) or collapses onto the entry set (traffic
     /// confined to a hot shard group — nothing to shrink) the answer
-    /// is final. Only the intermediate regime runs the fine chase
-    /// under the coordination lock. Note the lock-free paths derive
+    /// is final. Only the intermediate regime runs the fine chase,
+    /// one mirror-slot lock at a time. Note the lock-free paths derive
     /// `txn`'s registered shards from the masks themselves: a
     /// registered transaction is resident in its `base` shards, so
     /// its span is folded into their adjacency masks.

@@ -48,7 +48,7 @@ impl EngineInner {
                 involved.insert(s);
                 writes.entry(s).or_default().push(x);
             }
-            let mut guards = self.lock_subset(&involved);
+            let mut guards = self.lock_subset(&involved, None);
             for g in guards.values_mut() {
                 g.cg.begin_summary_batch();
             }

@@ -1,8 +1,10 @@
-//! Partial-escalation oracle tests.
+//! Escalation oracle tests.
 //!
-//! The tentpole claim is that locking only the summary-closure subset
-//! of shards changes **no** accept/reject decision. Two oracles check
-//! it:
+//! The claim is that neither the per-operation fast-path gate (stay on
+//! one lock when the transaction reaches no boundary node) nor
+//! own-shards-first escalation (lock the transaction's own shards,
+//! retake everything only when the BFS needs more) changes **any**
+//! accept/reject decision. Two oracles check it:
 //!
 //! 1. **Lockstep against the full scheduler**: a randomized mixed
 //!    single/multi-shard workload is replayed operation-by-operation
@@ -13,12 +15,17 @@
 //! 2. **A/B against all-locks**: the identical workload driven through
 //!    the all-locks baseline twin engine must produce the
 //!    identical outcome sequence — the union cycle check restricted to
-//!    the planned subset equals the all-shards check.
+//!    the transaction's own shards equals the all-shards check.
 //!
-//! Plus regression coverage for the boundary-count underflow fix.
+//! Both run over a randomized script mix (with parked long readers)
+//! and over three constructed scenarios aimed at the gate: a parked
+//! multi-shard reader, a three-transaction cycle the shard-local
+//! check alone would accept, and an active transaction ghosted into a
+//! second shard by a GC bridge. Plus regression coverage for the
+//! boundary-count underflow fix.
 
 use deltx_core::CgState;
-use deltx_engine::{run_seed, Engine, EngineConfig, EngineError, GcPolicy};
+use deltx_engine::{run_seed, Engine, EngineConfig, EngineError, GcPolicy, Session};
 use deltx_model::{Op, Step};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,16 +34,22 @@ const SHARDS: usize = 4;
 const ENTITIES: u32 = 16;
 
 /// One scripted transaction: which entities to read, which to write,
-/// and whether to roll back instead of committing.
+/// whether to roll back instead of committing, and how many later
+/// scripts run while it stays open between its reads and its commit.
 #[derive(Debug, Clone)]
 struct Script {
     reads: Vec<u32>,
     writes: Vec<u32>,
     client_abort: bool,
+    park: usize,
 }
 
 /// Deterministic mixed workload: single-shard, two-shard, and
-/// scatter transactions, with occasional voluntary rollbacks.
+/// scatter transactions, occasional voluntary rollbacks, and every
+/// 97th script a **long reader** — 12 reads over all 4 shards, parked
+/// across the next 25 scripts, every other one then writing back an
+/// entity it read (which the traffic in between has usually
+/// overwritten: a cycle through the reader).
 fn make_scripts(n: usize, seed: u64) -> Vec<Script> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -64,10 +77,23 @@ fn make_scripts(n: usize, seed: u64) -> Vec<Script> {
                 // Read-only.
                 (vec![rng.gen_range(0..ENTITIES)], vec![])
             };
+            if i % 97 == 41 {
+                let reads: Vec<u32> = (0..ENTITIES)
+                    .filter(|x| (x / SHARDS as u32 + x + i as u32) % 4 != 1)
+                    .collect();
+                let writes = reads[..(i / 97) % 2].to_vec();
+                return Script {
+                    reads,
+                    writes,
+                    client_abort: false,
+                    park: 25,
+                };
+            }
             Script {
                 reads,
                 writes,
                 client_abort: i % 13 == 7,
+                park: 0,
             }
         })
         .collect()
@@ -81,14 +107,19 @@ enum Outcome {
     ClientAborted,
 }
 
-/// Runs one script on `e`, returning the decision.
-fn run_script(e: &Engine, sc: &Script) -> Outcome {
+/// Runs a script's reads; `Err` is the decision if one of them aborted.
+fn start_script(e: &Engine, sc: &Script) -> Result<Session, Outcome> {
     let mut t = e.begin();
     for &x in &sc.reads {
         if t.read(x).is_err() {
-            return Outcome::SchedulerAborted;
+            return Err(Outcome::SchedulerAborted);
         }
     }
+    Ok(t)
+}
+
+/// Finishes a started script: rollback, or stage the writes and commit.
+fn finish_script(mut t: Session, sc: &Script) -> Outcome {
     if sc.client_abort {
         t.abort();
         return Outcome::ClientAborted;
@@ -96,6 +127,10 @@ fn run_script(e: &Engine, sc: &Script) -> Outcome {
     for (i, &x) in sc.writes.iter().enumerate() {
         t.write(x, i as i64 + 1);
     }
+    commit_outcome(t)
+}
+
+fn commit_outcome(t: Session) -> Outcome {
     match t.commit() {
         Ok(()) => Outcome::Committed,
         Err(EngineError::Aborted(_)) => Outcome::SchedulerAborted,
@@ -103,34 +138,74 @@ fn run_script(e: &Engine, sc: &Script) -> Outcome {
     }
 }
 
-#[test]
-fn partial_escalation_decisions_match_full_scheduler_lockstep() {
-    let e = Engine::new(EngineConfig {
-        shards: SHARDS,
-        gc: GcPolicy::Noncurrent,
-        background_gc: false, // deterministic: sweep from the driver
-        record_history: true,
-        ..EngineConfig::default()
-    });
-    let scripts = make_scripts(1200, run_seed(0xE5CA));
+/// Drives `scripts` through every engine of `engines` in lockstep —
+/// parked scripts stay open across the following `park` scripts —
+/// sweeping each engine every `sweep_every` scripts and asserting that
+/// all engines decide every script alike.
+fn run_scripts(engines: &[&Engine], scripts: &[Script], sweep_every: usize) {
+    // (due at script index, script, one open session per engine)
+    let mut parked: Vec<(usize, &Script, Vec<Session>)> = Vec::new();
+    let agree = |i: usize, sc: &Script, outs: &[Outcome]| {
+        assert!(
+            outs.iter().all(|o| *o == outs[0]),
+            "decision diverged on script {i}: {sc:?}: {outs:?}"
+        );
+    };
     for (i, sc) in scripts.iter().enumerate() {
-        run_script(&e, sc);
-        if i % 7 == 0 {
-            e.gc_sweep();
+        let started: Vec<Result<Session, Outcome>> =
+            engines.iter().map(|e| start_script(e, sc)).collect();
+        if sc.park > 0 && started.iter().all(|r| r.is_ok()) {
+            let sessions = started.into_iter().map(|r| r.ok().unwrap()).collect();
+            parked.push((i + sc.park, sc, sessions));
+        } else {
+            let outs: Vec<Outcome> = started
+                .into_iter()
+                .map(|r| r.map_or_else(|o| o, |t| finish_script(t, sc)))
+                .collect();
+            agree(i, sc, &outs);
+        }
+        while parked.first().is_some_and(|p| p.0 <= i) {
+            let (_, psc, sessions) = parked.remove(0);
+            let outs: Vec<Outcome> = sessions
+                .into_iter()
+                .map(|t| finish_script(t, psc))
+                .collect();
+            agree(i, psc, &outs);
+        }
+        if i % sweep_every == 0 {
+            engines.iter().for_each(|e| e.gc_sweep());
         }
     }
-    e.gc_sweep();
-    let m = e.metrics();
-    assert!(m.commits > 800, "workload must make progress: {m}");
-    assert!(
-        m.escalated_partial > 100,
-        "partial escalation must actually be exercised: {m}"
-    );
-    assert!(m.gc_deletions > 300, "GC must be deleting mid-run: {m}");
-    assert_eq!(m.boundary_underflows, 0, "counts stayed consistent");
+    for (_, psc, sessions) in parked {
+        let outs: Vec<Outcome> = sessions
+            .into_iter()
+            .map(|t| finish_script(t, psc))
+            .collect();
+        agree(scripts.len(), psc, &outs);
+    }
+}
 
-    // Lockstep oracle: replay the linearized history into the full,
-    // never-deleting scheduler; outcomes must agree exactly.
+/// The default engine (`partial`) or the all-locks baseline twin, with
+/// GC driven from the test.
+fn mk_engine(shards: usize, partial: bool, record_history: bool) -> Engine {
+    let cfg = EngineConfig {
+        shards,
+        gc: GcPolicy::Noncurrent,
+        background_gc: false, // deterministic: sweep from the driver
+        record_history,
+        ..EngineConfig::default()
+    };
+    if partial {
+        Engine::new(cfg)
+    } else {
+        Engine::open_all_locks_baseline(cfg).expect("open engine").0
+    }
+}
+
+/// Lockstep oracle: replays `e`'s linearized history into the full,
+/// never-deleting scheduler; every recorded outcome must be the full
+/// scheduler's own (Theorem 2).
+fn assert_matches_full_scheduler(e: &Engine) {
     let h = e.recorded_history().expect("recording enabled");
     let mut full = CgState::new();
     for ev in &h.events {
@@ -141,7 +216,7 @@ fn partial_escalation_decisions_match_full_scheduler_lockstep() {
                     .unwrap_or_else(|err| panic!("full scheduler rejected {step:?}: {err}"));
                 assert_eq!(
                     got, *outcome,
-                    "partial escalation diverged from the full union check on {step:?}"
+                    "engine diverged from the full union check on {step:?}"
                 );
             }
             deltx_engine::Event::ClientAbort(t) => {
@@ -153,53 +228,232 @@ fn partial_escalation_decisions_match_full_scheduler_lockstep() {
 }
 
 #[test]
+fn partial_escalation_decisions_match_full_scheduler_lockstep() {
+    let e = mk_engine(SHARDS, true, true);
+    let scripts = make_scripts(1200, run_seed(0xE5CA));
+    run_scripts(&[&e], &scripts, 7);
+    e.gc_sweep();
+    let m = e.metrics();
+    assert!(m.commits > 800, "workload must make progress: {m}");
+    assert!(
+        m.escalated_partial > 100,
+        "own-shards escalation must actually be exercised: {m}"
+    );
+    assert!(m.gc_deletions > 300, "GC must be deleting mid-run: {m}");
+    assert_eq!(m.boundary_underflows, 0, "counts stayed consistent");
+    assert_matches_full_scheduler(&e);
+    e.summary_audit().expect("every node's reach mask exact");
+}
+
+#[test]
 fn partial_and_all_locks_engines_agree_on_every_decision() {
-    // Identical deterministic workloads through a partial-escalation
-    // engine and an all-locks twin: the decision sequences must be
-    // equal, operation for operation.
-    let mk = |partial: bool| {
-        let cfg = EngineConfig {
-            shards: SHARDS,
-            gc: GcPolicy::Noncurrent,
-            background_gc: false,
-            record_history: false,
-            ..EngineConfig::default()
-        };
-        if partial {
-            Engine::new(cfg)
-        } else {
-            Engine::open_all_locks_baseline(cfg).expect("open engine").0
-        }
-    };
-    let a = mk(true);
-    let b = mk(false);
+    // Identical deterministic workloads through the default engine and
+    // an all-locks twin: the decision sequences must be equal,
+    // operation for operation.
+    let a = mk_engine(SHARDS, true, false);
+    let b = mk_engine(SHARDS, false, false);
     let scripts = make_scripts(1500, run_seed(0xAB));
-    for (i, sc) in scripts.iter().enumerate() {
-        let oa = run_script(&a, sc);
-        let ob = run_script(&b, sc);
-        assert_eq!(oa, ob, "decision diverged on script {i}: {sc:?}");
-        if i % 11 == 0 {
-            a.gc_sweep();
-            b.gc_sweep();
-        }
-    }
+    run_scripts(&[&a, &b], &scripts, 11);
     let (ma, mb) = (a.metrics(), b.metrics());
     assert_eq!(ma.commits, mb.commits);
     assert_eq!(ma.aborts_scheduler, mb.aborts_scheduler);
-    assert!(ma.escalated_partial > 100, "subset plans exercised: {ma}");
+    assert!(ma.escalated_partial > 100, "own-shard sets exercised: {ma}");
     assert_eq!(mb.escalated_partial, 0, "baseline never locks subsets");
     // Same committed values everywhere.
     for x in 0..ENTITIES {
         assert_eq!(a.peek(x), b.peek(x), "stores diverged at entity {x}");
     }
-    // The point of the feature, in one line: identical decisions with
-    // strictly fewer locks.
+    // The point of the feature, in two lines: identical decisions from
+    // fewer escalations, each taking fewer locks.
+    assert!(
+        ma.escalated_ops < mb.escalated_ops,
+        "the per-operation gate must keep more operations fast: {} vs {}",
+        ma.escalated_ops,
+        mb.escalated_ops
+    );
     assert!(
         ma.escalated_locks_taken < mb.escalated_locks_taken,
-        "partial escalation must take fewer locks: {} vs {}",
+        "own-shards escalation must take fewer locks: {} vs {}",
         ma.escalated_locks_taken,
         mb.escalated_locks_taken
     );
+}
+
+/// Runs `scenario` on the default engine and on the all-locks baseline
+/// (both recording), demands identical decision vectors and stores,
+/// replays both histories through the full scheduler, audits the
+/// default engine's masks, and hands back its decisions.
+fn on_twins(shards: usize, scenario: impl Fn(&Engine, bool) -> Vec<Outcome>) -> Vec<Outcome> {
+    let (a, b) = (
+        mk_engine(shards, true, true),
+        mk_engine(shards, false, true),
+    );
+    let (da, db) = (scenario(&a, true), scenario(&b, false));
+    assert_eq!(da, db, "default and all-locks baseline decided differently");
+    for e in [&a, &b] {
+        assert_matches_full_scheduler(e);
+        assert_eq!(e.metrics().boundary_underflows, 0);
+    }
+    for x in 0..2 * ENTITIES {
+        assert_eq!(a.peek(x), b.peek(x), "stores diverged at entity {x}");
+    }
+    a.summary_audit().expect("every node's reach mask exact");
+    da
+}
+
+#[test]
+fn parked_reader_leaves_unrelated_writers_on_the_fast_path() {
+    // A multi-shard reader (16 reads, 4 per shard) stays open while
+    // single-shard transfers run on entities it read (0..16) and did
+    // not read (16..32). Every shard then holds a boundary node, yet no
+    // transfer reaches it: all of them must stay on the one-lock path.
+    for reader_writes in [false, true] {
+        let decisions = on_twins(SHARDS, |e, default_engine| {
+            let transfer = |i: u32| {
+                let s = i % SHARDS as u32;
+                let x = s + SHARDS as u32 * (i / SHARDS as u32 % 8);
+                let y = s + SHARDS as u32 * ((i / SHARDS as u32 + 3) % 8);
+                let sc = Script {
+                    reads: vec![x, y],
+                    writes: vec![x, y],
+                    client_abort: false,
+                    park: 0,
+                };
+                finish_script(start_script(e, &sc).expect("reads accepted"), &sc)
+            };
+            // Warm-up, so the reader's reads see writers (arcs W -> R).
+            let mut out: Vec<Outcome> = (0..32).map(transfer).collect();
+            let mut reader = e.begin();
+            for x in 0..16 {
+                reader.read(x).expect("reader reads");
+            }
+            let parked = e.metrics();
+            for i in 32..232 {
+                out.push(transfer(i));
+                if i % 20 == 0 {
+                    e.gc_sweep();
+                }
+            }
+            let m = e.metrics();
+            if default_engine {
+                assert_eq!(
+                    m.fast_path_ops - parked.fast_path_ops,
+                    3 * 200,
+                    "2 reads + 1 commit per transfer, all sealed: {m}"
+                );
+                assert_eq!(m.escalated_ops, parked.escalated_ops, "{m}");
+            }
+            if reader_writes {
+                // Entity 0 was overwritten while the reader was parked
+                // (R -> W); writing it back adds W -> R: a cycle.
+                reader.write(0, 7);
+            }
+            out.push(commit_outcome(reader));
+            out
+        });
+        let want = if reader_writes {
+            Outcome::SchedulerAborted
+        } else {
+            Outcome::Committed
+        };
+        assert_eq!(decisions.last(), Some(&want), "the reader's own commit");
+        assert!(decisions[..decisions.len() - 1]
+            .iter()
+            .all(|o| *o == Outcome::Committed));
+    }
+}
+
+#[test]
+fn cycle_through_two_multi_shard_txns_is_caught_by_the_gate() {
+    // T -> M(a) = M(b) -> N(b) = N(a) -> T, with T single-shard in a.
+    // Shard a alone sees T -> M and N -> T — no cycle.
+    let (xa, za, yb) = (0, SHARDS as u32, 1); // two entities of shard 0, one of shard 1
+    let mut local = CgState::new();
+    for st in [
+        Step::begin(1),
+        Step::read(1, xa),
+        Step::begin(2),
+        Step::write_all(2, [xa]),
+        Step::begin(3),
+        Step::write_all(3, [za]),
+        Step::read(1, za),
+    ] {
+        let got = local.apply(&st).unwrap();
+        assert_eq!(got, deltx_core::Applied::Accepted, "shard-local view");
+    }
+    let decisions = on_twins(SHARDS, |e, default_engine| {
+        let mut t = e.begin();
+        t.read(xa).unwrap();
+        let mut m = e.begin();
+        m.write(xa, 1); // T -> M in a
+        m.write(yb, 1);
+        m.commit().unwrap();
+        let mut n = e.begin();
+        n.read(yb).unwrap(); // M -> N in b
+        n.write(za, 2);
+        n.commit().unwrap();
+        let before = e.metrics();
+        let last_read = t.read(za); // N -> T in a closes the cycle
+        let after = e.metrics();
+        assert!(
+            matches!(last_read, Err(EngineError::Aborted(_))),
+            "T must self-abort: {last_read:?}"
+        );
+        assert_eq!(after.aborts_scheduler, before.aborts_scheduler + 1);
+        assert_eq!(after.escalated_ops, before.escalated_ops + 1, "{after}");
+        assert_eq!(after.fast_path_ops, before.fast_path_ops, "{after}");
+        if default_engine {
+            // Own shards {a} first; the BFS meets M, whose twin lives
+            // in unlocked b: one fallback, under every lock.
+            assert_eq!(after.escalation_fallbacks, before.escalation_fallbacks + 1);
+        }
+        vec![Outcome::SchedulerAborted]
+    });
+    assert_eq!(decisions, [Outcome::SchedulerAborted]);
+}
+
+#[test]
+fn ghosted_active_predecessor_leaves_the_fast_path() {
+    // P (active, single-shard in a) precedes N (multi-shard {a, b}),
+    // which precedes Q in b. Deleting N must bridge P -> Q, and the two
+    // share no shard: GC ghosts the still-active P into b. P is now a
+    // boundary transaction, so its next operation in a must escalate
+    // and lock both of its shards.
+    let (xa, za, yb) = (0, SHARDS as u32, 1);
+    on_twins(SHARDS, |e, default_engine| {
+        let mut p = e.begin();
+        p.read(xa).unwrap();
+        let mut n = e.begin();
+        n.write(xa, 1); // P -> N in a
+        n.write(yb, 1);
+        n.commit().unwrap();
+        let mut q = e.begin();
+        q.read(yb).unwrap(); // N -> Q in b
+        for x in [xa, yb] {
+            let mut o = e.begin(); // overwrite: N becomes noncurrent
+            o.write(x, 2);
+            o.commit().unwrap();
+        }
+        e.gc_sweep();
+        let before = e.metrics();
+        assert_eq!(before.gc_ghosts, 1, "P ghosted into b: {before}");
+        p.read(za).unwrap();
+        let after = e.metrics();
+        assert_eq!(after.fast_path_ops, before.fast_path_ops, "{after}");
+        assert_eq!(after.escalated_ops, before.escalated_ops + 1, "{after}");
+        if default_engine {
+            assert_eq!(
+                after.escalated_locks_taken,
+                before.escalated_locks_taken + 2,
+                "own shards = a plus the ghost's b"
+            );
+        }
+        p.write(za, 3);
+        p.commit().unwrap();
+        q.commit().unwrap();
+        e.gc_sweep();
+        Vec::new() // every decision above is an `unwrap`
+    });
 }
 
 #[test]
@@ -207,13 +461,7 @@ fn escalated_subsets_are_strict_on_skewed_traffic() {
     // Cross-shard traffic confined to shards {0, 1}: every escalated
     // acquisition should lock ~2 shards, never all 4, and single-shard
     // traffic on shards 2..4 must stay on the fast path.
-    let e = Engine::new(EngineConfig {
-        shards: SHARDS,
-        gc: GcPolicy::Noncurrent,
-        background_gc: false,
-        record_history: false,
-        ..EngineConfig::default()
-    });
+    let e = mk_engine(SHARDS, true, false);
     let mut rng = StdRng::seed_from_u64(run_seed(7));
     for i in 0..600 {
         let mut t = e.begin();
@@ -238,7 +486,7 @@ fn escalated_subsets_are_strict_on_skewed_traffic() {
     }
     let m = e.metrics();
     assert!(m.fast_path_ops > 0, "cold shards must stay fast-path: {m}");
-    assert!(m.escalated_partial > 50, "hot pair must plan subsets: {m}");
+    assert!(m.escalated_partial > 50, "hot pair must lock subsets: {m}");
     // No acquisition beyond 2 locks outside the rare fallbacks.
     let full_acqs = m.escalated_subset_hist[2..].iter().sum::<u64>();
     assert!(
@@ -309,19 +557,7 @@ fn boundary_underflow_regression_cross_shard_abort_churn() {
     // Replay sanity: the whole interleaving still matches the full
     // scheduler (the regression scenario preserved correctness, not
     // just the absence of a panic).
-    let h = e.recorded_history().expect("recording enabled");
-    let mut full = CgState::new();
-    for ev in &h.events {
-        match ev {
-            deltx_engine::Event::Step { step, outcome } => {
-                let got = full.apply(step).expect("well-formed history");
-                assert_eq!(got, *outcome, "diverged on {step:?}");
-            }
-            deltx_engine::Event::ClientAbort(t) => {
-                full.abort_txn(*t).expect("client abort of live txn");
-            }
-        }
-    }
+    assert_matches_full_scheduler(&e);
 }
 
 #[test]

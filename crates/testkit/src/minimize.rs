@@ -99,8 +99,12 @@ fn derived_seed(seed: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seeds tried per resynthesis round (empty-trace replays).
-const RESYNTH_SEEDS: u64 = 8;
+/// Seeds tried per resynthesis round (empty-trace replays). A bug
+/// that fails about one schedule in five (the planted dropped-bridge
+/// bug on `hot_contention`) slips through 8 tries one time in six and
+/// then burns the whole budget in ddmin; 16 tries miss it 3 % of the
+/// time.
+const RESYNTH_SEEDS: u64 = 16;
 
 /// Shrinks `(spec, trace)` while the failure still reproduces.
 /// `max_runs` bounds the schedules spent. Errors if the failure does

@@ -207,11 +207,12 @@ pub struct Checks {
     /// Peak and final live graph stay within
     /// `sessions + 4·entities + 16`.
     pub live_graph_bound: bool,
-    /// Audit the incremental bitmask boundary summaries against the
+    /// Audit every live node's incremental reach bitmask against the
     /// naive DFS oracle at end of run ([`Engine::summary_audit`]).
-    /// The summaries only gate optimizations, so corruption is
-    /// otherwise silent (over-/under-locking) — this check is what
-    /// makes it a hard failure the schedule search can find.
+    /// The masks gate the fast path (a missing bit is a missed
+    /// cross-shard cycle) and size GC closures (an extra bit is silent
+    /// over-locking) — this check makes either corruption a hard
+    /// failure the schedule search can find.
     pub summary_exact: bool,
 }
 
