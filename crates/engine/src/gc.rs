@@ -48,11 +48,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Candidate-queue length at which a committer reclaims its shard
-/// inline rather than waiting for the next background sweep.
-pub(crate) const SHARD_GC_THRESHOLD: usize = 32;
-/// Pending multi-shard count at which an escalated committer (already
-/// holding every lock) runs the multi-shard pass inline.
+/// Pending multi-shard count at which an escalated committer runs the
+/// multi-shard pass itself (inline if it already holds every lock).
 pub(crate) const MULTI_GC_THRESHOLD: usize = 32;
 
 /// Outcome of one multi-shard GC candidate under the held locks.
@@ -112,16 +109,27 @@ impl EngineInner {
         self.metrics.gc_sweeps.add(1);
     }
 
-    /// Incremental noncurrent reclaim of one shard: drains the
-    /// candidate queue, deletes noncurrent single-shard transactions,
-    /// defers multi-shard candidates to the multi pass, prunes stale
-    /// store versions. Caller holds the shard's lock.
+    /// Incremental noncurrent reclaim of one shard — **deletion at the
+    /// source**: every commit calls this on each shard it holds, right
+    /// after its install, so the candidates are the ones its own
+    /// `WriteAll` just queued (the overwritten accessors plus itself)
+    /// and the lock hold stays short and uniform. Drains the candidate
+    /// queue, deletes noncurrent single-shard transactions, defers
+    /// multi-shard candidates to the multi pass, prunes stale store
+    /// versions. Caller holds the shard's lock. The background sweep
+    /// calls it too, for what no commit drains (recovery's replay).
     pub(crate) fn reclaim_shard(&self, s: usize, g: &mut Shard) {
         let t0 = self.rt.now();
         let candidates = g.cg.drain_gc_candidates();
         if candidates.is_empty() {
             return;
         }
+        // A registered (multi-shard) transaction's node bumps its
+        // shard's boundary count for as long as it lives there
+        // (`note_multi_shard`, `bridge_cross_shard`), so in a shard
+        // with none no candidate can be registered: skip the registry
+        // stripe lock per candidate.
+        let any_registered = g.boundary != 0;
         let mut deleted: Vec<TxnId> = Vec::new();
         let mut deferred: Vec<TxnId> = Vec::new();
         let mut written: Vec<EntityId> = Vec::new();
@@ -130,7 +138,7 @@ impl EngineInner {
                 continue;
             }
             let txn = g.cg.info(n).txn;
-            if self.coord.reg_contains(txn, &self.metrics) {
+            if any_registered && self.coord.reg_contains(txn, &self.metrics) {
                 deferred.push(txn);
                 continue;
             }
@@ -178,20 +186,16 @@ impl EngineInner {
         }
     }
 
-    /// Per-shard incremental noncurrent pass over all shards, plus the
-    /// ghost-arc compaction (which needs no coordination: it changes no
-    /// reachability).
+    /// The per-shard half of a sweep: ghost-arc compaction (which
+    /// needs no coordination: it changes no reachability), mirror
+    /// re-tightening, and a reclaim of whatever candidates no commit
+    /// drained — commits delete at the source, so that is recovery's
+    /// replay and nothing else.
     fn sweep_shards_noncurrent(&self) {
         for s in 0..self.shards.len() {
             let mut g = self.shards[s].lock().unwrap();
             self.compact_shard_ghosts(&mut g);
-            let needs_mirror = g.cg.summary_rev() != g.mirrored_rev;
-            if g.cg.gc_candidate_count() == 0 && !needs_mirror {
-                continue;
-            }
-            if g.cg.gc_candidate_count() > 0 {
-                self.reclaim_shard(s, &mut g);
-            }
+            self.reclaim_shard(s, &mut g);
             // Re-tighten the mirror: hot paths skip shrink copies.
             self.mirror_shard(s, &mut g);
         }
@@ -224,8 +228,8 @@ impl EngineInner {
 
     /// The all-locks multi-shard pass, for callers already holding
     /// every shard lock (the stop-the-world baseline, and escalated
-    /// committers applying backpressure while they happen to hold
-    /// everything anyway — the coordination registry needs no lock of
+    /// committers draining the multi-shard backlog while they happen to
+    /// hold everything anyway — the coordination registry needs no lock of
     /// its own: its mirror slots and stripes are leaf locks). Returns whether there
     /// was anything to process — the caller decides whether the lock
     /// acquisition counts toward the GC closure metrics (an inline

@@ -121,6 +121,11 @@ pub(crate) struct EngineMetrics {
     /// GC ticks shortened because a WAL append was parked on ENOSPC
     /// backoff (each shortened tick is a rescue-sweep attempt).
     pub gc_pressure_sweeps: Counter,
+    /// Session-path shard-lock acquisitions that found the lock held,
+    /// by the phase that got it: spinning, yielding, or parked.
+    pub shard_lock_spun: Counter,
+    pub shard_lock_yielded: Counter,
+    pub shard_lock_parked: Counter,
 }
 
 impl EngineMetrics {
@@ -156,6 +161,17 @@ impl EngineMetrics {
     pub(crate) fn note_boundary_index_hwm(&self, slots: usize) {
         self.boundary_index_hwm
             .fetch_max(slots as u64, Ordering::Relaxed);
+    }
+
+    /// Records a shard-lock acquisition that succeeded after `waited`
+    /// failed attempts, the first `spins` of which were spins and the
+    /// rest yields. Uncontended acquisitions touch no counter.
+    pub(crate) fn note_contended_lock(&self, waited: u32, spins: u32) {
+        if waited > spins {
+            self.shard_lock_yielded.add(1);
+        } else if waited > 0 {
+            self.shard_lock_spun.add(1);
+        }
     }
 
     pub(crate) fn txn_became_live(&self) {
@@ -201,6 +217,9 @@ impl EngineMetrics {
             wal_recovery_replayed: self.wal_recovery_replayed.get(),
             degraded_commit_rejections: self.degraded_commit_rejections.get(),
             gc_pressure_sweeps: self.gc_pressure_sweeps.get(),
+            shard_lock_spun: self.shard_lock_spun.get(),
+            shard_lock_yielded: self.shard_lock_yielded.get(),
+            shard_lock_parked: self.shard_lock_parked.get(),
             wal,
             graph,
         }
@@ -316,6 +335,15 @@ pub struct MetricsSnapshot {
     /// GC ticks shortened under WAL space pressure (ENOSPC rescue
     /// sweeps attempted by the background thread).
     pub gc_pressure_sweeps: u64,
+    /// Session-path shard-lock acquisitions that found the lock held
+    /// and got it while spinning (see `EngineInner::lock_shard`).
+    /// Uncontended acquisitions count nowhere, so the three
+    /// `shard_lock_*` fields sum to the collisions.
+    pub shard_lock_spun: u64,
+    /// … that got it in the yield phase, after the spins ran out.
+    pub shard_lock_yielded: u64,
+    /// … that outlasted both phases and parked in the blocking `lock()`.
+    pub shard_lock_parked: u64,
     /// WAL activity counters (`None` when durability is off): flushes,
     /// group-commit batch sizes, segments created/truncated.
     pub wal: Option<WalStats>,
@@ -400,6 +428,11 @@ impl std::fmt::Display for MetricsSnapshot {
             self.summary_update_hist,
             self.boundary_index_hwm,
             self.registry_slot_contention
+        )?;
+        write!(
+            f,
+            "\nshard-lock collisions: {} won spinning, {} won yielding, {} parked",
+            self.shard_lock_spun, self.shard_lock_yielded, self.shard_lock_parked
         )?;
         if let Some(w) = &self.wal {
             write!(

@@ -37,7 +37,7 @@
 
 use crate::engine::{EngineInner, GcPolicy, Guards, Shard};
 use crate::error::EngineError;
-use crate::gc::{MULTI_GC_THRESHOLD, SHARD_GC_THRESHOLD};
+use crate::gc::MULTI_GC_THRESHOLD;
 use crate::history::Event;
 use crate::session::SessionState;
 use deltx_core::Applied;
@@ -418,11 +418,9 @@ impl EngineInner {
                             }
                         }
                         self.record_step(step, Applied::Accepted);
-                        // Backpressure GC: a hot shard reclaims inline
-                        // instead of waiting for the background tick.
-                        if self.gc_policy == GcPolicy::Noncurrent
-                            && g.cg.gc_candidate_count() >= SHARD_GC_THRESHOLD
-                        {
+                        // Delete at the source: whatever this write made
+                        // noncurrent goes now, under the lock already held.
+                        if self.gc_policy == GcPolicy::Noncurrent {
                             self.reclaim_shard(s, &mut g);
                         }
                         drop(g);
@@ -448,10 +446,11 @@ impl EngineInner {
         let res = self.escalate(st.txn, &c.involved, held, 1, |guards| {
             self.commit_escalated_locked(st, &c, guards)
         });
-        // Backpressure for the multi-shard backlog: a committer holding
-        // only its own shards cannot run the multi pass inline, so it
-        // runs standalone here, after this commit's locks are released
-        // — otherwise multi-shard transactions would only be reclaimed
+        // Multi-shard candidates cannot be deleted at the source — a
+        // committer holding only its own shards does not hold their
+        // closures — so once enough are pending the multi pass runs
+        // standalone here, after this commit's locks are released.
+        // Otherwise multi-shard transactions would only be reclaimed
         // by the background thread, and with that disabled the backlog
         // (and with it every summary) would grow without bound.
         if self.gc_policy == GcPolicy::Noncurrent
@@ -558,13 +557,12 @@ impl EngineInner {
             self.pending_multi.lock().unwrap().insert(st.txn);
         }
         self.record_step(step, Applied::Accepted);
-        // Backpressure GC while the locks are already held.
+        // Delete at the source, as on the fast path: each touched shard
+        // reclaims what this write made noncurrent there (multi-shard
+        // candidates, this transaction included, go to `pending_multi`).
         if self.gc_policy == GcPolicy::Noncurrent {
             for &s in &touched {
-                let g = guards.get_mut(&s).expect("locked");
-                if g.cg.gc_candidate_count() >= SHARD_GC_THRESHOLD {
-                    self.reclaim_shard(s, g);
-                }
+                self.reclaim_shard(s, guards.get_mut(&s).expect("locked"));
             }
             if guards.len() == self.shards.len()
                 && self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD
