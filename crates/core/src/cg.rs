@@ -30,8 +30,8 @@
 use crate::error::CgError;
 use deltx_graph::cycle::CycleChecker;
 use deltx_graph::{BitSet, Closure, DiGraph, NodeId};
-use deltx_model::{AccessMode, EntityId, Op, Step, TxnId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use deltx_model::{AccessMode, EntityId, IdMap, IdSet, Op, Step, TxnId};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Lifecycle state of a transaction node in the basic model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,19 +120,19 @@ pub struct CgStats {
 pub struct CgState {
     graph: DiGraph,
     info: Vec<Option<NodeInfo>>,
-    by_txn: HashMap<TxnId, NodeId>,
+    by_txn: IdMap<TxnId, NodeId>,
     /// Ids ever seen (begun), including aborted/completed/deleted ones;
     /// guards against id reuse.
-    seen: HashSet<TxnId>,
-    aborted: HashSet<TxnId>,
+    seen: IdSet<TxnId>,
+    aborted: IdSet<TxnId>,
     checker: CycleChecker,
     closure: Option<Closure>,
     /// Nodes (sorted) that have accessed each entity, any mode.
-    accessors: HashMap<EntityId, Vec<NodeId>>,
+    accessors: IdMap<EntityId, Vec<NodeId>>,
     /// Nodes (sorted) that have written each entity.
-    writers: HashMap<EntityId, Vec<NodeId>>,
+    writers: IdMap<EntityId, Vec<NodeId>>,
     /// Monotone write counter per entity (never reset by deletions).
-    version: HashMap<EntityId, u64>,
+    version: IdMap<EntityId, u64>,
     /// Completed nodes that may have become deletable since the last
     /// [`CgState::drain_gc_candidates`]: enqueued at completion and
     /// whenever a later write overwrites one of their entities. Feeds
@@ -145,7 +145,7 @@ pub struct CgState {
     gc_candidates: Vec<NodeId>,
     /// Node ids currently sitting in `gc_candidates` (coalesces
     /// repeated enqueues of the same node into one entry).
-    gc_queued: HashSet<NodeId>,
+    gc_queued: IdSet<NodeId>,
     track_gc: bool,
     /// Compact index of the live boundary nodes (in the sharded
     /// engine: nodes of multi-shard transactions, ghosts included) —
@@ -335,19 +335,19 @@ impl CgState {
         Self {
             graph: DiGraph::new(),
             info: Vec::new(),
-            by_txn: HashMap::new(),
-            seen: HashSet::new(),
-            aborted: HashSet::new(),
+            by_txn: IdMap::default(),
+            seen: IdSet::default(),
+            aborted: IdSet::default(),
             checker: CycleChecker::new(),
             closure: match strategy {
                 CycleStrategy::Dfs => None,
                 CycleStrategy::TransitiveClosure => Some(Closure::new()),
             },
-            accessors: HashMap::new(),
-            writers: HashMap::new(),
-            version: HashMap::new(),
+            accessors: IdMap::default(),
+            writers: IdMap::default(),
+            version: IdMap::default(),
             gc_candidates: Vec::new(),
-            gc_queued: HashSet::new(),
+            gc_queued: IdSet::default(),
             track_gc: false,
             bindex: BoundaryIndex::default(),
             reach_mask: Vec::new(),
@@ -376,7 +376,7 @@ impl CgState {
         self.track_gc = on;
         if !on {
             self.gc_candidates = Vec::new();
-            self.gc_queued = HashSet::new();
+            self.gc_queued = IdSet::default();
         }
     }
 
@@ -444,7 +444,7 @@ impl CgState {
     }
 
     /// Transactions aborted so far.
-    pub fn aborted_txns(&self) -> &HashSet<TxnId> {
+    pub fn aborted_txns(&self) -> &IdSet<TxnId> {
         &self.aborted
     }
 
@@ -1082,7 +1082,7 @@ impl CgState {
         if self.bindex.live == 0 {
             return false;
         }
-        let mut visited: HashSet<NodeId> = HashSet::new();
+        let mut visited: IdSet<NodeId> = IdSet::default();
         let mut stack: Vec<NodeId> = self.graph.succs(n).to_vec();
         while let Some(m) = stack.pop() {
             if visited.insert(m) {
@@ -1420,7 +1420,7 @@ impl CgState {
         if ghosts.len() < 2 {
             return 0;
         }
-        let ghost_set: HashSet<NodeId> = ghosts.iter().copied().collect();
+        let ghost_set: IdSet<NodeId> = ghosts.iter().copied().collect();
         #[cfg(debug_assertions)]
         let before = self.boundary_reach_map();
         let mut removed = 0usize;

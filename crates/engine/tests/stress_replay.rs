@@ -13,10 +13,9 @@
 
 use deltx_core::CgState;
 use deltx_engine::{run_seed, Engine, EngineConfig, Event, GcPolicy};
-use deltx_model::{Schedule, TxnId};
+use deltx_model::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// Runs `threads` workers, each executing `txns` banking-style
 /// transactions (read two balances, transfer between them). A
@@ -110,7 +109,7 @@ fn contended_run_replays_identically_and_stays_serializable() {
     full.check_invariants();
 
     // 2. The accepted subschedule is conflict-serializable.
-    let mut aborted: HashSet<TxnId> = full.aborted_txns().clone();
+    let mut aborted = full.aborted_txns().clone();
     aborted.extend(h.client_aborted());
     let accepted = Schedule::from_steps(h.accepted_steps()).accepted_subschedule(&aborted);
     assert!(

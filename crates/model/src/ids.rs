@@ -54,9 +54,79 @@ impl std::fmt::Display for EntityId {
     }
 }
 
+/// Hasher for maps keyed by the dense integer ids above (and the
+/// graph's `NodeId`, any `u32`/`usize` newtype): one multiply instead
+/// of SipHash's rounds. Ids are handed out by the program itself, so
+/// there is no hostile key to defend against; iteration order becomes
+/// a function of the keys, and nothing may depend on it.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    fn mix(&mut self, n: u64) {
+        // Odd constant near 2^64 / φ: consecutive ids land far apart.
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.mix(b as u64));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n as u64);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        // A product's strong bits are its high ones; `HashMap` picks
+        // the bucket from the low ones, and a shard's entity ids all
+        // share theirs (`x % shards`).
+        self.0.rotate_left(26)
+    }
+}
+
+/// [`IdHasher`] as a `BuildHasher`.
+pub type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
+/// A `HashMap` keyed by a dense integer id.
+pub type IdMap<K, V> = std::collections::HashMap<K, V, IdBuildHasher>;
+/// A `HashSet` of dense integer ids.
+pub type IdSet<K> = std::collections::HashSet<K, IdBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_hasher_spreads_strided_ids_over_buckets_and_tags() {
+        use std::hash::BuildHasher;
+        // One shard's entities: x ≡ 3 (mod 8). Both halves `HashMap`
+        // uses — low bits (bucket) and top 7 (tag) — must still vary.
+        let hashes: Vec<u64> = (0..256u32)
+            .map(|i| IdBuildHasher::default().hash_one(EntityId(3 + 8 * i)))
+            .collect();
+        let distinct = |f: fn(u64) -> u64| {
+            let mut v: Vec<u64> = hashes.iter().map(|&h| f(h)).collect();
+            v.sort_unstable();
+            v.dedup();
+            v.len()
+        };
+        assert!(
+            distinct(|h| h & 0xFF) >= 128,
+            "buckets: {}",
+            distinct(|h| h & 0xFF)
+        );
+        assert!(
+            distinct(|h| h >> 57) >= 64,
+            "tags: {}",
+            distinct(|h| h >> 57)
+        );
+        let mut m: IdMap<TxnId, u32> = IdMap::default();
+        m.insert(TxnId(7), 1);
+        assert_eq!(m.get(&TxnId(7)), Some(&1));
+        assert_eq!(m.get(&TxnId(8)), None);
+    }
 
     #[test]
     fn ordering_and_formatting() {

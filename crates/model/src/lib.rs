@@ -35,7 +35,7 @@ pub mod step;
 pub mod txn;
 pub mod workload;
 
-pub use ids::{EntityId, TxnId};
+pub use ids::{EntityId, IdBuildHasher, IdHasher, IdMap, IdSet, TxnId};
 pub use schedule::{EntityTable, Schedule};
 pub use step::{AccessMode, Op, Step};
 pub use txn::TxnSpec;

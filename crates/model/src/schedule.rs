@@ -162,7 +162,10 @@ impl Schedule {
     /// Projection onto the transactions *not* in `aborted` — the paper's
     /// *accepted subschedule* (§2) when `aborted` is the set of
     /// transactions the scheduler rejected.
-    pub fn accepted_subschedule(&self, aborted: &std::collections::HashSet<TxnId>) -> Schedule {
+    pub fn accepted_subschedule<S: std::hash::BuildHasher>(
+        &self,
+        aborted: &std::collections::HashSet<TxnId, S>,
+    ) -> Schedule {
         Schedule {
             steps: self
                 .steps

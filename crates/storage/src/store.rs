@@ -1,7 +1,6 @@
 //! The multi-version entity store.
 
-use deltx_model::{EntityId, TxnId};
-use std::collections::HashMap;
+use deltx_model::{EntityId, IdMap, TxnId};
 
 /// Stored values. Integers keep the examples (bank balances, counters)
 /// honest without dragging in serialization.
@@ -36,7 +35,7 @@ fn prune(h: &mut Vec<Version>, dead: &std::collections::HashSet<TxnId>) -> usize
 /// value `0` and no version history.
 #[derive(Clone, Debug, Default)]
 pub struct Store {
-    history: HashMap<EntityId, Vec<Version>>,
+    history: IdMap<EntityId, Vec<Version>>,
     seq: u64,
 }
 

@@ -43,10 +43,10 @@ use deltx_engine::{
     FaultyStorage, FsStorage, GcPolicy, MetricsSnapshot, RecoverPolicy, Runtime, Session,
     TaskHandle, WalHealth, WalStorage,
 };
-use deltx_model::{Schedule, TxnId};
+use deltx_model::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -988,7 +988,7 @@ fn wave_oracles(
         full.check_invariants();
     }
     if spec.checks.csr {
-        let mut aborted: HashSet<TxnId> = full.aborted_txns().clone();
+        let mut aborted = full.aborted_txns().clone();
         aborted.extend(history.client_aborted());
         let accepted =
             Schedule::from_steps(history.accepted_steps()).accepted_subschedule(&aborted);

@@ -12,13 +12,13 @@
 use deltx::core::{Applied, CgState};
 use deltx::model::history::conflict_relation;
 use deltx::model::workload::{WorkloadConfig, WorkloadGen};
-use deltx::model::{EntityId, Op, Schedule, Step, TxnId};
+use deltx::model::{EntityId, IdSet, Op, Schedule, Step, TxnId};
 use deltx::storage::{Store, TxnBuffer};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Executes `steps` interleaved against storage; returns the final store
 /// and the executed (accepted) steps.
-fn execute_interleaved(steps: &[Step]) -> (Store, Vec<Step>, HashSet<TxnId>) {
+fn execute_interleaved(steps: &[Step]) -> (Store, Vec<Step>, IdSet<TxnId>) {
     let mut cg = CgState::new();
     let mut store = Store::new();
     let mut bufs: HashMap<TxnId, TxnBuffer> = HashMap::new();
