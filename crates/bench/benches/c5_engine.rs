@@ -56,7 +56,7 @@ fn engine(gc: GcPolicy) -> Engine {
     Engine::new(EngineConfig {
         shards: SHARDS,
         gc,
-        background_gc: false, // backpressure GC only: deterministic work
+        background_gc: false, // commit-path GC only: deterministic work
         record_history: false,
         ..EngineConfig::default()
     })
@@ -154,7 +154,7 @@ fn drive_skewed(
 }
 
 /// The default engine (`partial`) or the all-locks baseline it is
-/// compared against, with GC driven by commit backpressure only
+/// compared against, with GC driven by the commit path only
 /// (deterministic work).
 fn ab_engine(shards: usize, partial: bool) -> Engine {
     let cfg = EngineConfig {

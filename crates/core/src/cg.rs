@@ -903,9 +903,9 @@ impl CgState {
     }
 
     /// Length of the pending GC-candidate queue (already deduplicated:
-    /// each node appears at most once) — the backpressure signal: a
-    /// committer seeing a long queue runs an inline sweep instead of
-    /// waiting for the background GC tick.
+    /// each node appears at most once). A consumer that drains after
+    /// every commit, as the online engine does, sees it back at zero
+    /// each time.
     pub fn gc_candidate_count(&self) -> usize {
         self.gc_candidates.len()
     }

@@ -144,12 +144,13 @@ thread_local! {
 
 /// Failed `try_lock`s, a `spin_loop` hint after each, before
 /// [`EngineInner::lock_shard`] starts yielding. Sized for the holds
-/// deletion at the source leaves (a commit's critical section, ~2–4 µs):
+/// deletion at the source leaves (a commit's critical section, ~2–4 µs).
+/// Measured on 2 cores, `perf` median `txn_per_s` over seeds 31–33:
 /// 100 spins + 20 yields with per-commit deletion took `local` from
-/// 221k to 305k txn/s and `engine.scaling_1to2` from 0.78 to 0.97 on
-/// 2 cores; spinning alone, against the old 32-candidate batches
-/// (~80 µs holds), gained 7 %. Not longer: 2 000 pure spins cost
-/// `durable` 10–14 % — 8 sessions and the log writer oversubscribe the
+/// 217k to 295k; the same spinning against the old 32-candidate
+/// batches (~80 µs holds) gained 4 %, per-commit deletion without it
+/// 5 %. Not longer: 2 000 pure spins cost `durable` 17 % (94k → 78k,
+/// seeds 61–64) — 8 sessions and the log writer oversubscribe the
 /// cores, and a spinner burns the timeslice the holder needs.
 const LOCK_SPINS: u32 = 100;
 /// `yield_now` rounds after the spins and before parking: hands the
@@ -493,7 +494,11 @@ impl EngineInner {
         loop {
             match m.try_lock() {
                 Ok(g) => {
-                    self.metrics.note_contended_lock(waited, LOCK_SPINS);
+                    match waited {
+                        0 => {}
+                        1..=LOCK_SPINS => self.metrics.shard_lock_spun.add(1),
+                        _ => self.metrics.shard_lock_yielded.add(1),
+                    }
                     return g;
                 }
                 Err(TryLockError::WouldBlock) if waited < LOCK_SPINS + LOCK_YIELDS => {
@@ -507,7 +512,7 @@ impl EngineInner {
                 // Out of patience — or poisoned, which `lock()` reports.
                 Err(_) => {
                     self.metrics.shard_lock_parked.add(1);
-                    return m.lock().unwrap();
+                    return m.lock().expect("a thread panicked holding this shard lock");
                 }
             }
         }
@@ -558,5 +563,52 @@ impl EngineInner {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn lock_shard_under_contention_always_acquires_and_counts_acquisitions() {
+        let e = Engine::new(EngineConfig {
+            shards: 2,
+            background_gc: false,
+            ..EngineConfig::default()
+        });
+        let inner = &e.inner;
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let per_thread: Vec<(usize, usize)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(move || {
+                        SHARD_LOCKS.with(|c| c.set(0));
+                        let mut mine = 0usize;
+                        while Instant::now() < deadline {
+                            // The boundary count doubles as a counter only
+                            // the lock protects: a lost update would show.
+                            inner.lock_shard(1).boundary += 1;
+                            mine += 1;
+                        }
+                        (mine, SHARD_LOCKS.with(|c| c.get()))
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let total: usize = per_thread.iter().map(|&(mine, _)| mine).sum();
+        assert!(total > 0);
+        assert_eq!(inner.lock_shard(1).boundary, total, "mutual exclusion held");
+        for (mine, counted) in per_thread {
+            assert_eq!(counted, mine, "one count per acquisition, not per attempt");
+        }
+        let m = e.metrics();
+        let collisions = m.shard_lock_spun + m.shard_lock_yielded + m.shard_lock_parked;
+        assert!(
+            collisions <= total as u64,
+            "at most one collision per acquisition"
+        );
     }
 }

@@ -619,3 +619,72 @@ impl EngineInner {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::{Engine, EngineConfig};
+    use deltx_model::{EntityId, TxnId};
+
+    fn engine() -> Engine {
+        Engine::new(EngineConfig {
+            shards: 8,
+            background_gc: false,
+            ..EngineConfig::default()
+        })
+    }
+
+    /// Commits one transaction that writes `xs`.
+    fn overwrite(e: &Engine, xs: &[u32]) -> TxnId {
+        let mut t = e.begin();
+        let id = t.id();
+        for &x in xs {
+            t.write(x, 1);
+        }
+        t.commit().unwrap();
+        id
+    }
+
+    /// No trace of `txn` or its versions of `xs` is left in shard `s`,
+    /// and the shard has nothing queued for a later sweep.
+    fn assert_gone(e: &Engine, s: usize, txn: TxnId, xs: [u32; 2]) {
+        let g = e.inner.shards[s].lock().unwrap();
+        assert!(g.cg.node_of(txn).is_none(), "{txn} still has a node");
+        for x in xs {
+            assert_eq!(g.store.version_count(EntityId(x)), 1, "e{x} history");
+            assert_ne!(g.store.current_writer(EntityId(x)), Some(txn));
+        }
+        assert_eq!(g.cg.gc_candidate_count(), 0, "shard {s} left a backlog");
+    }
+
+    // No `gc_sweep` anywhere below: the second overwriting commit is
+    // what deletes, before it returns.
+
+    #[test]
+    fn fast_path_commit_deletes_what_it_made_noncurrent() {
+        let e = engine();
+        let t1 = overwrite(&e, &[0, 8]); // both in shard 0
+        overwrite(&e, &[0]);
+        assert_eq!(e.graph_size().nodes, 2, "T1 is still current on e8");
+        overwrite(&e, &[8]);
+        assert_eq!(e.graph_size().nodes, 2, "T2 and T3; T1 went with T3");
+        assert_gone(&e, 0, t1, [0, 8]);
+        let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_sweeps, m.escalated_ops), (1, 0, 0));
+    }
+
+    #[test]
+    fn escalated_commit_deletes_its_single_shard_neighbours() {
+        let e = engine();
+        let t1 = overwrite(&e, &[0, 8]); // shard 0
+        let u1 = overwrite(&e, &[1, 9]); // shard 1
+        overwrite(&e, &[0, 1]); // spans shards 0 and 1
+        assert_eq!(e.graph_size().nodes, 4, "T1, U1 current; T2 twice");
+        overwrite(&e, &[8, 9]);
+        assert_eq!(e.graph_size().nodes, 4, "T2 and T3, a node per shard");
+        assert_gone(&e, 0, t1, [0, 8]);
+        assert_gone(&e, 1, u1, [1, 9]);
+        let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_sweeps), (2, 0));
+        assert!(m.escalated_ops >= 2, "both two-shard commits escalated");
+    }
+}

@@ -74,10 +74,17 @@
 //!   bit-identical to the all-locks baseline (a hidden constructor the
 //!   twin oracles and A/B benches build their reference engine with;
 //!   it is also what a too-small lock set falls back to at run time).
-//! * **GC**: a background thread drains per-shard candidate queues
-//!   (fed by [`deltx_core::CgState::drain_gc_candidates`] — bounded
-//!   and deduplicated; no full scans) and deletes completed
-//!   transactions per the configured [`GcPolicy`]. Deleting a
+//! * **GC**: under the default [`GcPolicy::Noncurrent`] deletion
+//!   happens **at the source** — every commit, right after its
+//!   install and under the shard locks it already holds, tests the
+//!   candidates its own write just queued
+//!   ([`deltx_core::CgState::drain_gc_candidates`]: the overwritten
+//!   accessors and itself; no full scans) and deletes the
+//!   single-shard ones that became noncurrent, so shard-lock holds
+//!   stay short and uniform. Multi-shard candidates go to a pending
+//!   set that a background thread (and, past a threshold, an
+//!   escalated committer) works off, along with ghost compaction and
+//!   recovery's replay. Deleting a
 //!   multi-shard transaction re-materializes the paper's `D(G, N)`
 //!   bridges across shard boundaries with *ghost nodes*
 //!   ([`deltx_core::CgState::admit_completed_ghost`]), so union
@@ -91,10 +98,8 @@
 //!   transitive-reduction compaction over ghost-only subgraphs
 //!   ([`deltx_core::CgState::compact_ghost_arcs`]) so bridge arcs
 //!   cannot accrete without bound, and prune reclaimed writers' stale
-//!   versions with [`deltx_storage::Store::truncate_versions`].
-//!   Escalated committers apply the same reclamation as backpressure
-//!   when queues run hot, so GC keeps up even without the background
-//!   thread.
+//!   versions with [`deltx_storage::Store::truncate_versions`]. GC
+//!   keeps up even without the background thread.
 //! * **Durability** (opt-in via [`EngineConfig::durability`]): a
 //!   write-ahead log (`deltx-wal`) with a dedicated group-commit
 //!   writer thread. Commit records are submitted *while the shard

@@ -163,17 +163,6 @@ impl EngineMetrics {
             .fetch_max(slots as u64, Ordering::Relaxed);
     }
 
-    /// Records a shard-lock acquisition that succeeded after `waited`
-    /// failed attempts, the first `spins` of which were spins and the
-    /// rest yields. Uncontended acquisitions touch no counter.
-    pub(crate) fn note_contended_lock(&self, waited: u32, spins: u32) {
-        if waited > spins {
-            self.shard_lock_yielded.add(1);
-        } else if waited > 0 {
-            self.shard_lock_spun.add(1);
-        }
-    }
-
     pub(crate) fn txn_became_live(&self) {
         let now = self.live_txns.0.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_live_txns.fetch_max(now, Ordering::Relaxed);
@@ -340,9 +329,11 @@ pub struct MetricsSnapshot {
     /// Uncontended acquisitions count nowhere, so the three
     /// `shard_lock_*` fields sum to the collisions.
     pub shard_lock_spun: u64,
-    /// … that got it in the yield phase, after the spins ran out.
+    /// Contended session-path acquisitions that got the lock in the
+    /// yield phase, after the spins ran out.
     pub shard_lock_yielded: u64,
-    /// … that outlasted both phases and parked in the blocking `lock()`.
+    /// Contended session-path acquisitions that outlasted both phases
+    /// and parked in the blocking `lock()`.
     pub shard_lock_parked: u64,
     /// WAL activity counters (`None` when durability is off): flushes,
     /// group-commit batch sizes, segments created/truncated.

@@ -56,9 +56,11 @@ impl std::fmt::Display for EntityId {
 
 /// Hasher for maps keyed by the dense integer ids above (and the
 /// graph's `NodeId`, any `u32`/`usize` newtype): one multiply instead
-/// of SipHash's rounds. Ids are handed out by the program itself, so
-/// there is no hostile key to defend against; iteration order becomes
-/// a function of the keys, and nothing may depend on it.
+/// of SipHash's rounds. That gives up SipHash's defence against keys
+/// crafted to collide: transaction and node ids are handed out by this
+/// program, and entity ids by the application embedding it — do not
+/// key these maps by ids an untrusted peer chooses. Iteration order
+/// becomes a function of the keys, and nothing may depend on it.
 #[derive(Clone, Copy, Default)]
 pub struct IdHasher(u64);
 

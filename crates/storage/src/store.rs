@@ -1,6 +1,6 @@
 //! The multi-version entity store.
 
-use deltx_model::{EntityId, IdMap, TxnId};
+use deltx_model::{EntityId, IdMap, IdSet, TxnId};
 
 /// Stored values. Integers keep the examples (bank balances, counters)
 /// honest without dragging in serialization.
@@ -17,14 +17,18 @@ pub struct Version {
     pub seq: u64,
 }
 
-/// Drops every non-newest version of one entity whose writer is in
+/// Longest `deleted` list [`Store::truncate_versions_in`] scans as a
+/// slice instead of hashing into a set.
+const SCAN_MAX_DEAD: usize = 8;
+
+/// Drops every non-newest version of one entity whose writer is
 /// `dead`; returns how many were reclaimed.
-fn prune(h: &mut Vec<Version>, dead: &std::collections::HashSet<TxnId>) -> usize {
+fn prune(h: &mut Vec<Version>, dead: impl Fn(TxnId) -> bool) -> usize {
     let last = h.len().saturating_sub(1);
     let before = h.len();
     let mut i = 0;
     h.retain(|v| {
-        let keep = i == last || !dead.contains(&v.writer);
+        let keep = i == last || !dead(v.writer);
         i += 1;
         keep
     });
@@ -101,8 +105,11 @@ impl Store {
         if deleted.is_empty() {
             return 0;
         }
-        let dead: std::collections::HashSet<TxnId> = deleted.iter().copied().collect();
-        self.history.values_mut().map(|h| prune(h, &dead)).sum()
+        let dead: IdSet<TxnId> = deleted.iter().copied().collect();
+        self.history
+            .values_mut()
+            .map(|h| prune(h, |t| dead.contains(&t)))
+            .sum()
     }
 
     /// Targeted form of [`Store::truncate_versions`]: prunes only the
@@ -114,11 +121,25 @@ impl Store {
         if deleted.is_empty() || entities.is_empty() {
             return 0;
         }
-        let dead: std::collections::HashSet<TxnId> = deleted.iter().copied().collect();
+        // A commit deleting at the source passes the one or two writers
+        // it just superseded: scan the slice, and build a set only for
+        // a real batch (the multi-shard pass, recovery's sweep).
+        let set: IdSet<TxnId> = if deleted.len() > SCAN_MAX_DEAD {
+            deleted.iter().copied().collect()
+        } else {
+            IdSet::default()
+        };
+        let dead = |t: TxnId| {
+            if set.is_empty() {
+                deleted.contains(&t)
+            } else {
+                set.contains(&t)
+            }
+        };
         let mut reclaimed = 0;
         for x in entities {
             if let Some(h) = self.history.get_mut(x) {
-                reclaimed += prune(h, &dead);
+                reclaimed += prune(h, dead);
             }
         }
         reclaimed
@@ -205,6 +226,22 @@ mod tests {
         // The full-scan form finishes the job.
         assert_eq!(s.truncate_versions(&[TxnId(1)]), 1);
         assert_eq!(s.read(EntityId(1)), 4);
+    }
+
+    #[test]
+    fn targeted_truncation_agrees_on_both_sides_of_the_scan_limit() {
+        // SCAN_MAX_DEAD writers are scanned as a slice, one more goes
+        // through a set: same versions reclaimed either way.
+        for dead in [SCAN_MAX_DEAD, SCAN_MAX_DEAD + 1] {
+            let mut s = Store::new();
+            for t in 1..=dead as u32 + 2 {
+                s.write(EntityId(0), i64::from(t), TxnId(t));
+            }
+            let deleted: Vec<TxnId> = (1..=dead as u32).map(TxnId).collect();
+            assert_eq!(s.truncate_versions_in(&deleted, &[EntityId(0)]), dead);
+            let left: Vec<TxnId> = s.history(EntityId(0)).iter().map(|v| v.writer).collect();
+            assert_eq!(left, [TxnId(dead as u32 + 1), TxnId(dead as u32 + 2)]);
+        }
     }
 
     #[test]

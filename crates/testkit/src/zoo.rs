@@ -192,7 +192,7 @@ pub fn boundary_flood() -> WorkloadSpec {
 /// Maximum-contention hot spot: eight sessions, eight entities, two
 /// shards, zero think time — every session is perpetually mid-txn, so
 /// conflict cycles, scheduler rejections, abort-driven mask
-/// recomputes, and backpressure reclamation all pile onto the same
+/// recomputes, and commit-time deletion all pile onto the same
 /// instants. The regime where GC deletions overlap *active*
 /// transactions — exactly where a dropped `D(G, N)` bridge becomes an
 /// acceptance divergence, which is why the schedule search hunts the

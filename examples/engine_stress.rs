@@ -27,6 +27,13 @@
 //! #                       not just the protocol. Per-flush p50/p99 latency
 //! #                       and the mean group-commit batch size are merged
 //! #                       into BENCH_9.json
+//! #                      "--scale-probe": instead of the stress run, three
+//! #                       one-second closed loops of single-shard transfers
+//! #                       (1 thread; 2 threads over all shards; 2 threads on
+//! #                       disjoint shard halves) — prints txn/s and the
+//! #                       shard-lock collision counters for each, so lock
+//! #                       collisions (2-all vs 2-disjoint) can be told from
+//! #                       shared-cache-line cost (2-disjoint vs 2 × 1)
 //! #                      "--seed N": fix the run's RNG seed (takes
 //! #                       precedence over the DELTX_SEED env var); every
 //! #                       failure message echoes the effective seed so any
@@ -41,12 +48,81 @@
 //! metrics. Headline numbers are merged into `BENCH_6.json` at the
 //! repository root so CI can archive them across runs.
 
-use deltx_engine::{bench_report, run_seed_arg, DurabilityConfig, Engine, EngineConfig, GcPolicy};
+use deltx_engine::{
+    bench_report, run_seed_arg, DurabilityConfig, Engine, EngineConfig, EngineError, GcPolicy,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+/// One banking transaction: move `amount` from `x` to `y` (read both,
+/// write both; `x == y` rewrites the balance unchanged).
+fn transfer(engine: &Engine, x: u32, y: u32, amount: i64) -> Result<(), EngineError> {
+    let mut t = engine.begin();
+    let a = t.read(x)?;
+    if y != x {
+        let b = t.read(y)?;
+        t.write(x, a - amount);
+        t.write(y, b + amount);
+    } else {
+        t.write(x, a); // self-transfer
+    }
+    t.commit()
+}
+
+/// `--scale-probe`: what a second client costs, split by cause. Every
+/// transfer stays inside one shard (fast path only), so the only
+/// things two clients can share are a shard lock — when both may pick
+/// the same shard — and cache lines.
+fn scale_probe(seed: u64) {
+    const SHARDS: u32 = 8;
+    const PER_SHARD: u32 = 128;
+    const RUN: Duration = Duration::from_secs(1);
+    println!("scale probe: closed-loop single-shard transfers, {SHARDS} shards, {RUN:?} each [seed {seed}]");
+    for (label, threads, disjoint) in [
+        ("1 thread", 1u32, false),
+        ("2 threads, all shards", 2, false),
+        ("2 threads, disjoint shards", 2, true),
+    ] {
+        let engine = Engine::new(EngineConfig {
+            shards: SHARDS as usize,
+            ..EngineConfig::default()
+        });
+        let t0 = Instant::now();
+        std::thread::scope(|scope| {
+            for tid in 0..threads {
+                let engine = &engine;
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed + u64::from(tid));
+                    let own = SHARDS / threads;
+                    while t0.elapsed() < RUN {
+                        let s = if disjoint {
+                            tid * own + rng.gen_range(0..own)
+                        } else {
+                            rng.gen_range(0..SHARDS)
+                        };
+                        let x = s + SHARDS * rng.gen_range(0..PER_SHARD);
+                        let y = s + SHARDS * rng.gen_range(0..PER_SHARD);
+                        // A scheduler abort counts in the rate below, like
+                        // a commit: either way the engine did the work.
+                        let _ = transfer(engine, x, y, rng.gen_range(1i64..100));
+                    }
+                });
+            }
+        });
+        let secs = t0.elapsed().as_secs_f64();
+        let m = engine.metrics();
+        println!(
+            "  {label:<27} {:>8.0} txn/s | collisions: {} won spinning, {} won yielding, {} parked",
+            (m.commits + m.aborts_scheduler) as f64 / secs,
+            m.shard_lock_spun,
+            m.shard_lock_yielded,
+            m.shard_lock_parked
+        );
+    }
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,7 +144,13 @@ fn main() {
     // Known flags may appear anywhere; everything else must be one of
     // the (up to four) numeric positionals. Anything unrecognized is an
     // error, never a silent default.
-    const FLAGS: [&str; 4] = ["all-locks", "--contention", "--durable", "--fsync"];
+    const FLAGS: [&str; 5] = [
+        "all-locks",
+        "--contention",
+        "--durable",
+        "--fsync",
+        "--scale-probe",
+    ];
     let (flags, positional): (Vec<&str>, Vec<&str>) = args
         .iter()
         .map(String::as_str)
@@ -83,7 +165,7 @@ fn main() {
             eprintln!(
                 "bad arguments {positional:?}: expected up to four numbers \
                  `<threads> <txns> <entities> <cross_pct>` plus any of `all-locks`, \
-                 `--contention`, `--durable`, `--fsync`, `--seed N`"
+                 `--contention`, `--durable`, `--fsync`, `--scale-probe`, `--seed N`"
             );
             std::process::exit(2);
         }
@@ -98,6 +180,9 @@ fn main() {
     let durable: bool = flags.contains(&"--durable") || fsync;
     let shards = 8usize;
     let seed = run_seed_arg(cli_seed, 0xD17A);
+    if flags.contains(&"--scale-probe") {
+        return scale_probe(seed);
+    }
 
     let wal_dir: Option<PathBuf> = durable.then(|| {
         let dir = std::env::temp_dir().join(format!("deltx-stress-wal-{}", std::process::id()));
@@ -190,37 +275,12 @@ fn main() {
                             s + shards as u32 * rng.gen_range(0..span),
                         )
                     };
-                    let mut t = engine.begin();
-                    let Ok(a) = t.read(x) else {
-                        aborted.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    };
-                    let b = if y != x {
-                        match t.read(y) {
-                            Ok(v) => v,
-                            Err(_) => {
-                                aborted.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                        }
-                    } else {
-                        0
-                    };
                     let amount = rng.gen_range(1i64..100);
-                    if y != x {
-                        t.write(x, a - amount);
-                        t.write(y, b + amount);
-                    } else {
-                        t.write(x, a); // self-transfer
-                    }
-                    match t.commit() {
-                        Ok(()) => {
-                            committed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            aborted.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                    let outcome = match transfer(engine, x, y, amount) {
+                        Ok(()) => committed,
+                        Err(_) => aborted,
+                    };
+                    outcome.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
