@@ -225,9 +225,9 @@ fn bench_escalation(c: &mut Criterion) {
     );
 }
 
-/// Closure-scoped vs stop-the-world multi-shard GC on the skewed
-/// workload: the default deletion pass locks only each candidate's
-/// closure (~the hot pair), so cold fast-path shards are not paused
+/// Span-scoped vs stop-the-world multi-shard GC on the skewed
+/// workload: the default deletion pass locks only the lead candidate's
+/// own span (the hot pair), so cold fast-path shards are not paused
 /// every ~32 multi-shard commits as they are on the all-locks
 /// baseline (whose escalated commits take every lock too). Prints the
 /// gc-closure-size metrics after the timed runs so CI can publish
@@ -341,7 +341,8 @@ fn drive_summary_churn(rounds: usize, mode: SummaryMode) -> u64 {
             sink = sink.wrapping_add(cg.naive_boundary_reach(&marked).len() as u64);
         }
     }
-    sink.wrapping_add(cg.summary_rev())
+    let pairs: usize = cg.boundary_reach_map().values().map(|r| r.len()).sum();
+    sink.wrapping_add(pairs as u64)
 }
 
 /// Summary-maintenance micro-bench: mark/unmark/fan-in churn through

@@ -180,23 +180,6 @@ pub struct CgState {
     pending_marks: Vec<NodeId>,
     /// Reusable traversal scratch for the ghost-compaction BFS.
     scratch: BfsScratch,
-    /// Boundary transactions whose reach-set changed (or left the
-    /// summary) since the last [`CgState::take_summary_dirty`] — lets
-    /// a mirror copy only the touched entries instead of the map.
-    summary_dirty: BTreeSet<TxnId>,
-    /// Bumped whenever the **mirrored content** of the summary changes
-    /// (a reach-pair appears or disappears, or an entry with pairs is
-    /// added/removed) — the mirror/copy-out signal. Deletes and aborts
-    /// that touch no reach-pair do *not* bump it, so mirrors skip
-    /// no-op refreshes.
-    summary_rev: u64,
-    /// Bumped only when the summary **grows** (a reach-pair is added;
-    /// a new member with no pairs extends no path and counts only once
-    /// pairs appear). Growth is the only change that can invalidate a
-    /// lock subset planned from a stale copy — shrinkage keeps any
-    /// superset valid — so partial escalation keys its staleness check
-    /// on this.
-    summary_epoch: u64,
     max_entity: Option<EntityId>,
     max_txn: u32,
     stats: CgStats,
@@ -358,9 +341,6 @@ impl CgState {
             pending_target_bits: BitSet::new(),
             pending_marks: Vec::new(),
             scratch: BfsScratch::default(),
-            summary_dirty: BTreeSet::new(),
-            summary_rev: 0,
-            summary_epoch: 0,
             max_entity: None,
             max_txn: 0,
             stats: CgStats::default(),
@@ -708,7 +688,7 @@ impl CgState {
         let txn = self.info(n).txn;
         // Release while the in-arcs still exist: the backward walk
         // that clears the slot bit is seeded through them.
-        let mut changed = self.release_boundary_slot(n, txn);
+        self.release_boundary_slot(n);
         self.forget_node_metadata(n);
         let (preds, succs) = self.graph.remove_node(n);
         if let Some(c) = &mut self.closure {
@@ -720,14 +700,11 @@ impl CgState {
         self.reach_mask[n.index()].clear();
         // Removal *without* bridging can sever boundary-to-boundary
         // paths *through* n, so the summary must be recomputed (it can
-        // only shrink: no epoch bump). Only a node with both preds and
-        // succs can route such a path — the common cycle-victim abort
-        // (incoming arcs only) skips the recompute.
+        // only shrink). Only a node with both preds and succs can route
+        // such a path — the common cycle-victim abort (incoming arcs
+        // only) skips the recompute.
         if !preds.is_empty() && !succs.is_empty() && self.bindex.live > 0 {
-            changed |= self.recompute_masks_diff();
-        }
-        if changed {
-            self.summary_rev += 1;
+            self.recompute_masks();
         }
         self.aborted.insert(txn);
         self.stats.aborts += 1;
@@ -755,10 +732,9 @@ impl CgState {
         // Pending batched propagation must land before the node (and
         // the exactness argument below) goes away.
         self.flush_pending_summary();
-        let txn = self.info(n).txn;
         // Release while the in-arcs still exist: the backward walk
         // that clears the slot bit is seeded through them.
-        let slot_pairs_changed = self.release_boundary_slot(n, txn);
+        self.release_boundary_slot(n);
         self.forget_node_metadata(n);
         let (preds, succs) = self.graph.remove_node(n);
         // Planted bug: skip `D(G, N)` bridging entirely. The closure
@@ -785,11 +761,7 @@ impl CgState {
         // `D(G, N)` bridging preserves reachability among the remaining
         // nodes — every survivor's mask already subsumed everything
         // reachable through `n` — so only pairs with the deleted node
-        // as an endpoint go (a shrink: no epoch bump), and the rev only
-        // moves when such a pair actually existed.
-        if slot_pairs_changed {
-            self.summary_rev += 1;
-        }
+        // as an endpoint go, and `release_boundary_slot` took those.
         self.reach_mask[n.index()].clear();
         self.stats.deletions += 1;
         Ok(())
@@ -936,9 +908,9 @@ impl CgState {
     /// Marks (or unmarks) the live node of `t` as a **boundary node**.
     /// The sharded engine marks every node of a multi-shard transaction
     /// (ghosts included): those are the only nodes through which a path
-    /// can leave a shard's graph, so reachability *between* them —
-    /// the boundary reachability summary — is exactly what a remote
-    /// planner needs to know about this graph.
+    /// can leave a shard's graph, so which of them a node reaches —
+    /// the boundary reachability summary — is exactly what decides
+    /// whether a cycle through that node can leave this graph.
     ///
     /// # Panics
     /// Panics if `on` is set for a transaction with no live node.
@@ -957,17 +929,9 @@ impl CgState {
             // (masks never cared about marks), so only pairs with n as
             // an endpoint are new: t's own entry is `mask[n]`, already
             // exact, and the backward cone gains t's slot bit.
-            let mut grew = !self.reach_mask[n.index()].is_empty();
-            if grew {
-                self.summary_dirty.insert(t);
-            }
             self.delta_scratch.clear();
             self.delta_scratch.insert(slot);
-            grew |= self.propagate_from(n);
-            if grew {
-                self.summary_rev += 1;
-                self.summary_epoch += 1; // reach-pair growth
-            }
+            self.propagate_from(n);
         } else {
             let Some(&n) = self.by_txn.get(&t) else {
                 return;
@@ -976,9 +940,7 @@ impl CgState {
                 return;
             }
             self.flush_pending_summary();
-            if self.release_boundary_slot(n, t) {
-                self.summary_rev += 1;
-            }
+            self.release_boundary_slot(n);
         }
     }
 
@@ -1008,7 +970,7 @@ impl CgState {
     /// use deltx_model::TxnId;
     ///
     /// // Chain T1 -> T2 -> T3 through writes of x; T1 and T3 are the
-    /// // boundary endpoints a remote planner would care about.
+    /// // boundary endpoints a path could leave this graph through.
     /// let mut cg = CgState::new();
     /// let p = parse("b1 r1(x) w1(x) b2 r2(x) w2(x) b3 r3(x) w3(x)").unwrap();
     /// cg.run(p.steps()).unwrap();
@@ -1017,14 +979,11 @@ impl CgState {
     /// assert!(cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(3)));
     ///
     /// // Deleting the (non-boundary) middle node bridges around it:
-    /// // the summary — and any lock subset planned from it — is
-    /// // unaffected, which is what lets the engine delete under a
-    /// // subset of shard locks.
-    /// let epoch = cg.summary_epoch();
+    /// // the summary is unaffected.
+    /// let before = cg.boundary_reach_map();
     /// let t2 = cg.node_of(TxnId(2)).unwrap();
     /// cg.delete(t2).unwrap();
-    /// assert!(cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(3)));
-    /// assert_eq!(cg.summary_epoch(), epoch);
+    /// assert_eq!(cg.boundary_reach_map(), before);
     /// ```
     pub fn boundary_reach_map(&self) -> BTreeMap<TxnId, BTreeSet<TxnId>> {
         debug_assert!(!self.summary_batch_pending(), "summary batch not flushed");
@@ -1095,42 +1054,6 @@ impl CgState {
         false
     }
 
-    /// The raw reach bitmask of one boundary transaction over the
-    /// compact slot index, or `None` if `t` has no live boundary node
-    /// here. The cheapest copy-out primitive: a mirror stores the mask
-    /// (one word per 64 boundary slots) and decodes slots through
-    /// [`CgState::boundary_slot_txns`] — provided mask and table are
-    /// copied out together, after the same dirty drain, so they are
-    /// mutually consistent.
-    pub fn boundary_reach_mask_of(&self, t: TxnId) -> Option<&BitSet> {
-        debug_assert!(!self.summary_batch_pending(), "summary batch not flushed");
-        let &n = self.by_txn.get(&t)?;
-        self.bindex.slot_of(n)?;
-        Some(&self.reach_mask[n.index()])
-    }
-
-    /// slot → transaction decode table for
-    /// [`CgState::boundary_reach_mask_of`] masks. Entries of freed
-    /// slots are stale — only address it through bits of a mask read
-    /// at the same time (no live mask carries a freed slot's bit).
-    pub fn boundary_slot_txns(&self) -> &[TxnId] {
-        &self.bindex.txn_of
-    }
-
-    /// Revision counter bumped on every summary change — the signal to
-    /// copy the summary out to a shared registry.
-    pub fn summary_rev(&self) -> u64 {
-        self.summary_rev
-    }
-
-    /// Epoch counter bumped only when the summary **grows**. A lock
-    /// subset planned from an older epoch may be too small; one planned
-    /// from the same epoch is still a superset of every reachable
-    /// shard (shrinkage cannot invalidate it).
-    pub fn summary_epoch(&self) -> u64 {
-        self.summary_epoch
-    }
-
     /// Incremental summary maintenance after arcs were just inserted
     /// *into* `target` (a Rule 2/3 fan-in, or one ordering arc): every
     /// node reaching the target — in particular every boundary node
@@ -1161,74 +1084,50 @@ impl CgState {
             // boundary node and is none itself — nothing to push.
             return;
         }
-        if self.propagate_from(target) {
-            self.summary_rev += 1;
-            self.summary_epoch += 1;
-        }
+        self.propagate_from(target);
     }
 
     /// Pushes `delta_scratch` into the backward cone of `from` (whose
     /// own mask is deliberately untouched — a node does not reach
     /// itself): each predecessor whose mask actually changes continues
     /// the frontier, so in steady state the walk collapses after one
-    /// word-compare per incident arc. Marks changed boundary entries
-    /// dirty; returns whether any boundary mask grew (the caller's
-    /// rev/epoch signal).
-    fn propagate_from(&mut self, from: NodeId) -> bool {
-        let mut grew = false;
+    /// word-compare per incident arc.
+    fn propagate_from(&mut self, from: NodeId) {
         let mut stack = std::mem::take(&mut self.prop_stack);
         stack.clear();
         stack.push(from);
         while let Some(n) = stack.pop() {
             for &p in self.graph.preds(n) {
                 if self.reach_mask[p.index()].union_with(&self.delta_scratch) {
-                    if let Some(slot) = self.bindex.slot_of(p) {
-                        self.summary_dirty.insert(self.bindex.txn_of[slot]);
-                        grew = true;
-                    }
                     stack.push(p);
                 }
             }
         }
         self.prop_stack = stack;
-        grew
     }
 
     /// Frees `n`'s boundary slot if it has one, clearing the slot's
     /// bit from every mask that holds it (eagerly, so a recycled slot
-    /// can never inherit stale bits) and marking the affected entries
-    /// dirty. Only ancestors of `n` can hold the bit, so the clear is
-    /// a backward walk from `n` using the bit itself as the visited
-    /// marker — O(ancestor cone), not O(graph); must therefore run
-    /// while `n`'s in-arcs still exist. Returns whether any mirrored
-    /// content changed — `n`'s own entry had pairs, or some boundary
-    /// node reached it. The caller bumps `summary_rev` on `true`; the
-    /// change is a pure shrink, so the epoch never moves.
-    fn release_boundary_slot(&mut self, n: NodeId, t: TxnId) -> bool {
+    /// can never inherit stale bits). Only ancestors of `n` can hold
+    /// the bit, so the clear is a backward walk from `n` using the bit
+    /// itself as the visited marker — O(ancestor cone), not O(graph);
+    /// must therefore run while `n`'s in-arcs still exist.
+    fn release_boundary_slot(&mut self, n: NodeId) {
         let Some(slot) = self.bindex.slot_of(n) else {
-            return false;
+            return;
         };
-        let mut changed = !self.reach_mask[n.index()].is_empty();
-        if changed {
-            self.summary_dirty.insert(t);
-        }
         let mut stack = std::mem::take(&mut self.prop_stack);
         stack.clear();
         stack.push(n);
         while let Some(m) = stack.pop() {
             for &p in self.graph.preds(m) {
                 if self.reach_mask[p.index()].remove(slot) {
-                    if let Some(ps) = self.bindex.slot_of(p) {
-                        self.summary_dirty.insert(self.bindex.txn_of[ps]);
-                        changed = true;
-                    }
                     stack.push(p);
                 }
             }
         }
         self.prop_stack = stack;
         self.bindex.release(n);
-        changed
     }
 
     /// Defers summary maintenance: until the matching
@@ -1245,7 +1144,7 @@ impl CgState {
 
     /// Ends a summary batch: flushes the queued propagation and
     /// returns to eager maintenance. Must run before the summary is
-    /// mirrored out.
+    /// read.
     pub fn end_summary_batch(&mut self) {
         self.flush_pending_summary();
         self.summary_batch = false;
@@ -1266,7 +1165,6 @@ impl CgState {
         if self.pending_targets.is_empty() && self.pending_marks.is_empty() {
             return;
         }
-        let mut grew = false;
         let mut targets = std::mem::take(&mut self.pending_targets);
         for &n in &targets {
             if !self.is_live(n) {
@@ -1279,7 +1177,7 @@ impl CgState {
             if self.delta_scratch.is_empty() {
                 continue;
             }
-            grew |= self.propagate_from(n);
+            self.propagate_from(n);
         }
         targets.clear();
         self.pending_targets = targets;
@@ -1292,42 +1190,23 @@ impl CgState {
             let Some(slot) = self.bindex.slot_of(n) else {
                 continue; // unmarked again before the flush
             };
-            if !self.reach_mask[n.index()].is_empty() {
-                self.summary_dirty.insert(self.bindex.txn_of[slot]);
-                grew = true;
-            }
             self.delta_scratch.clear();
             self.delta_scratch.insert(slot);
-            grew |= self.propagate_from(n);
+            self.propagate_from(n);
         }
         marks.clear();
         self.pending_marks = marks;
-        if grew {
-            self.summary_rev += 1;
-            self.summary_epoch += 1;
-        }
     }
 
     /// Recomputes every reach mask from scratch (used after aborts,
-    /// whose unbridged removals can shrink reachability arbitrarily —
-    /// the change is shrink-only there, so no epoch bump).
+    /// whose unbridged removals can shrink reachability arbitrarily).
     pub fn recompute_boundary_summary(&mut self) {
         self.flush_pending_summary();
-        if self.recompute_masks_diff() {
-            self.summary_rev += 1;
-        }
+        self.recompute_masks();
     }
 
-    /// One reverse-topological DP pass rebuilding all masks exactly;
-    /// marks boundary entries that changed dirty and reports whether
-    /// any did.
-    fn recompute_masks_diff(&mut self) -> bool {
-        let mut old: Vec<(usize, NodeId, BitSet)> = Vec::new();
-        for n in self.graph.nodes() {
-            if let Some(slot) = self.bindex.slot_of(n) {
-                old.push((slot, n, self.reach_mask[n.index()].clone()));
-            }
-        }
+    /// One reverse-topological DP pass rebuilding all masks exactly.
+    fn recompute_masks(&mut self) {
         let order = deltx_graph::topo::topo_order(&self.graph).expect("conflict graph is acyclic");
         for &n in order.iter().rev() {
             let mut m = std::mem::take(&mut self.reach_mask[n.index()]);
@@ -1340,21 +1219,6 @@ impl CgState {
             }
             self.reach_mask[n.index()] = m;
         }
-        let mut changed = false;
-        for (slot, n, old_mask) in &old {
-            if self.reach_mask[n.index()] != *old_mask {
-                self.summary_dirty.insert(self.bindex.txn_of[*slot]);
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// Drains the set of boundary transactions whose summary entry
-    /// changed since the last drain — the incremental copy-out list
-    /// for an external mirror (absent entries mean "remove").
-    pub fn take_summary_dirty(&mut self) -> BTreeSet<TxnId> {
-        std::mem::take(&mut self.summary_dirty)
     }
 
     /// Test/bench-support oracle: recomputes the boundary summary from
@@ -1894,23 +1758,24 @@ mod tests {
         .unwrap();
         cg.set_boundary(TxnId(1), true);
         cg.set_boundary(TxnId(3), true);
-        let epoch0 = cg.summary_epoch();
         assert!(cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(3)));
         assert!(cg.boundary_reach_map()[&TxnId(3)].is_empty());
         cg.check_invariants();
 
         // Deleting the middle node bridges 1 -> 3: summary unchanged.
-        let rev = cg.summary_rev();
+        let before = cg.boundary_reach_map();
         let t2 = cg.node_of(TxnId(2)).unwrap();
         cg.delete(t2).unwrap();
-        assert!(cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(3)));
-        assert_eq!(cg.summary_rev(), rev, "bridged delete is invisible");
+        assert_eq!(
+            cg.boundary_reach_map(),
+            before,
+            "bridged delete is invisible"
+        );
         cg.check_invariants();
 
         // A new boundary member on an incoming arc is growth.
         cg.run(parse("b4 r4(x) w4(x)").unwrap().steps()).unwrap();
         cg.set_boundary(TxnId(4), true);
-        assert!(cg.summary_epoch() > epoch0);
         assert!(cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(4)));
         assert!(cg.boundary_reach_map()[&TxnId(3)].contains(&TxnId(4)));
         cg.check_invariants();
@@ -1924,7 +1789,7 @@ mod tests {
     }
 
     #[test]
-    fn boundary_summary_shrinks_on_abort_without_epoch_bump() {
+    fn boundary_summary_shrinks_on_abort() {
         // 1 -> 2(active) and later 2 -> none; aborting 2 severs paths
         // that ran through it.
         let mut cg = CgState::new();
@@ -1937,13 +1802,11 @@ mod tests {
         cg.set_boundary(TxnId(1), true);
         cg.set_boundary(TxnId(3), true);
         assert!(cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(3)));
-        let epoch = cg.summary_epoch();
         cg.abort_txn(TxnId(2)).unwrap();
         assert!(
             !cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(3)),
             "unbridged removal severed the path"
         );
-        assert_eq!(cg.summary_epoch(), epoch, "shrink must not bump epoch");
         cg.check_invariants();
     }
 
@@ -2031,9 +1894,8 @@ mod tests {
         // other shards stay unlocked, relying on two facts proved
         // here: (a) pairs routed THROUGH the deleted node survive via
         // the `D(G, N)` bridges, exactly; (b) only pairs with the
-        // deleted node as an endpoint drop, and the change is a pure
-        // shrink (no epoch bump), so no remotely planned lock subset
-        // is invalidated.
+        // deleted node as an endpoint drop — a pure shrink, so no
+        // sealed verdict given elsewhere in this graph turns wrong.
         let mut cg = CgState::new();
         cg.run(
             parse("b1 r1(x) w1(x) b2 r2(x) w2(x) b3 r3(x) w3(x)")
@@ -2047,10 +1909,9 @@ mod tests {
         }
         assert!(cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(2)));
         assert!(cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(3)));
-        let epoch = cg.summary_epoch();
 
         // Delete the boundary middle: 1 -> 3 must survive (bridge),
-        // 1 -> 2 and 2 -> 3 must drop, epoch must not move.
+        // 1 -> 2 and 2 -> 3 must drop.
         let t2 = cg.node_of(TxnId(2)).unwrap();
         cg.delete(t2).unwrap();
         assert!(!cg.boundary_reach_map().contains_key(&TxnId(2)));
@@ -2059,12 +1920,6 @@ mod tests {
             "through-pair lost by a boundary-node delete"
         );
         assert!(!cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(2)));
-        assert_eq!(cg.summary_epoch(), epoch, "delete is a pure shrink");
-        // The dirty list names exactly the touched entries, so an
-        // engine mirroring under a subset of locks copies out the
-        // whole change.
-        let dirty = cg.take_summary_dirty();
-        assert!(dirty.contains(&TxnId(1)) && dirty.contains(&TxnId(2)));
         cg.check_invariants();
 
         // Same story when the deleted boundary node is bridged via a
@@ -2084,8 +1939,7 @@ mod tests {
     #[test]
     fn summary_batch_coalesces_marks_and_fan_ins() {
         // Build the same state twice — once eagerly, once under a
-        // batch — and require identical summaries, with the batched
-        // run bumping rev/epoch at most once.
+        // batch — and require identical summaries.
         let src = "b1 r1(x) w1(x) b2 r2(x)";
         let eager = {
             let mut cg = CgState::new();
@@ -2098,7 +1952,6 @@ mod tests {
         };
         let mut cg = CgState::new();
         cg.run(parse(src).unwrap().steps()).unwrap();
-        let rev0 = cg.summary_rev();
         cg.begin_summary_batch();
         cg.set_boundary(TxnId(1), true);
         cg.set_boundary(TxnId(2), true);
@@ -2106,18 +1959,7 @@ mod tests {
         assert!(cg.summary_batch_pending());
         cg.end_summary_batch();
         assert_eq!(cg.boundary_reach_map(), eager.boundary_reach_map());
-        assert_eq!(
-            cg.summary_rev(),
-            rev0 + 1,
-            "one combined update for the whole batch"
-        );
         cg.check_invariants();
-        // Dirty entries cover the change for a mirror: T1 gained the
-        // pair (1, 2); T2's entry stayed empty, so it is *not* dirty
-        // (empty entries are never mirrored).
-        let dirty = cg.take_summary_dirty();
-        assert!(dirty.contains(&TxnId(1)));
-        assert!(!dirty.contains(&TxnId(2)));
     }
 
     #[test]
@@ -2138,27 +1980,6 @@ mod tests {
         cg.delete(t2).unwrap(); // flushes the pending marks itself
         cg.end_summary_batch();
         assert!(cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(3)));
-        cg.check_invariants();
-    }
-
-    #[test]
-    fn no_op_deletes_do_not_bump_summary_rev() {
-        // A boundary node with no reach-pairs in either direction
-        // leaves the mirrored content untouched when deleted — the
-        // rev must not move, so mirrors skip the refresh.
-        let mut cg = CgState::new();
-        cg.run(parse("b1 r1(x) w1(x) b9 r9(y) w9(y)").unwrap().steps())
-            .unwrap();
-        cg.set_boundary(TxnId(9), true);
-        let rev = cg.summary_rev();
-        let n9 = cg.node_of(TxnId(9)).unwrap();
-        cg.delete(n9).unwrap();
-        assert_eq!(cg.summary_rev(), rev, "isolated boundary delete is a no-op");
-        assert!(cg.take_summary_dirty().is_empty());
-        // And deleting a non-boundary node never moves it either.
-        let n1 = cg.node_of(TxnId(1)).unwrap();
-        cg.delete(n1).unwrap();
-        assert_eq!(cg.summary_rev(), rev);
         cg.check_invariants();
     }
 
@@ -2220,11 +2041,9 @@ mod tests {
         assert!(!exposed(&cg, 3), "downstream of the mark");
         assert!(!exposed(&cg, 4));
         audit(&cg, &[2]);
-        // Fan-in INTO a sealed node: nothing to publish, it stays sealed.
-        let rev = cg.summary_rev();
+        // Fan-in INTO a sealed node: it stays sealed.
         rw(&mut cg, 5, y); // 4 -> 5
         assert!(!exposed(&cg, 4) && !exposed(&cg, 5));
-        assert_eq!(cg.summary_rev(), rev, "arcs into a sealed node are silent");
         // Fan-in that hangs a sealed node in front of an exposed one.
         let n1 = node(&cg, 1);
         cg.add_order_arc(node(&cg, 4), n1).unwrap();

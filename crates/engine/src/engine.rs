@@ -3,15 +3,13 @@
 //!
 //! The regimes themselves live next door: [`crate::ops`] (fast path and
 //! escalated session operations), [`crate::coord`] (the coordination
-//! registry and summary mirrors), [`crate::gc`] (single- and
-//! multi-shard deletion), [`crate::recovery`] (WAL replay) and
-//! [`crate::planner`] (the closure planner of the multi-shard GC pass).
+//! registry), [`crate::gc`] (single- and multi-shard deletion) and
+//! [`crate::recovery`] (WAL replay).
 
 use crate::coord::Coordination;
 use crate::error::EngineError;
 use crate::history::{Event, RecordedHistory};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
-use crate::planner::Planner;
 use crate::session::Session;
 use deltx_core::policy::PolicyKind;
 use deltx_core::{Applied, CgState};
@@ -123,12 +121,6 @@ pub(crate) struct Shard {
     /// (ghosts included). Zero means no path can leave this shard;
     /// nonzero, the per-transaction test decides.
     pub(crate) boundary: usize,
-    /// [`CgState::summary_rev`] at the last mirror into
-    /// [`Coordination`] — skips the copy when nothing changed.
-    pub(crate) mirrored_rev: u64,
-    /// [`CgState::summary_epoch`] at the last mirror — growth since
-    /// then bumps the published epoch.
-    pub(crate) mirrored_epoch: u64,
     /// [`CgState`] bridge-arc count at the last ghost compaction:
     /// deletions are the only source of new ghost arcs, so an
     /// unchanged count lets the sweep skip the compaction scan.
@@ -165,14 +157,6 @@ pub(crate) type Guards<'a> = BTreeMap<usize, MutexGuard<'a, Shard>>;
 pub(crate) struct EngineInner {
     pub(crate) shards: Vec<Mutex<Shard>>,
     pub(crate) coord: Coordination,
-    /// The closure planner of the multi-shard GC pass (see
-    /// [`crate::planner`]): lock-free adjacency masks + growth epochs,
-    /// written under the mirror-slot / registry-stripe locks and always
-    /// before the lock of the shard the change derives from is
-    /// released — so a post-acquisition epoch re-read is authoritative.
-    /// Session operations no longer plan: they lock their own shards
-    /// and let the BFS report a miss ([`EngineInner::escalate`]).
-    pub(crate) planner: Planner,
     /// Multi-shard transactions awaiting a GC decision.
     pub(crate) pending_multi: Mutex<BTreeSet<TxnId>>,
     history: Option<Mutex<RecordedHistory>>,
@@ -290,14 +274,11 @@ impl Engine {
                         cg,
                         store: Store::new(),
                         boundary: 0,
-                        mirrored_rev: 0,
-                        mirrored_epoch: 0,
                         compacted_bridge_arcs: 0,
                     })
                 })
                 .collect(),
-            coord: Coordination::new(cfg.shards),
-            planner: Planner::new(cfg.shards),
+            coord: Coordination::new(),
             pending_multi: Mutex::new(BTreeSet::new()),
             history: cfg
                 .record_history
@@ -334,10 +315,9 @@ impl Engine {
     /// Audits the incremental reach bitmasks of **every live node**
     /// against the from-scratch DFS oracle
     /// ([`deltx_core::CgState::naive_reach`]), shard by shard. The
-    /// masks of boundary nodes are the published summary (GC closure
-    /// plans); the masks of all other nodes are what the per-operation
-    /// fast-path gate reads, where a missing bit is a missed
-    /// cross-shard cycle — so a divergence anywhere is a hard failure.
+    /// masks are what the per-operation fast-path gate reads, where a
+    /// missing bit is a missed cross-shard cycle — so a divergence
+    /// anywhere is a hard failure.
     /// Returns the first one as an error. Call at quiescence (no
     /// in-flight sessions).
     pub fn summary_audit(&self) -> Result<(), String> {

@@ -17,25 +17,27 @@
 //! ([`deltx_core::CgState::compact_ghost_arcs`]), which provably
 //! changes no reachability.
 //!
-//! The multi-shard pass does **not** stop the world: per candidate it
-//! plans the shard **closure** its bridges can touch — the
-//! transaction's own shards plus the summary-closure neighbors, from
-//! [`crate::planner::Planner`] (this pass is its only client) — locks
-//! each closure ascending, re-validates the growth epochs after
-//! acquisition, and batches every other pending candidate the locked
-//! closure turns out to cover (a hot shard pair's backlog drains under
-//! one acquisition). The epoch check
-//! is an optimization; the authoritative guard runs under the held
-//! locks: before its first mutation, each candidate re-checks that
-//! its registered span and every neighbor's span are fully locked
-//! (a bridge lands either in a ghost target — one of the candidate's
-//! own shards — or in a shard both neighbors already inhabit). A
-//! candidate whose real closure escaped the subset is retried under
-//! every lock in the same sweep, so a stale plan can delay a deletion
-//! but never misplace a bridge. Within a shard, `D(G, N)` bridging
+//! The multi-shard pass does **not** stop the world: it locks the lead
+//! candidate's own **registered span**, ascending, and offers every
+//! pending candidate to that acquisition (a hot shard pair's backlog
+//! drains under one). Whether the span is enough is decided under the
+//! held locks, by the one check there is: before its first mutation,
+//! each candidate verifies that its registered span and every
+//! neighbor's span are fully locked (a bridge lands either in a ghost
+//! target — one of the candidate's own shards — or in a shard both
+//! neighbors already inhabit). The registry entries it reads are
+//! frozen: each can only be mutated by a thread holding the lock of a
+//! shard in that span, and the check demands exactly those locks — so
+//! it is authoritative with nothing planned or validated beforehand.
+//!
+//! A candidate whose own span is not locked leads a later round. A
+//! lead whose neighbors reach outside its span shows the traffic is
+//! not span-closed, and everything left goes to one all-locks pass in
+//! the same sweep — so a too-narrow span can delay a deletion but
+//! never misplace a bridge. Within a shard, `D(G, N)` bridging
 //! preserves the boundary summary exactly except for the deleted
-//! endpoint's own pairs — a pure shrink, which cannot invalidate any
-//! concurrently planned subset (the all-locks baseline,
+//! endpoint's own pairs — a pure shrink, which cannot turn a sealed
+//! verdict given under another lock wrong (the all-locks baseline,
 //! [`crate::Engine::open_all_locks_baseline`], stops the world
 //! instead; `gc_oracle.rs` proves the decisions bit-identical).
 
@@ -60,8 +62,8 @@ enum MultiDelete {
     /// Not deletable now (gone, active somewhere, or still current);
     /// dropped from the queue per the re-enqueue rules.
     Skipped,
-    /// The candidate's real closure exceeds the locked subset: retry
-    /// under every lock.
+    /// The candidate's closure (its span and its neighbors' spans)
+    /// exceeds the locked subset.
     NeedsWider,
 }
 
@@ -118,7 +120,7 @@ impl EngineInner {
     /// multi-shard candidates to the multi pass, prunes stale store
     /// versions. Caller holds the shard's lock. The background sweep
     /// calls it too, for what no commit drains (recovery's replay).
-    pub(crate) fn reclaim_shard(&self, s: usize, g: &mut Shard) {
+    pub(crate) fn reclaim_shard(&self, g: &mut Shard) {
         let t0 = self.rt.now();
         let candidates = g.cg.drain_gc_candidates();
         if candidates.is_empty() {
@@ -161,7 +163,6 @@ impl EngineInner {
         if !deferred.is_empty() {
             self.pending_multi.lock().unwrap().extend(deferred);
         }
-        self.mirror_shard(s, g);
         self.metrics.gc_deletions.add(deleted.len() as u64);
         self.metrics.txns_left(deleted.len() as u64);
         self.metrics.gc_versions_truncated.add(truncated as u64);
@@ -187,17 +188,17 @@ impl EngineInner {
     }
 
     /// The per-shard half of a sweep: ghost-arc compaction (which
-    /// needs no coordination: it changes no reachability), mirror
-    /// re-tightening, and a reclaim of whatever candidates no commit
-    /// drained — commits delete at the source, so that is recovery's
-    /// replay and nothing else.
+    /// needs no coordination: it changes no reachability) and a
+    /// reclaim of whatever candidates no commit drained — commits
+    /// delete at the source, so that is recovery's replay and nothing
+    /// else.
     fn sweep_shards_noncurrent(&self) {
-        for s in 0..self.shards.len() {
-            let mut g = self.shards[s].lock().unwrap();
+        for shard in &self.shards {
+            let mut g = shard
+                .lock()
+                .expect("a thread panicked holding this shard lock");
             self.compact_shard_ghosts(&mut g);
-            self.reclaim_shard(s, &mut g);
-            // Re-tighten the mirror: hot paths skip shrink copies.
-            self.mirror_shard(s, &mut g);
+            self.reclaim_shard(&mut g);
         }
     }
 
@@ -205,9 +206,9 @@ impl EngineInner {
     /// are deleted from every shard, with `D(G, N)` bridges
     /// re-materialized across shards via ghosts.
     ///
-    /// With more than one shard the pass locks per-candidate
-    /// **closures** instead of stopping the world; the all-locks
-    /// baseline takes every lock.
+    /// With more than one shard the pass locks candidates' own spans
+    /// instead of stopping the world; the all-locks baseline takes
+    /// every lock.
     pub(crate) fn sweep_multi_shard(&self) {
         if self.pending_multi.lock().unwrap().is_empty() {
             return;
@@ -229,16 +230,14 @@ impl EngineInner {
     /// The all-locks multi-shard pass, for callers already holding
     /// every shard lock (the stop-the-world baseline, and escalated
     /// committers draining the multi-shard backlog while they happen to
-    /// hold everything anyway — the coordination registry needs no lock of
-    /// its own: its mirror slots and stripes are leaf locks). Returns whether there
-    /// was anything to process — the caller decides whether the lock
-    /// acquisition counts toward the GC closure metrics (an inline
+    /// hold everything anyway — the coordination registry needs no
+    /// lock of its own: its stripes are leaf locks). Returns whether
+    /// there was anything to process — the caller decides whether the
+    /// lock acquisition counts toward the GC closure metrics (an inline
     /// committer's locks were taken for the commit, not for GC).
     pub(crate) fn sweep_multi_locked(&self, guards: &mut Guards<'_>) -> bool {
-        let pending: Vec<TxnId> = {
-            let mut p = self.pending_multi.lock().unwrap();
-            std::mem::take(&mut *p).into_iter().collect()
-        };
+        let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
+        let pending: Vec<TxnId> = pending.into_iter().collect();
         if pending.is_empty() {
             return false;
         }
@@ -247,85 +246,56 @@ impl EngineInner {
         true
     }
 
-    /// The closure-scoped multi-shard pass. Repeatedly: plan the lead
-    /// candidate's closure — the shard set its `D(G, N)` bridges can
-    /// touch (its own shards plus the summary-closure neighbors), via
-    /// the [`crate::planner::Planner`] — lock it in ascending order,
-    /// re-validate the growth epochs after acquisition, and offer
-    /// **every** remaining candidate to the batch: the ones whose
-    /// spans the locked subset covers are processed for free (a hot
+    /// The span-scoped multi-shard pass. Repeatedly: lock the lead
+    /// candidate's registered span in ascending order and offer
+    /// **every** remaining candidate to the batch — the ones whose
+    /// closures the held locks cover are processed for free (a hot
     /// shard pair's whole backlog drains under one acquisition), the
-    /// rest come back and lead a later round with a *fresh* plan — so
-    /// the spans this round's bridging grew are re-planned rather
-    /// than invalidating pre-made plans. A saturated or stale plan
-    /// defers its candidate to one final all-locks pass. The epoch
-    /// check is an optimization; the authoritative guard is the
-    /// per-candidate span re-check under the held locks inside
-    /// [`Self::try_delete_multi`], so a stale plan can delay a
-    /// deletion but never misplace a bridge.
+    /// rest come back and lead a later round. The coverage check inside
+    /// [`Self::try_delete_multi`] is the only staleness signal: a lead
+    /// that comes back has neighbors outside its own span (or was
+    /// ghosted into a new shard since the stripe read), so the traffic
+    /// is not span-closed and everything left goes to one final
+    /// all-locks pass — as does a lead whose span already is every
+    /// shard.
     fn sweep_multi_partial(&self) {
-        let pending: BTreeSet<TxnId> = std::mem::take(&mut *self.pending_multi.lock().unwrap());
-        if pending.is_empty() {
-            return;
-        }
-        let n = self.shards.len();
+        let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
         let mut queue: Vec<TxnId> = pending.into_iter().collect();
-        let mut widen: Vec<TxnId> = Vec::new();
+        let n = self.shards.len();
         while let Some(&lead) = queue.first() {
-            // The lead's entry shards, from the current registry.
-            let base: Option<BTreeSet<usize>> = self
-                .coord
-                .reg_get(lead, &self.metrics)
-                .map(|v| v.into_iter().collect());
-            let Some(base) = base else {
+            let Some(span) = self.coord.reg_get(lead, &self.metrics) else {
                 // Aborted or already deleted: drop it from the queue.
                 queue.remove(0);
                 continue;
             };
-            let (subset, token) = self.planner.plan(lead, &base, &self.coord, &self.metrics);
-            if subset.len() >= n {
-                // Saturated closure: the final all-locks pass takes it.
-                widen.push(queue.remove(0));
-                continue;
+            if span.len() >= n {
+                break; // its own span is every shard: the all-locks pass
             }
-            let mut guards = self.lock_subset(&subset, None);
-            if !self.planner.validate(&subset, token) {
-                drop(guards);
-                self.metrics.gc_closure_fallbacks.add(1);
-                self.rt.emit("gc_closure_fallback", 0);
-                widen.push(queue.remove(0));
-                continue;
-            }
-            self.metrics.record_gc_closure(subset.len(), n);
-            self.rt.emit("gc_closure", subset.len() as u64);
-            let batch = std::mem::take(&mut queue);
-            let mut leftover = self.sweep_multi_batch(&mut guards, &batch);
+            let mut guards = self.lock_subset(&span.into_iter().collect(), None);
+            self.metrics.record_gc_closure(guards.len(), n);
+            self.rt.emit("gc_closure", guards.len() as u64);
+            queue = self.sweep_multi_batch(&mut guards, &queue);
             drop(guards);
-            // The lead planned this validated closure, so its span is
-            // covered and it cannot come back — except through a
-            // concurrent sweep's interleaving; route it to the
-            // all-locks pass (a fallback) rather than looping.
-            if let Some(pos) = leftover.iter().position(|&t| t == lead) {
+            if queue.first() == Some(&lead) {
                 self.metrics.gc_closure_fallbacks.add(1);
                 self.rt.emit("gc_closure_fallback", 1);
-                widen.push(leftover.remove(pos));
+                break;
             }
-            queue = leftover;
         }
-        if !widen.is_empty() {
+        if !queue.is_empty() {
             let mut guards = self.lock_all();
             self.metrics.record_gc_closure(n, n);
             self.rt.emit("gc_closure", n as u64);
-            let w = self.sweep_multi_batch(&mut guards, &widen);
+            let w = self.sweep_multi_batch(&mut guards, &queue);
             debug_assert!(w.is_empty(), "all-locks batch cannot need wider");
         }
     }
 
     /// Deletes every deletable candidate of `batch` under whatever
     /// shard locks are held, then truncates stores, re-queues ghosted
-    /// predecessors, and mirrors the touched summaries. Returns the
-    /// candidates whose closure turned out to exceed the locked subset
-    /// (never non-empty when every lock is held).
+    /// predecessors, and flushes the touched summaries. Returns the
+    /// candidates whose closure turned out to exceed the locked subset,
+    /// in `batch` order (never non-empty when every lock is held).
     fn sweep_multi_batch(&self, guards: &mut Guards<'_>, batch: &[TxnId]) -> Vec<TxnId> {
         let t0 = self.rt.now();
         // Batch the bridge-arc summary maintenance: ghost marks and
@@ -367,7 +337,7 @@ impl EngineInner {
         if !still_pending.is_empty() {
             self.pending_multi.lock().unwrap().extend(still_pending);
         }
-        self.mirror_guards(guards);
+        self.flush_summaries(guards);
         self.metrics.gc_deletions.add(deleted.len() as u64);
         self.metrics.txns_left(deleted.len() as u64);
         self.metrics.gc_ghosts.add(ghosts_made);
@@ -403,9 +373,9 @@ impl EngineInner {
         let Some(shards) = self.coord.reg_get(txn, &self.metrics) else {
             return MultiDelete::Skipped; // aborted or already deleted
         };
-        // The candidate's own span must be fully locked (a commit or a
-        // concurrent sweep may have ghosted it into new shards since
-        // the plan was made).
+        // The candidate's own span must be fully locked (it is not the
+        // lead, or a concurrent sweep ghosted it into new shards since
+        // the lead's span was read).
         if shards.iter().any(|s| !guards.contains_key(s)) {
             return MultiDelete::NeedsWider;
         }
@@ -451,7 +421,7 @@ impl EngineInner {
         // lands in a ghost target (a shard of `txn` — covered above)
         // or in a shard both neighbors already inhabit (a shard of a
         // neighbor's span). Checked BEFORE the first mutation so a
-        // too-narrow plan defers the whole candidate instead of
+        // too-narrow lock set defers the whole candidate instead of
         // half-deleting it.
         let covered = preds.iter().chain(succs.iter()).all(|(_, t)| {
             match self.coord.reg_get(*t, &self.metrics) {
@@ -469,7 +439,7 @@ impl EngineInner {
                 g.cg.delete(n).expect("completed node deletes");
             }
         }
-        self.unregister_txn(txn);
+        self.coord.reg_remove(txn, &self.metrics);
         for &(ps, p) in &preds {
             for &(qs, q) in &succs {
                 if ps == qs || p == q {
@@ -572,7 +542,7 @@ impl EngineInner {
         }
         let mut shards: BTreeSet<usize> = p_shards.iter().copied().collect();
         shards.insert(target);
-        self.set_txn_shards(p, &shards);
+        self.coord.reg_insert(p, &shards, &self.metrics);
         if p_completed {
             pending.insert(p);
         }
@@ -622,8 +592,10 @@ impl EngineInner {
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::SHARD_LOCKS;
     use crate::{Engine, EngineConfig};
     use deltx_model::{EntityId, TxnId};
+    use std::collections::BTreeSet;
 
     fn engine() -> Engine {
         Engine::new(EngineConfig {
@@ -686,5 +658,65 @@ mod tests {
         let m = e.metrics();
         assert_eq!((m.gc_deletions, m.gc_sweeps), (2, 0));
         assert!(m.escalated_ops >= 2, "both two-shard commits escalated");
+    }
+
+    // Multi-shard candidates wait for the multi pass, driven by hand.
+
+    /// `txn` has a node in shard `s`.
+    fn has_node(e: &Engine, s: usize, txn: TxnId) -> bool {
+        e.inner.shards[s].lock().unwrap().cg.node_of(txn).is_some()
+    }
+
+    /// Boundary-node counts of shards 0, 1 and 2.
+    fn boundary_counts(e: &Engine) -> [usize; 3] {
+        [0, 1, 2].map(|s| e.inner.shards[s].lock().unwrap().boundary)
+    }
+
+    #[test]
+    fn span_closed_candidate_is_deleted_under_its_own_span() {
+        let e = engine();
+        let t1 = overwrite(&e, &[0, 1]); // spans shards 0 and 1
+        overwrite(&e, &[0, 1]); // T1's only neighbour, same span
+        assert!(has_node(&e, 0, t1) && has_node(&e, 1, t1));
+        SHARD_LOCKS.with(|c| c.set(0));
+        e.inner.sweep_multi_shard();
+        assert_eq!(SHARD_LOCKS.with(|c| c.get()), 2, "span.len() acquisitions");
+        assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
+        assert_eq!(e.inner.coord.reg_get(t1, &e.inner.metrics), None);
+        let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_closure_fallbacks), (1, 0));
+        assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn escaping_closure_is_untouched_by_own_span_then_deleted_under_all_locks() {
+        let e = engine();
+        let t1 = overwrite(&e, &[0, 1]); // spans {0, 1}
+        let t2 = overwrite(&e, &[1, 2]); // T1 -> T2 in shard 1; spans {1, 2}
+        overwrite(&e, &[0]); // T1 is now noncurrent everywhere
+        assert_eq!(boundary_counts(&e), [1, 2, 1]);
+        // The own-span attempt, by hand: T2's span reaches shard 2.
+        let own = BTreeSet::from([0, 1]);
+        let mut guards = e.inner.lock_subset(&own, None);
+        let left = e.inner.sweep_multi_batch(&mut guards, &[t1]);
+        drop(guards);
+        assert_eq!(left, [t1], "deferred, not skipped");
+        assert!(has_node(&e, 0, t1) && has_node(&e, 1, t1), "no half-delete");
+        assert_eq!(
+            e.inner.coord.reg_get(t1, &e.inner.metrics),
+            Some(vec![0, 1])
+        );
+        assert_eq!(boundary_counts(&e), [1, 2, 1]);
+        assert_eq!(e.metrics().gc_deletions, 0);
+        // The same attempt inside a sweep falls back, once, and the
+        // all-locks pass of that sweep deletes T1.
+        e.gc_sweep();
+        assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
+        assert!(has_node(&e, 1, t2) && has_node(&e, 2, t2), "T2 is current");
+        assert_eq!(boundary_counts(&e), [0, 1, 1]);
+        let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_closure_fallbacks), (1, 1));
+        assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 1, 0, 0, 0], "2, then 8");
+        assert_eq!(m.boundary_underflows, 0);
     }
 }

@@ -67,10 +67,9 @@
 //!   unlocked shard retakes every lock (still ascending,
 //!   deadlock-free) and runs again — see the `ops` module docs. Two
 //!   commits (or GC sweeps) with disjoint lock sets share no lock at
-//!   all — the cross-shard state they consult is a **sharded
-//!   coordination registry** (a stripe-locked span registry plus
-//!   per-shard summary mirrors behind leaf locks; no global
-//!   coordination mutex) — and accept/reject decisions are
+//!   all — the cross-shard state they consult is a **stripe-locked
+//!   span registry** (leaf locks; no global coordination mutex) — and
+//!   accept/reject decisions are
 //!   bit-identical to the all-locks baseline (a hidden constructor the
 //!   twin oracles and A/B benches build their reference engine with;
 //!   it is also what a too-small lock set falls back to at run time).
@@ -88,12 +87,11 @@
 //!   multi-shard transaction re-materializes the paper's `D(G, N)`
 //!   bridges across shard boundaries with *ghost nodes*
 //!   ([`deltx_core::CgState::admit_completed_ghost`]), so union
-//!   reachability is preserved exactly — and the pass locks only each
-//!   candidate's **closure** (its own shards plus the
-//!   summary-closure neighbors its bridges can touch, planned from the
-//!   mirrored boundary summaries and validated against per-shard
-//!   *growth epochs* — the `planner` module), batching the candidates
-//!   each closure covers and falling back to all locks on stale plans,
+//!   reachability is preserved exactly — and the pass locks only the
+//!   lead candidate's **own span**, batching every candidate whose
+//!   closure (its span plus its neighbors' spans, checked under the
+//!   held locks before the first mutation) those locks cover and
+//!   falling back to all locks once a lead's closure escapes its span,
 //!   instead of stopping the world. Sweeps also run a
 //!   transitive-reduction compaction over ghost-only subgraphs
 //!   ([`deltx_core::CgState::compact_ghost_arcs`]) so bridge arcs
@@ -117,15 +115,15 @@
 //!   vs escalated operations, own-shards vs full acquisitions,
 //!   escalated-lock-set-size and GC-closure-size histograms,
 //!   fallbacks, a boundary-count underflow tripwire,
-//!   plus the summary's own maintenance economics: a summary-update
+//!   plus the summary's own maintenance economics: a summary-flush
 //!   latency histogram, the boundary-txn index high-water mark, and a
-//!   registry-slot contention counter.
+//!   registry-stripe contention counter.
 //!
 //! A prose walkthrough of the four locking regimes (per-operation
 //! fast path, own-shards escalation, all-locks fallback, GC closures)
-//! with the soundness argument for each lives in `docs/architecture.md` at the
-//! repository root; the inline versions live in the `ops`, `coord`,
-//! `gc` and `planner` module docs.
+//! with the soundness argument for each lives in
+//! `docs/architecture.md` at the repository root; the inline versions
+//! live in the `ops`, `coord` and `gc` module docs.
 //!
 //! ## Quickstart
 //!
@@ -153,7 +151,6 @@ mod gc;
 mod history;
 pub mod metrics;
 mod ops;
-mod planner;
 mod recovery;
 mod seed;
 mod session;

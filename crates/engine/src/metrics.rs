@@ -26,9 +26,9 @@ impl Counter {
     }
 }
 
-/// Locks a coordination slot, counting the times the lock was already
+/// Locks a registry stripe, counting the times the lock was already
 /// held (the registry-slot contention signal: how often two operations
-/// actually collided on a sharded coordination structure).
+/// actually collided on the striped span registry).
 pub(crate) fn lock_counted<'a, T>(m: &'a Mutex<T>, contended: &Counter) -> MutexGuard<'a, T> {
     match m.try_lock() {
         Ok(g) => g,
@@ -98,13 +98,12 @@ pub(crate) struct EngineMetrics {
     pub gc_closure_fallbacks: Counter,
     pub gc_closure_locks_taken: Counter,
     pub gc_closure_hist: [Counter; SUBSET_HIST_BUCKETS],
-    /// Total nanoseconds spent flushing + mirroring boundary
-    /// summaries, and the latency histogram over those update spans.
+    /// Total nanoseconds spent flushing batched boundary-summary
+    /// propagation, and the latency histogram over those flush spans.
     pub summary_update_nanos: Counter,
     pub summary_updates: Counter,
     pub summary_update_hist: [Counter; SUMMARY_HIST_BUCKETS],
-    /// Times a sharded coordination slot (registry stripe or per-shard
-    /// mirror) was found already locked.
+    /// Times a registry stripe was found already locked.
     pub registry_slot_contention: Counter,
     /// Widest any shard's boundary-txn index has grown (slots).
     pub boundary_index_hwm: AtomicU64,
@@ -149,7 +148,7 @@ impl EngineMetrics {
         self.gc_closure_hist[subset_bucket(locked)].add(1);
     }
 
-    /// Records one summary flush + mirror span.
+    /// Records one summary flush span.
     pub(crate) fn record_summary_update(&self, nanos: u64) {
         self.summary_update_nanos.add(nanos);
         self.summary_updates.add(1);
@@ -269,18 +268,16 @@ pub struct MetricsSnapshot {
     /// Stale versions pruned from the stores.
     pub gc_versions_truncated: u64,
     /// Multi-shard GC acquisitions that locked a **strict subset** of
-    /// the shards (the candidates' closures covered less than the
-    /// world).
+    /// the shards (a lead candidate's own span).
     pub gc_partial_sweeps: u64,
-    /// GC closure plans abandoned after planning: a growth epoch
-    /// moved between planning and acquisition, or (rare) a candidate's
-    /// closure escaped its own validated subset mid-sweep — both
-    /// retaken in the sweep's final all-locks pass. Saturated plans
-    /// (closure = every shard) are *not* fallbacks: they record as
-    /// honest full-width acquisitions, exactly like the escalation
-    /// histogram treats them. A candidate another lead's batch could
-    /// not cover is not a fallback either — it re-plans fresh in a
-    /// later round of the same sweep.
+    /// Sweeps in which a lead's closure escaped its own span (a
+    /// neighbor is registered in a shard outside it): the rest of that
+    /// sweep's queue went to the all-locks pass. A lead whose span
+    /// already is every shard is *not* a fallback — it records as an
+    /// honest full-width acquisition, exactly like the escalation
+    /// histogram treats one. A candidate another lead's span could not
+    /// cover is not a fallback either — it leads a later round of the
+    /// same sweep.
     pub gc_closure_fallbacks: u64,
     /// Total shard locks taken across multi-shard GC acquisitions;
     /// divided by the closure histogram's total count this is the mean
@@ -289,20 +286,20 @@ pub struct MetricsSnapshot {
     /// Histogram of multi-shard GC lock-closure sizes. Buckets: 1, 2,
     /// 3, 4, 5–8, 9–16, 17–32, 33+ locks per acquisition.
     pub gc_closure_hist: [u64; SUBSET_HIST_BUCKETS],
-    /// Total nanoseconds spent flushing batched summary propagation
-    /// and mirroring dirty entries into the coordination registry —
+    /// Total nanoseconds spent flushing batched summary propagation —
     /// the maintenance tax escalated operations and GC pay over the
     /// all-locks baseline, measured directly (sealed fast-path
     /// operations have nothing to flush).
     pub summary_update_nanos: u64,
-    /// Number of summary flush + mirror spans measured.
+    /// Number of summary flush spans measured (one per shard whose
+    /// batch had work queued).
     pub summary_updates: u64,
     /// Latency histogram of those spans. Buckets: ≤250ns, ≤1µs, ≤4µs,
     /// ≤16µs, ≤64µs, ≤256µs, ≤1ms, >1ms.
     pub summary_update_hist: [u64; SUMMARY_HIST_BUCKETS],
-    /// Times a sharded coordination slot (registry stripe or per-shard
-    /// summary mirror) was found already locked — the residual
-    /// serialization after sharding the old global coordination mutex.
+    /// Times a stripe of the span registry was found already locked —
+    /// the residual serialization after sharding the old global
+    /// coordination mutex.
     pub registry_slot_contention: u64,
     /// High-water mark of any shard's boundary-txn index, in slots:
     /// the widest a reach bitmask has had to grow.

@@ -32,8 +32,9 @@
 //!    (a GC bridge grew it), or the BFS met a twin in an unlocked
 //!    shard. Either way the operation retakes **every** lock and runs
 //!    again; [`EngineInner::escalate`] is the one place that sequence
-//!    is written. (Growth epochs and the closure planner serve the GC
-//!    pass only — see [`crate::planner`].)
+//!    is written. (The multi-shard GC pass works the same way — own
+//!    span first, the under-lock coverage check as the only staleness
+//!    signal — see [`crate::gc`].)
 
 use crate::engine::{EngineInner, GcPolicy, Guards, Shard};
 use crate::error::EngineError;
@@ -137,7 +138,7 @@ impl EngineInner {
     /// Aborts `txn` everywhere it has nodes. Caller holds the locks of
     /// every shard the transaction inhabits.
     fn abort_everywhere(&self, guards: &mut Guards<'_>, txn: TxnId) {
-        let multi = self.unregister_txn(txn);
+        let multi = self.coord.reg_remove(txn, &self.metrics);
         for g in guards.values_mut() {
             if g.cg.node_of(txn).is_some() {
                 if multi.is_some() {
@@ -173,16 +174,30 @@ impl EngineInner {
     /// locks it cannot go stale. The all-locks baseline goes straight
     /// there. `stale_tag` is what the simulator's coverage signal sees
     /// when `body` reports staleness (0 = read, 1 = commit).
+    ///
+    /// `body` runs inside one summary batch per locked shard — its
+    /// boundary mark and every Rule 2/3 fan-in coalesce into one
+    /// propagation, flushed here before the locks are released — and
+    /// returns with the locks still held: whatever must wait for the
+    /// release (the durable wait, abort bookkeeping) is the caller's.
     fn escalate<'a, T>(
         &'a self,
         txn: TxnId,
         entry: &BTreeSet<usize>,
         mut held: Option<(usize, MutexGuard<'a, Shard>)>,
         stale_tag: u64,
-        mut body: impl FnMut(Guards<'a>) -> Result<T, Stale>,
+        mut body: impl FnMut(&mut Guards<'a>) -> Result<T, Stale>,
     ) -> T {
         let n = self.shards.len();
         self.metrics.escalated_ops.add(1);
+        let mut batched = |mut guards: Guards<'a>| {
+            for g in guards.values_mut() {
+                g.cg.begin_summary_batch();
+            }
+            let out = body(&mut guards);
+            self.flush_summaries(&mut guards);
+            out
+        };
         if !self.all_locks {
             let mut own = entry.clone();
             own.extend(self.coord.reg_get(txn, &self.metrics).into_iter().flatten());
@@ -190,7 +205,7 @@ impl EngineInner {
                 let guards = self.lock_subset(&own, held.take());
                 self.metrics.record_escalation(own.len(), n);
                 self.rt.emit("esc_subset", own.len() as u64);
-                match body(guards) {
+                match batched(guards) {
                     Ok(out) => return out,
                     Err(Stale) => self.rt.emit("esc_stale", stale_tag),
                 }
@@ -200,7 +215,7 @@ impl EngineInner {
         drop(held); // the baseline's gate guard: lock_all takes it afresh
         let guards = self.lock_all();
         self.metrics.record_escalation(n, n);
-        body(guards).expect("all-locks body cannot go stale")
+        batched(guards).expect("all-locks body cannot go stale")
     }
 
     /// A transaction's read of `x`.
@@ -244,17 +259,29 @@ impl EngineInner {
         }
         let mut entry: BTreeSet<usize> = st.shards.iter().copied().collect();
         entry.insert(s);
-        self.escalate(st.txn, &entry, held, 0, |guards| {
+        let out = self.escalate(st.txn, &entry, held, 0, |guards| {
             self.read_escalated_locked(st, x, s, guards)
-        })
+        });
+        match &out {
+            Ok(_) => {
+                st.shards.insert(s);
+                self.metrics.reads.add(1);
+            }
+            Err(EngineError::Aborted(_)) => self.after_scheduler_abort(st),
+            Err(_) => {}
+        }
+        out
     }
 
+    /// The escalated read under `guards`. `Ok(Err(Aborted))` is the
+    /// scheduler's verdict — the transaction is already out of every
+    /// graph; the caller closes the session once the locks are gone.
     fn read_escalated_locked(
         &self,
         st: &mut SessionState,
         x: EntityId,
         s: usize,
-        mut guards: Guards<'_>,
+        guards: &mut Guards<'_>,
     ) -> Result<Result<Value, EngineError>, Stale> {
         let mut touched: BTreeSet<usize> = st.shards.iter().copied().collect();
         touched.insert(s);
@@ -269,16 +296,10 @@ impl EngineInner {
         if touched.iter().any(|t| !guards.contains_key(t)) {
             return Err(Stale);
         }
-        // One summary update per operation: batch the mark + fan-in
-        // maintenance, flushed by the mirror pass before lock release.
-        for g in guards.values_mut() {
-            g.cg.begin_summary_batch();
-        }
         if let Err(e) = Self::ensure_node(guards.get_mut(&s).expect("entry shard locked"), st.txn) {
-            self.mirror_guards(&mut guards);
             return Ok(Err(e));
         }
-        self.note_multi_shard(&mut guards, st.txn, &touched);
+        self.note_multi_shard(guards, st.txn, &touched);
         let own = guards[&s].cg.node_of(st.txn);
         let targets: HashSet<(usize, NodeId)> = guards[&s]
             .cg
@@ -288,36 +309,19 @@ impl EngineInner {
             .map(|n| (s, n))
             .collect();
         let step = Step::new(st.txn, Op::Read(x));
-        let reached = match self.union_reaches(&guards, st.txn, &targets) {
-            Some(r) => r,
-            None => {
-                self.mirror_guards(&mut guards);
-                return Err(Stale);
-            }
-        };
-        if reached {
-            self.abort_everywhere(&mut guards, st.txn);
+        if self.union_reaches(guards, st.txn, &targets).ok_or(Stale)? {
+            self.abort_everywhere(guards, st.txn);
             self.record_step(step, Applied::SelfAborted);
-            self.mirror_guards(&mut guards);
-            drop(guards);
-            self.after_scheduler_abort(st);
             return Ok(Err(EngineError::Aborted(st.txn)));
         }
         let g = guards.get_mut(&s).expect("entry shard locked");
         let out = match g.cg.apply(&step) {
             Ok(o) => o,
-            Err(e) => {
-                self.mirror_guards(&mut guards);
-                return Ok(Err(e.into()));
-            }
+            Err(e) => return Ok(Err(e.into())),
         };
         debug_assert_eq!(out, Applied::Accepted, "local check is a union subset");
         let v = st.buf(s).read(&g.store, x);
         self.record_step(step, Applied::Accepted);
-        self.mirror_guards(&mut guards);
-        drop(guards);
-        st.shards.insert(s);
-        self.metrics.reads.add(1);
         Ok(Ok(v))
     }
 
@@ -421,7 +425,7 @@ impl EngineInner {
                         // Delete at the source: whatever this write made
                         // noncurrent goes now, under the lock already held.
                         if self.gc_policy == GcPolicy::Noncurrent {
-                            self.reclaim_shard(s, &mut g);
+                            self.reclaim_shard(&mut g);
                         }
                         drop(g);
                         st.closed = true;
@@ -443,9 +447,23 @@ impl EngineInner {
             held = Some((s, g));
         }
 
-        let res = self.escalate(st.txn, &c.involved, held, 1, |guards| {
-            self.commit_escalated_locked(st, &c, guards)
-        });
+        let res = self
+            .escalate(st.txn, &c.involved, held, 1, |guards| {
+                self.commit_escalated_locked(st, &c, guards)
+            })
+            .and_then(|()| {
+                // Installed and released: wait for the log, then count.
+                st.closed = true;
+                self.finish_durable(st)?;
+                self.metrics.commits.add(1);
+                self.metrics
+                    .entities_written
+                    .add(c.all_entities.len() as u64);
+                Ok(())
+            });
+        if let Err(EngineError::Aborted(_)) = res {
+            self.after_scheduler_abort(st);
+        }
         // Multi-shard candidates cannot be deleted at the source — a
         // committer holding only its own shards does not hold their
         // closures — so once enough are pending the multi pass runs
@@ -461,11 +479,14 @@ impl EngineInner {
         res
     }
 
+    /// The escalated commit under `guards`, up to and including the
+    /// install and the deletion at the source. `Ok(Err(Aborted))` is
+    /// the scheduler's verdict, as in [`Self::read_escalated_locked`].
     fn commit_escalated_locked(
         &self,
         st: &mut SessionState,
         c: &StagedCommit,
-        mut guards: Guards<'_>,
+        guards: &mut Guards<'_>,
     ) -> Result<Result<(), EngineError>, Stale> {
         let mut touched: BTreeSet<usize> = c.involved.clone();
         for t in self
@@ -479,19 +500,12 @@ impl EngineInner {
         if touched.iter().any(|t| !guards.contains_key(t)) {
             return Err(Stale);
         }
-        // One summary update per shard per commit: the boundary mark
-        // and every Rule 2/3 fan-in below coalesce into one batched
-        // propagation, flushed by the mirror pass before lock release.
-        for g in guards.values_mut() {
-            g.cg.begin_summary_batch();
-        }
         for &s in &touched {
             if let Err(e) = Self::ensure_node(guards.get_mut(&s).expect("locked"), st.txn) {
-                self.mirror_guards(&mut guards);
                 return Ok(Err(e));
             }
         }
-        self.note_multi_shard(&mut guards, st.txn, &touched);
+        self.note_multi_shard(guards, st.txn, &touched);
         // Rule 3 arc sources for the combined atomic write.
         let mut targets: HashSet<(usize, NodeId)> = HashSet::new();
         for (&s, xs) in &c.writes {
@@ -505,19 +519,9 @@ impl EngineInner {
             }
         }
         let step = Step::new(st.txn, Op::WriteAll(c.all_entities.clone()));
-        let reached = match self.union_reaches(&guards, st.txn, &targets) {
-            Some(r) => r,
-            None => {
-                self.mirror_guards(&mut guards);
-                return Err(Stale);
-            }
-        };
-        if reached {
-            self.abort_everywhere(&mut guards, st.txn);
+        if self.union_reaches(guards, st.txn, &targets).ok_or(Stale)? {
+            self.abort_everywhere(guards, st.txn);
             self.record_step(step, Applied::SelfAborted);
-            self.mirror_guards(&mut guards);
-            drop(guards);
-            self.after_scheduler_abort(st);
             return Ok(Err(EngineError::Aborted(st.txn)));
         }
         // Submit the commit record while every involved shard lock is
@@ -541,10 +545,7 @@ impl EngineInner {
             let g = guards.get_mut(&s).expect("locked");
             let out = match g.cg.apply(&sub) {
                 Ok(o) => o,
-                Err(e) => {
-                    self.mirror_guards(&mut guards);
-                    return Ok(Err(e.into()));
-                }
+                Err(e) => return Ok(Err(e.into())),
             };
             debug_assert_eq!(out, Applied::Accepted, "local check is a union subset");
             if !xs.is_empty() && wal_ok {
@@ -562,24 +563,14 @@ impl EngineInner {
         // candidates, this transaction included, go to `pending_multi`).
         if self.gc_policy == GcPolicy::Noncurrent {
             for &s in &touched {
-                self.reclaim_shard(s, guards.get_mut(&s).expect("locked"));
+                self.reclaim_shard(guards.get_mut(&s).expect("locked"));
             }
             if guards.len() == self.shards.len()
                 && self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD
             {
-                self.sweep_multi_locked(&mut guards);
+                self.sweep_multi_locked(guards);
             }
         }
-        self.mirror_guards(&mut guards);
-        drop(guards);
-        st.closed = true;
-        if let Err(e) = self.finish_durable(st) {
-            return Ok(Err(e));
-        }
-        self.metrics.commits.add(1);
-        self.metrics
-            .entities_written
-            .add(c.all_entities.len() as u64);
         Ok(Ok(()))
     }
 
@@ -648,7 +639,6 @@ impl EngineInner {
             }
             self.abort_everywhere(&mut guards, st.txn);
             self.record(Event::ClientAbort(st.txn));
-            self.mirror_guards(&mut guards);
             drop(guards);
             self.note_abort(st.txn);
             self.metrics.aborts_voluntary.add(1);
@@ -716,7 +706,9 @@ mod tests {
     fn escalate_locks_entry_and_registered_span() {
         let e = engine(8);
         let t = TxnId(9);
-        e.inner.set_txn_shards(t, &BTreeSet::from([0, 3]));
+        e.inner
+            .coord
+            .reg_insert(t, &BTreeSet::from([0, 3]), &e.inner.metrics);
         let mut seen: Vec<Vec<usize>> = Vec::new();
         e.inner
             .escalate(t, &BTreeSet::from([0]), None, 0, |guards| {

@@ -83,7 +83,7 @@ impl EngineInner {
                 ),
                 Applied::Accepted,
             );
-            self.mirror_guards(&mut guards);
+            self.flush_summaries(&mut guards);
         }
         if max_txn > 0 {
             // Fresh transactions must not collide with replayed ids.

@@ -1,11 +1,11 @@
 //! Partial multi-shard GC oracle tests.
 //!
 //! The tentpole claim: deleting a multi-shard transaction while
-//! holding only its **closure** of shard locks (its own shards plus
-//! the summary-closure neighbors its `D(G, N)` bridges can touch)
-//! leaves union reachability — and therefore every subsequent
-//! accept/reject decision — bit-identical to the stop-the-world
-//! sweep. Three oracles check it:
+//! holding only its **closure** of shard locks (its own span plus the
+//! spans of the neighbors its `D(G, N)` bridges connect) leaves union
+//! reachability — and therefore every subsequent accept/reject
+//! decision — bit-identical to the stop-the-world sweep. Three oracles
+//! check it:
 //!
 //! 1. **Lockstep against the full scheduler**: a skewed mixed
 //!    workload runs with partial GC deleting mid-stream; the recorded
@@ -14,7 +14,10 @@
 //!    equivalence to the full graph).
 //! 2. **A/B against the all-locks sweep**: the identical workload
 //!    driven through the all-locks baseline twin must yield the
-//!    identical decision sequence and identical committed values.
+//!    identical decision sequence and identical committed values — on
+//!    skewed traffic (every closure is the candidate's own span) and
+//!    on uniform traffic (own-span attempts miss and the sweep falls
+//!    back to its all-locks pass).
 //! 3. **A constructed scenario** where losing a single cross-shard
 //!    bridge would flip a decision: the subset-locked deletion must
 //!    still force the abort the preserved ordering demands.
@@ -41,7 +44,7 @@ struct Script {
 /// Deterministic **skewed** workload: cross-shard transfers confined
 /// to the hot pair {0, 1}, cold single-shard traffic on shards 2..4,
 /// and occasional rollbacks. Skew is what gives GC closures something
-/// to be strict about — uniform scatter saturates every plan.
+/// to be strict about — under uniform scatter neighbors live anywhere.
 fn make_skewed_scripts(n: usize, seed: u64) -> Vec<Script> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -68,6 +71,23 @@ fn make_skewed_scripts(n: usize, seed: u64) -> Vec<Script> {
             Script {
                 reads,
                 writes,
+                client_abort: i % 13 == 7,
+            }
+        })
+        .collect()
+}
+
+/// Deterministic **uniform** workload: every transfer picks its two
+/// accounts anywhere, so a candidate's neighbors are registered in
+/// shards outside its own span.
+fn make_uniform_scripts(n: usize, seed: u64) -> Vec<Script> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let (x, y) = (rng.gen_range(0..ENTITIES), rng.gen_range(0..ENTITIES));
+            Script {
+                reads: vec![x, y],
+                writes: vec![x, y],
                 client_abort: i % 13 == 7,
             }
         })
@@ -164,15 +184,14 @@ fn partial_gc_decisions_match_full_scheduler_lockstep() {
     full.check_invariants();
 }
 
-#[test]
-fn partial_and_all_locks_gc_agree_on_every_decision() {
-    // Identical deterministic workloads through a closure-scoped-GC
-    // engine and a stop-the-world twin: decision sequences must be
-    // equal, operation for operation, and the stores must converge to
-    // the same values.
+/// Drives `scripts` through a span-scoped-GC engine and a
+/// stop-the-world twin: decision sequences must be equal, operation
+/// for operation, the stores must converge to the same values, and
+/// the default's mean GC closure must be below all-shards. Returns the
+/// default engine's metrics.
+fn assert_twins_agree(scripts: &[Script]) -> deltx_engine::MetricsSnapshot {
     let a = mk_engine(true, false);
     let b = mk_engine(false, false);
-    let scripts = make_skewed_scripts(1500, run_seed(0xF6C));
     for (i, sc) in scripts.iter().enumerate() {
         let oa = run_script(&a, sc);
         let ob = run_script(&b, sc);
@@ -202,6 +221,22 @@ fn partial_and_all_locks_gc_agree_on_every_decision() {
         "mean GC closure must be below all-shards: {ma}"
     );
     assert!((mean(&mb) - SHARDS as f64).abs() < f64::EPSILON);
+    ma
+}
+
+#[test]
+fn partial_and_all_locks_gc_agree_on_every_decision() {
+    assert_twins_agree(&make_skewed_scripts(1500, run_seed(0xF6C)));
+}
+
+#[test]
+fn uniform_traffic_twins_agree_with_closures_below_all_shards() {
+    let m = assert_twins_agree(&make_uniform_scripts(1500, run_seed(0x0F1F)));
+    assert!(m.gc_deletions > 400, "GC must be deleting mid-run: {m}");
+    assert!(
+        m.gc_closure_fallbacks > 0,
+        "uniform closures must escape their leads' spans: {m}"
+    );
 }
 
 #[test]
@@ -218,12 +253,15 @@ fn gc_closures_are_strict_on_skewed_traffic() {
     }
     e.gc_sweep();
     let m = e.metrics();
-    assert!(m.gc_partial_sweeps > 10, "hot pair must plan closures: {m}");
-    // Wide acquisitions come from fallbacks or saturated plans; this
-    // workload's cross traffic never leaves the hot pair, so its
-    // plans cannot saturate — any wide acquisition must be a counted
-    // fallback (the escalation strictness test relies on the same
-    // property of its workload).
+    assert!(
+        m.gc_partial_sweeps > 10,
+        "hot pair must sweep partially: {m}"
+    );
+    // A wide acquisition is the all-locks pass a fallback sends the
+    // rest of a sweep's queue to; this workload's cross traffic never
+    // leaves the hot pair, so every closure is its lead's own span
+    // (the escalation strictness test relies on the same property of
+    // its workload).
     let wide_acqs = m.gc_closure_hist[2..].iter().sum::<u64>();
     assert!(
         wide_acqs <= m.gc_closure_fallbacks,

@@ -20,8 +20,16 @@ use rand::{Rng, SeedableRng};
 /// Runs `threads` workers, each executing `txns` banking-style
 /// transactions (read two balances, transfer between them). A
 /// `cross_pct` fraction picks the two entities in different shards.
-fn run_mix(e: &Engine, threads: usize, txns: usize, n_entities: u32, cross_pct: u32, seed: u64) {
-    let shards = 4u32; // must match the engine config below
+/// `shards` must match the engine's.
+fn run_mix(
+    e: &Engine,
+    shards: u32,
+    threads: usize,
+    txns: usize,
+    n_entities: u32,
+    cross_pct: u32,
+    seed: u64,
+) {
     std::thread::scope(|scope| {
         for tid in 0..threads {
             let e = &e;
@@ -73,24 +81,9 @@ fn run_mix(e: &Engine, threads: usize, txns: usize, n_entities: u32, cross_pct: 
     });
 }
 
-#[test]
-fn contended_run_replays_identically_and_stays_serializable() {
-    let e = Engine::new(EngineConfig {
-        shards: 4,
-        gc: GcPolicy::Noncurrent,
-        background_gc: true,
-        gc_interval: std::time::Duration::from_millis(1),
-        record_history: true,
-        ..EngineConfig::default()
-    });
-    run_mix(&e, 8, 125, 16, 30, run_seed(0xBEEF));
-    e.gc_sweep();
-    let m = e.metrics();
-    assert!(m.commits > 100, "the mix must make progress: {m}");
-
-    let h = e.recorded_history().expect("recording enabled");
-    // 1. Replay through the full (never-deleting) scheduler: Theorem 2
-    //    demands outcome-for-outcome equality.
+/// Replays a recorded history through the full (never-deleting)
+/// scheduler: Theorem 2 demands outcome-for-outcome equality.
+fn replay_through_full_scheduler(h: &deltx_engine::RecordedHistory) -> CgState {
     let mut full = CgState::new();
     for ev in &h.events {
         match ev {
@@ -107,6 +100,27 @@ fn contended_run_replays_identically_and_stays_serializable() {
         }
     }
     full.check_invariants();
+    full
+}
+
+#[test]
+fn contended_run_replays_identically_and_stays_serializable() {
+    let e = Engine::new(EngineConfig {
+        shards: 4,
+        gc: GcPolicy::Noncurrent,
+        background_gc: true,
+        gc_interval: std::time::Duration::from_millis(1),
+        record_history: true,
+        ..EngineConfig::default()
+    });
+    run_mix(&e, 4, 8, 125, 16, 30, run_seed(0xBEEF));
+    e.gc_sweep();
+    let m = e.metrics();
+    assert!(m.commits > 100, "the mix must make progress: {m}");
+
+    let h = e.recorded_history().expect("recording enabled");
+    // 1. Replay through the full (never-deleting) scheduler.
+    let full = replay_through_full_scheduler(&h);
 
     // 2. The accepted subschedule is conflict-serializable.
     let mut aborted = full.aborted_txns().clone();
@@ -136,7 +150,7 @@ fn gc_under_churn_partial_sweeps_keep_graph_bounded_and_balances_exact() {
         record_history: false,
         ..EngineConfig::default()
     });
-    run_mix(&e, 8, 200, n_entities, 60, run_seed(0xC0FE));
+    run_mix(&e, 4, 8, 200, n_entities, 60, run_seed(0xC0FE));
     e.gc_sweep();
     let m = e.metrics();
     assert!(m.commits > 400, "the mix must make progress: {m}");
@@ -155,6 +169,34 @@ fn gc_under_churn_partial_sweeps_keep_graph_bounded_and_balances_exact() {
         "live graph escaped its bound: {} > {bound}",
         m.live_txns
     );
+}
+
+#[test]
+fn more_than_64_shards_replay_identically_and_conserve_balances() {
+    // Nothing in the engine is sized by a 64-bit shard mask: 65 shards
+    // run cross transfers, span-scoped sweeps and the all-locks
+    // fallback under the same oracles as 4.
+    let (shards, n_entities) = (65u32, 130u32);
+    let e = Engine::new(EngineConfig {
+        shards: shards as usize,
+        background_gc: false,
+        record_history: true,
+        ..EngineConfig::default()
+    });
+    run_mix(&e, shards, 4, 150, n_entities, 60, run_seed(0x41));
+    e.gc_sweep();
+    let m = e.metrics();
+    assert!(m.commits > 300, "the mix must make progress: {m}");
+    assert!(
+        m.gc_ghosts > 0,
+        "cross-shard bridges were materialized: {m}"
+    );
+    assert!(m.gc_partial_sweeps > 0, "own-span sweeps exercised: {m}");
+    assert_eq!(m.boundary_underflows, 0, "counts stayed consistent: {m}");
+    let sum: i64 = (0..n_entities).map(|x| e.peek(x)).sum();
+    assert_eq!(sum, 0, "transfers must conserve the total balance");
+    e.summary_audit().expect("reach masks exact in every shard");
+    replay_through_full_scheduler(&e.recorded_history().expect("recording enabled"));
 }
 
 #[test]

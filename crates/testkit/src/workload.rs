@@ -100,8 +100,8 @@ pub enum Profile {
     /// entity in each of `len` *consecutive* shards and moves value
     /// from the first to the last, rewriting the middle entities
     /// unchanged — so every commit is a multi-shard escalation whose
-    /// closure overlaps its neighbors', the worst case for the
-    /// partial-lock planner.
+    /// closure overlaps its neighbors', the worst case for
+    /// own-shards-first locking.
     CrossShardChain {
         /// Shards each chain spans.
         len: usize,

@@ -119,7 +119,7 @@ pub fn read_mostly_fanout() -> WorkloadSpec {
 
 /// Adversarial cross-shard chains: every commit escalates across a
 /// window of consecutive shards, overlapping its neighbors' closures —
-/// the partial-lock planner's worst case.
+/// the worst case for own-shards-first locking.
 pub fn cross_shard_chain() -> WorkloadSpec {
     WorkloadSpec {
         name: "cross_shard_chain".into(),

@@ -254,7 +254,7 @@ fn main() {
                         if contention {
                             // Disjoint hot pairs: shard 2i <-> 2i+1.
                             // Each pair's closure is {2i, 2i+1}, so
-                            // partial escalation never serializes two
+                            // own-shards escalation never serializes two
                             // different pairs on the same locks.
                             let pair = rng.gen_range(0..shards as u32 / 2);
                             // The modulo only matters when entities <
@@ -335,6 +335,19 @@ fn main() {
                  closure [seed {seed}]",
                 2 * pair,
                 2 * pair + 1
+            );
+        }
+        // The same closedness, as lock economics: a multi-shard
+        // candidate's neighbors all live inside its pair, so on the
+        // default engine every GC acquisition is the lead's own two
+        // shards and none falls back to the all-locks pass.
+        if !all_locks {
+            let acquisitions: u64 = m.gc_closure_hist.iter().sum();
+            assert_eq!(
+                (m.gc_closure_fallbacks, m.gc_closure_hist[1]),
+                (0, acquisitions),
+                "a hot pair's GC left its own span: closure hist {:?} [seed {seed}]",
+                m.gc_closure_hist
             );
         }
     }
