@@ -1221,14 +1221,15 @@ impl CgState {
         }
     }
 
-    /// Test/bench-support oracle: recomputes the boundary summary from
+    /// Test-support oracle: recomputes the boundary summary from
     /// nothing but the public graph surface — for every transaction of
     /// `marked` with a live node, a DFS over successors collecting the
     /// marked transactions it reaches. Deliberately shares no code or
     /// state with the incremental bitmask maintainer (it does not even
     /// consult the boundary marks — `marked` is the caller's own
-    /// list), so the property test and the `summary_maintenance` bench
-    /// validate/measure against one independent cost model.
+    /// list), so the property test and the cost-ratio test beside it
+    /// (`tests/proptest_summary.rs`) validate and measure against one
+    /// independent cost model.
     #[doc(hidden)]
     pub fn naive_boundary_reach(&self, marked: &[TxnId]) -> BTreeMap<TxnId, BTreeSet<TxnId>> {
         let marked_set: BTreeSet<TxnId> = marked.iter().copied().collect();

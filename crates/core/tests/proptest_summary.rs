@@ -7,11 +7,16 @@
 //! fast-path gate, `CgState::boundary_exposed`, reads the rest) must
 //! stay equivalent to a naive `BTreeSet` recomputation oracle that
 //! DFSes the graph from scratch after every operation.
+//!
+//! [`summary_bitmask_beats_naive_recompute`] holds the other half of
+//! the design claim: maintaining the masks incrementally is cheaper
+//! than that recomputation, by a wide enough margin to assert on.
 
 use deltx_core::CgState;
 use deltx_model::{Step, TxnId};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::time::{Duration, Instant};
 
 /// The oracle: [`CgState::naive_reach`] — a from-scratch DFS per live
 /// node that shares no code or state with the incremental bitmask
@@ -212,4 +217,109 @@ proptest! {
         prop_assert_eq!(check_exact(&d.cg, &d.marked), Ok(()));
         d.cg.check_invariants();
     }
+}
+
+/// How one summary-churn pass maintains its summary.
+#[derive(Clone, Copy, PartialEq)]
+enum SummaryMode {
+    /// `CgState` boundary marks + incremental bitmask maintenance.
+    Bitmask,
+    /// Same, with each round's marks and fan-ins batched into one
+    /// propagation (the engine's per-commit pattern).
+    BitmaskBatched,
+    /// No `CgState` marks at all (zero bitmask maintenance): the
+    /// marked set lives outside and the summary is recomputed naively
+    /// after every round — a pure set-based cost model, not stacked
+    /// on top of the bitmask work.
+    NaiveRecompute,
+}
+
+/// One steady-state summary churn pass over a single `CgState`: every
+/// round begins a transaction, marks it boundary, fans in its Rule 2/3
+/// arcs on a small hot entity set, and `D(G, N)`-deletes the oldest
+/// boundary transaction once the window fills — the exact maintenance
+/// pattern one hot cross-shard pair induces in a shard. Returns a
+/// value derived from the summary so the work cannot be optimized out.
+fn drive_summary_churn(rounds: usize, mode: SummaryMode) -> u64 {
+    let batched = mode == SummaryMode::BitmaskBatched;
+    let marks = mode != SummaryMode::NaiveRecompute;
+    let mut cg = CgState::new();
+    let mut window: VecDeque<TxnId> = VecDeque::new();
+    let mut sink = 0u64;
+    for i in 0..rounds {
+        let t = (i + 1) as u32;
+        if batched {
+            cg.begin_summary_batch();
+        }
+        cg.apply(&Step::begin(t)).unwrap();
+        let _ = cg.apply(&Step::read(t, (i % 4) as u32));
+        // This access pattern cannot cycle-abort, but keep the guard
+        // structural: the batch is always closed, the window only
+        // ever holds live transactions.
+        if cg.node_of(TxnId(t)).is_some() {
+            if marks {
+                cg.set_boundary(TxnId(t), true);
+            }
+            let _ = cg.apply(&Step::write_all(t, [(i % 4) as u32]));
+        }
+        if batched {
+            cg.end_summary_batch();
+        }
+        if cg.node_of(TxnId(t)).is_some() {
+            window.push_back(TxnId(t));
+        }
+        if window.len() > 24 {
+            let victim = window.pop_front().unwrap();
+            if let Some(n) = cg.node_of(victim) {
+                cg.delete(n).unwrap();
+            }
+        }
+        if mode == SummaryMode::NaiveRecompute {
+            let marked: Vec<TxnId> = window.iter().copied().collect();
+            sink = sink.wrapping_add(cg.naive_boundary_reach(&marked).len() as u64);
+        }
+    }
+    let pairs: usize = cg.boundary_reach_map().values().map(|r| r.len()).sum();
+    sink.wrapping_add(pairs as u64)
+}
+
+/// The cost half of the summary's design claim: under mark / fan-in /
+/// delete churn, the incremental bitmask (eager or commit-batched)
+/// costs less than half of a per-event `BTreeSet` recompute. The
+/// naive pass runs with `CgState` marks off, so it pays only the
+/// set-based cost plus the scheduler base every pass pays. Passes
+/// alternate so host drift hits all three alike; the medians of five
+/// are compared (measured here: naive 11.9 ms, bitmask 1.6 ms).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds run audit DFSs inside the bitmask path; CI runs this with --release"
+)]
+fn summary_bitmask_beats_naive_recompute() {
+    const ROUNDS: usize = 2_000;
+    const MODES: [SummaryMode; 3] = [
+        SummaryMode::Bitmask,
+        SummaryMode::BitmaskBatched,
+        SummaryMode::NaiveRecompute,
+    ];
+    let mut times: [Vec<Duration>; 3] = Default::default();
+    for _ in 0..5 {
+        for (mode, times) in MODES.iter().zip(&mut times) {
+            let t0 = Instant::now();
+            std::hint::black_box(drive_summary_churn(ROUNDS, *mode));
+            times.push(t0.elapsed());
+        }
+    }
+    let [bitmask, batched, naive] = times.map(|mut t| {
+        t.sort();
+        t[t.len() / 2]
+    });
+    println!(
+        "median of 5 x {ROUNDS} rounds: bitmask {bitmask:?}, batched {batched:?}, naive {naive:?}"
+    );
+    assert!(
+        naive >= 2 * bitmask && naive >= 2 * batched,
+        "naive recompute {naive:?} is not 2x the bitmask summary (eager {bitmask:?}, \
+         batched {batched:?})"
+    );
 }

@@ -11,7 +11,6 @@ use crate::error::EngineError;
 use crate::history::{Event, RecordedHistory};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::session::Session;
-use deltx_core::policy::PolicyKind;
 use deltx_core::{Applied, CgState};
 use deltx_model::{EntityId, Op, Step, TxnId};
 use deltx_runtime::{OsRuntime, RtEvent, Runtime, TaskHandle};
@@ -25,30 +24,16 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
-/// Which deletion policy the GC applies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GcPolicy {
-    /// No deletion: the live graph grows without bound (baseline).
-    Off,
-    /// Corollary 1's noncurrent test, applied incrementally from the
-    /// per-shard candidate queues, with full cross-shard deletion
-    /// support (ghost bridging). The default.
-    Noncurrent,
-    /// A `deltx-core` deletion policy run per shard, only on shards
-    /// with no boundary nodes (where the shard graph is a
-    /// self-contained component of the union graph, so per-shard
-    /// safety is union safety). Multi-shard transactions are retained.
-    ShardLocal(PolicyKind),
-}
-
-/// Engine construction parameters.
+/// Engine construction parameters. There is deliberately no deletion
+/// policy among them: the engine deletes by the noncurrent rule
+/// (Corollary 1) and nothing else, because the WAL's GC-as-checkpoint
+/// is only sound for a rule that never deletes an entity's current
+/// writer (`docs/durability.md` §3).
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Number of entity partitions (each with its own lock, conflict
     /// graph, and store).
     pub shards: usize,
-    /// Deletion policy applied by GC sweeps.
-    pub gc: GcPolicy,
     /// Interval between background GC sweeps.
     pub gc_interval: Duration,
     /// Spawn the background GC thread. Disable for tests that drive
@@ -75,7 +60,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             shards: 8,
-            gc: GcPolicy::Noncurrent,
             gc_interval: Duration::from_millis(2),
             background_gc: true,
             record_history: false,
@@ -165,7 +149,6 @@ pub(crate) struct EngineInner {
     /// the submit-under-locks / wait-after-release protocol.
     pub(crate) wal: Option<Arc<Wal>>,
     pub(crate) next_txn: AtomicU32,
-    pub(crate) gc_policy: GcPolicy,
     /// The all-locks baseline ([`Engine::open_all_locks_baseline`]):
     /// escalated operations take every shard lock instead of their own
     /// shards, the multi-shard GC pass stops the world instead of
@@ -219,8 +202,8 @@ impl Engine {
     /// operation takes every shard lock and the multi-shard GC pass
     /// stops the world. This is the path the default engine falls back
     /// to when an operation's own shards turn out not to cover its
-    /// cycle check, and the reference the
-    /// twin oracles and the A/B benches compare the default against;
+    /// cycle check, and the reference the twin oracles and
+    /// `engine_stress all-locks` compare the default against;
     /// decisions, deletions and stores are identical.
     #[doc(hidden)]
     pub fn open_all_locks_baseline(
@@ -286,13 +269,12 @@ impl Engine {
             metrics: EngineMetrics::default(),
             wal,
             next_txn: AtomicU32::new(1),
-            gc_policy: cfg.gc,
             all_locks,
             rt: Arc::clone(&cfg.runtime),
             shutdown: AtomicBool::new(false),
             shutdown_ev: cfg.runtime.event(),
         });
-        let gc_thread = (cfg.background_gc && cfg.gc != GcPolicy::Off).then(|| {
+        let gc_thread = cfg.background_gc.then(|| {
             let inner = Arc::clone(&inner);
             let interval = cfg.gc_interval;
             cfg.runtime
@@ -307,7 +289,8 @@ impl Engine {
     }
 
     /// Runs one synchronous GC sweep (what the background thread does
-    /// on every tick).
+    /// on every tick): the per-shard noncurrent pass with ghost
+    /// compaction, then the multi-shard pass.
     pub fn gc_sweep(&self) {
         self.inner.gc_sweep();
     }

@@ -1,5 +1,9 @@
 //! GC sweeps and cross-shard deletion.
 //!
+//! *What* is deleted is decided by one rule, Corollary 1's noncurrent
+//! test ([`deltx_core::noncurrent`]), which never deletes an entity's
+//! current writer; this module is about *how*.
+//!
 //! Deleting a completed transaction is the paper's `D(G, N)`: remove
 //! the node, connect every predecessor to every successor. For a
 //! single-shard transaction all of that is shard-local. For a
@@ -41,12 +45,11 @@
 //! [`crate::Engine::open_all_locks_baseline`], stops the world
 //! instead; `gc_oracle.rs` proves the decisions bit-identical).
 
-use crate::engine::{EngineInner, GcPolicy, Guards, Shard};
-use deltx_core::policy::PolicyKind;
+use crate::engine::{EngineInner, Guards, Shard};
 use deltx_core::{noncurrent, TxnState};
 use deltx_graph::NodeId;
 use deltx_model::{EntityId, Op, Step, TxnId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -100,14 +103,8 @@ impl EngineInner {
     /// One full GC sweep: per-shard incremental pass (including ghost
     /// compaction), then the multi-shard pass.
     pub(crate) fn gc_sweep(&self) {
-        match self.gc_policy {
-            GcPolicy::Off => {}
-            GcPolicy::Noncurrent => {
-                self.sweep_shards_noncurrent();
-                self.sweep_multi_shard();
-            }
-            GcPolicy::ShardLocal(kind) => self.sweep_shard_local(kind),
-        }
+        self.sweep_shards_noncurrent();
+        self.sweep_multi_shard();
         self.metrics.gc_sweeps.add(1);
     }
 
@@ -548,45 +545,6 @@ impl EngineInner {
         }
         self.rt.emit("gc_bridge_ghost", 1);
         1
-    }
-
-    /// Per-shard sweep with a `deltx-core` policy, restricted to shards
-    /// whose graph is a closed component (no boundary nodes).
-    fn sweep_shard_local(&self, kind: PolicyKind) {
-        let mut policy = kind.build();
-        for s in 0..self.shards.len() {
-            let t0 = self.rt.now();
-            let mut g = self.shards[s].lock().unwrap();
-            let _ = g.cg.drain_gc_candidates(); // keep the queue bounded
-            self.compact_shard_ghosts(&mut g);
-            if g.boundary != 0 {
-                continue;
-            }
-            let before: HashMap<TxnId, ()> =
-                g.cg.completed_nodes()
-                    .into_iter()
-                    .map(|n| (g.cg.info(n).txn, ()))
-                    .collect();
-            let deletions_before = g.cg.stats().deletions;
-            policy.reduce(&mut g.cg);
-            let deleted: Vec<TxnId> = before
-                .keys()
-                .filter(|t| g.cg.node_of(**t).is_none())
-                .copied()
-                .collect();
-            let n_deleted = g.cg.stats().deletions - deletions_before;
-            let truncated = g.store.truncate_versions(&deleted);
-            drop(g);
-            if let Some(w) = &self.wal {
-                w.note_deleted(&deleted);
-            }
-            self.metrics.gc_deletions.add(n_deleted);
-            self.metrics.txns_left(deleted.len() as u64);
-            self.metrics.gc_versions_truncated.add(truncated as u64);
-            self.metrics
-                .gc_pause_nanos
-                .add(self.rt.now().saturating_sub(t0).as_nanos() as u64);
-        }
     }
 }
 

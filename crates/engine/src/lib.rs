@@ -28,8 +28,8 @@
 //!         │ lock one (fast path) or own, ascending │
 //!         └────────────┬───────────────────────────┘
 //!                ┌─────▼──────┐
-//!                │  GC thread │  noncurrent / C1 / C2 sweeps,
-//!                └────────────┘  Store::truncate_versions
+//!                │  GC thread │  noncurrent sweeps,
+//!                └────────────┘  Store::truncate_versions_in
 //! ```
 //!
 //! * **Sessions** ([`Session`]) follow the paper's basic model:
@@ -71,9 +71,14 @@
 //!   span registry** (leaf locks; no global coordination mutex) — and
 //!   accept/reject decisions are
 //!   bit-identical to the all-locks baseline (a hidden constructor the
-//!   twin oracles and A/B benches build their reference engine with;
-//!   it is also what a too-small lock set falls back to at run time).
-//! * **GC**: under the default [`GcPolicy::Noncurrent`] deletion
+//!   twin oracles and `engine_stress all-locks` build their reference
+//!   engine with; it is also what a too-small lock set falls back to
+//!   at run time).
+//! * **GC**: the engine has one deletion rule, the paper's
+//!   Corollary 1 — a completed transaction that is *noncurrent* can
+//!   always be deleted — and no option to change it: the rule never
+//!   deletes an entity's current writer, which is what lets the WAL
+//!   treat GC as its checkpoint (see the durability bullet). Deletion
 //!   happens **at the source** — every commit, right after its
 //!   install and under the shard locks it already holds, tests the
 //!   candidates its own write just queued
@@ -96,8 +101,8 @@
 //!   transitive-reduction compaction over ghost-only subgraphs
 //!   ([`deltx_core::CgState::compact_ghost_arcs`]) so bridge arcs
 //!   cannot accrete without bound, and prune reclaimed writers' stale
-//!   versions with [`deltx_storage::Store::truncate_versions`]. GC
-//!   keeps up even without the background thread.
+//!   versions with [`deltx_storage::Store::truncate_versions_in`].
+//!   GC keeps up even without the background thread.
 //! * **Durability** (opt-in via [`EngineConfig::durability`]): a
 //!   write-ahead log (`deltx-wal`) with a dedicated group-commit
 //!   writer thread. Commit records are submitted *while the shard
@@ -144,7 +149,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_report;
 mod coord;
 mod engine;
 mod gc;
@@ -175,7 +179,7 @@ pub use deltx_wal::{
     CrashPoint, DurabilityConfig, FaultSpec, FaultyStorage, FsStorage, QuarantinedSegment,
     RecoverPolicy, WalError, WalHealth, WalStats, WalStorage, ALL_CRASH_POINTS,
 };
-pub use engine::{Engine, EngineConfig, GcPolicy, RecoveryReport};
+pub use engine::{Engine, EngineConfig, RecoveryReport};
 pub use error::EngineError;
 pub use history::{Event, RecordedHistory};
 pub use metrics::MetricsSnapshot;

@@ -36,7 +36,7 @@
 //!    span first, the under-lock coverage check as the only staleness
 //!    signal — see [`crate::gc`].)
 
-use crate::engine::{EngineInner, GcPolicy, Guards, Shard};
+use crate::engine::{EngineInner, Guards, Shard};
 use crate::error::EngineError;
 use crate::gc::MULTI_GC_THRESHOLD;
 use crate::history::Event;
@@ -424,9 +424,7 @@ impl EngineInner {
                         self.record_step(step, Applied::Accepted);
                         // Delete at the source: whatever this write made
                         // noncurrent goes now, under the lock already held.
-                        if self.gc_policy == GcPolicy::Noncurrent {
-                            self.reclaim_shard(&mut g);
-                        }
+                        self.reclaim_shard(&mut g);
                         drop(g);
                         st.closed = true;
                         self.finish_durable(st)?;
@@ -471,9 +469,7 @@ impl EngineInner {
         // Otherwise multi-shard transactions would only be reclaimed
         // by the background thread, and with that disabled the backlog
         // (and with it every summary) would grow without bound.
-        if self.gc_policy == GcPolicy::Noncurrent
-            && self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD
-        {
+        if self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD {
             self.sweep_multi_shard();
         }
         res
@@ -561,15 +557,13 @@ impl EngineInner {
         // Delete at the source, as on the fast path: each touched shard
         // reclaims what this write made noncurrent there (multi-shard
         // candidates, this transaction included, go to `pending_multi`).
-        if self.gc_policy == GcPolicy::Noncurrent {
-            for &s in &touched {
-                self.reclaim_shard(guards.get_mut(&s).expect("locked"));
-            }
-            if guards.len() == self.shards.len()
-                && self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD
-            {
-                self.sweep_multi_locked(guards);
-            }
+        for &s in &touched {
+            self.reclaim_shard(guards.get_mut(&s).expect("locked"));
+        }
+        if guards.len() == self.shards.len()
+            && self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD
+        {
+            self.sweep_multi_locked(guards);
         }
         Ok(Ok(()))
     }

@@ -23,7 +23,7 @@
 
 use deltx_core::CgState;
 use deltx_engine::{
-    run_seed, CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event, GcPolicy,
+    run_seed, CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event,
     RecoveryReport, ALL_CRASH_POINTS,
 };
 use rand::rngs::StdRng;
@@ -65,7 +65,6 @@ fn lock_modes() -> Vec<(bool, &'static str)> {
 fn config(dir: &TestDir, record_history: bool) -> EngineConfig {
     EngineConfig {
         shards: 4,
-        gc: GcPolicy::Noncurrent,
         background_gc: false, // deterministic: the test drives GC
         record_history,
         durability: Some(DurabilityConfig {

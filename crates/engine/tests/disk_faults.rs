@@ -19,12 +19,10 @@
 //! `DELTX_LOCK_MODE=partial|all-locks` restricts the sweep (the CI
 //! disk-fault matrix runs one job per mode); `DELTX_SEED` fixes the
 //! workload RNG and every failure message echoes the effective seed.
-//! [`fault_matrix_report`] re-runs the compact matrix and merges its
-//! numbers into `FAULT_9.json` for the CI artifact.
 
 use deltx_engine::{
     run_seed, DurabilityConfig, Engine, EngineConfig, EngineError, FaultSpec, FaultyStorage,
-    FsStorage, GcPolicy, RecoverPolicy, RecoveryReport, WalHealth, WalStorage,
+    FsStorage, RecoverPolicy, RecoveryReport, WalHealth, WalStorage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,7 +76,6 @@ fn config(
 ) -> EngineConfig {
     EngineConfig {
         shards: 4,
-        gc: GcPolicy::Noncurrent,
         background_gc: false, // deterministic: the test drives GC
         record_history: false,
         durability: Some(DurabilityConfig {
@@ -176,14 +173,14 @@ fn assert_degraded_read_only(e: &Engine, n: usize, ctx: &str, seed: u64) {
 }
 
 // ---------------------------------------------------------------- //
-// Per-fault runs. Each helper carries its own assertions so the     //
-// matrix report gets the same validation as the focused tests.      //
+// Per-fault runs, one helper per fault kind, called once per lock   //
+// mode by the focused tests below.                                  //
 // ---------------------------------------------------------------- //
 
 /// Transient append burst → absorbed by bounded retry: every commit
 /// acknowledges, health stays Ok, the retries are counted, and the
 /// log replays clean.
-fn run_transient(partial: bool, mode: &str, seed: u64) -> u64 {
+fn run_transient(partial: bool, mode: &str, seed: u64) {
     let ctx = format!("{mode}/transient");
     let dir = TestDir::new(&format!("transient-{mode}"));
     let spec = FaultSpec {
@@ -223,7 +220,6 @@ fn run_transient(partial: bool, mode: &str, seed: u64) -> u64 {
     )
     .expect("clean reopen");
     assert_mirror(&r, &mirror, &format!("{ctx}/reopen"), seed);
-    retries
 }
 
 /// Fsync failure → fail-stop poison: the failing commit (and all
@@ -231,7 +227,7 @@ fn run_transient(partial: bool, mode: &str, seed: u64) -> u64 {
 /// and a reopen recovers exactly the acknowledged prefix — the
 /// fsyncgate device dropped the un-synced suffix, and fail-stop is
 /// what keeps that loss from ever being acknowledged.
-fn run_fsync_poison(partial: bool, mode: &str, seed: u64) -> u64 {
+fn run_fsync_poison(partial: bool, mode: &str, seed: u64) {
     let _fsync_path = FSYNC_PATH.lock().unwrap_or_else(|e| e.into_inner());
     let ctx = format!("{mode}/fsync");
     let dir = TestDir::new(&format!("fsync-{mode}"));
@@ -284,13 +280,12 @@ fn run_fsync_poison(partial: bool, mode: &str, seed: u64) -> u64 {
         "[{ctx}] recovery must replay exactly the acknowledged commits [seed {seed}]"
     );
     assert_mirror(&r, &mirror, &format!("{ctx}/reopen"), seed);
-    acked
 }
 
 /// ENOSPC → graceful degradation: GC pressure unlinks dead segments
 /// to rescue writes; if the device stays full the engine refuses
 /// loudly. Either way: no panic, no hang, no silent loss.
-fn run_enospc(partial: bool, mode: &str, seed: u64) -> (u64, WalHealth) {
+fn run_enospc(partial: bool, mode: &str, seed: u64) {
     let ctx = format!("{mode}/enospc");
     let dir = TestDir::new(&format!("enospc-{mode}"));
     let spec = FaultSpec {
@@ -319,8 +314,7 @@ fn run_enospc(partial: bool, mode: &str, seed: u64) -> (u64, WalHealth) {
             Err(other) => panic!("[{ctx}] unexpected error {other:?} [seed {seed}]"),
         }
     }
-    let health = e.wal_health();
-    match health {
+    match e.wal_health() {
         WalHealth::Ok => assert_eq!(
             acked, 300,
             "[{ctx}] a healthy log means every write was rescued [seed {seed}]"
@@ -348,13 +342,12 @@ fn run_enospc(partial: bool, mode: &str, seed: u64) -> (u64, WalHealth) {
     )
     .expect("clean reopen");
     assert_mirror(&r, &mirror, &format!("{ctx}/reopen"), seed);
-    (acked, health)
 }
 
 /// Sealed mid-log corruption → Strict refuses naming the opt-in,
 /// Quarantine opens with an exact lost-LSN report and a usable
-/// engine. Returns the reported `(segment, lost_after, resume_at)`.
-fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) -> (u64, u64, u64) {
+/// engine.
+fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) {
     let ctx = format!("{mode}/corrupt");
     let dir = TestDir::new(&format!("corrupt-{mode}"));
     // Tiny segments seal fast; no GC sweeps, so every sealed segment
@@ -440,7 +433,6 @@ fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) -> (u64, u64, u64) {
         transfer(&r, &mut post, &mut rng)
             .unwrap_or_else(|err| panic!("[{ctx}] post-quarantine commit: {err} [seed {seed}]"));
     }
-    (q.segment, q.lost_after, q.resume_at)
 }
 
 // ---------------------------------------------------------------- //
@@ -477,51 +469,6 @@ fn corrupt_sealed_segment_refuses_strict_and_reports_quarantine() {
     for (partial, mode) in lock_modes() {
         run_corrupt_sealed(partial, mode, seed);
     }
-}
-
-/// The CI artifact: re-run the compact matrix (every fault kind in
-/// every lock mode this job sweeps) and merge the numbers into
-/// `FAULT_9.json` at the repository root. The helpers assert the full
-/// contract, so a green report means the matrix passed.
-#[test]
-fn fault_matrix_report() {
-    let seed = run_seed(0xD15C);
-    let mut entries: Vec<(String, String)> = vec![("fault_seed".into(), seed.to_string())];
-    for (partial, mode) in lock_modes() {
-        let retries = run_transient(partial, mode, seed);
-        entries.push((
-            format!("fault_transient_retries_{mode}"),
-            retries.to_string(),
-        ));
-        let acked = run_fsync_poison(partial, mode, seed);
-        entries.push((format!("fault_fsync_acked_{mode}"), acked.to_string()));
-        let (rescued, health) = run_enospc(partial, mode, seed);
-        entries.push((format!("fault_enospc_acked_{mode}"), rescued.to_string()));
-        entries.push((
-            format!("fault_enospc_health_{mode}"),
-            format!("\"{health:?}\""),
-        ));
-        let (segment, lost_after, resume_at) = run_corrupt_sealed(partial, mode, seed);
-        entries.push((
-            format!("fault_quarantine_segment_{mode}"),
-            segment.to_string(),
-        ));
-        entries.push((
-            format!("fault_quarantine_lost_after_{mode}"),
-            lost_after.to_string(),
-        ));
-        entries.push((
-            format!("fault_quarantine_resume_at_{mode}"),
-            resume_at.to_string(),
-        ));
-    }
-    let path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../FAULT_9.json"));
-    let pairs: Vec<(&str, String)> = entries
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.clone()))
-        .collect();
-    deltx_engine::bench_report::merge_json(&path, &pairs)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
 /// The planted bug, observed at the engine level: a writer that

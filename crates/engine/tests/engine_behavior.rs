@@ -2,7 +2,7 @@
 //! conflict aborts, noncurrent GC, cross-shard soundness, and the
 //! ghost-bridged deletion of multi-shard transactions.
 
-use deltx_engine::{Engine, EngineConfig, EngineError, GcPolicy};
+use deltx_engine::{Engine, EngineConfig, EngineError};
 
 fn manual_engine(shards: usize) -> Engine {
     Engine::new(EngineConfig {
@@ -179,29 +179,6 @@ fn ghost_bridge_preserves_cross_shard_ordering_after_deletion() {
         matches!(err, EngineError::Aborted(_)),
         "bridged ordering lost: engine accepted a non-serializable commit"
     );
-}
-
-#[test]
-fn shard_local_c1_policy_reclaims_in_isolated_shards() {
-    let e = Engine::new(EngineConfig {
-        shards: 2,
-        gc: GcPolicy::ShardLocal(deltx_core::policy::PolicyKind::GreedyC1),
-        background_gc: false,
-        record_history: false,
-        ..EngineConfig::default()
-    });
-    let mut reader = e.begin();
-    reader.read(0).unwrap();
-    for i in 0..30 {
-        let mut w = e.begin();
-        w.read(0).unwrap();
-        w.write(0, i);
-        w.commit().unwrap();
-        e.gc_sweep();
-        assert!(e.graph_size().nodes <= 3, "C1 keeps the graph tight");
-    }
-    assert!(e.metrics().gc_deletions >= 28);
-    drop(reader);
 }
 
 #[test]

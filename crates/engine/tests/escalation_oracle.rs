@@ -25,7 +25,7 @@
 //! boundary-count underflow fix.
 
 use deltx_core::CgState;
-use deltx_engine::{run_seed, Engine, EngineConfig, EngineError, GcPolicy, Session};
+use deltx_engine::{run_seed, Engine, EngineConfig, EngineError, Session};
 use deltx_model::{Op, Step};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -190,7 +190,6 @@ fn run_scripts(engines: &[&Engine], scripts: &[Script], sweep_every: usize) {
 fn mk_engine(shards: usize, partial: bool, record_history: bool) -> Engine {
     let cfg = EngineConfig {
         shards,
-        gc: GcPolicy::Noncurrent,
         background_gc: false, // deterministic: sweep from the driver
         record_history,
         ..EngineConfig::default()
@@ -506,7 +505,6 @@ fn boundary_underflow_regression_cross_shard_abort_churn() {
     // and the graph drains to empty.
     let e = Engine::new(EngineConfig {
         shards: 3,
-        gc: GcPolicy::Noncurrent,
         background_gc: false,
         record_history: true,
         ..EngineConfig::default()

@@ -26,7 +26,7 @@
 //! inside a hot shard pair, GC closures must stay at ~2 of 4 locks.
 
 use deltx_core::CgState;
-use deltx_engine::{run_seed, Engine, EngineConfig, EngineError, GcPolicy};
+use deltx_engine::{run_seed, Engine, EngineConfig, EngineError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,7 +127,6 @@ fn run_script(e: &Engine, sc: &Script) -> Outcome {
 fn mk_engine(partial: bool, record: bool) -> Engine {
     let cfg = EngineConfig {
         shards: SHARDS,
-        gc: GcPolicy::Noncurrent,
         background_gc: false, // deterministic: sweep from the driver
         record_history: record,
         ..EngineConfig::default()
@@ -347,7 +346,6 @@ fn single_shard_engine_degenerates_to_all_locks_gc() {
     // behave like the baseline (no partial acquisitions recorded).
     let e = Engine::new(EngineConfig {
         shards: 1,
-        gc: GcPolicy::Noncurrent,
         background_gc: false,
         ..EngineConfig::default()
     });

@@ -12,7 +12,7 @@
 //!    thousands of transactions flow through.
 
 use deltx_core::CgState;
-use deltx_engine::{run_seed, Engine, EngineConfig, Event, GcPolicy};
+use deltx_engine::{run_seed, Engine, EngineConfig, Event};
 use deltx_model::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,7 +107,6 @@ fn replay_through_full_scheduler(h: &deltx_engine::RecordedHistory) -> CgState {
 fn contended_run_replays_identically_and_stays_serializable() {
     let e = Engine::new(EngineConfig {
         shards: 4,
-        gc: GcPolicy::Noncurrent,
         background_gc: true,
         gc_interval: std::time::Duration::from_millis(1),
         record_history: true,
@@ -144,7 +143,6 @@ fn gc_under_churn_partial_sweeps_keep_graph_bounded_and_balances_exact() {
     let n_entities = 32u32;
     let e = Engine::new(EngineConfig {
         shards: 4,
-        gc: GcPolicy::Noncurrent,
         background_gc: true,
         gc_interval: std::time::Duration::from_millis(1),
         record_history: false,
@@ -211,7 +209,6 @@ fn version_truncation_racing_reads_never_surfaces_stale_values() {
     // current version (or resurrected an old one) breaks that order.
     let e = Engine::new(EngineConfig {
         shards: 2,
-        gc: GcPolicy::Noncurrent,
         background_gc: true,
         gc_interval: std::time::Duration::from_millis(1),
         record_history: false,
@@ -261,7 +258,6 @@ fn live_graph_stays_bounded_under_noncurrent_gc() {
     let n_entities = 32u32;
     let e = Engine::new(EngineConfig {
         shards: 4,
-        gc: GcPolicy::Noncurrent,
         background_gc: false, // deterministic: sweep from the driver
         record_history: false,
         ..EngineConfig::default()

@@ -7,16 +7,14 @@
 //!
 //! ```text
 //! sim_search [--budget N] [--seed S] [--only NAME] [--strategy random|pct|coverage]
-//!            [--repro-dir DIR] [--summary PATH]
+//!            [--repro-dir DIR]
 //!            [--planted bitset_trailing_word|drop_gc_bridge|retry_after_fsync_fail]
 //! ```
 //!
 //! Exit status: 0 when every sweep ran green (or, with `--planted`,
 //! when the planted bug WAS found — that mode asserts the search
-//! works); 1 otherwise. `--summary` merges counters into a flat JSON
-//! report via `bench_report::merge_json`.
+//! works); 1 otherwise.
 
-use deltx_engine::bench_report;
 use deltx_testkit::minimize::{apply_planted, minimize, replay_repro, ReproFile};
 use deltx_testkit::search::{search_spec, SearchConfig, Strategy};
 use deltx_testkit::{zoo, WorkloadSpec};
@@ -31,7 +29,6 @@ struct Args {
     only: Option<String>,
     strategies: Vec<Strategy>,
     repro_dir: Option<PathBuf>,
-    summary: Option<PathBuf>,
     planted: Option<String>,
 }
 
@@ -42,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
         only: None,
         strategies: Vec::new(),
         repro_dir: None,
-        summary: None,
         planted: None,
     };
     let mut it = std::env::args().skip(1);
@@ -54,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
             "--only" => args.only = Some(val("--only")?),
             "--strategy" => args.strategies.push(val("--strategy")?.parse()?),
             "--repro-dir" => args.repro_dir = Some(PathBuf::from(val("--repro-dir")?)),
-            "--summary" => args.summary = Some(PathBuf::from(val("--summary")?)),
             "--planted" => args.planted = Some(val("--planted")?),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -114,10 +109,7 @@ fn main() {
         stop_at_first_failure: true,
     };
 
-    let mut entries: Vec<(String, String)> = Vec::new();
-    let mut total_runs = 0usize;
-    let mut failed_specs = 0usize;
-    let mut found_planted = false;
+    let mut any_failed = false;
 
     for spec in &specs {
         println!(
@@ -131,7 +123,6 @@ fn main() {
                 continue;
             }
         };
-        total_runs += outcome.stats.runs;
         println!(
             "  {} runs, {} distinct signatures, corpus {}, mean {} switches",
             outcome.stats.runs,
@@ -139,22 +130,12 @@ fn main() {
             outcome.stats.corpus_size,
             outcome.stats.mean_switches
         );
-        entries.push((
-            format!("search_{}_runs", spec.name),
-            outcome.stats.runs.to_string(),
-        ));
-        entries.push((
-            format!("search_{}_signatures", spec.name),
-            outcome.stats.distinct_signatures.to_string(),
-        ));
 
         let Some(found) = outcome.failure else {
             println!("  no failing schedule within budget");
-            entries.push((format!("search_{}_failed", spec.name), "0".into()));
             continue;
         };
-        failed_specs += 1;
-        found_planted = true;
+        any_failed = true;
         println!(
             "  FAILED at schedule {} (strategy {}, seed {}, {} decisions):\n    {}",
             found.schedule_index,
@@ -163,11 +144,6 @@ fn main() {
             found.trace.decisions.len(),
             found.message.lines().next().unwrap_or("")
         );
-        entries.push((format!("search_{}_failed", spec.name), "1".into()));
-        entries.push((
-            format!("search_{}_found_at", spec.name),
-            found.schedule_index.to_string(),
-        ));
 
         // Minimize the spec the failing run actually executed — the
         // sweep mutates fault parameters per run, so `found.spec` can
@@ -181,10 +157,6 @@ fn main() {
                     min.trace.decisions.len(),
                     min.runs_used
                 );
-                entries.push((
-                    format!("search_{}_min_decisions", spec.name),
-                    min.trace.decisions.len().to_string(),
-                ));
                 let repro = ReproFile {
                     spec: min.spec,
                     seed: min.seed,
@@ -220,30 +192,17 @@ fn main() {
         let _ = apply_planted(std::slice::from_ref(bug), false);
     }
 
-    entries.push(("search_specs".into(), specs.len().to_string()));
-    entries.push(("search_total_runs".into(), total_runs.to_string()));
-    entries.push(("search_failed_specs".into(), failed_specs.to_string()));
-    if let Some(path) = &args.summary {
-        let pairs: Vec<(&str, String)> = entries
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
-        if let Err(e) = bench_report::merge_json(path, &pairs) {
-            eprintln!("sim_search: cannot write summary {path:?}: {e}");
-        }
-    }
-
     let ok = match args.planted {
         // Planted mode asserts the search finds the bug.
         Some(bug) => {
-            if found_planted {
+            if any_failed {
                 println!("== planted bug `{bug}` found ==");
             } else {
                 eprintln!("== planted bug `{bug}` NOT found within budget ==");
             }
-            found_planted
+            any_failed
         }
-        None => failed_specs == 0,
+        None => !any_failed,
     };
     std::process::exit(if ok { 0 } else { 1 });
 }

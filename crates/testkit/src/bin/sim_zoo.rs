@@ -5,15 +5,12 @@
 //! cargo run --release -p deltx-testkit --bin sim_zoo                    # seeds 1,2,3
 //! cargo run --release -p deltx-testkit --bin sim_zoo -- --seeds 7,42
 //! cargo run --release -p deltx-testkit --bin sim_zoo -- --only hot_key_skew
-//! cargo run --release -p deltx-testkit --bin sim_zoo -- --summary SIM_7.json
 //! ```
 //!
 //! Every failure line echoes the scenario and seed; rerunning with
 //! `--seeds <that seed>` (or `DELTX_SEED=<that seed>` on the tests)
 //! replays the identical interleaving. Exit code is nonzero if any
-//! scenario/seed cell fails. With `--summary`, headline counters are
-//! merged into the given JSON report (same flat format as
-//! `BENCH_6.json`).
+//! scenario/seed cell fails.
 //!
 //! `--replay-trace FILE` re-executes a minimized repro file written by
 //! `sim_search` (spec + seed + schedule trace), **twice**, and reports
@@ -21,11 +18,10 @@
 //! is deterministic; the failure headline, if any, is printed), 1 when
 //! they disagreed, 2 on a parse error.
 
-use deltx_engine::bench_report;
 use deltx_testkit::minimize::{replay_repro, ReproFile};
 use deltx_testkit::{run_spec, zoo};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// `--replay-trace`: double-replay a repro file, print the verdict.
 fn replay_trace_mode(path: &Path) -> ! {
@@ -72,7 +68,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seeds: Vec<u64> = vec![1, 2, 3];
     let mut only: Option<String> = None;
-    let mut summary: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -100,13 +95,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--summary" => match it.next() {
-                Some(p) => summary = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--summary requires a path");
-                    std::process::exit(2);
-                }
-            },
             "--replay-trace" => match it.next() {
                 Some(p) => replay_trace_mode(Path::new(p)),
                 None => {
@@ -117,7 +105,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown flag `{other}` (expected `--seeds a,b,c`, `--only NAME`, \
-                     `--summary PATH`, `--replay-trace FILE`)"
+                     `--replay-trace FILE`)"
                 );
                 std::process::exit(2);
             }
@@ -140,7 +128,6 @@ fn main() {
         seeds
     );
     let mut failures = 0usize;
-    let mut entries: Vec<(String, String)> = Vec::new();
     for spec in &specs {
         for &seed in &seeds {
             match catch_unwind(AssertUnwindSafe(|| run_spec(spec, seed))) {
@@ -157,10 +144,6 @@ fn main() {
                         r.virtual_ns as f64 / 1e6,
                         r.fingerprint
                     );
-                    if seed == seeds[0] {
-                        entries.push((format!("sim_{}_commits", r.name), r.commits.to_string()));
-                        entries.push((format!("sim_{}_switches", r.name), r.switches.to_string()));
-                    }
                 }
                 Ok(Err(e)) => {
                     failures += 1;
@@ -175,26 +158,6 @@ fn main() {
                     );
                 }
             }
-        }
-    }
-
-    if let Some(path) = &summary {
-        entries.push(("sim_scenarios".into(), specs.len().to_string()));
-        entries.push((
-            "sim_seeds".into(),
-            seeds
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join("/"),
-        ));
-        entries.push(("sim_failures".into(), failures.to_string()));
-        let borrowed: Vec<(&str, String)> = entries
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.clone()))
-            .collect();
-        if let Err(e) = bench_report::merge_json(path, &borrowed) {
-            eprintln!("warning: could not write {}: {e}", path.display());
         }
     }
 

@@ -40,8 +40,8 @@ use crate::sim::{ScheduleTrace, SimConfig, VirtualRuntime};
 use deltx_core::CgState;
 use deltx_engine::{
     CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event, FaultSpec,
-    FaultyStorage, FsStorage, GcPolicy, MetricsSnapshot, RecoverPolicy, Runtime, Session,
-    TaskHandle, WalHealth, WalStorage,
+    FaultyStorage, FsStorage, MetricsSnapshot, RecoverPolicy, Runtime, Session, TaskHandle,
+    WalHealth, WalStorage,
 };
 use deltx_model::Schedule;
 use rand::rngs::StdRng;
@@ -63,7 +63,7 @@ pub enum Profile {
         /// different shards.
         cross_pct: u32,
     },
-    /// The `gc_escalation` bench's skew: `cross_pct`% of traffic hits
+    /// Hot-pair skew: `cross_pct`% of traffic hits
     /// one hot cross-shard pair (entity 0 in shard 0 ↔ entity 1 in
     /// shard 1); the rest is uniform single-shard traffic over the
     /// remaining shards.
@@ -1098,7 +1098,6 @@ fn run_body(
 
         let (engine, rec) = Engine::open(EngineConfig {
             shards: spec.shards,
-            gc: GcPolicy::Noncurrent,
             gc_interval: Duration::from_micros(spec.gc_interval_us.max(1)),
             background_gc: true,
             record_history: true,
@@ -1247,7 +1246,6 @@ fn run_disk_body(
     // ---- Wave 0: traffic over the faulty device ---------------------
     let (engine, _) = Engine::open(EngineConfig {
         shards: spec.shards,
-        gc: GcPolicy::Noncurrent,
         gc_interval: Duration::from_micros(spec.gc_interval_us.max(1)),
         background_gc: true,
         record_history: true,

@@ -3,8 +3,8 @@
 //!
 //! Each entry is small enough to run under the one-step-at-a-time
 //! simulator in well under a second, yet shaped to stress a distinct
-//! mechanism: the stress suite's transfer mix, the `gc_escalation`
-//! bench's hot-pair skew, Example 1's long readers, §5 batch jobs,
+//! mechanism: the stress suite's transfer mix, one hot
+//! cross-shard pair's skew, Example 1's long readers, §5 batch jobs,
 //! read-mostly fanout, adversarial cross-shard chains, and a durable
 //! run that crashes mid-flight and must recover. CI sweeps the whole
 //! zoo over a seed matrix (`sim_zoo` binary); the determinism
@@ -33,7 +33,7 @@ pub fn transfer_mix() -> WorkloadSpec {
     }
 }
 
-/// The `gc_escalation` bench's skew: most traffic hammers one hot
+/// Hot-pair skew: most traffic hammers one hot
 /// cross-shard pair, forcing escalated commits to contend on the same
 /// closure while GC sweeps race them.
 pub fn hot_key_skew() -> WorkloadSpec {

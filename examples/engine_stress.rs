@@ -20,13 +20,11 @@
 //! #                      "--durable": run with the write-ahead log enabled,
 //! #                       then drop the engine, replay the log into a fresh
 //! #                       one, and assert every balance survived the crash
-//! #                       boundary byte-for-byte (recovery time is reported
-//! #                       and written to BENCH_6.json)
+//! #                       boundary byte-for-byte (recovery time is printed)
 //! #                      "--fsync": like --durable, but with a real fsync
 //! #                       after every batch write — benchmarks the device,
-//! #                       not just the protocol. Per-flush p50/p99 latency
-//! #                       and the mean group-commit batch size are merged
-//! #                       into BENCH_9.json
+//! #                       not just the protocol. Prints per-flush p50/p99
+//! #                       latency and the mean group-commit batch size
 //! #                      "--scale-probe": instead of the stress run, three
 //! #                       one-second closed loops of single-shard transfers
 //! #                       (1 thread; 2 threads over all shards; 2 threads on
@@ -45,12 +43,10 @@
 //! invariant: any lost update or dirty interleaving would break it.
 //! The driver asserts it, asserts the live graph stayed `O(active)`,
 //! asserts zero boundary-count underflows, and prints the engine's
-//! metrics. Headline numbers are merged into `BENCH_6.json` at the
-//! repository root so CI can archive them across runs.
+//! metrics. It writes no report: the committed performance trajectory
+//! is `perf/` (see `perf/README.md`).
 
-use deltx_engine::{
-    bench_report, run_seed_arg, DurabilityConfig, Engine, EngineConfig, EngineError, GcPolicy,
-};
+use deltx_engine::{run_seed_arg, DurabilityConfig, Engine, EngineConfig, EngineError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -200,7 +196,6 @@ fn main() {
 
     let cfg = EngineConfig {
         shards,
-        gc: GcPolicy::Noncurrent,
         background_gc: true,
         record_history: false,
         durability: wal_dir.as_ref().map(&durability),
@@ -377,12 +372,6 @@ fn main() {
     println!("peak live graph: {peak} nodes (bound {bound}) — memory stayed O(active)");
     println!("\n{m}");
 
-    let bench_path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_6.json"));
-    let mut entries: Vec<(&str, String)> = vec![
-        ("stress_txn_s", format!("{txn_s:.0}")),
-        ("stress_peak_nodes", format!("{peak}")),
-    ];
-
     if let Some(dir) = &wal_dir {
         // Crash boundary: snapshot what the clients could observe, drop
         // the engine (log is the only survivor), replay it into a fresh
@@ -398,9 +387,7 @@ fn main() {
         );
         if fsync {
             // The real-device numbers: what one fsync'd group commit
-            // costs, and how many commits it amortizes over. These go
-            // to their own report so protocol-only BENCH_6 numbers
-            // are never mixed with device-bound ones.
+            // costs, and how many commits it amortizes over.
             let p50_us = wal.flush_quantile_nanos(0.50) as f64 / 1e3;
             let p99_us = wal.flush_quantile_nanos(0.99) as f64 / 1e3;
             println!(
@@ -408,17 +395,6 @@ fn main() {
                  mean batch {:.1} records/fsync",
                 wal.mean_batch()
             );
-            let fsync_path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_9.json"));
-            let fsync_entries: Vec<(&str, String)> = vec![
-                ("fsync_flush_p50_us", format!("{p50_us:.0}")),
-                ("fsync_flush_p99_us", format!("{p99_us:.0}")),
-                ("fsync_mean_batch", format!("{:.1}", wal.mean_batch())),
-                ("fsync_flushes", wal.flushes.to_string()),
-                ("fsync_txn_s", format!("{txn_s:.0}")),
-            ];
-            if let Err(e) = bench_report::merge_json(&fsync_path, &fsync_entries) {
-                eprintln!("warning: could not write {}: {e}", fsync_path.display());
-            }
         }
         drop(engine);
 
@@ -445,19 +421,8 @@ fn main() {
             wal.segments_truncated > 0 || m.commits < 2_000,
             "a long durable run must see GC truncate dead log segments [seed {seed}]"
         );
-        entries.push(("recovery_ms", format!("{recovery_ms:.2}")));
-        entries.push((
-            "recovery_commits_replayed",
-            report.commits_replayed.to_string(),
-        ));
-        entries.push(("wal_mean_batch", format!("{:.1}", wal.mean_batch())));
-        entries.push(("wal_segments_truncated", wal.segments_truncated.to_string()));
         println!("recovery check passed: all {n_entities} balances survived the crash boundary");
         drop(recovered);
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    if let Err(e) = bench_report::merge_json(&bench_path, &entries) {
-        eprintln!("warning: could not write {}: {e}", bench_path.display());
     }
 }
