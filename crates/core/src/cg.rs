@@ -109,8 +109,6 @@ pub struct CgStats {
     pub deletions: u64,
     /// Conflict arcs inserted (bridging arcs not counted).
     pub arcs_added: u64,
-    /// Bridging arcs added by deletions.
-    pub bridge_arcs: u64,
 }
 
 /// The (reduced) conflict-graph scheduler state for the basic model.
@@ -178,48 +176,9 @@ pub struct CgState {
     /// Freshly marked boundary nodes awaiting backward propagation of
     /// their new slot bit.
     pending_marks: Vec<NodeId>,
-    /// Reusable traversal scratch for the ghost-compaction BFS.
-    scratch: BfsScratch,
     max_entity: Option<EntityId>,
     max_txn: u32,
     stats: CgStats,
-}
-
-/// Generation-stamped visited set + stack for the summary BFS: beats
-/// per-call `HashSet` allocation and hashing on the maintenance hot
-/// path (one stamp compare per node visit).
-#[derive(Clone, Debug, Default)]
-struct BfsScratch {
-    stamp: Vec<u32>,
-    gen: u32,
-    stack: Vec<NodeId>,
-}
-
-impl BfsScratch {
-    /// Starts a fresh traversal over a graph with `cap` node slots.
-    fn begin(&mut self, cap: usize) {
-        if self.stamp.len() < cap {
-            self.stamp.resize(cap, 0);
-        }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Wrapped: old stamps could alias the new generation.
-            self.stamp.fill(0);
-            self.gen = 1;
-        }
-        self.stack.clear();
-    }
-
-    /// First visit of `n` this traversal?
-    fn visit(&mut self, n: NodeId) -> bool {
-        let slot = &mut self.stamp[n.index()];
-        if *slot == self.gen {
-            false
-        } else {
-            *slot = self.gen;
-            true
-        }
-    }
 }
 
 /// Sentinel in `BoundaryIndex::slot_of_node` for "not a boundary node".
@@ -340,7 +299,6 @@ impl CgState {
             pending_targets: Vec::new(),
             pending_target_bits: BitSet::new(),
             pending_marks: Vec::new(),
-            scratch: BfsScratch::default(),
             max_entity: None,
             max_txn: 0,
             stats: CgStats::default(),
@@ -748,9 +706,9 @@ impl CgState {
         if bridge {
             for &p in &preds {
                 for &s in &succs {
-                    if p != s && self.graph.add_arc(p, s) {
-                        self.stats.bridge_arcs += 1;
+                    if p != s {
                         // No closure update needed: p already reached s via n.
+                        self.graph.add_arc(p, s);
                     }
                 }
             }
@@ -850,7 +808,6 @@ impl CgState {
             ));
         }
         if self.graph.add_arc(from, to) {
-            self.stats.bridge_arcs += 1;
             if let Some(c) = &mut self.closure {
                 c.on_add_arc(from, to);
             }
@@ -1266,87 +1223,6 @@ impl CgState {
             stack.extend_from_slice(self.graph.succs(n));
         }
         reached
-    }
-
-    /// Transitive-reduction compaction of the **ghost-only** subgraph:
-    /// removes every ordering arc between two ghost nodes (completed,
-    /// access-free) that is implied by another surviving path. `D(G,
-    /// N)` bridging accumulates such arcs without bound under sustained
-    /// cross-shard traffic; removing the redundant ones changes no
-    /// reachability — asserted in debug builds against a recomputed
-    /// summary — so cycle checks and the summary are untouched (an
-    /// incremental closure, if any, also stays exact). Returns the
-    /// number of arcs removed.
-    pub fn compact_ghost_arcs(&mut self) -> usize {
-        let ghosts: Vec<NodeId> = self
-            .nodes()
-            .filter(|&n| self.is_completed(n) && self.info(n).access.is_empty())
-            .collect();
-        if ghosts.len() < 2 {
-            return 0;
-        }
-        let ghost_set: IdSet<NodeId> = ghosts.iter().copied().collect();
-        #[cfg(debug_assertions)]
-        let before = self.boundary_reach_map();
-        let mut removed = 0usize;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for &g in &ghosts {
-            let succs: Vec<NodeId> = self
-                .graph
-                .succs(g)
-                .iter()
-                .copied()
-                .filter(|s| ghost_set.contains(s))
-                .collect();
-            for s in succs {
-                if self.has_alternate_path(&mut scratch, g, s) {
-                    self.graph.remove_arc(g, s);
-                    removed += 1;
-                }
-            }
-        }
-        self.scratch = scratch;
-        #[cfg(debug_assertions)]
-        {
-            self.recompute_boundary_summary();
-            debug_assert_eq!(
-                before,
-                self.boundary_reach_map(),
-                "ghost compaction changed reachability"
-            );
-        }
-        removed
-    }
-
-    /// True if a path `from -> ... -> to` of length >= 2 exists through
-    /// **completed** intermediates only (avoiding the direct arc),
-    /// making the direct arc redundant. Active intermediates do not
-    /// count: an abort removes them *without* bridging, which would
-    /// retroactively sever the witness path — completed nodes only
-    /// ever leave via `delete`, whose bridging preserves it.
-    fn has_alternate_path(&self, scratch: &mut BfsScratch, from: NodeId, to: NodeId) -> bool {
-        scratch.begin(self.graph.capacity());
-        let mut stack = std::mem::take(&mut scratch.stack);
-        for &s in self.graph.succs(from) {
-            if s != to && self.is_completed(s) && scratch.visit(s) {
-                stack.push(s);
-            }
-        }
-        let mut found = false;
-        while let Some(n) = stack.pop() {
-            if self.graph.has_arc(n, to) {
-                found = true;
-                break;
-            }
-            for &m in self.graph.succs(n) {
-                if m != to && self.is_completed(m) && scratch.visit(m) {
-                    stack.push(m);
-                }
-            }
-        }
-        stack.clear();
-        scratch.stack = stack;
-        found
     }
 
     /// Internal consistency check used by tests and `debug_assert!`s:
@@ -1808,84 +1684,6 @@ mod tests {
             !cg.boundary_reach_map()[&TxnId(1)].contains(&TxnId(3)),
             "unbridged removal severed the path"
         );
-        cg.check_invariants();
-    }
-
-    #[test]
-    fn ghost_compaction_removes_redundant_arcs_only() {
-        let mut cg = CgState::new();
-        cg.run(parse("b1 r1(x) w1(x)").unwrap().steps()).unwrap();
-        let real = cg.node_of(TxnId(1)).unwrap();
-        let g1 = cg.admit_completed_ghost(TxnId(10)).unwrap();
-        let g2 = cg.admit_completed_ghost(TxnId(11)).unwrap();
-        let g3 = cg.admit_completed_ghost(TxnId(12)).unwrap();
-        for t in [10, 11, 12] {
-            cg.set_boundary(TxnId(t), true);
-        }
-        // Chain g1 -> g2 -> g3 plus the redundant shortcut g1 -> g3,
-        // plus an (irredundant) arc into a real node.
-        cg.add_order_arc(g1, g2).unwrap();
-        cg.add_order_arc(g2, g3).unwrap();
-        cg.add_order_arc(g1, g3).unwrap();
-        cg.add_order_arc(g1, real).unwrap();
-        // Full reachability before.
-        let mut ck = deltx_graph::cycle::CycleChecker::new();
-        let nodes: Vec<_> = cg.nodes().collect();
-        let before: Vec<bool> = nodes
-            .iter()
-            .flat_map(|&a| {
-                nodes
-                    .iter()
-                    .map(|&b| ck.reachable(cg.graph(), a, b))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let arcs_before = cg.graph().arc_count();
-        let removed = cg.compact_ghost_arcs();
-        assert_eq!(removed, 1, "exactly the shortcut goes");
-        assert_eq!(cg.graph().arc_count(), arcs_before - 1);
-        assert!(!cg.graph().has_arc(g1, g3), "shortcut removed");
-        assert!(cg.graph().has_arc(g1, real), "ghost->real arcs kept");
-        let after: Vec<bool> = nodes
-            .iter()
-            .flat_map(|&a| {
-                nodes
-                    .iter()
-                    .map(|&b| ck.reachable(cg.graph(), a, b))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        assert_eq!(before, after, "union reachability must be unchanged");
-        // Idempotent: nothing left to remove.
-        assert_eq!(cg.compact_ghost_arcs(), 0);
-        cg.check_invariants();
-    }
-
-    #[test]
-    fn ghost_compaction_ignores_witness_paths_through_active_nodes() {
-        // g -> s direct, plus g -> m -> s where m is ACTIVE: the
-        // shortcut must survive, because m's abort would remove the
-        // witness path without bridging — losing the g -> s ordering.
-        let mut cg = CgState::new();
-        cg.apply(&Step::begin(1)).unwrap(); // m, stays active
-        let m = cg.node_of(TxnId(1)).unwrap();
-        let g = cg.admit_completed_ghost(TxnId(10)).unwrap();
-        let s = cg.admit_completed_ghost(TxnId(11)).unwrap();
-        cg.add_order_arc(g, m).unwrap();
-        cg.add_order_arc(m, s).unwrap();
-        cg.add_order_arc(g, s).unwrap();
-        assert_eq!(cg.compact_ghost_arcs(), 0, "active witness must not count");
-        assert!(cg.graph().has_arc(g, s));
-        // The abort that would have severed the witness: ordering kept.
-        cg.abort_txn(TxnId(1)).unwrap();
-        assert!(cg.graph().has_arc(g, s), "ordering survived the abort");
-        // Once the witness runs through completed nodes only, the
-        // shortcut is genuinely redundant and goes.
-        let m2 = cg.admit_completed_ghost(TxnId(2)).unwrap();
-        cg.add_order_arc(g, m2).unwrap();
-        cg.add_order_arc(m2, s).unwrap();
-        assert_eq!(cg.compact_ghost_arcs(), 1);
-        assert!(!cg.graph().has_arc(g, s));
         cg.check_invariants();
     }
 

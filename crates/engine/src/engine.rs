@@ -13,14 +13,14 @@ use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::session::Session;
 use deltx_core::{Applied, CgState};
 use deltx_model::{EntityId, Op, Step, TxnId};
-use deltx_runtime::{OsRuntime, RtEvent, Runtime, TaskHandle};
+use deltx_runtime::{OsRuntime, Runtime};
 use deltx_sched::StateSize;
 use deltx_storage::{Store, Value};
 use deltx_wal::{
     CrashPoint, DurabilityConfig, QuarantinedSegment, RecoveryScan, Wal, WalHealth, WalStats,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
@@ -28,17 +28,13 @@ use std::time::Duration;
 /// policy among them: the engine deletes by the noncurrent rule
 /// (Corollary 1) and nothing else, because the WAL's GC-as-checkpoint
 /// is only sound for a rule that never deletes an entity's current
-/// writer (`docs/durability.md` §3).
+/// writer (`docs/durability.md` §3). Nor is there a GC thread to
+/// configure: every deletion is made by the commit that enabled it.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Number of entity partitions (each with its own lock, conflict
     /// graph, and store).
     pub shards: usize,
-    /// Interval between background GC sweeps.
-    pub gc_interval: Duration,
-    /// Spawn the background GC thread. Disable for tests that drive
-    /// [`Engine::gc_sweep`] manually.
-    pub background_gc: bool,
     /// Record the linearized step history (for replay verification;
     /// costs one mutex append per operation).
     pub record_history: bool,
@@ -60,8 +56,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             shards: 8,
-            gc_interval: Duration::from_millis(2),
-            background_gc: true,
             record_history: false,
             durability: None,
             runtime: OsRuntime::shared(),
@@ -105,10 +99,6 @@ pub(crate) struct Shard {
     /// (ghosts included). Zero means no path can leave this shard;
     /// nonzero, the per-transaction test decides.
     pub(crate) boundary: usize,
-    /// [`CgState`] bridge-arc count at the last ghost compaction:
-    /// deletions are the only source of new ghost arcs, so an
-    /// unchanged count lets the sweep skip the compaction scan.
-    pub(crate) compacted_bridge_arcs: u64,
 }
 
 #[cfg(test)]
@@ -156,27 +146,22 @@ pub(crate) struct EngineInner {
     /// alone, and — since nothing then consults them — the boundary
     /// summaries are not maintained.
     pub(crate) all_locks: bool,
-    /// Host runtime: clock for the duration metrics, yield points on
-    /// the operation entries, and the GC task's sleep/wakeup.
+    /// Host runtime: clock for the duration metrics and yield points
+    /// on the operation entries. The engine starts no task of its own.
     pub(crate) rt: Arc<dyn Runtime>,
-    pub(crate) shutdown: AtomicBool,
-    /// Notified (after `shutdown` is set) to cut the GC task's sleep
-    /// short on engine drop.
-    pub(crate) shutdown_ev: Arc<dyn RtEvent>,
 }
 
 /// The engine: construct once, [`Engine::begin`] sessions from any
-/// thread. Dropping the engine stops the GC task.
+/// thread. Dropping the engine closes the write-ahead log, if any.
 pub struct Engine {
     pub(crate) inner: Arc<EngineInner>,
-    gc_thread: Option<TaskHandle>,
 }
 
 impl Engine {
-    /// Builds an engine per `cfg` (spawning the GC thread unless
-    /// disabled). With durability configured this opens (and possibly
-    /// recovers) the log — panics if the log cannot be opened; use
-    /// [`Engine::open`] to handle that and to see the recovery report.
+    /// Builds an engine per `cfg`. With durability configured this
+    /// opens (and possibly recovers) the log — panics if the log cannot
+    /// be opened; use [`Engine::open`] to handle that and to see the
+    /// recovery report.
     pub fn new(cfg: EngineConfig) -> Self {
         Engine::open(cfg).expect("open engine").0
     }
@@ -257,7 +242,6 @@ impl Engine {
                         cg,
                         store: Store::new(),
                         boundary: 0,
-                        compacted_bridge_arcs: 0,
                     })
                 })
                 .collect(),
@@ -270,17 +254,9 @@ impl Engine {
             wal,
             next_txn: AtomicU32::new(1),
             all_locks,
-            rt: Arc::clone(&cfg.runtime),
-            shutdown: AtomicBool::new(false),
-            shutdown_ev: cfg.runtime.event(),
+            rt: cfg.runtime,
         });
-        let gc_thread = cfg.background_gc.then(|| {
-            let inner = Arc::clone(&inner);
-            let interval = cfg.gc_interval;
-            cfg.runtime
-                .spawn("deltx-gc", Box::new(move || inner.gc_loop(interval)))
-        });
-        Self { inner, gc_thread }
+        Self { inner }
     }
 
     /// Starts a new transaction.
@@ -288,9 +264,15 @@ impl Engine {
         Session::new(Arc::clone(&self.inner), self.inner.begin_txn())
     }
 
-    /// Runs one synchronous GC sweep (what the background thread does
-    /// on every tick): the per-shard noncurrent pass with ghost
-    /// compaction, then the multi-shard pass.
+    /// Runs one synchronous GC sweep: a reclaim of every shard's
+    /// candidate queue, then the multi-shard pass over whatever is
+    /// pending. Commits delete at the source, so under traffic there
+    /// is nothing for this to do; it exists for what no commit will
+    /// come back for — [`Engine::open`] runs it once over the replay,
+    /// a session blocked on a full log device runs it as a rescue, and
+    /// a caller may run it to drain the idle residue (multi-shard
+    /// candidates whose closure escaped the committer's locks, fewer
+    /// than the 32 that trigger a pass by themselves).
     pub fn gc_sweep(&self) {
         self.inner.gc_sweep();
     }
@@ -406,12 +388,6 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.shutdown_ev.notify();
-        if let Some(t) = self.gc_thread.take() {
-            t.join();
-        }
-        // After the GC task: its sweeps may still note deletions.
         if let Some(w) = &self.inner.wal {
             w.close();
         }
@@ -538,7 +514,6 @@ mod tests {
     fn lock_shard_under_contention_always_acquires_and_counts_acquisitions() {
         let e = Engine::new(EngineConfig {
             shards: 2,
-            background_gc: false,
             ..EngineConfig::default()
         });
         let inner = &e.inner;

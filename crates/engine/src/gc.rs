@@ -1,8 +1,10 @@
-//! GC sweeps and cross-shard deletion.
+//! Deletion at the source and cross-shard deletion.
 //!
 //! *What* is deleted is decided by one rule, Corollary 1's noncurrent
 //! test ([`deltx_core::noncurrent`]), which never deletes an entity's
-//! current writer; this module is about *how*.
+//! current writer; this module is about *how* — and about *who*: there
+//! is no GC thread. Every commit deletes what its own write made
+//! noncurrent, under the locks it already holds.
 //!
 //! Deleting a completed transaction is the paper's `D(G, N)`: remove
 //! the node, connect every predecessor to every successor. For a
@@ -15,24 +17,33 @@
 //! Union reachability is preserved exactly, which keeps the engine
 //! step-for-step equivalent to a monolithic reduced scheduler — and
 //! Theorem 2 lifts that to equivalence with the full, never-deleting
-//! scheduler. Sustained cross-shard traffic accretes ordering arcs
-//! between ghosts; the sweeps run a transitive-reduction compaction
-//! over the ghost-only subgraph
-//! ([`deltx_core::CgState::compact_ghost_arcs`]), which provably
-//! changes no reachability.
+//! scheduler. A ghost has no accesses of its own, so it never keeps
+//! its transaction current: the transaction goes, ghosts and all, with
+//! the first pass that finds it noncurrent where it read and wrote.
+//! Nothing compacts the arcs between ghosts in the meantime — measured,
+//! there is next to nothing to compact (`docs/architecture.md`,
+//! "no GC thread").
 //!
-//! The multi-shard pass does **not** stop the world: it locks the lead
-//! candidate's own **registered span**, ascending, and offers every
-//! pending candidate to that acquisition (a hot shard pair's backlog
-//! drains under one). Whether the span is enough is decided under the
-//! held locks, by the one check there is: before its first mutation,
-//! each candidate verifies that its registered span and every
-//! neighbor's span are fully locked (a bridge lands either in a ghost
-//! target — one of the candidate's own shards — or in a shard both
-//! neighbors already inhabit). The registry entries it reads are
+//! Whether held locks are enough to delete a multi-shard candidate is
+//! decided under them, by the one check there is: before its first
+//! mutation, each candidate verifies that its registered span and
+//! every neighbor's span are fully locked (a bridge lands either in a
+//! ghost target — one of the candidate's own shards — or in a shard
+//! both neighbors already inhabit). The registry entries it reads are
 //! frozen: each can only be mutated by a thread holding the lock of a
 //! shard in that span, and the check demands exactly those locks — so
 //! it is authoritative with nothing planned or validated beforehand.
+//!
+//! An escalated commit offers the multi-shard candidates its write
+//! queued — itself included — to that check under its own guards; on
+//! span-closed traffic (a hot shard pair, a reader that commits after
+//! everything it read was overwritten) that deletes them on the spot.
+//! A candidate the committer's locks do not cover waits in
+//! `pending_multi`, and once [`MULTI_GC_THRESHOLD`] wait, the committer
+//! that got them there runs the standalone pass after releasing its
+//! locks. That pass does **not** stop the world: it locks the lead
+//! candidate's own **registered span**, ascending, and offers every
+//! pending candidate to that acquisition.
 //!
 //! A candidate whose own span is not locked leads a later round. A
 //! lead whose neighbors reach outside its span shows the traffic is
@@ -50,12 +61,14 @@ use deltx_core::{noncurrent, TxnState};
 use deltx_graph::NodeId;
 use deltx_model::{EntityId, Op, Step, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::Ordering;
-use std::time::Duration;
 
-/// Pending multi-shard count at which an escalated committer runs the
-/// multi-shard pass itself (inline if it already holds every lock).
-pub(crate) const MULTI_GC_THRESHOLD: usize = 32;
+/// Pending multi-shard count at which the committer that reached it
+/// runs the standalone multi-shard pass
+/// ([`EngineInner::drain_multi_backlog`]). Below it the candidates
+/// wait: what is left when traffic stops — at most
+/// `MULTI_GC_THRESHOLD - 1` of them — is the idle residue
+/// [`crate::Engine::gc_sweep`] drains.
+const MULTI_GC_THRESHOLD: usize = 32;
 
 /// Outcome of one multi-shard GC candidate under the held locks.
 #[derive(Debug)]
@@ -71,41 +84,38 @@ enum MultiDelete {
 }
 
 impl EngineInner {
-    pub(crate) fn gc_loop(&self, interval: Duration) {
-        loop {
-            let key = self.shutdown_ev.prepare();
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            // ENOSPC escalation: while a WAL append is parked on its
-            // space backoff, every sweep is a rescue attempt — each
-            // deleted transaction can retire a sealed segment and free
-            // the bytes the parked append needs. Shrink the tick so a
-            // rescue lands inside the append's escalation window
-            // instead of one full interval later.
-            let pressured = self.wal.as_ref().is_some_and(|w| w.space_pressure());
-            let wait = if pressured {
-                self.metrics.gc_pressure_sweeps.add(1);
-                Duration::from_micros(200).min(interval)
-            } else {
-                interval
-            };
-            // Timed out → a normal tick; notified → recheck the flag
-            // (shutdown is the event's only notifier).
-            let _ = self.shutdown_ev.wait_timeout(key, wait);
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            self.gc_sweep();
+    /// One full GC sweep: reclaim every shard's candidate queue, then
+    /// the multi-shard pass. See [`crate::Engine::gc_sweep`] for who
+    /// calls it.
+    pub(crate) fn gc_sweep(&self) {
+        for s in 0..self.shards.len() {
+            let deferred = self.reclaim_shard(&mut self.lock_shard(s));
+            self.defer_multi(deferred);
+        }
+        self.sweep_multi_shard();
+        self.metrics.gc_sweeps.add(1);
+    }
+
+    /// Queues multi-shard candidates that the locks of whoever found
+    /// them do not cover, for the standalone pass (a leaf lock: fine
+    /// under shard locks).
+    pub(crate) fn defer_multi(&self, txns: Vec<TxnId>) {
+        if !txns.is_empty() {
+            self.pending_multi.lock().unwrap().extend(txns);
         }
     }
 
-    /// One full GC sweep: per-shard incremental pass (including ghost
-    /// compaction), then the multi-shard pass.
-    pub(crate) fn gc_sweep(&self) {
-        self.sweep_shards_noncurrent();
-        self.sweep_multi_shard();
-        self.metrics.gc_sweeps.add(1);
+    /// Runs the standalone multi-shard pass while
+    /// [`MULTI_GC_THRESHOLD`] or more candidates wait for it (a pass
+    /// re-queues the predecessors it ghosted, hence the loop). Every
+    /// commit that deferred a candidate calls this after releasing its
+    /// locks — nobody else will — so the backlog, and with it every
+    /// boundary summary, stays bounded without a GC thread.
+    pub(crate) fn drain_multi_backlog(&self) {
+        while self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD {
+            self.sweep_multi_shard();
+            self.metrics.gc_sweeps.add(1);
+        }
     }
 
     /// Incremental noncurrent reclaim of one shard — **deletion at the
@@ -113,15 +123,17 @@ impl EngineInner {
     /// after its install, so the candidates are the ones its own
     /// `WriteAll` just queued (the overwritten accessors plus itself)
     /// and the lock hold stays short and uniform. Drains the candidate
-    /// queue, deletes noncurrent single-shard transactions, defers
-    /// multi-shard candidates to the multi pass, prunes stale store
-    /// versions. Caller holds the shard's lock. The background sweep
-    /// calls it too, for what no commit drains (recovery's replay).
-    pub(crate) fn reclaim_shard(&self, g: &mut Shard) {
+    /// queue, deletes noncurrent single-shard transactions, prunes
+    /// stale store versions, and returns the multi-shard candidates —
+    /// for the caller to offer to [`Self::sweep_multi_batch`] if it
+    /// holds more than this shard, or to [`Self::defer_multi`]. Caller
+    /// holds the shard's lock. [`Self::gc_sweep`] calls it too, for
+    /// what no commit drains (recovery's replay).
+    pub(crate) fn reclaim_shard(&self, g: &mut Shard) -> Vec<TxnId> {
         let t0 = self.rt.now();
         let candidates = g.cg.drain_gc_candidates();
         if candidates.is_empty() {
-            return;
+            return Vec::new();
         }
         // A registered (multi-shard) transaction's node bumps its
         // shard's boundary count for as long as it lives there
@@ -157,90 +169,46 @@ impl EngineInner {
         if let Some(w) = &self.wal {
             w.note_deleted(&deleted);
         }
-        if !deferred.is_empty() {
-            self.pending_multi.lock().unwrap().extend(deferred);
-        }
         self.metrics.gc_deletions.add(deleted.len() as u64);
         self.metrics.txns_left(deleted.len() as u64);
         self.metrics.gc_versions_truncated.add(truncated as u64);
         self.metrics
             .gc_pause_nanos
             .add(self.rt.now().saturating_sub(t0).as_nanos() as u64);
+        deferred
     }
 
-    /// Transitive-reduction compaction of a shard's ghost arcs,
-    /// skipped entirely unless deletions added bridge arcs since the
-    /// last pass (compaction needs no coordination: it changes no
-    /// reachability).
-    fn compact_shard_ghosts(&self, g: &mut Shard) {
-        let bridges = g.cg.stats().bridge_arcs;
-        if bridges == g.compacted_bridge_arcs {
-            return;
-        }
-        g.compacted_bridge_arcs = bridges;
-        let removed = g.cg.compact_ghost_arcs();
-        if removed > 0 {
-            self.metrics.gc_ghost_arcs_removed.add(removed as u64);
-        }
-    }
-
-    /// The per-shard half of a sweep: ghost-arc compaction (which
-    /// needs no coordination: it changes no reachability) and a
-    /// reclaim of whatever candidates no commit drained — commits
-    /// delete at the source, so that is recovery's replay and nothing
-    /// else.
-    fn sweep_shards_noncurrent(&self) {
-        for shard in &self.shards {
-            let mut g = shard
-                .lock()
-                .expect("a thread panicked holding this shard lock");
-            self.compact_shard_ghosts(&mut g);
-            self.reclaim_shard(&mut g);
-        }
-    }
-
-    /// Multi-shard deletion pass: noncurrent-everywhere transactions
-    /// are deleted from every shard, with `D(G, N)` bridges
-    /// re-materialized across shards via ghosts.
+    /// The standalone multi-shard pass over everything pending:
+    /// noncurrent-everywhere transactions are deleted from every
+    /// shard, with `D(G, N)` bridges re-materialized across shards via
+    /// ghosts.
     ///
     /// With more than one shard the pass locks candidates' own spans
     /// instead of stopping the world; the all-locks baseline takes
     /// every lock.
     pub(crate) fn sweep_multi_shard(&self) {
-        if self.pending_multi.lock().unwrap().is_empty() {
+        let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
+        let queue: Vec<TxnId> = pending.into_iter().collect();
+        if queue.is_empty() {
             return;
         }
         if !self.all_locks && self.shards.len() > 1 {
-            self.sweep_multi_partial();
+            self.sweep_multi_partial(queue);
         } else {
-            let mut guards = self.lock_all();
-            // The stop-the-world baseline: these locks were taken for
-            // GC, so the acquisition is recorded.
-            if self.sweep_multi_locked(&mut guards) {
-                self.metrics
-                    .record_gc_closure(self.shards.len(), self.shards.len());
-                self.rt.emit("gc_closure", self.shards.len() as u64);
-            }
+            self.sweep_multi_all_locks(&queue);
         }
     }
 
-    /// The all-locks multi-shard pass, for callers already holding
-    /// every shard lock (the stop-the-world baseline, and escalated
-    /// committers draining the multi-shard backlog while they happen to
-    /// hold everything anyway — the coordination registry needs no
-    /// lock of its own: its stripes are leaf locks). Returns whether
-    /// there was anything to process — the caller decides whether the
-    /// lock acquisition counts toward the GC closure metrics (an inline
-    /// committer's locks were taken for the commit, not for GC).
-    pub(crate) fn sweep_multi_locked(&self, guards: &mut Guards<'_>) -> bool {
-        let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
-        let pending: Vec<TxnId> = pending.into_iter().collect();
-        if pending.is_empty() {
-            return false;
-        }
-        let widen = self.sweep_multi_batch(guards, &pending);
+    /// Stops the world for `queue`: the baseline's whole pass, and the
+    /// partial pass's last resort. The locks are taken for GC, so the
+    /// acquisition is recorded.
+    fn sweep_multi_all_locks(&self, queue: &[TxnId]) {
+        let n = self.shards.len();
+        let mut guards = self.lock_all();
+        self.metrics.record_gc_closure(n, n);
+        self.rt.emit("gc_closure", n as u64);
+        let widen = self.sweep_multi_batch(&mut guards, queue);
         debug_assert!(widen.is_empty(), "all-locks batch cannot need wider");
-        true
     }
 
     /// The span-scoped multi-shard pass. Repeatedly: lock the lead
@@ -255,9 +223,7 @@ impl EngineInner {
     /// is not span-closed and everything left goes to one final
     /// all-locks pass — as does a lead whose span already is every
     /// shard.
-    fn sweep_multi_partial(&self) {
-        let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
-        let mut queue: Vec<TxnId> = pending.into_iter().collect();
+    fn sweep_multi_partial(&self, mut queue: Vec<TxnId>) {
         let n = self.shards.len();
         while let Some(&lead) = queue.first() {
             let Some(span) = self.coord.reg_get(lead, &self.metrics) else {
@@ -280,20 +246,18 @@ impl EngineInner {
             }
         }
         if !queue.is_empty() {
-            let mut guards = self.lock_all();
-            self.metrics.record_gc_closure(n, n);
-            self.rt.emit("gc_closure", n as u64);
-            let w = self.sweep_multi_batch(&mut guards, &queue);
-            debug_assert!(w.is_empty(), "all-locks batch cannot need wider");
+            self.sweep_multi_all_locks(&queue);
         }
     }
 
     /// Deletes every deletable candidate of `batch` under whatever
-    /// shard locks are held, then truncates stores, re-queues ghosted
-    /// predecessors, and flushes the touched summaries. Returns the
-    /// candidates whose closure turned out to exceed the locked subset,
-    /// in `batch` order (never non-empty when every lock is held).
-    fn sweep_multi_batch(&self, guards: &mut Guards<'_>, batch: &[TxnId]) -> Vec<TxnId> {
+    /// shard locks are held — a standalone pass's, or the guards of the
+    /// escalated commit that queued the candidates — then truncates
+    /// stores, re-queues ghosted predecessors, and flushes the touched
+    /// summaries. Returns the candidates whose closure turned out to
+    /// exceed the locked subset, in `batch` order (never non-empty when
+    /// every lock is held).
+    pub(crate) fn sweep_multi_batch(&self, guards: &mut Guards<'_>, batch: &[TxnId]) -> Vec<TxnId> {
         let t0 = self.rt.now();
         // Batch the bridge-arc summary maintenance: ghost marks and
         // ordering arcs between deletes coalesce, and deletes flush
@@ -371,8 +335,8 @@ impl EngineInner {
             return MultiDelete::Skipped; // aborted or already deleted
         };
         // The candidate's own span must be fully locked (it is not the
-        // lead, or a concurrent sweep ghosted it into new shards since
-        // the lead's span was read).
+        // lead or the committer, or a concurrent pass ghosted it into
+        // new shards since the lead's span was read).
         if shards.iter().any(|s| !guards.contains_key(s)) {
             return MultiDelete::NeedsWider;
         }
@@ -381,10 +345,10 @@ impl EngineInner {
             .filter_map(|&s| guards[&s].cg.node_of(txn).map(|n| (s, n)))
             .collect();
         // Not deletable yet? Drop it from the queue: the events
-        // that can change the answer re-enqueue it — committing
-        // (commit_escalated), an overwrite of one of its entities
-        // (the shard candidate queue -> reclaim_shard deferral),
-        // or being ghosted (bridge_cross_shard).
+        // that can change the answer put it back — its commit or an
+        // overwrite of one of its entities (both queue it in the
+        // shard, and `reclaim_shard` returns it to the committer), or
+        // being ghosted (bridge_cross_shard).
         let all_completed = nodes.iter().all(|&(s, n)| guards[&s].cg.is_completed(n));
         if !all_completed {
             return MultiDelete::Skipped;
@@ -550,15 +514,16 @@ impl EngineInner {
 
 #[cfg(test)]
 mod tests {
+    use super::MULTI_GC_THRESHOLD;
     use crate::engine::SHARD_LOCKS;
     use crate::{Engine, EngineConfig};
+    use deltx_core::noncurrent;
     use deltx_model::{EntityId, TxnId};
     use std::collections::BTreeSet;
 
     fn engine() -> Engine {
         Engine::new(EngineConfig {
             shards: 8,
-            background_gc: false,
             ..EngineConfig::default()
         })
     }
@@ -586,8 +551,8 @@ mod tests {
         assert_eq!(g.cg.gc_candidate_count(), 0, "shard {s} left a backlog");
     }
 
-    // No `gc_sweep` anywhere below: the second overwriting commit is
-    // what deletes, before it returns.
+    // No `gc_sweep` in the tests below until one says so: the
+    // overwriting commit is what deletes, before it returns.
 
     #[test]
     fn fast_path_commit_deletes_what_it_made_noncurrent() {
@@ -618,8 +583,6 @@ mod tests {
         assert!(m.escalated_ops >= 2, "both two-shard commits escalated");
     }
 
-    // Multi-shard candidates wait for the multi pass, driven by hand.
-
     /// `txn` has a node in shard `s`.
     fn has_node(e: &Engine, s: usize, txn: TxnId) -> bool {
         e.inner.shards[s].lock().unwrap().cg.node_of(txn).is_some()
@@ -630,12 +593,71 @@ mod tests {
         [0, 1, 2].map(|s| e.inner.shards[s].lock().unwrap().boundary)
     }
 
+    /// What waits for the standalone multi-shard pass.
+    fn pending(e: &Engine) -> Vec<TxnId> {
+        let p = e.inner.pending_multi.lock().unwrap();
+        p.iter().copied().collect()
+    }
+
     #[test]
     fn span_closed_candidate_is_deleted_under_its_own_span() {
         let e = engine();
         let t1 = overwrite(&e, &[0, 1]); // spans shards 0 and 1
-        overwrite(&e, &[0, 1]); // T1's only neighbour, same span
         assert!(has_node(&e, 0, t1) && has_node(&e, 1, t1));
+        SHARD_LOCKS.with(|c| c.set(0));
+        // T1's only neighbour, same span: its commit holds T1's closure.
+        overwrite(&e, &[0, 1]);
+        assert_eq!(
+            SHARD_LOCKS.with(|c| c.get()),
+            2,
+            "the commit's; none for GC"
+        );
+        assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
+        assert_eq!(e.inner.coord.reg_get(t1, &e.inner.metrics), None);
+        assert_eq!(
+            pending(&e),
+            [],
+            "the committer is current: judged, not queued"
+        );
+        let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_sweeps), (1, 0));
+        assert_eq!((m.gc_closure_hist, m.gc_closure_fallbacks), ([0; 8], 0));
+    }
+
+    #[test]
+    fn read_only_multi_shard_transaction_is_gone_when_its_commit_returns() {
+        let e = engine();
+        overwrite(&e, &[0]);
+        overwrite(&e, &[1]);
+        let mut r = e.begin();
+        let id = r.id();
+        r.read(0).unwrap();
+        r.read(1).unwrap(); // R spans shards 0 and 1
+        overwrite(&e, &[0]);
+        overwrite(&e, &[1]); // everything R read is overwritten; R is active
+        assert_eq!(boundary_counts(&e), [1, 1, 0]);
+        r.commit().unwrap();
+        assert!(!has_node(&e, 0, id) && !has_node(&e, 1, id));
+        assert_eq!(e.inner.coord.reg_get(id, &e.inner.metrics), None);
+        assert_eq!(boundary_counts(&e), [0, 0, 0]);
+        assert_eq!(e.graph_size().nodes, 2, "the two current writers");
+        let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_sweeps), (3, 0), "two writers and R");
+        assert_eq!((m.gc_closure_hist, m.boundary_underflows), ([0; 8], 0));
+    }
+
+    // One lock covers no multi-shard candidate: fast-path overwriters
+    // leave theirs to the standalone pass, driven by hand here.
+
+    #[test]
+    fn fast_path_overwrites_leave_the_candidate_to_the_own_span_pass() {
+        let e = engine();
+        let t1 = overwrite(&e, &[0, 1]); // spans shards 0 and 1
+        overwrite(&e, &[0]);
+        overwrite(&e, &[1]);
+        assert_eq!(e.metrics().escalated_ops, 1, "T1's commit only");
+        assert!(has_node(&e, 0, t1) && has_node(&e, 1, t1));
+        assert_eq!(pending(&e), [t1]);
         SHARD_LOCKS.with(|c| c.set(0));
         e.inner.sweep_multi_shard();
         assert_eq!(SHARD_LOCKS.with(|c| c.get()), 2, "span.len() acquisitions");
@@ -676,5 +698,71 @@ mod tests {
         assert_eq!((m.gc_deletions, m.gc_closure_fallbacks), (1, 1));
         assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 1, 0, 0, 0], "2, then 8");
         assert_eq!(m.boundary_underflows, 0);
+    }
+
+    #[test]
+    fn committer_without_the_closure_leaves_the_candidate_whole_for_one_sweep() {
+        let e = engine();
+        let t1 = overwrite(&e, &[0, 1]); // spans {0, 1}
+        let t2 = overwrite(&e, &[1, 2]); // T1 -> T2 in shard 1; spans {1, 2}
+                                         // T3 holds T1's span, but T1's neighbour T2 reaches shard 2.
+        overwrite(&e, &[0, 1]);
+        assert_eq!(pending(&e), [t1, t2], "T3 is current: judged, not queued");
+        assert!(has_node(&e, 0, t1) && has_node(&e, 1, t1), "no half-delete");
+        assert_eq!(
+            e.inner.coord.reg_get(t1, &e.inner.metrics),
+            Some(vec![0, 1])
+        );
+        assert_eq!(boundary_counts(&e), [2, 3, 1]);
+        let m = e.metrics();
+        assert_eq!(
+            (m.gc_deletions, m.gc_sweeps, m.gc_closure_hist),
+            (0, 0, [0; 8])
+        );
+        e.gc_sweep();
+        assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
+        assert!(
+            has_node(&e, 1, t2) && has_node(&e, 2, t2),
+            "T2 is current on e2"
+        );
+        assert_eq!((pending(&e), boundary_counts(&e)), (vec![], [1, 2, 1]));
+        let m = e.metrics();
+        assert_eq!(
+            (m.gc_deletions, m.gc_sweeps, m.gc_closure_fallbacks),
+            (1, 1, 1)
+        );
+        assert_eq!(m.boundary_underflows, 0);
+    }
+
+    /// `txn` has no node left, or one that is still current.
+    fn gone_or_current(e: &Engine, txn: TxnId) -> bool {
+        let shards: Vec<_> = e.inner.shards.iter().map(|s| s.lock().unwrap()).collect();
+        let mut nodes = shards
+            .iter()
+            .filter_map(|g| g.cg.node_of(txn).map(|n| (g, n)))
+            .peekable();
+        nodes.peek().is_none() || nodes.any(|(g, n)| noncurrent::is_current(&g.cg, n))
+    }
+
+    #[test]
+    fn idle_residue_stays_below_the_threshold_and_one_sweep_drains_it() {
+        let e = engine();
+        // A ring: T_k writes entities k and k+1 (mod 8), so the commit
+        // that finishes overwriting a candidate never holds its span.
+        for k in 0..100u32 {
+            overwrite(&e, &[k % 8, (k + 1) % 8]);
+            assert!(pending(&e).len() < MULTI_GC_THRESHOLD, "after commit {k}");
+        }
+        let m = e.metrics();
+        assert!(m.gc_sweeps >= 2, "committers ran the pass themselves: {m}");
+        let residue = pending(&e);
+        assert!(!residue.is_empty(), "the traffic leaves some behind");
+        assert!(residue.iter().any(|&t| !gone_or_current(&e, t)));
+        e.gc_sweep();
+        for t in residue {
+            assert!(gone_or_current(&e, t), "{t} survived the sweep");
+        }
+        assert_eq!(e.metrics().boundary_underflows, 0);
+        e.summary_audit().unwrap();
     }
 }

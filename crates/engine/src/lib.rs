@@ -4,10 +4,10 @@
 //! this crate *serves* with it. `deltx-engine` turns the conflict-graph
 //! scheduler of Hadzilacos & Yannakakis into an online OLTP-style
 //! service in which "deleting completed transactions" is a live memory
-//! reclamation mechanism: a background GC incrementally removes
-//! completed transactions the moment the paper's conditions allow,
-//! keeping the scheduler state `O(active transactions + entities)` under
-//! sustained load.
+//! reclamation mechanism: every commit removes the completed
+//! transactions its own write made deletable, the moment the paper's
+//! conditions allow, keeping the scheduler state `O(active transactions
+//! + entities)` under sustained load — with no GC thread.
 //!
 //! ## Architecture
 //!
@@ -25,11 +25,9 @@
 //!  │   CgState +  │  │   CgState +  │       │   CgState +  │
 //!  │   Store>     │  │   Store>     │       │   Store>     │
 //!  └──────▲───────┘  └──────▲───────┘       └──────▲───────┘
-//!         │ lock one (fast path) or own, ascending │
-//!         └────────────┬───────────────────────────┘
-//!                ┌─────▼──────┐
-//!                │  GC thread │  noncurrent sweeps,
-//!                └────────────┘  Store::truncate_versions_in
+//!         │ lock one (fast path) or own, ascending;  │
+//!         │ the committer deletes what it overwrote │
+//!         └─────────────────────────────────────────┘
 //! ```
 //!
 //! * **Sessions** ([`Session`]) follow the paper's basic model:
@@ -85,24 +83,26 @@
 //!   ([`deltx_core::CgState::drain_gc_candidates`]: the overwritten
 //!   accessors and itself; no full scans) and deletes the
 //!   single-shard ones that became noncurrent, so shard-lock holds
-//!   stay short and uniform. Multi-shard candidates go to a pending
-//!   set that a background thread (and, past a threshold, an
-//!   escalated committer) works off, along with ghost compaction and
-//!   recovery's replay. Deleting a
+//!   stay short and uniform. An escalated commit offers the
+//!   multi-shard candidates among them — itself included — to the
+//!   multi-shard deletion under the locks it holds. Deleting a
 //!   multi-shard transaction re-materializes the paper's `D(G, N)`
 //!   bridges across shard boundaries with *ghost nodes*
 //!   ([`deltx_core::CgState::admit_completed_ghost`]), so union
-//!   reachability is preserved exactly — and the pass locks only the
-//!   lead candidate's **own span**, batching every candidate whose
-//!   closure (its span plus its neighbors' spans, checked under the
-//!   held locks before the first mutation) those locks cover and
-//!   falling back to all locks once a lead's closure escapes its span,
-//!   instead of stopping the world. Sweeps also run a
-//!   transitive-reduction compaction over ghost-only subgraphs
-//!   ([`deltx_core::CgState::compact_ghost_arcs`]) so bridge arcs
-//!   cannot accrete without bound, and prune reclaimed writers' stale
-//!   versions with [`deltx_storage::Store::truncate_versions_in`].
-//!   GC keeps up even without the background thread.
+//!   reachability is preserved exactly; whether the held locks cover
+//!   the candidate's closure (its span plus its neighbors' spans) is
+//!   checked under them, before the first mutation. A candidate they
+//!   do not cover waits in a pending set, and the committer that
+//!   brings that set to 32 runs the standalone pass: it locks only
+//!   the lead candidate's **own span**, batches every candidate those
+//!   locks cover, and falls back to all locks once a lead's closure
+//!   escapes its span, instead of stopping the world. Reclaimed
+//!   writers' stale versions are pruned with
+//!   [`deltx_storage::Store::truncate_versions_in`]. There is no GC
+//!   thread: what is left when traffic stops is fewer than 32
+//!   multi-shard candidates, and [`Engine::gc_sweep`] drains them on
+//!   request ([`Engine::open`] runs it once over the replay; a
+//!   session blocked on a full log device runs it as a rescue).
 //! * **Durability** (opt-in via [`EngineConfig::durability`]): a
 //!   write-ahead log (`deltx-wal`) with a dedicated group-commit
 //!   writer thread. Commit records are submitted *while the shard

@@ -72,8 +72,8 @@ fn summary_bucket(nanos: u64) -> usize {
         .unwrap_or(SUMMARY_HIST_BUCKETS - 1)
 }
 
-/// The engine's metric registry (one per engine, shared with the GC
-/// thread).
+/// The engine's metric registry (one per engine, shared by every
+/// session).
 #[derive(Debug, Default)]
 pub(crate) struct EngineMetrics {
     pub commits: Counter,
@@ -91,7 +91,6 @@ pub(crate) struct EngineMetrics {
     pub gc_sweeps: Counter,
     pub gc_deletions: Counter,
     pub gc_ghosts: Counter,
-    pub gc_ghost_arcs_removed: Counter,
     pub gc_versions_truncated: Counter,
     pub gc_pause_nanos: Counter,
     pub gc_partial_sweeps: Counter,
@@ -117,8 +116,8 @@ pub(crate) struct EngineMetrics {
     /// Writing commits rejected because the WAL is no longer healthy
     /// (degraded read-only mode).
     pub degraded_commit_rejections: Counter,
-    /// GC ticks shortened because a WAL append was parked on ENOSPC
-    /// backoff (each shortened tick is a rescue-sweep attempt).
+    /// Rescue sweeps run by sessions waiting on a WAL append parked on
+    /// ENOSPC backoff.
     pub gc_pressure_sweeps: Counter,
     /// Session-path shard-lock acquisitions that found the lock held,
     /// by the phase that got it: spinning, yielding, or parked.
@@ -188,7 +187,6 @@ impl EngineMetrics {
             gc_sweeps: self.gc_sweeps.get(),
             gc_deletions: self.gc_deletions.get(),
             gc_ghosts: self.gc_ghosts.get(),
-            gc_ghost_arcs_removed: self.gc_ghost_arcs_removed.get(),
             gc_versions_truncated: self.gc_versions_truncated.get(),
             gc_partial_sweeps: self.gc_partial_sweeps.get(),
             gc_closure_fallbacks: self.gc_closure_fallbacks.get(),
@@ -256,15 +254,16 @@ pub struct MetricsSnapshot {
     /// and per-shard counts disagreed — always 0 unless there is a
     /// bookkeeping bug; the decrement saturates instead of panicking).
     pub boundary_underflows: u64,
-    /// GC sweeps executed.
+    /// Standalone runs of the multi-shard pass — by the committer that
+    /// brought the pending set to its threshold, or by an explicit
+    /// [`crate::Engine::gc_sweep`] (recovery and ENOSPC rescues
+    /// included). Deletions made at the source, under a commit's own
+    /// locks, are not sweeps.
     pub gc_sweeps: u64,
     /// Completed transactions deleted from the live graph.
     pub gc_deletions: u64,
     /// Ghost nodes materialized for cross-shard bridges.
     pub gc_ghosts: u64,
-    /// Redundant ghost-to-ghost ordering arcs removed by the GC's
-    /// transitive-reduction compaction pass.
-    pub gc_ghost_arcs_removed: u64,
     /// Stale versions pruned from the stores.
     pub gc_versions_truncated: u64,
     /// Multi-shard GC acquisitions that locked a **strict subset** of
@@ -318,8 +317,8 @@ pub struct MetricsSnapshot {
     /// I/O failure) so the commit was refused with
     /// [`crate::EngineError::Durability`] before touching any shard.
     pub degraded_commit_rejections: u64,
-    /// GC ticks shortened under WAL space pressure (ENOSPC rescue
-    /// sweeps attempted by the background thread).
+    /// ENOSPC rescue sweeps: [`crate::Engine::gc_sweep`] runs made by
+    /// sessions blocked on a WAL append that was parked for space.
     pub gc_pressure_sweeps: u64,
     /// Session-path shard-lock acquisitions that found the lock held
     /// and got it while spinning (see `EngineInner::lock_shard`).
@@ -375,12 +374,11 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "gc: {} sweeps, {} deletions, {} ghosts ({} ghost arcs compacted), \
+            "gc: {} sweeps, {} deletions, {} ghosts, \
              {} versions pruned, {:?} total pause",
             self.gc_sweeps,
             self.gc_deletions,
             self.gc_ghosts,
-            self.gc_ghost_arcs_removed,
             self.gc_versions_truncated,
             self.gc_pause
         )?;

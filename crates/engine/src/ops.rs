@@ -35,10 +35,23 @@
 //!    is written. (The multi-shard GC pass works the same way — own
 //!    span first, the under-lock coverage check as the only staleness
 //!    signal — see [`crate::gc`].)
+//!
+//! ## Deletion rides the commit
+//!
+//! A commit is also the engine's only deleter. Right after its install
+//! and under the locks it already holds it reclaims each shard it
+//! touched ([`EngineInner::reclaim_shard`]); an escalated commit then
+//! offers the multi-shard candidates that turned up — itself included,
+//! which is what removes a read-only multi-shard transaction the moment
+//! it commits — to [`EngineInner::sweep_multi_batch`] under the same
+//! guards, where the coverage check decides. What its locks do not
+//! cover it leaves pending, and after releasing them it runs the
+//! standalone pass if enough are waiting
+//! ([`EngineInner::drain_multi_backlog`]). A session waiting on a full
+//! log device sweeps as a rescue ([`EngineInner::finish_durable`]).
 
 use crate::engine::{EngineInner, Guards, Shard};
 use crate::error::EngineError;
-use crate::gc::MULTI_GC_THRESHOLD;
 use crate::history::Event;
 use crate::session::SessionState;
 use deltx_core::Applied;
@@ -423,9 +436,14 @@ impl EngineInner {
                         }
                         self.record_step(step, Applied::Accepted);
                         // Delete at the source: whatever this write made
-                        // noncurrent goes now, under the lock already held.
-                        self.reclaim_shard(&mut g);
+                        // noncurrent goes now, under the lock already held
+                        // (one lock covers no multi-shard candidate).
+                        let deferred = self.reclaim_shard(&mut g);
                         drop(g);
+                        if !deferred.is_empty() {
+                            self.defer_multi(deferred);
+                            self.drain_multi_backlog();
+                        }
                         st.closed = true;
                         self.finish_durable(st)?;
                         self.metrics.commits.add(1);
@@ -462,16 +480,10 @@ impl EngineInner {
         if let Err(EngineError::Aborted(_)) = res {
             self.after_scheduler_abort(st);
         }
-        // Multi-shard candidates cannot be deleted at the source — a
-        // committer holding only its own shards does not hold their
-        // closures — so once enough are pending the multi pass runs
-        // standalone here, after this commit's locks are released.
-        // Otherwise multi-shard transactions would only be reclaimed
-        // by the background thread, and with that disabled the backlog
-        // (and with it every summary) would grow without bound.
-        if self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD {
-            self.sweep_multi_shard();
-        }
+        // The multi-shard candidates this commit's locks did not cover
+        // wait in `pending_multi`; now that the locks are released, run
+        // the standalone pass if enough do.
+        self.drain_multi_backlog();
         res
     }
 
@@ -550,20 +562,21 @@ impl EngineInner {
                 }
             }
         }
-        if touched.len() > 1 {
-            self.pending_multi.lock().unwrap().insert(st.txn);
-        }
         self.record_step(step, Applied::Accepted);
         // Delete at the source, as on the fast path: each touched shard
-        // reclaims what this write made noncurrent there (multi-shard
-        // candidates, this transaction included, go to `pending_multi`).
+        // reclaims what this write made noncurrent there. The
+        // multi-shard candidates among them — this transaction included,
+        // if it spans shards — are offered to the multi-shard deletion
+        // under the guards already held; its coverage check decides, and
+        // what these locks do not cover waits for the standalone pass.
+        let mut multi: Vec<TxnId> = Vec::new();
         for &s in &touched {
-            self.reclaim_shard(guards.get_mut(&s).expect("locked"));
+            multi.extend(self.reclaim_shard(guards.get_mut(&s).expect("locked")));
         }
-        if guards.len() == self.shards.len()
-            && self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD
-        {
-            self.sweep_multi_locked(guards);
+        if !multi.is_empty() {
+            multi.sort_unstable();
+            multi.dedup(); // one entry per shard it was queued in
+            self.defer_multi(self.sweep_multi_batch(guards, &multi));
         }
         Ok(Ok(()))
     }
@@ -574,6 +587,11 @@ impl EngineInner {
     /// commit must fail even though the in-memory install happened
     /// (the WAL is crashed; no later commit will be accepted either,
     /// so the discrepancy cannot be observed by a recovering client).
+    ///
+    /// While the writer is parked on a full device, the waiting session
+    /// is the rescuer: each of the writer's retries wakes it to run one
+    /// [`Self::gc_sweep`] — every deletion can retire a sealed segment
+    /// and free the bytes the parked append needs.
     fn finish_durable(&self, st: &mut SessionState) -> Result<(), EngineError> {
         let Some(sub) = st.wal_submit.take() else {
             return Ok(());
@@ -582,7 +600,10 @@ impl EngineInner {
         self.wal
             .as_ref()
             .expect("submission implies a wal")
-            .wait_durable(lsn)
+            .wait_durable_with(lsn, || {
+                self.metrics.gc_pressure_sweeps.add(1);
+                self.gc_sweep();
+            })
             .map_err(|e| EngineError::Durability(e.to_string()))
     }
 
@@ -667,7 +688,6 @@ mod tests {
     fn engine(shards: usize) -> Engine {
         Engine::new(EngineConfig {
             shards,
-            background_gc: false,
             ..EngineConfig::default()
         })
     }

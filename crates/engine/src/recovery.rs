@@ -73,9 +73,6 @@ impl EngineInner {
                     .store
                     .write(x, v, rec.txn);
             }
-            if involved.len() > 1 {
-                self.pending_multi.lock().unwrap().insert(rec.txn);
-            }
             self.record_step(
                 Step::new(
                     rec.txn,

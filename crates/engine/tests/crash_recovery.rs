@@ -65,7 +65,6 @@ fn lock_modes() -> Vec<(bool, &'static str)> {
 fn config(dir: &TestDir, record_history: bool) -> EngineConfig {
     EngineConfig {
         shards: 4,
-        background_gc: false, // deterministic: the test drives GC
         record_history,
         durability: Some(DurabilityConfig {
             fsync: false, // crash points are simulated; no device needed
@@ -226,8 +225,6 @@ fn crash_under_concurrent_load_recovers_conserved_balances() {
     for (partial, mode) in lock_modes() {
         let dir = TestDir::new(&format!("load-{mode}"));
         let cfg = EngineConfig {
-            background_gc: true,
-            gc_interval: Duration::from_millis(1),
             ..config(&dir, false)
         };
         let (e, _) = open(partial, cfg).expect("fresh open");

@@ -9,9 +9,9 @@
 //!   `EngineError::Durability`, the engine flips to a loud degraded
 //!   read-only mode (reads Ok, writes refused, no panic, no hang),
 //!   and nothing it ever acknowledged is lost.
-//! * `ENOSPC` degrades gracefully: GC pressure frees dead segments to
-//!   rescue writes, and a device that stays full gets loud refusals,
-//!   not a limping engine.
+//! * `ENOSPC` degrades gracefully: the blocked session's GC sweeps
+//!   free dead segments to rescue writes, and a device that stays
+//!   full gets loud refusals, not a limping engine.
 //! * Corruption inside a sealed mid-log segment is never truncated
 //!   over: `RecoverPolicy::Strict` refuses the open naming the fix,
 //!   `RecoverPolicy::Quarantine` opens with an exact lost-LSN report.
@@ -28,7 +28,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Self-cleaning per-test WAL directory.
 struct TestDir(PathBuf);
@@ -76,7 +75,6 @@ fn config(
 ) -> EngineConfig {
     EngineConfig {
         shards: 4,
-        background_gc: false, // deterministic: the test drives GC
         record_history: false,
         durability: Some(DurabilityConfig {
             segment_bytes,
@@ -282,26 +280,26 @@ fn run_fsync_poison(partial: bool, mode: &str, seed: u64) {
     assert_mirror(&r, &mirror, &format!("{ctx}/reopen"), seed);
 }
 
-/// ENOSPC → graceful degradation: GC pressure unlinks dead segments
-/// to rescue writes; if the device stays full the engine refuses
-/// loudly. Either way: no panic, no hang, no silent loss.
-fn run_enospc(partial: bool, mode: &str, seed: u64) {
-    let ctx = format!("{mode}/enospc");
-    let dir = TestDir::new(&format!("enospc-{mode}"));
+/// ENOSPC → graceful degradation, on a device of `capacity` bytes
+/// under 512-byte segments. The committing session is the only
+/// rescuer there is: parked on its record's flush while the writer
+/// backs off, it answers the pressure flag with GC sweeps — deletion
+/// doubles as the checkpoint, so every retired segment frees device
+/// bytes under the parked append. `rescued` says which arm the shape
+/// must reach: 3 KiB is enough for the sweeps to work (deletion at the
+/// source alone never raises pressure at 6 KiB; it is the pending
+/// multi-shard residue that pins segments, and a sweep drains it);
+/// 2 KiB is not, and the engine must refuse loudly. Either way: no
+/// panic, no hang, no silent loss.
+fn run_enospc(partial: bool, mode: &str, seed: u64, capacity: u64, rescued: bool) {
+    let ctx = format!("{mode}/enospc-{capacity}");
+    let dir = TestDir::new(&format!("enospc-{capacity}-{mode}"));
     let spec = FaultSpec {
-        capacity: Some(6 * 1024),
+        capacity: Some(capacity),
         ..FaultSpec::default()
     };
     let storage: Arc<dyn WalStorage> = faulty(&dir, spec);
-    // The committing thread parks inside the WAL's ENOSPC backoff, so
-    // only the background GC can answer the pressure flag in time —
-    // retiring dead segments frees device bytes under the parked
-    // append (GC deletion doubles as the checkpoint).
-    let cfg = EngineConfig {
-        background_gc: true,
-        gc_interval: Duration::from_millis(1),
-        ..config(&dir, Some(storage), 512, false, RecoverPolicy::Strict)
-    };
+    let cfg = config(&dir, Some(storage), 512, false, RecoverPolicy::Strict);
     let (e, _) = open(partial, cfg).expect("fresh open");
     let n = 16usize;
     let mut mirror = vec![0i64; n];
@@ -314,17 +312,28 @@ fn run_enospc(partial: bool, mode: &str, seed: u64) {
             Err(other) => panic!("[{ctx}] unexpected error {other:?} [seed {seed}]"),
         }
     }
-    match e.wal_health() {
-        WalHealth::Ok => assert_eq!(
+    // The all-locks baseline's committers hold every closure, so they
+    // leave no residue behind and 3 KiB never fills for them.
+    let sweeps = e.metrics().gc_pressure_sweeps;
+    assert!(
+        sweeps >= 1 || !partial,
+        "[{ctx}] the device must fill and a blocked session must sweep [seed {seed}]"
+    );
+    match (e.wal_health(), rescued) {
+        (WalHealth::Ok, true) => assert_eq!(
             acked, 300,
             "[{ctx}] a healthy log means every write was rescued [seed {seed}]"
         ),
-        WalHealth::NoSpace => assert_degraded_read_only(&e, n, &ctx, seed),
-        other => panic!("[{ctx}] ENOSPC must never reach {other:?} [seed {seed}]"),
+        (WalHealth::NoSpace, false) => assert_degraded_read_only(&e, n, &ctx, seed),
+        (other, _) => panic!(
+            "[{ctx}] expected {}, got {other:?} after {sweeps} rescue sweeps, \
+             {acked}/300 acknowledged [seed {seed}]",
+            if rescued { "a rescue" } else { "NoSpace" }
+        ),
     }
     assert!(
         acked >= 1,
-        "[{ctx}] GC pressure must rescue at least the early writes [seed {seed}]"
+        "[{ctx}] the early writes fit any device [seed {seed}]"
     );
     // The in-flight commit that hit the full device may be installed
     // in memory despite its error; gate-refused commits after the
@@ -459,7 +468,15 @@ fn fsync_failure_poisons_the_log_fail_stop() {
 fn enospc_degrades_gracefully_under_gc_pressure() {
     let seed = run_seed(0xD15C);
     for (partial, mode) in lock_modes() {
-        run_enospc(partial, mode, seed);
+        run_enospc(partial, mode, seed, 3 * 1024, true);
+    }
+}
+
+#[test]
+fn enospc_on_a_device_too_small_to_rescue_refuses_loudly() {
+    let seed = run_seed(0xD15C);
+    for (partial, mode) in lock_modes() {
+        run_enospc(partial, mode, seed, 2 * 1024, false);
     }
 }
 

@@ -7,7 +7,6 @@ use deltx_engine::{Engine, EngineConfig, EngineError};
 fn manual_engine(shards: usize) -> Engine {
     Engine::new(EngineConfig {
         shards,
-        background_gc: false,
         record_history: true,
         ..EngineConfig::default()
     })

@@ -190,7 +190,6 @@ fn run_scripts(engines: &[&Engine], scripts: &[Script], sweep_every: usize) {
 fn mk_engine(shards: usize, partial: bool, record_history: bool) -> Engine {
     let cfg = EngineConfig {
         shards,
-        background_gc: false, // deterministic: sweep from the driver
         record_history,
         ..EngineConfig::default()
     };
@@ -505,7 +504,6 @@ fn boundary_underflow_regression_cross_shard_abort_churn() {
     // and the graph drains to empty.
     let e = Engine::new(EngineConfig {
         shards: 3,
-        background_gc: false,
         record_history: true,
         ..EngineConfig::default()
     });
@@ -564,7 +562,6 @@ fn empty_write_set_commit_completes_ghost_spanning_txn() {
     // through the escalated path with an empty WriteAll in each shard.
     let e = Engine::new(EngineConfig {
         shards: 2,
-        background_gc: false,
         record_history: false,
         ..EngineConfig::default()
     });

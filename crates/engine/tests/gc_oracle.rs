@@ -2,28 +2,31 @@
 //!
 //! The tentpole claim: deleting a multi-shard transaction while
 //! holding only its **closure** of shard locks (its own span plus the
-//! spans of the neighbors its `D(G, N)` bridges connect) leaves union
-//! reachability — and therefore every subsequent accept/reject
-//! decision — bit-identical to the stop-the-world sweep. Three oracles
-//! check it:
+//! spans of the neighbors its `D(G, N)` bridges connect) — whether
+//! those are the locks of the commit that finished overwriting it or
+//! of a standalone pass — leaves union reachability, and therefore
+//! every subsequent accept/reject decision, bit-identical to the
+//! stop-the-world sweep. Three oracles check it:
 //!
 //! 1. **Lockstep against the full scheduler**: a skewed mixed
-//!    workload runs with partial GC deleting mid-stream; the recorded
-//!    history replayed into a monolithic, never-deleting [`CgState`]
-//!    must produce identical outcomes (Theorem 2 lifts reduced-graph
-//!    equivalence to the full graph).
+//!    workload runs with hot-pair committers deleting mid-stream under
+//!    their own two locks; the recorded history replayed into a
+//!    monolithic, never-deleting [`CgState`] must produce identical
+//!    outcomes (Theorem 2 lifts reduced-graph equivalence to the full
+//!    graph).
 //! 2. **A/B against the all-locks sweep**: the identical workload
 //!    driven through the all-locks baseline twin must yield the
 //!    identical decision sequence and identical committed values — on
-//!    skewed traffic (every closure is the candidate's own span) and
-//!    on uniform traffic (own-span attempts miss and the sweep falls
-//!    back to its all-locks pass).
+//!    skewed traffic (every closure is the committer's own span, so
+//!    no standalone pass ever has work) and on uniform traffic
+//!    (closures escape the committers, own-span attempts miss and the
+//!    pass falls back to all locks).
 //! 3. **A constructed scenario** where losing a single cross-shard
 //!    bridge would flip a decision: the subset-locked deletion must
 //!    still force the abort the preserved ordering demands.
 //!
 //! Plus closure-strictness: on traffic whose cross-shard pairs stay
-//! inside a hot shard pair, GC closures must stay at ~2 of 4 locks.
+//! inside a hot shard pair, no lock is ever taken for GC.
 
 use deltx_core::CgState;
 use deltx_engine::{run_seed, Engine, EngineConfig, EngineError};
@@ -127,7 +130,6 @@ fn run_script(e: &Engine, sc: &Script) -> Outcome {
 fn mk_engine(partial: bool, record: bool) -> Engine {
     let cfg = EngineConfig {
         shards: SHARDS,
-        background_gc: false, // deterministic: sweep from the driver
         record_history: record,
         ..EngineConfig::default()
     };
@@ -152,9 +154,10 @@ fn partial_gc_decisions_match_full_scheduler_lockstep() {
     let m = e.metrics();
     assert!(m.commits > 1000, "workload must make progress: {m}");
     assert!(m.gc_deletions > 400, "GC must be deleting mid-run: {m}");
-    assert!(
-        m.gc_partial_sweeps > 20,
-        "closure-scoped sweeps must actually be exercised: {m}"
+    assert_eq!(
+        (m.gc_closure_hist, m.gc_closure_fallbacks),
+        ([0; 8], 0),
+        "every hot-pair candidate goes with the commit that overwrote it: {m}"
     );
     assert_eq!(m.boundary_underflows, 0, "counts stayed consistent");
 
@@ -186,8 +189,8 @@ fn partial_gc_decisions_match_full_scheduler_lockstep() {
 /// Drives `scripts` through a span-scoped-GC engine and a
 /// stop-the-world twin: decision sequences must be equal, operation
 /// for operation, the stores must converge to the same values, and
-/// the default's mean GC closure must be below all-shards. Returns the
-/// default engine's metrics.
+/// every lock set the baseline took for GC must be all shards. Returns
+/// the default engine's metrics.
 fn assert_twins_agree(scripts: &[Script]) -> deltx_engine::MetricsSnapshot {
     let a = mk_engine(true, false);
     let b = mk_engine(false, false);
@@ -208,30 +211,36 @@ fn assert_twins_agree(scripts: &[Script]) -> deltx_engine::MetricsSnapshot {
     for x in 0..ENTITIES {
         assert_eq!(a.peek(x), b.peek(x), "stores diverged at entity {x}");
     }
-    // The point of the feature, in one line: identical decisions with
-    // a strictly smaller mean GC closure than the all-shards sweep.
-    assert!(ma.gc_partial_sweeps > 0, "subset closures exercised: {ma}");
     assert_eq!(mb.gc_partial_sweeps, 0, "baseline stops the world");
-    let mean = |m: &deltx_engine::MetricsSnapshot| {
-        m.gc_closure_locks_taken as f64 / m.gc_closure_hist.iter().sum::<u64>().max(1) as f64
-    };
-    assert!(
-        mean(&ma) < SHARDS as f64,
-        "mean GC closure must be below all-shards: {ma}"
+    assert_eq!(
+        mb.gc_closure_locks_taken,
+        SHARDS as u64 * mb.gc_closure_hist.iter().sum::<u64>()
     );
-    assert!((mean(&mb) - SHARDS as f64).abs() < f64::EPSILON);
     ma
 }
 
 #[test]
 fn partial_and_all_locks_gc_agree_on_every_decision() {
-    assert_twins_agree(&make_skewed_scripts(1500, run_seed(0xF6C)));
+    let m = assert_twins_agree(&make_skewed_scripts(1500, run_seed(0xF6C)));
+    assert!(m.gc_deletions > 400, "GC must be deleting mid-run: {m}");
+    assert_eq!(
+        (m.gc_closure_hist, m.gc_closure_fallbacks),
+        ([0; 8], 0),
+        "identical decisions without one lock taken for GC: {m}"
+    );
 }
 
 #[test]
 fn uniform_traffic_twins_agree_with_closures_below_all_shards() {
     let m = assert_twins_agree(&make_uniform_scripts(1500, run_seed(0x0F1F)));
     assert!(m.gc_deletions > 400, "GC must be deleting mid-run: {m}");
+    // The point of the own-span pass, in one line: identical decisions
+    // with a strictly smaller mean GC closure than the all-shards sweep.
+    assert!(m.gc_partial_sweeps > 0, "subset closures exercised: {m}");
+    assert!(
+        m.gc_closure_locks_taken < SHARDS as u64 * m.gc_closure_hist.iter().sum::<u64>(),
+        "mean GC closure must be below all-shards: {m}"
+    );
     assert!(
         m.gc_closure_fallbacks > 0,
         "uniform closures must escape their leads' spans: {m}"
@@ -240,8 +249,9 @@ fn uniform_traffic_twins_agree_with_closures_below_all_shards() {
 
 #[test]
 fn gc_closures_are_strict_on_skewed_traffic() {
-    // Cross-shard deletions confined to the hot pair {0, 1} must lock
-    // ~2 of 4 shards; anything beyond bucket "2" is a rare fallback.
+    // Cross-shard deletions confined to the hot pair {0, 1} need no
+    // lock of their own: whoever overwrites a hot-pair transaction is
+    // a hot-pair committer, and its two locks are the closure.
     let e = mk_engine(true, false);
     let scripts = make_skewed_scripts(1200, run_seed(0x51));
     for (i, sc) in scripts.iter().enumerate() {
@@ -252,19 +262,15 @@ fn gc_closures_are_strict_on_skewed_traffic() {
     }
     e.gc_sweep();
     let m = e.metrics();
-    assert!(
-        m.gc_partial_sweeps > 10,
-        "hot pair must sweep partially: {m}"
-    );
-    // A wide acquisition is the all-locks pass a fallback sends the
-    // rest of a sweep's queue to; this workload's cross traffic never
-    // leaves the hot pair, so every closure is its lead's own span
-    // (the escalation strictness test relies on the same property of
-    // its workload).
-    let wide_acqs = m.gc_closure_hist[2..].iter().sum::<u64>();
-    assert!(
-        wide_acqs <= m.gc_closure_fallbacks,
-        "GC closures must stay at 2 locks except fallbacks: {m}"
+    assert!(m.gc_deletions > 400, "the hot pair must be deleting: {m}");
+    // This workload's cross traffic never leaves the hot pair, so every
+    // closure is the committer's own span (the escalation strictness
+    // test relies on the same property of its workload): the sweeps
+    // above found nothing pending, and nothing fell back.
+    assert_eq!(
+        (m.gc_closure_hist, m.gc_closure_fallbacks),
+        ([0; 8], 0),
+        "no lock may be taken for GC on span-closed traffic: {m}"
     );
     assert_eq!(m.boundary_underflows, 0);
 }
@@ -346,7 +352,6 @@ fn single_shard_engine_degenerates_to_all_locks_gc() {
     // behave like the baseline (no partial acquisitions recorded).
     let e = Engine::new(EngineConfig {
         shards: 1,
-        background_gc: false,
         ..EngineConfig::default()
     });
     for i in 0..200 {

@@ -107,8 +107,6 @@ fn replay_through_full_scheduler(h: &deltx_engine::RecordedHistory) -> CgState {
 fn contended_run_replays_identically_and_stays_serializable() {
     let e = Engine::new(EngineConfig {
         shards: 4,
-        background_gc: true,
-        gc_interval: std::time::Duration::from_millis(1),
         record_history: true,
         ..EngineConfig::default()
     });
@@ -133,9 +131,10 @@ fn contended_run_replays_identically_and_stays_serializable() {
 
 #[test]
 fn gc_under_churn_partial_sweeps_keep_graph_bounded_and_balances_exact() {
-    // The background GC thread runs closure-scoped multi-shard sweeps
-    // *while* 8 threads commit cross-shard transfers — deletions,
-    // ghost bridging, and commits race on overlapping lock subsets.
+    // 8 threads commit cross-shard transfers, each deleting what it
+    // overwrote under its own locks and running the closure-scoped
+    // multi-shard pass when the backlog fills — deletions, ghost
+    // bridging, and commits race on overlapping lock subsets.
     // Two end-to-end invariants must hold anyway: the live graph
     // stays O(active + entities), and the sum of balances is exactly
     // conserved (any mis-bridged deletion that let a stale ordering
@@ -143,8 +142,6 @@ fn gc_under_churn_partial_sweeps_keep_graph_bounded_and_balances_exact() {
     let n_entities = 32u32;
     let e = Engine::new(EngineConfig {
         shards: 4,
-        background_gc: true,
-        gc_interval: std::time::Duration::from_millis(1),
         record_history: false,
         ..EngineConfig::default()
     });
@@ -177,7 +174,6 @@ fn more_than_64_shards_replay_identically_and_conserve_balances() {
     let (shards, n_entities) = (65u32, 130u32);
     let e = Engine::new(EngineConfig {
         shards: shards as usize,
-        background_gc: false,
         record_history: true,
         ..EngineConfig::default()
     });
@@ -199,18 +195,16 @@ fn more_than_64_shards_replay_identically_and_conserve_balances() {
 
 #[test]
 fn version_truncation_racing_reads_never_surfaces_stale_values() {
-    // The GC thread prunes overwritten versions of a hot entity
+    // Every commit of the writer prunes the version it overwrote
     // (`Store::truncate_versions_in`) *while* readers keep opening
-    // sessions against it. Truncation only ever drops non-newest
-    // versions, so every read must return some value the writer
+    // sessions against the hot entity. Truncation only ever drops
+    // non-newest versions, so every read must return some value the writer
     // actually committed — and since the writer commits a strictly
     // increasing counter, each reader's observations must be
     // monotonically non-decreasing. A truncation that clipped the
     // current version (or resurrected an old one) breaks that order.
     let e = Engine::new(EngineConfig {
         shards: 2,
-        background_gc: true,
-        gc_interval: std::time::Duration::from_millis(1),
         record_history: false,
         ..EngineConfig::default()
     });
@@ -258,7 +252,6 @@ fn live_graph_stays_bounded_under_noncurrent_gc() {
     let n_entities = 32u32;
     let e = Engine::new(EngineConfig {
         shards: 4,
-        background_gc: false, // deterministic: sweep from the driver
         record_history: false,
         ..EngineConfig::default()
     });

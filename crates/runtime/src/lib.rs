@@ -1,9 +1,9 @@
 //! `deltx-runtime` — the seam between the engine and the world.
 //!
 //! Everything in `deltx-engine` and `deltx-wal` that touches time or
-//! threads goes through the [`Runtime`] trait: spawning the background
-//! GC and group-commit writer, reading the clock for metrics, sleeping
-//! between GC ticks, and blocking on conditions (commit backpressure,
+//! threads goes through the [`Runtime`] trait: spawning the
+//! group-commit writer, reading the clock for metrics, sleeping out a
+//! retry backoff, and blocking on conditions (the writer's work queue,
 //! flush-waiter wakeups). Production uses [`OsRuntime`] — real threads,
 //! a monotonic clock, condvars. The deterministic simulation testkit
 //! (`deltx-testkit`) substitutes a virtual scheduler that runs one
@@ -129,10 +129,6 @@ pub trait RtEvent: Send + Sync {
     /// returned `key`. Returns immediately if one already happened.
     fn wait(&self, key: u64);
 
-    /// Like [`RtEvent::wait`] but gives up after `d`. Returns `true`
-    /// if woken by a notify, `false` on timeout.
-    fn wait_timeout(&self, key: u64, d: Duration) -> bool;
-
     /// Bumps the epoch and wakes every current waiter. Call *after*
     /// the state change the waiters are checking for.
     fn notify(&self);
@@ -227,23 +223,6 @@ impl RtEvent for OsEvent {
         }
     }
 
-    fn wait_timeout(&self, key: u64, d: Duration) -> bool {
-        let deadline = Instant::now() + d;
-        let mut g = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
-        while *g == key {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g2, _) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            g = g2;
-        }
-        true
-    }
-
     fn notify(&self) {
         let mut g = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
         *g = g.wrapping_add(1);
@@ -277,13 +256,6 @@ mod tests {
             ev.wait(key);
         }
         h.join();
-    }
-
-    #[test]
-    fn os_event_timeout_expires() {
-        let ev = OsRuntime.event();
-        let key = ev.prepare();
-        assert!(!ev.wait_timeout(key, Duration::from_millis(5)));
     }
 
     #[test]

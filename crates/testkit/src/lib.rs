@@ -2,7 +2,7 @@
 //!
 //! The third proof layer (after the lockstep oracles and the A/B
 //! twins; see `docs/testing.md`): run the *real* engine — sharded
-//! scheduler, background GC, WAL group commit and all — under a
+//! scheduler, deletion at the source, WAL group commit and all — under a
 //! seeded virtual scheduler, so a concurrent failure is not a flake
 //! but a coordinate. `DELTX_SEED=<n>` replays the exact interleaving,
 //! bit for bit. The fourth layer builds on it: a *schedule-space
@@ -13,8 +13,8 @@
 //! Five pieces:
 //!
 //! * [`sim::VirtualRuntime`] — implements `deltx_runtime::Runtime`
-//!   over a one-task-at-a-time scheduler with virtual time. The
-//!   engine's GC task, the WAL writer, and every workload session
+//!   over a one-task-at-a-time scheduler with virtual time. The WAL
+//!   writer, every workload session and the workload's sweeper
 //!   become simulation tasks; all cross-task ordering is drawn from
 //!   the seed — or replayed from an explicit [`sim::ScheduleTrace`],
 //!   or steered by a PCT-style priority policy

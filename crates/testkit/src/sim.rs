@@ -3,7 +3,7 @@
 //! # How one-at-a-time simulation works
 //!
 //! Every logical task (the root test body, each workload session, the
-//! engine's GC task, the WAL's group-commit writer) runs on a real OS
+//! workload's sweeper, the WAL's group-commit writer) runs on a real OS
 //! thread — but at most **one** of them is ever runnable: the thread
 //! whose task id equals `current`. Everyone else blocks on a condvar.
 //! Whenever the running task reaches a scheduling point — a
@@ -40,12 +40,12 @@
 //! # Virtual time
 //!
 //! The clock ([`Runtime::now`]) only moves when nothing is runnable:
-//! it then jumps straight to the earliest sleep/timeout deadline and
-//! readies the tasks that deadline releases. Timers are exact, idle
-//! time is free, and a "2 ms" GC interval elapses in microseconds of
-//! wall time. The model is a machine that is infinitely fast between
-//! timer fires — so background work (GC ticks) happens exactly when
-//! the workload leaves idle gaps (think time), never "by luck".
+//! it then jumps straight to the earliest sleep deadline and readies
+//! the tasks that deadline releases. Timers are exact, idle time is
+//! free, and a "2 ms" sleep elapses in microseconds of wall time. The
+//! model is a machine that is infinitely fast between timer fires — so
+//! timed work (the sweeper's ticks) happens exactly when the workload
+//! leaves idle gaps (think time), never "by luck".
 //!
 //! # Why the engine stays deterministic under this scheduler
 //!
@@ -297,8 +297,8 @@ enum Run {
     Ready,
     /// Off the clock until virtual time reaches `until`.
     Sleeping { until: u64 },
-    /// Parked on an eventcount, optionally with a deadline.
-    Waiting { ev: EventId, deadline: Option<u64> },
+    /// Parked on an eventcount until its next notify.
+    Waiting { ev: EventId },
     /// Done; joiners have been released.
     Finished,
 }
@@ -309,10 +309,7 @@ impl Run {
             Run::Running => "running".into(),
             Run::Ready => "ready".into(),
             Run::Sleeping { until } => format!("sleeping until {until}ns"),
-            Run::Waiting { ev, deadline, .. } => match deadline {
-                Some(d) => format!("waiting on ev{ev} until {d}ns"),
-                None => format!("waiting on ev{ev}"),
-            },
+            Run::Waiting { ev } => format!("waiting on ev{ev}"),
             Run::Finished => "finished".into(),
         }
     }
@@ -321,9 +318,6 @@ impl Run {
 struct Task {
     name: String,
     run: Run,
-    /// After a Waiting task is readied: `true` if a notify did it,
-    /// `false` if its deadline expired. Read back by `wait_timeout`.
-    wake_notified: bool,
     /// Bumped when this task finishes; joiners wait on it.
     done_ev: EventId,
 }
@@ -440,11 +434,8 @@ impl SimShared {
             e.epoch = e.epoch.wrapping_add(1);
         }
         for t in st.tasks.values_mut() {
-            if let Run::Waiting { ev: we, .. } = t.run {
-                if we == ev {
-                    t.run = Run::Ready;
-                    t.wake_notified = true;
-                }
+            if matches!(t.run, Run::Waiting { ev: we } if we == ev) {
+                t.run = Run::Ready;
             }
         }
     }
@@ -454,7 +445,7 @@ impl SimShared {
     fn wait_for_edges(st: &SimState) -> Vec<String> {
         let mut edges = Vec::new();
         for (id, t) in &st.tasks {
-            if let Run::Waiting { ev, .. } = t.run {
+            if let Run::Waiting { ev } = t.run {
                 let target = st
                     .events
                     .get(&ev)
@@ -551,15 +542,12 @@ impl SimShared {
                 st.switches += 1;
                 return;
             }
-            // Nothing ready: jump the clock to the earliest deadline.
+            // Nothing ready: jump the clock to the earliest wake-up.
             let next_wake = st
                 .tasks
                 .values()
                 .filter_map(|t| match t.run {
                     Run::Sleeping { until } => Some(until),
-                    Run::Waiting {
-                        deadline: Some(d), ..
-                    } => Some(d),
                     _ => None,
                 })
                 .min();
@@ -568,16 +556,8 @@ impl SimShared {
                     st.now = st.now.max(w);
                     let now = st.now;
                     for t in st.tasks.values_mut() {
-                        let expired = match t.run {
-                            Run::Sleeping { until } => until <= now,
-                            Run::Waiting {
-                                deadline: Some(d), ..
-                            } => d <= now,
-                            _ => false,
-                        };
-                        if expired {
+                        if matches!(t.run, Run::Sleeping { until } if until <= now) {
                             t.run = Run::Ready;
-                            t.wake_notified = false;
                         }
                     }
                 }
@@ -621,9 +601,8 @@ impl SimShared {
     }
 
     /// Hands the token back (the caller has already set its own run
-    /// state), then parks until re-scheduled. Returns the caller's
-    /// `wake_notified` flag.
-    fn resched_and_park(&self, mut st: MutexGuard<'_, SimState>, me: TaskId) -> bool {
+    /// state), then parks until re-scheduled.
+    fn resched_and_park(&self, mut st: MutexGuard<'_, SimState>, me: TaskId) {
         self.pick_next(&mut st);
         self.cv.notify_all();
         loop {
@@ -634,7 +613,7 @@ impl SimShared {
                 );
             }
             if st.current == Some(me) {
-                return st.tasks.get(&me).expect("parked task").wake_notified;
+                return;
             }
             st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
@@ -675,10 +654,7 @@ impl SimShared {
                 return;
             }
             let done_ev = t.done_ev;
-            st.tasks.get_mut(&me).expect("joiner").run = Run::Waiting {
-                ev: done_ev,
-                deadline: None,
-            };
+            st.tasks.get_mut(&me).expect("joiner").run = Run::Waiting { ev: done_ev };
             self.resched_and_park(st, me);
         }
     }
@@ -778,7 +754,6 @@ impl VirtualRuntime {
                 Task {
                     name: "root".into(),
                     run: Run::Running,
-                    wake_notified: false,
                     done_ev,
                 },
             );
@@ -875,7 +850,6 @@ impl Runtime for VirtualRuntime {
                 Task {
                     name: name.to_string(),
                     run: Run::Ready,
-                    wake_notified: false,
                     done_ev,
                 },
             );
@@ -973,25 +947,8 @@ impl RtEvent for SimEvent {
         if st.events.get(&self.id).expect("event").epoch != key {
             return; // notified between prepare and wait
         }
-        st.tasks.get_mut(&me).expect("waiter").run = Run::Waiting {
-            ev: self.id,
-            deadline: None,
-        };
+        st.tasks.get_mut(&me).expect("waiter").run = Run::Waiting { ev: self.id };
         self.shared.resched_and_park(st, me);
-    }
-
-    fn wait_timeout(&self, key: u64, d: Duration) -> bool {
-        let me = current_task();
-        let mut st = self.shared.lock();
-        if st.events.get(&self.id).expect("event").epoch != key {
-            return true;
-        }
-        let deadline = st.now.saturating_add(d.as_nanos() as u64);
-        st.tasks.get_mut(&me).expect("waiter").run = Run::Waiting {
-            ev: self.id,
-            deadline: Some(deadline),
-        };
-        self.shared.resched_and_park(st, me)
     }
 
     fn notify(&self) {

@@ -4,9 +4,12 @@
 //! count, entity universe, access-pattern [`Profile`], client-abort
 //! cadence, virtual think time, durability, an optional [`FaultPlan`] —
 //! as plain data. [`run_spec`] executes it under a [`VirtualRuntime`]
-//! seeded from the caller: every session, the engine's GC task and the
-//! WAL writer become simulation tasks, the interleaving is chosen by
-//! the seed, and the run finishes with the full oracle battery from
+//! seeded from the caller: every session, a sweeper that calls
+//! [`Engine::gc_sweep`] every [`WorkloadSpec::gc_interval_us`] (the
+//! engine has no GC task; the sweeps keep explicit passes racing
+//! deletion at the source in the explored schedules) and the WAL
+//! writer become simulation tasks, the interleaving is chosen by the
+//! seed, and the run finishes with the full oracle battery from
 //! the stress suite (lockstep full-scheduler replay, ground-truth CSR,
 //! balance conservation, the live-graph bound, the boundary-summary
 //! audit). The returned [`SimReport`] is a pure function of
@@ -17,7 +20,7 @@
 //!
 //! Crash plans run crash *and* recovery inside one simulated timeline:
 //! the post-crash [`Engine::open`] replay — including the recovered
-//! engine's GC task and WAL writer — executes on the same
+//! engine's WAL writer — executes on the same
 //! [`VirtualRuntime`], so a `(spec, seed)` coordinate covers the whole
 //! crash/recover/continue story with zero OS-runtime threads, and the
 //! schedule-space search can explore recovery interleavings too.
@@ -249,10 +252,11 @@ pub struct WorkloadSpec {
     /// rolled back after its reads (0 = never).
     pub abort_every: usize,
     /// Virtual think time between a session's transactions, in
-    /// nanoseconds. Must be nonzero for background GC to run: the
+    /// nanoseconds. Must be nonzero for the sweeper to run: the
     /// virtual clock only advances when every task is idle.
     pub think_ns: u64,
-    /// Background GC tick, in virtual microseconds.
+    /// Tick of the workload's sweeper task, in virtual microseconds: a
+    /// schedule parameter of the simulator, not an engine option.
     pub gc_interval_us: u64,
     /// Run with the write-ahead log (group commit under the sim).
     pub durable: bool,
@@ -858,7 +862,8 @@ struct WaveStats {
 }
 
 /// One engine lifetime's worth of traffic: spawns the live-graph
-/// monitor and every session as sim tasks, joins them, and returns
+/// monitor, the sweeper and every session as sim tasks, joins them
+/// (so none outlives the caller's engine), and returns
 /// the wave counters — the portion shared by the crash-plan and
 /// disk-fault runners. `crash_plan` arms the WAL crash point after
 /// the given number of acknowledged commits.
@@ -884,6 +889,20 @@ fn traffic_wave(
         spawn_on(rt, &format!("sim-monitor-{wave}"), move |rtm| loop {
             rtm.sleep(Duration::from_micros(200));
             peak.fetch_max(e.graph_size().nodes, Ordering::Relaxed);
+            if stop.load(Ordering::Relaxed) {
+                return;
+            }
+        })
+    };
+
+    // Sweeper task: explicit GC passes at the spec's cadence, racing
+    // the sessions' own deletions wherever the schedule puts them.
+    let sweeper = {
+        let (e, stop) = (Arc::clone(engine), Arc::clone(&stop));
+        let tick = Duration::from_micros(spec.gc_interval_us.max(1));
+        spawn_on(rt, &format!("sim-sweeper-{wave}"), move |rts| loop {
+            rts.sleep(tick);
+            e.gc_sweep();
             if stop.load(Ordering::Relaxed) {
                 return;
             }
@@ -937,6 +956,7 @@ fn traffic_wave(
     }
     stop.store(true, Ordering::SeqCst);
     mon.join();
+    sweeper.join();
 
     WaveStats {
         commits: commits.load(Ordering::SeqCst),
@@ -1061,7 +1081,6 @@ fn run_body(
         if recovery_check_only {
             let (recovered, rec) = Engine::open(EngineConfig {
                 shards: spec.shards,
-                background_gc: false,
                 durability: wal_dir.map(durability),
                 runtime: Arc::clone(rt) as Arc<dyn Runtime>,
                 ..EngineConfig::default()
@@ -1098,8 +1117,6 @@ fn run_body(
 
         let (engine, rec) = Engine::open(EngineConfig {
             shards: spec.shards,
-            gc_interval: Duration::from_micros(spec.gc_interval_us.max(1)),
-            background_gc: true,
             record_history: true,
             durability: wal_dir.map(durability),
             runtime: Arc::clone(rt) as Arc<dyn Runtime>,
@@ -1137,7 +1154,7 @@ fn run_body(
         failures_total += w.failures;
         client_aborts_total += w.client_aborts;
         gc_deletions_total += m.gc_deletions;
-        drop(engine); // joins the GC task and the WAL writer in-sim
+        drop(engine); // joins the WAL writer in-sim
     }
 
     let graph_bound = if spec.checks.live_graph_bound {
@@ -1246,8 +1263,6 @@ fn run_disk_body(
     // ---- Wave 0: traffic over the faulty device ---------------------
     let (engine, _) = Engine::open(EngineConfig {
         shards: spec.shards,
-        gc_interval: Duration::from_micros(spec.gc_interval_us.max(1)),
-        background_gc: true,
         record_history: true,
         durability: Some(disk_durability(
             Some(Arc::clone(&storage) as Arc<dyn WalStorage>),
@@ -1312,13 +1327,12 @@ fn run_disk_body(
     let wstats = engine.wal_stats().expect("disk runs are durable");
     fnv1a(&mut fp, &wstats.append_retries.to_le_bytes());
     fnv1a(&mut fp, &[health as u8]);
-    drop(engine); // joins the GC task and the WAL writer in-sim
+    drop(engine); // joins the WAL writer in-sim
 
     // ---- Wave 1: recovery from the surviving bytes ------------------
     let reopen_clean = |fp: &mut u64| -> u64 {
         let (recovered, rec) = Engine::open(EngineConfig {
             shards: spec.shards,
-            background_gc: false,
             durability: Some(disk_durability(None, RecoverPolicy::Strict)),
             runtime: Arc::clone(rt) as Arc<dyn Runtime>,
             ..EngineConfig::default()
@@ -1364,7 +1378,6 @@ fn run_disk_body(
             // Strict: recovery must refuse loudly, naming the way out.
             match Engine::open(EngineConfig {
                 shards: spec.shards,
-                background_gc: false,
                 durability: Some(disk_durability(None, RecoverPolicy::Strict)),
                 runtime: Arc::clone(rt) as Arc<dyn Runtime>,
                 ..EngineConfig::default()
@@ -1391,7 +1404,6 @@ fn run_disk_body(
             // report is the contract.
             let (recovered, rec) = Engine::open(EngineConfig {
                 shards: spec.shards,
-                background_gc: false,
                 durability: Some(disk_durability(None, RecoverPolicy::Quarantine)),
                 runtime: Arc::clone(rt) as Arc<dyn Runtime>,
                 ..EngineConfig::default()

@@ -211,7 +211,7 @@ pub fn hot_contention() -> WorkloadSpec {
         durable: false,
         fault: FaultPlan::None,
         checks: Checks {
-            // Zero think time starves the background GC tick (virtual
+            // Zero think time starves the sweeper's tick (virtual
             // time never advances mid-run), so the graph legitimately
             // exceeds the O(active) bound between reclaim points.
             live_graph_bound: false,
@@ -332,8 +332,8 @@ pub fn disk_enospc_pressure() -> WorkloadSpec {
 /// `RecoverPolicy::Strict` must refuse the open naming the lost LSN
 /// range and the `Quarantine` escape hatch; `Quarantine` must isolate
 /// exactly the damaged segment and open with the survivors. A slower
-/// GC tick keeps several sealed segments alive for the corruption to
-/// target.
+/// sweeper tick keeps several sealed segments alive for the corruption
+/// to target.
 pub fn disk_corrupt_sealed_scrub() -> WorkloadSpec {
     WorkloadSpec {
         name: "disk_corrupt_sealed_scrub".into(),
@@ -350,8 +350,8 @@ pub fn disk_corrupt_sealed_scrub() -> WorkloadSpec {
             fault: DiskFault::CorruptSealed { sector: 0 },
         },
         checks: Checks {
-            // The deliberately slow GC tick lets the graph run ahead
-            // of reclamation between sweeps; skip the bound.
+            // The deliberately slow sweeper tick lets the graph run
+            // ahead of reclamation between sweeps; skip the bound.
             live_graph_bound: false,
             ..Checks::all()
         },

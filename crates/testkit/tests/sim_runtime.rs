@@ -47,22 +47,6 @@ fn eventcount_handoff_between_tasks() {
 }
 
 #[test]
-fn wait_timeout_expires_on_virtual_deadline() {
-    VirtualRuntime::run(3, |rt| {
-        let ev = rt.event();
-        let t0 = rt.now();
-        let key = ev.prepare();
-        let notified = ev.wait_timeout(key, Duration::from_micros(10));
-        assert!(!notified, "nobody notified");
-        assert_eq!(
-            rt.now() - t0,
-            Duration::from_micros(10),
-            "woke exactly on deadline"
-        );
-    });
-}
-
-#[test]
 fn same_seed_same_schedule_different_seed_different_schedule() {
     fn trace(seed: u64) -> (Vec<usize>, u64) {
         VirtualRuntime::run(seed, |rt| {

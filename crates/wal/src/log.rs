@@ -33,10 +33,12 @@
 //!   [`WalHealth::Poisoned`], and the engine runs loudly degraded
 //!   (reads fine, writes refused) until the log is re-opened.
 //! * **`ENOSPC` degrades gracefully before refusing.** The writer
-//!   raises [`Wal::space_pressure`] and retries on a longer backoff so
-//!   the engine's GC can escalate, delete, and free segments; only if
-//!   the device stays full through the whole escalation window does
-//!   the log fail-stop with [`WalError::NoSpace`].
+//!   raises [`Wal::space_pressure`], wakes the sessions waiting on the
+//!   batch and retries on a longer backoff, so they can run the
+//!   engine's GC ([`Wal::wait_durable_with`]), delete, and free
+//!   segments; only if the device stays full through the whole
+//!   escalation window does the log fail-stop with
+//!   [`WalError::NoSpace`].
 //!
 //! # GC-driven checkpointing
 //!
@@ -483,14 +485,14 @@ struct WalInner {
     state: Mutex<WalState>,
     /// Wakes the writer task when work arrives or the log closes.
     work_ev: Arc<dyn RtEvent>,
-    /// Wakes sessions when `durable_lsn` advances, the log crashes, or
-    /// the writer task exits.
+    /// Wakes sessions when `durable_lsn` advances, an append parks on
+    /// `ENOSPC`, the log crashes, or the writer task exits.
     durable_ev: Arc<dyn RtEvent>,
     /// Mirror of the log's state machine for lock-free reads
     /// ([`WalHealth`] as `u8`).
     health: AtomicU8,
-    /// Raised while an append is parked on `ENOSPC` backoff; the
-    /// engine's GC treats it as an immediate-sweep request.
+    /// Raised while an append is parked on `ENOSPC` backoff; sessions
+    /// waiting on `durable_ev` answer it with a GC sweep.
     space_pressure: AtomicBool,
     stats: WalCounters,
 }
@@ -928,6 +930,22 @@ impl Wal {
     /// means the writer task exited before covering the record (a
     /// shutdown raced the submission). The waiter never hangs.
     pub fn wait_durable(&self, lsn: u64) -> Result<(), WalError> {
+        self.wait_durable_with(lsn, || {})
+    }
+
+    /// [`Wal::wait_durable`] for a waiter that can free space: each
+    /// time the writer parks an append on `ENOSPC` it wakes the
+    /// waiters, and one that finds [`Wal::space_pressure`] raised runs
+    /// `on_pressure` (no log lock held) before waiting for the writer's
+    /// retry. The engine passes its GC sweep — deleting transactions
+    /// retires sealed segments, and a retired segment may free the
+    /// bytes the parked append needs before the escalation window
+    /// closes.
+    pub fn wait_durable_with(
+        &self,
+        lsn: u64,
+        mut on_pressure: impl FnMut(),
+    ) -> Result<(), WalError> {
         let inner = &self.inner;
         loop {
             let key = inner.durable_ev.prepare();
@@ -942,6 +960,9 @@ impl Wal {
                 if st.writer_exited {
                     return Err(WalError::Closed);
                 }
+            }
+            if self.space_pressure() {
+                on_pressure();
             }
             inner.durable_ev.wait(key);
         }
@@ -1013,10 +1034,8 @@ impl Wal {
     }
 
     /// True while an append is parked on `ENOSPC` backoff waiting for
-    /// space. The engine's GC treats this as an immediate-sweep
-    /// request: deleting transactions retires segments, and a retired
-    /// segment may free enough space for the parked append to succeed
-    /// before the escalation window closes.
+    /// space — what [`Wal::wait_durable_with`] answers with its
+    /// caller's rescue.
     pub fn space_pressure(&self) -> bool {
         self.inner.space_pressure.load(Ordering::Relaxed)
     }
@@ -1152,9 +1171,9 @@ impl Drop for Wal {
 
 // ── Writer-side retry policy ────────────────────────────────────────
 // Transient errors get a short budget: they either clear in
-// microseconds or they are not transient. ENOSPC gets a longer one
-// spanning several engine GC ticks, because the cure (retiring dead
-// segments) needs the GC to run.
+// microseconds or they are not transient. ENOSPC gets a longer one,
+// eight rounds, because the cure (retiring dead segments) needs the
+// waiting sessions to run the engine's GC between them.
 const TRANSIENT_BASE: Duration = Duration::from_micros(200);
 const TRANSIENT_MAX: Duration = Duration::from_millis(2);
 const TRANSIENT_ATTEMPTS: u32 = 4;
@@ -1188,10 +1207,11 @@ fn append_with_retry(inner: &WalInner, seg: u64, bytes: &[u8]) -> Result<(), Wal
                 inner.rt.sleep(d);
             }
             Err(StorageError::NoSpace { .. }) => {
-                // Park under pressure: the engine's GC sees the flag
-                // and sweeps immediately; a retired segment may free
-                // the space this append needs.
+                // Park under pressure and wake the sessions waiting on
+                // this batch: each sweeps the engine's GC, and a retired
+                // segment may free the space this append needs.
                 inner.space_pressure.store(true, Ordering::Relaxed);
+                inner.durable_ev.notify();
                 inner.rt.emit("wal_pressure", 1);
                 let Some(d) = space.next_delay() else {
                     inner.space_pressure.store(false, Ordering::Relaxed);

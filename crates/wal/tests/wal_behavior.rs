@@ -394,14 +394,11 @@ fn one_write_record_len() -> u64 {
     deltx_wal::encode_commit(1, TxnId(0), &[(EntityId(0), 0)], &[0]).len() as u64
 }
 
-#[test]
-fn enospc_parks_the_writer_until_gc_rescue_frees_a_segment() {
-    // Graceful ENOSPC degradation: the full device parks the append
-    // under backoff and raises space pressure; deleting a superseded
-    // transaction retires its (sealed, barrier-durable) segment, the
-    // unlink frees the bytes, and the parked append completes — no
-    // error ever surfaces to the session.
-    let dir = TestDir::new("rescue");
+/// A log whose device holds exactly two one-write records, each in
+/// its own segment, with both written: txn 0, then txn 1 superseding
+/// it. The next append must park under `ENOSPC` until txn 0's segment
+/// is retired.
+fn wal_on_a_full_device(dir: &TestDir) -> Wal {
     let rec = one_write_record_len();
     let mut cfg = dir.cfg();
     cfg.segment_bytes = rec; // every record rolls to its own segment
@@ -417,7 +414,29 @@ fn enospc_parks_the_writer_until_gc_rescue_frees_a_segment() {
     let (wal, _, _) = Wal::open(cfg).unwrap();
     commit_one(&wal, 0, &[(0, 1)]).unwrap(); // segment 0
     commit_one(&wal, 1, &[(0, 2)]).unwrap(); // segment 1, supersedes txn 0
-                                             // The device is now full; this append must park under pressure.
+    wal
+}
+
+/// The rescued log is healthy, retired a segment, and reopens on
+/// exactly the two surviving commits.
+fn assert_rescued(wal: Wal, dir: &TestDir) {
+    assert_eq!(wal.health(), WalHealth::Ok);
+    assert!(wal.stats().segments_truncated >= 1);
+    drop(wal);
+    let (_wal, commits, _) = Wal::open(dir.cfg()).unwrap();
+    let replayed: Vec<u32> = commits.iter().map(|c| c.txn.0).collect();
+    assert_eq!(replayed, vec![1, 2], "rescued commit survives reopen");
+}
+
+#[test]
+fn enospc_parks_the_writer_until_gc_rescue_frees_a_segment() {
+    // Graceful ENOSPC degradation: the full device parks the append
+    // under backoff and raises space pressure; deleting a superseded
+    // transaction retires its (sealed, barrier-durable) segment, the
+    // unlink frees the bytes, and the parked append completes — no
+    // error ever surfaces to the session.
+    let dir = TestDir::new("rescue");
+    let wal = wal_on_a_full_device(&dir);
     let lsn = wal
         .submit_commit(TxnId(2), &[(EntityId(0), 3)], &[0])
         .unwrap();
@@ -431,12 +450,27 @@ fn enospc_parks_the_writer_until_gc_rescue_frees_a_segment() {
     // barrier, txn 1's LSN, is already durable) → space frees.
     wal.note_deleted(&[TxnId(0)]);
     assert_eq!(wal.wait_durable(lsn), Ok(()), "the parked append completed");
-    assert_eq!(wal.health(), WalHealth::Ok);
-    assert!(wal.stats().segments_truncated >= 1);
-    drop(wal);
-    let (_wal, commits, _) = Wal::open(dir.cfg()).unwrap();
-    let replayed: Vec<u32> = commits.iter().map(|c| c.txn.0).collect();
-    assert_eq!(replayed, vec![1, 2], "rescued commit survives reopen");
+    assert_rescued(wal, &dir);
+}
+
+#[test]
+fn parked_append_wakes_its_waiter_whose_rescue_frees_the_segment() {
+    // The same rescue with nobody watching the pressure flag: the
+    // writer's park wakes the session waiting on the record, and that
+    // session's callback is what deletes txn 0.
+    let dir = TestDir::new("self-rescue");
+    let wal = wal_on_a_full_device(&dir);
+    let lsn = wal
+        .submit_commit(TxnId(2), &[(EntityId(0), 3)], &[0])
+        .unwrap();
+    let mut rescues = 0;
+    let done = wal.wait_durable_with(lsn, || {
+        rescues += 1;
+        wal.note_deleted(&[TxnId(0)]);
+    });
+    assert_eq!(done, Ok(()), "the parked append completed");
+    assert!(rescues >= 1, "the waiter was woken under pressure");
+    assert_rescued(wal, &dir);
 }
 
 #[test]

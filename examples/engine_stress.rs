@@ -1,6 +1,6 @@
 //! Engine stress driver: N worker threads hammer the sharded engine
-//! with a contended banking mix while the background GC keeps the
-//! conflict graph bounded.
+//! with a contended banking mix, each commit deleting what it made
+//! noncurrent, so the conflict graph stays bounded with no GC thread.
 //!
 //! ```text
 //! cargo run --release --example engine_stress                  # 8 threads, 10k txns
@@ -196,7 +196,6 @@ fn main() {
 
     let cfg = EngineConfig {
         shards,
-        background_gc: true,
         record_history: false,
         durability: wal_dir.as_ref().map(&durability),
         ..EngineConfig::default()
@@ -333,16 +332,25 @@ fn main() {
             );
         }
         // The same closedness, as lock economics: a multi-shard
-        // candidate's neighbors all live inside its pair, so on the
-        // default engine every GC acquisition is the lead's own two
-        // shards and none falls back to the all-locks pass.
+        // candidate's neighbors all live inside its pair. A pair
+        // committer that overwrites it holds the whole closure and
+        // deletes it on the spot; only a same-shard (one-lock)
+        // overwriter leaves it to the standalone pass, which then locks
+        // the pair and nothing else. So on the default engine no pass
+        // falls back, every lock set taken for GC is two shards — and
+        // with nothing but pair traffic, none is taken at all.
         if !all_locks {
             let acquisitions: u64 = m.gc_closure_hist.iter().sum();
+            assert!(m.gc_deletions > 0, "nothing was deleted [seed {seed}]");
             assert_eq!(
                 (m.gc_closure_fallbacks, m.gc_closure_hist[1]),
                 (0, acquisitions),
                 "a hot pair's GC left its own span: closure hist {:?} [seed {seed}]",
                 m.gc_closure_hist
+            );
+            assert!(
+                cross_pct < 100 || acquisitions == 0,
+                "pure pair traffic took {acquisitions} lock sets for GC [seed {seed}]"
             );
         }
     }
