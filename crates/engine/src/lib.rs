@@ -104,11 +104,13 @@
 //!   request ([`Engine::open`] runs it once over the replay; a
 //!   session blocked on a full log device runs it as a rescue).
 //! * **Durability** (opt-in via [`EngineConfig::durability`]): a
-//!   write-ahead log (`deltx-wal`) with a dedicated group-commit
-//!   writer thread. Commit records are submitted *while the shard
-//!   locks are held* — so the log order of conflicting commits equals
-//!   their serialization order — and the client waits for its LSN's
-//!   flush only after the locks are released. GC doubles as
+//!   write-ahead log (`deltx-wal`) with leader/follower group commit
+//!   and no thread of its own. Commit records are submitted *while the
+//!   shard locks are held* — so the log order of conflicting commits
+//!   equals their serialization order — and the client waits for its
+//!   LSN's flush only after the locks are released; the first waiter
+//!   to find no flush running writes and syncs everything queued, for
+//!   itself and the sessions behind it. GC doubles as
 //!   checkpointing: deleting a transaction (`D(G, N)`) also retires
 //!   its log records, and fully-dead sealed segments are unlinked, so
 //!   [`Engine::open`] recovers by replaying `O(live graph)` records,

@@ -582,16 +582,18 @@ impl EngineInner {
     }
 
     /// Completes a commit's durability: waits for the group-commit
-    /// flush covering the record submitted under the shard locks. An
-    /// error means the record was never acknowledged as durable — the
-    /// commit must fail even though the in-memory install happened
-    /// (the WAL is crashed; no later commit will be accepted either,
-    /// so the discrepancy cannot be observed by a recovering client).
+    /// flush covering the record submitted under the shard locks —
+    /// leading that flush itself when no other session is. An error
+    /// means the record was never acknowledged as durable — the commit
+    /// must fail even though the in-memory install happened (the WAL is
+    /// crashed; no later commit will be accepted either, so the
+    /// discrepancy cannot be observed by a recovering client).
     ///
-    /// While the writer is parked on a full device, the waiting session
-    /// is the rescuer: each of the writer's retries wakes it to run one
+    /// While a flush is parked on a full device, the waiting session is
+    /// the rescuer: each wakeup under pressure runs one
     /// [`Self::gc_sweep`] — every deletion can retire a sealed segment
-    /// and free the bytes the parked append needs.
+    /// and free the bytes the parked append needs. The WAL never runs
+    /// it while this session owns the flush.
     fn finish_durable(&self, st: &mut SessionState) -> Result<(), EngineError> {
         let Some(sub) = st.wal_submit.take() else {
             return Ok(());
@@ -632,7 +634,6 @@ impl EngineInner {
             if subset.is_empty() {
                 // Never touched a shard.
                 self.record(Event::ClientAbort(st.txn));
-                self.note_abort(st.txn);
                 self.metrics.aborts_voluntary.add(1);
                 self.metrics.txns_left(1);
                 return;
@@ -655,7 +656,6 @@ impl EngineInner {
             self.abort_everywhere(&mut guards, st.txn);
             self.record(Event::ClientAbort(st.txn));
             drop(guards);
-            self.note_abort(st.txn);
             self.metrics.aborts_voluntary.add(1);
             self.metrics.txns_left(1);
             return;
@@ -665,17 +665,8 @@ impl EngineInner {
 
     fn after_scheduler_abort(&self, st: &mut SessionState) {
         st.closed = true;
-        self.note_abort(st.txn);
         self.metrics.aborts_scheduler.add(1);
         self.metrics.txns_left(1);
-    }
-
-    /// Logs an abort record (fire-and-forget: absence from the log
-    /// already means aborted; the record only eases tail diagnosis).
-    fn note_abort(&self, txn: TxnId) {
-        if let Some(w) = &self.wal {
-            w.submit_abort(txn);
-        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! and the engine must honor the fault-model contract
 //! (`docs/durability.md`, "Fault model"):
 //!
-//! * Transient append errors are absorbed by the writer's bounded
+//! * Transient append errors are absorbed by the flusher's bounded
 //!   retry — invisible to clients, visible in `append_retries`.
 //! * ANY fsync failure poisons the log fail-stop: waiters get
 //!   `EngineError::Durability`, the engine flips to a loud degraded
@@ -282,10 +282,10 @@ fn run_fsync_poison(partial: bool, mode: &str, seed: u64) {
 
 /// ENOSPC → graceful degradation, on a device of `capacity` bytes
 /// under 512-byte segments. The committing session is the only
-/// rescuer there is: parked on its record's flush while the writer
-/// backs off, it answers the pressure flag with GC sweeps — deletion
-/// doubles as the checkpoint, so every retired segment frees device
-/// bytes under the parked append. `rescued` says which arm the shape
+/// rescuer there is: waiting on its record while the flush is parked
+/// on the full device, it answers the pressure flag with GC sweeps —
+/// deletion doubles as the checkpoint, so every retired segment frees
+/// device bytes under the parked append. `rescued` says which arm the shape
 /// must reach: 3 KiB is enough for the sweeps to work (deletion at the
 /// source alone never raises pressure at 6 KiB; it is the pending
 /// multi-shard residue that pins segments, and a sweep drains it);

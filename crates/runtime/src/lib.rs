@@ -1,10 +1,11 @@
 //! `deltx-runtime` — the seam between the engine and the world.
 //!
 //! Everything in `deltx-engine` and `deltx-wal` that touches time or
-//! threads goes through the [`Runtime`] trait: spawning the
-//! group-commit writer, reading the clock for metrics, sleeping out a
-//! retry backoff, and blocking on conditions (the writer's work queue,
-//! flush-waiter wakeups). Production uses [`OsRuntime`] — real threads,
+//! blocking goes through the [`Runtime`] trait: reading the clock for
+//! metrics and flush timing, sleeping out a retry backoff, and
+//! blocking on conditions (waiters queued behind a running group-commit
+//! flush). Neither crate spawns a task; [`Runtime::spawn`] is for their
+//! hosts (the simulation testkit's sessions and sweeper). Production uses [`OsRuntime`] — real threads,
 //! a monotonic clock, condvars. The deterministic simulation testkit
 //! (`deltx-testkit`) substitutes a virtual scheduler that runs one
 //! logical task at a time under a seeded interleaving and a virtual

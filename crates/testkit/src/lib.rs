@@ -13,9 +13,10 @@
 //! Five pieces:
 //!
 //! * [`sim::VirtualRuntime`] — implements `deltx_runtime::Runtime`
-//!   over a one-task-at-a-time scheduler with virtual time. The WAL
-//!   writer, every workload session and the workload's sweeper
-//!   become simulation tasks; all cross-task ordering is drawn from
+//!   over a one-task-at-a-time scheduler with virtual time. Every
+//!   workload session (which also leads the WAL's group-commit
+//!   flushes) and the workload's sweeper become simulation tasks; all
+//!   cross-task ordering is drawn from
 //!   the seed — or replayed from an explicit [`sim::ScheduleTrace`],
 //!   or steered by a PCT-style priority policy
 //!   ([`sim::PickPolicy`]).

@@ -197,7 +197,7 @@ fn mutated_spec(spec: &WorkloadSpec, seed: u64, run_index: usize) -> WorkloadSpe
             fault: match fault {
                 DiskFault::TransientAppend { .. } => DiskFault::TransientAppend {
                     at: r % 24,
-                    // 1..=3 stays below the writer's 4-attempt budget.
+                    // 1..=3 stays below the flusher's 4-attempt budget.
                     burst: (splitmix64(r) % 3) as u32 + 1,
                 },
                 DiskFault::FsyncFail { .. } => DiskFault::FsyncFail { at: r % 6 },

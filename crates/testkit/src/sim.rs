@@ -3,8 +3,7 @@
 //! # How one-at-a-time simulation works
 //!
 //! Every logical task (the root test body, each workload session, the
-//! workload's sweeper, the WAL's group-commit writer) runs on a real OS
-//! thread — but at most **one** of them is ever runnable: the thread
+//! workload's sweeper) runs on a real OS thread — but at most **one** of them is ever runnable: the thread
 //! whose task id equals `current`. Everyone else blocks on a condvar.
 //! Whenever the running task reaches a scheduling point — a
 //! [`Runtime::yield_now`], a sleep, an eventcount wait, a join — it

@@ -4,11 +4,12 @@
 //! count, entity universe, access-pattern [`Profile`], client-abort
 //! cadence, virtual think time, durability, an optional [`FaultPlan`] —
 //! as plain data. [`run_spec`] executes it under a [`VirtualRuntime`]
-//! seeded from the caller: every session, a sweeper that calls
+//! seeded from the caller: every session and a sweeper that calls
 //! [`Engine::gc_sweep`] every [`WorkloadSpec::gc_interval_us`] (the
 //! engine has no GC task; the sweeps keep explicit passes racing
-//! deletion at the source in the explored schedules) and the WAL
-//! writer become simulation tasks, the interleaving is chosen by the
+//! deletion at the source in the explored schedules) become
+//! simulation tasks. The WAL has no task either: its flushes run on
+//! whichever session waits first. The interleaving is chosen by the
 //! seed, and the run finishes with the full oracle battery from
 //! the stress suite (lockstep full-scheduler replay, ground-truth CSR,
 //! balance conservation, the live-graph bound, the boundary-summary
@@ -20,7 +21,7 @@
 //!
 //! Crash plans run crash *and* recovery inside one simulated timeline:
 //! the post-crash [`Engine::open`] replay — including the recovered
-//! engine's WAL writer — executes on the same
+//! engine's WAL flushes — executes on the same
 //! [`VirtualRuntime`], so a `(spec, seed)` coordinate covers the whole
 //! crash/recover/continue story with zero OS-runtime threads, and the
 //! schedule-space search can explore recovery interleavings too.
@@ -120,7 +121,7 @@ pub enum Profile {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiskFault {
     /// Appends `[at, at + burst)` fail with a transient error; the
-    /// writer's bounded retry must absorb the burst invisibly
+    /// flusher's bounded retry must absorb the burst invisibly
     /// (`burst` must stay below the retry budget — see `precheck`).
     TransientAppend {
         /// First failing append (0-based, counted across segments).
@@ -827,7 +828,7 @@ fn precheck(spec: &WorkloadSpec) -> Result<(), SimError> {
             fault: DiskFault::TransientAppend { burst, .. },
         } if !(1..=3).contains(&burst) => {
             return Err(SimError::Unsupported(
-                "DiskFault::TransientAppend needs `1 <= burst <= 3`: the writer retries 4 \
+                "DiskFault::TransientAppend needs `1 <= burst <= 3`: the flusher retries 4 \
                  attempts, so a longer burst is a permanent failure, not a transient one"
                     .into(),
             ));
@@ -1076,7 +1077,7 @@ fn run_body(
         // A single-crash plan's second wave is recovery-check only:
         // open in-sim, verify the recovered image, fold it into the
         // fingerprint — no new traffic (the PR-6 contract, now with
-        // the recovered engine's WAL writer as a sim task).
+        // the recovered engine's WAL running in-sim).
         let recovery_check_only = matches!(spec.fault, FaultPlan::Crash { .. }) && wave == 1;
         if recovery_check_only {
             let (recovered, rec) = Engine::open(EngineConfig {
@@ -1098,7 +1099,7 @@ fn run_body(
                 fnv1a(&mut fp, &recovered.peek(x).to_le_bytes());
             }
             commits_replayed_total += rec.commits_replayed;
-            drop(recovered); // joins the recovered WAL writer in-sim
+            drop(recovered); // closes the recovered WAL in-sim
             continue;
         }
 
@@ -1154,7 +1155,7 @@ fn run_body(
         failures_total += w.failures;
         client_aborts_total += w.client_aborts;
         gc_deletions_total += m.gc_deletions;
-        drop(engine); // joins the WAL writer in-sim
+        drop(engine); // drains and closes the WAL in-sim
     }
 
     let graph_bound = if spec.checks.live_graph_bound {
@@ -1327,7 +1328,7 @@ fn run_disk_body(
     let wstats = engine.wal_stats().expect("disk runs are durable");
     fnv1a(&mut fp, &wstats.append_retries.to_le_bytes());
     fnv1a(&mut fp, &[health as u8]);
-    drop(engine); // joins the WAL writer in-sim
+    drop(engine); // drains and closes the WAL in-sim
 
     // ---- Wave 1: recovery from the surviving bytes ------------------
     let reopen_clean = |fp: &mut u64| -> u64 {
@@ -1356,7 +1357,7 @@ fn run_disk_body(
             fnv1a(fp, &recovered.peek(x).to_le_bytes());
         }
         rec.commits_replayed
-        // `recovered` drops here, joining its WAL writer in-sim.
+        // `recovered` drops here, closing its WAL in-sim.
     };
 
     let commits_replayed = if let DiskFault::CorruptSealed { sector } = fault {

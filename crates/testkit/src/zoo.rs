@@ -251,7 +251,7 @@ pub fn durable_crash_recover_twice() -> WorkloadSpec {
 }
 
 /// A transient append burst under live traffic: the device fails two
-/// consecutive appends mid-run and the writer's bounded backoff must
+/// consecutive appends mid-run and the flusher's bounded backoff must
 /// absorb them invisibly — health stays `Ok`, every oracle passes,
 /// and the recovered image still conserves the balance sum.
 pub fn disk_transient_appends() -> WorkloadSpec {

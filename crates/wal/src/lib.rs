@@ -6,7 +6,8 @@
 //! - **Group commit** ([`Wal::submit_commit`] / [`Wal::wait_durable`]):
 //!   commit records are enqueued under the committing session's shard
 //!   locks (log order = serialization order for conflicting commits)
-//!   and flushed in batches by one writer thread; a session's commit
+//!   and flushed in batches by the first waiter to find no flush
+//!   running — there is no writer thread; a session's commit
 //!   backpressure is exactly "wait for the fsync covering my LSN".
 //! - **GC-driven checkpointing** ([`Wal::note_deleted`]): when the
 //!   engine's noncurrent/C1/C2 sweep deletes a transaction `D(G,N)`
@@ -36,7 +37,7 @@ pub use crate::log::{
     CommitRecord, CrashPoint, DurabilityConfig, QuarantinedSegment, RecoverPolicy, RecoveryScan,
     Wal, WalError, WalHealth, WalStats, ALL_CRASH_POINTS, FLUSH_BUCKET_UPPER_NANOS,
 };
-pub use crate::record::{crc32, decode, encode_abort, encode_commit, DecodeError, WalRecord};
+pub use crate::record::{crc32, decode, encode_commit, DecodeError, WalRecord};
 pub use crate::storage::{
     FaultSpec, FaultyStorage, FsStorage, StorageError, StorageResult, WalStorage, SECTOR_BYTES,
 };
@@ -51,7 +52,7 @@ pub mod planted {
     static RETRY_AFTER_FSYNC_FAIL: AtomicBool = AtomicBool::new(false);
 
     /// Plants (or clears) the "retry after a failed fsync" bug: the
-    /// writer retries the fsync once and, if the retry reports
+    /// flusher retries the fsync once and, if the retry reports
     /// success, acknowledges the batch. On a device that dropped its
     /// dirty pages at the first failure (the fsyncgate semantics the
     /// `FaultyStorage` injector models), this silently loses every

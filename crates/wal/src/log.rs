@@ -7,18 +7,21 @@
 //! Sessions call [`Wal::submit_commit`] while still holding the shard
 //! locks of their commit, so the append order of commit records equals
 //! the serialization order of conflicting transactions. The call only
-//! enqueues bytes and returns the record's LSN; the actual `write` +
-//! `fsync` happens on a dedicated writer thread that drains whatever
-//! accumulated since its last flush in one batch. After releasing its
-//! locks the session calls [`Wal::wait_durable`] with its LSN — commit
-//! backpressure is exactly "wait for the flush that covers my record",
-//! and one fsync acknowledges every record in the batch. Flushes are
-//! sequential in LSN order, so a durable later record implies every
-//! earlier record is durable too.
+//! enqueues bytes and returns the record's LSN. After releasing its
+//! locks the session calls [`Wal::wait_durable`] with its LSN, and
+//! there is no writer thread: a waiter that finds records pending and
+//! no flush running **becomes the flusher** — it takes the whole
+//! pending batch, writes and syncs it with no log lock held, advances
+//! the durable LSN and wakes the others. Waiters that arrive while a
+//! flush runs queue behind it, and the first of them to wake leads the
+//! next batch, so one fsync acknowledges everything that queued during
+//! the previous one. Flushes are serialized and in LSN order, so a
+//! durable later record implies every earlier record is durable too.
+//! [`Wal::close`] drains what is still queued on the caller's thread.
 //!
 //! # The disk can say no
 //!
-//! All file IO goes through the [`WalStorage`] VFS, and the writer
+//! All file IO goes through the [`WalStorage`] VFS, and the flusher
 //! applies a per-error-class policy (see [`StorageError`]):
 //!
 //! * **Transient** append errors retry with bounded exponential
@@ -32,12 +35,13 @@
 //!   [`WalError::Poisoned`], the health flips to
 //!   [`WalHealth::Poisoned`], and the engine runs loudly degraded
 //!   (reads fine, writes refused) until the log is re-opened.
-//! * **`ENOSPC` degrades gracefully before refusing.** The writer
-//!   raises [`Wal::space_pressure`], wakes the sessions waiting on the
-//!   batch and retries on a longer backoff, so they can run the
-//!   engine's GC ([`Wal::wait_durable_with`]), delete, and free
-//!   segments; only if the device stays full through the whole
-//!   escalation window does the log fail-stop with
+//! * **`ENOSPC` degrades gracefully before refusing.** The flusher
+//!   hands its unwritten chunks back to the queue, raises
+//!   [`Wal::space_pressure`] and releases the flush; every waiter, it
+//!   included, runs its caller's rescue ([`Wal::wait_durable_with`]:
+//!   the engine's GC, which frees segments) and waits out a longer
+//!   backoff before one of them retries. Only if the device stays full
+//!   through the whole escalation window does the log fail-stop with
 //!   [`WalError::NoSpace`].
 //!
 //! # GC-driven checkpointing
@@ -92,10 +96,10 @@
 //! the lost LSN range is reported per segment in
 //! [`RecoveryScan::quarantined`].
 
-use crate::record::{decode, encode_abort, encode_commit, DecodeError, WalRecord};
+use crate::record::{decode, encode_commit, DecodeError, WalRecord};
 use crate::storage::{FsStorage, StorageError, StorageResult, WalStorage};
 use deltx_model::{EntityId, TxnId};
-use deltx_runtime::{Backoff, OsRuntime, RtEvent, Runtime, TaskHandle};
+use deltx_runtime::{Backoff, OsRuntime, RtEvent, Runtime};
 use deltx_storage::Value;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
@@ -249,7 +253,7 @@ pub enum WalHealth {
     Poisoned,
     /// The device stayed full through the GC-pressure window.
     NoSpace,
-    /// A non-transient I/O failure stopped the writer.
+    /// A non-transient I/O failure stopped the log.
     Failed,
 }
 
@@ -328,7 +332,7 @@ pub const FLUSH_BUCKET_UPPER_NANOS: [u64; 8] = [
 /// A point-in-time snapshot of WAL activity counters.
 #[derive(Clone, Debug, Default)]
 pub struct WalStats {
-    /// Batched flush operations performed by the writer thread.
+    /// Batched flush operations, each led by one waiting session.
     pub flushes: u64,
     /// Records made durable.
     pub records: u64,
@@ -343,7 +347,7 @@ pub struct WalStats {
     pub durable_lsn: u64,
     /// Segments currently on disk.
     pub segments_live: u64,
-    /// Total nanoseconds the writer task spent inside `write`+`fsync`,
+    /// Total nanoseconds flushers spent inside `write`+`fsync`,
     /// measured on the runtime clock (virtual under simulation).
     pub flush_nanos: u64,
     /// Transient append errors absorbed by the bounded-backoff retry.
@@ -418,7 +422,7 @@ struct SegmentMeta {
     sealed: bool,
     /// Bytes enqueued to this segment (durable or pending).
     bytes: u64,
-    /// Bytes the writer thread has flushed.
+    /// Bytes flushed and synced.
     durable: u64,
     /// Highest LSN of any commit that superseded an entity last
     /// written in this segment. When `live` reaches zero, every
@@ -440,25 +444,33 @@ struct WalState {
     /// commit that wrote it. Moving an entity's writer off a segment
     /// folds the new LSN into the old segment's superseded ceiling.
     current_writer: HashMap<EntityId, (u64, u64)>,
-    /// Encoded bytes awaiting the writer thread, coalesced per segment.
+    /// Encoded bytes awaiting a flusher, coalesced per segment.
     pending: Vec<(u64, Vec<u8>)>,
     pending_recs: u64,
     next_lsn: u64,
     /// LSN of the newest enqueued record.
     last_enqueued: u64,
     durable_lsn: u64,
-    /// Segments the writer thread is flushing right now.
+    /// Segments the running flush appends to or syncs.
     writing: HashSet<u64>,
-    writer_busy: bool,
+    /// A waiter is flushing a batch; the others wait for it.
+    flushing: bool,
+    /// `(segment, bytes)` a flush parked on `ENOSPC` had already
+    /// appended: on disk, not yet synced. The flush that leads the
+    /// retry syncs them with its own.
+    unsynced: Vec<(u64, u64)>,
+    /// The parked append's `ENOSPC` budget and the runtime instant
+    /// before which no waiter retries it; `Some` exactly while
+    /// [`Wal::space_pressure`] is raised.
+    parked: Option<(Backoff, Duration)>,
     armed: Option<CrashPoint>,
     crashed: bool,
     /// Why the log stopped, when it stopped for a reason more precise
     /// than [`WalError::Crashed`] (poisoned fsync, exhausted ENOSPC,
     /// exhausted transient retries).
     fail: Option<WalError>,
+    /// `close()` has begun: no record is accepted any more.
     closing: bool,
-    /// The writer task has returned; nothing will ever flush again.
-    writer_exited: bool,
 }
 
 #[derive(Default)]
@@ -473,31 +485,31 @@ struct WalCounters {
     flush_hist: [AtomicU64; 8],
 }
 
-struct WalInner {
+/// The write-ahead log. One instance per engine; cheap to share via
+/// `Arc`.
+pub struct Wal {
     cfg: DurabilityConfig,
     /// All file IO goes through here; production is [`FsStorage`],
     /// tests inject fault schedules.
     storage: Arc<dyn WalStorage>,
-    /// Host runtime: spawns the writer task, times flushes, paces the
-    /// retry backoff, and backs the two eventcounts below. Virtual
-    /// under the simulation testkit.
+    /// Host runtime: times flushes, paces the retry backoff, and backs
+    /// the eventcount below. Virtual under the simulation testkit.
     rt: Arc<dyn Runtime>,
     state: Mutex<WalState>,
-    /// Wakes the writer task when work arrives or the log closes.
-    work_ev: Arc<dyn RtEvent>,
-    /// Wakes sessions when `durable_lsn` advances, an append parks on
-    /// `ENOSPC`, the log crashes, or the writer task exits.
+    /// Wakes waiters when a flush ends (`durable_lsn` advanced, an
+    /// append parked on `ENOSPC`, or the log stopped), the log
+    /// crashes, or `close()` begins.
     durable_ev: Arc<dyn RtEvent>,
     /// Mirror of the log's state machine for lock-free reads
     /// ([`WalHealth`] as `u8`).
     health: AtomicU8,
-    /// Raised while an append is parked on `ENOSPC` backoff; sessions
-    /// waiting on `durable_ev` answer it with a GC sweep.
+    /// Raised while an append is parked on `ENOSPC` backoff; waiting
+    /// sessions answer it with a GC sweep.
     space_pressure: AtomicBool,
     stats: WalCounters,
 }
 
-impl WalInner {
+impl Wal {
     fn lock(&self) -> MutexGuard<'_, WalState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -505,12 +517,30 @@ impl WalInner {
     fn set_health(&self, h: WalHealth) {
         self.health.store(h as u8, Ordering::Release);
     }
+
+    /// Fail-stop: every record not yet durable is dropped, its session
+    /// sees the precise error (never a false ack), and health flips.
+    fn stop(&self, st: &mut WalState, e: WalError) {
+        self.set_health(match &e {
+            WalError::Poisoned(_) => WalHealth::Poisoned,
+            WalError::NoSpace => WalHealth::NoSpace,
+            WalError::Crashed => WalHealth::Crashed,
+            _ => WalHealth::Failed,
+        });
+        st.crashed = true;
+        st.fail = Some(e);
+        st.pending.clear();
+        st.pending_recs = 0;
+        st.unsynced.clear();
+        st.parked = None;
+        self.space_pressure.store(false, Ordering::Relaxed);
+    }
 }
 
 /// Removes every sealed segment whose commits are all deleted, whose
-/// retirement barrier is durable, and that no in-flight or pending
-/// write still references.
-fn collect_dead(st: &mut WalState, active: u64, inner: &WalInner) {
+/// retirement barrier is durable, and that no in-flight, parked or
+/// pending write still references.
+fn collect_dead(st: &mut WalState, active: u64, wal: &Wal) {
     let dead: Vec<u64> = st
         .segments
         .iter()
@@ -520,17 +550,15 @@ fn collect_dead(st: &mut WalState, active: u64, inner: &WalInner) {
                 && st.durable_lsn >= m.retire_barrier
                 && **id != active
                 && !st.writing.contains(id)
+                && !st.unsynced.iter().any(|(s, _)| s == *id)
                 && !st.pending.iter().any(|(s, _)| s == *id)
         })
         .map(|(id, _)| *id)
         .collect();
     for id in dead {
         if st.segments.remove(&id).is_some() {
-            let _ = inner.storage.unlink(id);
-            inner
-                .stats
-                .segments_truncated
-                .fetch_add(1, Ordering::Relaxed);
+            let _ = wal.storage.unlink(id);
+            wal.stats.segments_truncated.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -555,13 +583,6 @@ struct SegScrub {
     open_err: Option<String>,
 }
 
-/// The write-ahead log. One instance per engine; cheap to share via
-/// `Arc`.
-pub struct Wal {
-    inner: Arc<WalInner>,
-    writer: Mutex<Option<TaskHandle>>,
-}
-
 impl Wal {
     /// Opens (or creates) the log under `cfg.dir`, scrubbing any
     /// surviving segments.
@@ -578,10 +599,9 @@ impl Wal {
     }
 
     /// Like [`Wal::open`] but on an explicit [`Runtime`]. The engine
-    /// passes its own runtime so the writer task, the flush timing,
-    /// the retry backoff, and every waiter wakeup run under the host
-    /// scheduler — virtual and deterministic under the simulation
-    /// testkit.
+    /// passes its own runtime so the flush timing, the retry backoff,
+    /// and every waiter wakeup run under the host scheduler — virtual
+    /// and deterministic under the simulation testkit.
     pub fn open_on(
         cfg: DurabilityConfig,
         rt: Arc<dyn Runtime>,
@@ -770,12 +790,11 @@ impl Wal {
             },
         );
 
-        let inner = Arc::new(WalInner {
+        let wal = Wal {
             cfg,
             storage,
-            work_ev: rt.event(),
             durable_ev: rt.event(),
-            rt: Arc::clone(&rt),
+            rt,
             state: Mutex::new(WalState {
                 segments,
                 active,
@@ -787,29 +806,19 @@ impl Wal {
                 last_enqueued: max_lsn,
                 durable_lsn: max_lsn,
                 writing: HashSet::new(),
-                writer_busy: false,
+                flushing: false,
+                unsynced: Vec::new(),
+                parked: None,
                 armed: None,
                 crashed: false,
                 fail: None,
                 closing: false,
-                writer_exited: false,
             }),
             health: AtomicU8::new(WalHealth::Ok as u8),
             space_pressure: AtomicBool::new(false),
             stats: WalCounters::default(),
-        });
-        let writer = {
-            let inner = Arc::clone(&inner);
-            rt.spawn("deltx-wal", Box::new(move || writer_loop(&inner)))
         };
-        Ok((
-            Wal {
-                inner,
-                writer: Mutex::new(Some(writer)),
-            },
-            commits,
-            scan,
-        ))
+        Ok((wal, commits, scan))
     }
 
     /// Enqueues a commit record and returns its LSN.
@@ -825,8 +834,7 @@ impl Wal {
         writes: &[(EntityId, Value)],
         shards: &[u32],
     ) -> Result<u64, WalError> {
-        let inner = &self.inner;
-        let mut st = inner.lock();
+        let mut st = self.lock();
         if st.crashed {
             return Err(st.fail.clone().unwrap_or(WalError::Crashed));
         }
@@ -860,26 +868,7 @@ impl Wal {
                 }
             }
         }
-        drop(st);
-        inner.work_ev.notify();
         Ok(lsn)
-    }
-
-    /// Enqueues an abort record (fire-and-forget: aborts need no
-    /// durability — absence from the log already means aborted).
-    pub fn submit_abort(&self, txn: TxnId) {
-        let inner = &self.inner;
-        let mut st = inner.lock();
-        if st.crashed || st.closing {
-            return;
-        }
-        let lsn = st.next_lsn;
-        st.next_lsn += 1;
-        st.last_enqueued = lsn;
-        let bytes = encode_abort(lsn, txn);
-        self.enqueue(&mut st, bytes);
-        drop(st);
-        inner.work_ev.notify();
     }
 
     /// Appends encoded bytes to the active segment, rolling first if
@@ -887,11 +876,11 @@ impl Wal {
     fn enqueue(&self, st: &mut WalState, bytes: Vec<u8>) -> u64 {
         let len = bytes.len() as u64;
         let seg_bytes = st.segments.get(&st.active).map_or(0, |m| m.bytes);
-        if seg_bytes > 0 && seg_bytes + len > self.inner.cfg.segment_bytes {
+        if seg_bytes > 0 && seg_bytes + len > self.cfg.segment_bytes {
             if let Some(m) = st.segments.get_mut(&st.active) {
                 m.sealed = true;
             }
-            let _ = self.inner.storage.seal(st.active);
+            let _ = self.storage.seal(st.active);
             let next = st.active + 1;
             st.segments.insert(
                 next,
@@ -905,10 +894,7 @@ impl Wal {
                 },
             );
             st.active = next;
-            self.inner
-                .stats
-                .segments_created
-                .fetch_add(1, Ordering::Relaxed);
+            self.stats.segments_created.fetch_add(1, Ordering::Relaxed);
         }
         let seg = st.active;
         if let Some(m) = st.segments.get_mut(&seg) {
@@ -927,44 +913,56 @@ impl Wal {
     /// [`WalError::Poisoned`] / [`WalError::NoSpace`] / [`WalError::Io`]
     /// name the disk fault that stopped the log, [`WalError::Crashed`]
     /// is an injected or unclassified crash, and [`WalError::Closed`]
-    /// means the writer task exited before covering the record (a
-    /// shutdown raced the submission). The waiter never hangs.
+    /// means the log was closed before covering the record (a shutdown
+    /// raced the submission). The waiter never hangs.
+    /// The caller may lead the flush itself (see the module docs).
     pub fn wait_durable(&self, lsn: u64) -> Result<(), WalError> {
         self.wait_durable_with(lsn, || {})
     }
 
-    /// [`Wal::wait_durable`] for a waiter that can free space: each
-    /// time the writer parks an append on `ENOSPC` it wakes the
-    /// waiters, and one that finds [`Wal::space_pressure`] raised runs
-    /// `on_pressure` (no log lock held) before waiting for the writer's
-    /// retry. The engine passes its GC sweep — deleting transactions
-    /// retires sealed segments, and a retired segment may free the
-    /// bytes the parked append needs before the escalation window
-    /// closes.
+    /// [`Wal::wait_durable`] for a waiter that can free space: while an
+    /// append is parked on `ENOSPC` ([`Wal::space_pressure`] raised),
+    /// every wakeup runs `on_pressure` — with no log lock held and never
+    /// while this caller owns the flush. The engine passes its GC sweep:
+    /// a retired segment may free the bytes the parked append needs
+    /// before the escalation window closes.
     pub fn wait_durable_with(
         &self,
         lsn: u64,
         mut on_pressure: impl FnMut(),
     ) -> Result<(), WalError> {
-        let inner = &self.inner;
         loop {
-            let key = inner.durable_ev.prepare();
-            {
-                let st = inner.lock();
-                if st.durable_lsn >= lsn {
-                    return Ok(());
-                }
-                if st.crashed {
-                    return Err(st.fail.clone().unwrap_or(WalError::Crashed));
-                }
-                if st.writer_exited {
-                    return Err(WalError::Closed);
-                }
+            let key = self.durable_ev.prepare();
+            let st = self.lock();
+            if st.durable_lsn >= lsn {
+                return Ok(());
             }
+            if st.crashed {
+                return Err(st.fail.clone().unwrap_or(WalError::Crashed));
+            }
+            if st.closing && !st.flushing && st.pending.is_empty() {
+                // Nothing left to flush, and nothing more will come.
+                return Err(WalError::Closed);
+            }
+            if !st.flushing && !st.pending.is_empty() {
+                match st.parked {
+                    Some((_, retry_at)) if self.rt.now() < retry_at => {
+                        drop(st);
+                        on_pressure();
+                        let now = self.rt.now();
+                        if now < retry_at {
+                            self.rt.sleep(retry_at - now);
+                        }
+                    }
+                    _ => flush(self, st),
+                }
+                continue;
+            }
+            drop(st);
             if self.space_pressure() {
                 on_pressure();
             }
-            inner.durable_ev.wait(key);
+            self.durable_ev.wait(key);
         }
     }
 
@@ -975,7 +973,7 @@ impl Wal {
         if deleted.is_empty() {
             return;
         }
-        let mut st = self.inner.lock();
+        let mut st = self.lock();
         if st.crashed || st.closing {
             // After the log stops accepting records, in-memory commits
             // still mutate the conflict graph, so GC can judge a
@@ -1001,31 +999,31 @@ impl Wal {
             }
         }
         let active = st.active;
-        collect_dead(&mut st, active, &self.inner);
+        collect_dead(&mut st, active, self);
     }
 
     /// Arms a crash: the next `submit_commit` executes `cp` instead of
     /// appending, after which every call fails with
     /// [`WalError::Crashed`] until the log is re-opened.
     pub fn arm_crash(&self, cp: CrashPoint) {
-        self.inner.lock().armed = Some(cp);
+        self.lock().armed = Some(cp);
     }
 
     /// Whether an injected or real crash has killed the log.
     pub fn is_crashed(&self) -> bool {
-        self.inner.lock().crashed
+        self.lock().crashed
     }
 
     /// Coarse health, readable without the state lock. Anything but
     /// [`WalHealth::Ok`] means the log accepts no further records and
     /// the engine should serve reads only.
     pub fn health(&self) -> WalHealth {
-        WalHealth::from_u8(self.inner.health.load(Ordering::Acquire))
+        WalHealth::from_u8(self.health.load(Ordering::Acquire))
     }
 
     /// Why the log stopped, once it has ([`Wal::health`] ≠ `Ok`).
     pub fn fail_reason(&self) -> Option<WalError> {
-        let st = self.inner.lock();
+        let st = self.lock();
         if st.crashed {
             Some(st.fail.clone().unwrap_or(WalError::Crashed))
         } else {
@@ -1037,47 +1035,46 @@ impl Wal {
     /// space — what [`Wal::wait_durable_with`] answers with its
     /// caller's rescue.
     pub fn space_pressure(&self) -> bool {
-        self.inner.space_pressure.load(Ordering::Relaxed)
+        self.space_pressure.load(Ordering::Relaxed)
     }
 
-    /// Runs the armed crash scenario: stop the writer, discard
-    /// un-flushed batches, tamper the active segment's tail through
-    /// the VFS so the disk matches what a real kill at `cp` would
-    /// leave.
+    /// Runs the armed crash scenario: stop the log, discard un-flushed
+    /// batches, tamper the active segment's tail through the VFS so the
+    /// disk matches what a real kill at `cp` would leave.
     fn execute_crash(&self, mut st: MutexGuard<'_, WalState>, cp: CrashPoint, record: &[u8]) {
-        let inner = &self.inner;
         st.crashed = true;
         st.fail = Some(WalError::Crashed);
         drop(st);
-        inner.set_health(WalHealth::Crashed);
-        inner.work_ev.notify();
+        self.set_health(WalHealth::Crashed);
         // Let an in-flight flush finish: those records were written
         // before the crash point and their sessions will be acked,
-        // which is correct — they are durable.
+        // which is correct — they are durable. We hold shard locks
+        // here, so no flush may wait on a rescue (see `park`).
         let mut st = loop {
-            let key = inner.durable_ev.prepare();
-            let g = inner.lock();
-            if !g.writer_busy {
+            let key = self.durable_ev.prepare();
+            let g = self.lock();
+            if !g.flushing {
                 break g;
             }
             drop(g);
-            inner.durable_ev.wait(key);
+            self.durable_ev.wait(key);
         };
-        // Batches that never reached the writer die in the page
-        // cache; their sessions get `Crashed`, never an ack.
-        st.pending.clear();
-        st.pending_recs = 0;
+        // Batches no flush completed die in the page cache; their
+        // sessions get `Crashed` — or the more precise fault an
+        // in-flight flush hit meanwhile — never an ack.
+        let cause = st.fail.clone().unwrap_or(WalError::Crashed);
+        self.stop(&mut st, cause);
         let active = st.active;
         let durable = match st.segments.get(&active) {
             Some(m) => m.durable,
             None => {
                 drop(st);
-                inner.durable_ev.notify();
+                self.durable_ev.notify();
                 return;
             }
         };
         drop(st);
-        let storage = &inner.storage;
+        let storage = &self.storage;
         let tamper = || -> StorageResult<()> {
             match cp {
                 CrashPoint::BeforeAppend => {}
@@ -1115,12 +1112,12 @@ impl Wal {
         // A tamper failure leaves the disk at the durable prefix,
         // which is itself a valid crash image.
         let _ = tamper();
-        inner.durable_ev.notify();
+        self.durable_ev.notify();
     }
 
     /// Snapshot of the activity counters.
     pub fn stats(&self) -> WalStats {
-        let s = &self.inner.stats;
+        let s = &self.stats;
         let mut out = WalStats {
             flushes: s.flushes.load(Ordering::Relaxed),
             records: s.records.load(Ordering::Relaxed),
@@ -1139,27 +1136,26 @@ impl Wal {
         for (i, b) in s.flush_hist.iter().enumerate() {
             out.flush_hist[i] = b.load(Ordering::Relaxed);
         }
-        let st = self.inner.lock();
+        let st = self.lock();
         out.durable_lsn = st.durable_lsn;
         out.segments_live = st.segments.len() as u64;
         out
     }
 
-    /// Drains pending records, flushes them, and joins the writer
-    /// task. Called by the engine on shutdown; idempotent. Waiters on
-    /// records the final drain covers are acked `Ok`; anything the
-    /// writer can no longer flush surfaces as [`WalError::Closed`] or
-    /// [`WalError::Crashed`], never a hang.
+    /// Drains pending records on the caller's thread and closes the
+    /// log. Called by the engine on shutdown; idempotent. Waiters on
+    /// records the final drain covers are acked `Ok`; anything that
+    /// can no longer be flushed surfaces as [`WalError::Closed`] or as
+    /// the error that stopped the log, never a hang.
     pub fn close(&self) {
-        {
-            let mut st = self.inner.lock();
+        let last = {
+            let mut st = self.lock();
             st.closing = true;
-        }
-        self.inner.work_ev.notify();
-        let handle = self.writer.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(h) = handle {
-            h.join();
-        }
+            st.last_enqueued
+        };
+        // Wake waiters on records never submitted: they see the close.
+        self.durable_ev.notify();
+        let _ = self.wait_durable(last);
     }
 }
 
@@ -1169,7 +1165,7 @@ impl Drop for Wal {
     }
 }
 
-// ── Writer-side retry policy ────────────────────────────────────────
+// ── Flush-side retry policy ─────────────────────────────────────────
 // Transient errors get a short budget: they either clear in
 // microseconds or they are not transient. ENOSPC gets a longer one,
 // eight rounds, because the cure (retiring dead segments) needs the
@@ -1181,48 +1177,28 @@ const SPACE_BASE: Duration = Duration::from_micros(500);
 const SPACE_MAX: Duration = Duration::from_millis(8);
 const SPACE_ATTEMPTS: u32 = 8;
 
-/// Appends one coalesced chunk, absorbing transient errors and
-/// `ENOSPC` under bounded backoff per the policy above. Any error
-/// returned is terminal for the log.
-fn append_with_retry(inner: &WalInner, seg: u64, bytes: &[u8]) -> Result<(), WalError> {
+/// Appends one coalesced chunk, absorbing transient errors under
+/// bounded backoff. `ENOSPC` returns [`WalError::NoSpace`] for the
+/// flusher to park on; any other error is terminal for the log.
+fn append_with_retry(wal: &Wal, seg: u64, bytes: &[u8]) -> Result<(), WalError> {
     let mut transient = Backoff::new(TRANSIENT_BASE, TRANSIENT_MAX, TRANSIENT_ATTEMPTS);
-    let mut space = Backoff::new(SPACE_BASE, SPACE_MAX, SPACE_ATTEMPTS);
     loop {
-        match inner.storage.append(seg, bytes) {
-            Ok(()) => {
-                inner.space_pressure.store(false, Ordering::Relaxed);
-                return Ok(());
-            }
+        match wal.storage.append(seg, bytes) {
+            Ok(()) => return Ok(()),
             Err(StorageError::Transient(e)) => {
-                inner.stats.append_retries.fetch_add(1, Ordering::Relaxed);
-                inner.rt.emit("wal_retry", 1);
+                wal.stats.append_retries.fetch_add(1, Ordering::Relaxed);
+                wal.rt.emit("wal_retry", 1);
                 let Some(d) = transient.next_delay() else {
                     return Err(WalError::Io(format!(
                         "transient append error persisted past the retry budget: {e}"
                     )));
                 };
-                if inner.lock().crashed {
+                if wal.lock().crashed {
                     return Err(WalError::Crashed);
                 }
-                inner.rt.sleep(d);
+                wal.rt.sleep(d);
             }
-            Err(StorageError::NoSpace { .. }) => {
-                // Park under pressure and wake the sessions waiting on
-                // this batch: each sweeps the engine's GC, and a retired
-                // segment may free the space this append needs.
-                inner.space_pressure.store(true, Ordering::Relaxed);
-                inner.durable_ev.notify();
-                inner.rt.emit("wal_pressure", 1);
-                let Some(d) = space.next_delay() else {
-                    inner.space_pressure.store(false, Ordering::Relaxed);
-                    return Err(WalError::NoSpace);
-                };
-                if inner.lock().crashed {
-                    inner.space_pressure.store(false, Ordering::Relaxed);
-                    return Err(WalError::Crashed);
-                }
-                inner.rt.sleep(d);
-            }
+            Err(StorageError::NoSpace { .. }) => return Err(WalError::NoSpace),
             Err(StorageError::FsyncFailed(e)) => return Err(WalError::Poisoned(e)),
             Err(StorageError::Permanent(e)) => return Err(WalError::Io(e)),
         }
@@ -1235,13 +1211,12 @@ fn append_with_retry(inner: &WalInner, seg: u64, bytes: &[u8]) -> Result<(), Wal
 /// acknowledge data that is gone — the fsyncgate failure mode. The
 /// planted `retry_after_fsync_fail` bug exists precisely to prove the
 /// test battery catches anyone reintroducing that retry.
-fn fsync_batch(inner: &WalInner, segs: &[u64]) -> Result<(), WalError> {
+fn fsync_batch(wal: &Wal, segs: &[u64]) -> Result<(), WalError> {
     for &seg in segs {
-        if let Err(e) = inner.storage.fsync(seg) {
+        if let Err(e) = wal.storage.fsync(seg) {
             #[cfg(feature = "planted")]
             {
-                if crate::planted::retry_after_fsync_fail_bug() && inner.storage.fsync(seg).is_ok()
-                {
+                if crate::planted::retry_after_fsync_fail_bug() && wal.storage.fsync(seg).is_ok() {
                     // BUG (planted): treating the retried fsync as
                     // success acknowledges records whose bytes the
                     // kernel already dropped — silent data loss the
@@ -1255,98 +1230,105 @@ fn fsync_batch(inner: &WalInner, segs: &[u64]) -> Result<(), WalError> {
     Ok(())
 }
 
-/// The group-commit writer: batches whatever accumulated since the
-/// last flush, writes and syncs it through the VFS under the retry
-/// policy, then advances `durable_lsn` and wakes every waiting session
-/// in one shot. On every exit path it marks `writer_exited` and
-/// notifies the durable event, so no waiter can outlive it blocked.
-fn writer_loop(inner: &WalInner) {
-    loop {
-        let (chunks, nrec, last) = loop {
-            let key = inner.work_ev.prepare();
-            let mut st = inner.lock();
-            if st.crashed || (st.pending.is_empty() && st.closing) {
-                st.writer_busy = false;
-                st.writer_exited = true;
-                drop(st);
-                inner.durable_ev.notify();
-                return;
-            }
-            if !st.pending.is_empty() {
-                let chunks = std::mem::take(&mut st.pending);
-                let nrec = std::mem::replace(&mut st.pending_recs, 0);
-                let last = st.last_enqueued;
-                st.writer_busy = true;
-                st.writing = chunks.iter().map(|(s, _)| *s).collect();
-                break (chunks, nrec, last);
-            }
-            drop(st);
-            inner.work_ev.wait(key);
-        };
-
-        let t0 = inner.rt.now();
-        let mut written: Vec<(u64, u64)> = Vec::with_capacity(chunks.len());
-        let io = (|| -> Result<(), WalError> {
-            for (seg, bytes) in &chunks {
-                append_with_retry(inner, *seg, bytes)?;
-                written.push((*seg, bytes.len() as u64));
-            }
-            if inner.cfg.fsync {
-                let segs: Vec<u64> = chunks.iter().map(|(s, _)| *s).collect();
-                fsync_batch(inner, &segs)?;
-            }
-            Ok(())
-        })();
-
-        let flush_nanos = inner.rt.now().saturating_sub(t0).as_nanos() as u64;
-        inner
-            .stats
-            .flush_nanos
-            .fetch_add(flush_nanos, Ordering::Relaxed);
-
-        let mut st = inner.lock();
-        st.writing.clear();
-        st.writer_busy = false;
-        match io {
-            Ok(()) => {
-                for (seg, len) in written {
-                    if let Some(m) = st.segments.get_mut(&seg) {
-                        m.durable += len;
-                    }
-                }
-                st.durable_lsn = last;
-                inner.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                inner.stats.records.fetch_add(nrec, Ordering::Relaxed);
-                inner.stats.batch_hist[batch_bucket(nrec)].fetch_add(1, Ordering::Relaxed);
-                inner.stats.flush_hist[flush_bucket(flush_nanos)].fetch_add(1, Ordering::Relaxed);
-                // Batch-boundary signature for schedule-space search:
-                // which group-commit batch sizes this interleaving
-                // produced (bucketed like the histogram).
-                inner.rt.emit("wal_batch", batch_bucket(nrec) as u64);
-                let active = st.active;
-                collect_dead(&mut st, active, inner);
-                drop(st);
-                inner.durable_ev.notify();
-            }
-            Err(e) => {
-                // A terminal disk fault is fail-stop: un-acked
-                // sessions must see the precise error, never a false
-                // ack, and the engine's commit gate flips to degraded.
-                inner.set_health(match &e {
-                    WalError::Poisoned(_) => WalHealth::Poisoned,
-                    WalError::NoSpace => WalHealth::NoSpace,
-                    WalError::Crashed => WalHealth::Crashed,
-                    _ => WalHealth::Failed,
-                });
-                st.crashed = true;
-                st.fail = Some(e);
-                st.pending.clear();
-                st.pending_recs = 0;
-                st.writer_exited = true;
-                drop(st);
-                inner.durable_ev.notify();
-                return;
-            }
+/// Leads one flush: claims it and the whole pending queue, writes and
+/// syncs with no log lock held, then publishes the outcome (durable,
+/// [`park`]ed on `ENOSPC`, or stopped) and wakes every waiter.
+fn flush(wal: &Wal, mut st: MutexGuard<'_, WalState>) {
+    st.flushing = true;
+    let mut chunks = std::mem::take(&mut st.pending);
+    // Appended by a flush that parked on `ENOSPC`; synced by this one.
+    let mut written = std::mem::take(&mut st.unsynced);
+    st.writing.extend(chunks.iter().map(|(s, _)| *s));
+    st.writing.extend(written.iter().map(|(s, _)| *s));
+    let nrec = std::mem::take(&mut st.pending_recs);
+    let last = st.last_enqueued;
+    drop(st);
+    let carried = written.len();
+    let t0 = wal.rt.now();
+    let io = (|| -> Result<(), WalError> {
+        for (seg, bytes) in &chunks {
+            append_with_retry(wal, *seg, bytes)?;
+            written.push((*seg, bytes.len() as u64));
         }
+        if wal.cfg.fsync {
+            // In segment order: a segment repeats only back to back.
+            let mut segs: Vec<u64> = written.iter().map(|(s, _)| *s).collect();
+            segs.dedup();
+            fsync_batch(wal, &segs)?;
+        }
+        Ok(())
+    })();
+
+    let flush_nanos = wal.rt.now().saturating_sub(t0).as_nanos() as u64;
+    wal.stats
+        .flush_nanos
+        .fetch_add(flush_nanos, Ordering::Relaxed);
+
+    let mut st = wal.lock();
+    st.writing.clear();
+    st.flushing = false;
+    match io {
+        Ok(()) => {
+            for (seg, len) in written {
+                if let Some(m) = st.segments.get_mut(&seg) {
+                    m.durable += len;
+                }
+            }
+            st.durable_lsn = last;
+            st.parked = None;
+            wal.space_pressure.store(false, Ordering::Relaxed);
+            wal.stats.flushes.fetch_add(1, Ordering::Relaxed);
+            wal.stats.records.fetch_add(nrec, Ordering::Relaxed);
+            wal.stats.batch_hist[batch_bucket(nrec)].fetch_add(1, Ordering::Relaxed);
+            wal.stats.flush_hist[flush_bucket(flush_nanos)].fetch_add(1, Ordering::Relaxed);
+            // Batch-boundary signature for schedule-space search:
+            // which group-commit batch sizes this interleaving
+            // produced (bucketed like the histogram).
+            wal.rt.emit("wal_batch", batch_bucket(nrec) as u64);
+            let active = st.active;
+            collect_dead(&mut st, active, wal);
+        }
+        // A crash executed meanwhile: what stopped the batch is the
+        // crash, and the crash discards it.
+        Err(WalError::NoSpace) if st.crashed => wal.stop(&mut st, WalError::Crashed),
+        Err(WalError::NoSpace) => {
+            let done = written.len() - carried;
+            if done > 0 {
+                // Each chunk gets the whole escalation window: an
+                // append that went through restarts the budget.
+                st.parked = None;
+            }
+            park(wal, &mut st, chunks.split_off(done), written, nrec);
+        }
+        Err(e) => wal.stop(&mut st, e),
     }
+    drop(st);
+    wal.durable_ev.notify();
+}
+
+/// Parks a batch the device refused: unwritten chunks go back to the
+/// head of the queue, appended ones wait in `unsynced` for the retry
+/// to sync. The flush is released before its leader runs a rescue (a
+/// GC sweep takes shard locks, and an armed crash waits for the
+/// running flush under shard locks), so the two cannot deadlock.
+fn park(
+    wal: &Wal,
+    st: &mut WalState,
+    unwritten: Vec<(u64, Vec<u8>)>,
+    written: Vec<(u64, u64)>,
+    nrec: u64,
+) {
+    wal.rt.emit("wal_pressure", 1);
+    let mut budget = st.parked.map_or_else(
+        || Backoff::new(SPACE_BASE, SPACE_MAX, SPACE_ATTEMPTS),
+        |(budget, _)| budget,
+    );
+    let Some(d) = budget.next_delay() else {
+        return wal.stop(st, WalError::NoSpace);
+    };
+    st.parked = Some((budget, wal.rt.now() + d));
+    wal.space_pressure.store(true, Ordering::Relaxed);
+    st.pending.splice(0..0, unwritten);
+    st.pending_recs += nrec;
+    st.unsynced = written;
 }

@@ -76,8 +76,9 @@ pub enum WalRecord {
         /// Shard indices the transaction touched (reads included).
         shards: Vec<u32>,
     },
-    /// An aborted transaction (informational: absence from the log
-    /// already means aborted; the record makes tail diagnosis easier).
+    /// An aborted transaction. Nothing writes these any more — absence
+    /// from the log already means aborted — but logs written before
+    /// ISSUE 25 hold them, so they still decode (and replay skips them).
     Abort {
         /// Log sequence number.
         lsn: u64,
@@ -152,15 +153,6 @@ pub fn encode_commit(
         put_u32(&mut payload, x.0);
         payload.extend_from_slice(&v.to_le_bytes());
     }
-    frame(payload)
-}
-
-/// Encodes an abort record.
-pub fn encode_abort(lsn: u64, txn: TxnId) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(13);
-    payload.push(KIND_ABORT);
-    put_u64(&mut payload, lsn);
-    put_u32(&mut payload, txn.0);
     frame(payload)
 }
 
@@ -268,7 +260,11 @@ mod tests {
 
     #[test]
     fn abort_roundtrip_and_sequence() {
-        let mut buf = encode_abort(1, TxnId(8));
+        // An abort record as older logs hold it: kind, lsn, txn.
+        let mut payload = vec![KIND_ABORT];
+        put_u64(&mut payload, 1);
+        put_u32(&mut payload, 8);
+        let mut buf = frame(payload);
         buf.extend(encode_commit(2, TxnId(9), &[(EntityId(0), 1)], &[0]));
         let (first, n) = decode(&buf).unwrap().unwrap();
         assert_eq!(

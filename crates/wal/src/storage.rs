@@ -66,8 +66,8 @@ pub type StorageResult<T> = Result<T, StorageError>;
 
 /// The VFS the log runs on: a flat namespace of numbered segments.
 ///
-/// Implementations must be safe to call from the writer task and the
-/// recovery scan concurrently (interior mutability where needed).
+/// Implementations must be safe to call from several sessions at once
+/// (the flusher, a GC unlink, a crash's tamper) through `&self`.
 pub trait WalStorage: Send + Sync + std::fmt::Debug {
     /// Creates the backing namespace (directory) if absent.
     fn init(&self) -> StorageResult<()>;
@@ -90,7 +90,7 @@ pub trait WalStorage: Send + Sync + std::fmt::Debug {
     fn truncate(&self, seg: u64, len: u64) -> StorageResult<()>;
 
     /// Marks a segment sealed: no more appends will ever target it.
-    /// Advisory — [`FsStorage`] keeps no per-segment state.
+    /// Advisory — [`FsStorage`] ignores it.
     fn seal(&self, seg: u64) -> StorageResult<()>;
 
     /// Removes a segment.
@@ -121,20 +121,31 @@ fn classify(e: std::io::Error) -> StorageError {
 
 /// The production backend: one `{id:08}.wal` file per segment under a
 /// directory, written with `std::fs`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FsStorage {
     dir: PathBuf,
+    /// The tail segment's open `O_APPEND` handle, kept across appends.
+    /// Each write lands at the file's end, so a `truncate` through
+    /// another handle needs no coordination.
+    tail: Mutex<Option<(u64, File)>>,
 }
 
 impl FsStorage {
     /// A filesystem backend rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        FsStorage { dir: dir.into() }
+        FsStorage {
+            dir: dir.into(),
+            tail: Mutex::new(None),
+        }
     }
 
     /// Path of a segment file.
     pub fn segment_path(&self, seg: u64) -> PathBuf {
         segment_file(&self.dir, seg)
+    }
+
+    fn lock_tail(&self) -> MutexGuard<'_, Option<(u64, File)>> {
+        self.tail.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -173,20 +184,29 @@ impl WalStorage for FsStorage {
     }
 
     fn append(&self, seg: u64, bytes: &[u8]) -> StorageResult<()> {
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.segment_path(seg))
-            .and_then(|mut f| f.write_all(bytes))
-            .map_err(classify)
+        let mut tail = self.lock_tail();
+        let f = match &mut *tail {
+            Some((s, f)) if *s == seg => f,
+            slot => {
+                let f = OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.segment_path(seg))
+                    .map_err(classify)?;
+                &mut slot.insert((seg, f)).1
+            }
+        };
+        f.write_all(bytes).map_err(classify)
     }
 
     fn fsync(&self, seg: u64) -> StorageResult<()> {
-        // Opening a fresh handle and syncing it flushes the *file's*
-        // dirty pages — fsync is per inode, not per descriptor.
-        File::open(self.segment_path(seg))
-            .and_then(|f| f.sync_data())
-            .map_err(|e| StorageError::FsyncFailed(e.to_string()))
+        // fsync is per inode, not per descriptor: a segment other than
+        // the cached tail is opened just for the sync.
+        match &*self.lock_tail() {
+            Some((s, f)) if *s == seg => f.sync_data(),
+            _ => File::open(self.segment_path(seg)).and_then(|f| f.sync_data()),
+        }
+        .map_err(|e| StorageError::FsyncFailed(e.to_string()))
     }
 
     fn truncate(&self, seg: u64, len: u64) -> StorageResult<()> {
@@ -204,10 +224,14 @@ impl WalStorage for FsStorage {
     }
 
     fn unlink(&self, seg: u64) -> StorageResult<()> {
+        // A later append must recreate the file, not write to the
+        // unlinked inode through the cached handle.
+        self.lock_tail().take_if(|(s, _)| *s == seg);
         std::fs::remove_file(self.segment_path(seg)).map_err(classify)
     }
 
     fn quarantine(&self, seg: u64) -> StorageResult<()> {
+        self.lock_tail().take_if(|(s, _)| *s == seg);
         let from = self.segment_path(seg);
         let to = self.dir.join(format!("{seg:08}.quarantine"));
         std::fs::rename(from, to).map_err(classify)
@@ -456,6 +480,52 @@ mod tests {
         s.quarantine(3).unwrap();
         assert_eq!(s.list().unwrap(), Vec::<u64>::new());
         assert!(dir.join("00000003.quarantine").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_after_unlink_of_the_cached_segment_recreates_it() {
+        let dir = tmp("tail-unlink");
+        let s = FsStorage::new(&dir);
+        s.init().unwrap();
+        s.append(5, b"old").unwrap(); // 5 is now the cached tail
+        s.unlink(5).unwrap();
+        assert_eq!(s.list().unwrap(), Vec::<u64>::new());
+        s.append(5, b"new").unwrap();
+        assert_eq!(s.open(5).unwrap(), b"new", "no bytes of the unlinked file");
+        s.fsync(5).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_after_truncate_of_the_cached_segment_lands_at_the_cut() {
+        let dir = tmp("tail-truncate");
+        let s = FsStorage::new(&dir);
+        s.init().unwrap();
+        s.append(2, b"keep-torn").unwrap();
+        s.truncate(2, 4).unwrap();
+        s.append(2, b"+more").unwrap();
+        assert_eq!(s.open(2).unwrap(), b"keep+more");
+        assert_eq!(s.size(2).unwrap(), 9);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopen_sees_the_cached_tail_and_appends_after_it() {
+        let dir = tmp("tail-reopen");
+        let s = FsStorage::new(&dir);
+        s.init().unwrap();
+        s.append(0, b"a").unwrap();
+        s.append(1, b"b").unwrap();
+        s.append(0, b"c").unwrap(); // back to a segment whose handle was replaced
+        s.fsync(0).unwrap();
+        s.fsync(1).unwrap();
+        drop(s);
+        let s = FsStorage::new(&dir);
+        assert_eq!(s.list().unwrap(), vec![0, 1]);
+        assert_eq!(s.open(0).unwrap(), b"ac");
+        s.append(1, b"d").unwrap();
+        assert_eq!(s.open(1).unwrap(), b"bd");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,14 +1,16 @@
-//! Behavior tests for the WAL in isolation: group commit ordering,
-//! recovery truncation, GC-driven segment removal, and every crash
-//! point's on-disk image.
+//! Behavior tests for the WAL in isolation: group commit ordering and
+//! who flushes, recovery truncation, GC-driven segment removal, and
+//! every crash point's on-disk image.
 
 use deltx_model::{EntityId, TxnId};
 use deltx_wal::{
-    CrashPoint, DurabilityConfig, FaultSpec, FaultyStorage, FsStorage, RecoverPolicy, Wal,
-    WalError, WalHealth, WalStorage, ALL_CRASH_POINTS,
+    CrashPoint, DurabilityConfig, FaultSpec, FaultyStorage, FsStorage, RecoverPolicy,
+    StorageResult, Wal, WalError, WalHealth, WalStorage, ALL_CRASH_POINTS,
 };
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 /// Fresh per-test directory under the system temp dir (no tempfile
 /// crate in the offline workspace); removed on drop.
@@ -52,14 +54,13 @@ fn commits_survive_reopen_in_lsn_order() {
         assert_eq!(scan.max_lsn, 0);
         commit_one(&wal, 1, &[(0, 10)]).unwrap();
         commit_one(&wal, 2, &[(0, 20), (1, 5)]).unwrap();
-        wal.submit_abort(TxnId(3));
         commit_one(&wal, 4, &[(1, 7)]).unwrap();
     }
     let (_wal, commits, scan) = Wal::open(dir.cfg()).unwrap();
     assert_eq!(
         commits.iter().map(|c| c.txn).collect::<Vec<_>>(),
         vec![TxnId(1), TxnId(2), TxnId(4)],
-        "commits replay in LSN order, aborts are skipped"
+        "commits replay in LSN order"
     );
     assert!(commits.windows(2).all(|w| w[0].lsn < w[1].lsn));
     assert_eq!(commits[1].writes, vec![(EntityId(0), 20), (EntityId(1), 5)]);
@@ -211,8 +212,8 @@ fn torn_write_at_every_offset_recovers_the_valid_prefix() {
 #[test]
 fn close_with_pending_submissions_flushes_and_acks_them() {
     // Shutdown ordering: submissions enqueued before close() are
-    // drained by the writer's final pass, so their waiters are acked
-    // Ok — close never strands an accepted record.
+    // drained by close() on the caller's thread, so their waiters are
+    // acked Ok — close never strands an accepted record.
     let dir = TestDir::new("close-drain");
     let (wal, _, _) = Wal::open(dir.cfg()).unwrap();
     let mut lsns = Vec::new();
@@ -234,8 +235,8 @@ fn close_with_pending_submissions_flushes_and_acks_them() {
 #[test]
 fn waiters_for_uncovered_lsns_error_on_close_instead_of_hanging() {
     // Shutdown ordering, the other direction: a session blocked on an
-    // LSN the writer will never flush must observe the writer's exit
-    // as an error, not a hang.
+    // LSN that will never be flushed must observe the close as an
+    // error, not a hang.
     let dir = TestDir::new("close-waiter");
     let (wal, _, _) = Wal::open(dir.cfg()).unwrap();
     commit_one(&wal, 1, &[(0, 1)]).unwrap();
@@ -250,7 +251,7 @@ fn waiters_for_uncovered_lsns_error_on_close_instead_of_hanging() {
         assert_eq!(
             waiter.join().unwrap(),
             Err(WalError::Closed),
-            "the waiter must be woken with an error when the writer exits"
+            "the waiter must be woken with an error when the log closes"
         );
     });
 }
@@ -434,30 +435,103 @@ fn enospc_parks_the_writer_until_gc_rescue_frees_a_segment() {
     // under backoff and raises space pressure; deleting a superseded
     // transaction retires its (sealed, barrier-durable) segment, the
     // unlink frees the bytes, and the parked append completes — no
-    // error ever surfaces to the session.
+    // error ever surfaces to the session. Nothing flushes unless
+    // someone waits, so the waiting session is the flusher that parks
+    // and later leads the retry; the rescue comes from another thread.
     let dir = TestDir::new("rescue");
     let wal = wal_on_a_full_device(&dir);
     let lsn = wal
         .submit_commit(TxnId(2), &[(EntityId(0), 3)], &[0])
         .unwrap();
-    let mut waited = 0;
-    while !wal.space_pressure() {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        waited += 1;
-        assert!(waited < 1000, "writer never reported space pressure");
-    }
-    // GC deletes the superseded txn 0 → its segment retires (the
-    // barrier, txn 1's LSN, is already durable) → space frees.
-    wal.note_deleted(&[TxnId(0)]);
-    assert_eq!(wal.wait_durable(lsn), Ok(()), "the parked append completed");
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| wal.wait_durable(lsn));
+        let mut waited = 0;
+        while !wal.space_pressure() {
+            std::thread::sleep(Duration::from_millis(1));
+            waited += 1;
+            assert!(
+                waited < 1000,
+                "the waiting flusher never reported space pressure"
+            );
+        }
+        // GC deletes the superseded txn 0 → its segment retires (the
+        // barrier, txn 1's LSN, is already durable) → space frees.
+        wal.note_deleted(&[TxnId(0)]);
+        assert_eq!(
+            waiter.join().unwrap(),
+            Ok(()),
+            "the parked append completed"
+        );
+    });
     assert_rescued(wal, &dir);
 }
 
 #[test]
+fn crash_armed_while_the_flush_is_parked_does_not_deadlock_the_rescue() {
+    // The hazard of flushing on a waiter: an armed crash executes
+    // inside `submit_commit` under the submitter's shard locks and
+    // waits for the running flush, while the rescue a waiter runs under
+    // ENOSPC pressure takes shard locks. A flusher that ran its rescue
+    // while still owning the flush would wait on the crashing
+    // submitter and the submitter on it, for ever. Here the "shard
+    // lock" is held by the submitter from before the park until after
+    // its crash, so the waiter's rescue cannot finish first.
+    let dir = TestDir::new("park-crash");
+    let wal = Arc::new(wal_on_a_full_device(&dir));
+    let shard = Arc::new(Mutex::new(()));
+    let lsn = wal
+        .submit_commit(TxnId(2), &[(EntityId(0), 3)], &[0])
+        .unwrap();
+    let (held_tx, held_rx) = mpsc::channel();
+    let (crash_tx, crash_rx) = mpsc::channel();
+    let submitter = {
+        let (wal, shard) = (Arc::clone(&wal), Arc::clone(&shard));
+        std::thread::spawn(move || {
+            let guard = shard.lock().unwrap();
+            held_tx.send(()).unwrap();
+            while !wal.space_pressure() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            wal.arm_crash(CrashPoint::BeforeAppend);
+            let r = wal.submit_commit(TxnId(3), &[(EntityId(0), 4)], &[0]);
+            drop(guard);
+            crash_tx.send(r).unwrap();
+        })
+    };
+    held_rx.recv().unwrap();
+    let (wait_tx, wait_rx) = mpsc::channel();
+    let waiter = {
+        let (wal, shard) = (Arc::clone(&wal), Arc::clone(&shard));
+        std::thread::spawn(move || {
+            let r = wal.wait_durable_with(lsn, || drop(shard.lock().unwrap()));
+            wait_tx.send(r).unwrap();
+        })
+    };
+    let hang = Duration::from_secs(20);
+    assert_eq!(
+        crash_rx
+            .recv_timeout(hang)
+            .expect("the crash waited on the parked flush's rescue"),
+        Err(WalError::Crashed)
+    );
+    assert_eq!(
+        wait_rx
+            .recv_timeout(hang)
+            .expect("the waiter hung after the crash"),
+        Err(WalError::Crashed),
+        "the parked record was never acknowledged"
+    );
+    submitter.join().unwrap();
+    waiter.join().unwrap();
+    assert_eq!(wal.health(), WalHealth::Crashed);
+}
+
+#[test]
 fn parked_append_wakes_its_waiter_whose_rescue_frees_the_segment() {
-    // The same rescue with nobody watching the pressure flag: the
-    // writer's park wakes the session waiting on the record, and that
-    // session's callback is what deletes txn 0.
+    // The same rescue with nobody watching the pressure flag, on one
+    // thread: the waiting session is the flusher, its append parks, it
+    // releases the flush, and its own callback is what deletes txn 0
+    // before it leads the retry.
     let dir = TestDir::new("self-rescue");
     let wal = wal_on_a_full_device(&dir);
     let lsn = wal
@@ -636,4 +710,102 @@ fn retirement_after_crash_is_ignored() {
     let (_wal, commits, _) = Wal::open(cfg).unwrap();
     let replayed: Vec<u32> = commits.iter().map(|c| c.txn.0).collect();
     assert_eq!(replayed, vec![0, 1, 2, 3, 4, 5]);
+}
+
+/// The filesystem, with the thread of every append and fsync recorded.
+#[derive(Debug)]
+struct ThreadSpy {
+    fs: FsStorage,
+    callers: Mutex<Vec<ThreadId>>,
+}
+
+impl ThreadSpy {
+    fn new(dir: &Path) -> Self {
+        ThreadSpy {
+            fs: FsStorage::new(dir),
+            callers: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn note(&self) {
+        self.callers
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+    }
+}
+
+impl WalStorage for ThreadSpy {
+    fn init(&self) -> StorageResult<()> {
+        self.fs.init()
+    }
+    fn list(&self) -> StorageResult<Vec<u64>> {
+        self.fs.list()
+    }
+    fn open(&self, seg: u64) -> StorageResult<Vec<u8>> {
+        self.fs.open(seg)
+    }
+    fn append(&self, seg: u64, bytes: &[u8]) -> StorageResult<()> {
+        self.note();
+        self.fs.append(seg, bytes)
+    }
+    fn fsync(&self, seg: u64) -> StorageResult<()> {
+        self.note();
+        self.fs.fsync(seg)
+    }
+    fn truncate(&self, seg: u64, len: u64) -> StorageResult<()> {
+        self.fs.truncate(seg, len)
+    }
+    fn seal(&self, seg: u64) -> StorageResult<()> {
+        self.fs.seal(seg)
+    }
+    fn unlink(&self, seg: u64) -> StorageResult<()> {
+        self.fs.unlink(seg)
+    }
+    fn quarantine(&self, seg: u64) -> StorageResult<()> {
+        self.fs.quarantine(seg)
+    }
+    fn size(&self, seg: u64) -> StorageResult<u64> {
+        self.fs.size(seg)
+    }
+}
+
+#[test]
+fn a_lone_session_flushes_its_own_commit_on_its_own_thread() {
+    // No writer thread: the session that waits is the one that writes
+    // and syncs, so a single submit + wait is one flush, on this thread.
+    let dir = TestDir::new("self-flush");
+    let spy = Arc::new(ThreadSpy::new(&dir.0));
+    let mut cfg = dir.cfg();
+    cfg.storage = Some(Arc::clone(&spy) as Arc<dyn WalStorage>);
+    let (wal, _, _) = Wal::open(cfg).unwrap();
+    let before = wal.stats().flushes;
+    let lsn = wal
+        .submit_commit(TxnId(1), &[(EntityId(0), 10)], &[0])
+        .unwrap();
+    assert!(
+        spy.callers.lock().unwrap().is_empty(),
+        "submit only enqueues"
+    );
+    wal.wait_durable(lsn).unwrap();
+    assert_eq!(wal.stats().flushes, before + 1);
+    let me = std::thread::current().id();
+    let callers = spy.callers.lock().unwrap().clone();
+    assert_eq!(callers, vec![me, me], "one append and one fsync, both here");
+}
+
+#[test]
+fn close_flushes_a_record_no_one_waited_for() {
+    let dir = TestDir::new("close-unwaited");
+    {
+        let (wal, _, _) = Wal::open(dir.cfg()).unwrap();
+        wal.submit_commit(TxnId(7), &[(EntityId(3), 30)], &[0])
+            .unwrap();
+        assert_eq!(wal.stats().flushes, 0, "nothing flushes unprompted");
+        wal.close();
+        assert_eq!(wal.stats().flushes, 1, "close drained the queue itself");
+    }
+    let (_wal, commits, _) = Wal::open(dir.cfg()).unwrap();
+    let replayed: Vec<u32> = commits.iter().map(|c| c.txn.0).collect();
+    assert_eq!(replayed, vec![7], "the unwaited record replays");
 }
