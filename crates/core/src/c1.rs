@@ -17,6 +17,28 @@
 //! predecessor plus a per-entity maximum over its tight successors'
 //! access maps.
 //!
+//! ## A node without predecessors (Lemma 1)
+//!
+//! A completed node with no predecessors has no active tight predecessor,
+//! so C1 holds vacuously. [`violation`] answers that case before any
+//! search: no predecessor BFS, no successor BFS, no cover map.
+//!
+//! ## No deletion makes another node eligible
+//!
+//! Deleting a completed node `d` with bridging (`D(G, {d})`) keeps every
+//! tight relation among the survivors. A tight path through `d` runs
+//! `p -> d -> s` and now uses the bridge `p -> s`. A path over a bridge
+//! `p -> s` stood for `p -> d -> s` before, with `d` a completed (tight)
+//! intermediate. `d` is not active, so no survivor gains or loses an
+//! active tight predecessor, and no survivor's accesses change. What a
+//! survivor `Ti` loses is `d` as a cover: C1 for `Ti` quantifies over
+//! the same `Tj` and `x` with one candidate `Tk` fewer. A deletion can
+//! therefore turn C1 from true to false (Example 1, below) but never from
+//! false to true. So a graph with no eligible node stays irreducible
+//! under further deletions, and one ascending pass that deletes each node
+//! still eligible when reached deletes exactly what "delete the smallest
+//! eligible node, rescan, repeat" does ([`crate::policy::GreedyC1`]).
+//!
 //! ```
 //! use deltx_core::{CgState, c1};
 //! use deltx_model::{dsl, TxnId};
@@ -77,6 +99,9 @@ fn successor_cover(cg: &CgState, tj: NodeId, exclude: NodeId) -> BTreeMap<Entity
 /// Panics (debug) if `ti` is not a live completed node.
 pub fn violation(cg: &CgState, ti: NodeId) -> Option<C1Violation> {
     debug_assert!(cg.is_completed(ti), "C1 is about completed transactions");
+    if cg.graph().preds(ti).is_empty() {
+        return None; // Lemma 1: no active tight predecessor (module doc)
+    }
     let accesses = &cg.info(ti).access;
     for tj in tight::active_tight_predecessors(cg, ti) {
         let cover = successor_cover(cg, tj, ti);
@@ -143,6 +168,7 @@ pub fn eligible(cg: &CgState) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use deltx_model::dsl::parse;
+    use deltx_model::workload::{WorkloadConfig, WorkloadGen};
     use deltx_model::TxnId;
 
     fn state(src: &str) -> CgState {
@@ -187,6 +213,36 @@ mod tests {
         assert_eq!(v.tj, cg.node_of(TxnId(1)).unwrap());
         assert_eq!(v.x, deltx_model::EntityId(0));
         assert!(eligible(&cg).is_empty());
+    }
+
+    #[test]
+    fn deleting_an_eligible_node_never_makes_another_eligible() {
+        // The module doc's argument, checked on every reachable state of
+        // a few generated schedules: after deleting any one eligible
+        // node, the eligible set is a subset of what it was.
+        for seed in 0..3u64 {
+            let mut cg = CgState::new();
+            for step in WorkloadGen::new(WorkloadConfig {
+                n_entities: 5,
+                concurrency: 4,
+                total_txns: 30,
+                seed,
+                ..WorkloadConfig::default()
+            }) {
+                cg.apply(&step).unwrap();
+                let before = eligible(&cg);
+                for &d in &before {
+                    let mut reduced = cg.clone();
+                    reduced.delete(d).unwrap();
+                    for n in eligible(&reduced) {
+                        assert!(
+                            before.contains(&n),
+                            "seed {seed}: deleting {d:?} enabled {n:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,69 @@ pub struct AccessRecord {
     pub version: u64,
 }
 
+/// A node's accesses: one [`AccessRecord`] per entity, sorted by entity.
+///
+/// A transaction touches a handful of entities, so the records sit in
+/// one small vector (24 bytes a record) searched by bisection, where a
+/// `BTreeMap` would allocate a whole B-tree leaf (≈ 230 bytes) per node.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Accesses(Vec<(EntityId, AccessRecord)>);
+
+impl Accesses {
+    /// The record for `x`, if `x` was accessed.
+    pub fn get(&self, x: &EntityId) -> Option<&AccessRecord> {
+        self.find(*x).ok().map(|i| &self.0[i].1)
+    }
+
+    /// The accessed entities, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &EntityId> + '_ {
+        self.0.iter().map(|(x, _)| x)
+    }
+
+    /// `(entity, record)` pairs, ascending by entity.
+    pub fn iter(&self) -> impl Iterator<Item = (&EntityId, &AccessRecord)> + '_ {
+        self.into_iter()
+    }
+
+    /// True if nothing was accessed.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn find(&self, x: EntityId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&x, |&(e, _)| e)
+    }
+
+    /// Inserts `new` for `x`, or applies `merge` to the record already
+    /// there.
+    fn record(&mut self, x: EntityId, new: AccessRecord, merge: impl FnOnce(&mut AccessRecord)) {
+        match self.find(x) {
+            Ok(i) => merge(&mut self.0[i].1),
+            Err(i) => self.0.insert(i, (x, new)),
+        }
+    }
+}
+
+impl std::ops::Index<&EntityId> for Accesses {
+    type Output = AccessRecord;
+
+    fn index(&self, x: &EntityId) -> &AccessRecord {
+        self.get(x).expect("entity was accessed")
+    }
+}
+
+impl<'a> IntoIterator for &'a Accesses {
+    type Item = (&'a EntityId, &'a AccessRecord);
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (EntityId, AccessRecord)>,
+        fn(&'a (EntityId, AccessRecord)) -> (&'a EntityId, &'a AccessRecord),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|(x, r)| (x, r))
+    }
+}
+
 /// Node payload: the scheduler's knowledge about one transaction.
 #[derive(Clone, Debug)]
 pub struct NodeInfo {
@@ -62,7 +125,7 @@ pub struct NodeInfo {
     /// Active or completed.
     pub state: TxnState,
     /// Strongest access per entity, with the version touched.
-    pub access: BTreeMap<EntityId, AccessRecord>,
+    pub access: Accesses,
 }
 
 impl NodeInfo {
@@ -471,7 +534,7 @@ impl CgState {
         self.info[n.index()] = Some(NodeInfo {
             txn: t,
             state: TxnState::Active,
-            access: BTreeMap::new(),
+            access: Accesses::default(),
         });
         self.by_txn.insert(t, n);
         self.reset_node_summary(n);
@@ -550,15 +613,14 @@ impl CgState {
         self.add_arcs(&sources, n);
         let version = self.version_of(x);
         let info = self.info[n.index()].as_mut().expect("live node");
-        info.access
-            .entry(x)
-            .and_modify(|r| {
-                r.version = r.version.max(version);
-            })
-            .or_insert(AccessRecord {
+        info.access.record(
+            x,
+            AccessRecord {
                 mode: AccessMode::Read,
                 version,
-            });
+            },
+            |r| r.version = r.version.max(version),
+        );
         sorted_insert(self.accessors.entry(x).or_default(), n);
         self.stats.accepted += 1;
         Ok(Applied::Accepted)
@@ -605,16 +667,11 @@ impl CgState {
             *v += 1;
             let installed = *v;
             let info = self.info[n.index()].as_mut().expect("live node");
-            info.access
-                .entry(x)
-                .and_modify(|r| {
-                    r.mode = AccessMode::Write;
-                    r.version = installed;
-                })
-                .or_insert(AccessRecord {
-                    mode: AccessMode::Write,
-                    version: installed,
-                });
+            let written = AccessRecord {
+                mode: AccessMode::Write,
+                version: installed,
+            };
+            info.access.record(x, written, |r| *r = written);
             sorted_insert(self.accessors.entry(x).or_default(), n);
             sorted_insert(self.writers.entry(x).or_default(), n);
         }
@@ -776,7 +833,7 @@ impl CgState {
         self.info[n.index()] = Some(NodeInfo {
             txn: t,
             state: TxnState::Completed,
-            access: BTreeMap::new(),
+            access: Accesses::default(),
         });
         self.by_txn.insert(t, n);
         self.reset_node_summary(n);
@@ -1237,7 +1294,7 @@ impl CgState {
             assert!(v.windows(2).all(|w| w[0] < w[1]), "accessors unsorted");
             for &n in v {
                 assert!(self.is_live(n), "stale accessor for {x:?}");
-                assert!(self.info(n).access.contains_key(x));
+                assert!(self.info(n).access.get(x).is_some());
             }
         }
         for (x, v) in &self.writers {

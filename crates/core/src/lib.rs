@@ -41,5 +41,5 @@ pub mod reduced;
 pub mod tight;
 pub mod witness;
 
-pub use cg::{Applied, CgState, CycleStrategy, NodeInfo, TxnState};
+pub use cg::{Accesses, Applied, CgState, CycleStrategy, NodeInfo, TxnState};
 pub use error::CgError;

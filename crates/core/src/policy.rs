@@ -2,12 +2,13 @@
 //!
 //! A *deletion policy* `P` maps the current (reduced) graph to a set of
 //! completed nodes to delete; the scheduling algorithm applies `P` after
-//! every step. Theorem 2: **a deletion policy is correct iff every
-//! deletion it performs is safe** — so the safe policies below only ever
-//! delete sets satisfying C1/C2, while [`CommitTimeUnsafe`] deliberately
-//! violates safety to reproduce the paper's opening observation that
-//! closing at commit time (which is fine for pure locking) is *wrong* for
-//! conflict-graph schedulers.
+//! every step (the reduced scheduler in `deltx-sched` skips BEGINs and
+//! reads, which enable no deletion). Theorem 2: **a deletion policy is
+//! correct iff every deletion it performs is safe** — so the safe
+//! policies below only ever delete sets satisfying C1/C2, while
+//! [`CommitTimeUnsafe`] deliberately violates safety to reproduce the
+//! paper's opening observation that closing at commit time (which is
+//! fine for pure locking) is *wrong* for conflict-graph schedulers.
 //!
 //! ```
 //! use deltx_core::policy::{run_with_policy, GreedyC1, NoDeletion};
@@ -24,8 +25,9 @@ use crate::cg::CgState;
 use crate::{c1, c2, noncurrent};
 use deltx_graph::NodeId;
 
-/// A deletion policy: invoked by the reduced scheduler after each
-/// accepted step (and free to do nothing).
+/// A deletion policy: invoked by the reduced scheduler after each step
+/// that can enable a deletion — an accepted final write or an abort —
+/// and free to do nothing.
 pub trait DeletionPolicy {
     /// Short stable name for reports.
     fn name(&self) -> &'static str;
@@ -99,10 +101,13 @@ impl DeletionPolicy for Noncurrent {
     }
 }
 
-/// Repeatedly deletes the smallest-id node satisfying C1 until the graph
-/// is irreducible. Safe by Theorem 3 (C1 is exact on reduced graphs) and
-/// Theorem 2 (safe deletions compose). This is the maximal-eagerness
-/// baseline; its end states feed the `a·e` bound of experiment E9.
+/// Deletes every completed node that satisfies C1 when its turn comes,
+/// in one ascending pass, leaving the graph irreducible. No deletion
+/// makes another node eligible (see [`c1`]), so the pass deletes the
+/// same sequence as "delete the smallest eligible node, rescan, repeat".
+/// Safe by Theorem 3 (C1 is exact on reduced graphs) and Theorem 2 (safe
+/// deletions compose). This is the maximal-eagerness baseline; its end
+/// states feed the `a·e` bound of experiment E9.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GreedyC1;
 
@@ -112,19 +117,18 @@ impl DeletionPolicy for GreedyC1 {
     }
 
     fn reduce(&mut self, cg: &mut CgState) {
-        loop {
-            let eligible = c1::eligible(cg);
-            match eligible.first() {
-                Some(&n) => cg.delete(n).expect("completed"),
-                None => break,
+        for n in cg.completed_nodes() {
+            if c1::holds(cg, n) {
+                cg.delete(n).expect("completed");
             }
         }
     }
 }
 
-/// One batched pass per step: computes the C1-eligible set, greedily
-/// grows a C2-safe subset, deletes it in one go (Theorem 4). Fewer
-/// passes than [`GreedyC1`]; may delete a different (never unsafe) set.
+/// One batch per call: computes the C1-eligible set, greedily grows a
+/// C2-safe subset, deletes it in one go (Theorem 4). The reduced
+/// scheduler calls it once per completion or abort. Fewer passes than
+/// [`GreedyC1`]; may delete a different (never unsafe) set.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchC2;
 
@@ -239,7 +243,7 @@ impl std::str::FromStr for PolicyKind {
 }
 
 /// Runs a full step stream through a scheduler with policy `p`, applying
-/// the policy after every accepted step; returns the final state.
+/// the policy after every step; returns the final state.
 /// (The simulation driver in `deltx-sim` offers a metered version.)
 pub fn run_with_policy<'a, P: DeletionPolicy>(
     steps: impl IntoIterator<Item = &'a deltx_model::Step>,
@@ -256,7 +260,9 @@ pub fn run_with_policy<'a, P: DeletionPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cg::Applied;
     use deltx_model::dsl::parse;
+    use deltx_model::workload::{WorkloadConfig, WorkloadGen};
     use deltx_model::TxnId;
 
     fn steps(src: &str) -> deltx_model::Schedule {
@@ -362,6 +368,36 @@ mod tests {
             boxed.reduce(&mut cg);
         }
         assert_eq!(cg.completed_count(), 1);
+    }
+
+    #[test]
+    fn begin_and_read_change_no_deletion_verdict() {
+        // Why the reduced scheduler skips the policy after these steps:
+        // neither changes any completed node's C1 verdict or currency.
+        // Checked on the full graph and on graphs the noncurrent policy
+        // reduced after each final write (bridge arcs included).
+        for seed in 0..4u64 {
+            for reducer in [&mut NoDeletion as &mut dyn DeletionPolicy, &mut Noncurrent] {
+                let mut cg = CgState::new();
+                for step in WorkloadGen::new(WorkloadConfig {
+                    n_entities: 6,
+                    concurrency: 4,
+                    total_txns: 40,
+                    seed,
+                    ..WorkloadConfig::default()
+                }) {
+                    let verdicts =
+                        |cg: &CgState| (c1::eligible(cg), noncurrent::noncurrent_completed(cg));
+                    let before = verdicts(&cg);
+                    let applied = cg.apply(&step).unwrap();
+                    if step.op.is_terminal() || applied == Applied::SelfAborted {
+                        reducer.reduce(&mut cg);
+                    } else {
+                        assert_eq!(verdicts(&cg), before, "seed {seed}: {step:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

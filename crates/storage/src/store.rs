@@ -90,33 +90,18 @@ impl Store {
         self.history.get(&x).map_or(&[], Vec::as_slice)
     }
 
-    /// Prunes version history installed by `deleted` writers: every
-    /// non-newest version whose writer is in `deleted` is dropped (the
-    /// newest version of each entity always survives — it *is* the
-    /// current value, whoever wrote it). Returns the number of versions
-    /// reclaimed.
+    /// Prunes the version history of `entities` installed by `deleted`
+    /// writers: every non-newest version whose writer is in `deleted` is
+    /// dropped (the newest version of each entity always survives — it
+    /// *is* the current value, whoever wrote it). Returns the number of
+    /// versions reclaimed.
     ///
     /// This is the storage half of deleting a completed transaction:
     /// once the scheduler has forgotten a writer (conditions C1/C2 or
     /// the noncurrent test), nothing can ever ask for its overwritten
-    /// versions, so the engine's GC sweep calls this with each batch of
-    /// deleted transaction ids.
-    pub fn truncate_versions(&mut self, deleted: &[TxnId]) -> usize {
-        if deleted.is_empty() {
-            return 0;
-        }
-        let dead: IdSet<TxnId> = deleted.iter().copied().collect();
-        self.history
-            .values_mut()
-            .map(|h| prune(h, |t| dead.contains(&t)))
-            .sum()
-    }
-
-    /// Targeted form of [`Store::truncate_versions`]: prunes only the
-    /// listed entities' histories. Callers that know what the deleted
-    /// writers wrote (the engine's GC does — the scheduler records
-    /// each node's write set until the moment of deletion) avoid the
-    /// full-store scan.
+    /// versions. The caller lists what the deleted writers wrote (the
+    /// engine's GC knows — the scheduler records each node's write set
+    /// until the moment of deletion), so no store-wide scan is needed.
     pub fn truncate_versions_in(&mut self, deleted: &[TxnId], entities: &[EntityId]) -> usize {
         if deleted.is_empty() || entities.is_empty() {
             return 0;
@@ -193,23 +178,24 @@ mod tests {
         s.write(EntityId(0), 30, TxnId(3));
         s.write(EntityId(1), 5, TxnId(2));
         assert_eq!(s.total_versions(), 4);
+        let both = [EntityId(0), EntityId(1)];
         // T2 deleted: its e0 version goes, but its e1 version is newest
         // and must survive.
-        let reclaimed = s.truncate_versions(&[TxnId(2)]);
+        let reclaimed = s.truncate_versions_in(&[TxnId(2)], &both);
         assert_eq!(reclaimed, 1);
         assert_eq!(s.version_count(EntityId(0)), 2);
         assert_eq!(s.read(EntityId(0)), 30, "current value untouched");
         assert_eq!(s.read(EntityId(1)), 5, "newest version always kept");
         assert_eq!(s.current_writer(EntityId(1)), Some(TxnId(2)));
         // Deleting the remaining writers prunes all but the newest.
-        let reclaimed = s.truncate_versions(&[TxnId(1), TxnId(3)]);
+        let reclaimed = s.truncate_versions_in(&[TxnId(1), TxnId(3)], &both);
         assert_eq!(reclaimed, 1, "T1's version pruned, T3's is current");
         assert_eq!(s.history(EntityId(0)).len(), 1);
-        assert_eq!(s.truncate_versions(&[]), 0);
+        assert_eq!(s.truncate_versions_in(&[], &both), 0);
     }
 
     #[test]
-    fn targeted_truncation_matches_full_scan_on_listed_entities() {
+    fn targeted_truncation_prunes_only_listed_entities() {
         let mut s = Store::new();
         s.write(EntityId(0), 1, TxnId(1));
         s.write(EntityId(0), 2, TxnId(2));
@@ -223,8 +209,8 @@ mod tests {
         assert_eq!(s.version_count(EntityId(1)), 2, "unlisted entity kept");
         assert_eq!(s.truncate_versions_in(&[TxnId(1)], &[]), 0);
         assert_eq!(s.truncate_versions_in(&[], &[EntityId(1)]), 0);
-        // The full-scan form finishes the job.
-        assert_eq!(s.truncate_versions(&[TxnId(1)]), 1);
+        // Listing entity 1 finishes the job.
+        assert_eq!(s.truncate_versions_in(&[TxnId(1)], &[EntityId(1)]), 1);
         assert_eq!(s.read(EntityId(1)), 4);
     }
 
@@ -253,9 +239,8 @@ mod tests {
         // store must defend the invariant on its own).
         let mut s = Store::new();
         s.write(EntityId(0), 42, TxnId(1));
-        assert_eq!(s.truncate_versions(&[TxnId(1)]), 0);
-        assert_eq!(s.read(EntityId(0)), 42, "sole version always survives");
         assert_eq!(s.truncate_versions_in(&[TxnId(1)], &[EntityId(0)]), 0);
+        assert_eq!(s.read(EntityId(0)), 42, "sole version always survives");
         assert_eq!(s.current_writer(EntityId(0)), Some(TxnId(1)));
     }
 
@@ -279,7 +264,6 @@ mod tests {
                 s.truncate_versions_in(&[TxnId(1)], &[EntityId(0), EntityId(1)]),
                 0
             );
-            assert_eq!(s.truncate_versions(&[TxnId(1)]), 0);
         }
         assert_eq!(
             (s.total_versions(), s.read(EntityId(0)), s.read(EntityId(1))),

@@ -27,7 +27,7 @@
 //! live segment. Replaying the surviving records in LSN order
 //! therefore rebuilds the exact final value of every entity;
 //! overwritten intermediate values are lost, which is precisely the
-//! contract of `Store::truncate_versions`.
+//! contract of `Store::truncate_versions_in`.
 
 mod log;
 mod record;

@@ -916,6 +916,10 @@ impl Wal {
     /// means the log was closed before covering the record (a shutdown
     /// raced the submission). The waiter never hangs.
     /// The caller may lead the flush itself (see the module docs).
+    ///
+    /// The engine calls [`Wal::wait_durable_with`]. Outside this crate
+    /// (`close` and the WAL's tests use it), this form stays only because
+    /// `perf/src/micro.rs` calls it.
     pub fn wait_durable(&self, lsn: u64) -> Result<(), WalError> {
         self.wait_durable_with(lsn, || {})
     }

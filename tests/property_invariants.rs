@@ -1,11 +1,13 @@
 //! Property-based tests over randomly generated schedules: structural
 //! invariants of the scheduler state, exactness of C1 vs the constructive
-//! oracle, reduced-graph well-formedness under every policy, and
-//! noncurrency ⊆ C1.
+//! oracle, reduced-graph well-formedness under every policy, nothing left
+//! for the policy after any `Reduced::feed`, and noncurrency ⊆ C1.
 
 use deltx::core::policy::{BatchC2, DeletionPolicy, GreedyC1, Noncurrent};
 use deltx::core::{c1, c2, noncurrent, oracle, reduced, CgState};
 use deltx::model::{Op, Schedule, Step, TxnId};
+use deltx::sched::reduced::Reduced;
+use deltx::sched::Scheduler;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -128,6 +130,28 @@ proptest! {
         run(&mut GreedyC1);
         run(&mut BatchC2);
         run(&mut Noncurrent);
+    }
+
+    #[test]
+    fn every_feed_leaves_nothing_for_the_policy(steps in arb_schedule()) {
+        // `Reduced::feed` runs the policy only after a final write or an
+        // abort; BEGINs and reads enable no deletion, so the graph it
+        // returns is always one the policy has finished with.
+        let mut greedy = Reduced::new(GreedyC1);
+        let mut batch = Reduced::new(BatchC2);
+        let mut noncur = Reduced::new(Noncurrent);
+        for s in &steps {
+            greedy.feed(s).expect("well-formed");
+            batch.feed(s).expect("well-formed");
+            noncur.feed(s).expect("well-formed");
+            prop_assert!(c1::eligible(greedy.state()).is_empty(), "greedy-C1 after {:?}", s);
+            prop_assert!(c1::eligible(batch.state()).is_empty(), "batch-C2 after {:?}", s);
+            prop_assert!(
+                noncurrent::noncurrent_completed(noncur.state()).is_empty(),
+                "noncurrent after {:?}",
+                s
+            );
+        }
     }
 
     #[test]

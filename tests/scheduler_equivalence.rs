@@ -4,16 +4,18 @@
 //! (Theorem 2) across randomized workloads.
 
 use deltx::core::policy::{BatchC2, CommitTimeUnsafe, GreedyC1, NoDeletion, Noncurrent};
+use deltx::core::{c1, Applied, CgState};
 use deltx::model::workload::{
     long_running_reader, LongReaderConfig, ModelKind, WorkloadConfig, WorkloadGen,
 };
-use deltx::model::Step;
+use deltx::model::{Step, TxnId};
 use deltx::sched::certifier::Certifier;
 use deltx::sched::equiv::compare_policy_against_full;
 use deltx::sched::locking::TwoPhaseLocking;
 use deltx::sched::multiwrite::MultiWrite;
 use deltx::sched::preventive::Preventive;
 use deltx::sched::reduced::Reduced;
+use deltx::sched::{FeedOutcome, Scheduler};
 use deltx::sim::driver::drive;
 
 fn workloads() -> Vec<(String, Vec<Step>)> {
@@ -139,6 +141,80 @@ fn deletion_policies_vastly_reduce_memory_on_long_reader() {
     let m_greedy = drive(steps.steps(), &mut Reduced::new(GreedyC1), 0);
     assert!(m_none.peak_nodes > 100);
     assert!(m_greedy.peak_nodes < 20);
+}
+
+/// The `offline_c1` benchmark shape, seed 1: 200 000 transactions over
+/// 1 024 entities at concurrency 8, through `Reduced<GreedyC1>` — which
+/// runs the policy only after final writes and aborts, in one ascending
+/// pass — against a plain reference that, after every accepted step and
+/// every abort, deletes the smallest C1-eligible node until none is left.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "200 000 transactions: run with `cargo test --release`"
+)]
+fn reduced_greedy_c1_matches_the_reference_loop_on_the_offline_c1_shape() {
+    let steps: Vec<Step> = WorkloadGen::new(WorkloadConfig {
+        n_entities: 1024,
+        concurrency: 8,
+        total_txns: 200_000,
+        seed: 1,
+        ..WorkloadConfig::default()
+    })
+    .collect();
+    let live = |cg: &CgState| -> Vec<TxnId> { cg.nodes().map(|n| cg.info(n).txn).collect() };
+    let mut sched = Reduced::new(GreedyC1);
+    let mut reference = CgState::new();
+    let mut committed = 0u64;
+    for (i, s) in steps.iter().enumerate() {
+        let out = sched.feed(s).expect("well-formed");
+        let expected = match reference.apply(s).expect("well-formed") {
+            Applied::IgnoredAborted => FeedOutcome::Ignored,
+            applied => {
+                while let Some(&n) = c1::eligible(&reference).first() {
+                    reference.delete(n).expect("completed");
+                }
+                match applied {
+                    Applied::Accepted => FeedOutcome::Accepted,
+                    _ => FeedOutcome::Aborted(vec![s.txn]),
+                }
+            }
+        };
+        assert_eq!(out, expected, "decision at step {i}");
+        assert_eq!(
+            live(sched.state()),
+            live(&reference),
+            "live nodes after step {i}"
+        );
+        assert_eq!(
+            sched.state_size().arcs,
+            reference.graph().arc_count(),
+            "arcs after step {i}"
+        );
+        committed += u64::from(s.op.is_terminal() && out == FeedOutcome::Accepted);
+    }
+    println!(
+        "offline_c1 shape: {committed} committed, {} deletions, {} aborts",
+        sched.deletions(),
+        sched.state().stats().aborts
+    );
+
+    // Theorem 2 against the undeleted graph, on the prefix it can afford
+    // (its graph grows with history): the first 5 000 transactions.
+    let end = steps
+        .iter()
+        .position(|s| s.txn.0 > 5_000)
+        .unwrap_or(steps.len());
+    let decisions = |sched: &mut dyn Scheduler| -> Vec<FeedOutcome> {
+        steps[..end]
+            .iter()
+            .map(|s| sched.feed(s).expect("well-formed"))
+            .collect()
+    };
+    assert_eq!(
+        decisions(&mut Reduced::new(GreedyC1)),
+        decisions(&mut Reduced::new(NoDeletion))
+    );
 }
 
 #[test]
