@@ -100,9 +100,7 @@ impl EngineInner {
     /// Registers that `txn` now spans `shards` (2+), bumping boundary
     /// counts and marking `CgState` boundary nodes where they just
     /// became boundary. Caller holds the locks of every shard in
-    /// `shards`. On the all-locks baseline the `CgState` marks are
-    /// skipped — nothing consults the summaries, so the maintenance
-    /// BFS on every arc would be pure overhead.
+    /// `shards`.
     pub(crate) fn note_multi_shard(
         &self,
         guards: &mut Guards<'_>,
@@ -122,9 +120,7 @@ impl EngineInner {
             let g = guards.get_mut(&s).expect("spanned shard is locked");
             if g.cg.node_of(txn).is_some() {
                 g.boundary += 1;
-                if !self.all_locks {
-                    g.cg.set_boundary(txn, true);
-                }
+                g.cg.set_boundary(txn, true);
             }
         }
         if old != *shards {

@@ -139,13 +139,6 @@ pub(crate) struct EngineInner {
     /// the submit-under-locks / wait-after-release protocol.
     pub(crate) wal: Option<Arc<Wal>>,
     pub(crate) next_txn: AtomicU32,
-    /// The all-locks baseline ([`Engine::open_all_locks_baseline`]):
-    /// escalated operations take every shard lock instead of their own
-    /// shards, the multi-shard GC pass stops the world instead of
-    /// locking closures, the fast path is gated on the shard flag
-    /// alone, and — since nothing then consults them — the boundary
-    /// summaries are not maintained.
-    pub(crate) all_locks: bool,
     /// Host runtime: clock for the duration metrics and yield points
     /// on the operation entries. The engine starts no task of its own.
     pub(crate) rt: Arc<dyn Runtime>,
@@ -180,27 +173,6 @@ impl Engine {
     /// current writer was never deleted, so replaying what remains
     /// reproduces every current value exactly.
     pub fn open(cfg: EngineConfig) -> Result<(Self, RecoveryReport), EngineError> {
-        Self::open_with(cfg, false)
-    }
-
-    /// [`Engine::open`] on the **all-locks baseline**: every escalated
-    /// operation takes every shard lock and the multi-shard GC pass
-    /// stops the world. This is the path the default engine falls back
-    /// to when an operation's own shards turn out not to cover its
-    /// cycle check, and the reference the twin oracles and
-    /// `engine_stress all-locks` compare the default against;
-    /// decisions, deletions and stores are identical.
-    #[doc(hidden)]
-    pub fn open_all_locks_baseline(
-        cfg: EngineConfig,
-    ) -> Result<(Self, RecoveryReport), EngineError> {
-        Self::open_with(cfg, true)
-    }
-
-    fn open_with(
-        cfg: EngineConfig,
-        all_locks: bool,
-    ) -> Result<(Self, RecoveryReport), EngineError> {
         let rt = Arc::clone(&cfg.runtime);
         let t0 = rt.now();
         let (wal, commits, scan) = match &cfg.durability {
@@ -211,7 +183,7 @@ impl Engine {
             }
             None => (None, Vec::new(), RecoveryScan::default()),
         };
-        let engine = Self::build(cfg, wal, all_locks);
+        let engine = Self::build(cfg, wal);
         let replayed = engine.inner.replay_commits(&commits);
         if replayed > 0 {
             // GC-as-checkpoint, applied to the replay itself: anything
@@ -231,7 +203,7 @@ impl Engine {
         Ok((engine, report))
     }
 
-    fn build(cfg: EngineConfig, wal: Option<Arc<Wal>>, all_locks: bool) -> Self {
+    fn build(cfg: EngineConfig, wal: Option<Arc<Wal>>) -> Self {
         assert!(cfg.shards > 0, "need at least one shard");
         let inner = Arc::new(EngineInner {
             shards: (0..cfg.shards)
@@ -253,7 +225,6 @@ impl Engine {
             metrics: EngineMetrics::default(),
             wal,
             next_txn: AtomicU32::new(1),
-            all_locks,
             rt: cfg.runtime,
         });
         Self { inner }

@@ -52,9 +52,8 @@
 //! never misplace a bridge. Within a shard, `D(G, N)` bridging
 //! preserves the boundary summary exactly except for the deleted
 //! endpoint's own pairs — a pure shrink, which cannot turn a sealed
-//! verdict given under another lock wrong (the all-locks baseline,
-//! [`crate::Engine::open_all_locks_baseline`], stops the world
-//! instead; `gc_oracle.rs` proves the decisions bit-identical).
+//! verdict given under another lock wrong (`gc_oracle.rs` proves the
+//! decisions bit-identical to a one-shard engine's).
 
 use crate::engine::{EngineInner, Guards, Shard};
 use deltx_core::{noncurrent, TxnState};
@@ -184,24 +183,23 @@ impl EngineInner {
     /// ghosts.
     ///
     /// With more than one shard the pass locks candidates' own spans
-    /// instead of stopping the world; the all-locks baseline takes
-    /// every lock.
+    /// instead of stopping the world.
     pub(crate) fn sweep_multi_shard(&self) {
         let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
         let queue: Vec<TxnId> = pending.into_iter().collect();
         if queue.is_empty() {
             return;
         }
-        if !self.all_locks && self.shards.len() > 1 {
+        if self.shards.len() > 1 {
             self.sweep_multi_partial(queue);
         } else {
             self.sweep_multi_all_locks(&queue);
         }
     }
 
-    /// Stops the world for `queue`: the baseline's whole pass, and the
-    /// partial pass's last resort. The locks are taken for GC, so the
-    /// acquisition is recorded.
+    /// Stops the world for `queue`: a one-shard engine's whole pass,
+    /// and the partial pass's last resort. The locks are taken for GC,
+    /// so the acquisition is recorded.
     fn sweep_multi_all_locks(&self, queue: &[TxnId]) {
         let n = self.shards.len();
         let mut guards = self.lock_all();
@@ -484,9 +482,7 @@ impl EngineInner {
             };
             // Mark the ghost boundary *before* bridging so the new arc
             // lands in the summary.
-            if !self.all_locks {
-                tg.cg.set_boundary(p, true);
-            }
+            tg.cg.set_boundary(p, true);
             tg.boundary += 1;
             let qn = tg.cg.node_of(q).expect("registered node");
             tg.cg
@@ -497,9 +493,7 @@ impl EngineInner {
         if was_single {
             let pg = guards.get_mut(&ps).expect("predecessor shard is locked");
             pg.boundary += 1;
-            if !self.all_locks {
-                pg.cg.set_boundary(p, true);
-            }
+            pg.cg.set_boundary(p, true);
         }
         let mut shards: BTreeSet<usize> = p_shards.iter().copied().collect();
         shards.insert(target);

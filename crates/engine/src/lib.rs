@@ -67,11 +67,9 @@
 //!   commits (or GC sweeps) with disjoint lock sets share no lock at
 //!   all — the cross-shard state they consult is a **stripe-locked
 //!   span registry** (leaf locks; no global coordination mutex) — and
-//!   accept/reject decisions are
-//!   bit-identical to the all-locks baseline (a hidden constructor the
-//!   twin oracles and `engine_stress all-locks` build their reference
-//!   engine with; it is also what a too-small lock set falls back to
-//!   at run time).
+//!   accept/reject decisions are bit-identical to a one-shard engine's,
+//!   which has no boundary node, registry entry or ghost at all (the
+//!   twin oracles build their reference that way).
 //! * **GC**: the engine has one deletion rule, the paper's
 //!   Corollary 1 — a completed transaction that is *noncurrent* can
 //!   always be deleted — and no option to change it: the rule never

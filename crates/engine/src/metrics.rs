@@ -286,9 +286,9 @@ pub struct MetricsSnapshot {
     /// 3, 4, 5–8, 9–16, 17–32, 33+ locks per acquisition.
     pub gc_closure_hist: [u64; SUBSET_HIST_BUCKETS],
     /// Total nanoseconds spent flushing batched summary propagation —
-    /// the maintenance tax escalated operations and GC pay over the
-    /// all-locks baseline, measured directly (sealed fast-path
-    /// operations have nothing to flush).
+    /// the maintenance tax escalated operations and GC pay for the
+    /// fast-path gate, measured directly (sealed fast-path operations
+    /// have nothing to flush).
     pub summary_update_nanos: u64,
     /// Number of summary flush spans measured (one per shard whose
     /// batch had work queued).

@@ -166,10 +166,9 @@ impl EngineInner {
     /// cycle through `txn` — which has touched no other shard — leave
     /// this shard? Not if the shard has no boundary node, and not if
     /// `txn`'s node here is neither one nor reaches one (module docs,
-    /// fact 1). The all-locks baseline never marks boundary nodes, so
-    /// its masks say nothing and it keeps the shard flag alone.
+    /// fact 1).
     fn sealed(&self, g: &Shard, txn: TxnId) -> bool {
-        let sealed = g.boundary == 0 || (!self.all_locks && !g.cg.boundary_exposed(txn));
+        let sealed = g.boundary == 0 || !g.cg.boundary_exposed(txn);
         let key = if sealed {
             "gate_sealed"
         } else {
@@ -184,9 +183,9 @@ impl EngineInner {
     /// `held` guard of a single-shard operation whose gate failed) and
     /// run `body` under the guards. If `body` finds them too few
     /// ([`Stale`]), retake every lock and run `body` again — under all
-    /// locks it cannot go stale. The all-locks baseline goes straight
-    /// there. `stale_tag` is what the simulator's coverage signal sees
-    /// when `body` reports staleness (0 = read, 1 = commit).
+    /// locks it cannot go stale. `stale_tag` is what the simulator's
+    /// coverage signal sees when `body` reports staleness (0 = read,
+    /// 1 = commit).
     ///
     /// `body` runs inside one summary batch per locked shard — its
     /// boundary mark and every Rule 2/3 fan-in coalesce into one
@@ -211,21 +210,19 @@ impl EngineInner {
             self.flush_summaries(&mut guards);
             out
         };
-        if !self.all_locks {
-            let mut own = entry.clone();
-            own.extend(self.coord.reg_get(txn, &self.metrics).into_iter().flatten());
-            if own.len() < n {
-                let guards = self.lock_subset(&own, held.take());
-                self.metrics.record_escalation(own.len(), n);
-                self.rt.emit("esc_subset", own.len() as u64);
-                match batched(guards) {
-                    Ok(out) => return out,
-                    Err(Stale) => self.rt.emit("esc_stale", stale_tag),
-                }
-                self.metrics.escalation_fallbacks.add(1);
+        let mut own = entry.clone();
+        own.extend(self.coord.reg_get(txn, &self.metrics).into_iter().flatten());
+        if own.len() < n {
+            let guards = self.lock_subset(&own, held.take());
+            self.metrics.record_escalation(own.len(), n);
+            self.rt.emit("esc_subset", own.len() as u64);
+            match batched(guards) {
+                Ok(out) => return out,
+                Err(Stale) => self.rt.emit("esc_stale", stale_tag),
             }
+            self.metrics.escalation_fallbacks.add(1);
         }
-        drop(held); // the baseline's gate guard: lock_all takes it afresh
+        drop(held); // an own span of every shard: lock_all retakes it
         let guards = self.lock_all();
         self.metrics.record_escalation(n, n);
         batched(guards).expect("all-locks body cannot go stale")

@@ -17,14 +17,10 @@
 //!   over it.
 //! * Either way the recovered state is a transaction-consistent
 //!   prefix: transfers conserve the total balance.
-//!
-//! `DELTX_LOCK_MODE=partial|all-locks` restricts the lock-mode sweep
-//! (the CI crash matrix runs one job per mode); unset runs both.
 
 use deltx_core::CgState;
 use deltx_engine::{
-    run_seed, CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event,
-    RecoveryReport, ALL_CRASH_POINTS,
+    run_seed, CrashPoint, DurabilityConfig, Engine, EngineConfig, Event, ALL_CRASH_POINTS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,16 +48,6 @@ impl Drop for TestDir {
     }
 }
 
-/// Lock modes to sweep: `(partial, label)` — the default engine, or
-/// the all-locks baseline (see [`open`]).
-fn lock_modes() -> Vec<(bool, &'static str)> {
-    match std::env::var("DELTX_LOCK_MODE").as_deref() {
-        Ok("partial") => vec![(true, "partial")],
-        Ok("all-locks") => vec![(false, "all-locks")],
-        _ => vec![(true, "partial"), (false, "all-locks")],
-    }
-}
-
 fn config(dir: &TestDir, record_history: bool) -> EngineConfig {
     EngineConfig {
         shards: 4,
@@ -71,16 +57,6 @@ fn config(dir: &TestDir, record_history: bool) -> EngineConfig {
             ..DurabilityConfig::new(dir.0.clone())
         }),
         ..EngineConfig::default()
-    }
-}
-
-/// Opens `cfg` in the swept lock mode: the default engine (`partial`),
-/// or the all-locks baseline it must stay identical to.
-fn open(partial: bool, cfg: EngineConfig) -> Result<(Engine, RecoveryReport), EngineError> {
-    if partial {
-        Engine::open(cfg)
-    } else {
-        Engine::open_all_locks_baseline(cfg)
     }
 }
 
@@ -128,93 +104,91 @@ fn transfer(e: &Engine, expected: &mut [i64], x: u32, y: u32, amount: i64) -> bo
 #[test]
 fn every_crash_point_recovers_to_the_oracle_state() {
     let n = 16u32;
-    for (partial, mode) in lock_modes() {
-        for &cp in ALL_CRASH_POINTS.iter() {
-            let ctx = format!("{mode}/{cp:?}");
-            let dir = TestDir::new(&format!("pt-{mode}-{cp:?}"));
-            let (e, _) = open(partial, config(&dir, false)).expect("fresh open");
+    for &cp in ALL_CRASH_POINTS.iter() {
+        let ctx = format!("{cp:?}");
+        let dir = TestDir::new(&format!("pt-{cp:?}"));
+        let (e, _) = Engine::open(config(&dir, false)).expect("fresh open");
 
-            // A deterministic pre-crash workload: single-threaded, so
-            // every commit is acknowledged and the client mirror is
-            // exact. Entities x and x+1 usually land in different
-            // shards (shards=4), so escalated commits are exercised.
-            let mut expected = vec![0i64; n as usize];
-            for i in 0..60u32 {
-                let x = (i * 7) % n;
-                let y = (x + 1 + (i % 3)) % n;
-                if x != y {
-                    assert!(
-                        transfer(&e, &mut expected, x, y, 1 + (i % 5) as i64),
-                        "[{ctx}] single-threaded commit cannot abort"
-                    );
-                }
-            }
-            e.gc_sweep(); // deletions feed the WAL's checkpoint counters
-
-            // Arm the crash and run the marker transfer. The client
-            // sees a durability error at EVERY crash point — the
-            // record was never acknowledged.
-            e.inject_crash(cp);
-            let mut t = e.begin();
-            let a = t.read(0).expect("read before crash trips");
-            let b = t.read(1).expect("read before crash trips");
-            t.write(0, a - 7);
-            t.write(1, b + 7);
-            let err = t.commit().expect_err("commit must surface the crash");
-            assert!(
-                err.to_string().contains("durability"),
-                "[{ctx}] expected a durability error, got: {err}"
-            );
-            drop(e);
-
-            // Recover into a fresh engine and check the contract.
-            let (r, report) = open(partial, config(&dir, true)).expect("recovery must succeed");
-            let marker_applied = cp == CrashPoint::AfterFlushBeforeVisibility;
-            if marker_applied {
-                expected[0] -= 7;
-                expected[1] += 7;
-            }
-            for (x, want) in expected.iter().enumerate() {
-                assert_eq!(
-                    r.peek(x as u32),
-                    *want,
-                    "[{ctx}] entity {x} diverged across recovery"
-                );
-            }
-            let sum: i64 = (0..n).map(|x| r.peek(x)).sum();
-            assert_eq!(sum, 0, "[{ctx}] recovery must land on a consistent prefix");
-            assert!(
-                report.commits_replayed > 0,
-                "[{ctx}] the surviving log cannot be empty"
-            );
-            if cp == CrashPoint::MidFlushTorn {
+        // A deterministic pre-crash workload: single-threaded, so
+        // every commit is acknowledged and the client mirror is
+        // exact. Entities x and x+1 usually land in different
+        // shards (shards=4), so escalated commits are exercised.
+        let mut expected = vec![0i64; n as usize];
+        for i in 0..60u32 {
+            let x = (i * 7) % n;
+            let y = (x + 1 + (i % 3)) % n;
+            if x != y {
                 assert!(
-                    report.torn_tail && report.bytes_discarded > 0,
-                    "[{ctx}] a torn record must be detected and cut: {report:?}"
+                    transfer(&e, &mut expected, x, y, 1 + (i % 5) as i64),
+                    "[{ctx}] single-threaded commit cannot abort"
                 );
             }
+        }
+        e.gc_sweep(); // deletions feed the WAL's checkpoint counters
 
-            // The recovered engine is a real engine: its replay
-            // history passes the full-scheduler oracle, and continued
-            // work on top of it stays exact.
-            assert_oracle_equivalent(&r, &ctx);
-            for i in 0..30u32 {
-                let x = (i * 5) % n;
-                let y = (x + 2) % n;
-                if x != y {
-                    assert!(
-                        transfer(&r, &mut expected, x, y, 3),
-                        "[{ctx}] post-recovery"
-                    );
-                }
-            }
-            for (x, want) in expected.iter().enumerate() {
-                assert_eq!(
-                    r.peek(x as u32),
-                    *want,
-                    "[{ctx}] entity {x} diverged after post-recovery work"
+        // Arm the crash and run the marker transfer. The client
+        // sees a durability error at EVERY crash point — the
+        // record was never acknowledged.
+        e.inject_crash(cp);
+        let mut t = e.begin();
+        let a = t.read(0).expect("read before crash trips");
+        let b = t.read(1).expect("read before crash trips");
+        t.write(0, a - 7);
+        t.write(1, b + 7);
+        let err = t.commit().expect_err("commit must surface the crash");
+        assert!(
+            err.to_string().contains("durability"),
+            "[{ctx}] expected a durability error, got: {err}"
+        );
+        drop(e);
+
+        // Recover into a fresh engine and check the contract.
+        let (r, report) = Engine::open(config(&dir, true)).expect("recovery must succeed");
+        let marker_applied = cp == CrashPoint::AfterFlushBeforeVisibility;
+        if marker_applied {
+            expected[0] -= 7;
+            expected[1] += 7;
+        }
+        for (x, want) in expected.iter().enumerate() {
+            assert_eq!(
+                r.peek(x as u32),
+                *want,
+                "[{ctx}] entity {x} diverged across recovery"
+            );
+        }
+        let sum: i64 = (0..n).map(|x| r.peek(x)).sum();
+        assert_eq!(sum, 0, "[{ctx}] recovery must land on a consistent prefix");
+        assert!(
+            report.commits_replayed > 0,
+            "[{ctx}] the surviving log cannot be empty"
+        );
+        if cp == CrashPoint::MidFlushTorn {
+            assert!(
+                report.torn_tail && report.bytes_discarded > 0,
+                "[{ctx}] a torn record must be detected and cut: {report:?}"
+            );
+        }
+
+        // The recovered engine is a real engine: its replay
+        // history passes the full-scheduler oracle, and continued
+        // work on top of it stays exact.
+        assert_oracle_equivalent(&r, &ctx);
+        for i in 0..30u32 {
+            let x = (i * 5) % n;
+            let y = (x + 2) % n;
+            if x != y {
+                assert!(
+                    transfer(&r, &mut expected, x, y, 3),
+                    "[{ctx}] post-recovery"
                 );
             }
+        }
+        for (x, want) in expected.iter().enumerate() {
+            assert_eq!(
+                r.peek(x as u32),
+                *want,
+                "[{ctx}] entity {x} diverged after post-recovery work"
+            );
         }
     }
 }
@@ -222,54 +196,52 @@ fn every_crash_point_recovers_to_the_oracle_state() {
 #[test]
 fn crash_under_concurrent_load_recovers_conserved_balances() {
     let n = 32u32;
-    for (partial, mode) in lock_modes() {
-        let dir = TestDir::new(&format!("load-{mode}"));
-        let cfg = EngineConfig {
-            ..config(&dir, false)
-        };
-        let (e, _) = open(partial, cfg).expect("fresh open");
-        let seed = run_seed(0x0C4A);
+    let dir = TestDir::new("load");
+    let cfg = EngineConfig {
+        ..config(&dir, false)
+    };
+    let (e, _) = Engine::open(cfg).expect("fresh open");
+    let seed = run_seed(0x0C4A);
 
-        // 4 threads transfer at full speed; the main thread pulls the
-        // plug mid-run. Workers treat durability errors like any other
-        // failed commit and drain out.
-        std::thread::scope(|scope| {
-            for tid in 0..4u64 {
-                let e = &e;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed + tid);
-                    for _ in 0..400 {
-                        let x = rng.gen_range(0..n);
-                        let y = rng.gen_range(0..n);
-                        if x == y {
-                            continue;
-                        }
-                        let mut t = e.begin();
-                        let (Ok(a), Ok(b)) = (t.read(x), t.read(y)) else {
-                            continue;
-                        };
-                        let amt = rng.gen_range(1i64..10);
-                        t.write(x, a - amt);
-                        t.write(y, b + amt);
-                        let _ = t.commit();
+    // 4 threads transfer at full speed; the main thread pulls the
+    // plug mid-run. Workers treat durability errors like any other
+    // failed commit and drain out.
+    std::thread::scope(|scope| {
+        for tid in 0..4u64 {
+            let e = &e;
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed + tid);
+                for _ in 0..400 {
+                    let x = rng.gen_range(0..n);
+                    let y = rng.gen_range(0..n);
+                    if x == y {
+                        continue;
                     }
-                });
-            }
-            std::thread::sleep(Duration::from_millis(5));
-            e.inject_crash(CrashPoint::MidFlushTorn);
-        });
-        drop(e);
+                    let mut t = e.begin();
+                    let (Ok(a), Ok(b)) = (t.read(x), t.read(y)) else {
+                        continue;
+                    };
+                    let amt = rng.gen_range(1i64..10);
+                    t.write(x, a - amt);
+                    t.write(y, b + amt);
+                    let _ = t.commit();
+                }
+            });
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        e.inject_crash(CrashPoint::MidFlushTorn);
+    });
+    drop(e);
 
-        let (r, report) = open(partial, config(&dir, true)).expect("recovery");
-        let sum: i64 = (0..n).map(|x| r.peek(x)).sum();
-        assert_eq!(
-            sum, 0,
-            "[{mode}] a mid-load crash must still recover a consistent prefix \
-             ({} commits replayed)",
-            report.commits_replayed
-        );
-        assert_oracle_equivalent(&r, mode);
-    }
+    let (r, report) = Engine::open(config(&dir, true)).expect("recovery");
+    let sum: i64 = (0..n).map(|x| r.peek(x)).sum();
+    assert_eq!(
+        sum, 0,
+        "a mid-load crash must still recover a consistent prefix \
+         ({} commits replayed)",
+        report.commits_replayed
+    );
+    assert_oracle_equivalent(&r, "load");
 }
 
 #[test]
@@ -338,59 +310,57 @@ fn torn_write_at_any_offset_recovers_a_clean_prefix() {
     // at the WAL layer (`wal_behavior`); this sweep proves the
     // *engine-level* contract end to end.
     let n = 16u32;
-    for (partial, mode) in lock_modes() {
-        // 0 = nothing of the record written; 1 and 9 = cuts inside and
-        // just past the header; MAX clamps to the whole record.
-        for &off in &[0u32, 1, 9, u32::MAX] {
-            let ctx = format!("{mode}/TornWriteAt({off})");
-            let dir = TestDir::new(&format!("torn-{mode}-{off}"));
-            let (e, _) = open(partial, config(&dir, false)).expect("fresh open");
+    // 0 = nothing of the record written; 1 and 9 = cuts inside and
+    // just past the header; MAX clamps to the whole record.
+    for &off in &[0u32, 1, 9, u32::MAX] {
+        let ctx = format!("TornWriteAt({off})");
+        let dir = TestDir::new(&format!("torn-{off}"));
+        let (e, _) = Engine::open(config(&dir, false)).expect("fresh open");
 
-            let mut expected = vec![0i64; n as usize];
-            for i in 0..40u32 {
-                let x = (i * 7) % n;
-                let y = (x + 1 + (i % 3)) % n;
-                if x != y {
-                    assert!(
-                        transfer(&e, &mut expected, x, y, 1 + (i % 5) as i64),
-                        "[{ctx}] single-threaded commit cannot abort"
-                    );
-                }
-            }
-
-            e.inject_crash(CrashPoint::TornWriteAt(off));
-            let mut t = e.begin();
-            let a = t.read(0).expect("read before crash trips");
-            let b = t.read(1).expect("read before crash trips");
-            t.write(0, a - 7);
-            t.write(1, b + 7);
-            t.commit().expect_err("commit must surface the crash");
-            drop(e);
-
-            let (r, report) = open(partial, config(&dir, true)).expect("recovery must succeed");
-            // All-or-nothing: the marker is present exactly when the
-            // cut covered the whole record (only the clamped offset).
-            let marker_applied = off == u32::MAX;
-            if marker_applied {
-                expected[0] -= 7;
-                expected[1] += 7;
-            }
-            for (x, want) in expected.iter().enumerate() {
-                assert_eq!(
-                    r.peek(x as u32),
-                    *want,
-                    "[{ctx}] entity {x} diverged across recovery"
-                );
-            }
-            let sum: i64 = (0..n).map(|x| r.peek(x)).sum();
-            assert_eq!(sum, 0, "[{ctx}] recovery must land on a consistent prefix");
-            if off > 0 && off != u32::MAX {
+        let mut expected = vec![0i64; n as usize];
+        for i in 0..40u32 {
+            let x = (i * 7) % n;
+            let y = (x + 1 + (i % 3)) % n;
+            if x != y {
                 assert!(
-                    report.torn_tail && u64::from(off) == report.bytes_discarded,
-                    "[{ctx}] the {off}-byte prefix must be cut exactly: {report:?}"
+                    transfer(&e, &mut expected, x, y, 1 + (i % 5) as i64),
+                    "[{ctx}] single-threaded commit cannot abort"
                 );
             }
-            assert_oracle_equivalent(&r, &ctx);
         }
+
+        e.inject_crash(CrashPoint::TornWriteAt(off));
+        let mut t = e.begin();
+        let a = t.read(0).expect("read before crash trips");
+        let b = t.read(1).expect("read before crash trips");
+        t.write(0, a - 7);
+        t.write(1, b + 7);
+        t.commit().expect_err("commit must surface the crash");
+        drop(e);
+
+        let (r, report) = Engine::open(config(&dir, true)).expect("recovery must succeed");
+        // All-or-nothing: the marker is present exactly when the
+        // cut covered the whole record (only the clamped offset).
+        let marker_applied = off == u32::MAX;
+        if marker_applied {
+            expected[0] -= 7;
+            expected[1] += 7;
+        }
+        for (x, want) in expected.iter().enumerate() {
+            assert_eq!(
+                r.peek(x as u32),
+                *want,
+                "[{ctx}] entity {x} diverged across recovery"
+            );
+        }
+        let sum: i64 = (0..n).map(|x| r.peek(x)).sum();
+        assert_eq!(sum, 0, "[{ctx}] recovery must land on a consistent prefix");
+        if off > 0 && off != u32::MAX {
+            assert!(
+                report.torn_tail && u64::from(off) == report.bytes_discarded,
+                "[{ctx}] the {off}-byte prefix must be cut exactly: {report:?}"
+            );
+        }
+        assert_oracle_equivalent(&r, &ctx);
     }
 }

@@ -1,7 +1,7 @@
 //! Disk-fault battery: every [`FaultSpec`] fault kind is injected
-//! under the WAL through the public engine API, in both lock modes,
-//! and the engine must honor the fault-model contract
-//! (`docs/durability.md`, "Fault model"):
+//! under the WAL through the public engine API, and the engine must
+//! honor the fault-model contract (`docs/durability.md`, "Fault
+//! model"):
 //!
 //! * Transient append errors are absorbed by the flusher's bounded
 //!   retry — invisible to clients, visible in `append_retries`.
@@ -16,13 +16,12 @@
 //!   over: `RecoverPolicy::Strict` refuses the open naming the fix,
 //!   `RecoverPolicy::Quarantine` opens with an exact lost-LSN report.
 //!
-//! `DELTX_LOCK_MODE=partial|all-locks` restricts the sweep (the CI
-//! disk-fault matrix runs one job per mode); `DELTX_SEED` fixes the
-//! workload RNG and every failure message echoes the effective seed.
+//! `DELTX_SEED` fixes the workload RNG, and every failure message
+//! echoes the effective seed.
 
 use deltx_engine::{
     run_seed, DurabilityConfig, Engine, EngineConfig, EngineError, FaultSpec, FaultyStorage,
-    FsStorage, RecoverPolicy, RecoveryReport, WalHealth, WalStorage,
+    FsStorage, RecoverPolicy, WalHealth, WalStorage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,16 +49,6 @@ impl Drop for TestDir {
     }
 }
 
-/// Lock modes to sweep: `(partial, label)` — the default engine, or
-/// the all-locks baseline (see [`open`]).
-fn lock_modes() -> Vec<(bool, &'static str)> {
-    match std::env::var("DELTX_LOCK_MODE").as_deref() {
-        Ok("partial") => vec![(true, "partial")],
-        Ok("all-locks") => vec![(false, "all-locks")],
-        _ => vec![(true, "partial"), (false, "all-locks")],
-    }
-}
-
 /// The fsync-failure path is the one the `planted` feature's
 /// retry-after-fsync-fail toggle perturbs; tests that drive it
 /// serialize here so the toggle's armed state never bleeds across
@@ -84,16 +73,6 @@ fn config(
             ..DurabilityConfig::new(dir.0.clone())
         }),
         ..EngineConfig::default()
-    }
-}
-
-/// Opens `cfg` in the swept lock mode: the default engine (`partial`),
-/// or the all-locks baseline it must stay identical to.
-fn open(partial: bool, cfg: EngineConfig) -> Result<(Engine, RecoveryReport), EngineError> {
-    if partial {
-        Engine::open(cfg)
-    } else {
-        Engine::open_all_locks_baseline(cfg)
     }
 }
 
@@ -171,25 +150,28 @@ fn assert_degraded_read_only(e: &Engine, n: usize, ctx: &str, seed: u64) {
 }
 
 // ---------------------------------------------------------------- //
-// Per-fault runs, one helper per fault kind, called once per lock   //
-// mode by the focused tests below.                                  //
+// Per-fault runs, one helper per fault kind, called by the focused  //
+// tests below.                                                      //
 // ---------------------------------------------------------------- //
 
 /// Transient append burst → absorbed by bounded retry: every commit
 /// acknowledges, health stays Ok, the retries are counted, and the
 /// log replays clean.
-fn run_transient(partial: bool, mode: &str, seed: u64) {
-    let ctx = format!("{mode}/transient");
-    let dir = TestDir::new(&format!("transient-{mode}"));
+fn run_transient(seed: u64) {
+    let ctx = "transient";
+    let dir = TestDir::new("transient");
     let spec = FaultSpec {
         transient_append_at: Some((3, 2)),
         ..FaultSpec::default()
     };
     let storage: Arc<dyn WalStorage> = faulty(&dir, spec);
-    let (e, _) = open(
-        partial,
-        config(&dir, Some(storage), 64 * 1024, false, RecoverPolicy::Strict),
-    )
+    let (e, _) = Engine::open(config(
+        &dir,
+        Some(storage),
+        64 * 1024,
+        false,
+        RecoverPolicy::Strict,
+    ))
     .expect("fresh open");
     let n = 16usize;
     let mut mirror = vec![0i64; n];
@@ -209,14 +191,11 @@ fn run_transient(partial: bool, mode: &str, seed: u64) {
         retries >= 1,
         "[{ctx}] the injected burst must be visible in append_retries [seed {seed}]"
     );
-    assert_mirror(&e, &mirror, &ctx, seed);
+    assert_mirror(&e, &mirror, ctx, seed);
     drop(e);
 
-    let (r, _) = open(
-        partial,
-        config(&dir, None, 64 * 1024, false, RecoverPolicy::Strict),
-    )
-    .expect("clean reopen");
+    let (r, _) = Engine::open(config(&dir, None, 64 * 1024, false, RecoverPolicy::Strict))
+        .expect("clean reopen");
     assert_mirror(&r, &mirror, &format!("{ctx}/reopen"), seed);
 }
 
@@ -225,19 +204,22 @@ fn run_transient(partial: bool, mode: &str, seed: u64) {
 /// and a reopen recovers exactly the acknowledged prefix — the
 /// fsyncgate device dropped the un-synced suffix, and fail-stop is
 /// what keeps that loss from ever being acknowledged.
-fn run_fsync_poison(partial: bool, mode: &str, seed: u64) {
+fn run_fsync_poison(seed: u64) {
     let _fsync_path = FSYNC_PATH.lock().unwrap_or_else(|e| e.into_inner());
-    let ctx = format!("{mode}/fsync");
-    let dir = TestDir::new(&format!("fsync-{mode}"));
+    let ctx = "fsync";
+    let dir = TestDir::new("fsync");
     let spec = FaultSpec {
         fsync_fail_at: Some(2),
         ..FaultSpec::default()
     };
     let storage: Arc<dyn WalStorage> = faulty(&dir, spec);
-    let (e, _) = open(
-        partial,
-        config(&dir, Some(storage), 64 * 1024, true, RecoverPolicy::Strict),
-    )
+    let (e, _) = Engine::open(config(
+        &dir,
+        Some(storage),
+        64 * 1024,
+        true,
+        RecoverPolicy::Strict,
+    ))
     .expect("fresh open");
     let n = 16usize;
     let mut mirror = vec![0i64; n];
@@ -263,16 +245,13 @@ fn run_fsync_poison(partial: bool, mode: &str, seed: u64) {
         WalHealth::Poisoned,
         "[{ctx}] any fsync failure poisons the log — no retry, no limp [seed {seed}]"
     );
-    assert_degraded_read_only(&e, n, &ctx, seed);
+    assert_degraded_read_only(&e, n, ctx, seed);
     drop(e);
 
     // The device dropped the un-synced suffix; recovery must land on
     // exactly the acknowledged prefix — no more, no less.
-    let (r, report) = open(
-        partial,
-        config(&dir, None, 64 * 1024, false, RecoverPolicy::Strict),
-    )
-    .expect("recovery after poison");
+    let (r, report) = Engine::open(config(&dir, None, 64 * 1024, false, RecoverPolicy::Strict))
+        .expect("recovery after poison");
     assert_eq!(
         report.commits_replayed, acked,
         "[{ctx}] recovery must replay exactly the acknowledged commits [seed {seed}]"
@@ -291,16 +270,16 @@ fn run_fsync_poison(partial: bool, mode: &str, seed: u64) {
 /// multi-shard residue that pins segments, and a sweep drains it);
 /// 2 KiB is not, and the engine must refuse loudly. Either way: no
 /// panic, no hang, no silent loss.
-fn run_enospc(partial: bool, mode: &str, seed: u64, capacity: u64, rescued: bool) {
-    let ctx = format!("{mode}/enospc-{capacity}");
-    let dir = TestDir::new(&format!("enospc-{capacity}-{mode}"));
+fn run_enospc(seed: u64, capacity: u64, rescued: bool) {
+    let ctx = format!("enospc-{capacity}");
+    let dir = TestDir::new(&format!("enospc-{capacity}"));
     let spec = FaultSpec {
         capacity: Some(capacity),
         ..FaultSpec::default()
     };
     let storage: Arc<dyn WalStorage> = faulty(&dir, spec);
     let cfg = config(&dir, Some(storage), 512, false, RecoverPolicy::Strict);
-    let (e, _) = open(partial, cfg).expect("fresh open");
+    let (e, _) = Engine::open(cfg).expect("fresh open");
     let n = 16usize;
     let mut mirror = vec![0i64; n];
     let mut rng = StdRng::seed_from_u64(seed ^ 0xE05C);
@@ -312,11 +291,9 @@ fn run_enospc(partial: bool, mode: &str, seed: u64, capacity: u64, rescued: bool
             Err(other) => panic!("[{ctx}] unexpected error {other:?} [seed {seed}]"),
         }
     }
-    // The all-locks baseline's committers hold every closure, so they
-    // leave no residue behind and 3 KiB never fills for them.
     let sweeps = e.metrics().gc_pressure_sweeps;
     assert!(
-        sweeps >= 1 || !partial,
+        sweeps >= 1,
         "[{ctx}] the device must fill and a blocked session must sweep [seed {seed}]"
     );
     match (e.wal_health(), rescued) {
@@ -345,28 +322,28 @@ fn run_enospc(partial: bool, mode: &str, seed: u64, capacity: u64, rescued: bool
     );
     drop(e);
 
-    let (r, _) = open(
-        partial,
-        config(&dir, None, 512, false, RecoverPolicy::Strict),
-    )
-    .expect("clean reopen");
+    let (r, _) =
+        Engine::open(config(&dir, None, 512, false, RecoverPolicy::Strict)).expect("clean reopen");
     assert_mirror(&r, &mirror, &format!("{ctx}/reopen"), seed);
 }
 
 /// Sealed mid-log corruption → Strict refuses naming the opt-in,
 /// Quarantine opens with an exact lost-LSN report and a usable
 /// engine.
-fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) {
-    let ctx = format!("{mode}/corrupt");
-    let dir = TestDir::new(&format!("corrupt-{mode}"));
+fn run_corrupt_sealed(seed: u64) {
+    let ctx = "corrupt";
+    let dir = TestDir::new("corrupt");
     // Tiny segments seal fast; no GC sweeps, so every sealed segment
     // survives to be a corruption target.
     let storage = faulty(&dir, FaultSpec::default());
     let dyn_storage: Arc<dyn WalStorage> = storage.clone();
-    let (e, _) = open(
-        partial,
-        config(&dir, Some(dyn_storage), 256, false, RecoverPolicy::Strict),
-    )
+    let (e, _) = Engine::open(config(
+        &dir,
+        Some(dyn_storage),
+        256,
+        false,
+        RecoverPolicy::Strict,
+    ))
     .expect("fresh open");
     let n = 16usize;
     let mut mirror = vec![0i64; n];
@@ -400,10 +377,7 @@ fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) {
     );
 
     // Strict: refuse, do not modify the disk, name the opt-in.
-    let msg = match open(
-        partial,
-        config(&dir, None, 256, false, RecoverPolicy::Strict),
-    ) {
+    let msg = match Engine::open(config(&dir, None, 256, false, RecoverPolicy::Strict)) {
         Err(err) => err.to_string(),
         Ok(_) => panic!("[{ctx}] strict open over mid-log corruption must refuse [seed {seed}]"),
     };
@@ -413,11 +387,8 @@ fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) {
     );
 
     // Quarantine: open with the survivors and an exact loss report.
-    let (r, report) = open(
-        partial,
-        config(&dir, None, 256, false, RecoverPolicy::Quarantine),
-    )
-    .expect("quarantine open");
+    let (r, report) = Engine::open(config(&dir, None, 256, false, RecoverPolicy::Quarantine))
+        .expect("quarantine open");
     let quarantined: Vec<u64> = report.quarantined.iter().map(|q| q.segment).collect();
     assert_eq!(
         quarantined,
@@ -451,41 +422,31 @@ fn run_corrupt_sealed(partial: bool, mode: &str, seed: u64) {
 #[test]
 fn transient_append_burst_is_absorbed_by_bounded_retry() {
     let seed = run_seed(0xD15C);
-    for (partial, mode) in lock_modes() {
-        run_transient(partial, mode, seed);
-    }
+    run_transient(seed);
 }
 
 #[test]
 fn fsync_failure_poisons_the_log_fail_stop() {
     let seed = run_seed(0xD15C);
-    for (partial, mode) in lock_modes() {
-        run_fsync_poison(partial, mode, seed);
-    }
+    run_fsync_poison(seed);
 }
 
 #[test]
 fn enospc_degrades_gracefully_under_gc_pressure() {
     let seed = run_seed(0xD15C);
-    for (partial, mode) in lock_modes() {
-        run_enospc(partial, mode, seed, 3 * 1024, true);
-    }
+    run_enospc(seed, 3 * 1024, true);
 }
 
 #[test]
 fn enospc_on_a_device_too_small_to_rescue_refuses_loudly() {
     let seed = run_seed(0xD15C);
-    for (partial, mode) in lock_modes() {
-        run_enospc(partial, mode, seed, 2 * 1024, false);
-    }
+    run_enospc(seed, 2 * 1024, false);
 }
 
 #[test]
 fn corrupt_sealed_segment_refuses_strict_and_reports_quarantine() {
     let seed = run_seed(0xD15C);
-    for (partial, mode) in lock_modes() {
-        run_corrupt_sealed(partial, mode, seed);
-    }
+    run_corrupt_sealed(seed);
 }
 
 /// The planted bug, observed at the engine level: a writer that

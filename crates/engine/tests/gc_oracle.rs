@@ -5,8 +5,8 @@
 //! spans of the neighbors its `D(G, N)` bridges connect) — whether
 //! those are the locks of the commit that finished overwriting it or
 //! of a standalone pass — leaves union reachability, and therefore
-//! every subsequent accept/reject decision, bit-identical to the
-//! stop-the-world sweep. Three oracles check it:
+//! every subsequent accept/reject decision, bit-identical to an engine
+//! that never deletes across shards. Three oracles check it:
 //!
 //! 1. **Lockstep against the full scheduler**: a skewed mixed
 //!    workload runs with hot-pair committers deleting mid-stream under
@@ -14,9 +14,10 @@
 //!    monolithic, never-deleting [`CgState`] must produce identical
 //!    outcomes (Theorem 2 lifts reduced-graph equivalence to the full
 //!    graph).
-//! 2. **A/B against the all-locks sweep**: the identical workload
-//!    driven through the all-locks baseline twin must yield the
-//!    identical decision sequence and identical committed values — on
+//! 2. **A/B against one shard**: the identical workload driven through
+//!    a one-shard twin — no ghost, no span registry, no GC lock set —
+//!    must yield the identical decision sequence and identical
+//!    committed values — on
 //!    skewed traffic (every closure is the committer's own span, so
 //!    no standalone pass ever has work) and on uniform traffic
 //!    (closures escape the committers, own-span attempts miss and the
@@ -125,24 +126,30 @@ fn run_script(e: &Engine, sc: &Script) -> Outcome {
     }
 }
 
-/// The default engine (`partial`), or the all-locks baseline whose
-/// multi-shard GC pass stops the world.
-fn mk_engine(partial: bool, record: bool) -> Engine {
-    let cfg = EngineConfig {
-        shards: SHARDS,
+/// An engine of `shards` shards (1 for the twin reference), with GC
+/// driven from the test.
+fn mk_engine(shards: usize, record: bool) -> Engine {
+    Engine::new(EngineConfig {
+        shards,
         record_history: record,
         ..EngineConfig::default()
-    };
-    if partial {
-        Engine::new(cfg)
-    } else {
-        Engine::open_all_locks_baseline(cfg).expect("open engine").0
-    }
+    })
+}
+
+/// The one-shard reference ran none of the cross-shard code it is
+/// compared against: no escalation, no ghost, no GC lock set.
+fn assert_took_no_cross_shard_path(m: &deltx_engine::MetricsSnapshot) {
+    assert_eq!(m.escalated_ops, 0, "one shard never escalates: {m}");
+    assert_eq!(m.gc_ghosts, 0, "one shard never ghosts: {m}");
+    assert!(
+        m.gc_closure_hist.iter().all(|&n| n == 0),
+        "one shard takes no GC lock set: {m}"
+    );
 }
 
 #[test]
 fn partial_gc_decisions_match_full_scheduler_lockstep() {
-    let e = mk_engine(true, true);
+    let e = mk_engine(SHARDS, true);
     let scripts = make_skewed_scripts(1500, run_seed(0x6C05));
     for (i, sc) in scripts.iter().enumerate() {
         run_script(&e, sc);
@@ -186,14 +193,13 @@ fn partial_gc_decisions_match_full_scheduler_lockstep() {
     full.check_invariants();
 }
 
-/// Drives `scripts` through a span-scoped-GC engine and a
-/// stop-the-world twin: decision sequences must be equal, operation
-/// for operation, the stores must converge to the same values, and
-/// every lock set the baseline took for GC must be all shards. Returns
-/// the default engine's metrics.
+/// Drives `scripts` through the sharded engine and a one-shard twin:
+/// decision sequences must be equal, operation for operation, the
+/// stores must converge to the same values, and the twin must have
+/// taken no cross-shard path. Returns the sharded engine's metrics.
 fn assert_twins_agree(scripts: &[Script]) -> deltx_engine::MetricsSnapshot {
-    let a = mk_engine(true, false);
-    let b = mk_engine(false, false);
+    let a = mk_engine(SHARDS, false);
+    let b = mk_engine(1, false);
     for (i, sc) in scripts.iter().enumerate() {
         let oa = run_script(&a, sc);
         let ob = run_script(&b, sc);
@@ -211,16 +217,12 @@ fn assert_twins_agree(scripts: &[Script]) -> deltx_engine::MetricsSnapshot {
     for x in 0..ENTITIES {
         assert_eq!(a.peek(x), b.peek(x), "stores diverged at entity {x}");
     }
-    assert_eq!(mb.gc_partial_sweeps, 0, "baseline stops the world");
-    assert_eq!(
-        mb.gc_closure_locks_taken,
-        SHARDS as u64 * mb.gc_closure_hist.iter().sum::<u64>()
-    );
+    assert_took_no_cross_shard_path(&mb);
     ma
 }
 
 #[test]
-fn partial_and_all_locks_gc_agree_on_every_decision() {
+fn sharded_and_one_shard_gc_agree_on_every_decision() {
     let m = assert_twins_agree(&make_skewed_scripts(1500, run_seed(0xF6C)));
     assert!(m.gc_deletions > 400, "GC must be deleting mid-run: {m}");
     assert_eq!(
@@ -252,7 +254,7 @@ fn gc_closures_are_strict_on_skewed_traffic() {
     // Cross-shard deletions confined to the hot pair {0, 1} need no
     // lock of their own: whoever overwrites a hot-pair transaction is
     // a hot-pair committer, and its two locks are the closure.
-    let e = mk_engine(true, false);
+    let e = mk_engine(SHARDS, false);
     let scripts = make_skewed_scripts(1200, run_seed(0x51));
     for (i, sc) in scripts.iter().enumerate() {
         run_script(&e, sc);
@@ -290,7 +292,7 @@ fn subset_locked_deletion_preserves_cross_shard_ordering() {
     // T1 -> S. Then T1 writing y would add S -> T1 — a cycle with the
     // preserved ordering — so the commit MUST abort. An engine that
     // dropped the bridge would accept it and break serializability.
-    let e = mk_engine(true, true);
+    let e = mk_engine(SHARDS, true);
     let mut t1 = e.begin();
     t1.read(0).unwrap();
 
@@ -347,13 +349,10 @@ fn subset_locked_deletion_preserves_cross_shard_ordering() {
 }
 
 #[test]
-fn single_shard_engine_degenerates_to_all_locks_gc() {
-    // shards = 1: the partial path is pointless and must quietly
-    // behave like the baseline (no partial acquisitions recorded).
-    let e = Engine::new(EngineConfig {
-        shards: 1,
-        ..EngineConfig::default()
-    });
+fn one_shard_engine_takes_no_cross_shard_path() {
+    // shards = 1, the twins' reference: every deletion is single-shard,
+    // so nothing escalates, ghosts or locks a GC closure.
+    let e = mk_engine(1, false);
     for i in 0..200 {
         let mut t = e.begin();
         let Ok(a) = t.read(i % 8) else { continue };
@@ -365,6 +364,6 @@ fn single_shard_engine_degenerates_to_all_locks_gc() {
     }
     e.gc_sweep();
     let m = e.metrics();
-    assert_eq!(m.gc_partial_sweeps, 0);
+    assert_took_no_cross_shard_path(&m);
     assert!(m.gc_deletions > 0);
 }

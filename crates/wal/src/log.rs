@@ -103,7 +103,7 @@ use deltx_runtime::{Backoff, OsRuntime, RtEvent, Runtime};
 use deltx_storage::Value;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -347,9 +347,6 @@ pub struct WalStats {
     pub durable_lsn: u64,
     /// Segments currently on disk.
     pub segments_live: u64,
-    /// Total nanoseconds flushers spent inside `write`+`fsync`,
-    /// measured on the runtime clock (virtual under simulation).
-    pub flush_nanos: u64,
     /// Transient append errors absorbed by the bounded-backoff retry.
     pub append_retries: u64,
     /// Per-flush latency histogram over
@@ -480,7 +477,6 @@ struct WalCounters {
     batch_hist: [AtomicU64; 8],
     segments_created: AtomicU64,
     segments_truncated: AtomicU64,
-    flush_nanos: AtomicU64,
     append_retries: AtomicU64,
     flush_hist: [AtomicU64; 8],
 }
@@ -503,9 +499,6 @@ pub struct Wal {
     /// Mirror of the log's state machine for lock-free reads
     /// ([`WalHealth`] as `u8`).
     health: AtomicU8,
-    /// Raised while an append is parked on `ENOSPC` backoff; waiting
-    /// sessions answer it with a GC sweep.
-    space_pressure: AtomicBool,
     stats: WalCounters,
 }
 
@@ -533,7 +526,6 @@ impl Wal {
         st.pending_recs = 0;
         st.unsynced.clear();
         st.parked = None;
-        self.space_pressure.store(false, Ordering::Relaxed);
     }
 }
 
@@ -815,7 +807,6 @@ impl Wal {
                 closing: false,
             }),
             health: AtomicU8::new(WalHealth::Ok as u8),
-            space_pressure: AtomicBool::new(false),
             stats: WalCounters::default(),
         };
         Ok((wal, commits, scan))
@@ -962,8 +953,11 @@ impl Wal {
                 }
                 continue;
             }
+            // Read under the lock; the key was taken first, so a park
+            // after the drop still wakes the wait below.
+            let pressure = st.parked.is_some();
             drop(st);
-            if self.space_pressure() {
+            if pressure {
                 on_pressure();
             }
             self.durable_ev.wait(key);
@@ -1013,11 +1007,6 @@ impl Wal {
         self.lock().armed = Some(cp);
     }
 
-    /// Whether an injected or real crash has killed the log.
-    pub fn is_crashed(&self) -> bool {
-        self.lock().crashed
-    }
-
     /// Coarse health, readable without the state lock. Anything but
     /// [`WalHealth::Ok`] means the log accepts no further records and
     /// the engine should serve reads only.
@@ -1039,7 +1028,7 @@ impl Wal {
     /// space — what [`Wal::wait_durable_with`] answers with its
     /// caller's rescue.
     pub fn space_pressure(&self) -> bool {
-        self.space_pressure.load(Ordering::Relaxed)
+        self.lock().parked.is_some()
     }
 
     /// Runs the armed crash scenario: stop the log, discard un-flushed
@@ -1130,7 +1119,6 @@ impl Wal {
             segments_truncated: s.segments_truncated.load(Ordering::Relaxed),
             durable_lsn: 0,
             segments_live: 0,
-            flush_nanos: s.flush_nanos.load(Ordering::Relaxed),
             append_retries: s.append_retries.load(Ordering::Relaxed),
             flush_hist: [0; 8],
         };
@@ -1264,9 +1252,6 @@ fn flush(wal: &Wal, mut st: MutexGuard<'_, WalState>) {
     })();
 
     let flush_nanos = wal.rt.now().saturating_sub(t0).as_nanos() as u64;
-    wal.stats
-        .flush_nanos
-        .fetch_add(flush_nanos, Ordering::Relaxed);
 
     let mut st = wal.lock();
     st.writing.clear();
@@ -1280,7 +1265,6 @@ fn flush(wal: &Wal, mut st: MutexGuard<'_, WalState>) {
             }
             st.durable_lsn = last;
             st.parked = None;
-            wal.space_pressure.store(false, Ordering::Relaxed);
             wal.stats.flushes.fetch_add(1, Ordering::Relaxed);
             wal.stats.records.fetch_add(nrec, Ordering::Relaxed);
             wal.stats.batch_hist[batch_bucket(nrec)].fetch_add(1, Ordering::Relaxed);
@@ -1331,7 +1315,6 @@ fn park(
         return wal.stop(st, WalError::NoSpace);
     };
     st.parked = Some((budget, wal.rt.now() + d));
-    wal.space_pressure.store(true, Ordering::Relaxed);
     st.pending.splice(0..0, unwritten);
     st.pending_recs += nrec;
     st.unsynced = written;

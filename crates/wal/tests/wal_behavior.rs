@@ -133,7 +133,7 @@ fn crash_points_leave_the_advertised_disk_image() {
         wal.arm_crash(cp);
         let err = commit_one(&wal, 3, &[(0, 30)]).unwrap_err();
         assert_eq!(err, WalError::Crashed);
-        assert!(wal.is_crashed());
+        assert_eq!(wal.health(), WalHealth::Crashed);
         // Everything after the crash fails too.
         assert_eq!(
             wal.submit_commit(TxnId(4), &[(EntityId(0), 40)], &[0]),

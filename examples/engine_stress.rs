@@ -4,16 +4,12 @@
 //!
 //! ```text
 //! cargo run --release --example engine_stress                  # 8 threads, 10k txns
-//! cargo run --release --example engine_stress -- 16 40000 64 30 all-locks
-//! #                       threads ───────────────┘    │    │  │      │
-//! #                       total txns ────────────────-┘    │  │      │
-//! #                       entities ────────────────────────┘  │      │
-//! #                       cross-shard % ──────────────────────┘      │
-//! #   flags (any order): "all-locks": run the all-locks baseline ────┘
-//! #                       (every escalated operation takes every shard
-//! #                       lock, multi-shard GC stops the world) instead
-//! #                       of the default engine, for A/B runs
-//! #                      "--contention": cross traffic hits many DISJOINT hot
+//! cargo run --release --example engine_stress -- 16 40000 64 30
+//! #                       threads ───────────────┘    │    │  │
+//! #                       total txns ────────────────-┘    │  │
+//! #                       entities ────────────────────────┘  │
+//! #                       cross-shard % ──────────────────────┘
+//! #   flags (any order): "--contention": cross traffic hits many DISJOINT hot
 //! #                       shard pairs (0↔1, 2↔3, …) instead of uniform pairs —
 //! #                       the worst case for a single coordination mutex, the
 //! #                       best case for the sharded registry
@@ -140,13 +136,7 @@ fn main() {
     // Known flags may appear anywhere; everything else must be one of
     // the (up to four) numeric positionals. Anything unrecognized is an
     // error, never a silent default.
-    const FLAGS: [&str; 5] = [
-        "all-locks",
-        "--contention",
-        "--durable",
-        "--fsync",
-        "--scale-probe",
-    ];
+    const FLAGS: [&str; 4] = ["--contention", "--durable", "--fsync", "--scale-probe"];
     let (flags, positional): (Vec<&str>, Vec<&str>) = args
         .iter()
         .map(String::as_str)
@@ -160,7 +150,7 @@ fn main() {
         _ => {
             eprintln!(
                 "bad arguments {positional:?}: expected up to four numbers \
-                 `<threads> <txns> <entities> <cross_pct>` plus any of `all-locks`, \
+                 `<threads> <txns> <entities> <cross_pct>` plus any of \
                  `--contention`, `--durable`, `--fsync`, `--scale-probe`, `--seed N`"
             );
             std::process::exit(2);
@@ -170,7 +160,6 @@ fn main() {
     let total_txns = numbers[1].max(1) as usize;
     let n_entities = numbers[2].max(1);
     let cross_pct = numbers[3].min(100);
-    let all_locks: bool = flags.contains(&"all-locks");
     let contention: bool = flags.contains(&"--contention");
     let fsync: bool = flags.contains(&"--fsync");
     let durable: bool = flags.contains(&"--durable") || fsync;
@@ -200,21 +189,12 @@ fn main() {
         durability: wal_dir.as_ref().map(&durability),
         ..EngineConfig::default()
     };
-    let engine = if all_locks {
-        Engine::open_all_locks_baseline(cfg).expect("open engine").0
-    } else {
-        Engine::new(cfg)
-    };
+    let engine = Engine::new(cfg);
 
     println!(
         "engine_stress: {threads} threads x {} txns, {n_entities} entities, \
-         {shards} shards, {cross_pct}% cross-shard{}{}{}",
+         {shards} shards, {cross_pct}% cross-shard{}{}",
         total_txns / threads,
-        if all_locks {
-            " (all-locks baseline)"
-        } else {
-            ""
-        },
         if contention {
             " (contention mode: disjoint hot shard pairs)"
         } else {
@@ -336,27 +316,25 @@ fn main() {
         // committer that overwrites it holds the whole closure and
         // deletes it on the spot; only a same-shard (one-lock)
         // overwriter leaves it to the standalone pass, which then locks
-        // the pair and nothing else. So on the default engine no pass
-        // falls back, every lock set taken for GC is two shards — and
-        // with nothing but pair traffic, none is taken at all.
-        if !all_locks {
-            let acquisitions: u64 = m.gc_closure_hist.iter().sum();
-            assert!(m.gc_deletions > 0, "nothing was deleted [seed {seed}]");
-            assert_eq!(
-                (m.gc_closure_fallbacks, m.gc_closure_hist[1]),
-                (0, acquisitions),
-                "a hot pair's GC left its own span: closure hist {:?} [seed {seed}]",
-                m.gc_closure_hist
-            );
-            assert!(
-                cross_pct < 100 || acquisitions == 0,
-                "pure pair traffic took {acquisitions} lock sets for GC [seed {seed}]"
-            );
-        }
+        // the pair and nothing else. So no pass falls back, every lock
+        // set taken for GC is two shards — and with nothing but pair
+        // traffic, none is taken at all.
+        let acquisitions: u64 = m.gc_closure_hist.iter().sum();
+        assert!(m.gc_deletions > 0, "nothing was deleted [seed {seed}]");
+        assert_eq!(
+            (m.gc_closure_fallbacks, m.gc_closure_hist[1]),
+            (0, acquisitions),
+            "a hot pair's GC left its own span: closure hist {:?} [seed {seed}]",
+            m.gc_closure_hist
+        );
+        assert!(
+            cross_pct < 100 || acquisitions == 0,
+            "pure pair traffic took {acquisitions} lock sets for GC [seed {seed}]"
+        );
     }
 
     // Bookkeeping tripwire: the registry and the per-shard boundary
-    // counts must never disagree, under any locking mode.
+    // counts must never disagree.
     assert_eq!(
         m.boundary_underflows, 0,
         "boundary-count underflow: registry / shard-count drift [seed {seed}]"
