@@ -85,22 +85,22 @@ impl Coordination {
 }
 
 impl EngineInner {
-    /// Decrements a shard's boundary-node count. If the registry and
-    /// the counts ever disagree this saturates (with a metrics
-    /// breadcrumb) instead of underflow-panicking in release builds
-    /// with overflow checks on.
-    pub(crate) fn dec_boundary(&self, g: &mut Shard) {
-        debug_assert!(g.boundary > 0, "boundary count underflow");
-        match g.boundary.checked_sub(1) {
-            Some(b) => g.boundary = b,
-            None => self.metrics.boundary_underflows.add(1),
+    /// The registry/mark tripwire, after a registered transaction's
+    /// node left shard `g` (an abort or a multi-shard deletion) while
+    /// the shard held `marks` boundary marks: every such node carries
+    /// one, so the count must have dropped by one. If it did not, the
+    /// registry and the marks disagree — a bookkeeping bug, counted in
+    /// `boundary_underflows`.
+    pub(crate) fn check_mark_dropped(&self, g: &Shard, marks: usize) {
+        if g.cg.boundary_count() + 1 != marks {
+            debug_assert!(false, "registered node carried no boundary mark");
+            self.metrics.boundary_underflows.add(1);
         }
     }
 
-    /// Registers that `txn` now spans `shards` (2+), bumping boundary
-    /// counts and marking `CgState` boundary nodes where they just
-    /// became boundary. Caller holds the locks of every shard in
-    /// `shards`.
+    /// Registers that `txn` now spans `shards` (2+), marking its nodes
+    /// boundary in the shards it just spread to. Caller holds the locks
+    /// of every shard in `shards`.
     pub(crate) fn note_multi_shard(
         &self,
         guards: &mut Guards<'_>,
@@ -117,15 +117,29 @@ impl EngineInner {
             .flatten()
             .collect();
         for &s in shards.difference(&old) {
-            let g = guards.get_mut(&s).expect("spanned shard is locked");
+            let g = guards.get_mut(s).expect("spanned shard is locked");
             if g.cg.node_of(txn).is_some() {
-                g.boundary += 1;
                 g.cg.set_boundary(txn, true);
             }
         }
         if old != *shards {
             self.coord.reg_insert(txn, shards, &self.metrics);
         }
+    }
+
+    /// Runs `f` under `guards` inside one summary batch per locked
+    /// shard, flushed before the caller releases the locks.
+    pub(crate) fn batched<'a, T>(
+        &self,
+        guards: &mut Guards<'a>,
+        f: impl FnOnce(&mut Guards<'a>) -> T,
+    ) -> T {
+        for g in guards.values_mut() {
+            g.cg.begin_summary_batch();
+        }
+        let out = f(guards);
+        self.flush_summaries(guards);
+        out
     }
 
     /// Ends the summary batch of every locked shard — one combined

@@ -19,7 +19,7 @@ use deltx_storage::{Store, Value};
 use deltx_wal::{
     CrashPoint, DurabilityConfig, QuarantinedSegment, RecoveryScan, Wal, WalHealth, WalStats,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
@@ -90,15 +90,12 @@ pub struct RecoveryReport {
 }
 
 /// One partition: the conflict graph and store for the entities it
-/// owns, plus the boundary-node count (the coarse half of the
-/// fast-path gate, see [`EngineInner::sealed`]).
+/// owns. The graph's boundary marks — one per live node of a
+/// multi-shard transaction, ghosts included — are the fast-path gate's
+/// input (see [`EngineInner::sealed`]).
 pub(crate) struct Shard {
     pub(crate) cg: CgState,
     pub(crate) store: Store,
-    /// Live nodes in this shard belonging to multi-shard transactions
-    /// (ghosts included). Zero means no path can leave this shard;
-    /// nonzero, the per-transaction test decides.
-    pub(crate) boundary: usize,
 }
 
 #[cfg(test)]
@@ -124,9 +121,58 @@ const LOCK_SPINS: u32 = 100;
 /// `durable` trap above).
 const LOCK_YIELDS: u32 = 20;
 
-/// Shard locks held by one escalated operation, keyed by shard index.
-/// Always acquired in ascending order (the map iterates that way).
-pub(crate) type Guards<'a> = BTreeMap<usize, MutexGuard<'a, Shard>>;
+/// Shard locks held by one operation, ascending by shard index — the
+/// order every path acquires them in. The lowest is held inline, so
+/// the fast path's single guard costs no allocation.
+pub(crate) struct Guards<'a> {
+    low: Option<(usize, MutexGuard<'a, Shard>)>,
+    high: Vec<(usize, MutexGuard<'a, Shard>)>,
+}
+
+impl<'a> Guards<'a> {
+    pub(crate) fn len(&self) -> usize {
+        usize::from(self.low.is_some()) + self.high.len()
+    }
+
+    /// The locked shards, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &Shard)> {
+        let all = self.low.iter().chain(&self.high);
+        all.map(|(s, g)| (*s, &**g))
+    }
+
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Shard> + use<'_, 'a> {
+        let all = self.low.iter_mut().chain(&mut self.high);
+        all.map(|(_, g)| &mut **g)
+    }
+
+    /// Shard `s`, if its lock is held.
+    pub(crate) fn get(&self, s: usize) -> Option<&Shard> {
+        self.iter().find_map(|(t, g)| (t == s).then_some(g))
+    }
+
+    pub(crate) fn get_mut(&mut self, s: usize) -> Option<&mut Shard> {
+        let mut all = self.low.iter_mut().chain(&mut self.high);
+        all.find_map(|(t, g)| (*t == s).then_some(&mut **g))
+    }
+}
+
+impl<'a> FromIterator<(usize, MutexGuard<'a, Shard>)> for Guards<'a> {
+    /// Holds guards taken in ascending shard order.
+    fn from_iter<I: IntoIterator<Item = (usize, MutexGuard<'a, Shard>)>>(guards: I) -> Self {
+        let mut guards = guards.into_iter();
+        let low = guards.next();
+        let high = guards.collect();
+        Guards { low, high }
+    }
+}
+
+impl std::ops::Index<usize> for Guards<'_> {
+    type Output = Shard;
+
+    fn index(&self, s: usize) -> &Shard {
+        self.get(s).expect("shard is locked")
+    }
+}
 
 pub(crate) struct EngineInner {
     pub(crate) shards: Vec<Mutex<Shard>>,
@@ -161,11 +207,13 @@ impl Engine {
 
     /// Builds an engine per `cfg`, recovering from the write-ahead log
     /// when durability is configured: surviving commit records are
-    /// replayed in LSN order into the fresh shards (conflict graph,
-    /// store values, multi-shard registry), then one GC sweep runs so
-    /// replayed-but-already-deletable transactions are reclaimed — and
-    /// their log segments truncated — immediately. The report says
-    /// what was rebuilt; for a non-durable engine it is all zeros.
+    /// replayed in LSN order into the fresh shards through the live
+    /// commit body (conflict graph, store values, multi-shard
+    /// registry), so each replayed commit deletes what it made
+    /// deletable — and retires its log segments — as a live commit
+    /// would. One GC sweep then takes the multi-shard candidates the
+    /// replay's locks did not cover. The report says what was rebuilt;
+    /// for a non-durable engine it is all zeros.
     ///
     /// Recovery is `O(live graph)`, not `O(history)`: GC-driven
     /// checkpointing removed every segment whose commits were all
@@ -186,8 +234,8 @@ impl Engine {
         let engine = Self::build(cfg, wal);
         let replayed = engine.inner.replay_commits(&commits);
         if replayed > 0 {
-            // GC-as-checkpoint, applied to the replay itself: anything
-            // already deletable goes now, truncating its segments.
+            // The multi-shard residue: candidates no replayed commit's
+            // locks covered go now, truncating their segments.
             engine.inner.gc_sweep();
         }
         let report = RecoveryReport {
@@ -213,7 +261,6 @@ impl Engine {
                     Mutex::new(Shard {
                         cg,
                         store: Store::new(),
-                        boundary: 0,
                     })
                 })
                 .collect(),
@@ -239,7 +286,7 @@ impl Engine {
     /// candidate queue, then the multi-shard pass over whatever is
     /// pending. Commits delete at the source, so under traffic there
     /// is nothing for this to do; it exists for what no commit will
-    /// come back for — [`Engine::open`] runs it once over the replay,
+    /// come back for — [`Engine::open`] runs it once after the replay,
     /// a session blocked on a full log device runs it as a rescue, and
     /// a caller may run it to drain the idle residue (multi-shard
     /// candidates whose closure escaped the committer's locks, fewer
@@ -450,29 +497,11 @@ impl EngineInner {
     fn graph_size(&self) -> StateSize {
         let guards = self.lock_all();
         let mut size = StateSize::default();
-        for g in guards.values() {
+        for (_, g) in guards.iter() {
             size.nodes += g.cg.graph().node_count();
             size.arcs += g.cg.graph().arc_count();
         }
         size
-    }
-
-    /// Creates `txn`'s node in `shard` if absent (lazy Rule 1).
-    pub(crate) fn ensure_node(shard: &mut Shard, txn: TxnId) -> Result<(), EngineError> {
-        if shard.cg.node_of(txn).is_none() {
-            match shard.cg.apply(&Step::new(txn, Op::Begin))? {
-                Applied::Accepted => {}
-                out => {
-                    return Err(EngineError::Protocol(deltx_core::CgError::WrongModel(
-                        match out {
-                            Applied::IgnoredAborted => "begin for aborted txn",
-                            _ => "begin rejected",
-                        },
-                    )))
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -488,6 +517,7 @@ mod tests {
             ..EngineConfig::default()
         });
         let inner = &e.inner;
+        let x = EntityId(1); // shard 1's
         let deadline = Instant::now() + Duration::from_millis(50);
         let per_thread: Vec<(usize, usize)> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..8)
@@ -496,9 +526,9 @@ mod tests {
                         SHARD_LOCKS.with(|c| c.set(0));
                         let mut mine = 0usize;
                         while Instant::now() < deadline {
-                            // The boundary count doubles as a counter only
+                            // The store's version list is a counter only
                             // the lock protects: a lost update would show.
-                            inner.lock_shard(1).boundary += 1;
+                            inner.lock_shard(1).store.write(x, 1, TxnId(1));
                             mine += 1;
                         }
                         (mine, SHARD_LOCKS.with(|c| c.get()))
@@ -509,7 +539,8 @@ mod tests {
         });
         let total: usize = per_thread.iter().map(|&(mine, _)| mine).sum();
         assert!(total > 0);
-        assert_eq!(inner.lock_shard(1).boundary, total, "mutual exclusion held");
+        let versions = inner.lock_shard(1).store.version_count(x);
+        assert_eq!(versions, total, "mutual exclusion held");
         for (mine, counted) in per_thread {
             assert_eq!(counted, mine, "one count per acquisition, not per attempt");
         }

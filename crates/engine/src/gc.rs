@@ -34,10 +34,11 @@
 //! shard in that span, and the check demands exactly those locks — so
 //! it is authoritative with nothing planned or validated beforehand.
 //!
-//! An escalated commit offers the multi-shard candidates its write
-//! queued — itself included — to that check under its own guards; on
-//! span-closed traffic (a hot shard pair, a reader that commits after
-//! everything it read was overwritten) that deletes them on the spot.
+//! A commit offers the multi-shard candidates its write queued —
+//! itself included — to that check under its own guards (a fast-path
+//! commit's one lock covers none of them); on span-closed traffic (a
+//! hot shard pair, a reader that commits after everything it read was
+//! overwritten) that deletes them on the spot.
 //! A candidate the committer's locks do not cover waits in
 //! `pending_multi`, and once [`MULTI_GC_THRESHOLD`] wait, the committer
 //! that got them there runs the standalone pass after releasing its
@@ -56,10 +57,11 @@
 //! decisions bit-identical to a one-shard engine's).
 
 use crate::engine::{EngineInner, Guards, Shard};
-use deltx_core::{noncurrent, TxnState};
+use deltx_core::{noncurrent, CgState, TxnState};
 use deltx_graph::NodeId;
-use deltx_model::{EntityId, Op, Step, TxnId};
+use deltx_model::{AccessMode, EntityId, Op, Step, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Duration;
 
 /// Pending multi-shard count at which the committer that reached it
 /// runs the standalone multi-shard pass
@@ -82,6 +84,13 @@ enum MultiDelete {
     NeedsWider,
 }
 
+/// The entities node `n` wrote: what store truncation prunes once it
+/// is deleted.
+fn written_by(cg: &CgState, n: NodeId) -> impl Iterator<Item = EntityId> + '_ {
+    let access = cg.info(n).access.iter();
+    access.filter_map(|(&x, rec)| (rec.mode == AccessMode::Write).then_some(x))
+}
+
 impl EngineInner {
     /// One full GC sweep: reclaim every shard's candidate queue, then
     /// the multi-shard pass. See [`crate::Engine::gc_sweep`] for who
@@ -92,7 +101,6 @@ impl EngineInner {
             self.defer_multi(deferred);
         }
         self.sweep_multi_shard();
-        self.metrics.gc_sweeps.add(1);
     }
 
     /// Queues multi-shard candidates that the locks of whoever found
@@ -113,7 +121,6 @@ impl EngineInner {
     pub(crate) fn drain_multi_backlog(&self) {
         while self.pending_multi.lock().unwrap().len() >= MULTI_GC_THRESHOLD {
             self.sweep_multi_shard();
-            self.metrics.gc_sweeps.add(1);
         }
     }
 
@@ -123,23 +130,22 @@ impl EngineInner {
     /// `WriteAll` just queued (the overwritten accessors plus itself)
     /// and the lock hold stays short and uniform. Drains the candidate
     /// queue, deletes noncurrent single-shard transactions, prunes
-    /// stale store versions, and returns the multi-shard candidates —
-    /// for the caller to offer to [`Self::sweep_multi_batch`] if it
-    /// holds more than this shard, or to [`Self::defer_multi`]. Caller
-    /// holds the shard's lock. [`Self::gc_sweep`] calls it too, for
-    /// what no commit drains (recovery's replay).
+    /// stale store versions, and returns the multi-shard candidates,
+    /// which the caller offers to [`Self::sweep_multi_batch`] under the
+    /// locks it holds. Caller holds the shard's lock. Replayed commits
+    /// run it like live ones; [`Self::gc_sweep`] calls it too.
     pub(crate) fn reclaim_shard(&self, g: &mut Shard) -> Vec<TxnId> {
         let t0 = self.rt.now();
         let candidates = g.cg.drain_gc_candidates();
         if candidates.is_empty() {
             return Vec::new();
         }
-        // A registered (multi-shard) transaction's node bumps its
-        // shard's boundary count for as long as it lives there
+        // A registered (multi-shard) transaction's node carries a
+        // boundary mark for as long as it lives there
         // (`note_multi_shard`, `bridge_cross_shard`), so in a shard
         // with none no candidate can be registered: skip the registry
         // stripe lock per candidate.
-        let any_registered = g.boundary != 0;
+        let any_registered = g.cg.boundary_count() != 0;
         let mut deleted: Vec<TxnId> = Vec::new();
         let mut deferred: Vec<TxnId> = Vec::new();
         let mut written: Vec<EntityId> = Vec::new();
@@ -153,63 +159,37 @@ impl EngineInner {
                 continue;
             }
             if !noncurrent::is_current(&g.cg, n) {
-                for (&x, rec) in &g.cg.info(n).access {
-                    if rec.mode == deltx_model::AccessMode::Write {
-                        written.push(x);
-                    }
-                }
+                written.extend(written_by(&g.cg, n));
                 g.cg.delete(n).expect("completed node deletes");
                 deleted.push(txn);
             }
         }
         let truncated = g.store.truncate_versions_in(&deleted, &written);
-        // D(G, N) deletion doubles as the durability checkpoint: dead
-        // commits release their log segments.
+        self.book_deletions(&deleted, truncated, t0);
+        deferred
+    }
+
+    /// Books the deletions of one hold that started at `t0`. `D(G, N)`
+    /// deletion doubles as the durability checkpoint: dead commits
+    /// release their log segments.
+    fn book_deletions(&self, deleted: &[TxnId], truncated: usize, t0: Duration) {
         if let Some(w) = &self.wal {
-            w.note_deleted(&deleted);
+            w.note_deleted(deleted);
         }
         self.metrics.gc_deletions.add(deleted.len() as u64);
         self.metrics.txns_left(deleted.len() as u64);
         self.metrics.gc_versions_truncated.add(truncated as u64);
-        self.metrics
-            .gc_pause_nanos
-            .add(self.rt.now().saturating_sub(t0).as_nanos() as u64);
-        deferred
+        let pause = self.rt.now().saturating_sub(t0);
+        self.metrics.gc_pause_nanos.add(pause.as_nanos() as u64);
     }
 
     /// The standalone multi-shard pass over everything pending:
     /// noncurrent-everywhere transactions are deleted from every
     /// shard, with `D(G, N)` bridges re-materialized across shards via
-    /// ghosts.
+    /// ghosts. Each call counts as one sweep. (A one-shard engine never
+    /// has anything pending: it registers no multi-shard transaction.)
     ///
-    /// With more than one shard the pass locks candidates' own spans
-    /// instead of stopping the world.
-    pub(crate) fn sweep_multi_shard(&self) {
-        let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
-        let queue: Vec<TxnId> = pending.into_iter().collect();
-        if queue.is_empty() {
-            return;
-        }
-        if self.shards.len() > 1 {
-            self.sweep_multi_partial(queue);
-        } else {
-            self.sweep_multi_all_locks(&queue);
-        }
-    }
-
-    /// Stops the world for `queue`: a one-shard engine's whole pass,
-    /// and the partial pass's last resort. The locks are taken for GC,
-    /// so the acquisition is recorded.
-    fn sweep_multi_all_locks(&self, queue: &[TxnId]) {
-        let n = self.shards.len();
-        let mut guards = self.lock_all();
-        self.metrics.record_gc_closure(n, n);
-        self.rt.emit("gc_closure", n as u64);
-        let widen = self.sweep_multi_batch(&mut guards, queue);
-        debug_assert!(widen.is_empty(), "all-locks batch cannot need wider");
-    }
-
-    /// The span-scoped multi-shard pass. Repeatedly: lock the lead
+    /// It does not stop the world. Repeatedly: lock the lead
     /// candidate's registered span in ascending order and offer
     /// **every** remaining candidate to the batch — the ones whose
     /// closures the held locks cover are processed for free (a hot
@@ -221,7 +201,10 @@ impl EngineInner {
     /// is not span-closed and everything left goes to one final
     /// all-locks pass — as does a lead whose span already is every
     /// shard.
-    fn sweep_multi_partial(&self, mut queue: Vec<TxnId>) {
+    pub(crate) fn sweep_multi_shard(&self) {
+        self.metrics.gc_sweeps.add(1);
+        let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
+        let mut queue: Vec<TxnId> = pending.into_iter().collect();
         let n = self.shards.len();
         while let Some(&lead) = queue.first() {
             let Some(span) = self.coord.reg_get(lead, &self.metrics) else {
@@ -248,21 +231,30 @@ impl EngineInner {
         }
     }
 
+    /// Stops the world for `queue`: the standalone pass's last resort.
+    /// The locks are taken for GC, so the acquisition is recorded.
+    fn sweep_multi_all_locks(&self, queue: &[TxnId]) {
+        let n = self.shards.len();
+        let mut guards = self.lock_all();
+        self.metrics.record_gc_closure(n, n);
+        self.rt.emit("gc_closure", n as u64);
+        let widen = self.sweep_multi_batch(&mut guards, queue);
+        debug_assert!(widen.is_empty(), "all-locks batch cannot need wider");
+    }
+
     /// Deletes every deletable candidate of `batch` under whatever
     /// shard locks are held — a standalone pass's, or the guards of the
-    /// escalated commit that queued the candidates — then truncates
+    /// commit that queued the candidates — then truncates
     /// stores, re-queues ghosted predecessors, and flushes the touched
     /// summaries. Returns the candidates whose closure turned out to
     /// exceed the locked subset, in `batch` order (never non-empty when
-    /// every lock is held).
+    /// every lock is held — or, as one lock covers no multi-shard
+    /// transaction, when only one is).
     pub(crate) fn sweep_multi_batch(&self, guards: &mut Guards<'_>, batch: &[TxnId]) -> Vec<TxnId> {
-        let t0 = self.rt.now();
-        // Batch the bridge-arc summary maintenance: ghost marks and
-        // ordering arcs between deletes coalesce, and deletes flush
-        // their shard's queue themselves to stay exact.
-        for g in guards.values_mut() {
-            g.cg.begin_summary_batch();
+        if guards.len() < 2 {
+            return batch.to_vec();
         }
+        let t0 = self.rt.now();
         let mut still_pending: BTreeSet<TxnId> = BTreeSet::new();
         let mut deleted: Vec<TxnId> = Vec::new();
         // Entities the deleted transactions wrote, per shard — the
@@ -270,40 +262,31 @@ impl EngineInner {
         let mut written: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
         let mut ghosts_made = 0u64;
         let mut widen: Vec<TxnId> = Vec::new();
-        for &txn in batch {
-            match self.try_delete_multi(
-                guards,
-                txn,
-                &mut still_pending,
-                &mut written,
-                &mut ghosts_made,
-            ) {
-                MultiDelete::Deleted => deleted.push(txn),
-                MultiDelete::Skipped => {}
-                MultiDelete::NeedsWider => widen.push(txn),
+        // Batch the bridge-arc summary maintenance: ghost marks and
+        // ordering arcs between deletes coalesce, and deletes flush
+        // their shard's queue themselves to stay exact.
+        self.batched(guards, |guards| {
+            for &txn in batch {
+                let pending = &mut still_pending;
+                match self.try_delete_multi(guards, txn, pending, &mut written, &mut ghosts_made) {
+                    MultiDelete::Deleted => deleted.push(txn),
+                    MultiDelete::Skipped => {}
+                    MultiDelete::NeedsWider => widen.push(txn),
+                }
             }
-        }
+        });
         // Prune the reclaimed writers' stale versions, only in the
         // entities they actually wrote.
         let mut truncated = 0usize;
-        for (s, xs) in &written {
+        for (&s, xs) in &written {
             let g = guards.get_mut(s).expect("written shard is locked");
             truncated += g.store.truncate_versions_in(&deleted, xs);
-        }
-        if let Some(w) = &self.wal {
-            w.note_deleted(&deleted);
         }
         if !still_pending.is_empty() {
             self.pending_multi.lock().unwrap().extend(still_pending);
         }
-        self.flush_summaries(guards);
-        self.metrics.gc_deletions.add(deleted.len() as u64);
-        self.metrics.txns_left(deleted.len() as u64);
         self.metrics.gc_ghosts.add(ghosts_made);
-        self.metrics.gc_versions_truncated.add(truncated as u64);
-        self.metrics
-            .gc_pause_nanos
-            .add(self.rt.now().saturating_sub(t0).as_nanos() as u64);
+        self.book_deletions(&deleted, truncated, t0);
         widen
     }
 
@@ -335,25 +318,25 @@ impl EngineInner {
         // The candidate's own span must be fully locked (it is not the
         // lead or the committer, or a concurrent pass ghosted it into
         // new shards since the lead's span was read).
-        if shards.iter().any(|s| !guards.contains_key(s)) {
+        if shards.iter().any(|s| guards.get(*s).is_none()) {
             return MultiDelete::NeedsWider;
         }
         let nodes: Vec<(usize, NodeId)> = shards
             .iter()
-            .filter_map(|&s| guards[&s].cg.node_of(txn).map(|n| (s, n)))
+            .filter_map(|&s| guards[s].cg.node_of(txn).map(|n| (s, n)))
             .collect();
         // Not deletable yet? Drop it from the queue: the events
         // that can change the answer put it back — its commit or an
         // overwrite of one of its entities (both queue it in the
         // shard, and `reclaim_shard` returns it to the committer), or
         // being ghosted (bridge_cross_shard).
-        let all_completed = nodes.iter().all(|&(s, n)| guards[&s].cg.is_completed(n));
+        let all_completed = nodes.iter().all(|&(s, n)| guards[s].cg.is_completed(n));
         if !all_completed {
             return MultiDelete::Skipped;
         }
         let current = nodes
             .iter()
-            .any(|&(s, n)| noncurrent::is_current(&guards[&s].cg, n));
+            .any(|&(s, n)| noncurrent::is_current(&guards[s].cg, n));
         if current {
             return MultiDelete::Skipped;
         }
@@ -364,17 +347,13 @@ impl EngineInner {
         let mut succs: Vec<(usize, TxnId)> = Vec::new();
         let mut written_local: Vec<(usize, EntityId)> = Vec::new();
         for &(s, n) in &nodes {
-            for &p in guards[&s].cg.graph().preds(n) {
-                preds.push((s, guards[&s].cg.info(p).txn));
+            for &p in guards[s].cg.graph().preds(n) {
+                preds.push((s, guards[s].cg.info(p).txn));
             }
-            for &q in guards[&s].cg.graph().succs(n) {
-                succs.push((s, guards[&s].cg.info(q).txn));
+            for &q in guards[s].cg.graph().succs(n) {
+                succs.push((s, guards[s].cg.info(q).txn));
             }
-            for (&x, rec) in &guards[&s].cg.info(n).access {
-                if rec.mode == deltx_model::AccessMode::Write {
-                    written_local.push((s, x));
-                }
-            }
+            written_local.extend(written_by(&guards[s].cg, n).map(|x| (s, x)));
         }
         // Every shard the bridges can touch must be locked: a bridge
         // lands in a ghost target (a shard of `txn` — covered above)
@@ -384,7 +363,7 @@ impl EngineInner {
         // half-deleting it.
         let covered = preds.iter().chain(succs.iter()).all(|(_, t)| {
             match self.coord.reg_get(*t, &self.metrics) {
-                Some(span) => span.iter().all(|s| guards.contains_key(s)),
+                Some(span) => span.iter().all(|s| guards.get(*s).is_some()),
                 None => true, // single-shard neighbor: its only shard is txn's
             }
         });
@@ -392,11 +371,10 @@ impl EngineInner {
             return MultiDelete::NeedsWider;
         }
         for &(s, n) in &nodes {
-            let g = guards.get_mut(&s).expect("span shard is locked");
-            if g.cg.node_of(txn) == Some(n) {
-                self.dec_boundary(g);
-                g.cg.delete(n).expect("completed node deletes");
-            }
+            let g = guards.get_mut(s).expect("span shard is locked");
+            let marks = g.cg.boundary_count();
+            g.cg.delete(n).expect("completed node deletes");
+            self.check_mark_dropped(g, marks);
         }
         self.coord.reg_remove(txn, &self.metrics);
         for &(ps, p) in &preds {
@@ -446,7 +424,7 @@ impl EngineInner {
             .unwrap_or_else(|| vec![qs]);
         for &c in &p_shards {
             if q_shards.contains(&c) {
-                let g = guards.get_mut(&c).expect("common neighbor shard is locked");
+                let g = guards.get_mut(c).expect("common neighbor shard is locked");
                 let (pn, qn) = (
                     g.cg.node_of(p).expect("registered node"),
                     g.cg.node_of(q).expect("registered node"),
@@ -461,13 +439,13 @@ impl EngineInner {
         let target = qs;
         let was_single = p_shards.len() == 1;
         let p_completed = {
-            let g = &guards[&ps];
+            let g = &guards[ps];
             let pn = g.cg.node_of(p).expect("registered node");
             g.cg.info(pn).state == TxnState::Completed
         };
         {
             let tg = guards
-                .get_mut(&target)
+                .get_mut(target)
                 .expect("ghost target shard is locked");
             let ghost = if p_completed {
                 tg.cg
@@ -483,7 +461,6 @@ impl EngineInner {
             // Mark the ghost boundary *before* bridging so the new arc
             // lands in the summary.
             tg.cg.set_boundary(p, true);
-            tg.boundary += 1;
             let qn = tg.cg.node_of(q).expect("registered node");
             tg.cg
                 .add_order_arc(ghost, qn)
@@ -491,8 +468,7 @@ impl EngineInner {
         }
         // p is now multi-shard: update registry and boundary marks.
         if was_single {
-            let pg = guards.get_mut(&ps).expect("predecessor shard is locked");
-            pg.boundary += 1;
+            let pg = guards.get_mut(ps).expect("predecessor shard is locked");
             pg.cg.set_boundary(p, true);
         }
         let mut shards: BTreeSet<usize> = p_shards.iter().copied().collect();
@@ -584,7 +560,7 @@ mod tests {
 
     /// Boundary-node counts of shards 0, 1 and 2.
     fn boundary_counts(e: &Engine) -> [usize; 3] {
-        [0, 1, 2].map(|s| e.inner.shards[s].lock().unwrap().boundary)
+        [0, 1, 2].map(|s| e.inner.shards[s].lock().unwrap().cg.boundary_count())
     }
 
     /// What waits for the standalone multi-shard pass.

@@ -81,9 +81,9 @@
 //!   ([`deltx_core::CgState::drain_gc_candidates`]: the overwritten
 //!   accessors and itself; no full scans) and deletes the
 //!   single-shard ones that became noncurrent, so shard-lock holds
-//!   stay short and uniform. An escalated commit offers the
-//!   multi-shard candidates among them — itself included — to the
-//!   multi-shard deletion under the locks it holds. Deleting a
+//!   stay short and uniform. The commit offers the multi-shard
+//!   candidates among them — itself included — to the multi-shard
+//!   deletion under the locks it holds. Deleting a
 //!   multi-shard transaction re-materializes the paper's `D(G, N)`
 //!   bridges across shard boundaries with *ghost nodes*
 //!   ([`deltx_core::CgState::admit_completed_ghost`]), so union
@@ -99,7 +99,7 @@
 //!   [`deltx_storage::Store::truncate_versions_in`]. There is no GC
 //!   thread: what is left when traffic stops is fewer than 32
 //!   multi-shard candidates, and [`Engine::gc_sweep`] drains them on
-//!   request ([`Engine::open`] runs it once over the replay; a
+//!   request ([`Engine::open`] runs it once after the replay; a
 //!   session blocked on a full log device runs it as a rescue).
 //! * **Durability** (opt-in via [`EngineConfig::durability`]): a
 //!   write-ahead log (`deltx-wal`) with leader/follower group commit
@@ -119,7 +119,7 @@
 //!   deletions, GC pause time, and the escalation economics — fast
 //!   vs escalated operations, own-shards vs full acquisitions,
 //!   escalated-lock-set-size and GC-closure-size histograms,
-//!   fallbacks, a boundary-count underflow tripwire,
+//!   fallbacks, a registry/boundary-mark tripwire,
 //!   plus the summary's own maintenance economics: a summary-flush
 //!   latency histogram, the boundary-txn index high-water mark, and a
 //!   registry-stripe contention counter.

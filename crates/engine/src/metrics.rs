@@ -250,9 +250,10 @@ pub struct MetricsSnapshot {
     /// Histogram of escalated lock-set sizes. Buckets: 1, 2, 3, 4,
     /// 5–8, 9–16, 17–32, 33+ locks per acquisition.
     pub escalated_subset_hist: [u64; SUBSET_HIST_BUCKETS],
-    /// Boundary-count decrements that would have underflowed (registry
-    /// and per-shard counts disagreed — always 0 unless there is a
-    /// bookkeeping bug; the decrement saturates instead of panicking).
+    /// Nodes of registered (multi-shard) transactions that carried no
+    /// boundary mark when an abort or a multi-shard deletion removed
+    /// them: the registry and the marks disagreed. Always 0 unless
+    /// there is a bookkeeping bug.
     pub boundary_underflows: u64,
     /// Standalone runs of the multi-shard pass — by the committer that
     /// brought the pending set to its threshold, or by an explicit
@@ -296,9 +297,7 @@ pub struct MetricsSnapshot {
     /// Latency histogram of those spans. Buckets: ≤250ns, ≤1µs, ≤4µs,
     /// ≤16µs, ≤64µs, ≤256µs, ≤1ms, >1ms.
     pub summary_update_hist: [u64; SUMMARY_HIST_BUCKETS],
-    /// Times a stripe of the span registry was found already locked —
-    /// the residual serialization after sharding the old global
-    /// coordination mutex.
+    /// Times a stripe of the span registry was found already locked.
     pub registry_slot_contention: u64,
     /// High-water mark of any shard's boundary-txn index, in slots:
     /// the widest a reach bitmask has had to grow.

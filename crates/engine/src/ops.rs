@@ -1,5 +1,6 @@
-//! Session operations — read, commit, client abort — on the fast path
-//! and escalated, with the union-graph cycle check.
+//! Session operations — read, commit, client abort — and the regimes
+//! they run under: the fast path, escalation, and the union-graph
+//! cycle check.
 //!
 //! ## Soundness of the sharded cycle check
 //!
@@ -27,59 +28,67 @@
 //!    completes without needing an unlocked shard has followed every
 //!    union path from the transaction under frozen graphs — it is
 //!    exact, with no plan to validate.
-//! 3. *Staleness.* The only staleness signal is the body's own: the
-//!    transaction's registered span is not covered by the held locks
-//!    (a GC bridge grew it), or the BFS met a twin in an unlocked
-//!    shard. Either way the operation retakes **every** lock and runs
-//!    again; [`EngineInner::escalate`] is the one place that sequence
-//!    is written. (The multi-shard GC pass works the same way — own
+//! 3. *Staleness.* The transaction's registered span, re-read under
+//!    the locks, is not covered by them (a GC bridge grew it), or the
+//!    BFS met a twin in an unlocked shard. Either way the operation
+//!    retakes **every** lock and runs again. [`EngineInner::escalate`]
+//!    is the one place that sequence is written; a client abort runs
+//!    through it too. (The multi-shard GC pass works the same way — own
 //!    span first, the under-lock coverage check as the only staleness
 //!    signal — see [`crate::gc`].)
+//!
+//! ## One body per step
+//!
+//! [`EngineInner::read_locked`] and [`EngineInner::commit_locked`] run
+//! under whatever guards the regime took: the fast path's one guard
+//! with the union check skipped (the gate proved the local check equal
+//! to it), [`EngineInner::escalate`]'s with it, and — the commit body —
+//! WAL replay's with logging skipped ([`crate::recovery`]).
 //!
 //! ## Deletion rides the commit
 //!
 //! A commit is also the engine's only deleter. Right after its install
 //! and under the locks it already holds it reclaims each shard it
-//! touched ([`EngineInner::reclaim_shard`]); an escalated commit then
-//! offers the multi-shard candidates that turned up — itself included,
-//! which is what removes a read-only multi-shard transaction the moment
-//! it commits — to [`EngineInner::sweep_multi_batch`] under the same
-//! guards, where the coverage check decides. What its locks do not
-//! cover it leaves pending, and after releasing them it runs the
-//! standalone pass if enough are waiting
-//! ([`EngineInner::drain_multi_backlog`]). A session waiting on a full
-//! log device sweeps as a rescue ([`EngineInner::finish_durable`]).
+//! touched ([`EngineInner::reclaim_shard`]) and offers the multi-shard
+//! candidates that turned up — itself included, which is what removes
+//! a read-only multi-shard transaction the moment it commits — to
+//! [`EngineInner::sweep_multi_batch`] under the same guards, where the
+//! coverage check decides. What its locks do not cover it leaves
+//! pending, and after releasing them it runs the standalone pass if
+//! enough are waiting ([`EngineInner::drain_multi_backlog`]). A session
+//! waiting on a full log device sweeps as a rescue
+//! ([`EngineInner::finish_durable`]).
 
 use crate::engine::{EngineInner, Guards, Shard};
 use crate::error::EngineError;
 use crate::history::Event;
 use crate::session::SessionState;
-use deltx_core::Applied;
+use deltx_core::{Applied, CgError};
 use deltx_graph::NodeId;
 use deltx_model::{EntityId, Op, Step, TxnId};
-use deltx_storage::Value;
-use deltx_wal::WalHealth;
+use deltx_storage::{TxnBuffer, Value};
+use deltx_wal::{WalError, WalHealth};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::MutexGuard;
 
-/// The held locks do not cover the operation (its registered span grew,
-/// or the BFS met a twin in an unlocked shard): retake as all-locks.
+/// The held locks do not cover the operation (the BFS met a twin in an
+/// unlocked shard): retake as all-locks.
 #[derive(Debug)]
-struct Stale;
+pub(crate) struct Stale;
 
-/// What a commit installs, gathered from the session's buffers before
-/// any lock is taken.
-struct StagedCommit {
-    /// Shards the transaction read or wrote.
-    involved: BTreeSet<usize>,
-    /// Entities staged per shard.
-    writes: BTreeMap<usize, Vec<EntityId>>,
-    /// Every staged entity, in shard then entity order.
-    all_entities: Vec<EntityId>,
-    /// The durable record's payload: every staged (entity, value)
-    /// pair. Empty without a WAL, and for commits that write nothing —
-    /// they leave no record, having no replayable effect.
-    wal_writes: Vec<(EntityId, Value)>,
+/// A commit's install, gathered before any lock is taken — from a
+/// session's buffers, or from a replayed log record.
+pub(crate) struct StagedCommit {
+    pub(crate) txn: TxnId,
+    /// The staged (entity, value) pairs of each written shard: the
+    /// install, and — flattened — the commit record's payload.
+    pub(crate) writes: BTreeMap<usize, Vec<(EntityId, Value)>>,
+    /// The commit record's submission — made under the locks when
+    /// durability is on and something is written, waited on after they
+    /// are released. A replayed record arrives with the LSN it was
+    /// logged under and is not logged again.
+    pub(crate) submitted: Option<Result<u64, WalError>>,
 }
 
 impl EngineInner {
@@ -105,7 +114,7 @@ impl EngineInner {
         // revisited once per twin node, and each miss costs a stripe
         // lock + clone — pay it once per transaction, not per node.
         let mut spans: HashMap<TxnId, Option<Vec<usize>>> = HashMap::new();
-        for (&s, g) in guards.iter() {
+        for (s, g) in guards.iter() {
             if let Some(n) = g.cg.node_of(from_txn) {
                 visited.insert((s, n));
                 frontier.push((s, n));
@@ -116,27 +125,22 @@ impl EngineInner {
             // registry read is stable: the transaction has a node in a
             // locked shard, so its entry can only be mutated by a
             // thread holding one of the locks we hold.
-            let txn = guards[&s].cg.info(n).txn;
+            let txn = guards[s].cg.info(n).txn;
             let span = spans
                 .entry(txn)
                 .or_insert_with(|| self.coord.reg_get(txn, &self.metrics));
-            if let Some(shards) = span {
-                for &t in shards.iter() {
-                    if t == s {
-                        continue;
+            for &t in span.iter().flatten().filter(|&&t| t != s) {
+                let Some(twin) = guards.get(t)?.cg.node_of(txn) else {
+                    continue;
+                };
+                if visited.insert((t, twin)) {
+                    if targets.contains(&(t, twin)) {
+                        return Some(true);
                     }
-                    let tg = guards.get(&t)?;
-                    if let Some(twin) = tg.cg.node_of(txn) {
-                        if visited.insert((t, twin)) {
-                            if targets.contains(&(t, twin)) {
-                                return Some(true);
-                            }
-                            frontier.push((t, twin));
-                        }
-                    }
+                    frontier.push((t, twin));
                 }
             }
-            for &succ in guards[&s].cg.graph().succs(n) {
+            for &succ in guards[s].cg.graph().succs(n) {
                 if visited.insert((s, succ)) {
                     if targets.contains(&(s, succ)) {
                         return Some(true);
@@ -151,13 +155,14 @@ impl EngineInner {
     /// Aborts `txn` everywhere it has nodes. Caller holds the locks of
     /// every shard the transaction inhabits.
     fn abort_everywhere(&self, guards: &mut Guards<'_>, txn: TxnId) {
-        let multi = self.coord.reg_remove(txn, &self.metrics);
+        let multi = self.coord.reg_remove(txn, &self.metrics).is_some();
         for g in guards.values_mut() {
             if g.cg.node_of(txn).is_some() {
-                if multi.is_some() {
-                    self.dec_boundary(g);
-                }
+                let marks = g.cg.boundary_count();
                 g.cg.abort_txn(txn).expect("live node aborts");
+                if multi {
+                    self.check_mark_dropped(g, marks);
+                }
             }
         }
     }
@@ -168,24 +173,72 @@ impl EngineInner {
     /// `txn`'s node here is neither one nor reaches one (module docs,
     /// fact 1).
     fn sealed(&self, g: &Shard, txn: TxnId) -> bool {
-        let sealed = g.boundary == 0 || !g.cg.boundary_exposed(txn);
+        let marked = g.cg.boundary_count() != 0;
+        let sealed = !marked || !g.cg.boundary_exposed(txn);
         let key = if sealed {
             "gate_sealed"
         } else {
             "gate_exposed"
         };
-        self.rt.emit(key, (g.boundary != 0) as u64);
+        self.rt.emit(key, marked as u64);
         sealed
     }
 
-    /// Runs one escalated operation: lock the transaction's own shards
+    /// Runs one session step's body under the regime it needs: if the
+    /// `entry` shards are one shard and the transaction is sealed there,
+    /// the fast path — that one guard, no union check (`false`), and
+    /// `true` returned. Else [`Self::escalate`], handed the gate's guard
+    /// if it took one, with the union check (`true`), counted as one
+    /// escalated operation. `stale_tag` is what the simulator's coverage
+    /// signal sees on a fallback (0 = read, 1 = commit).
+    fn run_step<'a, T>(
+        &'a self,
+        txn: TxnId,
+        entry: &BTreeSet<usize>,
+        stale_tag: u64,
+        mut body: impl FnMut(&mut Guards<'a>, &BTreeSet<usize>, bool) -> Result<T, Stale>,
+    ) -> (bool, T) {
+        let mut held = None;
+        if let (1, Some(&s)) = (entry.len(), entry.first()) {
+            let g = self.lock_shard(s);
+            if self.sealed(&g, txn) {
+                let mut guards = Guards::from_iter([(s, g)]);
+                let out = body(&mut guards, entry, false);
+                return (true, out.expect("no union check, nothing to go stale"));
+            }
+            // Exposed: escalate, handing the held guard in.
+            held = Some((s, g));
+        }
+        let (out, own, all) =
+            self.escalate(txn, entry, held, |guards, own| body(guards, own, true));
+        let n = self.shards.len();
+        self.metrics.escalated_ops.add(1);
+        if let Some(k) = own {
+            self.metrics.record_escalation(k, n);
+            self.rt.emit("esc_subset", k as u64);
+            if all {
+                self.rt.emit("esc_stale", stale_tag);
+                self.metrics.escalation_fallbacks.add(1);
+            }
+        }
+        if all {
+            self.metrics.record_escalation(n, n);
+        }
+        (false, out)
+    }
+
+    /// The one span-locking protocol: lock the transaction's own shards
     /// — `entry` plus its registered span — ascending (reusing the
-    /// `held` guard of a single-shard operation whose gate failed) and
-    /// run `body` under the guards. If `body` finds them too few
-    /// ([`Stale`]), retake every lock and run `body` again — under all
-    /// locks it cannot go stale. `stale_tag` is what the simulator's
-    /// coverage signal sees when `body` reports staleness (0 = read,
-    /// 1 = commit).
+    /// `held` guard of a single-shard operation whose gate failed),
+    /// re-read the span under the locks, and run `body` with the guards
+    /// and the own shards as re-read. If the span escaped the locks (a
+    /// GC bridge grew it since the read that chose them) or `body` finds
+    /// them too few ([`Stale`]), retake every lock and run `body` again —
+    /// under all locks it cannot go stale. This is the only place that
+    /// computes the own span, checks its coverage, and falls back.
+    /// Returns `body`'s value, the size of the own-span lock set if one
+    /// was taken (not when the own span is every shard), and whether
+    /// every lock was taken.
     ///
     /// `body` runs inside one summary batch per locked shard — its
     /// boundary mark and every Rule 2/3 fan-in coalesce into one
@@ -197,35 +250,94 @@ impl EngineInner {
         txn: TxnId,
         entry: &BTreeSet<usize>,
         mut held: Option<(usize, MutexGuard<'a, Shard>)>,
-        stale_tag: u64,
-        mut body: impl FnMut(&mut Guards<'a>) -> Result<T, Stale>,
-    ) -> T {
-        let n = self.shards.len();
-        self.metrics.escalated_ops.add(1);
-        let mut batched = |mut guards: Guards<'a>| {
-            for g in guards.values_mut() {
-                g.cg.begin_summary_batch();
-            }
-            let out = body(&mut guards);
-            self.flush_summaries(&mut guards);
-            out
+        mut body: impl FnMut(&mut Guards<'a>, &BTreeSet<usize>) -> Result<T, Stale>,
+    ) -> (T, Option<usize>, bool) {
+        let own_span = || {
+            let mut own = entry.clone();
+            own.extend(self.coord.reg_get(txn, &self.metrics).into_iter().flatten());
+            own
         };
-        let mut own = entry.clone();
-        own.extend(self.coord.reg_get(txn, &self.metrics).into_iter().flatten());
-        if own.len() < n {
-            let guards = self.lock_subset(&own, held.take());
-            self.metrics.record_escalation(own.len(), n);
-            self.rt.emit("esc_subset", own.len() as u64);
-            match batched(guards) {
-                Ok(out) => return out,
-                Err(Stale) => self.rt.emit("esc_stale", stale_tag),
+        let mut run = |mut guards: Guards<'a>| {
+            let own = own_span();
+            if own.iter().any(|&s| guards.get(s).is_none()) {
+                return Err(Stale);
             }
-            self.metrics.escalation_fallbacks.add(1);
+            self.batched(&mut guards, |guards| body(guards, &own))
+        };
+        let own = own_span();
+        let subset = (own.len() < self.shards.len()).then_some(own.len());
+        if subset.is_some() {
+            if let Ok(out) = run(self.lock_subset(&own, held.take())) {
+                return (out, subset, false);
+            }
         }
         drop(held); // an own span of every shard: lock_all retakes it
-        let guards = self.lock_all();
-        self.metrics.record_escalation(n, n);
-        batched(guards).expect("all-locks body cannot go stale")
+        let out = run(self.lock_all()).expect("all-locks body cannot go stale");
+        (out, subset, true)
+    }
+
+    /// Rules 1–3 for `step` under `guards`, shared by both bodies:
+    /// create the transaction's missing nodes in `touched` (lazy
+    /// Rule 1), register and mark it if it now spans shards, run the
+    /// union cycle check against the would-be arc sources `targets` —
+    /// `None` where the regime already made the local check exact — and
+    /// apply `step` shard by shard as `subs`. A cycle the union check
+    /// finds aborts the transaction everywhere; a local one (the fast
+    /// path's only check) aborts it in its one shard. Either way `step`
+    /// is recorded as self-aborted. After the union check no local
+    /// check may fail (each is a subset of it): one that does anyway is
+    /// a bug, fatal in debug builds, and in release aborts the
+    /// transaction everywhere, as sub-steps in lower shards are already
+    /// applied.
+    fn apply_step<'s>(
+        &self,
+        guards: &mut Guards<'_>,
+        step: &Step,
+        touched: &BTreeSet<usize>,
+        targets: Option<HashSet<(usize, NodeId)>>,
+        subs: impl IntoIterator<Item = (usize, Cow<'s, Step>)>,
+    ) -> Result<Result<(), EngineError>, Stale> {
+        let txn = step.txn;
+        for &s in touched {
+            let cg = &mut guards.get_mut(s).expect("touched shard is locked").cg;
+            if cg.node_of(txn).is_some() {
+                continue;
+            }
+            let why = match cg.apply(&Step::new(txn, Op::Begin)) {
+                Ok(Applied::Accepted) => continue,
+                Ok(Applied::IgnoredAborted) => "begin for aborted txn",
+                Ok(Applied::SelfAborted) => "begin rejected",
+                Err(e) => return Ok(Err(e.into())),
+            };
+            return Ok(Err(EngineError::Protocol(CgError::WrongModel(why))));
+        }
+        self.note_multi_shard(guards, txn, touched);
+        let aborted = || {
+            self.record_step(step.clone(), Applied::SelfAborted);
+            Ok(Err(EngineError::Aborted(txn)))
+        };
+        let checked = targets.is_some();
+        if let Some(targets) = targets {
+            if self.union_reaches(guards, txn, &targets).ok_or(Stale)? {
+                self.abort_everywhere(guards, txn);
+                return aborted();
+            }
+        }
+        for (s, sub) in subs {
+            let g = guards.get_mut(s).expect("touched shard is locked");
+            match g.cg.apply(&sub) {
+                Ok(Applied::Accepted) => {}
+                Ok(out) if checked => {
+                    debug_assert!(false, "local check is a union subset: {out:?}");
+                    self.abort_everywhere(guards, txn);
+                    return aborted();
+                }
+                Ok(Applied::SelfAborted) => return aborted(),
+                Ok(Applied::IgnoredAborted) => return Ok(Err(EngineError::Closed(txn))),
+                Err(e) => return Ok(Err(e.into())),
+            }
+        }
+        Ok(Ok(()))
     }
 
     /// A transaction's read of `x`.
@@ -234,103 +346,60 @@ impl EngineInner {
         // Yield point: under simulation the scheduler may interleave
         // another session here, before any lock is taken.
         self.rt.yield_now();
-        let s = self.shard_of(x);
-        let single = st.shards.is_empty() || (st.shards.len() == 1 && st.shards.contains(&s));
-        let mut held = None;
-        if single {
-            let mut g = self.lock_shard(s);
-            if self.sealed(&g, st.txn) {
-                // Fast path: no union path from this transaction leaves
-                // the shard, so the local cycle check is complete.
-                Self::ensure_node(&mut g, st.txn)?;
-                let step = Step::new(st.txn, Op::Read(x));
-                let out = g.cg.apply(&step)?;
-                return match out {
-                    Applied::Accepted => {
-                        let v = st.buf(s).read(&g.store, x);
-                        self.record_step(step, Applied::Accepted);
-                        drop(g);
-                        st.shards.insert(s);
-                        self.metrics.reads.add(1);
-                        self.metrics.fast_path_ops.add(1);
-                        Ok(v)
-                    }
-                    Applied::SelfAborted => {
-                        self.record_step(step, Applied::SelfAborted);
-                        drop(g);
-                        self.after_scheduler_abort(st);
-                        Err(EngineError::Aborted(st.txn))
-                    }
-                    Applied::IgnoredAborted => Err(EngineError::Closed(st.txn)),
-                };
-            }
-            // Exposed: escalate, handing the held guard in.
-            held = Some((s, g));
-        }
-        let mut entry: BTreeSet<usize> = st.shards.iter().copied().collect();
-        entry.insert(s);
-        let out = self.escalate(st.txn, &entry, held, 0, |guards| {
-            self.read_escalated_locked(st, x, s, guards)
+        let (txn, s) = (st.txn, self.shard_of(x));
+        // The entry shards: the ones read so far, and this one.
+        let fresh = st.shards.insert(s);
+        let buf = st.bufs.entry(s).or_insert_with(|| TxnBuffer::new(txn));
+        let (fast, out) = self.run_step(txn, &st.shards, 0, |guards, touched, check| {
+            self.read_locked(txn, buf, x, s, guards, touched, check)
         });
         match &out {
             Ok(_) => {
-                st.shards.insert(s);
                 self.metrics.reads.add(1);
+                if fast {
+                    self.metrics.fast_path_ops.add(1);
+                }
             }
             Err(EngineError::Aborted(_)) => self.after_scheduler_abort(st),
-            Err(_) => {}
+            Err(_) => {
+                if fresh {
+                    st.shards.remove(&s);
+                }
+            }
         }
         out
     }
 
-    /// The escalated read under `guards`. `Ok(Err(Aborted))` is the
-    /// scheduler's verdict — the transaction is already out of every
-    /// graph; the caller closes the session once the locks are gone.
-    fn read_escalated_locked(
+    /// The read under `guards`, whatever regime took them; `check` runs
+    /// the union cycle check. `Ok(Err(Aborted))` is the scheduler's
+    /// verdict — the transaction is already out of every graph; the
+    /// caller closes the session once the locks are gone.
+    #[allow(clippy::too_many_arguments)]
+    fn read_locked(
         &self,
-        st: &mut SessionState,
+        txn: TxnId,
+        buf: &mut TxnBuffer,
         x: EntityId,
         s: usize,
         guards: &mut Guards<'_>,
+        touched: &BTreeSet<usize>,
+        check: bool,
     ) -> Result<Result<Value, EngineError>, Stale> {
-        let mut touched: BTreeSet<usize> = st.shards.iter().copied().collect();
-        touched.insert(s);
-        for t in self
-            .coord
-            .reg_get(st.txn, &self.metrics)
-            .into_iter()
-            .flatten()
-        {
-            touched.insert(t);
-        }
-        if touched.iter().any(|t| !guards.contains_key(t)) {
-            return Err(Stale);
-        }
-        if let Err(e) = Self::ensure_node(guards.get_mut(&s).expect("entry shard locked"), st.txn) {
+        let step = Step::new(txn, Op::Read(x));
+        let targets = check.then(|| {
+            let g = &guards[s];
+            let own = g.cg.node_of(txn);
+            let writers = g.cg.writers_of(x).into_iter();
+            writers
+                .filter(|&n| Some(n) != own)
+                .map(|n| (s, n))
+                .collect()
+        });
+        let sub = [(s, Cow::Borrowed(&step))];
+        if let Err(e) = self.apply_step(guards, &step, touched, targets, sub)? {
             return Ok(Err(e));
         }
-        self.note_multi_shard(guards, st.txn, &touched);
-        let own = guards[&s].cg.node_of(st.txn);
-        let targets: HashSet<(usize, NodeId)> = guards[&s]
-            .cg
-            .writers_of(x)
-            .into_iter()
-            .filter(|&n| Some(n) != own)
-            .map(|n| (s, n))
-            .collect();
-        let step = Step::new(st.txn, Op::Read(x));
-        if self.union_reaches(guards, st.txn, &targets).ok_or(Stale)? {
-            self.abort_everywhere(guards, st.txn);
-            self.record_step(step, Applied::SelfAborted);
-            return Ok(Err(EngineError::Aborted(st.txn)));
-        }
-        let g = guards.get_mut(&s).expect("entry shard locked");
-        let out = match g.cg.apply(&step) {
-            Ok(o) => o,
-            Err(e) => return Ok(Err(e.into())),
-        };
-        debug_assert_eq!(out, Applied::Accepted, "local check is a union subset");
-        let v = st.buf(s).read(&g.store, x);
+        let v = buf.read(&guards[s].store, x);
         self.record_step(step, Applied::Accepted);
         Ok(Ok(v))
     }
@@ -342,31 +411,15 @@ impl EngineInner {
         // Yield point: the pre-lock seam where the simulator explores
         // commit-order interleavings.
         self.rt.yield_now();
-        let mut writes: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
+        let mut writes: BTreeMap<usize, Vec<(EntityId, Value)>> = BTreeMap::new();
         for (&s, buf) in &st.bufs {
-            let ws = buf.write_set();
+            let ws = buf.staged_writes();
             if !ws.is_empty() {
                 writes.insert(s, ws);
             }
         }
-        let mut involved: BTreeSet<usize> = st.shards.iter().copied().collect();
+        let mut involved = st.shards.clone();
         involved.extend(writes.keys().copied());
-        let all_entities: Vec<EntityId> = writes.values().flatten().copied().collect();
-        let wal_writes: Vec<(EntityId, Value)> = if self.wal.is_some() {
-            writes
-                .keys()
-                .flat_map(|s| st.bufs[s].staged_writes())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let c = StagedCommit {
-            involved,
-            writes,
-            all_entities,
-            wal_writes,
-        };
-
         // Degraded-mode gate: once the WAL stops accepting records
         // (fsync poisoning, crash, terminal ENOSPC, I/O failure) the
         // engine is loudly read-only. A writing commit is rejected
@@ -374,22 +427,20 @@ impl EngineInner {
         // store — so the in-memory state never drifts ahead of what
         // the log can make durable. The session rolls back like a
         // client abort; reads and read-only commits still succeed.
-        if !c.wal_writes.is_empty() {
-            if let Some(w) = &self.wal {
-                if w.health() != WalHealth::Ok {
-                    let reason = w
-                        .fail_reason()
-                        .map(|e| e.to_string())
-                        .unwrap_or_else(|| "write-ahead log unavailable".to_string());
-                    self.metrics.degraded_commit_rejections.add(1);
-                    self.rt.emit("degraded_reject", 1);
-                    self.client_abort(st);
-                    return Err(EngineError::Durability(reason));
-                }
+        if let Some(w) = self.wal.as_ref().filter(|_| !writes.is_empty()) {
+            if w.health() != WalHealth::Ok {
+                let reason = w
+                    .fail_reason()
+                    .map(|e| e.to_string())
+                    .unwrap_or_else(|| "write-ahead log unavailable".to_string());
+                self.metrics.degraded_commit_rejections.add(1);
+                self.rt.emit("degraded_reject", 1);
+                self.client_abort(st);
+                return Err(EngineError::Durability(reason));
             }
         }
 
-        if c.involved.is_empty() {
+        if involved.is_empty() {
             // Touched nothing: trivially committed (the recorded Begin
             // gives the replayed graph a node; complete it there too).
             self.record_step(
@@ -402,180 +453,118 @@ impl EngineInner {
             return Ok(());
         }
 
-        let mut held = None;
-        if c.involved.len() == 1 {
-            let s = *c.involved.iter().next().unwrap();
-            let mut g = self.lock_shard(s);
-            Self::ensure_node(&mut g, st.txn)?;
-            if self.sealed(&g, st.txn) {
-                let n_written = c.all_entities.len() as u64;
-                let step = Step::new(st.txn, Op::WriteAll(c.all_entities));
-                let out = g.cg.apply(&step)?;
-                return match out {
-                    Applied::Accepted => {
-                        // Submit the commit record while the shard
-                        // lock is held (log order = conflict order)
-                        // and BEFORE the install: a version the log
-                        // refused must never become visible, or GC
-                        // would judge its predecessors noncurrent and
-                        // retire records that are still the only
-                        // durable copy of their entities.
-                        if !c.wal_writes.is_empty() {
-                            if let Some(w) = &self.wal {
-                                st.wal_submit =
-                                    Some(w.submit_commit(st.txn, &c.wal_writes, &[s as u32]));
-                            }
-                        }
-                        if !matches!(st.wal_submit, Some(Err(_))) {
-                            if let Some(buf) = st.bufs.get_mut(&s) {
-                                buf.install(&mut g.store);
-                            }
-                        }
-                        self.record_step(step, Applied::Accepted);
-                        // Delete at the source: whatever this write made
-                        // noncurrent goes now, under the lock already held
-                        // (one lock covers no multi-shard candidate).
-                        let deferred = self.reclaim_shard(&mut g);
-                        drop(g);
-                        if !deferred.is_empty() {
-                            self.defer_multi(deferred);
-                            self.drain_multi_backlog();
-                        }
-                        st.closed = true;
-                        self.finish_durable(st)?;
-                        self.metrics.commits.add(1);
-                        self.metrics.entities_written.add(n_written);
-                        self.metrics.fast_path_ops.add(1);
-                        Ok(())
-                    }
-                    Applied::SelfAborted => {
-                        self.record_step(step, Applied::SelfAborted);
-                        drop(g);
-                        self.after_scheduler_abort(st);
-                        Err(EngineError::Aborted(st.txn))
-                    }
-                    Applied::IgnoredAborted => Err(EngineError::Closed(st.txn)),
-                };
+        let n_written: usize = writes.values().map(Vec::len).sum();
+        let mut c = StagedCommit {
+            txn: st.txn,
+            writes,
+            submitted: None,
+        };
+        let (fast, out) = self.run_step(st.txn, &involved, 1, |guards, touched, check| {
+            self.commit_locked(&mut c, guards, touched, check)
+        });
+        let res = out.and_then(|multi| {
+            // Installed and released. The multi-shard candidates the
+            // locks did not cover wait in `pending_multi`: run the
+            // standalone pass if enough do. Then wait for the log, and
+            // count.
+            if multi {
+                self.drain_multi_backlog();
             }
-            held = Some((s, g));
-        }
-
-        let res = self
-            .escalate(st.txn, &c.involved, held, 1, |guards| {
-                self.commit_escalated_locked(st, &c, guards)
-            })
-            .and_then(|()| {
-                // Installed and released: wait for the log, then count.
-                st.closed = true;
-                self.finish_durable(st)?;
-                self.metrics.commits.add(1);
-                self.metrics
-                    .entities_written
-                    .add(c.all_entities.len() as u64);
-                Ok(())
-            });
+            st.closed = true;
+            self.finish_durable(c.submitted.take())?;
+            self.metrics.commits.add(1);
+            self.metrics.entities_written.add(n_written as u64);
+            if fast {
+                self.metrics.fast_path_ops.add(1);
+            }
+            Ok(())
+        });
         if let Err(EngineError::Aborted(_)) = res {
             self.after_scheduler_abort(st);
         }
-        // The multi-shard candidates this commit's locks did not cover
-        // wait in `pending_multi`; now that the locks are released, run
-        // the standalone pass if enough do.
-        self.drain_multi_backlog();
         res
     }
 
-    /// The escalated commit under `guards`, up to and including the
-    /// install and the deletion at the source. `Ok(Err(Aborted))` is
-    /// the scheduler's verdict, as in [`Self::read_escalated_locked`].
-    fn commit_escalated_locked(
+    /// The commit under `guards` — a live commit's, whatever regime
+    /// took them (`check` runs the union cycle check), or a replayed
+    /// record's — up to and including the install and the deletion at
+    /// the source. `Ok(Ok(true))` means multi-shard candidates turned
+    /// up; `Ok(Err(Aborted))` is the scheduler's verdict, as in
+    /// [`Self::read_locked`].
+    pub(crate) fn commit_locked(
         &self,
-        st: &mut SessionState,
-        c: &StagedCommit,
+        c: &mut StagedCommit,
         guards: &mut Guards<'_>,
-    ) -> Result<Result<(), EngineError>, Stale> {
-        let mut touched: BTreeSet<usize> = c.involved.clone();
-        for t in self
-            .coord
-            .reg_get(st.txn, &self.metrics)
-            .into_iter()
-            .flatten()
-        {
-            touched.insert(t);
-        }
-        if touched.iter().any(|t| !guards.contains_key(t)) {
-            return Err(Stale);
-        }
-        for &s in &touched {
-            if let Err(e) = Self::ensure_node(guards.get_mut(&s).expect("locked"), st.txn) {
-                return Ok(Err(e));
-            }
-        }
-        self.note_multi_shard(guards, st.txn, &touched);
+        touched: &BTreeSet<usize>,
+        check: bool,
+    ) -> Result<Result<bool, EngineError>, Stale> {
+        let txn = c.txn;
+        let entities = |xs: Option<&Vec<(EntityId, Value)>>| {
+            xs.into_iter().flatten().map(|&(x, _)| x).collect()
+        };
         // Rule 3 arc sources for the combined atomic write.
-        let mut targets: HashSet<(usize, NodeId)> = HashSet::new();
-        for (&s, xs) in &c.writes {
-            let own = guards[&s].cg.node_of(st.txn);
-            for &x in xs {
-                for n in guards[&s].cg.accessors_of(x) {
-                    if Some(n) != own {
-                        targets.insert((s, n));
-                    }
+        let targets = check.then(|| {
+            let mut targets = HashSet::new();
+            for (&s, xs) in &c.writes {
+                let g = &guards[s];
+                let own = g.cg.node_of(txn);
+                for &(x, _) in xs {
+                    let sources = g.cg.accessors_of(x).into_iter();
+                    targets.extend(sources.filter(|&n| Some(n) != own).map(|n| (s, n)));
                 }
             }
+            targets
+        });
+        let all = c.writes.values().flatten().map(|&(x, _)| x).collect();
+        let step = Step::new(txn, Op::WriteAll(all));
+        // Shard by shard; in one shard the step is its own sub-step.
+        let subs = touched.iter().map(|&s| match c.writes.get(&s) {
+            _ if touched.len() == 1 => (s, Cow::Borrowed(&step)),
+            xs => (s, Cow::Owned(Step::new(txn, Op::WriteAll(entities(xs))))),
+        });
+        if let Err(e) = self.apply_step(guards, &step, touched, targets, subs)? {
+            return Ok(Err(e));
         }
-        let step = Step::new(st.txn, Op::WriteAll(c.all_entities.clone()));
-        if self.union_reaches(guards, st.txn, &targets).ok_or(Stale)? {
-            self.abort_everywhere(guards, st.txn);
-            self.record_step(step, Applied::SelfAborted);
-            return Ok(Err(EngineError::Aborted(st.txn)));
-        }
-        // Submit the commit record while every involved shard lock is
+        // Submit the commit record while every touched shard lock is
         // still held, so the log order of conflicting commits matches
-        // their serialization order — and BEFORE the installs below: a
+        // their serialization order — and BEFORE the install below: a
         // version the log refused must never become visible, or GC
         // would judge its predecessors noncurrent and retire records
         // that are still the only durable copy of their entities. The
         // durable wait happens after the locks are released.
-        if !c.wal_writes.is_empty() {
-            if let Some(w) = &self.wal {
-                let spans: Vec<u32> = touched.iter().map(|&s| s as u32).collect();
-                st.wal_submit = Some(w.submit_commit(st.txn, &c.wal_writes, &spans));
-            }
+        let log = c.submitted.is_none() && !c.writes.is_empty();
+        if let Some(w) = self.wal.as_ref().filter(|_| log) {
+            let record: Vec<_> = c.writes.values().flatten().copied().collect();
+            let spans: Vec<u32> = touched.iter().map(|&s| s as u32).collect();
+            c.submitted = Some(w.submit_commit(txn, &record, &spans));
         }
-        let wal_ok = !matches!(st.wal_submit, Some(Err(_)));
-        let empty: Vec<EntityId> = Vec::new();
-        for &s in &touched {
-            let xs = c.writes.get(&s).unwrap_or(&empty);
-            let sub = Step::new(st.txn, Op::WriteAll(xs.clone()));
-            let g = guards.get_mut(&s).expect("locked");
-            let out = match g.cg.apply(&sub) {
-                Ok(o) => o,
-                Err(e) => return Ok(Err(e.into())),
-            };
-            debug_assert_eq!(out, Applied::Accepted, "local check is a union subset");
-            if !xs.is_empty() && wal_ok {
-                if let Some(buf) = st.bufs.get_mut(&s) {
-                    buf.install(&mut g.store);
+        if !matches!(c.submitted, Some(Err(_))) {
+            for (&s, xs) in &c.writes {
+                let g = guards.get_mut(s).expect("locked");
+                for &(x, v) in xs {
+                    g.store.write(x, v, txn);
                 }
             }
         }
         self.record_step(step, Applied::Accepted);
-        // Delete at the source, as on the fast path: each touched shard
-        // reclaims what this write made noncurrent there. The
-        // multi-shard candidates among them — this transaction included,
-        // if it spans shards — are offered to the multi-shard deletion
-        // under the guards already held; its coverage check decides, and
-        // what these locks do not cover waits for the standalone pass.
+        // Delete at the source: each touched shard reclaims what this
+        // write made noncurrent there. The multi-shard candidates among
+        // them — this transaction included, if it spans shards — are
+        // offered to the multi-shard deletion under the guards already
+        // held; its coverage check decides, and what these locks do not
+        // cover (with one lock: all of them) waits for the standalone
+        // pass.
         let mut multi: Vec<TxnId> = Vec::new();
-        for &s in &touched {
-            multi.extend(self.reclaim_shard(guards.get_mut(&s).expect("locked")));
+        for &s in touched {
+            multi.extend(self.reclaim_shard(guards.get_mut(s).expect("locked")));
         }
-        if !multi.is_empty() {
-            multi.sort_unstable();
-            multi.dedup(); // one entry per shard it was queued in
-            self.defer_multi(self.sweep_multi_batch(guards, &multi));
+        if multi.is_empty() {
+            return Ok(Ok(false));
         }
-        Ok(Ok(()))
+        multi.sort_unstable();
+        multi.dedup(); // one entry per shard it was queued in
+        self.defer_multi(self.sweep_multi_batch(guards, &multi));
+        Ok(Ok(true))
     }
 
     /// Completes a commit's durability: waits for the group-commit
@@ -591,8 +580,8 @@ impl EngineInner {
     /// [`Self::gc_sweep`] — every deletion can retire a sealed segment
     /// and free the bytes the parked append needs. The WAL never runs
     /// it while this session owns the flush.
-    fn finish_durable(&self, st: &mut SessionState) -> Result<(), EngineError> {
-        let Some(sub) = st.wal_submit.take() else {
+    fn finish_durable(&self, submitted: Option<Result<u64, WalError>>) -> Result<(), EngineError> {
+        let Some(sub) = submitted else {
             return Ok(());
         };
         let lsn = sub.map_err(|e| EngineError::Durability(e.to_string()))?;
@@ -606,58 +595,22 @@ impl EngineInner {
             .map_err(|e| EngineError::Durability(e.to_string()))
     }
 
-    /// Client rollback (or session drop): locks only the shards the
-    /// transaction inhabits (its read set plus registered ghost
-    /// shards), widening to all locks in the rare race where a GC
-    /// bridge grows the registry entry mid-acquisition. Not an
-    /// [`Self::escalate`] client: there is no cycle to check, so the
-    /// registry re-read under the held locks is the whole protocol.
+    /// Client rollback (or session drop): aborts the transaction's
+    /// nodes under [`Self::escalate`]'s locks — its own shards, or every
+    /// shard if a GC bridge grew its span mid-acquisition. There is no
+    /// cycle to check, so nothing counts as an escalated operation.
     pub(crate) fn client_abort(&self, st: &mut SessionState) {
         if st.closed {
             return;
         }
         st.closed = true;
-        for attempt in 0..2 {
-            let subset: BTreeSet<usize> = {
-                let mut s: BTreeSet<usize> = st.shards.iter().copied().collect();
-                s.extend(
-                    self.coord
-                        .reg_get(st.txn, &self.metrics)
-                        .into_iter()
-                        .flatten(),
-                );
-                s
-            };
-            if subset.is_empty() {
-                // Never touched a shard.
-                self.record(Event::ClientAbort(st.txn));
-                self.metrics.aborts_voluntary.add(1);
-                self.metrics.txns_left(1);
-                return;
-            }
-            let mut guards = if attempt == 0 {
-                self.lock_subset(&subset, None)
-            } else {
-                self.lock_all()
-            };
-            let grown = self
-                .coord
-                .reg_get(st.txn, &self.metrics)
-                .into_iter()
-                .flatten()
-                .any(|t| !guards.contains_key(&t));
-            if grown {
-                drop(guards);
-                continue;
-            }
-            self.abort_everywhere(&mut guards, st.txn);
+        self.escalate(st.txn, &st.shards, None, |guards, _| {
+            self.abort_everywhere(guards, st.txn);
             self.record(Event::ClientAbort(st.txn));
-            drop(guards);
-            self.metrics.aborts_voluntary.add(1);
-            self.metrics.txns_left(1);
-            return;
-        }
-        unreachable!("second attempt holds every lock");
+            Ok(())
+        });
+        self.metrics.aborts_voluntary.add(1);
+        self.metrics.txns_left(1);
     }
 
     fn after_scheduler_abort(&self, st: &mut SessionState) {
@@ -688,7 +641,7 @@ mod tests {
         let mut guards_seen: Vec<usize> = Vec::new();
         let out = e
             .inner
-            .escalate(TxnId(1), &BTreeSet::from([0]), None, 0, |guards| {
+            .escalate(TxnId(1), &BTreeSet::from([0]), None, |guards, _| {
                 guards_seen.push(guards.len());
                 if guards_seen.len() == 1 {
                     Err(Stale)
@@ -697,11 +650,9 @@ mod tests {
                 }
             });
         assert_eq!(guards_seen, [1, n], "own shards, then every shard");
-        assert_eq!(out, 2, "the second call's value is returned");
-        let m = e.metrics();
-        assert_eq!(m.escalation_fallbacks, 1);
-        assert_eq!(m.escalated_partial, 1);
-        assert_eq!(m.escalated_locks_taken, 1 + n as u64);
+        assert_eq!(out, (2, Some(1), true), "the second call's value");
+        // The lock protocol counts nothing; its callers do.
+        assert_eq!(e.metrics().escalated_locks_taken, 0);
     }
 
     #[test]
@@ -712,20 +663,22 @@ mod tests {
             .coord
             .reg_insert(t, &BTreeSet::from([0, 3]), &e.inner.metrics);
         let mut seen: Vec<Vec<usize>> = Vec::new();
-        e.inner
-            .escalate(t, &BTreeSet::from([0]), None, 0, |guards| {
-                seen.push(guards.keys().copied().collect());
+        let out = e
+            .inner
+            .escalate(t, &BTreeSet::from([0]), None, |guards, own| {
+                assert_eq!(own, &BTreeSet::from([0, 3]), "entry ∪ span, re-read");
+                seen.push(guards.iter().map(|(s, _)| s).collect());
                 Ok::<_, Stale>(())
             });
         assert_eq!(seen, [vec![0, 3]], "first attempt: entry ∪ registered span");
-        assert_eq!(e.metrics().escalation_fallbacks, 0);
+        assert_eq!(out, ((), Some(2), false), "no fallback");
         // A held guard that is not the lowest of the set would break the
         // ascending order: it is dropped and retaken in turn.
         let held = (3, e.inner.lock_shard(3));
         SHARD_LOCKS.with(|c| c.set(0));
         e.inner
-            .escalate(t, &BTreeSet::from([3]), Some(held), 0, |guards| {
-                seen.push(guards.keys().copied().collect());
+            .escalate(t, &BTreeSet::from([3]), Some(held), |guards, _| {
+                seen.push(guards.iter().map(|(s, _)| s).collect());
                 Ok::<_, Stale>(())
             });
         assert_eq!(seen[1], [0, 3]);
@@ -757,5 +710,57 @@ mod tests {
             locks, 1,
             "the gate's guard was handed to escalate, not dropped and retaken"
         );
+    }
+
+    #[test]
+    fn client_abort_of_a_ghosted_active_reader_clears_every_shard() {
+        // P reads in shard 0 and stays active; N (spanning {0, 1})
+        // follows it in 0 and precedes Q in 1. Deleting N must bridge
+        // P -> Q, and the two share no shard: GC ghosts the active P
+        // into 1, so P's span is wider than its read set.
+        let e = engine(2);
+        let mut p = e.begin();
+        let pid = p.id();
+        p.read(0).unwrap();
+        let mut n = e.begin();
+        n.write(0, 1); // P -> N in 0
+        n.write(1, 1);
+        n.commit().unwrap();
+        let mut q = e.begin();
+        q.read(1).unwrap(); // N -> Q in 1
+        for x in [0, 1] {
+            let mut o = e.begin(); // overwrite: N becomes noncurrent
+            o.write(x, 2);
+            o.commit().unwrap();
+        }
+        e.gc_sweep();
+        assert_eq!(e.metrics().gc_ghosts, 1, "P ghosted into shard 1");
+        let span = e.inner.coord.reg_get(pid, &e.inner.metrics);
+        assert_eq!(span, Some(vec![0, 1]));
+        let before = e.metrics();
+        p.abort();
+        for s in 0..2 {
+            let g = e.inner.shards[s].lock().unwrap();
+            assert!(g.cg.node_of(pid).is_none(), "P left a node in shard {s}");
+        }
+        assert_eq!(e.inner.coord.reg_get(pid, &e.inner.metrics), None);
+        let after = e.metrics();
+        assert_eq!(after.aborts_voluntary, before.aborts_voluntary + 1);
+        assert_eq!(
+            (
+                after.escalated_ops,
+                after.fast_path_ops,
+                after.boundary_underflows
+            ),
+            (before.escalated_ops, before.fast_path_ops, 0),
+            "a client abort is no escalated operation"
+        );
+        q.commit().unwrap();
+        e.gc_sweep();
+        for s in 0..2 {
+            let marks = e.inner.shards[s].lock().unwrap().cg.boundary_count();
+            assert_eq!(marks, 0, "shard {s} kept a boundary mark");
+        }
+        e.summary_audit().unwrap();
     }
 }

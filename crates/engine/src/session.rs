@@ -4,7 +4,6 @@ use crate::engine::EngineInner;
 use crate::error::EngineError;
 use deltx_model::{EntityId, TxnId};
 use deltx_storage::{TxnBuffer, Value};
-use deltx_wal::WalError;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -18,11 +17,6 @@ pub(crate) struct SessionState {
     pub(crate) bufs: HashMap<usize, TxnBuffer>,
     /// Set once the transaction committed or aborted.
     pub(crate) closed: bool,
-    /// The commit record's WAL submission, made under the commit's
-    /// shard locks; the LSN (or submit failure) the commit path waits
-    /// on after releasing them. `None` when durability is off or the
-    /// commit wrote nothing.
-    pub(crate) wal_submit: Option<Result<u64, WalError>>,
 }
 
 impl SessionState {
@@ -63,7 +57,6 @@ impl Session {
                 shards: BTreeSet::new(),
                 bufs: HashMap::new(),
                 closed: false,
-                wal_submit: None,
             },
         }
     }

@@ -66,7 +66,7 @@ pub mod planted {
     /// pred x succ bridging arcs, silently losing ordering constraints
     /// across deleted transactions. Lives here (the dependency root)
     /// so both the core delete path and the engine's cross-shard
-    /// bridge mirror read one toggle.
+    /// ghost bridging read one toggle.
     pub fn set_drop_gc_bridge_bug(on: bool) {
         DROP_GC_BRIDGE.store(on, Ordering::SeqCst);
     }

@@ -10,7 +10,7 @@
 //!   running — there is no writer thread; a session's commit
 //!   backpressure is exactly "wait for the fsync covering my LSN".
 //! - **GC-driven checkpointing** ([`Wal::note_deleted`]): when the
-//!   engine's noncurrent/C1/C2 sweep deletes a transaction `D(G,N)`
+//!   engine's noncurrent rule deletes a transaction `D(G,N)`
 //!   and truncates its versions, the WAL decrements that commit's
 //!   segment live count; sealed all-dead segments are removed. The
 //!   log stays bounded by the live graph — recovery is `O(live)`,

@@ -8,7 +8,7 @@
 //! locks of their commit, so the append order of commit records equals
 //! the serialization order of conflicting transactions. The call only
 //! enqueues bytes and returns the record's LSN. After releasing its
-//! locks the session calls [`Wal::wait_durable`] with its LSN, and
+//! locks the session calls [`Wal::wait_durable_with`] with its LSN, and
 //! there is no writer thread: a waiter that finds records pending and
 //! no flush running **becomes the flusher** — it takes the whole
 //! pending batch, writes and syncs it with no log lock held, advances
@@ -47,8 +47,8 @@
 //! # GC-driven checkpointing
 //!
 //! Each commit record is charged to the segment holding it. When the
-//! engine's deletion sweep (the paper's `D(G,N)` applied under the
-//! noncurrent/C1/C2 policies) deletes a transaction and truncates its
+//! engine's deletion (the paper's `D(G,N)` applied under the
+//! noncurrent rule) deletes a transaction and truncates its
 //! versions, it also calls [`Wal::note_deleted`]; a sealed segment
 //! whose live count reaches zero is removed from disk. Deletion **is**
 //! the checkpoint boundary: no separate checkpoint writer exists, and

@@ -11,8 +11,8 @@
 //! #                       cross-shard % ──────────────────────┘
 //! #   flags (any order): "--contention": cross traffic hits many DISJOINT hot
 //! #                       shard pairs (0↔1, 2↔3, …) instead of uniform pairs —
-//! #                       the worst case for a single coordination mutex, the
-//! #                       best case for the sharded registry
+//! #                       span-closed traffic, whose escalations and
+//! #                       multi-shard deletions lock two shards each
 //! #                      "--durable": run with the write-ahead log enabled,
 //! #                       then drop the engine, replay the log into a fresh
 //! #                       one, and assert every balance survived the crash
