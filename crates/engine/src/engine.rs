@@ -16,9 +16,7 @@ use deltx_model::{EntityId, Op, Step, TxnId};
 use deltx_runtime::{OsRuntime, Runtime};
 use deltx_sched::StateSize;
 use deltx_storage::{Store, Value};
-use deltx_wal::{
-    CrashPoint, DurabilityConfig, QuarantinedSegment, RecoveryScan, Wal, WalHealth, WalStats,
-};
+use deltx_wal::{CrashPoint, DurabilityConfig, RecoveryScan, Wal, WalHealth, WalStats};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -68,22 +66,10 @@ impl Default for EngineConfig {
 pub struct RecoveryReport {
     /// Committed transactions replayed into the fresh engine.
     pub commits_replayed: u64,
-    /// Segment files present when the scan started.
-    pub segments_scanned: u64,
-    /// Segments discarded (past a corruption, or holding no commits).
-    pub segments_dropped: u64,
-    /// Bytes cut from the log (torn tails plus dropped segments).
-    pub bytes_discarded: u64,
-    /// Whether a torn or corrupt tail was found and truncated.
-    pub torn_tail: bool,
-    /// Highest LSN surviving the scan.
-    pub max_lsn: u64,
-    /// Sealed mid-log segments the recovery scrub moved aside (only
-    /// under [`deltx_wal::RecoverPolicy::Quarantine`]; the default
-    /// strict policy refuses to open instead). Each entry names the
-    /// exact LSN range whose records are gone — surviving commits
-    /// outside those ranges were replayed normally.
-    pub quarantined: Vec<QuarantinedSegment>,
+    /// What the log's recovery scrub found on disk: torn tails cut,
+    /// segments dropped or quarantined with their lost LSN ranges, the
+    /// highest surviving LSN. All zeros for a non-durable engine.
+    pub scan: RecoveryScan,
     /// Wall-clock time of the whole open: scan + replay + the
     /// checkpointing GC sweep.
     pub elapsed: Duration,
@@ -240,12 +226,7 @@ impl Engine {
         }
         let report = RecoveryReport {
             commits_replayed: replayed,
-            segments_scanned: scan.segments_scanned,
-            segments_dropped: scan.segments_dropped,
-            bytes_discarded: scan.bytes_discarded,
-            torn_tail: scan.torn_tail,
-            max_lsn: scan.max_lsn,
-            quarantined: scan.quarantined,
+            scan,
             elapsed: rt.now().saturating_sub(t0),
         };
         Ok((engine, report))

@@ -164,7 +164,7 @@ fn every_crash_point_recovers_to_the_oracle_state() {
         );
         if cp == CrashPoint::MidFlushTorn {
             assert!(
-                report.torn_tail && report.bytes_discarded > 0,
+                report.scan.torn_tail && report.scan.bytes_discarded > 0,
                 "[{ctx}] a torn record must be detected and cut: {report:?}"
             );
         }
@@ -357,7 +357,7 @@ fn torn_write_at_any_offset_recovers_a_clean_prefix() {
         assert_eq!(sum, 0, "[{ctx}] recovery must land on a consistent prefix");
         if off > 0 && off != u32::MAX {
             assert!(
-                report.torn_tail && u64::from(off) == report.bytes_discarded,
+                report.scan.torn_tail && u64::from(off) == report.scan.bytes_discarded,
                 "[{ctx}] the {off}-byte prefix must be cut exactly: {report:?}"
             );
         }

@@ -389,13 +389,13 @@ fn run_corrupt_sealed(seed: u64) {
     // Quarantine: open with the survivors and an exact loss report.
     let (r, report) = Engine::open(config(&dir, None, 256, false, RecoverPolicy::Quarantine))
         .expect("quarantine open");
-    let quarantined: Vec<u64> = report.quarantined.iter().map(|q| q.segment).collect();
+    let quarantined: Vec<u64> = report.scan.quarantined.iter().map(|q| q.segment).collect();
     assert_eq!(
         quarantined,
         vec![victim],
         "[{ctx}] exactly the corrupted segment is quarantined [seed {seed}]"
     );
-    let q = &report.quarantined[0];
+    let q = &report.scan.quarantined[0];
     assert!(
         q.lost_after > 0 && q.resume_at > q.lost_after,
         "[{ctx}] a mid-log gap has survivors on both sides: {q:?} [seed {seed}]"

@@ -1417,7 +1417,8 @@ fn run_disk_body(
                 )
             });
             assert_eq!(
-                rec.quarantined
+                rec.scan
+                    .quarantined
                     .iter()
                     .map(|q| q.segment)
                     .collect::<Vec<_>>(),
@@ -1425,7 +1426,7 @@ fn run_disk_body(
                 "[{} seed {seed}] quarantine must isolate exactly the corrupted segment",
                 spec.name
             );
-            for q in &rec.quarantined {
+            for q in &rec.scan.quarantined {
                 fnv1a(&mut fp, &q.segment.to_le_bytes());
                 fnv1a(&mut fp, &q.lost_after.to_le_bytes());
                 fnv1a(&mut fp, &q.resume_at.to_le_bytes());

@@ -1,7 +1,8 @@
-//! Planted-bug regressions: reintroduce two known-fixed bugs behind
-//! the `planted` feature's runtime toggles and assert the schedule
-//! search actually finds them — within a CI-sized budget — and that
-//! the minimizer shrinks each failure to a small deterministic repro.
+//! Planted-bug regressions: reintroduce three known bugs behind the
+//! `planted` feature's runtime toggles and assert the schedule search
+//! actually finds them — within a CI-sized budget — and that the
+//! minimizer shrinks each hunted failure to a small deterministic
+//! repro.
 //!
 //! * `bitset_trailing_word` — the PR-4 `BitSet` family: equality that
 //!   ignores a long operand's trailing words plus a `copy_from` that
@@ -11,6 +12,9 @@
 //!   bridge arcs. Surfaces under perpetual contention
 //!   (`hot_contention`), where abort-driven mask recomputes rebuild
 //!   reachability from the bridgeless graph.
+//! * `retry_after_fsync_fail` — a flusher that retries a failed fsync
+//!   and acknowledges the batch. The `disk_fsync_poison` scenario's
+//!   health oracle catches it on every schedule.
 //!
 //! The toggles are process-global, so every test serializes behind
 //! one mutex and disarms through a drop guard even on panic.

@@ -1,25 +1,33 @@
 //! `deltx-wal` — durability for the deletion-centric engine.
 //!
 //! A segmented write-ahead log whose checkpointing *is* the paper's
-//! deletion machinery. Three ideas, one per module boundary:
+//! deletion machinery. Three ideas, all in the `log` module:
 //!
-//! - **Group commit** ([`Wal::submit_commit`] / [`Wal::wait_durable`]):
-//!   commit records are enqueued under the committing session's shard
-//!   locks (log order = serialization order for conflicting commits)
-//!   and flushed in batches by the first waiter to find no flush
-//!   running — there is no writer thread; a session's commit
-//!   backpressure is exactly "wait for the fsync covering my LSN".
+//! - **Group commit** ([`Wal::submit_commit`] /
+//!   [`Wal::wait_durable_with`]): commit records are enqueued under the
+//!   committing session's shard locks (log order = serialization order
+//!   for conflicting commits) and flushed in batches by the first
+//!   waiter to find no flush running — there is no writer thread; a
+//!   session's commit backpressure is exactly "wait for the fsync
+//!   covering my LSN".
 //! - **GC-driven checkpointing** ([`Wal::note_deleted`]): when the
 //!   engine's noncurrent rule deletes a transaction `D(G,N)`
 //!   and truncates its versions, the WAL decrements that commit's
-//!   segment live count; sealed all-dead segments are removed. The
-//!   log stays bounded by the live graph — recovery is `O(live)`,
-//!   not `O(history)`, the durability analogue of Theorem 2.
+//!   segment live count; a sealed all-dead segment is removed once
+//!   every commit that superseded its writes is durable (its
+//!   superseded ceiling). The log stays bounded by the live graph —
+//!   recovery is `O(live)`, not `O(history)`, the durability analogue
+//!   of Theorem 2.
 //! - **Crash-point fault injection** ([`Wal::arm_crash`],
 //!   [`CrashPoint`]): a planted crash executes inside the commit path,
 //!   discards un-flushed batches, and tampers the on-disk tail to
 //!   match the scenario, so recovery tests exercise exactly the disk
 //!   images real kills produce.
+//!
+//! The `record` module holds the one on-disk record type,
+//! [`CommitRecord`], and its framing; `storage` holds the
+//! [`WalStorage`] seam every byte goes through, with the
+//! [`FaultyStorage`] fault injector.
 //!
 //! Why truncation is safe: the noncurrent deletion policy never
 //! deletes the *current* writer of any entity (Corollary 1's test),
@@ -34,10 +42,10 @@ mod record;
 mod storage;
 
 pub use crate::log::{
-    CommitRecord, CrashPoint, DurabilityConfig, QuarantinedSegment, RecoverPolicy, RecoveryScan,
-    Wal, WalError, WalHealth, WalStats, ALL_CRASH_POINTS, FLUSH_BUCKET_UPPER_NANOS,
+    CrashPoint, DurabilityConfig, QuarantinedSegment, RecoverPolicy, RecoveryScan, Wal, WalError,
+    WalHealth, WalStats, ALL_CRASH_POINTS, FLUSH_BUCKET_UPPER_NANOS,
 };
-pub use crate::record::{crc32, decode, encode_commit, DecodeError, WalRecord};
+pub use crate::record::{crc32, decode, encode_commit, CommitRecord, DecodeError};
 pub use crate::storage::{
     FaultSpec, FaultyStorage, FsStorage, StorageError, StorageResult, WalStorage, SECTOR_BYTES,
 };

@@ -96,7 +96,7 @@
 //! the lost LSN range is reported per segment in
 //! [`RecoveryScan::quarantined`].
 
-use crate::record::{decode, encode_commit, DecodeError, WalRecord};
+use crate::record::{decode, encode_commit, CommitRecord, DecodeError};
 use crate::storage::{FsStorage, StorageError, StorageResult, WalStorage};
 use deltx_model::{EntityId, TxnId};
 use deltx_runtime::{Backoff, OsRuntime, RtEvent, Runtime};
@@ -269,19 +269,6 @@ impl WalHealth {
     }
 }
 
-/// A commit record surfaced by the recovery scan, in LSN order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommitRecord {
-    /// Log sequence number.
-    pub lsn: u64,
-    /// The committed transaction.
-    pub txn: TxnId,
-    /// The writeset with installed values, in install order.
-    pub writes: Vec<(EntityId, Value)>,
-    /// Shard indices the transaction touched when it committed.
-    pub shards: Vec<u32>,
-}
-
 /// A sealed segment the recovery scrub moved aside because it held
 /// mid-log corruption, with the precise LSN range that is gone.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -428,30 +415,40 @@ struct SegmentMeta {
     /// be unlinked once `durable_lsn` passes it, or a crash between
     /// the unlink and their flush would lose BOTH copies.
     superseded_ceiling: u64,
-    /// The ceiling frozen at the moment `live` reached zero.
-    retire_barrier: u64,
 }
 
+impl SegmentMeta {
+    /// A segment holding `live` commits in `bytes` durable bytes:
+    /// sealed when recovered with commits, the fresh active segment
+    /// when both are zero.
+    fn new(live: usize, bytes: u64) -> Self {
+        SegmentMeta {
+            live,
+            sealed: live > 0,
+            bytes,
+            durable: bytes,
+            superseded_ceiling: 0,
+        }
+    }
+}
+
+#[derive(Default)]
 struct WalState {
     segments: BTreeMap<u64, SegmentMeta>,
     active: u64,
     /// Which segment holds each live transaction's commit record.
     txn_seg: HashMap<TxnId, u64>,
-    /// Each entity's current writer: `(lsn, segment)` of the newest
-    /// commit that wrote it. Moving an entity's writer off a segment
-    /// folds the new LSN into the old segment's superseded ceiling.
-    current_writer: HashMap<EntityId, (u64, u64)>,
+    /// The segment holding each entity's newest write.
+    current_writer: HashMap<EntityId, u64>,
     /// Encoded bytes awaiting a flusher, coalesced per segment.
     pending: Vec<(u64, Vec<u8>)>,
     pending_recs: u64,
+    /// LSN the next record gets; the newest enqueued is one below.
     next_lsn: u64,
-    /// LSN of the newest enqueued record.
-    last_enqueued: u64,
     durable_lsn: u64,
-    /// Segments the running flush appends to or syncs.
+    /// Segments the running flush appends to or syncs: non-empty
+    /// exactly while a waiter flushes a batch.
     writing: HashSet<u64>,
-    /// A waiter is flushing a batch; the others wait for it.
-    flushing: bool,
     /// `(segment, bytes)` a flush parked on `ENOSPC` had already
     /// appended: on disk, not yet synced. The flush that leads the
     /// retry syncs them with its own.
@@ -461,13 +458,33 @@ struct WalState {
     /// [`Wal::space_pressure`] is raised.
     parked: Option<(Backoff, Duration)>,
     armed: Option<CrashPoint>,
-    crashed: bool,
-    /// Why the log stopped, when it stopped for a reason more precise
-    /// than [`WalError::Crashed`] (poisoned fsync, exhausted ENOSPC,
-    /// exhausted transient retries).
+    /// Why the log stopped — an injected crash, a poisoned fsync,
+    /// exhausted `ENOSPC` or transient retries; `Some` exactly once it
+    /// has.
     fail: Option<WalError>,
     /// `close()` has begun: no record is accepted any more.
     closing: bool,
+}
+
+impl WalState {
+    /// A waiter is flushing a batch; the others wait for it.
+    fn flushing(&self) -> bool {
+        !self.writing.is_empty()
+    }
+
+    /// Makes `seg` the current writer of each entity in `writes`; a
+    /// segment that loses one learns it is superseded up to `lsn`.
+    fn supersede(&mut self, writes: &[(EntityId, Value)], lsn: u64, seg: u64) {
+        for (e, _) in writes {
+            let prev = self.current_writer.insert(*e, seg);
+            if let Some(m) = prev
+                .filter(|&p| p != seg)
+                .and_then(|p| self.segments.get_mut(&p))
+            {
+                m.superseded_ceiling = m.superseded_ceiling.max(lsn);
+            }
+        }
+    }
 }
 
 #[derive(Default)]
@@ -520,7 +537,6 @@ impl Wal {
             WalError::Crashed => WalHealth::Crashed,
             _ => WalHealth::Failed,
         });
-        st.crashed = true;
         st.fail = Some(e);
         st.pending.clear();
         st.pending_recs = 0;
@@ -530,17 +546,17 @@ impl Wal {
 }
 
 /// Removes every sealed segment whose commits are all deleted, whose
-/// retirement barrier is durable, and that no in-flight, parked or
-/// pending write still references.
-fn collect_dead(st: &mut WalState, active: u64, wal: &Wal) {
+/// superseded ceiling is durable (no newer record needs to be), and
+/// that no in-flight, parked or pending write still references.
+fn collect_dead(st: &mut WalState, wal: &Wal) {
     let dead: Vec<u64> = st
         .segments
         .iter()
         .filter(|(id, m)| {
             m.sealed
                 && m.live == 0
-                && st.durable_lsn >= m.retire_barrier
-                && **id != active
+                && st.durable_lsn >= m.superseded_ceiling
+                && **id != st.active
                 && !st.writing.contains(id)
                 && !st.unsynced.iter().any(|(s, _)| s == *id)
                 && !st.pending.iter().any(|(s, _)| s == *id)
@@ -563,7 +579,7 @@ fn io_err(e: StorageError) -> std::io::Error {
 struct SegScrub {
     id: u64,
     /// Decoded records with their end byte offsets, valid prefix only.
-    recs: Vec<(WalRecord, u64)>,
+    recs: Vec<(CommitRecord, u64)>,
     /// Byte length of the valid record prefix.
     valid_len: u64,
     /// Bytes on disk.
@@ -657,11 +673,11 @@ impl Wal {
         for s in &mut scrubs {
             let mut keep = s.recs.len();
             for (i, (rec, _)) in s.recs.iter().enumerate() {
-                if rec.lsn() <= last_lsn {
+                if rec.lsn <= last_lsn {
                     keep = i;
                     break;
                 }
-                last_lsn = rec.lsn();
+                last_lsn = rec.lsn;
             }
             if keep < s.recs.len() {
                 s.bad = true;
@@ -676,18 +692,15 @@ impl Wal {
         // torn tail (cut). An unreadable segment is always treated as
         // corruption — there is no prefix to keep.
         let mut commits: Vec<CommitRecord> = Vec::new();
-        let mut segments: BTreeMap<u64, SegmentMeta> = BTreeMap::new();
-        let mut txn_seg: HashMap<TxnId, u64> = HashMap::new();
-        let mut current_writer: HashMap<EntityId, (u64, u64)> = HashMap::new();
+        let mut st = WalState::default();
         let mut max_lsn = 0u64;
         for i in 0..scrubs.len() {
-            let has_later = scrubs[i + 1..].iter().any(|t| !t.recs.is_empty());
-            let s = &scrubs[i];
-            if s.open_err.is_some() || (s.bad && has_later) {
+            let (s, later) = scrubs[i..].split_first_mut().expect("i < len");
+            if s.open_err.is_some() || (s.bad && later.iter().any(|t| !t.recs.is_empty())) {
                 let lost_after = max_lsn;
-                let resume_at = scrubs[i + 1..]
+                let resume_at = later
                     .iter()
-                    .find_map(|t| t.recs.first().map(|(r, _)| r.lsn()))
+                    .find_map(|t| t.recs.first().map(|(r, _)| r.lsn))
                     .unwrap_or(0);
                 let detail = match &s.open_err {
                     Some(e) => format!("unreadable ({e})"),
@@ -718,94 +731,36 @@ impl Wal {
                 scan.bytes_discarded += s.total_len - s.valid_len;
                 storage.truncate(s.id, s.valid_len).map_err(io_err)?;
             }
-            let mut seg_commits = 0usize;
-            for (rec, _) in &s.recs {
-                max_lsn = rec.lsn();
-                if let WalRecord::Commit {
-                    lsn,
-                    txn,
-                    writes,
-                    shards,
-                } = rec
-                {
-                    seg_commits += 1;
-                    txn_seg.insert(*txn, s.id);
-                    for (e, _) in writes {
-                        if let Some((_plsn, pseg)) = current_writer.insert(*e, (*lsn, s.id)) {
-                            if pseg != s.id {
-                                if let Some(m) = segments.get_mut(&pseg) {
-                                    m.superseded_ceiling = m.superseded_ceiling.max(*lsn);
-                                }
-                            }
-                        }
-                    }
-                    commits.push(CommitRecord {
-                        lsn: *lsn,
-                        txn: *txn,
-                        writes: writes.clone(),
-                        shards: shards.clone(),
-                    });
-                }
-            }
-            if seg_commits == 0 {
-                // Abort-only, emptied, or zero-length segment: nothing
-                // to replay, nothing to keep.
+            if s.recs.is_empty() {
+                // Emptied or zero-length segment: nothing to replay,
+                // nothing to keep.
                 scan.segments_dropped += 1;
                 scan.bytes_discarded += s.valid_len;
                 storage.unlink(s.id).map_err(io_err)?;
                 continue;
             }
-            segments.insert(
-                s.id,
-                SegmentMeta {
-                    live: seg_commits,
-                    sealed: true,
-                    bytes: s.valid_len,
-                    durable: s.valid_len,
-                    superseded_ceiling: 0,
-                    retire_barrier: 0,
-                },
-            );
+            let meta = SegmentMeta::new(s.recs.len(), s.valid_len);
+            st.segments.insert(s.id, meta);
+            for (rec, _) in s.recs.drain(..) {
+                max_lsn = rec.lsn;
+                st.txn_seg.insert(rec.txn, s.id);
+                st.supersede(&rec.writes, rec.lsn, s.id);
+                commits.push(rec);
+            }
         }
         scan.max_lsn = max_lsn;
 
-        let active = ids.last().map_or(0, |m| m + 1);
-        segments.insert(
-            active,
-            SegmentMeta {
-                live: 0,
-                sealed: false,
-                bytes: 0,
-                durable: 0,
-                superseded_ceiling: 0,
-                retire_barrier: 0,
-            },
-        );
+        st.active = ids.last().map_or(0, |m| m + 1);
+        st.segments.insert(st.active, SegmentMeta::new(0, 0));
+        st.next_lsn = max_lsn + 1;
+        st.durable_lsn = max_lsn;
 
         let wal = Wal {
             cfg,
             storage,
             durable_ev: rt.event(),
             rt,
-            state: Mutex::new(WalState {
-                segments,
-                active,
-                txn_seg,
-                current_writer,
-                pending: Vec::new(),
-                pending_recs: 0,
-                next_lsn: max_lsn + 1,
-                last_enqueued: max_lsn,
-                durable_lsn: max_lsn,
-                writing: HashSet::new(),
-                flushing: false,
-                unsynced: Vec::new(),
-                parked: None,
-                armed: None,
-                crashed: false,
-                fail: None,
-                closing: false,
-            }),
+            state: Mutex::new(st),
             health: AtomicU8::new(WalHealth::Ok as u8),
             stats: WalCounters::default(),
         };
@@ -826,39 +781,27 @@ impl Wal {
         shards: &[u32],
     ) -> Result<u64, WalError> {
         let mut st = self.lock();
-        if st.crashed {
-            return Err(st.fail.clone().unwrap_or(WalError::Crashed));
+        if let Some(e) = &st.fail {
+            return Err(e.clone());
         }
         if st.closing {
             return Err(WalError::Closed);
         }
+        let lsn = st.next_lsn;
+        let bytes = encode_commit(lsn, txn, writes, shards);
         if let Some(cp) = st.armed.take() {
-            let lsn = st.next_lsn;
-            let bytes = encode_commit(lsn, txn, writes, shards);
             self.execute_crash(st, cp, &bytes);
             return Err(WalError::Crashed);
         }
-        let lsn = st.next_lsn;
         st.next_lsn += 1;
-        st.last_enqueued = lsn;
-        let bytes = encode_commit(lsn, txn, writes, shards);
         let seg = self.enqueue(&mut st, bytes);
         st.txn_seg.insert(txn, seg);
         if let Some(m) = st.segments.get_mut(&seg) {
             m.live += 1;
         }
-        // Move each written entity's current-writer pointer here; the
-        // previous writer's segment learns it has been superseded up
-        // to this LSN (its retirement barrier, once fully dead).
-        for (e, _) in writes {
-            if let Some((_plsn, pseg)) = st.current_writer.insert(*e, (lsn, seg)) {
-                if pseg != seg {
-                    if let Some(m) = st.segments.get_mut(&pseg) {
-                        m.superseded_ceiling = m.superseded_ceiling.max(lsn);
-                    }
-                }
-            }
-        }
+        // The previous writers' segments learn they are superseded up
+        // to this LSN, which holds their unlink once they are all dead.
+        st.supersede(writes, lsn, seg);
         Ok(lsn)
     }
 
@@ -872,19 +815,8 @@ impl Wal {
                 m.sealed = true;
             }
             let _ = self.storage.seal(st.active);
-            let next = st.active + 1;
-            st.segments.insert(
-                next,
-                SegmentMeta {
-                    live: 0,
-                    sealed: false,
-                    bytes: 0,
-                    durable: 0,
-                    superseded_ceiling: 0,
-                    retire_barrier: 0,
-                },
-            );
-            st.active = next;
+            st.active += 1;
+            st.segments.insert(st.active, SegmentMeta::new(0, 0));
             self.stats.segments_created.fetch_add(1, Ordering::Relaxed);
         }
         let seg = st.active;
@@ -932,14 +864,14 @@ impl Wal {
             if st.durable_lsn >= lsn {
                 return Ok(());
             }
-            if st.crashed {
-                return Err(st.fail.clone().unwrap_or(WalError::Crashed));
+            if let Some(e) = &st.fail {
+                return Err(e.clone());
             }
-            if st.closing && !st.flushing && st.pending.is_empty() {
+            if st.closing && !st.flushing() && st.pending.is_empty() {
                 // Nothing left to flush, and nothing more will come.
                 return Err(WalError::Closed);
             }
-            if !st.flushing && !st.pending.is_empty() {
+            if !st.flushing() && !st.pending.is_empty() {
                 match st.parked {
                     Some((_, retry_at)) if self.rt.now() < retry_at => {
                         drop(st);
@@ -972,7 +904,7 @@ impl Wal {
             return;
         }
         let mut st = self.lock();
-        if st.crashed || st.closing {
+        if st.fail.is_some() || st.closing {
             // After the log stops accepting records, in-memory commits
             // still mutate the conflict graph, so GC can judge a
             // transaction noncurrent on the strength of a supersessor
@@ -985,19 +917,10 @@ impl Wal {
             if let Some(seg) = st.txn_seg.remove(t) {
                 if let Some(m) = st.segments.get_mut(&seg) {
                     m.live = m.live.saturating_sub(1);
-                    if m.live == 0 {
-                        // Every commit here was deleted because later
-                        // commits superseded its writes; those direct
-                        // supersessors all sit at or below the
-                        // ceiling. Hold the unlink until they are
-                        // durable — nothing newer needs to be.
-                        m.retire_barrier = m.superseded_ceiling;
-                    }
                 }
             }
         }
-        let active = st.active;
-        collect_dead(&mut st, active, self);
+        collect_dead(&mut st, self);
     }
 
     /// Arms a crash: the next `submit_commit` executes `cp` instead of
@@ -1016,12 +939,7 @@ impl Wal {
 
     /// Why the log stopped, once it has ([`Wal::health`] ≠ `Ok`).
     pub fn fail_reason(&self) -> Option<WalError> {
-        let st = self.lock();
-        if st.crashed {
-            Some(st.fail.clone().unwrap_or(WalError::Crashed))
-        } else {
-            None
-        }
+        self.lock().fail.clone()
     }
 
     /// True while an append is parked on `ENOSPC` backoff waiting for
@@ -1035,7 +953,6 @@ impl Wal {
     /// batches, tamper the active segment's tail through the VFS so the
     /// disk matches what a real kill at `cp` would leave.
     fn execute_crash(&self, mut st: MutexGuard<'_, WalState>, cp: CrashPoint, record: &[u8]) {
-        st.crashed = true;
         st.fail = Some(WalError::Crashed);
         drop(st);
         self.set_health(WalHealth::Crashed);
@@ -1046,7 +963,7 @@ impl Wal {
         let mut st = loop {
             let key = self.durable_ev.prepare();
             let g = self.lock();
-            if !g.flushing {
+            if !g.flushing() {
                 break g;
             }
             drop(g);
@@ -1055,7 +972,7 @@ impl Wal {
         // Batches no flush completed die in the page cache; their
         // sessions get `Crashed` — or the more precise fault an
         // in-flight flush hit meanwhile — never an ack.
-        let cause = st.fail.clone().unwrap_or(WalError::Crashed);
+        let cause = st.fail.take().expect("set when the crash began");
         self.stop(&mut st, cause);
         let active = st.active;
         let durable = match st.segments.get(&active) {
@@ -1069,38 +986,26 @@ impl Wal {
         drop(st);
         let storage = &self.storage;
         let tamper = || -> StorageResult<()> {
-            match cp {
-                CrashPoint::BeforeAppend => {}
+            let cut = match cp {
+                CrashPoint::BeforeAppend => return Ok(()),
                 CrashPoint::AfterAppendBeforeFlush => {
                     // Appended, never flushed: the bytes existed only
                     // in the page cache. Write then cut back to the
                     // durable prefix — net effect, nothing survives.
                     storage.append(active, record)?;
-                    storage.truncate(active, durable)?;
+                    return storage.truncate(active, durable);
                 }
-                CrashPoint::MidFlushTorn => {
-                    // The flush died halfway through the record: a
-                    // durable torn tail for recovery to cut off.
-                    storage.append(active, &record[..record.len() / 2])?;
-                    storage.fsync(active)?;
-                }
-                CrashPoint::TornWriteAt(off) => {
-                    // The flush died after exactly `off` bytes — the
-                    // general torn tail, able to cut inside the
-                    // `[len][crc]` header, one byte short of intact,
-                    // or anywhere between.
-                    let cut = (off as usize).min(record.len());
-                    storage.append(active, &record[..cut])?;
-                    storage.fsync(active)?;
-                }
-                CrashPoint::AfterFlushBeforeVisibility => {
-                    // Fully durable, never acknowledged: recovery must
-                    // replay it exactly once.
-                    storage.append(active, record)?;
-                    storage.fsync(active)?;
-                }
-            }
-            Ok(())
+                CrashPoint::MidFlushTorn => record.len() / 2,
+                CrashPoint::TornWriteAt(off) => (off as usize).min(record.len()),
+                CrashPoint::AfterFlushBeforeVisibility => record.len(),
+            };
+            // The flush died after `cut` bytes of the record: a durable
+            // torn tail for recovery to cut off — inside the
+            // `[len][crc]` header, one byte short of intact, or anywhere
+            // between — or, at the full length, a record durable but
+            // never acknowledged, which recovery must replay exactly once.
+            storage.append(active, &record[..cut])?;
+            storage.fsync(active)
         };
         // A tamper failure leaves the disk at the durable prefix,
         // which is itself a valid crash image.
@@ -1143,7 +1048,7 @@ impl Wal {
         let last = {
             let mut st = self.lock();
             st.closing = true;
-            st.last_enqueued
+            st.next_lsn - 1
         };
         // Wake waiters on records never submitted: they see the close.
         self.durable_ev.notify();
@@ -1185,7 +1090,7 @@ fn append_with_retry(wal: &Wal, seg: u64, bytes: &[u8]) -> Result<(), WalError> 
                         "transient append error persisted past the retry budget: {e}"
                     )));
                 };
-                if wal.lock().crashed {
+                if wal.lock().fail.is_some() {
                     return Err(WalError::Crashed);
                 }
                 wal.rt.sleep(d);
@@ -1226,14 +1131,13 @@ fn fsync_batch(wal: &Wal, segs: &[u64]) -> Result<(), WalError> {
 /// syncs with no log lock held, then publishes the outcome (durable,
 /// [`park`]ed on `ENOSPC`, or stopped) and wakes every waiter.
 fn flush(wal: &Wal, mut st: MutexGuard<'_, WalState>) {
-    st.flushing = true;
     let mut chunks = std::mem::take(&mut st.pending);
     // Appended by a flush that parked on `ENOSPC`; synced by this one.
     let mut written = std::mem::take(&mut st.unsynced);
     st.writing.extend(chunks.iter().map(|(s, _)| *s));
     st.writing.extend(written.iter().map(|(s, _)| *s));
     let nrec = std::mem::take(&mut st.pending_recs);
-    let last = st.last_enqueued;
+    let last = st.next_lsn - 1;
     drop(st);
     let carried = written.len();
     let t0 = wal.rt.now();
@@ -1255,7 +1159,6 @@ fn flush(wal: &Wal, mut st: MutexGuard<'_, WalState>) {
 
     let mut st = wal.lock();
     st.writing.clear();
-    st.flushing = false;
     match io {
         Ok(()) => {
             for (seg, len) in written {
@@ -1273,12 +1176,11 @@ fn flush(wal: &Wal, mut st: MutexGuard<'_, WalState>) {
             // which group-commit batch sizes this interleaving
             // produced (bucketed like the histogram).
             wal.rt.emit("wal_batch", batch_bucket(nrec) as u64);
-            let active = st.active;
-            collect_dead(&mut st, active, wal);
+            collect_dead(&mut st, wal);
         }
         // A crash executed meanwhile: what stopped the batch is the
         // crash, and the crash discards it.
-        Err(WalError::NoSpace) if st.crashed => wal.stop(&mut st, WalError::Crashed),
+        Err(WalError::NoSpace) if st.fail.is_some() => wal.stop(&mut st, WalError::Crashed),
         Err(WalError::NoSpace) => {
             let done = written.len() - carried;
             if done > 0 {

@@ -6,19 +6,19 @@
 //! [len: u32 LE]  — payload length in bytes
 //! [crc: u32 LE]  — CRC-32 (IEEE) of the payload
 //! payload:
-//!   [kind: u8]        — 1 = commit, 2 = abort
+//!   [kind: u8]        — 1 = commit, the only kind
 //!   [lsn:  u64 LE]    — strictly increasing across the whole log
 //!   [txn:  u32 LE]
-//!   commit only:
-//!     [n_shards: u32 LE] then n_shards × [shard: u32 LE]
-//!     [n_writes: u32 LE] then n_writes × [entity: u32 LE][value: i64 LE]
+//!   [n_shards: u32 LE] then n_shards × [shard: u32 LE]
+//!   [n_writes: u32 LE] then n_writes × [entity: u32 LE][value: i64 LE]
 //! ```
 //!
 //! The length prefix bounds the read, the CRC convicts torn or
 //! bit-rotted payloads, and the embedded LSN lets recovery reject
 //! stale bytes that a recycled offset could otherwise resurrect: a
 //! valid log is a strictly-LSN-increasing sequence of records, and the
-//! scan stops (and truncates) at the first violation.
+//! scan stops (and truncates) at the first violation. Any other kind,
+//! the retired abort kind 2 included, is corruption.
 
 use deltx_model::{EntityId, TxnId};
 use deltx_storage::Value;
@@ -28,7 +28,6 @@ use deltx_storage::Value;
 const MAX_PAYLOAD: usize = 1 << 24;
 
 const KIND_COMMIT: u8 = 1;
-const KIND_ABORT: u8 = 2;
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -60,40 +59,20 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// One decoded log record.
+/// One decoded commit record: the transaction's full writeset plus the
+/// shard span it touched, enough to rebuild the store values and the
+/// conflict-graph residency on replay. The recovery scan hands these
+/// out in LSN order.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WalRecord {
-    /// A committed transaction: its full writeset (entity, value)
-    /// pairs plus the shard span it touched, enough to rebuild the
-    /// store values and the conflict-graph residency on replay.
-    Commit {
-        /// Log sequence number.
-        lsn: u64,
-        /// The committed transaction.
-        txn: TxnId,
-        /// Entities written with the installed values, in install order.
-        writes: Vec<(EntityId, Value)>,
-        /// Shard indices the transaction touched (reads included).
-        shards: Vec<u32>,
-    },
-    /// An aborted transaction. Nothing writes these any more — absence
-    /// from the log already means aborted — but logs written before
-    /// ISSUE 25 hold them, so they still decode (and replay skips them).
-    Abort {
-        /// Log sequence number.
-        lsn: u64,
-        /// The aborted transaction.
-        txn: TxnId,
-    },
-}
-
-impl WalRecord {
-    /// The record's log sequence number.
-    pub fn lsn(&self) -> u64 {
-        match self {
-            WalRecord::Commit { lsn, .. } | WalRecord::Abort { lsn, .. } => *lsn,
-        }
-    }
+pub struct CommitRecord {
+    /// Log sequence number.
+    pub lsn: u64,
+    /// The committed transaction.
+    pub txn: TxnId,
+    /// The writeset with installed values, in install order.
+    pub writes: Vec<(EntityId, Value)>,
+    /// Shard indices the transaction touched (reads included).
+    pub shards: Vec<u32>,
 }
 
 /// Why a scan stopped before the end of the buffer.
@@ -170,7 +149,7 @@ fn frame(payload: Vec<u8>) -> Vec<u8> {
 /// `Ok(Some((record, consumed)))` on success, and a [`DecodeError`]
 /// when the bytes cannot be a complete, intact record — the caller
 /// truncates the log there.
-pub fn decode(buf: &[u8]) -> Result<Option<(WalRecord, usize)>, DecodeError> {
+pub fn decode(buf: &[u8]) -> Result<Option<(CommitRecord, usize)>, DecodeError> {
     if buf.is_empty() {
         return Ok(None);
     }
@@ -193,41 +172,37 @@ pub fn decode(buf: &[u8]) -> Result<Option<(WalRecord, usize)>, DecodeError> {
     Ok(Some((rec, 8 + len)))
 }
 
-fn decode_payload(p: &[u8]) -> Option<WalRecord> {
-    let kind = *p.first()?;
+fn decode_payload(p: &[u8]) -> Option<CommitRecord> {
+    if *p.first()? != KIND_COMMIT {
+        return None;
+    }
     let mut off = 1;
     let lsn = get_u64(p, &mut off)?;
     let txn = TxnId(get_u32(p, &mut off)?);
-    match kind {
-        KIND_ABORT => (off == p.len()).then_some(WalRecord::Abort { lsn, txn }),
-        KIND_COMMIT => {
-            let n_shards = get_u32(p, &mut off)? as usize;
-            if n_shards > p.len() {
-                return None;
-            }
-            let mut shards = Vec::with_capacity(n_shards);
-            for _ in 0..n_shards {
-                shards.push(get_u32(p, &mut off)?);
-            }
-            let n_writes = get_u32(p, &mut off)? as usize;
-            if n_writes > p.len() {
-                return None;
-            }
-            let mut writes = Vec::with_capacity(n_writes);
-            for _ in 0..n_writes {
-                let x = EntityId(get_u32(p, &mut off)?);
-                let v = get_i64(p, &mut off)?;
-                writes.push((x, v));
-            }
-            (off == p.len()).then_some(WalRecord::Commit {
-                lsn,
-                txn,
-                writes,
-                shards,
-            })
-        }
-        _ => None,
+    let n_shards = get_u32(p, &mut off)? as usize;
+    if n_shards > p.len() {
+        return None;
     }
+    let mut shards = Vec::with_capacity(n_shards);
+    for _ in 0..n_shards {
+        shards.push(get_u32(p, &mut off)?);
+    }
+    let n_writes = get_u32(p, &mut off)? as usize;
+    if n_writes > p.len() {
+        return None;
+    }
+    let mut writes = Vec::with_capacity(n_writes);
+    for _ in 0..n_writes {
+        let x = EntityId(get_u32(p, &mut off)?);
+        let v = get_i64(p, &mut off)?;
+        writes.push((x, v));
+    }
+    (off == p.len()).then_some(CommitRecord {
+        lsn,
+        txn,
+        writes,
+        shards,
+    })
 }
 
 #[cfg(test)]
@@ -249,7 +224,7 @@ mod tests {
         assert_eq!(consumed, bytes.len());
         assert_eq!(
             rec,
-            WalRecord::Commit {
+            CommitRecord {
                 lsn: 9,
                 txn: TxnId(5),
                 writes,
@@ -259,23 +234,14 @@ mod tests {
     }
 
     #[test]
-    fn abort_roundtrip_and_sequence() {
-        // An abort record as older logs hold it: kind, lsn, txn.
-        let mut payload = vec![KIND_ABORT];
-        put_u64(&mut payload, 1);
-        put_u32(&mut payload, 8);
-        let mut buf = frame(payload);
+    fn commit_sequence_decodes_to_a_clean_end() {
+        let mut buf = encode_commit(1, TxnId(8), &[], &[3]);
         buf.extend(encode_commit(2, TxnId(9), &[(EntityId(0), 1)], &[0]));
         let (first, n) = decode(&buf).unwrap().unwrap();
-        assert_eq!(
-            first,
-            WalRecord::Abort {
-                lsn: 1,
-                txn: TxnId(8)
-            }
-        );
+        assert_eq!((first.lsn, first.txn), (1, TxnId(8)));
+        assert!(first.writes.is_empty());
         let (second, m) = decode(&buf[n..]).unwrap().unwrap();
-        assert_eq!(second.lsn(), 2);
+        assert_eq!((second.lsn, second.txn), (2, TxnId(9)));
         assert_eq!(n + m, buf.len());
         assert_eq!(decode(&buf[n + m..]).unwrap(), None, "clean end");
     }
@@ -299,5 +265,10 @@ mod tests {
         let mut huge = bytes;
         huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode(&huge).unwrap_err(), DecodeError::Corrupt);
+        // The retired abort kind 2 (kind, lsn, txn) is no record at all.
+        let mut abort = vec![2u8];
+        put_u64(&mut abort, 1);
+        put_u32(&mut abort, 8);
+        assert_eq!(decode(&frame(abort)).unwrap_err(), DecodeError::Corrupt);
     }
 }

@@ -281,7 +281,6 @@ struct FaultyState {
     /// Bytes known synced per segment; an injected fsync failure cuts
     /// the inner file back to this.
     synced: HashMap<u64, u64>,
-    sealed: Vec<u64>,
 }
 
 /// A [`WalStorage`] wrapper that injects the [`FaultSpec`] schedule
@@ -317,21 +316,6 @@ impl FaultyStorage {
             total += self.inner.size(id)?;
         }
         Ok(total)
-    }
-
-    /// Appends observed so far (for schedule calibration in tests).
-    pub fn append_ops(&self) -> u64 {
-        self.lock().appends
-    }
-
-    /// Fsyncs observed so far.
-    pub fn fsync_ops(&self) -> u64 {
-        self.lock().fsyncs
-    }
-
-    /// Segments the log has sealed, in seal order.
-    pub fn sealed_segments(&self) -> Vec<u64> {
-        self.lock().sealed.clone()
     }
 
     /// Flips every byte of one [`SECTOR_BYTES`]-sized sector of a
@@ -426,7 +410,6 @@ impl WalStorage for FaultyStorage {
     }
 
     fn seal(&self, seg: u64) -> StorageResult<()> {
-        self.lock().sealed.push(seg);
         self.inner.seal(seg)
     }
 

@@ -712,6 +712,40 @@ fn retirement_after_crash_is_ignored() {
     assert_eq!(replayed, vec![0, 1, 2, 3, 4, 5]);
 }
 
+/// The retirement barrier: a segment whose commits are all deleted stays
+/// on disk until the commits that superseded them are durable, and an
+/// unflushed record that supersedes nothing in it does not hold it.
+#[test]
+fn dead_segment_waits_for_its_supersessors_only() {
+    let dir = TestDir::new("retire-barrier");
+    let mut cfg = dir.cfg();
+    cfg.segment_bytes = one_write_record_len(); // one record per segment
+    cfg.fsync = false;
+    let (wal, _, _) = Wal::open(cfg).unwrap();
+    let on_disk = |seg: u64| dir.0.join(format!("{seg:08}.wal")).exists();
+
+    // T1 writes e0 (segment 0); T2 overwrites it (segment 1), unflushed.
+    commit_one(&wal, 1, &[(0, 10)]).unwrap();
+    let t2 = wal
+        .submit_commit(TxnId(2), &[(EntityId(0), 20)], &[0])
+        .unwrap();
+    wal.note_deleted(&[TxnId(1)]);
+    assert!(on_disk(0), "T1's supersessor T2 is not durable yet");
+    wal.wait_durable(t2).unwrap();
+    assert!(!on_disk(0), "T2 is durable: T1's segment goes");
+
+    // T4 writes e2 (segment 2) and T5 overwrites it (segment 3), both
+    // durable; T6 writes the unrelated e3 (segment 4), unflushed.
+    commit_one(&wal, 4, &[(2, 40)]).unwrap();
+    commit_one(&wal, 5, &[(2, 50)]).unwrap();
+    let t6 = wal
+        .submit_commit(TxnId(6), &[(EntityId(3), 60)], &[0])
+        .unwrap();
+    wal.note_deleted(&[TxnId(4)]);
+    assert!(!on_disk(2), "an unrelated unflushed tail holds nothing");
+    wal.wait_durable(t6).unwrap();
+}
+
 /// The filesystem, with the thread of every append and fsync recorded.
 #[derive(Debug)]
 struct ThreadSpy {

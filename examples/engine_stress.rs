@@ -394,7 +394,7 @@ fn main() {
         println!(
             "recovery: {} commits replayed from {} segments in {recovery_ms:.2}ms \
              (log bounded by GC: survivors ≪ {} total commits)",
-            report.commits_replayed, report.segments_scanned, m.commits
+            report.commits_replayed, report.scan.segments_scanned, m.commits
         );
         for (x, want) in expected.iter().enumerate() {
             let got = recovered.peek(x as u32);
