@@ -181,7 +181,7 @@ pub use deltx_wal::{
 };
 pub use engine::{Engine, EngineConfig, RecoveryReport};
 pub use error::EngineError;
-pub use history::{Event, RecordedHistory};
+pub use history::{live_graph_bound, Event, RecordedHistory};
 pub use metrics::MetricsSnapshot;
 pub use seed::{run_seed, run_seed_arg};
 pub use session::Session;

@@ -18,9 +18,8 @@
 //! * Either way the recovered state is a transaction-consistent
 //!   prefix: transfers conserve the total balance.
 
-use deltx_core::CgState;
 use deltx_engine::{
-    run_seed, CrashPoint, DurabilityConfig, Engine, EngineConfig, Event, ALL_CRASH_POINTS,
+    run_seed, CrashPoint, DurabilityConfig, Engine, EngineConfig, ALL_CRASH_POINTS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,27 +59,11 @@ fn config(dir: &TestDir, record_history: bool) -> EngineConfig {
     }
 }
 
-/// Replays the engine's recorded history through a full
-/// (never-deleting) `CgState` and demands identical outcomes — the
-/// Theorem 2 lockstep oracle, applied to a *recovered* engine.
+/// The Theorem 2 lockstep oracle, applied to a *recovered* engine.
 fn assert_oracle_equivalent(e: &Engine, ctx: &str) {
     let h = e.recorded_history().expect("recording enabled");
-    let mut full = CgState::new();
-    for ev in &h.events {
-        match ev {
-            Event::Step { step, outcome } => {
-                let got = full
-                    .apply(step)
-                    .unwrap_or_else(|err| panic!("[{ctx}] oracle rejected {step:?}: {err}"));
-                assert_eq!(
-                    got, *outcome,
-                    "[{ctx}] recovered engine diverged from the full scheduler on {step:?}"
-                );
-            }
-            Event::ClientAbort(t) => full.abort_txn(*t).expect("client abort of live txn"),
-        }
-    }
-    full.check_invariants();
+    h.replay_full()
+        .unwrap_or_else(|err| panic!("[{ctx}] {err}"));
 }
 
 /// A deterministic transfer, mirrored client-side: `expected` tracks

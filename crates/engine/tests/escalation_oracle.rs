@@ -211,29 +211,11 @@ fn assert_took_no_cross_shard_path(m: &deltx_engine::MetricsSnapshot) {
     );
 }
 
-/// Lockstep oracle: replays `e`'s linearized history into the full,
-/// never-deleting scheduler; every recorded outcome must be the full
-/// scheduler's own (Theorem 2).
+/// Lockstep oracle: every recorded outcome of `e` must be the full,
+/// never-deleting scheduler's own (Theorem 2).
 fn assert_matches_full_scheduler(e: &Engine) {
     let h = e.recorded_history().expect("recording enabled");
-    let mut full = CgState::new();
-    for ev in &h.events {
-        match ev {
-            deltx_engine::Event::Step { step, outcome } => {
-                let got = full
-                    .apply(step)
-                    .unwrap_or_else(|err| panic!("full scheduler rejected {step:?}: {err}"));
-                assert_eq!(
-                    got, *outcome,
-                    "engine diverged from the full union check on {step:?}"
-                );
-            }
-            deltx_engine::Event::ClientAbort(t) => {
-                full.abort_txn(*t).expect("client abort of live txn");
-            }
-        }
-    }
-    full.check_invariants();
+    h.replay_full().unwrap_or_else(|err| panic!("{err}"));
 }
 
 #[test]

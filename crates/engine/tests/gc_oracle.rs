@@ -11,7 +11,7 @@
 //! 1. **Lockstep against the full scheduler**: a skewed mixed
 //!    workload runs with hot-pair committers deleting mid-stream under
 //!    their own two locks; the recorded history replayed into a
-//!    monolithic, never-deleting [`CgState`] must produce identical
+//!    monolithic, never-deleting `CgState` must produce identical
 //!    outcomes (Theorem 2 lifts reduced-graph equivalence to the full
 //!    graph).
 //! 2. **A/B against one shard**: the identical workload driven through
@@ -29,7 +29,6 @@
 //! Plus closure-strictness: on traffic whose cross-shard pairs stay
 //! inside a hot shard pair, no lock is ever taken for GC.
 
-use deltx_core::CgState;
 use deltx_engine::{run_seed, Engine, EngineConfig, EngineError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -173,24 +172,8 @@ fn partial_gc_decisions_match_full_scheduler_lockstep() {
     // ordering lost by a subset-locked deletion would accept a step
     // the full scheduler rejects.
     let h = e.recorded_history().expect("recording enabled");
-    let mut full = CgState::new();
-    for ev in &h.events {
-        match ev {
-            deltx_engine::Event::Step { step, outcome } => {
-                let got = full
-                    .apply(step)
-                    .unwrap_or_else(|err| panic!("full scheduler rejected {step:?}: {err}"));
-                assert_eq!(
-                    got, *outcome,
-                    "partial GC diverged from the full union check on {step:?}"
-                );
-            }
-            deltx_engine::Event::ClientAbort(t) => {
-                full.abort_txn(*t).expect("client abort of live txn");
-            }
-        }
-    }
-    full.check_invariants();
+    h.replay_full()
+        .unwrap_or_else(|err| panic!("partial GC: {err}"));
 }
 
 /// Drives `scripts` through the sharded engine and a one-shard twin:
@@ -333,19 +316,7 @@ fn subset_locked_deletion_preserves_cross_shard_ordering() {
     // And the whole interleaving still replays through the full
     // scheduler outcome-for-outcome.
     let h = e.recorded_history().expect("recording enabled");
-    let mut full = CgState::new();
-    for ev in &h.events {
-        match ev {
-            deltx_engine::Event::Step { step, outcome } => {
-                let got = full.apply(step).expect("well-formed history");
-                assert_eq!(got, *outcome, "diverged on {step:?}");
-            }
-            deltx_engine::Event::ClientAbort(t) => {
-                full.abort_txn(*t).expect("client abort of live txn");
-            }
-        }
-    }
-    full.check_invariants();
+    h.replay_full().unwrap_or_else(|err| panic!("{err}"));
 }
 
 #[test]

@@ -11,9 +11,7 @@
 //!    stays `O(active sessions + entities)` no matter how many
 //!    thousands of transactions flow through.
 
-use deltx_core::CgState;
-use deltx_engine::{run_seed, Engine, EngineConfig, Event};
-use deltx_model::Schedule;
+use deltx_engine::{live_graph_bound, run_seed, Engine, EngineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,28 +79,6 @@ fn run_mix(
     });
 }
 
-/// Replays a recorded history through the full (never-deleting)
-/// scheduler: Theorem 2 demands outcome-for-outcome equality.
-fn replay_through_full_scheduler(h: &deltx_engine::RecordedHistory) -> CgState {
-    let mut full = CgState::new();
-    for ev in &h.events {
-        match ev {
-            Event::Step { step, outcome } => {
-                let got = full
-                    .apply(step)
-                    .unwrap_or_else(|e| panic!("replay rejected {step:?}: {e}"));
-                assert_eq!(
-                    got, *outcome,
-                    "engine diverged from the full scheduler on {step:?}"
-                );
-            }
-            Event::ClientAbort(t) => full.abort_txn(*t).expect("client abort of live txn"),
-        }
-    }
-    full.check_invariants();
-    full
-}
-
 #[test]
 fn contended_run_replays_identically_and_stays_serializable() {
     let e = Engine::new(EngineConfig {
@@ -117,16 +93,9 @@ fn contended_run_replays_identically_and_stays_serializable() {
 
     let h = e.recorded_history().expect("recording enabled");
     // 1. Replay through the full (never-deleting) scheduler.
-    let full = replay_through_full_scheduler(&h);
-
+    let full = h.replay_full().unwrap_or_else(|err| panic!("{err}"));
     // 2. The accepted subschedule is conflict-serializable.
-    let mut aborted = full.aborted_txns().clone();
-    aborted.extend(h.client_aborted());
-    let accepted = Schedule::from_steps(h.accepted_steps()).accepted_subschedule(&aborted);
-    assert!(
-        deltx_model::history::is_csr(&accepted),
-        "accepted subschedule must be CSR"
-    );
+    assert!(h.is_csr(&full), "accepted subschedule must be CSR");
 }
 
 #[test]
@@ -158,7 +127,7 @@ fn gc_under_churn_partial_sweeps_keep_graph_bounded_and_balances_exact() {
     // Live-graph bound: active sessions are gone, so what remains is
     // current transactions (≤ a few per recently-written entity) plus
     // cross-shard residue — it must not scale with the 1600 txns run.
-    let bound = 8 + 4 * n_entities as usize + 16;
+    let bound = live_graph_bound(8, n_entities);
     assert!(
         (m.live_txns as usize) <= bound,
         "live graph escaped its bound: {} > {bound}",
@@ -190,7 +159,8 @@ fn more_than_64_shards_replay_identically_and_conserve_balances() {
     let sum: i64 = (0..n_entities).map(|x| e.peek(x)).sum();
     assert_eq!(sum, 0, "transfers must conserve the total balance");
     e.summary_audit().expect("reach masks exact in every shard");
-    replay_through_full_scheduler(&e.recorded_history().expect("recording enabled"));
+    let h = e.recorded_history().expect("recording enabled");
+    h.replay_full().unwrap_or_else(|err| panic!("{err}"));
 }
 
 #[test]
@@ -269,7 +239,7 @@ fn live_graph_stays_bounded_under_noncurrent_gc() {
     // Bound: active sessions + one current txn per recently-written
     // entity + readers-of-current + in-flight multi-shard residue. The
     // point is it does NOT scale with `total`.
-    let bound = 3 + 4 * n_entities as usize + 16;
+    let bound = live_graph_bound(3, n_entities);
     let mut peak_after_gc = 0usize;
     for i in 0..total {
         let x = rng.gen_range(0..n_entities);

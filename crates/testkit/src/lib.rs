@@ -21,16 +21,17 @@
 //!   or steered by a PCT-style priority policy
 //!   ([`sim::PickPolicy`]).
 //! * [`workload`] — declarative [`workload::WorkloadSpec`]s (sessions,
-//!   entities, access profile, think time, faults, oracles) and
-//!   [`workload::run_spec`], which executes one under the simulator
-//!   and runs the full oracle battery. Crash plans run recovery
-//!   *inside* the same simulated timeline —
+//!   entities, access profile, think time, faults, whether the graph
+//!   bound applies) and [`workload::run_spec`], which executes one
+//!   under the simulator and runs the full oracle battery. Crash plans
+//!   run recovery *inside* the same simulated timeline —
 //!   [`workload::FaultPlan::CrashLoop`] crashes and keeps going for
 //!   several engine lifetimes.
 //! * [`zoo`] — stock scenarios: the stress transfer mix, hot-key
 //!   skew, long analytics readers, §5 batch jobs, read-mostly fanout,
 //!   adversarial cross-shard chains, mid-run WAL crashes (single and
-//!   repeated), and a boundary-summary flood.
+//!   repeated), a boundary-summary flood, hot contention, and four
+//!   disk faults.
 //! * [`search`] — the coverage-guided schedule explorer: sweeps
 //!   random seeds, PCT priority schedules, and mutations of
 //!   coverage-novel traces (keyed on engine-event signatures) looking
@@ -56,6 +57,6 @@ pub use minimize::{minimize, MinimizedRepro, ReproFile};
 pub use search::{search_spec, SearchConfig, SearchOutcome, SearchStats, Strategy};
 pub use sim::{Decision, PickPolicy, ScheduleTrace, SimConfig, VirtualRuntime};
 pub use workload::{
-    run_spec, run_spec_traced, Checks, DiskFault, FaultPlan, Profile, SimError, SimReport,
-    TracedRun, WorkloadSpec,
+    run_spec, run_spec_traced, DiskFault, FaultPlan, Profile, SimError, SimReport, TracedRun,
+    WorkloadSpec,
 };

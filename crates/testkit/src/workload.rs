@@ -10,12 +10,15 @@
 //! deletion at the source in the explored schedules) become
 //! simulation tasks. The WAL has no task either: its flushes run on
 //! whichever session waits first. The interleaving is chosen by the
-//! seed, and the run finishes with the full oracle battery from
-//! the stress suite (lockstep full-scheduler replay, ground-truth CSR,
-//! balance conservation, the live-graph bound, the boundary-summary
-//! audit). The returned [`SimReport`] is a pure function of
-//! `(spec, seed)` — the determinism self-test runs every spec twice
-//! and demands equality, fingerprint included.
+//! seed. Every engine lifetime ends with the same oracle battery, which
+//! no spec can switch off: the lockstep full-scheduler replay and the
+//! CSR check ([`deltx_engine::RecordedHistory::replay_full`] and
+//! `is_csr`), balance conservation (not for [`Profile::ReadMostly`],
+//! nor after a crash), and the boundary-summary audit; the run ends
+//! with the live-graph bound when [`WorkloadSpec::bounded`] is set. The
+//! returned [`SimReport`] is a pure function of `(spec, seed)` — the
+//! determinism self-test runs every spec twice and demands equality,
+//! fingerprint included.
 //!
 //! # In-sim crash recovery
 //!
@@ -25,9 +28,12 @@
 //! [`VirtualRuntime`], so a `(spec, seed)` coordinate covers the whole
 //! crash/recover/continue story with zero OS-runtime threads, and the
 //! schedule-space search can explore recovery interleavings too.
-//! [`FaultPlan::Crash`] crashes once and checks the recovered image;
-//! [`FaultPlan::CrashLoop`] crashes and *keeps running* on the
-//! recovered engine, `waves` engine lifetimes in total.
+//! One runner body serves every [`FaultPlan`]: a loop of traffic waves
+//! ([`FaultPlan::CrashLoop`] crashes and *keeps running* on the
+//! recovered engine, `waves` engine lifetimes in total; every other
+//! plan runs one wave, a [`FaultPlan::Disk`] one over a faulty device),
+//! then, for [`FaultPlan::Crash`] and [`FaultPlan::Disk`], one recovery
+//! that checks the recovered image.
 //!
 //! # Search integration
 //!
@@ -41,17 +47,15 @@
 //! schedule trace.
 
 use crate::sim::{ScheduleTrace, SimConfig, VirtualRuntime};
-use deltx_core::CgState;
 use deltx_engine::{
-    CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event, FaultSpec,
-    FaultyStorage, FsStorage, MetricsSnapshot, RecoverPolicy, Runtime, Session, TaskHandle,
-    WalHealth, WalStorage,
+    live_graph_bound, CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event,
+    FaultSpec, FaultyStorage, FsStorage, MetricsSnapshot, RecoverPolicy, RecoveryReport, Runtime,
+    Session, TaskHandle, WalHealth, WalStorage,
 };
-use deltx_model::Schedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -195,44 +199,6 @@ pub enum FaultPlan {
     },
 }
 
-/// Which oracles to run after the workload drains.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Checks {
-    /// Replay the recorded history through a full (never-deleting)
-    /// `CgState` and demand outcome-for-outcome equality (Theorem 2),
-    /// then `check_invariants`.
-    pub oracle_replay: bool,
-    /// Ground-truth conflict-serializability of the accepted
-    /// subschedule (`deltx_model::history::is_csr`).
-    pub csr: bool,
-    /// The sum of all balances is conserved (transfers only move
-    /// value). Turn off for profiles whose writes are not transfers.
-    pub balance_sum: bool,
-    /// Peak and final live graph stay within
-    /// `sessions + 4·entities + 16`.
-    pub live_graph_bound: bool,
-    /// Audit every live node's incremental reach bitmask against the
-    /// naive DFS oracle at end of run ([`Engine::summary_audit`]).
-    /// The masks gate the fast path (a missing bit is a missed
-    /// cross-shard cycle) and size GC closures (an extra bit is silent
-    /// over-locking) — this check makes either corruption a hard
-    /// failure the schedule search can find.
-    pub summary_exact: bool,
-}
-
-impl Checks {
-    /// Everything on — the default for conserving profiles.
-    pub fn all() -> Self {
-        Checks {
-            oracle_replay: true,
-            csr: true,
-            balance_sum: true,
-            live_graph_bound: true,
-            summary_exact: true,
-        }
-    }
-}
-
 /// A complete declarative scenario. See the zoo ([`crate::zoo`]) for
 /// the stock instances.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -263,8 +229,11 @@ pub struct WorkloadSpec {
     pub durable: bool,
     /// Fault to inject.
     pub fault: FaultPlan,
-    /// Oracles to run.
-    pub checks: Checks,
+    /// Check the peak live graph against
+    /// [`live_graph_bound`]`(sessions, entities)`. Off where residue
+    /// legitimately outgrows it: crashed or frozen logs, a starved or
+    /// deliberately slow sweeper.
+    pub bounded: bool,
 }
 
 fn crash_point_text(p: CrashPoint) -> String {
@@ -370,11 +339,10 @@ impl WorkloadSpec {
             ),
             FaultPlan::Disk { fault } => format!("disk {}", disk_fault_text(fault)),
         };
-        let c = &self.checks;
         format!(
             "name {}\nsessions {}\ntxns {}\nentities {}\nshards {}\nprofile {}\n\
              abort_every {}\nthink_ns {}\ngc_interval_us {}\ndurable {}\nfault {}\n\
-             checks replay={} csr={} balance={} bound={} summary={}\n",
+             bounded {}\n",
             self.name,
             self.sessions,
             self.txns_per_session,
@@ -386,11 +354,7 @@ impl WorkloadSpec {
             self.gc_interval_us,
             flag(self.durable),
             fault,
-            flag(c.oracle_replay),
-            flag(c.csr),
-            flag(c.balance_sum),
-            flag(c.live_graph_bound),
-            flag(c.summary_exact),
+            flag(self.bounded),
         )
     }
 
@@ -414,7 +378,7 @@ impl WorkloadSpec {
             gc_interval_us: 50,
             durable: false,
             fault: FaultPlan::None,
-            checks: Checks::all(),
+            bounded: true,
         };
         for (i, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -480,24 +444,7 @@ impl WorkloadSpec {
                         other => return Err(at(format!("unknown fault {other:?}"))),
                     };
                 }
-                "checks" => {
-                    let mut c = Checks::all();
-                    for kv in parts {
-                        let (k, v) = kv
-                            .split_once('=')
-                            .ok_or_else(|| at(format!("bad checks item `{kv}`")))?;
-                        let on = v == "1";
-                        match k {
-                            "replay" => c.oracle_replay = on,
-                            "csr" => c.csr = on,
-                            "balance" => c.balance_sum = on,
-                            "bound" => c.live_graph_bound = on,
-                            "summary" => c.summary_exact = on,
-                            other => return Err(at(format!("unknown check `{other}`"))),
-                        }
-                    }
-                    spec.checks = c;
-                }
+                "bounded" => spec.bounded = parts.next() == Some("1"),
                 other => return Err(at(format!("unknown spec key `{other}`"))),
             }
         }
@@ -797,13 +744,35 @@ fn commit_outcome(t: Session) -> TxnOutcome {
     }
 }
 
-fn durability(dir: &Path) -> DurabilityConfig {
-    DurabilityConfig {
-        // Small segments so GC-driven truncation triggers in-run.
-        segment_bytes: 16 * 1024,
-        fsync: false,
-        ..DurabilityConfig::new(dir.to_path_buf())
-    }
+/// Opens the spec's engine on the simulated runtime. A durable spec
+/// logs to `dir` in small segments, so GC-driven truncation triggers
+/// in-run; a disk plan's are tiny, so several roll and seal in-run:
+/// sealed segments are what ENOSPC retirement frees and what corruption
+/// targets. `device` stands in for the plain file system under the log.
+fn open(
+    spec: &WorkloadSpec,
+    rt: &Arc<VirtualRuntime>,
+    dir: Option<&Path>,
+    record_history: bool,
+    device: Option<Arc<dyn WalStorage>>,
+    recover: RecoverPolicy,
+) -> Result<(Engine, RecoveryReport), EngineError> {
+    let disk = match spec.fault {
+        FaultPlan::Disk { fault } => Some(fault),
+        _ => None,
+    };
+    Engine::open(EngineConfig {
+        shards: spec.shards,
+        record_history,
+        durability: dir.map(|dir| DurabilityConfig {
+            segment_bytes: if disk.is_some() { 1024 } else { 16 * 1024 },
+            fsync: matches!(disk, Some(DiskFault::FsyncFail { .. })),
+            storage: device,
+            recover,
+            ..DurabilityConfig::new(dir.to_path_buf())
+        }),
+        runtime: Arc::clone(rt) as Arc<dyn Runtime>,
+    })
 }
 
 fn precheck(spec: &WorkloadSpec) -> Result<(), SimError> {
@@ -842,15 +811,31 @@ fn precheck(spec: &WorkloadSpec) -> Result<(), SimError> {
 /// process so their WAL directories never collide.
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn wal_dir_for(spec: &WorkloadSpec, seed: u64) -> Option<PathBuf> {
-    spec.durable.then(|| {
+/// Prechecks `spec`, then runs `f` over a fresh WAL directory (for a
+/// durable spec) and removes the directory afterwards.
+fn in_wal_dir<T>(
+    spec: &WorkloadSpec,
+    seed: u64,
+    f: impl FnOnce(Option<&Path>) -> T,
+) -> Result<T, SimError> {
+    precheck(spec)?;
+    let wal_dir = spec.durable.then(|| {
         std::env::temp_dir().join(format!(
             "deltx-sim-{}-{seed}-{}-{}",
             spec.name,
             std::process::id(),
             RUN_SEQ.fetch_add(1, Ordering::Relaxed)
         ))
-    })
+    });
+    let clean = || {
+        if let Some(d) = &wal_dir {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    };
+    clean();
+    let out = f(wal_dir.as_deref());
+    clean();
+    Ok(out)
 }
 
 /// Counters one traffic wave produced.
@@ -864,10 +849,9 @@ struct WaveStats {
 
 /// One engine lifetime's worth of traffic: spawns the live-graph
 /// monitor, the sweeper and every session as sim tasks, joins them
-/// (so none outlives the caller's engine), and returns
-/// the wave counters — the portion shared by the crash-plan and
-/// disk-fault runners. `crash_plan` arms the WAL crash point after
-/// the given number of acknowledged commits.
+/// (so none outlives the caller's engine), and returns the wave
+/// counters. `crash_plan` arms the WAL crash point after the given
+/// number of acknowledged commits.
 fn traffic_wave(
     spec: &WorkloadSpec,
     seed: u64,
@@ -968,11 +952,32 @@ fn traffic_wave(
     }
 }
 
-/// The post-wave oracle battery plus the fingerprint fold shared by
-/// the wave runners: lockstep full-scheduler replay, ground-truth
-/// CSR, balance conservation (skipped when the wave crashed — the
-/// survivors drained mid-transfer against a dead log), and the
-/// boundary-summary audit.
+/// The engine's balances, entity by entity.
+fn image(spec: &WorkloadSpec, engine: &Engine) -> Vec<i64> {
+    (0..spec.entities).map(|x| engine.peek(x)).collect()
+}
+
+/// The balance-conservation check, on a wave's final values and on
+/// every recovered image: transfers only move value, so the balances
+/// sum to 0. Skipped for [`Profile::ReadMostly`], whose writes bump
+/// counters instead.
+fn assert_conserved(spec: &WorkloadSpec, seed: u64, what: &str, balances: &[i64]) {
+    if !matches!(spec.profile, Profile::ReadMostly { .. }) {
+        assert_eq!(
+            balances.iter().sum::<i64>(),
+            0,
+            "[{} seed {seed}] {what} must conserve the total balance",
+            spec.name
+        );
+    }
+}
+
+/// The post-wave oracle battery plus the fingerprint fold: Theorem 2's
+/// lockstep replay, ground-truth CSR, balance conservation (skipped
+/// when the wave crashed — the survivors drained mid-transfer against
+/// a dead log), and the boundary-summary audit, which turns a corrupt
+/// reach mask (a missed cross-shard cycle, or silent over-locking)
+/// into a failure the schedule search can find.
 #[allow(clippy::too_many_arguments)]
 fn wave_oracles(
     spec: &WorkloadSpec,
@@ -984,54 +989,21 @@ fn wave_oracles(
     crashed: bool,
     fp: &mut u64,
 ) {
+    let at = format!("[{} seed {seed}] wave {wave}", spec.name);
     let history = engine.recorded_history().expect("recording enabled");
-    let mut full = CgState::new();
-    if spec.checks.oracle_replay || spec.checks.csr {
-        for ev in &history.events {
-            match ev {
-                Event::Step { step, outcome } => {
-                    let got = full.apply(step).unwrap_or_else(|err| {
-                        panic!(
-                            "[{} seed {seed}] wave {wave}: replay rejected {step:?}: {err}",
-                            spec.name
-                        )
-                    });
-                    assert_eq!(
-                        got, *outcome,
-                        "[{} seed {seed}] wave {wave}: engine diverged from the full \
-                         scheduler on {step:?}",
-                        spec.name
-                    );
-                }
-                Event::ClientAbort(t) => full.abort_txn(*t).expect("client abort of live txn"),
-            }
-        }
-        full.check_invariants();
+    let full = history
+        .replay_full()
+        .unwrap_or_else(|e| panic!("{at}: {e}"));
+    assert!(
+        history.is_csr(&full),
+        "{at}: accepted subschedule must be CSR"
+    );
+    if !crashed {
+        assert_conserved(spec, seed, &format!("wave {wave}: transfers"), finals);
     }
-    if spec.checks.csr {
-        let mut aborted = full.aborted_txns().clone();
-        aborted.extend(history.client_aborted());
-        let accepted =
-            Schedule::from_steps(history.accepted_steps()).accepted_subschedule(&aborted);
-        assert!(
-            deltx_model::history::is_csr(&accepted),
-            "[{} seed {seed}] wave {wave}: accepted subschedule must be CSR",
-            spec.name
-        );
-    }
-    if spec.checks.balance_sum && !crashed {
-        let sum: i64 = finals.iter().sum();
-        assert_eq!(
-            sum, 0,
-            "[{} seed {seed}] wave {wave}: transfers must conserve the total balance",
-            spec.name
-        );
-    }
-    if spec.checks.summary_exact {
-        engine.summary_audit().unwrap_or_else(|e| {
-            panic!("[{} seed {seed}] wave {wave}: {e}", spec.name);
-        });
-    }
+    engine
+        .summary_audit()
+        .unwrap_or_else(|e| panic!("{at}: {e}"));
 
     // ---- Fingerprint --------------------------------------------
     for ev in &history.events {
@@ -1045,144 +1017,6 @@ fn wave_oracles(
     }
     for c in [m.commits, m.aborts_scheduler, m.aborts_voluntary] {
         fnv1a(fp, &c.to_le_bytes());
-    }
-}
-
-/// The whole scenario, executed inside the sim as the root task:
-/// one engine lifetime per wave, in-sim recovery between waves.
-fn run_body(
-    spec: &WorkloadSpec,
-    seed: u64,
-    rt: &Arc<VirtualRuntime>,
-    wal_dir: Option<&Path>,
-) -> SimReport {
-    if let FaultPlan::Disk { fault } = spec.fault {
-        let dir = wal_dir.expect("precheck guarantees `durable` for disk faults");
-        return run_disk_body(spec, seed, rt, dir, fault);
-    }
-    let n_waves = match spec.fault {
-        FaultPlan::Crash { .. } => 2,
-        FaultPlan::CrashLoop { waves, .. } => waves,
-        _ => 1,
-    };
-    let mut commits_total = 0u64;
-    let mut failures_total = 0u64;
-    let mut client_aborts_total = 0u64;
-    let mut gc_deletions_total = 0u64;
-    let mut commits_replayed_total = 0u64;
-    let mut peak_global = 0usize;
-    let mut fp: u64 = 0xCBF2_9CE4_8422_2325;
-
-    for wave in 0..n_waves {
-        // A single-crash plan's second wave is recovery-check only:
-        // open in-sim, verify the recovered image, fold it into the
-        // fingerprint — no new traffic (the PR-6 contract, now with
-        // the recovered engine's WAL running in-sim).
-        let recovery_check_only = matches!(spec.fault, FaultPlan::Crash { .. }) && wave == 1;
-        if recovery_check_only {
-            let (recovered, rec) = Engine::open(EngineConfig {
-                shards: spec.shards,
-                durability: wal_dir.map(durability),
-                runtime: Arc::clone(rt) as Arc<dyn Runtime>,
-                ..EngineConfig::default()
-            })
-            .unwrap_or_else(|e| panic!("[{} seed {seed}] recovery must succeed: {e:?}", spec.name));
-            if spec.checks.balance_sum {
-                let sum: i64 = (0..spec.entities).map(|x| recovered.peek(x)).sum();
-                assert_eq!(
-                    sum, 0,
-                    "[{} seed {seed}] recovered image must conserve the balance sum",
-                    spec.name
-                );
-            }
-            for x in 0..spec.entities {
-                fnv1a(&mut fp, &recovered.peek(x).to_le_bytes());
-            }
-            commits_replayed_total += rec.commits_replayed;
-            drop(recovered); // closes the recovered WAL in-sim
-            continue;
-        }
-
-        let crash_plan: Option<(u64, CrashPoint)> = match spec.fault {
-            FaultPlan::Crash {
-                after_commits,
-                point,
-            } if wave == 0 => Some((after_commits, point)),
-            FaultPlan::CrashLoop {
-                after_commits,
-                point,
-                ..
-            } if wave + 1 < n_waves => Some((after_commits, point)),
-            _ => None,
-        };
-
-        let (engine, rec) = Engine::open(EngineConfig {
-            shards: spec.shards,
-            record_history: true,
-            durability: wal_dir.map(durability),
-            runtime: Arc::clone(rt) as Arc<dyn Runtime>,
-        })
-        .unwrap_or_else(|e| {
-            panic!(
-                "[{} seed {seed}] wave {wave}: open must succeed: {e:?}",
-                spec.name
-            )
-        });
-        let engine = Arc::new(engine);
-        commits_replayed_total += rec.commits_replayed;
-        if wave > 0 && spec.checks.balance_sum {
-            let sum: i64 = (0..spec.entities).map(|x| engine.peek(x)).sum();
-            assert_eq!(
-                sum, 0,
-                "[{} seed {seed}] wave {wave}: recovered image must conserve the balance sum",
-                spec.name
-            );
-        }
-
-        let w = traffic_wave(spec, seed, rt, &engine, wave, crash_plan);
-        let crashed = w.crashed;
-        if !crashed {
-            engine.gc_sweep();
-        }
-        let m = engine.metrics();
-        let finals: Vec<i64> = (0..spec.entities).map(|x| engine.peek(x)).collect();
-        let peak_nodes = w.peak.max(m.live_txns as usize);
-        peak_global = peak_global.max(peak_nodes);
-
-        wave_oracles(spec, seed, wave, &engine, &m, &finals, crashed, &mut fp);
-
-        commits_total += w.commits;
-        failures_total += w.failures;
-        client_aborts_total += w.client_aborts;
-        gc_deletions_total += m.gc_deletions;
-        drop(engine); // drains and closes the WAL in-sim
-    }
-
-    let graph_bound = if spec.checks.live_graph_bound {
-        let bound = spec.sessions + 4 * spec.entities as usize + 16;
-        assert!(
-            peak_global <= bound,
-            "[{} seed {seed}] peak live graph {peak_global} exceeded O(active) bound {bound}",
-            spec.name
-        );
-        bound
-    } else {
-        0
-    };
-
-    SimReport {
-        name: spec.name.clone(),
-        seed,
-        commits: commits_total,
-        failures: failures_total,
-        client_aborts: client_aborts_total,
-        gc_deletions: gc_deletions_total,
-        peak_nodes: peak_global,
-        graph_bound,
-        virtual_ns: rt.now().as_nanos() as u64,
-        switches: rt.switches(),
-        fingerprint: fp,
-        commits_replayed: commits_replayed_total,
     }
 }
 
@@ -1214,72 +1048,12 @@ fn probe_degraded(spec: &WorkloadSpec, seed: u64, engine: &Engine) {
     }
 }
 
-/// The disk-fault runner: wave 0 drives ordinary traffic over a
-/// [`FaultyStorage`]-wrapped device injecting the planned fault and
-/// asserts the matching error-policy contract — bounded retry absorbs
-/// transient bursts; any fsync failure poisons the log fail-stop (and
-/// the engine goes loudly read-only); ENOSPC ends either rescued by
-/// GC pressure or refusing writes. Then the run recovers from the
-/// surviving bytes on a clean device and checks what the scrub makes
-/// of them — including the Strict-refuse / Quarantine-isolate pair
-/// for corruption planted in a sealed mid-log segment.
-fn run_disk_body(
-    spec: &WorkloadSpec,
-    seed: u64,
-    rt: &Arc<VirtualRuntime>,
-    wal_dir: &Path,
-    fault: DiskFault,
-) -> SimReport {
-    let fault_spec = match fault {
-        DiskFault::TransientAppend { at, burst } => FaultSpec {
-            transient_append_at: Some((at, burst)),
-            ..FaultSpec::default()
-        },
-        DiskFault::FsyncFail { at } => FaultSpec {
-            fsync_fail_at: Some(at),
-            ..FaultSpec::default()
-        },
-        DiskFault::Capacity { bytes } => FaultSpec {
-            capacity: Some(bytes),
-            ..FaultSpec::default()
-        },
-        // The corruption is planted *between* the waves, not during.
-        DiskFault::CorruptSealed { .. } => FaultSpec::default(),
-    };
-    let storage = Arc::new(FaultyStorage::new(
-        Arc::new(FsStorage::new(wal_dir.to_path_buf())),
-        fault_spec,
-    ));
-    // Tiny segments so several roll and seal in-run: sealed segments
-    // are what ENOSPC retirement frees and what corruption targets.
-    let disk_durability = |storage: Option<Arc<dyn WalStorage>>, recover| DurabilityConfig {
-        segment_bytes: 1024,
-        fsync: matches!(fault, DiskFault::FsyncFail { .. }),
-        storage,
-        recover,
-        ..DurabilityConfig::new(wal_dir.to_path_buf())
-    };
-    let mut fp: u64 = 0xCBF2_9CE4_8422_2325;
-
-    // ---- Wave 0: traffic over the faulty device ---------------------
-    let (engine, _) = Engine::open(EngineConfig {
-        shards: spec.shards,
-        record_history: true,
-        durability: Some(disk_durability(
-            Some(Arc::clone(&storage) as Arc<dyn WalStorage>),
-            RecoverPolicy::Strict,
-        )),
-        runtime: Arc::clone(rt) as Arc<dyn Runtime>,
-    })
-    .unwrap_or_else(|e| {
-        panic!(
-            "[{} seed {seed}] disk wave: open must succeed: {e:?}",
-            spec.name
-        )
-    });
-    let engine = Arc::new(engine);
-
-    let w = traffic_wave(spec, seed, rt, &engine, 0, None);
+/// The error-policy contract of a disk fault, checked after its wave:
+/// bounded retry absorbs transient bursts; any fsync failure poisons
+/// the log fail-stop (and the engine goes loudly read-only); ENOSPC
+/// ends either rescued by GC pressure or refusing writes; the
+/// corruption wave itself runs clean. Returns the log's health.
+fn check_health(spec: &WorkloadSpec, seed: u64, engine: &Engine, fault: DiskFault) -> WalHealth {
     let health = engine.wal_health();
     match fault {
         DiskFault::TransientAppend { .. } => assert_eq!(
@@ -1295,13 +1069,13 @@ fn run_disk_body(
                 "[{} seed {seed}] an fsync failure must poison the log fail-stop",
                 spec.name
             );
-            probe_degraded(spec, seed, &engine);
+            probe_degraded(spec, seed, engine);
         }
         DiskFault::Capacity { .. } => match health {
             // GC pressure retired enough segments to rescue the run.
             WalHealth::Ok => {}
             // The device stayed full: loud read-only, never wedged.
-            WalHealth::NoSpace => probe_degraded(spec, seed, &engine),
+            WalHealth::NoSpace => probe_degraded(spec, seed, engine),
             other => panic!(
                 "[{} seed {seed}] ENOSPC must end rescued (Ok) or refusing \
                  (NoSpace), got {other:?}",
@@ -1315,140 +1089,213 @@ fn run_disk_body(
             spec.name
         ),
     }
+    health
+}
 
-    if health == WalHealth::Ok && !matches!(fault, DiskFault::CorruptSealed { .. }) {
-        // Skipped for CorruptSealed: retiring segments would unlink
-        // the sealed victims the between-wave corruption targets.
-        engine.gc_sweep();
+/// Plants bit rot in a sealed mid-log segment and recovers:
+/// [`RecoverPolicy::Strict`] must refuse to open, naming the way out,
+/// and [`RecoverPolicy::Quarantine`] must open, isolating exactly the
+/// damaged segment and reporting the lost LSN range. The balance sum
+/// is not checked — records are gone, and the accurate loud report is
+/// the contract. Returns the quarantined engine, or `None` when the log
+/// is too short to hold a victim.
+fn corrupt_and_scrub(
+    spec: &WorkloadSpec,
+    seed: u64,
+    rt: &Arc<VirtualRuntime>,
+    dir: &Path,
+    device: &FaultyStorage,
+    sector: u32,
+    fp: &mut u64,
+) -> Option<(Engine, RecoveryReport)> {
+    // Mid-log damage needs valid records *after* the victim: pick the
+    // lowest segment that has a non-empty successor.
+    let segs = device.list().unwrap_or_default();
+    let victim = segs.iter().enumerate().find_map(|(i, &s)| {
+        segs[i + 1..]
+            .iter()
+            .any(|&t| device.size(t).is_ok_and(|b| b > 0))
+            .then_some(s)
+    })?;
+    if !device.corrupt_sector(victim, sector).unwrap_or(false) {
+        return None;
     }
-    let m = engine.metrics();
-    let finals: Vec<i64> = (0..spec.entities).map(|x| engine.peek(x)).collect();
-    let peak_nodes = w.peak.max(m.live_txns as usize);
-    wave_oracles(spec, seed, 0, &engine, &m, &finals, false, &mut fp);
-    let wstats = engine.wal_stats().expect("disk runs are durable");
-    fnv1a(&mut fp, &wstats.append_retries.to_le_bytes());
-    fnv1a(&mut fp, &[health as u8]);
-    drop(engine); // drains and closes the WAL in-sim
-
-    // ---- Wave 1: recovery from the surviving bytes ------------------
-    let reopen_clean = |fp: &mut u64| -> u64 {
-        let (recovered, rec) = Engine::open(EngineConfig {
-            shards: spec.shards,
-            durability: Some(disk_durability(None, RecoverPolicy::Strict)),
-            runtime: Arc::clone(rt) as Arc<dyn Runtime>,
-            ..EngineConfig::default()
-        })
+    match open(spec, rt, Some(dir), false, None, RecoverPolicy::Strict) {
+        Err(e) => {
+            let msg = format!("{e:?}");
+            assert!(
+                msg.contains("Quarantine"),
+                "[{} seed {seed}] the strict refusal must name the \
+                 RecoverPolicy::Quarantine escape hatch: {msg}",
+                spec.name
+            );
+            fnv1a(fp, msg.as_bytes());
+        }
+        Ok(_) => panic!(
+            "[{} seed {seed}] mid-log corruption must refuse to open \
+             under RecoverPolicy::Strict",
+            spec.name
+        ),
+    }
+    let (recovered, rec) = open(spec, rt, Some(dir), false, None, RecoverPolicy::Quarantine)
         .unwrap_or_else(|e| {
             panic!(
-                "[{} seed {seed}] recovery after {fault:?} must succeed: {e:?}",
+                "[{} seed {seed}] RecoverPolicy::Quarantine must open past \
+                 mid-log corruption: {e:?}",
                 spec.name
             )
         });
-        if spec.checks.balance_sum {
-            let sum: i64 = (0..spec.entities).map(|x| recovered.peek(x)).sum();
-            assert_eq!(
-                sum, 0,
-                "[{} seed {seed}] recovered image must conserve the balance sum \
-                 after {fault:?}",
-                spec.name
-            );
-        }
-        for x in 0..spec.entities {
-            fnv1a(fp, &recovered.peek(x).to_le_bytes());
-        }
-        rec.commits_replayed
-        // `recovered` drops here, closing its WAL in-sim.
-    };
+    assert_eq!(
+        rec.scan
+            .quarantined
+            .iter()
+            .map(|q| q.segment)
+            .collect::<Vec<_>>(),
+        vec![victim],
+        "[{} seed {seed}] quarantine must isolate exactly the corrupted segment",
+        spec.name
+    );
+    for q in &rec.scan.quarantined {
+        fnv1a(fp, &q.segment.to_le_bytes());
+        fnv1a(fp, &q.lost_after.to_le_bytes());
+        fnv1a(fp, &q.resume_at.to_le_bytes());
+    }
+    Some((recovered, rec))
+}
 
-    let commits_replayed = if let DiskFault::CorruptSealed { sector } = fault {
-        // Mid-log damage needs valid records *after* the victim: pick
-        // the lowest segment that has a non-empty successor.
-        let segs = storage.list().unwrap_or_default();
-        let victim = segs.iter().enumerate().find_map(|(i, &s)| {
-            segs[i + 1..]
-                .iter()
-                .any(|&t| storage.size(t).is_ok_and(|b| b > 0))
-                .then_some(s)
-        });
-        let landed = match victim {
-            Some(v) => storage.corrupt_sector(v, sector).unwrap_or(false),
-            None => false,
+/// The whole scenario, executed inside the sim as the root task. One
+/// loop runs the traffic waves: a [`FaultPlan::CrashLoop`]'s `waves`
+/// engine lifetimes, each recovered in-sim from the one before,
+/// otherwise one. A disk fault's wave runs over a [`FaultyStorage`]
+/// device and ends with the fault's health contract. A
+/// [`FaultPlan::Crash`] or [`FaultPlan::Disk`] run then recovers once
+/// from the surviving bytes and checks the recovered image.
+fn run_body(
+    spec: &WorkloadSpec,
+    seed: u64,
+    rt: &Arc<VirtualRuntime>,
+    wal_dir: Option<&Path>,
+) -> SimReport {
+    let disk = match spec.fault {
+        FaultPlan::Disk { fault } => Some(fault),
+        _ => None,
+    };
+    let device = disk.map(|fault| {
+        let dir = wal_dir.expect("precheck guarantees `durable` for disk faults");
+        let faults = match fault {
+            DiskFault::TransientAppend { at, burst } => FaultSpec {
+                transient_append_at: Some((at, burst)),
+                ..FaultSpec::default()
+            },
+            DiskFault::FsyncFail { at } => FaultSpec {
+                fsync_fail_at: Some(at),
+                ..FaultSpec::default()
+            },
+            DiskFault::Capacity { bytes } => FaultSpec {
+                capacity: Some(bytes),
+                ..FaultSpec::default()
+            },
+            // The corruption is planted after the wave, not during.
+            DiskFault::CorruptSealed { .. } => FaultSpec::default(),
         };
-        if landed {
-            let victim = victim.expect("landed implies a victim");
-            // Strict: recovery must refuse loudly, naming the way out.
-            match Engine::open(EngineConfig {
-                shards: spec.shards,
-                durability: Some(disk_durability(None, RecoverPolicy::Strict)),
-                runtime: Arc::clone(rt) as Arc<dyn Runtime>,
-                ..EngineConfig::default()
-            }) {
-                Err(e) => {
-                    let msg = format!("{e:?}");
-                    assert!(
-                        msg.contains("Quarantine"),
-                        "[{} seed {seed}] the strict refusal must name the \
-                         RecoverPolicy::Quarantine escape hatch: {msg}",
-                        spec.name
-                    );
-                    fnv1a(&mut fp, msg.as_bytes());
-                }
-                Ok(_) => panic!(
-                    "[{} seed {seed}] mid-log corruption must refuse to open \
-                     under RecoverPolicy::Strict",
-                    spec.name
-                ),
-            }
-            // Quarantine: opens, isolating exactly the victim and
-            // reporting the lost LSN range. The balance sum is NOT
-            // checked here — records are gone, and the accurate loud
-            // report is the contract.
-            let (recovered, rec) = Engine::open(EngineConfig {
-                shards: spec.shards,
-                durability: Some(disk_durability(None, RecoverPolicy::Quarantine)),
-                runtime: Arc::clone(rt) as Arc<dyn Runtime>,
-                ..EngineConfig::default()
-            })
+        Arc::new(FaultyStorage::new(
+            Arc::new(FsStorage::new(dir.to_path_buf())),
+            faults,
+        ))
+    });
+    let waves = match spec.fault {
+        FaultPlan::CrashLoop { waves, .. } => waves,
+        _ => 1,
+    };
+    let (mut commits, mut failures, mut client_aborts) = (0u64, 0u64, 0u64);
+    let (mut gc_deletions, mut commits_replayed, mut peak) = (0u64, 0u64, 0usize);
+    let mut fp: u64 = 0xCBF2_9CE4_8422_2325;
+
+    for wave in 0..waves {
+        let crash_plan = match spec.fault {
+            FaultPlan::Crash {
+                after_commits,
+                point,
+            } => Some((after_commits, point)),
+            FaultPlan::CrashLoop {
+                after_commits,
+                point,
+                ..
+            } if wave + 1 < waves => Some((after_commits, point)),
+            _ => None,
+        };
+        let storage = device.clone().map(|d| d as Arc<dyn WalStorage>);
+        let (engine, rec) = open(spec, rt, wal_dir, true, storage, RecoverPolicy::Strict)
             .unwrap_or_else(|e| {
                 panic!(
-                    "[{} seed {seed}] RecoverPolicy::Quarantine must open past \
-                     mid-log corruption: {e:?}",
+                    "[{} seed {seed}] wave {wave}: open must succeed: {e:?}",
                     spec.name
                 )
             });
-            assert_eq!(
-                rec.scan
-                    .quarantined
-                    .iter()
-                    .map(|q| q.segment)
-                    .collect::<Vec<_>>(),
-                vec![victim],
-                "[{} seed {seed}] quarantine must isolate exactly the corrupted segment",
-                spec.name
-            );
-            for q in &rec.scan.quarantined {
-                fnv1a(&mut fp, &q.segment.to_le_bytes());
-                fnv1a(&mut fp, &q.lost_after.to_le_bytes());
-                fnv1a(&mut fp, &q.resume_at.to_le_bytes());
-            }
-            for x in 0..spec.entities {
-                fnv1a(&mut fp, &recovered.peek(x).to_le_bytes());
-            }
-            rec.commits_replayed
-        } else {
-            // Degenerate layout (everything still in one segment):
-            // the run still proves a clean reopen.
-            reopen_clean(&mut fp)
+        let engine = Arc::new(engine);
+        commits_replayed += rec.commits_replayed;
+        if wave > 0 {
+            let what = format!("wave {wave}: the recovered image");
+            assert_conserved(spec, seed, &what, &image(spec, &engine));
         }
-    } else {
-        reopen_clean(&mut fp)
-    };
 
-    let graph_bound = if spec.checks.live_graph_bound {
-        let bound = spec.sessions + 4 * spec.entities as usize + 16;
+        let w = traffic_wave(spec, seed, rt, &engine, wave, crash_plan);
+        let health = disk.map(|fault| check_health(spec, seed, &engine, fault));
+        // No sweep on a crashed or unhealthy log, nor before planted
+        // corruption: retiring segments would unlink its sealed victims.
+        if !w.crashed
+            && health.is_none_or(|h| h == WalHealth::Ok)
+            && !matches!(disk, Some(DiskFault::CorruptSealed { .. }))
+        {
+            engine.gc_sweep();
+        }
+        let m = engine.metrics();
+        let finals = image(spec, &engine);
+        peak = peak.max(w.peak.max(m.live_txns as usize));
+        wave_oracles(spec, seed, wave, &engine, &m, &finals, w.crashed, &mut fp);
+        if let Some(health) = health {
+            let wstats = engine.wal_stats().expect("disk runs are durable");
+            fnv1a(&mut fp, &wstats.append_retries.to_le_bytes());
+            fnv1a(&mut fp, &[health as u8]);
+        }
+
+        commits += w.commits;
+        failures += w.failures;
+        client_aborts += w.client_aborts;
+        gc_deletions += m.gc_deletions;
+        drop(engine); // drains and closes the WAL in-sim
+    }
+
+    if let (FaultPlan::Crash { .. } | FaultPlan::Disk { .. }, Some(dir)) = (spec.fault, wal_dir) {
+        let scrubbed = match (disk, &device) {
+            (Some(DiskFault::CorruptSealed { sector }), Some(device)) => {
+                corrupt_and_scrub(spec, seed, rt, dir, device, sector, &mut fp)
+            }
+            _ => None,
+        };
+        let (recovered, rec) = scrubbed.unwrap_or_else(|| {
+            let (recovered, rec) = open(spec, rt, Some(dir), false, None, RecoverPolicy::Strict)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "[{} seed {seed}] recovery after {:?} must succeed: {e:?}",
+                        spec.name, spec.fault
+                    )
+                });
+            assert_conserved(spec, seed, "the recovered image", &image(spec, &recovered));
+            (recovered, rec)
+        });
+        for v in image(spec, &recovered) {
+            fnv1a(&mut fp, &v.to_le_bytes());
+        }
+        commits_replayed += rec.commits_replayed;
+        drop(recovered); // closes the recovered WAL in-sim
+    }
+
+    let graph_bound = if spec.bounded {
+        let bound = live_graph_bound(spec.sessions, spec.entities);
         assert!(
-            peak_nodes <= bound,
-            "[{} seed {seed}] peak live graph {peak_nodes} exceeded O(active) bound {bound}",
+            peak <= bound,
+            "[{} seed {seed}] peak live graph {peak} exceeded O(active) bound {bound}",
             spec.name
         );
         bound
@@ -1459,11 +1306,11 @@ fn run_disk_body(
     SimReport {
         name: spec.name.clone(),
         seed,
-        commits: w.commits,
-        failures: w.failures,
-        client_aborts: w.client_aborts,
-        gc_deletions: m.gc_deletions,
-        peak_nodes,
+        commits,
+        failures,
+        client_aborts,
+        gc_deletions,
+        peak_nodes: peak,
         graph_bound,
         virtual_ns: rt.now().as_nanos() as u64,
         switches: rt.switches(),
@@ -1474,20 +1321,12 @@ fn run_disk_body(
 
 /// Runs `spec` under a fresh [`VirtualRuntime`] seeded with `seed` and
 /// returns the deterministic [`SimReport`]. Panics (with the spec name
-/// and seed in the message) if any enabled oracle fails. Crash plans
-/// run recovery inside the same simulated timeline.
+/// and seed in the message) if any oracle fails. Crash plans run
+/// recovery inside the same simulated timeline.
 pub fn run_spec(spec: &WorkloadSpec, seed: u64) -> Result<SimReport, SimError> {
-    precheck(spec)?;
-    let wal_dir = wal_dir_for(spec, seed);
-    if let Some(d) = &wal_dir {
-        let _ = std::fs::remove_dir_all(d);
-    }
-    let (out, _info) = VirtualRuntime::run_cfg(&SimConfig::random(seed), |rt| {
-        run_body(spec, seed, rt, wal_dir.as_deref())
-    });
-    if let Some(d) = &wal_dir {
-        let _ = std::fs::remove_dir_all(d);
-    }
+    let (out, _info) = in_wal_dir(spec, seed, |dir| {
+        VirtualRuntime::run_cfg(&SimConfig::random(seed), |rt| run_body(spec, seed, rt, dir))
+    })?;
     match out {
         Ok(report) => Ok(report),
         Err(fail) => fail.raise(),
@@ -1500,19 +1339,13 @@ pub fn run_spec(spec: &WorkloadSpec, seed: u64) -> Result<SimReport, SimError> {
 /// failure headline, the decision trace (replayable and minimizable),
 /// and the engine-event coverage signatures.
 pub fn run_spec_traced(spec: &WorkloadSpec, cfg: &SimConfig) -> Result<TracedRun, SimError> {
-    precheck(spec)?;
-    let wal_dir = wal_dir_for(spec, cfg.seed);
-    if let Some(d) = &wal_dir {
-        let _ = std::fs::remove_dir_all(d);
-    }
     // A traced run's failure is data, not an event worth a backtrace:
     // search and minimization run hundreds of red schedules on purpose.
-    let (out, info) = crate::sim::silence_expected_panics(|| {
-        VirtualRuntime::run_cfg(cfg, |rt| run_body(spec, cfg.seed, rt, wal_dir.as_deref()))
-    });
-    if let Some(d) = &wal_dir {
-        let _ = std::fs::remove_dir_all(d);
-    }
+    let (out, info) = in_wal_dir(spec, cfg.seed, |dir| {
+        crate::sim::silence_expected_panics(|| {
+            VirtualRuntime::run_cfg(cfg, |rt| run_body(spec, cfg.seed, rt, dir))
+        })
+    })?;
     let (report, failure) = match out {
         Ok(r) => (Some(r), None),
         Err(f) => (None, Some(f.message)),

@@ -5,12 +5,14 @@
 //! simulator in well under a second, yet shaped to stress a distinct
 //! mechanism: the stress suite's transfer mix, one hot
 //! cross-shard pair's skew, Example 1's long readers, §5 batch jobs,
-//! read-mostly fanout, adversarial cross-shard chains, and a durable
-//! run that crashes mid-flight and must recover. CI sweeps the whole
-//! zoo over a seed matrix (`sim_zoo` binary); the determinism
-//! self-test replays each spec twice per seed.
+//! read-mostly fanout, adversarial cross-shard chains, a boundary
+//! flood, zero-think-time contention, durable runs that crash once or
+//! twice and recover, and four disk faults (a transient append burst,
+//! a failed fsync, a full device, a corrupt sealed segment) — 14 in
+//! [`all`]. CI sweeps the whole zoo over a seed matrix (`sim_zoo`
+//! binary); the determinism self-test replays each spec twice per seed.
 
-use crate::workload::{Checks, DiskFault, FaultPlan, Profile, WorkloadSpec};
+use crate::workload::{DiskFault, FaultPlan, Profile, WorkloadSpec};
 use deltx_engine::CrashPoint;
 
 /// The stress suite's banking mix (`stress_replay::run_mix` ported to
@@ -29,7 +31,7 @@ pub fn transfer_mix() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        checks: Checks::all(),
+        bounded: true,
     }
 }
 
@@ -49,7 +51,7 @@ pub fn hot_key_skew() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        checks: Checks::all(),
+        bounded: true,
     }
 }
 
@@ -72,7 +74,7 @@ pub fn long_readers() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        checks: Checks::all(),
+        bounded: true,
     }
 }
 
@@ -91,7 +93,7 @@ pub fn batch_jobs() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        checks: Checks::all(),
+        bounded: true,
     }
 }
 
@@ -110,10 +112,7 @@ pub fn read_mostly_fanout() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        checks: Checks {
-            balance_sum: false,
-            ..Checks::all()
-        },
+        bounded: true,
     }
 }
 
@@ -133,7 +132,7 @@ pub fn cross_shard_chain() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        checks: Checks::all(),
+        bounded: true,
     }
 }
 
@@ -156,12 +155,9 @@ pub fn durable_crash_mid_run() -> WorkloadSpec {
             after_commits: 40,
             point: CrashPoint::TornWriteAt(11),
         },
-        checks: Checks {
-            // Post-crash the live graph holds acknowledged-but-failed
-            // residue; skip the bound, keep every safety oracle.
-            live_graph_bound: false,
-            ..Checks::all()
-        },
+        // Post-crash the live graph holds acknowledged-but-failed
+        // residue: skip the bound.
+        bounded: false,
     }
 }
 
@@ -169,8 +165,8 @@ pub fn durable_crash_mid_run() -> WorkloadSpec {
 /// over a wide entity universe, so every transaction is a boundary
 /// transaction and each shard's boundary index runs far past one
 /// 64-bit word. Multi-word reach masks are exactly where the PR-4
-/// trailing-word `BitSet` family of bugs lives — with `summary_exact`
-/// on, the audit turns any mask pollution into a hard failure the
+/// trailing-word `BitSet` family of bugs lives — the end-of-wave
+/// summary audit turns any mask pollution into a hard failure the
 /// schedule search can steer toward.
 pub fn boundary_flood() -> WorkloadSpec {
     WorkloadSpec {
@@ -185,7 +181,7 @@ pub fn boundary_flood() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        checks: Checks::all(),
+        bounded: true,
     }
 }
 
@@ -210,13 +206,10 @@ pub fn hot_contention() -> WorkloadSpec {
         gc_interval_us: 20,
         durable: false,
         fault: FaultPlan::None,
-        checks: Checks {
-            // Zero think time starves the sweeper's tick (virtual
-            // time never advances mid-run), so the graph legitimately
-            // exceeds the O(active) bound between reclaim points.
-            live_graph_bound: false,
-            ..Checks::all()
-        },
+        // Zero think time starves the sweeper's tick (virtual
+        // time never advances mid-run), so the graph legitimately
+        // exceeds the O(active) bound between reclaim points.
+        bounded: false,
     }
 }
 
@@ -241,12 +234,9 @@ pub fn durable_crash_recover_twice() -> WorkloadSpec {
             point: CrashPoint::MidFlushTorn,
             waves: 3,
         },
-        checks: Checks {
-            // Crash waves leave acknowledged-but-failed residue in the
-            // live graph; skip the bound, keep every safety oracle.
-            live_graph_bound: false,
-            ..Checks::all()
-        },
+        // Crash waves leave acknowledged-but-failed residue in the
+        // live graph: skip the bound.
+        bounded: false,
     }
 }
 
@@ -269,7 +259,7 @@ pub fn disk_transient_appends() -> WorkloadSpec {
         fault: FaultPlan::Disk {
             fault: DiskFault::TransientAppend { at: 2, burst: 2 },
         },
-        checks: Checks::all(),
+        bounded: true,
     }
 }
 
@@ -292,12 +282,9 @@ pub fn disk_fsync_poison() -> WorkloadSpec {
         fault: FaultPlan::Disk {
             fault: DiskFault::FsyncFail { at: 1 },
         },
-        checks: Checks {
-            // Post-poison the live graph holds acknowledged-but-failed
-            // residue; skip the bound, keep every safety oracle.
-            live_graph_bound: false,
-            ..Checks::all()
-        },
+        // Post-poison the live graph holds acknowledged-but-failed
+        // residue: skip the bound.
+        bounded: false,
     }
 }
 
@@ -320,11 +307,8 @@ pub fn disk_enospc_pressure() -> WorkloadSpec {
         fault: FaultPlan::Disk {
             fault: DiskFault::Capacity { bytes: 6 * 1024 },
         },
-        checks: Checks {
-            // A mid-run write freeze leaves residue like a crash does.
-            live_graph_bound: false,
-            ..Checks::all()
-        },
+        // A mid-run write freeze leaves residue like a crash does.
+        bounded: false,
     }
 }
 
@@ -349,12 +333,9 @@ pub fn disk_corrupt_sealed_scrub() -> WorkloadSpec {
         fault: FaultPlan::Disk {
             fault: DiskFault::CorruptSealed { sector: 0 },
         },
-        checks: Checks {
-            // The deliberately slow sweeper tick lets the graph run
-            // ahead of reclamation between sweeps; skip the bound.
-            live_graph_bound: false,
-            ..Checks::all()
-        },
+        // The deliberately slow sweeper tick lets the graph run
+        // ahead of reclamation between sweeps; skip the bound.
+        bounded: false,
     }
 }
 

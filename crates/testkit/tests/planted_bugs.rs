@@ -6,7 +6,7 @@
 //!
 //! * `bitset_trailing_word` — the PR-4 `BitSet` family: equality that
 //!   ignores a long operand's trailing words plus a `copy_from` that
-//!   skips tail zeroing. Surfaces as a `summary_exact` audit failure
+//!   skips tail zeroing. Surfaces as a summary audit failure
 //!   once boundary masks outgrow one 64-bit word (`boundary_flood`).
 //! * `drop_gc_bridge` — GC deletion that forgets the paper's `D(G,N)`
 //!   bridge arcs. Surfaces under perpetual contention

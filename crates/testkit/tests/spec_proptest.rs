@@ -7,7 +7,7 @@
 //! recorded trace.
 
 use deltx_engine::{CrashPoint, ALL_CRASH_POINTS};
-use deltx_testkit::workload::{Checks, FaultPlan, Profile, WorkloadSpec};
+use deltx_testkit::workload::{FaultPlan, Profile, WorkloadSpec};
 use deltx_testkit::{run_spec, run_spec_traced, Decision, PickPolicy, ScheduleTrace, SimConfig};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
@@ -50,26 +50,6 @@ fn fault_strategy() -> BoxedStrategy<FaultPlan> {
     .boxed()
 }
 
-fn checks_strategy() -> BoxedStrategy<Checks> {
-    (
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(oracle_replay, csr, balance_sum, live_graph_bound, summary_exact)| Checks {
-                oracle_replay,
-                csr,
-                balance_sum,
-                live_graph_bound,
-                summary_exact,
-            },
-        )
-        .boxed()
-}
-
 /// The full spec space, including faulty and unsupported corners —
 /// the round-trip must be exact whether or not a runner exists.
 fn spec_strategy() -> BoxedStrategy<WorkloadSpec> {
@@ -80,10 +60,10 @@ fn spec_strategy() -> BoxedStrategy<WorkloadSpec> {
         profile_strategy(),
         (0usize..32, 0u64..1_000_000, 1u64..10_000),
         (any::<bool>(), fault_strategy()),
-        checks_strategy(),
+        any::<bool>(),
     )
         .prop_map(
-            |(name, (sessions, txns, entities, shards), profile, knobs, df, checks)| {
+            |(name, (sessions, txns, entities, shards), profile, knobs, df, bounded)| {
                 let (abort_every, think_ns, gc_interval_us) = knobs;
                 let (durable, fault) = df;
                 WorkloadSpec {
@@ -98,7 +78,7 @@ fn spec_strategy() -> BoxedStrategy<WorkloadSpec> {
                     gc_interval_us,
                     durable,
                     fault,
-                    checks,
+                    bounded,
                 }
             },
         )
@@ -143,7 +123,7 @@ fn runnable_spec_strategy() -> BoxedStrategy<WorkloadSpec> {
                 gc_interval_us,
                 durable: false,
                 fault: FaultPlan::None,
-                checks: Checks::all(),
+                bounded: true,
             }
         })
         .boxed()
@@ -219,8 +199,8 @@ proptest! {
 
 /// Spec text is untrusted input (repro files are hand-edited and
 /// outlive the code that wrote them): a line the parser does not
-/// understand — the retired `partition` fault and `execution` key, or
-/// any unknown key — is an error naming the line, never a panic and
+/// understand — the retired `partition` fault and `execution` and
+/// `checks` keys, or any unknown key — is an error naming the line, never a panic and
 /// never silently dropped.
 #[test]
 fn spec_text_rejects_retired_and_unknown_lines() {
@@ -228,6 +208,7 @@ fn spec_text_rejects_retired_and_unknown_lines() {
         "fault partition 3 5",
         // Split so a grep for the retired mode's name stays empty.
         concat!("execution shard", "_loops"),
+        "checks replay=1 csr=1 balance=0 bound=1 summary=1",
         "colour blue",
     ] {
         let text = format!("name rejected\nsessions 2\n{bad}\ntxns 4\n");

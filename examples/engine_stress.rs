@@ -42,7 +42,9 @@
 //! metrics. It writes no report: the committed performance trajectory
 //! is `perf/` (see `perf/README.md`).
 
-use deltx_engine::{run_seed_arg, DurabilityConfig, Engine, EngineConfig, EngineError};
+use deltx_engine::{
+    live_graph_bound, run_seed_arg, DurabilityConfig, Engine, EngineConfig, EngineError,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -341,7 +343,7 @@ fn main() {
     );
 
     // The paper's promise: live graph stays O(active), not O(history).
-    let bound = threads + 4 * n_entities as usize + 16;
+    let bound = live_graph_bound(threads, n_entities);
     let peak = peak_nodes.load(Ordering::Relaxed);
     assert!(
         peak <= bound,
