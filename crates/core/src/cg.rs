@@ -29,7 +29,7 @@
 
 use crate::error::CgError;
 use deltx_graph::cycle::CycleChecker;
-use deltx_graph::{BitSet, Closure, DiGraph, NodeId};
+use deltx_graph::{BitSet, Closure, DiGraph, NodeId, SmallVec};
 use deltx_model::{AccessMode, EntityId, IdMap, IdSet, Op, Step, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -54,13 +54,17 @@ pub struct AccessRecord {
     pub version: u64,
 }
 
+/// Access records a node keeps inline before its list spills to the
+/// heap: a transfer touches two entities, a 16-entity reader spills.
+const ACCESSES_INLINE: usize = 3;
+
 /// A node's accesses: one [`AccessRecord`] per entity, sorted by entity.
 ///
-/// A transaction touches a handful of entities, so the records sit in
-/// one small vector (24 bytes a record) searched by bisection, where a
-/// `BTreeMap` would allocate a whole B-tree leaf (≈ 230 bytes) per node.
+/// A transaction touches a handful of entities, so the records (24
+/// bytes each) are kept inline in the node's record, up to three of
+/// them, and searched by bisection; a longer list spills to the heap.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Accesses(Vec<(EntityId, AccessRecord)>);
+pub struct Accesses(SmallVec<(EntityId, AccessRecord), ACCESSES_INLINE>);
 
 impl Accesses {
     /// The record for `x`, if `x` was accessed.
@@ -114,6 +118,97 @@ impl<'a> IntoIterator for &'a Accesses {
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter().map(|(x, r)| (x, r))
+    }
+}
+
+/// Node ids an entity keeps inline in its accessor list.
+const ACCESSORS_INLINE: usize = 6;
+/// Node ids an entity keeps inline in its writer list.
+const WRITERS_INLINE: usize = 2;
+
+/// The scheduler's record of one entity: its write counter and the
+/// live nodes that touched it, in one map slot.
+#[derive(Clone, Debug, Default)]
+struct EntityState {
+    /// Monotone write counter (never reset by deletions).
+    version: u64,
+    /// Live nodes (sorted) that have accessed the entity, any mode.
+    accessors: SmallVec<NodeId, ACCESSORS_INLINE>,
+    /// Live nodes (sorted) that have written the entity.
+    writers: SmallVec<NodeId, WRITERS_INLINE>,
+}
+
+/// Sentinel in [`NodeRec::slot`] for "not a boundary node".
+const NO_SLOT: u32 = u32::MAX;
+
+/// Everything the scheduler keeps about one node slot besides its
+/// adjacency, in one record indexed by [`NodeId::index`].
+#[derive(Clone, Debug)]
+struct NodeRec {
+    /// The node's payload; `None` while the slot is free.
+    info: Option<NodeInfo>,
+    /// Bitmask of boundary slots the node reaches through the graph
+    /// (its own slot excluded — the graph is acyclic). The boundary
+    /// reachability summary is this mask restricted to boundary nodes.
+    /// Kept exact under arc insertion (backward word-parallel
+    /// propagation with subsumption pruning), deletion (`D(G, N)`
+    /// bridging preserves reachability among survivors, so only the
+    /// removed slot's bit drops) and abort (recompute; removal without
+    /// bridging can only shrink reachability).
+    reach: BitSet,
+    /// The node's boundary slot, [`NO_SLOT`] if it is not a boundary
+    /// node.
+    slot: u32,
+    /// The slot index sits in `gc_candidates`. Belongs to the index,
+    /// not to the node: it outlives a removal and covers the next node
+    /// to reuse the index, until the next drain.
+    gc_queued: bool,
+}
+
+impl Default for NodeRec {
+    fn default() -> Self {
+        NodeRec {
+            info: None,
+            reach: BitSet::new(),
+            slot: NO_SLOT,
+            gc_queued: false,
+        }
+    }
+}
+
+/// Transaction ids one page of [`TxnBits`] covers: 64 words of 64.
+const TXN_PAGE_IDS: u32 = 64 * 64;
+
+/// A set of transaction ids as a paged bitset: one bit per id, in pages
+/// of [`TXN_PAGE_IDS`] ids allocated on first use. It grows by one bit
+/// per id, and a page holds ids begun close together in time.
+#[derive(Clone, Debug, Default)]
+struct TxnBits {
+    pages: IdMap<u32, Box<[u64; 64]>>,
+}
+
+impl TxnBits {
+    fn locate(t: TxnId) -> (u32, usize, u64) {
+        let within = t.0 % TXN_PAGE_IDS;
+        (
+            t.0 / TXN_PAGE_IDS,
+            (within / 64) as usize,
+            1 << (within % 64),
+        )
+    }
+
+    fn contains(&self, t: TxnId) -> bool {
+        let (page, word, bit) = Self::locate(t);
+        self.pages.get(&page).is_some_and(|p| p[word] & bit != 0)
+    }
+
+    /// Adds `t`; returns `false` if it was already present.
+    fn insert(&mut self, t: TxnId) -> bool {
+        let (page, word, bit) = Self::locate(t);
+        let w = &mut self.pages.entry(page).or_insert_with(|| Box::new([0; 64]))[word];
+        let fresh = *w & bit == 0;
+        *w |= bit;
+        fresh
     }
 }
 
@@ -180,49 +275,41 @@ pub struct CgStats {
 #[derive(Clone, Debug)]
 pub struct CgState {
     graph: DiGraph,
-    info: Vec<Option<NodeInfo>>,
+    /// `node.index()` → the node's record: payload, reach mask,
+    /// boundary slot and GC-queue flag. As long as the graph's slab.
+    nodes: Vec<NodeRec>,
     by_txn: IdMap<TxnId, NodeId>,
     /// Ids ever seen (begun), including aborted/completed/deleted ones;
-    /// guards against id reuse.
-    seen: IdSet<TxnId>,
+    /// guards against id reuse. Not bounded by active work: it grows
+    /// by one bit per id ever begun here.
+    seen: TxnBits,
+    /// Ids aborted so far, so late steps of theirs are dropped. Not
+    /// bounded by active work either: one entry per aborted id. With
+    /// `seen`, the only per-shard state that grows with history.
     aborted: IdSet<TxnId>,
     checker: CycleChecker,
     closure: Option<Closure>,
-    /// Nodes (sorted) that have accessed each entity, any mode.
-    accessors: IdMap<EntityId, Vec<NodeId>>,
-    /// Nodes (sorted) that have written each entity.
-    writers: IdMap<EntityId, Vec<NodeId>>,
-    /// Monotone write counter per entity (never reset by deletions).
-    version: IdMap<EntityId, u64>,
+    /// Per entity ever accessed: its write counter and its live
+    /// accessors and writers, in one record.
+    entities: IdMap<EntityId, EntityState>,
     /// Completed nodes that may have become deletable since the last
     /// [`CgState::drain_gc_candidates`]: enqueued at completion and
     /// whenever a later write overwrites one of their entities. Feeds
     /// incremental GC sweeps that avoid full graph scans. Only
     /// populated when [`CgState::set_gc_tracking`] enabled it — a
     /// consumer that never drains must not accumulate the queue.
-    /// Deduplicated via `gc_queued`: each node id appears at most once
-    /// between drains, so the queue is bounded by the graph's slab
-    /// capacity even if a consumer enables tracking and stops draining.
+    /// Deduplicated via [`NodeRec::gc_queued`]: each node id appears at
+    /// most once between drains, so the queue is bounded by the graph's
+    /// slab capacity even if a consumer enables tracking and stops
+    /// draining.
     gc_candidates: Vec<NodeId>,
-    /// Node ids currently sitting in `gc_candidates` (coalesces
-    /// repeated enqueues of the same node into one entry).
-    gc_queued: IdSet<NodeId>,
     track_gc: bool,
     /// Compact index of the live boundary nodes (in the sharded
     /// engine: nodes of multi-shard transactions, ghosts included) —
     /// each gets a dense *slot* so reachability among them can be
-    /// kept as word-parallel bitmasks instead of per-pair sets.
+    /// kept as word-parallel bitmasks ([`NodeRec::reach`]) instead of
+    /// per-pair sets.
     bindex: BoundaryIndex,
-    /// `node.index()` → bitmask of boundary slots the node reaches
-    /// through this graph (the node's own slot excluded — the graph
-    /// is acyclic). The boundary reachability summary is this vector
-    /// restricted to boundary nodes. Kept exact under arc insertion
-    /// (backward word-parallel propagation with subsumption pruning),
-    /// deletion (`D(G, N)` bridging preserves reachability among
-    /// survivors, so only the removed slot's bit drops) and abort
-    /// (recompute; removal without bridging can only shrink
-    /// reachability).
-    reach_mask: Vec<BitSet>,
     /// Reusable delta mask for the propagation hot path.
     delta_scratch: BitSet,
     /// Reusable worklist for the propagation hot path.
@@ -244,9 +331,6 @@ pub struct CgState {
     stats: CgStats,
 }
 
-/// Sentinel in `BoundaryIndex::slot_of_node` for "not a boundary node".
-const NO_SLOT: u32 = u32::MAX;
-
 /// Dense slot index over the live boundary nodes: the compact
 /// boundary-txn index the bitmask reach-sets are keyed by. Slots are
 /// recycled through a free list; a freed slot's bit is eagerly cleared
@@ -259,8 +343,6 @@ struct BoundaryIndex {
     node_of: Vec<NodeId>,
     /// Recycled slots.
     free: Vec<u32>,
-    /// `node.index()` → slot, [`NO_SLOT`] if the node is not boundary.
-    slot_of_node: Vec<u32>,
     /// Live slot count.
     live: usize,
     /// High-water mark of *allocated* slots (`txn_of.len()`): the
@@ -269,15 +351,9 @@ struct BoundaryIndex {
 }
 
 impl BoundaryIndex {
-    fn slot_of(&self, n: NodeId) -> Option<usize> {
-        self.slot_of_node
-            .get(n.index())
-            .copied()
-            .filter(|&s| s != NO_SLOT)
-            .map(|s| s as usize)
-    }
-
-    fn alloc(&mut self, n: NodeId, t: TxnId) -> usize {
+    /// Allocates a slot for `n`; the caller records it in `n`'s
+    /// [`NodeRec::slot`].
+    fn alloc(&mut self, n: NodeId, t: TxnId) -> u32 {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.txn_of[s as usize] = t;
@@ -290,36 +366,17 @@ impl BoundaryIndex {
                 self.txn_of.len() - 1
             }
         };
-        if self.slot_of_node.len() <= n.index() {
-            self.slot_of_node.resize(n.index() + 1, NO_SLOT);
-        }
-        self.slot_of_node[n.index()] = u32::try_from(slot).expect("slot overflow");
         self.live += 1;
         self.hwm = self.hwm.max(self.txn_of.len());
-        slot
+        u32::try_from(slot).expect("slot overflow")
     }
 
-    /// Frees `n`'s slot (caller has already cleared its bit from every
-    /// mask). Returns the freed slot.
-    fn release(&mut self, n: NodeId) -> usize {
-        let slot = self.slot_of_node[n.index()];
+    /// Frees `slot` (caller has already cleared its bit from every
+    /// mask and reset the owner's [`NodeRec::slot`]).
+    fn release(&mut self, slot: u32) {
         debug_assert_ne!(slot, NO_SLOT, "release of non-boundary node");
-        self.slot_of_node[n.index()] = NO_SLOT;
         self.free.push(slot);
         self.live -= 1;
-        slot as usize
-    }
-}
-
-fn sorted_insert(v: &mut Vec<NodeId>, n: NodeId) {
-    if let Err(pos) = v.binary_search(&n) {
-        v.insert(pos, n);
-    }
-}
-
-fn sorted_remove(v: &mut Vec<NodeId>, n: NodeId) {
-    if let Ok(pos) = v.binary_search(&n) {
-        v.remove(pos);
     }
 }
 
@@ -339,23 +396,19 @@ impl CgState {
     pub fn with_strategy(strategy: CycleStrategy) -> Self {
         Self {
             graph: DiGraph::new(),
-            info: Vec::new(),
+            nodes: Vec::new(),
             by_txn: IdMap::default(),
-            seen: IdSet::default(),
+            seen: TxnBits::default(),
             aborted: IdSet::default(),
             checker: CycleChecker::new(),
             closure: match strategy {
                 CycleStrategy::Dfs => None,
                 CycleStrategy::TransitiveClosure => Some(Closure::new()),
             },
-            accessors: IdMap::default(),
-            writers: IdMap::default(),
-            version: IdMap::default(),
+            entities: IdMap::default(),
             gc_candidates: Vec::new(),
-            gc_queued: IdSet::default(),
             track_gc: false,
             bindex: BoundaryIndex::default(),
-            reach_mask: Vec::new(),
             delta_scratch: BitSet::new(),
             prop_stack: Vec::new(),
             summary_batch: false,
@@ -376,8 +429,9 @@ impl CgState {
     pub fn set_gc_tracking(&mut self, on: bool) {
         self.track_gc = on;
         if !on {
-            self.gc_candidates = Vec::new();
-            self.gc_queued = IdSet::default();
+            for n in std::mem::take(&mut self.gc_candidates) {
+                self.nodes[n.index()].gc_queued = false;
+            }
         }
     }
 
@@ -401,12 +455,19 @@ impl CgState {
     /// # Panics
     /// Panics if `n` is not live.
     pub fn info(&self, n: NodeId) -> &NodeInfo {
-        self.info[n.index()].as_ref().expect("info of removed node")
+        self.nodes[n.index()]
+            .info
+            .as_ref()
+            .expect("info of removed node")
+    }
+
+    fn info_mut(&mut self, n: NodeId) -> &mut NodeInfo {
+        self.nodes[n.index()].info.as_mut().expect("live node")
     }
 
     /// True if `n` is a live node of this graph.
     pub fn is_live(&self, n: NodeId) -> bool {
-        self.info.get(n.index()).is_some_and(Option::is_some)
+        self.nodes.get(n.index()).is_some_and(|r| r.info.is_some())
     }
 
     /// True if `n` is live and active.
@@ -451,7 +512,7 @@ impl CgState {
 
     /// Current version counter of `x` (number of installed writes).
     pub fn version_of(&self, x: EntityId) -> u64 {
-        self.version.get(&x).copied().unwrap_or(0)
+        self.entities.get(&x).map_or(0, |e| e.version)
     }
 
     /// A transaction id strictly larger than any seen — for oracle
@@ -468,12 +529,8 @@ impl CgState {
 
     /// Every entity ever accessed (sorted).
     pub fn entities_seen(&self) -> Vec<EntityId> {
-        let mut v: Vec<EntityId> = self.version.keys().copied().collect();
-        for e in self.accessors.keys() {
-            v.push(*e);
-        }
+        let mut v: Vec<EntityId> = self.entities.keys().copied().collect();
         v.sort_unstable();
-        v.dedup();
         v
     }
 
@@ -516,51 +573,48 @@ impl CgState {
         match self.by_txn.get(&t) {
             Some(&n) => Ok(n),
             None if self.aborted.contains(&t) => Err(CgError::AlreadyAborted(t)),
-            None if self.seen.contains(&t) => Err(CgError::AlreadyCompleted(t)),
+            None if self.seen.contains(t) => Err(CgError::AlreadyCompleted(t)),
             None => Err(CgError::UnknownTxn(t)),
         }
     }
 
     fn begin(&mut self, t: TxnId) -> Result<Applied, CgError> {
-        if self.seen.contains(&t) {
-            return Err(CgError::DuplicateBegin(t));
-        }
-        self.seen.insert(t);
-        self.max_txn = self.max_txn.max(t.0);
-        let n = self.graph.add_node();
-        if self.info.len() <= n.index() {
-            self.info.resize_with(n.index() + 1, || None);
-        }
-        self.info[n.index()] = Some(NodeInfo {
-            txn: t,
-            state: TxnState::Active,
-            access: Accesses::default(),
-        });
-        self.by_txn.insert(t, n);
-        self.reset_node_summary(n);
-        if let Some(c) = &mut self.closure {
-            c.on_add_node(n);
-        }
+        self.add_node(t, TxnState::Active)?;
         self.stats.accepted += 1;
         Ok(Applied::Accepted)
     }
 
-    /// Sizes (and clears) the summary-side per-node state for a node
-    /// slot that may be recycled from the slab free list.
-    fn reset_node_summary(&mut self, n: NodeId) {
-        let i = n.index();
-        if self.bindex.slot_of_node.len() <= i {
-            self.bindex.slot_of_node.resize(i + 1, NO_SLOT);
+    /// Rule 1 for a fresh id: adds `t`'s node in `state` with no
+    /// accesses, in a node slot that may be recycled from the slab free
+    /// list.
+    fn add_node(&mut self, t: TxnId, state: TxnState) -> Result<NodeId, CgError> {
+        if !self.seen.insert(t) {
+            return Err(CgError::DuplicateBegin(t));
         }
-        debug_assert_eq!(
-            self.bindex.slot_of_node[i], NO_SLOT,
-            "slot leaked across reuse"
-        );
-        self.bindex.slot_of_node[i] = NO_SLOT;
-        if self.reach_mask.len() <= i {
-            self.reach_mask.resize_with(i + 1, BitSet::new);
+        self.max_txn = self.max_txn.max(t.0);
+        let n = self.graph.add_node();
+        if self.nodes.len() <= n.index() {
+            self.nodes.resize_with(n.index() + 1, NodeRec::default);
         }
-        self.reach_mask[i].clear();
+        let rec = &mut self.nodes[n.index()];
+        debug_assert_eq!(rec.slot, NO_SLOT, "slot leaked across reuse");
+        rec.info = Some(NodeInfo {
+            txn: t,
+            state,
+            access: Accesses::default(),
+        });
+        rec.reach.clear();
+        self.by_txn.insert(t, n);
+        if let Some(c) = &mut self.closure {
+            c.on_add_node(n);
+        }
+        Ok(n)
+    }
+
+    /// `n`'s boundary slot, if it is a boundary node.
+    fn slot_of(&self, n: NodeId) -> Option<usize> {
+        let slot = self.nodes.get(n.index())?.slot;
+        (slot != NO_SLOT).then_some(slot as usize)
     }
 
     fn would_cycle(&mut self, sources: &[NodeId], target: NodeId) -> bool {
@@ -592,7 +646,9 @@ impl CgState {
     /// waiting is not pushed again, so the queue length is bounded by
     /// the slab capacity no matter how many overwrites hit an entity.
     fn enqueue_gc_candidate(&mut self, n: NodeId) {
-        if self.track_gc && self.gc_queued.insert(n) {
+        let rec = &mut self.nodes[n.index()];
+        if self.track_gc && !rec.gc_queued {
+            rec.gc_queued = true;
             self.gc_candidates.push(n);
         }
     }
@@ -604,16 +660,21 @@ impl CgState {
         }
         self.note_entity(x);
         // Rule 2: arcs from every writer of x.
-        let mut sources = self.writers.get(&x).cloned().unwrap_or_default();
-        sorted_remove(&mut sources, n); // cannot happen in well-formed streams
+        let mut sources = self
+            .entities
+            .get(&x)
+            .map(|e| e.writers.clone())
+            .unwrap_or_default();
+        sources.remove_sorted(&n); // cannot happen in well-formed streams
         if self.would_cycle(&sources, n) {
             self.abort_node(n);
             return Ok(Applied::SelfAborted);
         }
         self.add_arcs(&sources, n);
-        let version = self.version_of(x);
-        let info = self.info[n.index()].as_mut().expect("live node");
-        info.access.record(
+        let e = self.entities.entry(x).or_default();
+        e.accessors.insert_sorted(n);
+        let version = e.version;
+        self.info_mut(n).access.record(
             x,
             AccessRecord {
                 mode: AccessMode::Read,
@@ -621,7 +682,6 @@ impl CgState {
             },
             |r| r.version = r.version.max(version),
         );
-        sorted_insert(self.accessors.entry(x).or_default(), n);
         self.stats.accepted += 1;
         Ok(Applied::Accepted)
     }
@@ -631,17 +691,18 @@ impl CgState {
         if self.info(n).state == TxnState::Completed {
             return Err(CgError::AlreadyCompleted(t));
         }
-        let mut entities = xs.to_vec();
-        entities.sort_unstable();
-        entities.dedup();
+        let mut entities: SmallVec<EntityId, ACCESSES_INLINE> = SmallVec::new();
+        for &x in xs {
+            entities.insert_sorted(x);
+        }
         // Rule 3: arcs from every node that read or wrote any written x.
-        let mut sources: Vec<NodeId> = Vec::new();
+        let mut sources: SmallVec<NodeId, ACCESSORS_INLINE> = SmallVec::new();
         for &x in &entities {
             self.note_entity(x);
-            if let Some(acc) = self.accessors.get(&x) {
-                for &a in acc {
+            if let Some(e) = self.entities.get(&x) {
+                for &a in &e.accessors {
                     if a != n {
-                        sorted_insert(&mut sources, a);
+                        sources.insert_sorted(a);
                     }
                 }
             }
@@ -652,30 +713,30 @@ impl CgState {
         }
         self.add_arcs(&sources, n);
         for &x in &entities {
+            let e = self.entities.entry(x).or_default();
             // Overwriting x may turn its earlier completed accessors
             // noncurrent: queue them for the next incremental GC sweep.
             if self.track_gc {
-                if let Some(acc) = self.accessors.get(&x) {
-                    for &a in acc {
-                        if a != n && self.is_completed(a) && self.gc_queued.insert(a) {
-                            self.gc_candidates.push(a);
-                        }
+                for &a in &e.accessors {
+                    let rec = &mut self.nodes[a.index()];
+                    let completed =
+                        rec.info.as_ref().expect("live accessor").state == TxnState::Completed;
+                    if a != n && completed && !rec.gc_queued {
+                        rec.gc_queued = true;
+                        self.gc_candidates.push(a);
                     }
                 }
             }
-            let v = self.version.entry(x).or_insert(0);
-            *v += 1;
-            let installed = *v;
-            let info = self.info[n.index()].as_mut().expect("live node");
+            e.version += 1;
+            e.accessors.insert_sorted(n);
+            e.writers.insert_sorted(n);
             let written = AccessRecord {
                 mode: AccessMode::Write,
-                version: installed,
+                version: e.version,
             };
-            info.access.record(x, written, |r| *r = written);
-            sorted_insert(self.accessors.entry(x).or_default(), n);
-            sorted_insert(self.writers.entry(x).or_default(), n);
+            self.info_mut(n).access.record(x, written, |r| *r = written);
         }
-        self.info[n.index()].as_mut().expect("live node").state = TxnState::Completed;
+        self.info_mut(n).state = TxnState::Completed;
         // The node itself may already be deletable (e.g. a read-only
         // transaction whose reads were overwritten before it completed).
         self.enqueue_gc_candidate(n);
@@ -684,14 +745,12 @@ impl CgState {
     }
 
     fn forget_node_metadata(&mut self, n: NodeId) {
-        let info = self.info[n.index()].take().expect("live node");
+        let info = self.nodes[n.index()].info.take().expect("live node");
         self.by_txn.remove(&info.txn);
         for x in info.access.keys() {
-            if let Some(v) = self.accessors.get_mut(x) {
-                sorted_remove(v, n);
-            }
-            if let Some(v) = self.writers.get_mut(x) {
-                sorted_remove(v, n);
+            if let Some(e) = self.entities.get_mut(x) {
+                e.accessors.remove_sorted(&n);
+                e.writers.remove_sorted(&n);
             }
         }
     }
@@ -712,7 +771,7 @@ impl CgState {
             c.on_abort_node(&self.graph, n);
             self.closure = Some(c);
         }
-        self.reach_mask[n.index()].clear();
+        self.nodes[n.index()].reach.clear();
         // Removal *without* bridging can sever boundary-to-boundary
         // paths *through* n, so the summary must be recomputed (it can
         // only shrink). Only a node with both preds and succs can route
@@ -777,7 +836,7 @@ impl CgState {
         // nodes — every survivor's mask already subsumed everything
         // reachable through `n` — so only pairs with the deleted node
         // as an endpoint go, and `release_boundary_slot` took those.
-        self.reach_mask[n.index()].clear();
+        self.nodes[n.index()].reach.clear();
         self.stats.deletions += 1;
         Ok(())
     }
@@ -821,26 +880,7 @@ impl CgState {
     /// # Errors
     /// [`CgError::DuplicateBegin`] if `t` was already seen here.
     pub fn admit_completed_ghost(&mut self, t: TxnId) -> Result<NodeId, CgError> {
-        if self.seen.contains(&t) {
-            return Err(CgError::DuplicateBegin(t));
-        }
-        self.seen.insert(t);
-        self.max_txn = self.max_txn.max(t.0);
-        let n = self.graph.add_node();
-        if self.info.len() <= n.index() {
-            self.info.resize_with(n.index() + 1, || None);
-        }
-        self.info[n.index()] = Some(NodeInfo {
-            txn: t,
-            state: TxnState::Completed,
-            access: Accesses::default(),
-        });
-        self.by_txn.insert(t, n);
-        self.reset_node_summary(n);
-        if let Some(c) = &mut self.closure {
-            c.on_add_node(n);
-        }
-        Ok(n)
+        self.add_node(t, TxnState::Completed)
     }
 
     /// Inserts a pure ordering arc `from -> to` (no entity behind it),
@@ -881,8 +921,10 @@ impl CgState {
     /// polling this method touches O(affected) nodes per sweep instead
     /// of scanning the whole graph.
     pub fn drain_gc_candidates(&mut self) -> Vec<NodeId> {
-        self.gc_queued.clear();
         let mut v = std::mem::take(&mut self.gc_candidates);
+        for &n in &v {
+            self.nodes[n.index()].gc_queued = false;
+        }
         v.sort_unstable();
         v.retain(|&n| self.is_completed(n));
         v
@@ -906,13 +948,19 @@ impl CgState {
     /// pre-check a step against several graphs at once (the engine's
     /// cross-partition commit) can compute the would-be arcs first.
     pub fn writers_of(&self, x: EntityId) -> Vec<NodeId> {
-        self.writers.get(&x).cloned().unwrap_or_default()
+        self.entities
+            .get(&x)
+            .map(|e| e.writers.to_vec())
+            .unwrap_or_default()
     }
 
     /// Live nodes that have accessed `x` in any mode, ascending — the
     /// arc sources Rule 3 would use for a final write covering `x`.
     pub fn accessors_of(&self, x: EntityId) -> Vec<NodeId> {
-        self.accessors.get(&x).cloned().unwrap_or_default()
+        self.entities
+            .get(&x)
+            .map(|e| e.accessors.to_vec())
+            .unwrap_or_default()
     }
 
     // ---------------------------------------------------------------
@@ -931,10 +979,11 @@ impl CgState {
     pub fn set_boundary(&mut self, t: TxnId, on: bool) {
         if on {
             let n = *self.by_txn.get(&t).expect("boundary mark of live txn");
-            if self.bindex.slot_of(n).is_some() {
+            if self.slot_of(n).is_some() {
                 return;
             }
             let slot = self.bindex.alloc(n, t);
+            self.nodes[n.index()].slot = slot;
             if self.summary_batch {
                 self.pending_marks.push(n);
                 return;
@@ -944,13 +993,13 @@ impl CgState {
             // an endpoint are new: t's own entry is `mask[n]`, already
             // exact, and the backward cone gains t's slot bit.
             self.delta_scratch.clear();
-            self.delta_scratch.insert(slot);
+            self.delta_scratch.insert(slot as usize);
             self.propagate_from(n);
         } else {
             let Some(&n) = self.by_txn.get(&t) else {
                 return;
             };
-            if self.bindex.slot_of(n).is_none() {
+            if self.slot_of(n).is_none() {
                 return;
             }
             self.flush_pending_summary();
@@ -1003,14 +1052,14 @@ impl CgState {
         debug_assert!(!self.summary_batch_pending(), "summary batch not flushed");
         self.graph
             .nodes()
-            .filter(|&n| self.bindex.slot_of(n).is_some())
+            .filter(|&n| self.slot_of(n).is_some())
             .map(|n| self.reach_entry(n))
             .collect()
     }
 
     /// `n`'s transaction and the boundary transactions its mask names.
     fn reach_entry(&self, n: NodeId) -> (TxnId, BTreeSet<TxnId>) {
-        let reached = self.reach_mask[n.index()].iter();
+        let reached = self.nodes[n.index()].reach.iter();
         let set = reached.map(|s| self.bindex.txn_of[s]).collect();
         (self.info(n).txn, set)
     }
@@ -1040,7 +1089,7 @@ impl CgState {
         let Some(&n) = self.by_txn.get(&t) else {
             return false;
         };
-        let exposed = self.bindex.slot_of(n).is_some() || !self.reach_mask[n.index()].is_empty();
+        let exposed = self.slot_of(n).is_some() || !self.nodes[n.index()].reach.is_empty();
         debug_assert!(
             exposed || !self.dfs_reaches_boundary(n),
             "{t:?} judged sealed but a boundary node is reachable from it"
@@ -1059,7 +1108,7 @@ impl CgState {
         let mut stack: Vec<NodeId> = self.graph.succs(n).to_vec();
         while let Some(m) = stack.pop() {
             if visited.insert(m) {
-                if self.bindex.slot_of(m).is_some() {
+                if self.slot_of(m).is_some() {
                     return true;
                 }
                 stack.extend_from_slice(self.graph.succs(m));
@@ -1089,8 +1138,8 @@ impl CgState {
             return;
         }
         let i = target.index();
-        self.delta_scratch.copy_from(&self.reach_mask[i]);
-        if let Some(slot) = self.bindex.slot_of(target) {
+        self.delta_scratch.copy_from(&self.nodes[i].reach);
+        if let Some(slot) = self.slot_of(target) {
             self.delta_scratch.insert(slot);
         }
         if self.delta_scratch.is_empty() {
@@ -1112,7 +1161,7 @@ impl CgState {
         stack.push(from);
         while let Some(n) = stack.pop() {
             for &p in self.graph.preds(n) {
-                if self.reach_mask[p.index()].union_with(&self.delta_scratch) {
+                if self.nodes[p.index()].reach.union_with(&self.delta_scratch) {
                     stack.push(p);
                 }
             }
@@ -1127,21 +1176,22 @@ impl CgState {
     /// itself as the visited marker — O(ancestor cone), not O(graph);
     /// must therefore run while `n`'s in-arcs still exist.
     fn release_boundary_slot(&mut self, n: NodeId) {
-        let Some(slot) = self.bindex.slot_of(n) else {
+        let Some(slot) = self.slot_of(n) else {
             return;
         };
+        self.nodes[n.index()].slot = NO_SLOT;
         let mut stack = std::mem::take(&mut self.prop_stack);
         stack.clear();
         stack.push(n);
         while let Some(m) = stack.pop() {
             for &p in self.graph.preds(m) {
-                if self.reach_mask[p.index()].remove(slot) {
+                if self.nodes[p.index()].reach.remove(slot) {
                     stack.push(p);
                 }
             }
         }
         self.prop_stack = stack;
-        self.bindex.release(n);
+        self.bindex.release(slot as u32);
     }
 
     /// Defers summary maintenance: until the matching
@@ -1184,8 +1234,8 @@ impl CgState {
             if !self.is_live(n) {
                 continue; // removed after queueing (removals flush first)
             }
-            self.delta_scratch.copy_from(&self.reach_mask[n.index()]);
-            if let Some(slot) = self.bindex.slot_of(n) {
+            self.delta_scratch.copy_from(&self.nodes[n.index()].reach);
+            if let Some(slot) = self.slot_of(n) {
                 self.delta_scratch.insert(slot);
             }
             if self.delta_scratch.is_empty() {
@@ -1201,7 +1251,7 @@ impl CgState {
             if !self.is_live(n) {
                 continue;
             }
-            let Some(slot) = self.bindex.slot_of(n) else {
+            let Some(slot) = self.slot_of(n) else {
                 continue; // unmarked again before the flush
             };
             self.delta_scratch.clear();
@@ -1223,15 +1273,15 @@ impl CgState {
     fn recompute_masks(&mut self) {
         let order = deltx_graph::topo::topo_order(&self.graph).expect("conflict graph is acyclic");
         for &n in order.iter().rev() {
-            let mut m = std::mem::take(&mut self.reach_mask[n.index()]);
+            let mut m = std::mem::take(&mut self.nodes[n.index()].reach);
             m.clear();
             for &s in self.graph.succs(n) {
-                if let Some(slot) = self.bindex.slot_of(s) {
+                if let Some(slot) = self.slot_of(s) {
                     m.insert(slot);
                 }
-                m.union_with(&self.reach_mask[s.index()]);
+                m.union_with(&self.nodes[s.index()].reach);
             }
-            self.reach_mask[n.index()] = m;
+            self.nodes[n.index()].reach = m;
         }
     }
 
@@ -1290,16 +1340,22 @@ impl CgState {
             assert!(self.is_live(n));
             assert_eq!(self.info(n).txn, *t);
         }
-        for (x, v) in &self.accessors {
-            assert!(v.windows(2).all(|w| w[0] < w[1]), "accessors unsorted");
-            for &n in v {
+        for (x, e) in &self.entities {
+            assert!(
+                e.accessors.windows(2).all(|w| w[0] < w[1]),
+                "accessors unsorted"
+            );
+            assert!(
+                e.writers.windows(2).all(|w| w[0] < w[1]),
+                "writers unsorted"
+            );
+            for &n in &e.accessors {
                 assert!(self.is_live(n), "stale accessor for {x:?}");
                 assert!(self.info(n).access.get(x).is_some());
             }
-        }
-        for (x, v) in &self.writers {
-            for &n in v {
+            for &n in &e.writers {
                 assert_eq!(self.access_mode(n, *x), Some(AccessMode::Write));
+                assert!(e.accessors.binary_search(&n).is_ok());
             }
         }
         if let Some(c) = &self.closure {
@@ -1324,7 +1380,7 @@ impl CgState {
         // live count matches, no mask carries a freed slot's bit.
         let mut live_slots = 0usize;
         for n in self.graph.nodes() {
-            if let Some(slot) = self.bindex.slot_of(n) {
+            if let Some(slot) = self.slot_of(n) {
                 assert_eq!(self.bindex.node_of[slot], n, "slot/node drift");
                 assert_eq!(self.bindex.txn_of[slot], self.info(n).txn, "slot/txn drift");
                 live_slots += 1;
@@ -1332,10 +1388,10 @@ impl CgState {
         }
         assert_eq!(live_slots, self.bindex.live, "boundary live-count drift");
         for n in self.graph.nodes() {
-            for slot in self.reach_mask[n.index()].iter() {
+            for slot in self.nodes[n.index()].reach.iter() {
                 let owner = self.bindex.node_of[slot];
                 assert_eq!(
-                    self.bindex.slot_of(owner),
+                    self.slot_of(owner),
                     Some(slot),
                     "mask of {n:?} carries freed slot {slot}"
                 );
@@ -1346,8 +1402,8 @@ impl CgState {
         fresh.recompute_boundary_summary();
         for n in self.graph.nodes() {
             assert_eq!(
-                fresh.reach_mask[n.index()],
-                self.reach_mask[n.index()],
+                fresh.nodes[n.index()].reach,
+                self.nodes[n.index()].reach,
                 "reach-mask drift at {n:?}"
             );
         }
@@ -1356,10 +1412,17 @@ impl CgState {
             self.boundary_reach_map(),
             "boundary summary drift"
         );
+        let queued = self.nodes.iter().filter(|r| r.gc_queued).count();
         assert_eq!(
             self.gc_candidates.len(),
-            self.gc_queued.len(),
-            "GC queue and its dedup set out of sync"
+            queued,
+            "GC queue and its dedup flags out of sync"
+        );
+        assert!(
+            self.gc_candidates
+                .iter()
+                .all(|n| self.nodes[n.index()].gc_queued),
+            "queued node without its flag"
         );
     }
 }
@@ -1942,6 +2005,125 @@ mod tests {
         assert!(exposed(&cg, 4), "4 -> 5 -> 6(boundary)");
         assert!(!exposed(&cg, 3) && !exposed(&cg, 7));
         audit(&cg, &[6]);
+    }
+
+    /// `check_invariants`, plus sorted `accessors_of`/`writers_of` for
+    /// every entity in `0..entities`.
+    fn audit_lists(cg: &CgState, entities: u32) {
+        cg.check_invariants();
+        for x in (0..entities).map(deltx_model::EntityId) {
+            let (acc, wr) = (cg.accessors_of(x), cg.writers_of(x));
+            assert!(acc.windows(2).all(|w| w[0] < w[1]), "accessors of {x:?}");
+            assert!(wr.windows(2).all(|w| w[0] < w[1]), "writers of {x:?}");
+            assert!(wr.iter().all(|n| acc.contains(n)));
+        }
+    }
+
+    #[test]
+    fn spilled_lists_keep_invariants_and_deletion_bridges_them() {
+        // Entity 0 is read by 8 transactions, then written by T100, then
+        // read by 10 more and by a 16-entity reader: T100's preds, its
+        // succs, entity 0's accessors and the reader's accesses all
+        // outgrow their inline capacities.
+        let mut cg = CgState::new();
+        let step = |cg: &mut CgState, s: Step| {
+            assert_eq!(cg.apply(&s), Ok(Applied::Accepted), "{s:?}");
+            audit_lists(cg, 16);
+        };
+        for t in 1..=8 {
+            step(&mut cg, Step::begin(t));
+            step(&mut cg, Step::read(t, 0));
+        }
+        step(&mut cg, Step::begin(100));
+        step(&mut cg, Step::write_all(100, [0, 1]));
+        for t in 11..=20 {
+            step(&mut cg, Step::begin(t));
+            step(&mut cg, Step::read(t, 0));
+        }
+        step(&mut cg, Step::begin(50));
+        for x in 0..16 {
+            step(&mut cg, Step::read(50, x));
+        }
+        let reader = cg.node_of(TxnId(50)).unwrap();
+        assert_eq!(cg.info(reader).access.keys().count(), 16);
+        assert_eq!(cg.accessors_of(deltx_model::EntityId(0)).len(), 20);
+        let w = cg.node_of(TxnId(100)).unwrap();
+        let preds = cg.graph().preds(w).to_vec();
+        let succs = cg.graph().succs(w).to_vec();
+        assert_eq!((preds.len(), succs.len()), (8, 11));
+        cg.delete(w).unwrap();
+        audit_lists(&cg, 16);
+        for &p in &preds {
+            for &s in &succs {
+                assert!(cg.graph().has_arc(p, s), "bridge {p:?} -> {s:?}");
+            }
+        }
+        assert!(cg.writers_of(deltx_model::EntityId(0)).is_empty());
+        // Shrink entity 0's accessors back below inline capacity.
+        for t in (1..=8).chain(11..=20) {
+            cg.abort_txn(TxnId(t)).unwrap();
+            audit_lists(&cg, 16);
+        }
+        assert_eq!(
+            cg.accessors_of(deltx_model::EntityId(0)),
+            vec![reader],
+            "only the long reader is left"
+        );
+    }
+
+    #[test]
+    fn seen_ids_answer_across_pages() {
+        let mut cg = CgState::new();
+        for t in [63, 64, 65, u32::MAX] {
+            cg.apply(&Step::begin(t)).unwrap();
+            assert_eq!(
+                cg.apply(&Step::begin(t)),
+                Err(CgError::DuplicateBegin(TxnId(t)))
+            );
+        }
+        assert_eq!(
+            cg.admit_completed_ghost(TxnId(64)),
+            Err(CgError::DuplicateBegin(TxnId(64)))
+        );
+        // An id begun again after 100 000 others.
+        cg.apply(&Step::begin(7)).unwrap();
+        cg.abort_txn(TxnId(7)).unwrap();
+        for t in 1_000..101_000 {
+            cg.apply(&Step::begin(t)).unwrap();
+            cg.abort_txn(TxnId(t)).unwrap();
+        }
+        assert_eq!(
+            cg.apply(&Step::begin(7)),
+            Err(CgError::DuplicateBegin(TxnId(7)))
+        );
+        assert_eq!(
+            cg.admit_completed_ghost(TxnId(7)),
+            Err(CgError::DuplicateBegin(TxnId(7)))
+        );
+        // Completed-and-deleted against never begun, on either side of
+        // a page boundary.
+        for t in [204_799, 204_800, 300_000] {
+            cg.run(&[Step::begin(t), Step::write_all(t, [0])]).unwrap();
+            cg.delete(cg.node_of(TxnId(t)).unwrap()).unwrap();
+            assert_eq!(
+                cg.apply(&Step::read(t, 0)),
+                Err(CgError::AlreadyCompleted(TxnId(t)))
+            );
+            assert_eq!(
+                cg.admit_completed_ghost(TxnId(t)),
+                Err(CgError::DuplicateBegin(TxnId(t)))
+            );
+            assert_eq!(
+                cg.apply(&Step::read(t + 1, 0)),
+                Err(CgError::UnknownTxn(TxnId(t + 1)))
+            );
+        }
+        assert_eq!(
+            cg.apply(&Step::read(u32::MAX - 1, 0)),
+            Err(CgError::UnknownTxn(TxnId(u32::MAX - 1)))
+        );
+        assert!(cg.admit_completed_ghost(TxnId(u32::MAX - 1)).is_ok());
+        cg.check_invariants();
     }
 
     #[test]

@@ -9,10 +9,18 @@
 //!   removals (a free-list slab);
 //! * adjacency lists are kept **sorted**, so iteration order is
 //!   deterministic and membership tests are `O(log degree)`;
-//! * removal of a node cleans up both directions of every incident arc.
+//! * each node's predecessor and successor lists are stored **inline** in
+//!   its slab slot up to a small capacity (six ids each, sized from the
+//!   in-situ degree of about two predecessors and four or five successors)
+//!   and spill to the heap above it, so a step that touches a node touches
+//!   that node's slot and no separate allocation;
+//! * removal of a node cleans up both directions of every incident arc and
+//!   hands its lists back as they were stored, without copying them.
 //!
 //! Higher-level operations (cycle checks, restricted paths, SCC, topo
 //! order) live in sibling modules and operate on `&DiGraph`.
+
+use crate::smallvec::SmallVec;
 
 /// A stable handle to a node in a [`DiGraph`].
 ///
@@ -47,12 +55,20 @@ enum Slot {
     Occupied(Adj),
 }
 
+/// Ids a node keeps inline in each of its two adjacency lists.
+const ADJ_INLINE: usize = 6;
+
+/// One adjacency list of a node: sorted ascending, inline up to six
+/// ids. [`DiGraph::remove_node`] returns the removed node's two lists
+/// in this form.
+pub type AdjList = SmallVec<NodeId, ADJ_INLINE>;
+
 #[derive(Clone, Debug, Default)]
 struct Adj {
     /// Immediate predecessors, sorted ascending.
-    preds: Vec<NodeId>,
+    preds: AdjList,
     /// Immediate successors, sorted ascending.
-    succs: Vec<NodeId>,
+    succs: AdjList,
 }
 
 /// A directed graph over slab-allocated nodes.
@@ -171,18 +187,13 @@ impl DiGraph {
     pub fn add_arc(&mut self, a: NodeId, b: NodeId) -> bool {
         debug_assert!(a != b, "self-loop {a:?} -> {b:?}");
         assert!(self.contains(b), "arc target {b:?} not live");
-        let succs = &mut self.adj_mut(a).succs;
-        match succs.binary_search(&b) {
-            Ok(_) => false,
-            Err(pos) => {
-                succs.insert(pos, b);
-                let preds = &mut self.adj_mut(b).preds;
-                let pos = preds.binary_search(&a).unwrap_err();
-                preds.insert(pos, a);
-                self.arc_count += 1;
-                true
-            }
+        if !self.adj_mut(a).succs.insert_sorted(b) {
+            return false;
         }
+        let fresh = self.adj_mut(b).preds.insert_sorted(a);
+        assert!(fresh, "asymmetric adjacency");
+        self.arc_count += 1;
+        true
     }
 
     /// Removes the arc `a -> b` if present. Returns `true` if removed.
@@ -190,34 +201,28 @@ impl DiGraph {
         if !self.contains(a) || !self.contains(b) {
             return false;
         }
-        let succs = &mut self.adj_mut(a).succs;
-        match succs.binary_search(&b) {
-            Ok(pos) => {
-                succs.remove(pos);
-                let preds = &mut self.adj_mut(b).preds;
-                let pos = preds.binary_search(&a).expect("asymmetric adjacency");
-                preds.remove(pos);
-                self.arc_count -= 1;
-                true
-            }
-            Err(_) => false,
+        if !self.adj_mut(a).succs.remove_sorted(&b) {
+            return false;
         }
+        let present = self.adj_mut(b).preds.remove_sorted(&a);
+        assert!(present, "asymmetric adjacency");
+        self.arc_count -= 1;
+        true
     }
 
     /// Removes node `n` and all incident arcs, returning its predecessor
     /// and successor lists (used by the *deletion* transformation `D(G,N)`
-    /// of §4, which bridges preds to succs).
-    pub fn remove_node(&mut self, n: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
+    /// of §4, which bridges preds to succs). The lists are moved out of
+    /// the slot as they are, so an inline list costs no allocation.
+    pub fn remove_node(&mut self, n: NodeId) -> (AdjList, AdjList) {
         let Adj { preds, succs } = std::mem::take(self.adj_mut(n));
         for &p in &preds {
-            let s = &mut self.adj_mut(p).succs;
-            let pos = s.binary_search(&n).expect("asymmetric adjacency");
-            s.remove(pos);
+            let present = self.adj_mut(p).succs.remove_sorted(&n);
+            assert!(present, "asymmetric adjacency");
         }
         for &s in &succs {
-            let p = &mut self.adj_mut(s).preds;
-            let pos = p.binary_search(&n).expect("asymmetric adjacency");
-            p.remove(pos);
+            let present = self.adj_mut(s).preds.remove_sorted(&n);
+            assert!(present, "asymmetric adjacency");
         }
         self.arc_count -= preds.len() + succs.len();
         self.slots[n.index()] = Slot::Vacant {
@@ -287,13 +292,36 @@ mod tests {
         g.add_arc(v[1], v[2]);
         g.add_arc(v[3], v[1]);
         let (preds, succs) = g.remove_node(v[1]);
-        assert_eq!(preds, vec![v[0], v[3]]);
-        assert_eq!(succs, vec![v[2]]);
+        assert_eq!(preds[..], [v[0], v[3]]);
+        assert_eq!(succs[..], [v[2]]);
         assert_eq!(g.arc_count(), 0);
         assert_eq!(g.node_count(), 3);
         assert!(!g.contains(v[1]));
         assert!(g.succs(v[0]).is_empty());
         assert!(g.preds(v[2]).is_empty());
+    }
+
+    #[test]
+    fn adjacency_is_inline_up_to_capacity() {
+        let mut g = DiGraph::new();
+        let v = nodes(&mut g, 2 * ADJ_INLINE + 2);
+        let hub = v[0];
+        let spilled = |g: &DiGraph| {
+            let a = g.adj(hub);
+            (a.preds.spilled(), a.succs.spilled())
+        };
+        for i in 1..=ADJ_INLINE {
+            g.add_arc(v[i], hub);
+            g.add_arc(hub, v[ADJ_INLINE + i]);
+        }
+        assert_eq!(spilled(&g), (false, false), "no allocation at capacity");
+        g.add_arc(v[2 * ADJ_INLINE + 1], hub);
+        assert_eq!(spilled(&g), (true, false));
+        assert_eq!(g.preds(hub).len(), ADJ_INLINE + 1);
+        assert!(g.preds(hub).windows(2).all(|w| w[0] < w[1]));
+        let (preds, succs) = g.remove_node(hub);
+        assert!(preds.spilled() && !succs.spilled(), "handed back as stored");
+        assert_eq!(g.arc_count(), 0);
     }
 
     #[test]

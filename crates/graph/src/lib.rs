@@ -23,6 +23,9 @@
 //!   accepted schedules.
 //! * [`bitset`]: a from-scratch fixed-size bitset ([`bitset::BitSet`])
 //!   backing the transitive closure.
+//! * [`smallvec`]: a list stored inline up to a small capacity
+//!   ([`SmallVec`]), which keeps adjacency and the scheduler's per-node
+//!   and per-entity lists inside the records that own them.
 //! * [`dot`]: Graphviz and ASCII rendering used to regenerate the paper's
 //!   figures.
 
@@ -36,6 +39,7 @@ pub mod digraph;
 pub mod dot;
 pub mod paths;
 pub mod scc;
+pub mod smallvec;
 pub mod topo;
 
 /// Runtime toggles that reintroduce known-fixed bugs, compiled in only
@@ -79,4 +83,5 @@ pub mod planted {
 
 pub use bitset::BitSet;
 pub use closure::Closure;
-pub use digraph::{DiGraph, NodeId};
+pub use digraph::{AdjList, DiGraph, NodeId};
+pub use smallvec::SmallVec;

@@ -35,69 +35,145 @@ fn arb_ops() -> impl Strategy<Value = Vec<GraphOp>> {
     )
 }
 
+/// More than twice the ids `DiGraph` keeps inline per adjacency list
+/// (six), so a hub's lists spill to the heap and shrink back.
+const HUB_SPOKES: std::ops::Range<usize> = 13..21;
+
+/// A hub-heavy op sequence: node 0 gets `p` predecessors and `s`
+/// successors, some of its arcs are removed, a few random ops run, and
+/// then the hub itself is removed.
+fn arb_hub_ops() -> impl Strategy<Value = Vec<GraphOp>> {
+    (
+        HUB_SPOKES,
+        HUB_SPOKES,
+        prop::collection::vec(0usize..40, 0..24),
+        arb_ops(),
+    )
+        .prop_map(|(p, s, cuts, tail)| {
+            let mut ops = vec![GraphOp::AddNode; 1 + p + s];
+            ops.extend((1..=p).map(|i| GraphOp::AddArc(i, 0)));
+            ops.extend((p + 1..=p + s).map(|i| GraphOp::AddArc(0, i)));
+            for c in cuts {
+                let spoke = 1 + c % (p + s);
+                ops.push(if spoke <= p {
+                    GraphOp::RemoveArc(spoke, 0)
+                } else {
+                    GraphOp::RemoveArc(0, spoke)
+                });
+            }
+            ops.extend(
+                tail.into_iter()
+                    .filter(|op| !matches!(op, GraphOp::RemoveNode(_))),
+            );
+            ops.push(GraphOp::RemoveNode(0));
+            ops
+        })
+}
+
+/// Replays `ops` on a `DiGraph` and on the reference model, comparing
+/// the full state after every op, and the lists `remove_node` hands
+/// back against the model's arcs at the moment of removal.
+fn replay_against_model(ops: Vec<GraphOp>) {
+    let mut g = DiGraph::new();
+    let mut model = RefGraph::default();
+    // external id -> live NodeId
+    let mut live: Vec<(usize, NodeId)> = Vec::new();
+    let mut next_ext = 0usize;
+    let ext_of =
+        |live: &[(usize, NodeId)], m: NodeId| live.iter().find(|&&(_, n)| n == m).unwrap().0;
+
+    for op in ops {
+        match op {
+            GraphOp::AddNode => {
+                let n = g.add_node();
+                model.succs.insert(next_ext, BTreeSet::new());
+                live.push((next_ext, n));
+                next_ext += 1;
+            }
+            GraphOp::RemoveNode(i) => {
+                if live.is_empty() {
+                    continue;
+                }
+                let (ext, n) = live.remove(i % live.len());
+                let want_preds: Vec<usize> = model
+                    .succs
+                    .iter()
+                    .filter(|(_, s)| s.contains(&ext))
+                    .map(|(&p, _)| p)
+                    .collect();
+                let want_succs: Vec<usize> = model.succs[&ext].iter().copied().collect();
+                let (preds, succs) = g.remove_node(n);
+                prop_assert!(preds.windows(2).all(|w| w[0] < w[1]), "preds unsorted");
+                prop_assert!(succs.windows(2).all(|w| w[0] < w[1]), "succs unsorted");
+                let mut got_preds: Vec<usize> = preds.iter().map(|&m| ext_of(&live, m)).collect();
+                let mut got_succs: Vec<usize> = succs.iter().map(|&m| ext_of(&live, m)).collect();
+                got_preds.sort_unstable();
+                got_succs.sort_unstable();
+                prop_assert_eq!(got_preds, want_preds);
+                prop_assert_eq!(got_succs, want_succs);
+                model.succs.remove(&ext);
+                for (_, s) in model.succs.iter_mut() {
+                    s.remove(&ext);
+                }
+            }
+            GraphOp::AddArc(a, b) => {
+                if live.len() < 2 {
+                    continue;
+                }
+                let (ea, na) = live[a % live.len()];
+                let (eb, nb) = live[b % live.len()];
+                if na == nb {
+                    continue;
+                }
+                g.add_arc(na, nb);
+                model.succs.get_mut(&ea).unwrap().insert(eb);
+            }
+            GraphOp::RemoveArc(a, b) => {
+                if live.len() < 2 {
+                    continue;
+                }
+                let (ea, na) = live[a % live.len()];
+                let (eb, nb) = live[b % live.len()];
+                g.remove_arc(na, nb);
+                model.succs.get_mut(&ea).unwrap().remove(&eb);
+            }
+        }
+        // Full-state comparison.
+        prop_assert_eq!(g.node_count(), model.succs.len());
+        let model_arcs: usize = model.succs.values().map(BTreeSet::len).sum();
+        prop_assert_eq!(g.arc_count(), model_arcs);
+        for &(ea, na) in &live {
+            prop_assert!(
+                g.succs(na).windows(2).all(|w| w[0] < w[1]),
+                "succs unsorted"
+            );
+            prop_assert!(
+                g.preds(na).windows(2).all(|w| w[0] < w[1]),
+                "preds unsorted"
+            );
+            let expect: Vec<usize> = model.succs[&ea].iter().copied().collect();
+            let mut got: Vec<usize> = g.succs(na).iter().map(|&nb| ext_of(&live, nb)).collect();
+            got.sort_unstable();
+            prop_assert_eq!(got, expect);
+            // preds consistent with succs
+            for &p in g.preds(na) {
+                prop_assert!(g.succs(p).contains(&na));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn digraph_matches_reference_model(ops in arb_ops()) {
-        let mut g = DiGraph::new();
-        let mut model = RefGraph::default();
-        // external id -> live NodeId
-        let mut live: Vec<(usize, NodeId)> = Vec::new();
-        let mut next_ext = 0usize;
+        replay_against_model(ops);
+    }
 
-        for op in ops {
-            match op {
-                GraphOp::AddNode => {
-                    let n = g.add_node();
-                    model.succs.insert(next_ext, BTreeSet::new());
-                    live.push((next_ext, n));
-                    next_ext += 1;
-                }
-                GraphOp::RemoveNode(i) => {
-                    if live.is_empty() { continue; }
-                    let (ext, n) = live.remove(i % live.len());
-                    g.remove_node(n);
-                    model.succs.remove(&ext);
-                    for (_, s) in model.succs.iter_mut() {
-                        s.remove(&ext);
-                    }
-                }
-                GraphOp::AddArc(a, b) => {
-                    if live.len() < 2 { continue; }
-                    let (ea, na) = live[a % live.len()];
-                    let (eb, nb) = live[b % live.len()];
-                    if na == nb { continue; }
-                    g.add_arc(na, nb);
-                    model.succs.get_mut(&ea).unwrap().insert(eb);
-                }
-                GraphOp::RemoveArc(a, b) => {
-                    if live.len() < 2 { continue; }
-                    let (ea, na) = live[a % live.len()];
-                    let (eb, nb) = live[b % live.len()];
-                    g.remove_arc(na, nb);
-                    model.succs.get_mut(&ea).unwrap().remove(&eb);
-                }
-            }
-            // Full-state comparison.
-            prop_assert_eq!(g.node_count(), model.succs.len());
-            let model_arcs: usize = model.succs.values().map(BTreeSet::len).sum();
-            prop_assert_eq!(g.arc_count(), model_arcs);
-            for &(ea, na) in &live {
-                let expect: Vec<usize> = model.succs[&ea].iter().copied().collect();
-                let mut got: Vec<usize> = g
-                    .succs(na)
-                    .iter()
-                    .map(|&nb| live.iter().find(|&&(_, n)| n == nb).unwrap().0)
-                    .collect();
-                got.sort_unstable();
-                prop_assert_eq!(got, expect);
-                // preds consistent with succs
-                for &p in g.preds(na) {
-                    prop_assert!(g.succs(p).contains(&na));
-                }
-            }
-        }
+    #[test]
+    fn digraph_hub_spills_and_matches_reference_model(ops in arb_hub_ops()) {
+        replay_against_model(ops);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// The inline list type of `deltx-graph`, compiled here from the same
+// source: this crate depends on `deltx-model` alone.
+#[path = "../../graph/src/smallvec.rs"]
+#[allow(dead_code)] // the store uses part of the list's API
+mod smallvec;
 pub mod store;
 pub mod txnbuf;
 

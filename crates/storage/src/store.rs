@@ -1,5 +1,6 @@
 //! The multi-version entity store.
 
+use crate::smallvec::SmallVec;
 use deltx_model::{EntityId, IdMap, IdSet, TxnId};
 
 /// Stored values. Integers keep the examples (bank balances, counters)
@@ -21,9 +22,17 @@ pub struct Version {
 /// slice instead of hashing into a set.
 const SCAN_MAX_DEAD: usize = 8;
 
+/// Versions an entity keeps inline in its map slot: the current one
+/// and one more. Truncation keeps the current version plus those of
+/// writers still live; a longer list spills to the heap.
+const VERSIONS_INLINE: usize = 2;
+
+/// One entity's versions, oldest first.
+type Versions = SmallVec<Version, VERSIONS_INLINE>;
+
 /// Drops every non-newest version of one entity whose writer is
 /// `dead`; returns how many were reclaimed.
-fn prune(h: &mut Vec<Version>, dead: impl Fn(TxnId) -> bool) -> usize {
+fn prune(h: &mut Versions, dead: impl Fn(TxnId) -> bool) -> usize {
     let last = h.len().saturating_sub(1);
     let before = h.len();
     let mut i = 0;
@@ -39,7 +48,7 @@ fn prune(h: &mut Vec<Version>, dead: impl Fn(TxnId) -> bool) -> usize {
 /// value `0` and no version history.
 #[derive(Clone, Debug, Default)]
 pub struct Store {
-    history: IdMap<EntityId, Vec<Version>>,
+    history: IdMap<EntityId, Versions>,
     seq: u64,
 }
 
@@ -70,7 +79,7 @@ impl Store {
 
     /// Number of versions ever installed for `x`.
     pub fn version_count(&self, x: EntityId) -> usize {
-        self.history.get(&x).map_or(0, Vec::len)
+        self.history.get(&x).map_or(0, |h| h.len())
     }
 
     /// Installs a new version of `x`. Returns the version record.
@@ -87,7 +96,7 @@ impl Store {
 
     /// Full version history of `x`, oldest first.
     pub fn history(&self, x: EntityId) -> &[Version] {
-        self.history.get(&x).map_or(&[], Vec::as_slice)
+        self.history.get(&x).map_or(&[], Versions::as_slice)
     }
 
     /// Prunes the version history of `entities` installed by `deleted`
@@ -134,7 +143,7 @@ impl Store {
     /// storage-side memory gauge, the analogue of the scheduler's node
     /// count).
     pub fn total_versions(&self) -> usize {
-        self.history.values().map(Vec::len).sum()
+        self.history.values().map(|h| h.len()).sum()
     }
 
     /// Entities with at least one installed version.
@@ -269,6 +278,24 @@ mod tests {
             (s.total_versions(), s.read(EntityId(0)), s.read(EntityId(1))),
             snapshot
         );
+    }
+
+    #[test]
+    fn two_versions_stay_inline_and_truncation_brings_a_spill_back() {
+        let mut s = Store::new();
+        let spilled = |s: &Store| s.history[&EntityId(0)].spilled();
+        s.write(EntityId(0), 1, TxnId(1));
+        s.write(EntityId(0), 2, TxnId(2));
+        assert!(!spilled(&s), "current plus one live writer's: inline");
+        s.write(EntityId(0), 3, TxnId(3));
+        assert!(spilled(&s));
+        assert_eq!(
+            s.truncate_versions_in(&[TxnId(1), TxnId(2)], &[EntityId(0)]),
+            2
+        );
+        assert!(!spilled(&s), "back inline once only the current is left");
+        assert_eq!(s.read(EntityId(0)), 3);
+        assert_eq!(s.history(EntityId(0)).len(), 1);
     }
 
     #[test]

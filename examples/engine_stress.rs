@@ -27,7 +27,9 @@
 //! #                       disjoint shard halves) — prints txn/s and the
 //! #                       shard-lock collision counters for each, so lock
 //! #                       collisions (2-all vs 2-disjoint) can be told from
-//! #                       shared-cache-line cost (2-disjoint vs 2 × 1)
+//! #                       shared-cache-line cost (2-disjoint vs 2 × 1),
+//! #                       then the ratios "shared / disjoint" and
+//! #                       "2 shared / 1 thread" (report only, no gate)
 //! #                      "--seed N": fix the run's RNG seed (takes
 //! #                       precedence over the DELTX_SEED env var); every
 //! #                       failure message echoes the effective seed so any
@@ -75,11 +77,15 @@ fn scale_probe(seed: u64) {
     const PER_SHARD: u32 = 128;
     const RUN: Duration = Duration::from_secs(1);
     println!("scale probe: closed-loop single-shard transfers, {SHARDS} shards, {RUN:?} each [seed {seed}]");
-    for (label, threads, disjoint) in [
+    let mut rates = [0f64; 3];
+    for (i, (label, threads, disjoint)) in [
         ("1 thread", 1u32, false),
         ("2 threads, all shards", 2, false),
         ("2 threads, disjoint shards", 2, true),
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let engine = Engine::new(EngineConfig {
             shards: SHARDS as usize,
             ..EngineConfig::default()
@@ -108,14 +114,18 @@ fn scale_probe(seed: u64) {
         });
         let secs = t0.elapsed().as_secs_f64();
         let m = engine.metrics();
+        rates[i] = (m.commits + m.aborts_scheduler) as f64 / secs;
         println!(
             "  {label:<27} {:>8.0} txn/s | collisions: {} won spinning, {} won yielding, {} parked",
-            (m.commits + m.aborts_scheduler) as f64 / secs,
-            m.shard_lock_spun,
-            m.shard_lock_yielded,
-            m.shard_lock_parked
+            rates[i], m.shard_lock_spun, m.shard_lock_yielded, m.shard_lock_parked
         );
     }
+    let [one, shared, disjoint] = rates;
+    println!(
+        "  shared / disjoint: {:.2} | 2 shared / 1 thread: {:.2}",
+        shared / disjoint,
+        shared / one
+    );
 }
 
 fn main() {
