@@ -4,10 +4,15 @@
 //! A transaction present in more than one shard has its **span** — the
 //! shards holding one of its nodes, ghosts included — registered here,
 //! in a stripe-locked map with no global coordination mutex. An entry
-//! is only ever mutated by a thread holding the lock of a shard in that
-//! span, so a reader that holds a covering lock set sees a frozen
+//! is only ever mutated by a thread holding the lock of at least one
+//! shard of its current span — a GC bridge ghosting a predecessor holds
+//! just the one where the predecessor met the deleted transaction — so
+//! a reader that holds every shard of the span it read sees a frozen
 //! entry: that is what the escalated cycle check ([`crate::ops`]) and
-//! the multi-shard deletion's coverage check ([`crate::gc`]) rest on.
+//! the multi-shard deletion's own-span check ([`crate::gc`]) rest on.
+//! Two ghosters of one transaction can hold disjoint shards of its
+//! span, so the span grows only inside one stripe hold
+//! ([`Coordination::reg_extend`]).
 //!
 //! Each shard's `CgState` also maintains a **boundary reachability
 //! summary** (per node, the boundary nodes it reaches through that
@@ -38,7 +43,8 @@ pub(crate) struct Coordination {
     /// Every listed shard holds a live node (possibly a ghost) of the
     /// transaction, and an entry is only ever mutated by a thread
     /// holding at least one of those shards' locks — which is what
-    /// makes reads under a covering lock set authoritative.
+    /// makes a read whose every shard is locked authoritative. Spans
+    /// are sorted ascending.
     registry: Vec<Mutex<HashMap<TxnId, Vec<usize>>>>,
 }
 
@@ -76,6 +82,28 @@ impl Coordination {
         debug_assert!(span.len() >= 2, "registry entries are multi-shard");
         self.stripe(txn, metrics)
             .insert(txn, span.iter().copied().collect());
+    }
+
+    /// Adds `shard` to `txn`'s span — which becomes `{home, shard}` if
+    /// `txn` was single-shard in `home` — reading and writing the entry
+    /// in one stripe hold, so extenders holding disjoint shards of the
+    /// span all land. Returns whether `txn` was single-shard.
+    pub(crate) fn reg_extend(
+        &self,
+        txn: TxnId,
+        home: usize,
+        shard: usize,
+        metrics: &EngineMetrics,
+    ) -> bool {
+        let mut stripe = self.stripe(txn, metrics);
+        let Some(span) = stripe.get_mut(&txn) else {
+            stripe.insert(txn, vec![home.min(shard), home.max(shard)]);
+            return true;
+        };
+        if let Err(i) = span.binary_search(&shard) {
+            span.insert(i, shard);
+        }
+        false
     }
 
     /// Unregisters a multi-shard transaction (abort or deletion).
@@ -160,5 +188,47 @@ impl EngineInner {
                     .record_summary_update(self.rt.now().saturating_sub(t0).as_nanos() as u64);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Coordination;
+    use crate::metrics::EngineMetrics;
+    use deltx_model::TxnId;
+
+    #[test]
+    fn extending_a_single_shard_transaction_registers_both_shards_sorted() {
+        let (c, m) = (Coordination::new(), EngineMetrics::default());
+        assert!(c.reg_extend(TxnId(7), 5, 2, &m), "it was single-shard");
+        assert_eq!(c.reg_get(TxnId(7), &m), Some(vec![2, 5]));
+    }
+
+    #[test]
+    fn extending_a_span_keeps_it_sorted_and_a_repeat_changes_nothing() {
+        let (c, m) = (Coordination::new(), EngineMetrics::default());
+        c.reg_extend(TxnId(7), 1, 6, &m);
+        assert!(!c.reg_extend(TxnId(7), 1, 3, &m), "already multi-shard");
+        assert_eq!(c.reg_get(TxnId(7), &m), Some(vec![1, 3, 6]));
+        assert!(!c.reg_extend(TxnId(7), 6, 3, &m));
+        assert_eq!(c.reg_get(TxnId(7), &m), Some(vec![1, 3, 6]));
+    }
+
+    #[test]
+    fn concurrent_extends_of_one_entry_lose_none() {
+        let (c, m) = (Coordination::new(), EngineMetrics::default());
+        c.reg_extend(TxnId(7), 0, 1, &m);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (c, m) = (&c, &m);
+                scope.spawn(move || {
+                    for k in 0..16 {
+                        c.reg_extend(TxnId(7), 0, 2 + t * 16 + k, m);
+                    }
+                });
+            }
+        });
+        let span: Vec<usize> = (0..2 + 8 * 16).collect();
+        assert_eq!(c.reg_get(TxnId(7), &m), Some(span));
     }
 }

@@ -26,13 +26,14 @@
 //!
 //! Whether held locks are enough to delete a multi-shard candidate is
 //! decided under them, by the one check there is: before its first
-//! mutation, each candidate verifies that its registered span and
-//! every neighbor's span are fully locked (a bridge lands either in a
-//! ghost target — one of the candidate's own shards — or in a shard
-//! both neighbors already inhabit). The registry entries it reads are
-//! frozen: each can only be mutated by a thread holding the lock of a
-//! shard in that span, and the check demands exactly those locks — so
-//! it is authoritative with nothing planned or validated beforehand.
+//! mutation, each candidate verifies that its own registered span is
+//! fully locked. Nothing else is needed: a bridge lands either in a
+//! locked shard that already holds both neighbors or in a ghost of the
+//! predecessor in the successor's shard — one of the candidate's own.
+//! The entry it reads is frozen: it can only be mutated by a thread
+//! holding the lock of a shard in that span, and the check demands all
+//! of them — so it is authoritative with nothing planned or validated
+//! beforehand.
 //!
 //! A commit offers the multi-shard candidates its write queued —
 //! itself included — to that check under its own guards (a fast-path
@@ -47,14 +48,14 @@
 //! pending candidate to that acquisition.
 //!
 //! A candidate whose own span is not locked leads a later round. A
-//! lead whose neighbors reach outside its span shows the traffic is
-//! not span-closed, and everything left goes to one all-locks pass in
-//! the same sweep — so a too-narrow span can delay a deletion but
-//! never misplace a bridge. Within a shard, `D(G, N)` bridging
-//! preserves the boundary summary exactly except for the deleted
-//! endpoint's own pairs — a pure shrink, which cannot turn a sealed
-//! verdict given under another lock wrong (`gc_oracle.rs` proves the
-//! decisions bit-identical to a one-shard engine's).
+//! lead whose span grew between the read and the lock (a concurrent
+//! pass ghosted it), or already is every shard, sends everything left
+//! to one all-locks pass in the same sweep — so a stale read can delay
+//! a deletion but never misplace a bridge. Within a shard, `D(G, N)`
+//! bridging preserves the boundary summary exactly except for the
+//! deleted endpoint's own pairs — a pure shrink, which cannot turn a
+//! sealed verdict given under another lock wrong (`gc_oracle.rs` proves
+//! the decisions bit-identical to a one-shard engine's).
 
 use crate::engine::{EngineInner, Guards, Shard};
 use deltx_core::{noncurrent, CgState, TxnState};
@@ -79,8 +80,7 @@ enum MultiDelete {
     /// Not deletable now (gone, active somewhere, or still current);
     /// dropped from the queue per the re-enqueue rules.
     Skipped,
-    /// The candidate's closure (its span and its neighbors' spans)
-    /// exceeds the locked subset.
+    /// The candidate's own registered span exceeds the locked subset.
     NeedsWider,
 }
 
@@ -194,13 +194,11 @@ impl EngineInner {
     /// **every** remaining candidate to the batch — the ones whose
     /// closures the held locks cover are processed for free (a hot
     /// shard pair's whole backlog drains under one acquisition), the
-    /// rest come back and lead a later round. The coverage check inside
+    /// rest come back and lead a later round. The own-span check inside
     /// [`Self::try_delete_multi`] is the only staleness signal: a lead
-    /// that comes back has neighbors outside its own span (or was
-    /// ghosted into a new shard since the stripe read), so the traffic
-    /// is not span-closed and everything left goes to one final
-    /// all-locks pass — as does a lead whose span already is every
-    /// shard.
+    /// that comes back was ghosted into a new shard since the stripe
+    /// read, and everything left goes to one final all-locks pass — as
+    /// does a lead whose span already is every shard.
     pub(crate) fn sweep_multi_shard(&self) {
         self.metrics.gc_sweeps.add(1);
         let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
@@ -246,7 +244,7 @@ impl EngineInner {
     /// shard locks are held — a standalone pass's, or the guards of the
     /// commit that queued the candidates — then truncates
     /// stores, re-queues ghosted predecessors, and flushes the touched
-    /// summaries. Returns the candidates whose closure turned out to
+    /// summaries. Returns the candidates whose own span turned out to
     /// exceed the locked subset, in `batch` order (never non-empty when
     /// every lock is held — or, as one lock covers no multi-shard
     /// transaction, when only one is).
@@ -290,20 +288,16 @@ impl EngineInner {
         widen
     }
 
-    /// One candidate of the multi-shard pass: checks deletability,
-    /// verifies the locked subset covers everything the deletion can
-    /// touch, then deletes the transaction from every shard and
-    /// re-materializes its `D(G, N)` bridges.
+    /// One candidate of the multi-shard pass: checks that its own
+    /// registered span is locked, checks deletability, then deletes the
+    /// transaction from every shard and re-materializes its `D(G, N)`
+    /// bridges.
     ///
-    /// The coverage check is authoritative because it runs under the
-    /// held locks: the registry entries it reads (the candidate's own
-    /// span and the spans of its boundary neighbors) can only be
-    /// mutated by a thread holding the lock of a shard where the
-    /// respective transaction resides — and those shards are exactly
-    /// the ones this check demands be in `guards`. Bridging during
-    /// *this* candidate can grow a predecessor's span, but only ever
-    /// by ghost-target shards, which are shards of the candidate
-    /// itself — already locked.
+    /// The span check is the only one, and it is authoritative because
+    /// it runs under the held locks: the entry can only be mutated by a
+    /// thread holding the lock of a shard in it, and the check demands
+    /// all of them. No neighbor's span is read: every bridge lands in a
+    /// locked shard ([`Self::bridge_cross_shard`]).
     fn try_delete_multi(
         &self,
         guards: &mut Guards<'_>,
@@ -355,21 +349,6 @@ impl EngineInner {
             }
             written_local.extend(written_by(&guards[s].cg, n).map(|x| (s, x)));
         }
-        // Every shard the bridges can touch must be locked: a bridge
-        // lands in a ghost target (a shard of `txn` — covered above)
-        // or in a shard both neighbors already inhabit (a shard of a
-        // neighbor's span). Checked BEFORE the first mutation so a
-        // too-narrow lock set defers the whole candidate instead of
-        // half-deleting it.
-        let covered = preds.iter().chain(succs.iter()).all(|(_, t)| {
-            match self.coord.reg_get(*t, &self.metrics) {
-                Some(span) => span.iter().all(|s| guards.get(*s).is_some()),
-                None => true, // single-shard neighbor: its only shard is txn's
-            }
-        });
-        if !covered {
-            return MultiDelete::NeedsWider;
-        }
         for &(s, n) in &nodes {
             let g = guards.get_mut(s).expect("span shard is locked");
             let marks = g.cg.boundary_count();
@@ -392,12 +371,13 @@ impl EngineInner {
     }
 
     /// Ensures an ordering arc `pred -> succ` exists somewhere in the
-    /// union graph, materializing a ghost for `pred` in `succ`'s shard
-    /// if the two transactions share no shard. Returns how many ghosts
-    /// were created (0 or 1). Caller holds the locks of both
-    /// transactions' full spans plus the deleted transaction's shards
-    /// (the ghost target) — [`Self::try_delete_multi`]'s coverage
-    /// check, or all locks.
+    /// union graph: in the first locked shard, ascending, that holds a
+    /// node of both, else from a ghost of `pred` materialized in
+    /// `succ`'s shard. Returns how many ghosts were created (0 or 1).
+    /// `ps` and `qs` are shards of the deleted transaction, whose whole
+    /// span the caller holds; no registry entry of either neighbor is
+    /// read. Under every lock the first locked common shard is the
+    /// first common shard of `pred`'s span.
     fn bridge_cross_shard(
         &self,
         guards: &mut Guards<'_>,
@@ -413,31 +393,20 @@ impl EngineInner {
         if crate::planted::drop_gc_bridge_bug() {
             return 0;
         }
-        // A shard where both live already?
-        let p_shards: Vec<usize> = self
-            .coord
-            .reg_get(p, &self.metrics)
-            .unwrap_or_else(|| vec![ps]);
-        let q_shards: Vec<usize> = self
-            .coord
-            .reg_get(q, &self.metrics)
-            .unwrap_or_else(|| vec![qs]);
-        for &c in &p_shards {
-            if q_shards.contains(&c) {
-                let g = guards.get_mut(c).expect("common neighbor shard is locked");
-                let (pn, qn) = (
-                    g.cg.node_of(p).expect("registered node"),
-                    g.cg.node_of(q).expect("registered node"),
-                );
-                g.cg.add_order_arc(pn, qn)
-                    .expect("bridge follows an existing union path");
-                self.rt.emit("gc_bridge_local", 1);
-                return 0;
-            }
+        // A locked shard where both live already?
+        let common = guards
+            .iter()
+            .find_map(|(c, g)| Some((c, g.cg.node_of(p)?, g.cg.node_of(q)?)));
+        if let Some((c, pn, qn)) = common {
+            let g = guards.get_mut(c).expect("common shard is locked");
+            g.cg.add_order_arc(pn, qn)
+                .expect("bridge follows an existing union path");
+            self.rt.emit("gc_bridge_local", 1);
+            return 0;
         }
-        // Materialize p as a ghost in q's shard.
+        // Materialize p as a ghost in q's shard (p has no node there:
+        // that shard is locked and was searched above).
         let target = qs;
-        let was_single = p_shards.len() == 1;
         let p_completed = {
             let g = &guards[ps];
             let pn = g.cg.node_of(p).expect("registered node");
@@ -466,14 +435,13 @@ impl EngineInner {
                 .add_order_arc(ghost, qn)
                 .expect("bridge follows an existing union path");
         }
-        // p is now multi-shard: update registry and boundary marks.
-        if was_single {
+        // p is now multi-shard: grow its entry under the lock of `ps`,
+        // a shard of its span, and mark its node there if it was its
+        // only one.
+        if self.coord.reg_extend(p, ps, target, &self.metrics) {
             let pg = guards.get_mut(ps).expect("predecessor shard is locked");
             pg.cg.set_boundary(p, true);
         }
-        let mut shards: BTreeSet<usize> = p_shards.iter().copied().collect();
-        shards.insert(target);
-        self.coord.reg_insert(p, &shards, &self.metrics);
         if p_completed {
             pending.insert(p);
         }
@@ -638,59 +606,74 @@ mod tests {
         assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 0, 0, 0, 0]);
     }
 
-    #[test]
-    fn escaping_closure_is_untouched_by_own_span_then_deleted_under_all_locks() {
-        let e = engine();
-        let t1 = overwrite(&e, &[0, 1]); // spans {0, 1}
-        let t2 = overwrite(&e, &[1, 2]); // T1 -> T2 in shard 1; spans {1, 2}
-        overwrite(&e, &[0]); // T1 is now noncurrent everywhere
-        assert_eq!(boundary_counts(&e), [1, 2, 1]);
-        // The own-span attempt, by hand: T2's span reaches shard 2.
-        let own = BTreeSet::from([0, 1]);
-        let mut guards = e.inner.lock_subset(&own, None);
-        let left = e.inner.sweep_multi_batch(&mut guards, &[t1]);
-        drop(guards);
-        assert_eq!(left, [t1], "deferred, not skipped");
-        assert!(has_node(&e, 0, t1) && has_node(&e, 1, t1), "no half-delete");
-        assert_eq!(
-            e.inner.coord.reg_get(t1, &e.inner.metrics),
-            Some(vec![0, 1])
-        );
-        assert_eq!(boundary_counts(&e), [1, 2, 1]);
-        assert_eq!(e.metrics().gc_deletions, 0);
-        // The same attempt inside a sweep falls back, once, and the
-        // all-locks pass of that sweep deletes T1.
-        e.gc_sweep();
-        assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
-        assert!(has_node(&e, 1, t2) && has_node(&e, 2, t2), "T2 is current");
-        assert_eq!(boundary_counts(&e), [0, 1, 1]);
-        let m = e.metrics();
-        assert_eq!((m.gc_deletions, m.gc_closure_fallbacks), (1, 1));
-        assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 1, 0, 0, 0], "2, then 8");
-        assert_eq!(m.boundary_underflows, 0);
+    /// Shard `s` holds an order arc `from -> to`.
+    fn arc_in(e: &Engine, s: usize, from: TxnId, to: TxnId) -> bool {
+        let g = e.inner.shards[s].lock().unwrap();
+        let (Some(f), Some(t)) = (g.cg.node_of(from), g.cg.node_of(to)) else {
+            return false;
+        };
+        g.cg.graph().succs(f).contains(&t)
     }
 
     #[test]
-    fn committer_without_the_closure_leaves_the_candidate_whole_for_one_sweep() {
+    fn escaping_closure_is_deleted_under_its_own_span() {
+        let e = engine();
+        let mut r = e.begin(); // R -> T1 in shard 0; R stays active
+        let rid = r.id();
+        r.read(8).unwrap();
+        let t1 = overwrite(&e, &[0, 1, 8]); // spans {0, 1}
+        let t2 = overwrite(&e, &[1, 2]); // T1 -> T2 in shard 1; spans {1, 2}
+        overwrite(&e, &[0, 8]); // T1 is now noncurrent everywhere
+        assert_eq!(boundary_counts(&e), [1, 2, 1]);
+        assert_eq!(pending(&e), [t1]);
+        // T2's span reaches shard 2, outside T1's: T1 goes under its own
+        // two locks anyway, and the bridge R -> T2 is a ghost of R in
+        // T2's shard 1 — the only shard of T1's where T2 lives.
+        e.gc_sweep();
+        assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
+        assert!(has_node(&e, 1, t2) && has_node(&e, 2, t2), "T2 is current");
+        assert!(arc_in(&e, 1, rid, t2), "the bridge landed in shard 1");
+        let span = e.inner.coord.reg_get(rid, &e.inner.metrics);
+        assert_eq!(span, Some(vec![0, 1]), "R grew into shard 1");
+        assert_eq!(boundary_counts(&e), [1, 2, 1], "R's two nodes for T1's");
+        let m = e.metrics();
+        assert_eq!(
+            (m.gc_deletions, m.gc_ghosts, m.gc_closure_fallbacks),
+            (1, 1, 0)
+        );
+        assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 0, 0, 0, 0], "2 locks only");
+        drop(r);
+        assert_eq!(boundary_counts(&e), [0, 1, 1]);
+        assert_eq!(e.metrics().boundary_underflows, 0);
+        e.summary_audit().unwrap();
+    }
+
+    #[test]
+    fn committer_holding_the_span_deletes_the_candidate_at_once() {
         let e = engine();
         let t1 = overwrite(&e, &[0, 1]); // spans {0, 1}
         let t2 = overwrite(&e, &[1, 2]); // T1 -> T2 in shard 1; spans {1, 2}
-                                         // T3 holds T1's span, but T1's neighbour T2 reaches shard 2.
+        SHARD_LOCKS.with(|c| c.set(0));
+        // T3 holds T1's span; that T1's neighbour T2 reaches shard 2
+        // does not matter.
         overwrite(&e, &[0, 1]);
-        assert_eq!(pending(&e), [t1, t2], "T3 is current: judged, not queued");
-        assert!(has_node(&e, 0, t1) && has_node(&e, 1, t1), "no half-delete");
         assert_eq!(
-            e.inner.coord.reg_get(t1, &e.inner.metrics),
-            Some(vec![0, 1])
+            SHARD_LOCKS.with(|c| c.get()),
+            2,
+            "the commit's; none for GC"
         );
-        assert_eq!(boundary_counts(&e), [2, 3, 1]);
+        assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
+        assert_eq!(e.inner.coord.reg_get(t1, &e.inner.metrics), None);
+        // T1 waits since T2's commit, which did not hold its span: a
+        // stale entry the pass drops. T2's span {1, 2} is not held.
+        assert_eq!(pending(&e), [t1, t2]);
+        assert_eq!(boundary_counts(&e), [1, 2, 1]);
         let m = e.metrics();
         assert_eq!(
             (m.gc_deletions, m.gc_sweeps, m.gc_closure_hist),
-            (0, 0, [0; 8])
+            (1, 0, [0; 8])
         );
         e.gc_sweep();
-        assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
         assert!(
             has_node(&e, 1, t2) && has_node(&e, 2, t2),
             "T2 is current on e2"
@@ -699,9 +682,74 @@ mod tests {
         let m = e.metrics();
         assert_eq!(
             (m.gc_deletions, m.gc_sweeps, m.gc_closure_fallbacks),
-            (1, 1, 1)
+            (1, 1, 0)
         );
         assert_eq!(m.boundary_underflows, 0);
+    }
+
+    /// An active `P` in shards {0, 2}, a candidate `X` in {0, 1} with
+    /// `P -> X` in shard 0, and `Q` in {1, 2} with `X -> Q` in shard 1;
+    /// `P` and `Q` share shard 2, with no arc there. Returns `P`'s open
+    /// session, `X` and `Q`.
+    fn common_shard_outside_the_candidate(e: &Engine) -> (crate::Session, TxnId, TxnId) {
+        let mut p = e.begin();
+        p.read(0).unwrap();
+        p.read(2).unwrap();
+        let x = overwrite(e, &[0, 1]);
+        let mut q = e.begin();
+        let qid = q.id();
+        q.read(10).unwrap();
+        q.write(1, 1);
+        q.commit().unwrap();
+        overwrite(e, &[0]); // X is now noncurrent everywhere
+        assert_eq!(pending(e), [x]);
+        (p, x, qid)
+    }
+
+    #[test]
+    fn a_locked_common_shard_gets_the_arc_and_no_ghost() {
+        let e = engine();
+        let (p, x, q) = common_shard_outside_the_candidate(&e);
+        let pid = p.id();
+        let mut guards = e.inner.lock_subset(&BTreeSet::from([0, 1, 2]), None);
+        let left = e.inner.sweep_multi_batch(&mut guards, &[x]);
+        drop(guards);
+        assert_eq!(left, []);
+        assert!(!has_node(&e, 0, x) && !has_node(&e, 1, x));
+        assert!(arc_in(&e, 2, pid, q), "bridged in the first common shard");
+        assert!(!has_node(&e, 1, pid), "no ghost");
+        let span = e.inner.coord.reg_get(pid, &e.inner.metrics);
+        assert_eq!(span, Some(vec![0, 2]));
+        let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_ghosts), (1, 0));
+        drop(p);
+        assert_eq!(e.metrics().boundary_underflows, 0);
+        e.summary_audit().unwrap();
+    }
+
+    #[test]
+    fn a_common_shard_outside_the_span_gives_a_ghost_in_qs() {
+        let e = engine();
+        let (p, x, q) = common_shard_outside_the_candidate(&e);
+        let pid = p.id();
+        e.gc_sweep(); // X's own span, {0, 1}: shard 2 is not locked
+        assert!(!has_node(&e, 0, x) && !has_node(&e, 1, x));
+        assert!(arc_in(&e, 1, pid, q), "P's ghost in Q's shard 1");
+        assert!(
+            !arc_in(&e, 2, pid, q),
+            "the unlocked common shard is untouched"
+        );
+        let span = e.inner.coord.reg_get(pid, &e.inner.metrics);
+        assert_eq!(span, Some(vec![0, 1, 2]));
+        let m = e.metrics();
+        assert_eq!(
+            (m.gc_deletions, m.gc_ghosts, m.gc_closure_fallbacks),
+            (1, 1, 0)
+        );
+        assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 0, 0, 0, 0]);
+        drop(p);
+        assert_eq!(e.metrics().boundary_underflows, 0);
+        e.summary_audit().unwrap();
     }
 
     /// `txn` has no node left, or one that is still current.

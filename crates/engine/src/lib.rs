@@ -87,14 +87,16 @@
 //!   multi-shard transaction re-materializes the paper's `D(G, N)`
 //!   bridges across shard boundaries with *ghost nodes*
 //!   ([`deltx_core::CgState::admit_completed_ghost`]), so union
-//!   reachability is preserved exactly; whether the held locks cover
-//!   the candidate's closure (its span plus its neighbors' spans) is
-//!   checked under them, before the first mutation. A candidate they
-//!   do not cover waits in a pending set, and the committer that
-//!   brings that set to 32 runs the standalone pass: it locks only
-//!   the lead candidate's **own span**, batches every candidate those
-//!   locks cover, and falls back to all locks once a lead's closure
-//!   escapes its span, instead of stopping the world. Reclaimed
+//!   reachability is preserved exactly. A candidate is deleted under
+//!   any locks that cover its own registered span, checked under them
+//!   before the first mutation: each bridge lands in a locked shard
+//!   that already holds both neighbors, or in a ghost in one of the
+//!   candidate's own shards. A candidate they do not cover waits in a
+//!   pending set, and the committer that brings that set to 32 runs
+//!   the standalone pass: it locks only the lead candidate's **own
+//!   span**, batches every candidate those locks cover, and takes all
+//!   locks only for a lead whose span is every shard or grew under
+//!   the pass, instead of stopping the world. Reclaimed
 //!   writers' stale versions are pruned with
 //!   [`deltx_storage::Store::truncate_versions_in`]. There is no GC
 //!   thread: what is left when traffic stops is fewer than 32

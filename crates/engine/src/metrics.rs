@@ -270,9 +270,9 @@ pub struct MetricsSnapshot {
     /// Multi-shard GC acquisitions that locked a **strict subset** of
     /// the shards (a lead candidate's own span).
     pub gc_partial_sweeps: u64,
-    /// Sweeps in which a lead's closure escaped its own span (a
-    /// neighbor is registered in a shard outside it): the rest of that
-    /// sweep's queue went to the all-locks pass. A lead whose span
+    /// Sweeps in which a lead's own span grew between the stripe read
+    /// and the lock (a concurrent pass ghosted it into a new shard):
+    /// the rest of that sweep's queue went to the all-locks pass. A lead whose span
     /// already is every shard is *not* a fallback — it records as an
     /// honest full-width acquisition, exactly like the escalation
     /// histogram treats one. A candidate another lead's span could not

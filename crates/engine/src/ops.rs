@@ -34,7 +34,7 @@
 //!    retakes **every** lock and runs again. [`EngineInner::escalate`]
 //!    is the one place that sequence is written; a client abort runs
 //!    through it too. (The multi-shard GC pass works the same way — own
-//!    span first, the under-lock coverage check as the only staleness
+//!    span first, the under-lock own-span check as the only staleness
 //!    signal — see [`crate::gc`].)
 //!
 //! ## One body per step
@@ -53,7 +53,7 @@
 //! candidates that turned up — itself included, which is what removes
 //! a read-only multi-shard transaction the moment it commits — to
 //! [`EngineInner::sweep_multi_batch`] under the same guards, where the
-//! coverage check decides. What its locks do not cover it leaves
+//! own-span check decides. What its locks do not cover it leaves
 //! pending, and after releasing them it runs the standalone pass if
 //! enough are waiting ([`EngineInner::drain_multi_backlog`]). A session
 //! waiting on a full log device sweeps as a rescue
@@ -121,10 +121,11 @@ impl EngineInner {
             }
         }
         while let Some((s, n)) = frontier.pop() {
-            // Hop to twin nodes of the same transaction first. The
-            // registry read is stable: the transaction has a node in a
-            // locked shard, so its entry can only be mutated by a
-            // thread holding one of the locks we hold.
+            // Hop to twin nodes of the same transaction first. A span
+            // with a shard outside our locks is `Stale` below; one
+            // entirely inside them is frozen, as an entry can only be
+            // mutated by a thread holding one of its shards — which a
+            // GC pass ghosting this transaction elsewhere would.
             let txn = guards[s].cg.info(n).txn;
             let span = spans
                 .entry(txn)
@@ -551,7 +552,7 @@ impl EngineInner {
         // write made noncurrent there. The multi-shard candidates among
         // them — this transaction included, if it spans shards — are
         // offered to the multi-shard deletion under the guards already
-        // held; its coverage check decides, and what these locks do not
+        // held; its own-span check decides, and what these locks do not
         // cover (with one lock: all of them) waits for the standalone
         // pass.
         let mut multi: Vec<TxnId> = Vec::new();

@@ -164,6 +164,47 @@ fn more_than_64_shards_replay_identically_and_conserve_balances() {
 }
 
 #[test]
+fn own_span_deletions_racing_on_disjoint_lock_sets_replay_identically() {
+    // A multi-shard deletion holds only its candidate's own span, so two
+    // passes with disjoint lock sets can ghost the same predecessor into
+    // different shards at once, and a cycle check can read a span
+    // another pass is growing. Only real threads interleave inside a
+    // lock hold; mostly cross traffic over 8 shards makes both races
+    // likely. Every oracle must hold anyway.
+    let (shards, n_entities) = (8u32, 64u32);
+    let e = Engine::new(EngineConfig {
+        shards: shards as usize,
+        record_history: true,
+        ..EngineConfig::default()
+    });
+    run_mix(&e, shards, 8, 200, n_entities, 70, run_seed(0x5BA2));
+    e.gc_sweep();
+    let m = e.metrics();
+    assert!(m.commits > 400, "the mix must make progress: {m}");
+    assert!(
+        m.gc_ghosts > 0,
+        "cross-shard bridges were materialized: {m}"
+    );
+    assert!(
+        m.gc_partial_sweeps > 0,
+        "some GC lock set was smaller than all shards: {m}"
+    );
+    assert_eq!(m.boundary_underflows, 0, "counts stayed consistent: {m}");
+    let sum: i64 = (0..n_entities).map(|x| e.peek(x)).sum();
+    assert_eq!(sum, 0, "transfers must conserve the total balance");
+    let bound = live_graph_bound(8, n_entities);
+    assert!(
+        (m.live_txns as usize) <= bound,
+        "live graph escaped its bound: {} > {bound}",
+        m.live_txns
+    );
+    e.summary_audit().expect("reach masks exact in every shard");
+    let h = e.recorded_history().expect("recording enabled");
+    let full = h.replay_full().unwrap_or_else(|err| panic!("{err}"));
+    assert!(h.is_csr(&full), "accepted subschedule must be CSR");
+}
+
+#[test]
 fn version_truncation_racing_reads_never_surfaces_stale_values() {
     // Every commit of the writer prunes the version it overwrote
     // (`Store::truncate_versions_in`) *while* readers keep opening
