@@ -42,11 +42,11 @@ pub struct EngineConfig {
     /// (see [`Engine::open`]). `None` (the default) keeps the engine
     /// purely in-memory.
     pub durability: Option<DurabilityConfig>,
-    /// Host runtime for every thread, clock, sleep, and blocking wait
-    /// the engine (and its WAL) performs. The default [`OsRuntime`]
-    /// uses real threads and the monotonic clock; the simulation
-    /// testkit substitutes a seeded virtual scheduler so whole
-    /// concurrent runs replay deterministically.
+    /// Host runtime for every clock read, sleep, yield point and
+    /// blocking wait the engine (and its WAL) performs. The default
+    /// [`OsRuntime`] uses the monotonic clock and condvars; the
+    /// simulation testkit substitutes a seeded virtual scheduler so
+    /// whole concurrent runs replay deterministically.
     pub runtime: Arc<dyn Runtime>,
 }
 

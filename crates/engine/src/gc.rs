@@ -215,12 +215,10 @@ impl EngineInner {
             }
             let mut guards = self.lock_subset(&span.into_iter().collect(), None);
             self.metrics.record_gc_closure(guards.len(), n);
-            self.rt.emit("gc_closure", guards.len() as u64);
             queue = self.sweep_multi_batch(&mut guards, &queue);
             drop(guards);
             if queue.first() == Some(&lead) {
                 self.metrics.gc_closure_fallbacks.add(1);
-                self.rt.emit("gc_closure_fallback", 1);
                 break;
             }
         }
@@ -235,7 +233,6 @@ impl EngineInner {
         let n = self.shards.len();
         let mut guards = self.lock_all();
         self.metrics.record_gc_closure(n, n);
-        self.rt.emit("gc_closure", n as u64);
         let widen = self.sweep_multi_batch(&mut guards, queue);
         debug_assert!(widen.is_empty(), "all-locks batch cannot need wider");
     }
@@ -401,7 +398,6 @@ impl EngineInner {
             let g = guards.get_mut(c).expect("common shard is locked");
             g.cg.add_order_arc(pn, qn)
                 .expect("bridge follows an existing union path");
-            self.rt.emit("gc_bridge_local", 1);
             return 0;
         }
         // Materialize p as a ghost in q's shard (p has no node there:
@@ -445,7 +441,6 @@ impl EngineInner {
         if p_completed {
             pending.insert(p);
         }
-        self.rt.emit("gc_bridge_ghost", 1);
         1
     }
 }

@@ -176,7 +176,7 @@ pub mod planted {
     pub use deltx_wal::planted::{retry_after_fsync_fail_bug, set_retry_after_fsync_fail_bug};
 }
 
-pub use deltx_runtime::{OsRuntime, RtEvent, Runtime, TaskHandle};
+pub use deltx_runtime::{OsRuntime, RtEvent, Runtime};
 pub use deltx_wal::{
     CrashPoint, DurabilityConfig, FaultSpec, FaultyStorage, FsStorage, QuarantinedSegment,
     RecoverPolicy, WalError, WalHealth, WalStats, WalStorage, ALL_CRASH_POINTS,

@@ -111,8 +111,6 @@ pub(crate) struct EngineMetrics {
     pub live_txns: Counter,
     /// High-water mark of `live_txns`.
     pub peak_live_txns: AtomicU64,
-    /// Committed transactions rebuilt from the WAL at open.
-    pub wal_recovery_replayed: Counter,
     /// Writing commits rejected because the WAL is no longer healthy
     /// (degraded read-only mode).
     pub degraded_commit_rejections: Counter,
@@ -200,7 +198,6 @@ impl EngineMetrics {
             gc_pause: Duration::from_nanos(self.gc_pause_nanos.get()),
             live_txns: self.live_txns.get(),
             peak_live_txns: self.peak_live_txns.load(Ordering::Relaxed),
-            wal_recovery_replayed: self.wal_recovery_replayed.get(),
             degraded_commit_rejections: self.degraded_commit_rejections.get(),
             gc_pressure_sweeps: self.gc_pressure_sweeps.get(),
             shard_lock_spun: self.shard_lock_spun.get(),
@@ -308,9 +305,6 @@ pub struct MetricsSnapshot {
     pub live_txns: u64,
     /// High-water mark of `live_txns`.
     pub peak_live_txns: u64,
-    /// Committed transactions rebuilt from the WAL when this engine
-    /// opened (0 for a fresh or non-durable engine).
-    pub wal_recovery_replayed: u64,
     /// Writing commits rejected at the degraded-mode gate: the WAL
     /// had already stopped (fsync poisoning, crash, terminal ENOSPC,
     /// I/O failure) so the commit was refused with
@@ -425,7 +419,7 @@ impl std::fmt::Display for MetricsSnapshot {
                 "\nwal: {} flushes / {} records (mean batch {:.1}), \
                  batch hist [1|2|3|4|≤8|≤16|≤32|>32] = {:?}, \
                  {} segments created / {} truncated ({} live), \
-                 durable lsn {}, recovery replayed {}",
+                 durable lsn {}",
                 w.flushes,
                 w.records,
                 w.mean_batch(),
@@ -434,7 +428,6 @@ impl std::fmt::Display for MetricsSnapshot {
                 w.segments_truncated,
                 w.segments_live,
                 w.durable_lsn,
-                self.wal_recovery_replayed
             )?;
             write!(
                 f,

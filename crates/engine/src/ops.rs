@@ -174,15 +174,7 @@ impl EngineInner {
     /// `txn`'s node here is neither one nor reaches one (module docs,
     /// fact 1).
     fn sealed(&self, g: &Shard, txn: TxnId) -> bool {
-        let marked = g.cg.boundary_count() != 0;
-        let sealed = !marked || !g.cg.boundary_exposed(txn);
-        let key = if sealed {
-            "gate_sealed"
-        } else {
-            "gate_exposed"
-        };
-        self.rt.emit(key, marked as u64);
-        sealed
+        g.cg.boundary_count() == 0 || !g.cg.boundary_exposed(txn)
     }
 
     /// Runs one session step's body under the regime it needs: if the
@@ -190,13 +182,11 @@ impl EngineInner {
     /// the fast path — that one guard, no union check (`false`), and
     /// `true` returned. Else [`Self::escalate`], handed the gate's guard
     /// if it took one, with the union check (`true`), counted as one
-    /// escalated operation. `stale_tag` is what the simulator's coverage
-    /// signal sees on a fallback (0 = read, 1 = commit).
+    /// escalated operation.
     fn run_step<'a, T>(
         &'a self,
         txn: TxnId,
         entry: &BTreeSet<usize>,
-        stale_tag: u64,
         mut body: impl FnMut(&mut Guards<'a>, &BTreeSet<usize>, bool) -> Result<T, Stale>,
     ) -> (bool, T) {
         let mut held = None;
@@ -216,9 +206,7 @@ impl EngineInner {
         self.metrics.escalated_ops.add(1);
         if let Some(k) = own {
             self.metrics.record_escalation(k, n);
-            self.rt.emit("esc_subset", k as u64);
             if all {
-                self.rt.emit("esc_stale", stale_tag);
                 self.metrics.escalation_fallbacks.add(1);
             }
         }
@@ -351,7 +339,7 @@ impl EngineInner {
         // The entry shards: the ones read so far, and this one.
         let fresh = st.shards.insert(s);
         let buf = st.bufs.entry(s).or_insert_with(|| TxnBuffer::new(txn));
-        let (fast, out) = self.run_step(txn, &st.shards, 0, |guards, touched, check| {
+        let (fast, out) = self.run_step(txn, &st.shards, |guards, touched, check| {
             self.read_locked(txn, buf, x, s, guards, touched, check)
         });
         match &out {
@@ -435,7 +423,6 @@ impl EngineInner {
                     .map(|e| e.to_string())
                     .unwrap_or_else(|| "write-ahead log unavailable".to_string());
                 self.metrics.degraded_commit_rejections.add(1);
-                self.rt.emit("degraded_reject", 1);
                 self.client_abort(st);
                 return Err(EngineError::Durability(reason));
             }
@@ -460,7 +447,7 @@ impl EngineInner {
             writes,
             submitted: None,
         };
-        let (fast, out) = self.run_step(st.txn, &involved, 1, |guards, touched, check| {
+        let (fast, out) = self.run_step(st.txn, &involved, |guards, touched, check| {
             self.commit_locked(&mut c, guards, touched, check)
         });
         let res = out.and_then(|multi| {

@@ -61,7 +61,6 @@ impl EngineInner {
             .expect("no union check, nothing to go stale")
             .expect("sequential replay is accepted");
         }
-        self.metrics.wal_recovery_replayed.add(commits.len() as u64);
         commits.len() as u64
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Everything in `deltx-engine` and `deltx-wal` that touches time or
 //! blocking goes through the [`Runtime`] trait: reading the clock for
-//! metrics and flush timing, sleeping out a retry backoff, and
+//! metrics and flush timing, sleeping out a retry backoff,
 //! blocking on conditions (waiters queued behind a running group-commit
-//! flush). Neither crate spawns a task; [`Runtime::spawn`] is for their
-//! hosts (the simulation testkit's sessions and sweeper). Production uses [`OsRuntime`] — real threads,
-//! a monotonic clock, condvars. The deterministic simulation testkit
+//! flush), and marking the yield points where another task may run.
+//! Neither crate starts a task of its own: the threads that call them
+//! belong to their host. Production uses [`OsRuntime`] — a monotonic
+//! clock and condvars. The deterministic simulation testkit
 //! (`deltx-testkit`) substitutes a virtual scheduler that runs one
 //! logical task at a time under a seeded interleaving and a virtual
 //! clock, so a failing concurrent run replays bit-identically from its
@@ -39,16 +40,13 @@
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The services the engine and WAL need from their host: task
-/// spawning, a clock, sleep, yield points, and blocking events.
+/// The services the engine and WAL need from their host: a clock,
+/// sleep, yield points, and blocking events.
 ///
 /// Implementations must be cheap to clone through `Arc<dyn Runtime>`
-/// and safe to call from any task they spawned.
+/// and safe to call from any of the host's threads (or, under
+/// simulation, tasks).
 pub trait Runtime: Send + Sync + std::fmt::Debug {
-    /// Spawns a named background task. The returned handle joins it;
-    /// dropping the handle detaches the task.
-    fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) -> TaskHandle;
-
     /// Monotonic time since this runtime's epoch. Only differences
     /// are meaningful; under simulation this is virtual time.
     fn now(&self) -> Duration;
@@ -64,15 +62,6 @@ pub trait Runtime: Send + Sync + std::fmt::Debug {
 
     /// Creates a fresh eventcount for blocking waits.
     fn event(&self) -> Arc<dyn RtEvent>;
-
-    /// Engine-event hook: reports a named event (an escalation
-    /// fallback, a GC closure shape, a WAL batch boundary) with a
-    /// small value. Hot paths call this, so implementations must be
-    /// cheap; the default is a no-op. The simulation testkit records
-    /// the `(kind, value)` pairs as a coverage signature to steer
-    /// schedule-space search toward interleavings that exercise novel
-    /// engine behavior.
-    fn emit(&self, _kind: &'static str, _value: u64) {}
 }
 
 /// Bounded exponential backoff over the [`Runtime`] clock.
@@ -135,30 +124,6 @@ pub trait RtEvent: Send + Sync {
     fn notify(&self);
 }
 
-/// Joins a spawned task. Dropping without [`TaskHandle::join`]
-/// detaches it.
-pub struct TaskHandle {
-    joiner: Box<dyn FnOnce() + Send + Sync>,
-}
-
-impl TaskHandle {
-    /// Wraps a join closure; runtime implementations call this.
-    pub fn new(joiner: Box<dyn FnOnce() + Send + Sync>) -> Self {
-        TaskHandle { joiner }
-    }
-
-    /// Blocks until the task finishes.
-    pub fn join(self) {
-        (self.joiner)();
-    }
-}
-
-impl std::fmt::Debug for TaskHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TaskHandle")
-    }
-}
-
 /// Process-wide epoch for [`OsRuntime::now`], fixed at first use so
 /// every engine in the process shares one timeline.
 fn os_epoch() -> Instant {
@@ -166,7 +131,7 @@ fn os_epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// The production runtime: OS threads, the monotonic clock, condvar
+/// The production runtime: the monotonic clock, thread sleep, condvar
 /// eventcounts. [`Runtime::yield_now`] is a no-op — the kernel already
 /// preempts, and the engine's yield points sit on hot paths.
 #[derive(Clone, Copy, Debug, Default)]
@@ -180,16 +145,6 @@ impl OsRuntime {
 }
 
 impl Runtime for OsRuntime {
-    fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) -> TaskHandle {
-        let handle = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(f)
-            .expect("runtime: thread spawn failed");
-        TaskHandle::new(Box::new(move || {
-            let _ = handle.join();
-        }))
-    }
-
     fn now(&self) -> Duration {
         os_epoch().elapsed()
     }
@@ -242,13 +197,10 @@ mod tests {
         let ev = rt.event();
         let flag = Arc::new(AtomicBool::new(false));
         let (ev2, flag2) = (Arc::clone(&ev), Arc::clone(&flag));
-        let h = rt.spawn(
-            "setter",
-            Box::new(move || {
-                flag2.store(true, Ordering::SeqCst);
-                ev2.notify();
-            }),
-        );
+        let h = std::thread::spawn(move || {
+            flag2.store(true, Ordering::SeqCst);
+            ev2.notify();
+        });
         loop {
             let key = ev.prepare();
             if flag.load(Ordering::SeqCst) {
@@ -256,7 +208,7 @@ mod tests {
             }
             ev.wait(key);
         }
-        h.join();
+        h.join().unwrap();
     }
 
     #[test]

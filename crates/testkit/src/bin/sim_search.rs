@@ -1,12 +1,12 @@
 //! `sim_search` — schedule-space search over the workload zoo.
 //!
-//! Sweeps each zoo scenario through many interleavings (random seeds,
-//! PCT priority schedules, coverage-guided trace mutations), and on a
+//! Sweeps each zoo scenario through many interleavings (random seeds
+//! and PCT priority schedules), and on a
 //! failure shrinks it with the delta-debugging minimizer and writes a
 //! self-contained repro file that `sim_zoo --replay-trace` re-executes.
 //!
 //! ```text
-//! sim_search [--budget N] [--seed S] [--only NAME] [--strategy random|pct|coverage]
+//! sim_search [--budget N] [--seed S] [--only NAME] [--strategy random|pct]
 //!            [--repro-dir DIR]
 //!            [--planted bitset_trailing_word|drop_gc_bridge|retry_after_fsync_fail]
 //! ```
@@ -124,11 +124,8 @@ fn main() {
             }
         };
         println!(
-            "  {} runs, {} distinct signatures, corpus {}, mean {} switches",
-            outcome.stats.runs,
-            outcome.stats.distinct_signatures,
-            outcome.stats.corpus_size,
-            outcome.stats.mean_switches
+            "  {} runs, mean {} switches",
+            outcome.stats.runs, outcome.stats.mean_switches
         );
 
         let Some(found) = outcome.failure else {

@@ -32,10 +32,8 @@
 //!   adversarial cross-shard chains, mid-run WAL crashes (single and
 //!   repeated), a boundary-summary flood, hot contention, and four
 //!   disk faults.
-//! * [`search`] — the coverage-guided schedule explorer: sweeps
-//!   random seeds, PCT priority schedules, and mutations of
-//!   coverage-novel traces (keyed on engine-event signatures) looking
-//!   for a failing interleaving.
+//! * [`search`] — the schedule explorer: sweeps random seeds and PCT
+//!   priority schedules looking for a failing interleaving.
 //! * [`minimize()`] — the delta-debugging minimizer: shrinks a failing
 //!   run's workload spec and decision trace while the failure still
 //!   reproduces, and writes a self-contained repro file that

@@ -1,7 +1,7 @@
-//! Coverage-guided schedule-space search.
+//! Schedule-space search.
 //!
 //! One `(spec, seed)` run samples a single point of the interleaving
-//! space; [`search_spec`] sweeps many. Three strategies round-robin
+//! space; [`search_spec`] sweeps many. Two strategies round-robin
 //! over the schedule budget:
 //!
 //! * **Random** — a fresh seed per run, uniform over the simulator's
@@ -11,15 +11,6 @@
 //!   ([`PickPolicy::Pct`]): random fixed priorities plus `d` change
 //!   points, which concentrates probability on low-depth ordering
 //!   bugs instead of spreading it over all interleavings.
-//! * **Coverage** — mutation of *interesting* schedules. Every run
-//!   reports the set of engine-event signatures it triggered
-//!   (escalation fallbacks, GC closure shapes, WAL batch boundaries —
-//!   the `Runtime::emit` hook); a run that produces a signature never
-//!   seen before donates its decision trace to a corpus. Mutation
-//!   replays a random prefix of a corpus trace and lets a fresh seed
-//!   pick the suffix — steering later runs back into rare regimes
-//!   (an escalation fallback, a widened GC closure) where neighbors
-//!   in schedule space are likelier to fail.
 //!
 //! Orthogonally to the schedule strategies, specs carrying a
 //! parameterized fault get its *parameters* redrawn from the per-run
@@ -36,7 +27,6 @@
 use crate::sim::{PickPolicy, ScheduleTrace, SimConfig};
 use crate::workload::{run_spec_traced, DiskFault, FaultPlan, SimError, WorkloadSpec};
 use deltx_engine::CrashPoint;
-use std::collections::BTreeSet;
 
 /// Knobs for one search sweep.
 #[derive(Clone, Debug)]
@@ -46,7 +36,7 @@ pub struct SearchConfig {
     /// Root seed; per-run seeds derive from it deterministically, so
     /// the whole sweep is replayable.
     pub base_seed: u64,
-    /// Strategies to round-robin over. Empty defaults to all three.
+    /// Strategies to round-robin over. Empty defaults to both.
     pub strategies: Vec<Strategy>,
     /// PCT change points (`d`). 3 catches most ordering bugs.
     pub pct_depth: usize,
@@ -56,13 +46,13 @@ pub struct SearchConfig {
 }
 
 impl SearchConfig {
-    /// A CI-shaped config: `budget` schedules from `base_seed`, all
-    /// three strategies, PCT depth 3, stop at the first failure.
+    /// A CI-shaped config: `budget` schedules from `base_seed`, both
+    /// strategies, PCT depth 3, stop at the first failure.
     pub fn quick(budget: usize, base_seed: u64) -> Self {
         SearchConfig {
             budget,
             base_seed,
-            strategies: vec![Strategy::Random, Strategy::Pct, Strategy::Coverage],
+            strategies: ALL_STRATEGIES.to_vec(),
             pct_depth: 3,
             stop_at_first_failure: true,
         }
@@ -76,17 +66,16 @@ pub enum Strategy {
     Random,
     /// PCT-style priority scheduling with change points.
     Pct,
-    /// Mutate a coverage-novel trace from the corpus (falls back to
-    /// random until the corpus is non-empty).
-    Coverage,
 }
+
+/// The default round-robin.
+const ALL_STRATEGIES: [Strategy; 2] = [Strategy::Random, Strategy::Pct];
 
 impl std::fmt::Display for Strategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Strategy::Random => "random",
             Strategy::Pct => "pct",
-            Strategy::Coverage => "coverage",
         })
     }
 }
@@ -97,10 +86,7 @@ impl std::str::FromStr for Strategy {
         match s {
             "random" => Ok(Strategy::Random),
             "pct" => Ok(Strategy::Pct),
-            "coverage" => Ok(Strategy::Coverage),
-            other => Err(format!(
-                "unknown strategy `{other}` (random | pct | coverage)"
-            )),
+            other => Err(format!("unknown strategy `{other}` (random | pct)")),
         }
     }
 }
@@ -112,15 +98,8 @@ pub struct SearchStats {
     pub runs: usize,
     /// Schedules that failed an oracle (or deadlocked / panicked).
     pub failures: usize,
-    /// Distinct engine-event signatures seen across the sweep — the
-    /// coverage frontier.
-    pub distinct_signatures: usize,
-    /// Traces currently held in the mutation corpus.
-    pub corpus_size: usize,
     /// Mean scheduling decisions per run (0 when `runs` is 0).
     pub mean_switches: u64,
-    /// Every distinct `(kind, value)` signature the sweep hit.
-    pub signatures: BTreeSet<(&'static str, u64)>,
 }
 
 /// The first failing schedule a sweep found, replay-ready.
@@ -159,9 +138,6 @@ fn splitmix64(mut x: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
-
-/// Traces the mutation corpus holds at most (oldest evicted first).
-const CORPUS_CAP: usize = 32;
 
 /// Fault-parameter mutation riding along the schedule sweep: specs
 /// that carry a parameterized fault (a torn-write offset, a
@@ -218,17 +194,15 @@ fn mutated_spec(spec: &WorkloadSpec, seed: u64, run_index: usize) -> WorkloadSpe
 }
 
 /// Sweeps up to `cfg.budget` schedules of `spec` and reports the
-/// first failure plus coverage counters. Fully deterministic in
-/// `(spec, cfg)`: per-run seeds derive from `cfg.base_seed` and
-/// mutation choices from the per-run seed.
+/// first failure plus counters. Fully deterministic in `(spec, cfg)`:
+/// per-run seeds derive from `cfg.base_seed` and fault-parameter
+/// redraws from the per-run seed.
 pub fn search_spec(spec: &WorkloadSpec, cfg: &SearchConfig) -> Result<SearchOutcome, SimError> {
-    let strategies = if cfg.strategies.is_empty() {
-        vec![Strategy::Random, Strategy::Pct, Strategy::Coverage]
+    let strategies: &[Strategy] = if cfg.strategies.is_empty() {
+        &ALL_STRATEGIES
     } else {
-        cfg.strategies.clone()
+        &cfg.strategies
     };
-    let mut seen: BTreeSet<(&'static str, u64)> = BTreeSet::new();
-    let mut corpus: Vec<ScheduleTrace> = Vec::new();
     let mut failure: Option<FoundFailure> = None;
     let mut stats = SearchStats::default();
     let mut switches_sum: u64 = 0;
@@ -238,28 +212,13 @@ pub fn search_spec(spec: &WorkloadSpec, cfg: &SearchConfig) -> Result<SearchOutc
 
     for i in 0..cfg.budget {
         let seed = splitmix64(cfg.base_seed ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95));
-        let mut strategy = strategies[i % strategies.len()];
-        if strategy == Strategy::Coverage && corpus.is_empty() {
-            strategy = Strategy::Random;
-        }
+        let strategy = strategies[i % strategies.len()];
         let policy = match strategy {
             Strategy::Random => PickPolicy::Random,
             Strategy::Pct => PickPolicy::Pct {
                 depth: cfg.pct_depth,
                 expected_len,
             },
-            Strategy::Coverage => {
-                // Replay a random prefix of a corpus trace; the fresh
-                // seed picks the suffix.
-                let pick = splitmix64(seed) as usize % corpus.len();
-                let base = &corpus[pick];
-                let cut = if base.decisions.is_empty() {
-                    0
-                } else {
-                    splitmix64(seed ^ 1) as usize % base.decisions.len()
-                };
-                PickPolicy::Trace(base.truncated(cut))
-            }
         };
         let run_spec = mutated_spec(spec, seed, i);
         let run = run_spec_traced(
@@ -274,18 +233,6 @@ pub fn search_spec(spec: &WorkloadSpec, cfg: &SearchConfig) -> Result<SearchOutc
         switches_sum += run.switches;
         expected_len = (switches_sum / stats.runs as u64).max(64);
 
-        let mut novel = false;
-        for sig in &run.signatures {
-            novel |= seen.insert(*sig);
-        }
-        if novel {
-            if let Some(trace) = run.trace.clone() {
-                if corpus.len() == CORPUS_CAP {
-                    corpus.remove(0);
-                }
-                corpus.push(trace);
-            }
-        }
         if let Some(message) = run.failure {
             stats.failures += 1;
             if failure.is_none() {
@@ -303,9 +250,6 @@ pub fn search_spec(spec: &WorkloadSpec, cfg: &SearchConfig) -> Result<SearchOutc
             }
         }
     }
-    stats.distinct_signatures = seen.len();
-    stats.signatures = seen;
-    stats.corpus_size = corpus.len();
     stats.mean_switches = if stats.runs == 0 {
         0
     } else {

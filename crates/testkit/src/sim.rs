@@ -21,8 +21,8 @@
 //! one) can be replayed under [`PickPolicy::Trace`], which follows the
 //! recorded picks while they remain valid and falls back to seeded
 //! random choice afterwards. That makes traces minimizable (drop
-//! decisions, see if the failure survives) and mutable (replay a
-//! prefix, explore a fresh suffix) — the substrate for `sim_search`.
+//! decisions, see if the failure survives) and replayable from a repro
+//! file, which is how `sim_search` reports a find.
 //!
 //! # Scheduling policies
 //!
@@ -69,9 +69,9 @@
 //! instead *captures* the failure as a [`SimFailure`] so search
 //! drivers can treat a red schedule as data rather than a panic.
 
-use deltx_runtime::{RtEvent, Runtime, TaskHandle};
+use deltx_runtime::{RtEvent, Runtime};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -165,8 +165,8 @@ impl ScheduleTrace {
         Ok(ScheduleTrace { decisions })
     }
 
-    /// The first `n` decisions — the mutation primitive for
-    /// coverage-guided search (replay a prefix, explore a new suffix).
+    /// The first `n` decisions: the minimizer replays a prefix and
+    /// lets the seed pick the rest.
     pub fn truncated(&self, n: usize) -> ScheduleTrace {
         ScheduleTrace {
             decisions: self.decisions[..n.min(self.decisions.len())].to_vec(),
@@ -272,15 +272,11 @@ impl SimFailure {
 }
 
 /// What a finished run reports besides the closure's return value:
-/// the recorded trace (if asked for), the engine-event signature set,
-/// and scheduler counters.
+/// the recorded trace (if asked for) and scheduler counters.
 #[derive(Debug)]
 pub struct SimRunInfo {
     /// The recorded decision trace (when `record_trace` was set).
     pub trace: Option<ScheduleTrace>,
-    /// Distinct `(kind, value)` engine events seen (via
-    /// [`Runtime::emit`]) — the coverage signature of the schedule.
-    pub signatures: BTreeSet<(&'static str, u64)>,
     /// Scheduling decisions taken.
     pub switches: u64,
     /// Under [`PickPolicy::Trace`]: decisions where the recorded pick
@@ -405,8 +401,6 @@ struct SimState {
     policy: PolicyState,
     /// Decision recording (Some when `record_trace`).
     trace: Option<Vec<Decision>>,
-    /// Engine-event signatures reported via [`Runtime::emit`].
-    signatures: BTreeSet<(&'static str, u64)>,
 }
 
 struct SimShared {
@@ -716,7 +710,7 @@ impl VirtualRuntime {
     /// [`SimConfig`] (scheduling policy, trace recording), and with
     /// failures *captured* instead of panicking: a red run comes back
     /// as `Err(SimFailure)` alongside the [`SimRunInfo`] (trace,
-    /// signatures, counters) — which is reported for red and green
+    /// counters) — which is reported for red and green
     /// runs alike, so search drivers can mine failing schedules.
     pub fn run_cfg<T>(
         cfg: &SimConfig,
@@ -741,7 +735,6 @@ impl VirtualRuntime {
                 switches: 0,
                 policy,
                 trace: cfg.record_trace.then(Vec::new),
-                signatures: BTreeSet::new(),
             }),
             cv: Condvar::new(),
         });
@@ -780,7 +773,6 @@ impl VirtualRuntime {
         }
         let info = SimRunInfo {
             trace: st.trace.take().map(|decisions| ScheduleTrace { decisions }),
-            signatures: std::mem::take(&mut st.signatures),
             switches: st.switches,
             divergences: match &st.policy {
                 PolicyState::Trace { divergences, .. } => *divergences,
@@ -832,10 +824,11 @@ impl VirtualRuntime {
     pub fn switches(&self) -> u64 {
         self.shared.lock().switches
     }
-}
 
-impl Runtime for VirtualRuntime {
-    fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) -> TaskHandle {
+    /// Spawns a named simulation task, ready at the next scheduling
+    /// decision. The returned handle joins it; every task must be
+    /// joined before the run ends.
+    pub fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) -> TaskHandle {
         let shared = Arc::clone(&self.shared);
         let id = {
             let mut st = shared.lock();
@@ -886,9 +879,24 @@ impl Runtime for VirtualRuntime {
                 body_shared.finish_task(id, msg);
             })
             .expect("deltx-sim: task thread spawn failed");
-        TaskHandle::new(Box::new(move || shared.join_task(id)))
+        TaskHandle { shared, id }
     }
+}
 
+/// Joins a task spawned by [`VirtualRuntime::spawn`].
+pub struct TaskHandle {
+    shared: Arc<SimShared>,
+    id: TaskId,
+}
+
+impl TaskHandle {
+    /// Blocks (a scheduling point) until the task finishes.
+    pub fn join(self) {
+        self.shared.join_task(self.id);
+    }
+}
+
+impl Runtime for VirtualRuntime {
     fn now(&self) -> Duration {
         Duration::from_nanos(self.shared.lock().now)
     }
@@ -917,10 +925,6 @@ impl Runtime for VirtualRuntime {
             shared: Arc::clone(&self.shared),
             id,
         })
-    }
-
-    fn emit(&self, kind: &'static str, value: u64) {
-        self.shared.lock().signatures.insert((kind, value));
     }
 }
 

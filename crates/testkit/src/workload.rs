@@ -15,7 +15,8 @@
 //! CSR check ([`deltx_engine::RecordedHistory::replay_full`] and
 //! `is_csr`), balance conservation (not for [`Profile::ReadMostly`],
 //! nor after a crash), and the boundary-summary audit; the run ends
-//! with the live-graph bound when [`WorkloadSpec::bounded`] is set. The
+//! with the live-graph bound, [`live_graph_bound`]`(sessions, entities)`,
+//! on the peak the monitor task sampled. The
 //! returned [`SimReport`] is a pure function of `(spec, seed)` — the
 //! determinism self-test runs every spec twice and demands equality,
 //! fingerprint included.
@@ -40,21 +41,19 @@
 //! [`run_spec_traced`] is the search driver's entry point: it runs a
 //! spec under an explicit [`SimConfig`] (scheduling policy, trace
 //! recording) and returns failures as data — the [`TracedRun`] carries
-//! the decision trace, the engine-event coverage signatures, and the
-//! failure headline instead of panicking. Specs themselves serialize
-//! to a line-based text form ([`WorkloadSpec::to_text`]) so a
-//! minimized repro file can carry its (shrunk) workload along with the
-//! schedule trace.
+//! the decision trace and the failure headline instead of panicking.
+//! Specs themselves serialize to a line-based text form
+//! ([`WorkloadSpec::to_text`]) so a minimized repro file can carry its
+//! (shrunk) workload along with the schedule trace.
 
-use crate::sim::{ScheduleTrace, SimConfig, VirtualRuntime};
+use crate::sim::{ScheduleTrace, SimConfig, TaskHandle, VirtualRuntime};
 use deltx_engine::{
     live_graph_bound, CrashPoint, DurabilityConfig, Engine, EngineConfig, EngineError, Event,
     FaultSpec, FaultyStorage, FsStorage, MetricsSnapshot, RecoverPolicy, RecoveryReport, Runtime,
-    Session, TaskHandle, WalHealth, WalStorage,
+    Session, WalHealth, WalStorage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -229,11 +228,6 @@ pub struct WorkloadSpec {
     pub durable: bool,
     /// Fault to inject.
     pub fault: FaultPlan,
-    /// Check the peak live graph against
-    /// [`live_graph_bound`]`(sessions, entities)`. Off where residue
-    /// legitimately outgrows it: crashed or frozen logs, a starved or
-    /// deliberately slow sweeper.
-    pub bounded: bool,
 }
 
 fn crash_point_text(p: CrashPoint) -> String {
@@ -341,8 +335,7 @@ impl WorkloadSpec {
         };
         format!(
             "name {}\nsessions {}\ntxns {}\nentities {}\nshards {}\nprofile {}\n\
-             abort_every {}\nthink_ns {}\ngc_interval_us {}\ndurable {}\nfault {}\n\
-             bounded {}\n",
+             abort_every {}\nthink_ns {}\ngc_interval_us {}\ndurable {}\nfault {}\n",
             self.name,
             self.sessions,
             self.txns_per_session,
@@ -354,7 +347,6 @@ impl WorkloadSpec {
             self.gc_interval_us,
             flag(self.durable),
             fault,
-            flag(self.bounded),
         )
     }
 
@@ -378,7 +370,6 @@ impl WorkloadSpec {
             gc_interval_us: 50,
             durable: false,
             fault: FaultPlan::None,
-            bounded: true,
         };
         for (i, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -444,7 +435,6 @@ impl WorkloadSpec {
                         other => return Err(at(format!("unknown fault {other:?}"))),
                     };
                 }
-                "bounded" => spec.bounded = parts.next() == Some("1"),
                 other => return Err(at(format!("unknown spec key `{other}`"))),
             }
         }
@@ -475,9 +465,6 @@ pub struct SimReport {
     pub gc_deletions: u64,
     /// Peak live-graph nodes sampled by the monitor task.
     pub peak_nodes: usize,
-    /// The `O(active)` bound the peak was checked against (0 when the
-    /// check is off).
-    pub graph_bound: usize,
     /// Virtual nanoseconds the run spanned.
     pub virtual_ns: u64,
     /// Scheduling decisions the simulator took.
@@ -490,7 +477,7 @@ pub struct SimReport {
 }
 
 /// One schedule's full result, for search drivers: failure as data
-/// plus the coverage signature and (optionally) the decision trace.
+/// plus (optionally) the decision trace.
 #[derive(Debug)]
 pub struct TracedRun {
     /// The report of a green run (`None` when the run failed).
@@ -499,8 +486,6 @@ pub struct TracedRun {
     pub failure: Option<String>,
     /// The recorded decision trace (when the config asked for one).
     pub trace: Option<ScheduleTrace>,
-    /// Distinct engine events seen — the schedule's coverage key.
-    pub signatures: BTreeSet<(&'static str, u64)>,
     /// Scheduling decisions taken.
     pub switches: u64,
     /// Trace-replay divergences (recorded pick not runnable).
@@ -539,7 +524,8 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 }
 
 /// Spawns a task that gets a handle back to the runtime (for think
-/// time) — a thin sugar over [`Runtime::spawn`]'s `'static` closure.
+/// time) — a thin sugar over [`VirtualRuntime::spawn`]'s `'static`
+/// closure.
 fn spawn_on(
     rt: &Arc<VirtualRuntime>,
     name: &str,
@@ -1291,17 +1277,12 @@ fn run_body(
         drop(recovered); // closes the recovered WAL in-sim
     }
 
-    let graph_bound = if spec.bounded {
-        let bound = live_graph_bound(spec.sessions, spec.entities);
-        assert!(
-            peak <= bound,
-            "[{} seed {seed}] peak live graph {peak} exceeded O(active) bound {bound}",
-            spec.name
-        );
-        bound
-    } else {
-        0
-    };
+    let bound = live_graph_bound(spec.sessions, spec.entities);
+    assert!(
+        peak <= bound,
+        "[{} seed {seed}] peak live graph {peak} exceeded O(active) bound {bound}",
+        spec.name
+    );
 
     SimReport {
         name: spec.name.clone(),
@@ -1311,7 +1292,6 @@ fn run_body(
         client_aborts,
         gc_deletions,
         peak_nodes: peak,
-        graph_bound,
         virtual_ns: rt.now().as_nanos() as u64,
         switches: rt.switches(),
         fingerprint: fp,
@@ -1336,8 +1316,8 @@ pub fn run_spec(spec: &WorkloadSpec, seed: u64) -> Result<SimReport, SimError> {
 /// Runs `spec` under an explicit [`SimConfig`] — scheduling policy and
 /// trace recording — and returns failures as data. The search driver's
 /// entry point: a red schedule comes back as a [`TracedRun`] with the
-/// failure headline, the decision trace (replayable and minimizable),
-/// and the engine-event coverage signatures.
+/// failure headline and the decision trace (replayable and
+/// minimizable).
 pub fn run_spec_traced(spec: &WorkloadSpec, cfg: &SimConfig) -> Result<TracedRun, SimError> {
     // A traced run's failure is data, not an event worth a backtrace:
     // search and minimization run hundreds of red schedules on purpose.
@@ -1354,7 +1334,6 @@ pub fn run_spec_traced(spec: &WorkloadSpec, cfg: &SimConfig) -> Result<TracedRun
         report,
         failure,
         trace: info.trace,
-        signatures: info.signatures,
         switches: info.switches,
         divergences: info.divergences,
     })

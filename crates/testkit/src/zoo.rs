@@ -31,7 +31,6 @@ pub fn transfer_mix() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        bounded: true,
     }
 }
 
@@ -51,7 +50,6 @@ pub fn hot_key_skew() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        bounded: true,
     }
 }
 
@@ -74,7 +72,6 @@ pub fn long_readers() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        bounded: true,
     }
 }
 
@@ -93,7 +90,6 @@ pub fn batch_jobs() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        bounded: true,
     }
 }
 
@@ -112,7 +108,6 @@ pub fn read_mostly_fanout() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        bounded: true,
     }
 }
 
@@ -132,7 +127,6 @@ pub fn cross_shard_chain() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        bounded: true,
     }
 }
 
@@ -155,9 +149,6 @@ pub fn durable_crash_mid_run() -> WorkloadSpec {
             after_commits: 40,
             point: CrashPoint::TornWriteAt(11),
         },
-        // Post-crash the live graph holds acknowledged-but-failed
-        // residue: skip the bound.
-        bounded: false,
     }
 }
 
@@ -181,7 +172,6 @@ pub fn boundary_flood() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        bounded: true,
     }
 }
 
@@ -206,10 +196,6 @@ pub fn hot_contention() -> WorkloadSpec {
         gc_interval_us: 20,
         durable: false,
         fault: FaultPlan::None,
-        // Zero think time starves the sweeper's tick (virtual
-        // time never advances mid-run), so the graph legitimately
-        // exceeds the O(active) bound between reclaim points.
-        bounded: false,
     }
 }
 
@@ -234,9 +220,6 @@ pub fn durable_crash_recover_twice() -> WorkloadSpec {
             point: CrashPoint::MidFlushTorn,
             waves: 3,
         },
-        // Crash waves leave acknowledged-but-failed residue in the
-        // live graph: skip the bound.
-        bounded: false,
     }
 }
 
@@ -259,7 +242,6 @@ pub fn disk_transient_appends() -> WorkloadSpec {
         fault: FaultPlan::Disk {
             fault: DiskFault::TransientAppend { at: 2, burst: 2 },
         },
-        bounded: true,
     }
 }
 
@@ -282,9 +264,6 @@ pub fn disk_fsync_poison() -> WorkloadSpec {
         fault: FaultPlan::Disk {
             fault: DiskFault::FsyncFail { at: 1 },
         },
-        // Post-poison the live graph holds acknowledged-but-failed
-        // residue: skip the bound.
-        bounded: false,
     }
 }
 
@@ -307,8 +286,6 @@ pub fn disk_enospc_pressure() -> WorkloadSpec {
         fault: FaultPlan::Disk {
             fault: DiskFault::Capacity { bytes: 6 * 1024 },
         },
-        // A mid-run write freeze leaves residue like a crash does.
-        bounded: false,
     }
 }
 
@@ -333,9 +310,6 @@ pub fn disk_corrupt_sealed_scrub() -> WorkloadSpec {
         fault: FaultPlan::Disk {
             fault: DiskFault::CorruptSealed { sector: 0 },
         },
-        // The deliberately slow sweeper tick lets the graph run
-        // ahead of reclamation between sweeps; skip the bound.
-        bounded: false,
     }
 }
 

@@ -26,7 +26,6 @@ fn churn_twin() -> WorkloadSpec {
         gc_interval_us: 50,
         durable: false,
         fault: FaultPlan::None,
-        bounded: true,
     }
 }
 
@@ -49,9 +48,6 @@ fn crash_load_twin() -> WorkloadSpec {
             after_commits: 50,
             point: CrashPoint::MidFlushTorn,
         },
-        // Post-crash residue legitimately exceeds the O(active)
-        // bound.
-        bounded: false,
     }
 }
 

@@ -60,10 +60,9 @@ fn spec_strategy() -> BoxedStrategy<WorkloadSpec> {
         profile_strategy(),
         (0usize..32, 0u64..1_000_000, 1u64..10_000),
         (any::<bool>(), fault_strategy()),
-        any::<bool>(),
     )
         .prop_map(
-            |(name, (sessions, txns, entities, shards), profile, knobs, df, bounded)| {
+            |(name, (sessions, txns, entities, shards), profile, knobs, df)| {
                 let (abort_every, think_ns, gc_interval_us) = knobs;
                 let (durable, fault) = df;
                 WorkloadSpec {
@@ -78,7 +77,6 @@ fn spec_strategy() -> BoxedStrategy<WorkloadSpec> {
                     gc_interval_us,
                     durable,
                     fault,
-                    bounded,
                 }
             },
         )
@@ -123,7 +121,6 @@ fn runnable_spec_strategy() -> BoxedStrategy<WorkloadSpec> {
                 gc_interval_us,
                 durable: false,
                 fault: FaultPlan::None,
-                bounded: true,
             }
         })
         .boxed()

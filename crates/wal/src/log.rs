@@ -1084,7 +1084,6 @@ fn append_with_retry(wal: &Wal, seg: u64, bytes: &[u8]) -> Result<(), WalError> 
             Ok(()) => return Ok(()),
             Err(StorageError::Transient(e)) => {
                 wal.stats.append_retries.fetch_add(1, Ordering::Relaxed);
-                wal.rt.emit("wal_retry", 1);
                 let Some(d) = transient.next_delay() else {
                     return Err(WalError::Io(format!(
                         "transient append error persisted past the retry budget: {e}"
@@ -1172,10 +1171,6 @@ fn flush(wal: &Wal, mut st: MutexGuard<'_, WalState>) {
             wal.stats.records.fetch_add(nrec, Ordering::Relaxed);
             wal.stats.batch_hist[batch_bucket(nrec)].fetch_add(1, Ordering::Relaxed);
             wal.stats.flush_hist[flush_bucket(flush_nanos)].fetch_add(1, Ordering::Relaxed);
-            // Batch-boundary signature for schedule-space search:
-            // which group-commit batch sizes this interleaving
-            // produced (bucketed like the histogram).
-            wal.rt.emit("wal_batch", batch_bucket(nrec) as u64);
             collect_dead(&mut st, wal);
         }
         // A crash executed meanwhile: what stopped the batch is the
@@ -1208,7 +1203,6 @@ fn park(
     written: Vec<(u64, u64)>,
     nrec: u64,
 ) {
-    wal.rt.emit("wal_pressure", 1);
     let mut budget = st.parked.map_or_else(
         || Backoff::new(SPACE_BASE, SPACE_MAX, SPACE_ATTEMPTS),
         |(budget, _)| budget,
