@@ -10,8 +10,11 @@
 //! a reader that holds every shard of the span it read sees a frozen
 //! entry: that is what the escalated cycle check ([`crate::ops`]) and
 //! the multi-shard deletion's own-span check ([`crate::gc`]) rest on.
-//! Two ghosters of one transaction can hold disjoint shards of its
-//! span, so the span grows only inside one stripe hold
+//! A reader that finds a shard of the span unlocked adds it to its lock
+//! set and retries; as an entry only ever grows (until its transaction
+//! leaves the graph) and names at most every shard, that ends within
+//! `shards` rounds. Two ghosters of one transaction can hold disjoint
+//! shards of its span, so the span grows only inside one stripe hold
 //! ([`Coordination::reg_extend`]).
 //!
 //! Each shard's `CgState` also maintains a **boundary reachability

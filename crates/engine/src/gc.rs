@@ -49,13 +49,16 @@
 //!
 //! A candidate whose own span is not locked leads a later round. A
 //! lead whose span grew between the read and the lock (a concurrent
-//! pass ghosted it), or already is every shard, sends everything left
-//! to one all-locks pass in the same sweep — so a stale read can delay
-//! a deletion but never misplace a bridge. Within a shard, `D(G, N)`
-//! bridging preserves the boundary summary exactly except for the
-//! deleted endpoint's own pairs — a pure shrink, which cannot turn a
-//! sealed verdict given under another lock wrong (`gc_oracle.rs` proves
-//! the decisions bit-identical to a one-shard engine's).
+//! pass ghosted it) comes back too, and retries under its span as
+//! re-read: spans only grow and hold at most `shards` shards, so a lead
+//! comes back fewer than `shards` times, and a span of every shard is
+//! just the last round — the grow-and-retry rule of escalation
+//! ([`crate::ops`]). A stale read can delay a deletion but never
+//! misplace a bridge. Within a shard, `D(G, N)` bridging preserves the
+//! boundary summary exactly except for the deleted endpoint's own
+//! pairs — a pure shrink, which cannot turn a sealed verdict given
+//! under another lock wrong (`gc_oracle.rs` proves the decisions
+//! bit-identical to a one-shard engine's).
 
 use crate::engine::{EngineInner, Guards, Shard};
 use deltx_core::{noncurrent, CgState, TxnState};
@@ -197,44 +200,22 @@ impl EngineInner {
     /// rest come back and lead a later round. The own-span check inside
     /// [`Self::try_delete_multi`] is the only staleness signal: a lead
     /// that comes back was ghosted into a new shard since the stripe
-    /// read, and everything left goes to one final all-locks pass — as
-    /// does a lead whose span already is every shard.
+    /// read, and retries under its grown span.
     pub(crate) fn sweep_multi_shard(&self) {
         self.metrics.gc_sweeps.add(1);
         let pending = std::mem::take(&mut *self.pending_multi.lock().unwrap());
         let mut queue: Vec<TxnId> = pending.into_iter().collect();
-        let n = self.shards.len();
         while let Some(&lead) = queue.first() {
             let Some(span) = self.coord.reg_get(lead, &self.metrics) else {
                 // Aborted or already deleted: drop it from the queue.
                 queue.remove(0);
                 continue;
             };
-            if span.len() >= n {
-                break; // its own span is every shard: the all-locks pass
-            }
             let mut guards = self.lock_subset(&span.into_iter().collect(), None);
-            self.metrics.record_gc_closure(guards.len(), n);
+            self.metrics
+                .record_gc_closure(guards.len(), self.shards.len());
             queue = self.sweep_multi_batch(&mut guards, &queue);
-            drop(guards);
-            if queue.first() == Some(&lead) {
-                self.metrics.gc_closure_fallbacks.add(1);
-                break;
-            }
         }
-        if !queue.is_empty() {
-            self.sweep_multi_all_locks(&queue);
-        }
-    }
-
-    /// Stops the world for `queue`: the standalone pass's last resort.
-    /// The locks are taken for GC, so the acquisition is recorded.
-    fn sweep_multi_all_locks(&self, queue: &[TxnId]) {
-        let n = self.shards.len();
-        let mut guards = self.lock_all();
-        self.metrics.record_gc_closure(n, n);
-        let widen = self.sweep_multi_batch(&mut guards, queue);
-        debug_assert!(widen.is_empty(), "all-locks batch cannot need wider");
     }
 
     /// Deletes every deletable candidate of `batch` under whatever
@@ -242,9 +223,8 @@ impl EngineInner {
     /// commit that queued the candidates — then truncates
     /// stores, re-queues ghosted predecessors, and flushes the touched
     /// summaries. Returns the candidates whose own span turned out to
-    /// exceed the locked subset, in `batch` order (never non-empty when
-    /// every lock is held — or, as one lock covers no multi-shard
-    /// transaction, when only one is).
+    /// exceed the locked subset, in `batch` order (with one lock held,
+    /// all of them: one lock covers no multi-shard transaction).
     pub(crate) fn sweep_multi_batch(&self, guards: &mut Guards<'_>, batch: &[TxnId]) -> Vec<TxnId> {
         if guards.len() < 2 {
             return batch.to_vec();
@@ -373,8 +353,7 @@ impl EngineInner {
     /// `succ`'s shard. Returns how many ghosts were created (0 or 1).
     /// `ps` and `qs` are shards of the deleted transaction, whose whole
     /// span the caller holds; no registry entry of either neighbor is
-    /// read. Under every lock the first locked common shard is the
-    /// first common shard of `pred`'s span.
+    /// read.
     fn bridge_cross_shard(
         &self,
         guards: &mut Guards<'_>,
@@ -554,7 +533,7 @@ mod tests {
         );
         let m = e.metrics();
         assert_eq!((m.gc_deletions, m.gc_sweeps), (1, 0));
-        assert_eq!((m.gc_closure_hist, m.gc_closure_fallbacks), ([0; 8], 0));
+        assert_eq!(m.gc_closure_hist, [0; 8]);
     }
 
     #[test]
@@ -597,8 +576,35 @@ mod tests {
         assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
         assert_eq!(e.inner.coord.reg_get(t1, &e.inner.metrics), None);
         let m = e.metrics();
-        assert_eq!((m.gc_deletions, m.gc_closure_fallbacks), (1, 0));
-        assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(m.gc_deletions, 1);
+        assert_eq!(
+            m.gc_closure_hist,
+            [0, 1, 0, 0, 0, 0, 0, 0],
+            "one 2-lock set"
+        );
+    }
+
+    #[test]
+    fn a_lead_spanning_every_shard_goes_in_one_own_span_acquisition() {
+        let e = engine();
+        let everywhere: Vec<u32> = (0..8).collect();
+        let t1 = overwrite(&e, &everywhere); // spans all 8 shards
+        for &x in &everywhere {
+            overwrite(&e, &[x]); // fast path: T1 waits for the pass
+        }
+        assert_eq!(pending(&e), [t1]);
+        SHARD_LOCKS.with(|c| c.set(0));
+        e.inner.sweep_multi_shard();
+        assert_eq!(SHARD_LOCKS.with(|c| c.get()), 8, "its own span, once");
+        assert!((0..8).all(|s| !has_node(&e, s, t1)));
+        assert_eq!(e.inner.coord.reg_get(t1, &e.inner.metrics), None);
+        let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_partial_sweeps), (1, 0));
+        assert_eq!(
+            m.gc_closure_hist,
+            [0, 0, 0, 0, 1, 0, 0, 0],
+            "one 8-lock set"
+        );
     }
 
     /// Shard `s` holds an order arc `from -> to`.
@@ -632,10 +638,7 @@ mod tests {
         assert_eq!(span, Some(vec![0, 1]), "R grew into shard 1");
         assert_eq!(boundary_counts(&e), [1, 2, 1], "R's two nodes for T1's");
         let m = e.metrics();
-        assert_eq!(
-            (m.gc_deletions, m.gc_ghosts, m.gc_closure_fallbacks),
-            (1, 1, 0)
-        );
+        assert_eq!((m.gc_deletions, m.gc_ghosts), (1, 1));
         assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 0, 0, 0, 0], "2 locks only");
         drop(r);
         assert_eq!(boundary_counts(&e), [0, 1, 1]);
@@ -675,9 +678,11 @@ mod tests {
         );
         assert_eq!((pending(&e), boundary_counts(&e)), (vec![], [1, 2, 1]));
         let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_sweeps), (1, 1));
         assert_eq!(
-            (m.gc_deletions, m.gc_sweeps, m.gc_closure_fallbacks),
-            (1, 1, 0)
+            m.gc_closure_hist,
+            [0, 1, 0, 0, 0, 0, 0, 0],
+            "T2's own span, once"
         );
         assert_eq!(m.boundary_underflows, 0);
     }
@@ -737,10 +742,7 @@ mod tests {
         let span = e.inner.coord.reg_get(pid, &e.inner.metrics);
         assert_eq!(span, Some(vec![0, 1, 2]));
         let m = e.metrics();
-        assert_eq!(
-            (m.gc_deletions, m.gc_ghosts, m.gc_closure_fallbacks),
-            (1, 1, 0)
-        );
+        assert_eq!((m.gc_deletions, m.gc_ghosts), (1, 1));
         assert_eq!(m.gc_closure_hist, [0, 1, 0, 0, 0, 0, 0, 0]);
         drop(p);
         assert_eq!(e.metrics().boundary_underflows, 0);

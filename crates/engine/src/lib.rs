@@ -61,8 +61,8 @@
 //!   the shards it touches plus the transaction's registered span, in
 //!   ascending order, and runs the union cycle check as a BFS that
 //!   hops between shards at multi-shard nodes. A BFS that finishes
-//!   inside the held locks is exact; one that meets a twin in an
-//!   unlocked shard retakes every lock (still ascending,
+//!   inside the held locks is exact; one that meets twins in unlocked
+//!   shards adds them to its lock set, retakes it (still ascending,
 //!   deadlock-free) and runs again — see the `ops` module docs. Two
 //!   commits (or GC sweeps) with disjoint lock sets share no lock at
 //!   all — the cross-shard state they consult is a **stripe-locked
@@ -119,16 +119,17 @@
 //!   protocol and proofs live in `docs/durability.md`.
 //! * **Metrics** ([`metrics`]): throughput, aborts, live-graph size,
 //!   deletions, GC pause time, and the escalation economics — fast
-//!   vs escalated operations, own-shards vs full acquisitions,
-//!   escalated-lock-set-size and GC-closure-size histograms,
-//!   fallbacks, a registry/boundary-mark tripwire,
+//!   vs escalated operations, lock-set sizes per acquisition (the
+//!   escalated-lock-set and GC-closure histograms), escalations whose
+//!   first set went stale, a registry/boundary-mark tripwire,
 //!   plus the summary's own maintenance economics: a summary-flush
 //!   latency histogram, the boundary-txn index high-water mark, and a
 //!   registry-stripe contention counter.
 //!
-//! A prose walkthrough of the four locking regimes (per-operation
-//! fast path, own-shards escalation, all-locks fallback, GC closures)
-//! with the soundness argument for each lives in
+//! A prose walkthrough of the three regimes (per-operation fast path,
+//! own-shards escalation, GC closures) and the one locking rule they
+//! share (grow a stale lock set and retry), with the soundness argument
+//! for each, lives in
 //! `docs/architecture.md` at the repository root; the inline versions
 //! live in the `ops`, `coord` and `gc` module docs.
 //!

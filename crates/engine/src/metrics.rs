@@ -94,7 +94,6 @@ pub(crate) struct EngineMetrics {
     pub gc_versions_truncated: Counter,
     pub gc_pause_nanos: Counter,
     pub gc_partial_sweeps: Counter,
-    pub gc_closure_fallbacks: Counter,
     pub gc_closure_locks_taken: Counter,
     pub gc_closure_hist: [Counter; SUBSET_HIST_BUCKETS],
     /// Total nanoseconds spent flushing batched boundary-summary
@@ -187,7 +186,6 @@ impl EngineMetrics {
             gc_ghosts: self.gc_ghosts.get(),
             gc_versions_truncated: self.gc_versions_truncated.get(),
             gc_partial_sweeps: self.gc_partial_sweeps.get(),
-            gc_closure_fallbacks: self.gc_closure_fallbacks.get(),
             gc_closure_locks_taken: self.gc_closure_locks_taken.get(),
             gc_closure_hist: std::array::from_fn(|i| self.gc_closure_hist[i].get()),
             summary_update_nanos: self.summary_update_nanos.get(),
@@ -229,19 +227,20 @@ pub struct MetricsSnapshot {
     pub fast_path_ops: u64,
     /// Operations that could not take the fast path — the transaction
     /// spans shards, is a boundary node, or reaches one — and ran the
-    /// union cycle check under an escalated lock acquisition (own
-    /// shards, or every shard after a fallback).
+    /// union cycle check under escalated lock acquisitions (own
+    /// shards, grown and retaken after a fallback).
     pub escalated_ops: u64,
     /// Escalated lock acquisitions that locked a **strict subset** of
     /// the shards: the operation's own shards (the ones it touches plus
     /// the transaction's registered span).
     pub escalated_partial: u64,
-    /// Own-shards acquisitions that turned out too small under the
-    /// held locks (the registered span had grown, or the cycle-check
-    /// BFS met a twin in an unlocked shard): retaken as all-locks.
+    /// Escalated operations whose first lock set turned out too small
+    /// under the held locks (the registered span had grown, or the
+    /// cycle-check BFS met twins in unlocked shards): the set was grown
+    /// by the missing shards and retaken, once or more — counted once.
     pub escalation_fallbacks: u64,
     /// Total shard locks taken across escalated acquisitions (a
-    /// fallback counts both of its acquisitions); divided by the
+    /// fallback counts every one of its acquisitions); divided by the
     /// histogram's total count this is the mean lock-set size.
     pub escalated_locks_taken: u64,
     /// Histogram of escalated lock-set sizes. Buckets: 1, 2, 3, 4,
@@ -267,15 +266,6 @@ pub struct MetricsSnapshot {
     /// Multi-shard GC acquisitions that locked a **strict subset** of
     /// the shards (a lead candidate's own span).
     pub gc_partial_sweeps: u64,
-    /// Sweeps in which a lead's own span grew between the stripe read
-    /// and the lock (a concurrent pass ghosted it into a new shard):
-    /// the rest of that sweep's queue went to the all-locks pass. A lead whose span
-    /// already is every shard is *not* a fallback — it records as an
-    /// honest full-width acquisition, exactly like the escalation
-    /// histogram treats one. A candidate another lead's span could not
-    /// cover is not a fallback either — it leads a later round of the
-    /// same sweep.
-    pub gc_closure_fallbacks: u64,
     /// Total shard locks taken across multi-shard GC acquisitions;
     /// divided by the closure histogram's total count this is the mean
     /// GC closure size.
@@ -383,13 +373,9 @@ impl std::fmt::Display for MetricsSnapshot {
         };
         writeln!(
             f,
-            "gc closures: {} partial / {} acquisitions (mean {:.1} locks, fallbacks {}), \
+            "gc closures: {} partial / {} acquisitions (mean {:.1} locks), \
              closure hist [1|2|3|4|≤8|≤16|≤32|>32] = {:?}",
-            self.gc_partial_sweeps,
-            gc_acqs,
-            gc_mean,
-            self.gc_closure_fallbacks,
-            self.gc_closure_hist
+            self.gc_partial_sweeps, gc_acqs, gc_mean, self.gc_closure_hist
         )?;
         let mean_ns = if self.summary_updates == 0 {
             0.0

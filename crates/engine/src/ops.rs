@@ -28,14 +28,20 @@
 //!    completes without needing an unlocked shard has followed every
 //!    union path from the transaction under frozen graphs — it is
 //!    exact, with no plan to validate.
-//! 3. *Staleness.* The transaction's registered span, re-read under
-//!    the locks, is not covered by them (a GC bridge grew it), or the
-//!    BFS met a twin in an unlocked shard. Either way the operation
-//!    retakes **every** lock and runs again. [`EngineInner::escalate`]
-//!    is the one place that sequence is written; a client abort runs
-//!    through it too. (The multi-shard GC pass works the same way — own
-//!    span first, the under-lock own-span check as the only staleness
-//!    signal — see [`crate::gc`].)
+//! 3. *Staleness: grow the set and retry.* The transaction's
+//!    registered span, re-read under the locks, is not covered by them
+//!    (a GC bridge grew it), or the BFS met twins in unlocked shards
+//!    ([`Stale`] names them). Either way the operation releases its
+//!    locks, adds the missing shards to its set, and locks the grown
+//!    set, ascending. Each retry strictly grows a set of at most
+//!    `shards` shards, so there are at most `shards` rounds — a set of
+//!    every shard is just the last possible one. A body stopped by
+//!    `Stale` has applied only the lazy Rule 1 begins and
+//!    [`EngineInner::note_multi_shard`], which the retry repeats as
+//!    no-ops. [`EngineInner::escalate`] is the one place that loop is
+//!    written; a client abort runs through it too. (The multi-shard GC
+//!    pass follows the same rule with a lead's own span — see
+//!    [`crate::gc`].)
 //!
 //! ## One body per step
 //!
@@ -64,7 +70,7 @@ use crate::error::EngineError;
 use crate::history::Event;
 use crate::session::SessionState;
 use deltx_core::{Applied, CgError};
-use deltx_graph::NodeId;
+use deltx_graph::{NodeId, SmallVec};
 use deltx_model::{EntityId, Op, Step, TxnId};
 use deltx_storage::{TxnBuffer, Value};
 use deltx_wal::{WalError, WalHealth};
@@ -72,10 +78,11 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::MutexGuard;
 
-/// The held locks do not cover the operation (the BFS met a twin in an
-/// unlocked shard): retake as all-locks.
+/// The held locks do not cover the operation: the BFS met twins in
+/// these shards, whose locks are not held. The caller adds them to its
+/// lock set and runs the body again.
 #[derive(Debug)]
-pub(crate) struct Stale;
+pub(crate) struct Stale(pub(crate) BTreeSet<usize>);
 
 /// A commit's install, gathered before any lock is taken — from a
 /// session's buffers, or from a replayed log record.
@@ -94,21 +101,22 @@ pub(crate) struct StagedCommit {
 impl EngineInner {
     /// Union-graph reachability restricted to the locked shards: can
     /// `from_txn` reach any of `targets` following shard arcs and
-    /// twin-node identities? `None` means the BFS met a transaction
-    /// with a twin in an unlocked shard — retake all locks. `Some` is
-    /// exact: every path from `from_txn` was followed to its end under
-    /// held locks.
+    /// twin-node identities? Every path the BFS follows is a union path
+    /// under held locks, so a hit is exact. A miss is exact only if the
+    /// BFS met no twin in an unlocked shard; if it did, those shards
+    /// come back as [`Stale`].
     fn union_reaches(
         &self,
         guards: &Guards<'_>,
         from_txn: TxnId,
         targets: &HashSet<(usize, NodeId)>,
-    ) -> Option<bool> {
+    ) -> Result<bool, Stale> {
         if targets.is_empty() {
-            return Some(false);
+            return Ok(false);
         }
         let mut visited: HashSet<(usize, NodeId)> = HashSet::new();
         let mut frontier: Vec<(usize, NodeId)> = Vec::new();
+        let mut unlocked: BTreeSet<usize> = BTreeSet::new();
         // Registry spans memoized for the whole BFS: the reads are
         // stable under the held locks (see below), a transaction is
         // revisited once per twin node, and each miss costs a stripe
@@ -122,7 +130,7 @@ impl EngineInner {
         }
         while let Some((s, n)) = frontier.pop() {
             // Hop to twin nodes of the same transaction first. A span
-            // with a shard outside our locks is `Stale` below; one
+            // with a shard outside our locks makes a miss `Stale`; one
             // entirely inside them is frozen, as an entry can only be
             // mutated by a thread holding one of its shards — which a
             // GC pass ghosting this transaction elsewhere would.
@@ -131,12 +139,16 @@ impl EngineInner {
                 .entry(txn)
                 .or_insert_with(|| self.coord.reg_get(txn, &self.metrics));
             for &t in span.iter().flatten().filter(|&&t| t != s) {
-                let Some(twin) = guards.get(t)?.cg.node_of(txn) else {
+                let Some(g) = guards.get(t) else {
+                    unlocked.insert(t);
+                    continue;
+                };
+                let Some(twin) = g.cg.node_of(txn) else {
                     continue;
                 };
                 if visited.insert((t, twin)) {
                     if targets.contains(&(t, twin)) {
-                        return Some(true);
+                        return Ok(true);
                     }
                     frontier.push((t, twin));
                 }
@@ -144,13 +156,17 @@ impl EngineInner {
             for &succ in guards[s].cg.graph().succs(n) {
                 if visited.insert((s, succ)) {
                     if targets.contains(&(s, succ)) {
-                        return Some(true);
+                        return Ok(true);
                     }
                     frontier.push((s, succ));
                 }
             }
         }
-        Some(false)
+        if unlocked.is_empty() {
+            Ok(false)
+        } else {
+            Err(Stale(unlocked))
+        }
     }
 
     /// Aborts `txn` everywhere it has nodes. Caller holds the locks of
@@ -182,7 +198,8 @@ impl EngineInner {
     /// the fast path — that one guard, no union check (`false`), and
     /// `true` returned. Else [`Self::escalate`], handed the gate's guard
     /// if it took one, with the union check (`true`), counted as one
-    /// escalated operation.
+    /// escalated operation with one lock set per acquisition — and as
+    /// one fallback if there was more than one.
     fn run_step<'a, T>(
         &'a self,
         txn: TxnId,
@@ -200,18 +217,14 @@ impl EngineInner {
             // Exposed: escalate, handing the held guard in.
             held = Some((s, g));
         }
-        let (out, own, all) =
+        let (out, lock_sets) =
             self.escalate(txn, entry, held, |guards, own| body(guards, own, true));
-        let n = self.shards.len();
         self.metrics.escalated_ops.add(1);
-        if let Some(k) = own {
-            self.metrics.record_escalation(k, n);
-            if all {
-                self.metrics.escalation_fallbacks.add(1);
-            }
+        for &k in &lock_sets {
+            self.metrics.record_escalation(k, self.shards.len());
         }
-        if all {
-            self.metrics.record_escalation(n, n);
+        if lock_sets.len() > 1 {
+            self.metrics.escalation_fallbacks.add(1);
         }
         (false, out)
     }
@@ -222,12 +235,10 @@ impl EngineInner {
     /// re-read the span under the locks, and run `body` with the guards
     /// and the own shards as re-read. If the span escaped the locks (a
     /// GC bridge grew it since the read that chose them) or `body` finds
-    /// them too few ([`Stale`]), retake every lock and run `body` again —
-    /// under all locks it cannot go stale. This is the only place that
-    /// computes the own span, checks its coverage, and falls back.
-    /// Returns `body`'s value, the size of the own-span lock set if one
-    /// was taken (not when the own span is every shard), and whether
-    /// every lock was taken.
+    /// them too few ([`Stale`]), release them, add the missing shards to
+    /// the set and lock it again. Every round strictly grows the set, so
+    /// there are at most `shards` of them (module docs, fact 3). Returns
+    /// `body`'s value and the size of each acquisition's lock set.
     ///
     /// `body` runs inside one summary batch per locked shard — its
     /// boundary mark and every Rule 2/3 fan-in coalesce into one
@@ -240,29 +251,36 @@ impl EngineInner {
         entry: &BTreeSet<usize>,
         mut held: Option<(usize, MutexGuard<'a, Shard>)>,
         mut body: impl FnMut(&mut Guards<'a>, &BTreeSet<usize>) -> Result<T, Stale>,
-    ) -> (T, Option<usize>, bool) {
+    ) -> (T, SmallVec<usize, 2>) {
         let own_span = || {
             let mut own = entry.clone();
             own.extend(self.coord.reg_get(txn, &self.metrics).into_iter().flatten());
             own
         };
-        let mut run = |mut guards: Guards<'a>| {
+        let mut want = own_span();
+        let mut lock_sets = SmallVec::default();
+        loop {
+            let mut guards = self.lock_subset(&want, held.take());
+            lock_sets.push(guards.len());
             let own = own_span();
-            if own.iter().any(|&s| guards.get(s).is_none()) {
-                return Err(Stale);
-            }
-            self.batched(&mut guards, |guards| body(guards, &own))
-        };
-        let own = own_span();
-        let subset = (own.len() < self.shards.len()).then_some(own.len());
-        if subset.is_some() {
-            if let Ok(out) = run(self.lock_subset(&own, held.take())) {
-                return (out, subset, false);
-            }
+            let unlocked: BTreeSet<usize> = own
+                .iter()
+                .copied()
+                .filter(|&s| guards.get(s).is_none())
+                .collect();
+            let Stale(more) = if unlocked.is_empty() {
+                match self.batched(&mut guards, |guards| body(guards, &own)) {
+                    Ok(out) => return (out, lock_sets),
+                    Err(stale) => stale,
+                }
+            } else {
+                Stale(unlocked)
+            };
+            drop(guards);
+            let before = want.len();
+            want.extend(more);
+            debug_assert!(want.len() > before, "a retry must grow the lock set");
         }
-        drop(held); // an own span of every shard: lock_all retakes it
-        let out = run(self.lock_all()).expect("all-locks body cannot go stale");
-        (out, subset, true)
     }
 
     /// Rules 1–3 for `step` under `guards`, shared by both bodies:
@@ -307,7 +325,7 @@ impl EngineInner {
         };
         let checked = targets.is_some();
         if let Some(targets) = targets {
-            if self.union_reaches(guards, txn, &targets).ok_or(Stale)? {
+            if self.union_reaches(guards, txn, &targets)? {
                 self.abort_everywhere(guards, txn);
                 return aborted();
             }
@@ -584,8 +602,8 @@ impl EngineInner {
     }
 
     /// Client rollback (or session drop): aborts the transaction's
-    /// nodes under [`Self::escalate`]'s locks — its own shards, or every
-    /// shard if a GC bridge grew its span mid-acquisition. There is no
+    /// nodes under [`Self::escalate`]'s locks — its own shards, grown if
+    /// a GC bridge grew its span mid-acquisition. There is no
     /// cycle to check, so nothing counts as an escalated operation.
     pub(crate) fn client_abort(&self, st: &mut SessionState) {
         if st.closed {
@@ -622,25 +640,59 @@ mod tests {
     }
 
     #[test]
-    fn escalate_reruns_a_stale_body_once_under_every_lock() {
+    fn escalate_grows_a_stale_lock_set_until_the_body_fits() {
         let e = engine(8);
-        let n = e.inner.shards.len();
         // An unregistered transaction's own shards are its entry set.
-        let mut guards_seen: Vec<usize> = Vec::new();
+        let mut seen: Vec<Vec<usize>> = Vec::new();
         let out = e
             .inner
             .escalate(TxnId(1), &BTreeSet::from([0]), None, |guards, _| {
-                guards_seen.push(guards.len());
-                if guards_seen.len() == 1 {
-                    Err(Stale)
-                } else {
-                    Ok(guards_seen.len())
+                seen.push(guards.iter().map(|(s, _)| s).collect());
+                match seen.len() {
+                    1 => Err(Stale(BTreeSet::from([3]))),
+                    2 => Err(Stale(BTreeSet::from([5, 6]))),
+                    k => Ok(k),
                 }
             });
-        assert_eq!(guards_seen, [1, n], "own shards, then every shard");
-        assert_eq!(out, (2, Some(1), true), "the second call's value");
+        assert_eq!(
+            seen,
+            [vec![0], vec![0, 3], vec![0, 3, 5, 6]],
+            "each retry adds the shards the body could not follow, and no more"
+        );
+        assert_eq!(
+            (out.0, &out.1[..]),
+            (3, &[1, 2, 4][..]),
+            "last value, every set"
+        );
         // The lock protocol counts nothing; its callers do.
         assert_eq!(e.metrics().escalated_locks_taken, 0);
+    }
+
+    #[test]
+    fn escalate_relocks_a_span_that_grew_under_the_locks() {
+        let e = engine(8);
+        let t = TxnId(9);
+        let mut seen: Vec<Vec<usize>> = Vec::new();
+        let out = e
+            .inner
+            .escalate(t, &BTreeSet::from([0]), None, |guards, own| {
+                seen.push(guards.iter().map(|(s, _)| s).collect());
+                if seen.len() == 1 {
+                    // A GC bridge ghosts T into shard 4 (holding 0), and
+                    // the BFS meets a twin in 2: the next set must cover
+                    // both, and the re-read finds 4 unlocked.
+                    e.inner.coord.reg_extend(t, 0, 4, &e.inner.metrics);
+                    return Err(Stale(BTreeSet::from([2])));
+                }
+                assert_eq!(own, &BTreeSet::from([0, 4]), "entry ∪ span, re-read");
+                Ok(())
+            });
+        assert_eq!(
+            seen,
+            [vec![0], vec![0, 2, 4]],
+            "{{0, 2}} never reached the body"
+        );
+        assert_eq!(out.1[..], [1, 2, 3]);
     }
 
     #[test]
@@ -659,7 +711,7 @@ mod tests {
                 Ok::<_, Stale>(())
             });
         assert_eq!(seen, [vec![0, 3]], "first attempt: entry ∪ registered span");
-        assert_eq!(out, ((), Some(2), false), "no fallback");
+        assert_eq!(out.1[..], [2], "one acquisition");
         // A held guard that is not the lowest of the set would break the
         // ascending order: it is dropped and retaken in turn.
         let held = (3, e.inner.lock_shard(3));

@@ -393,8 +393,14 @@ fn cycle_through_two_multi_shard_txns_is_caught_by_the_gate() {
             assert_eq!(after.escalated_ops, before.escalated_ops + 1, "{after}");
             assert_eq!(after.fast_path_ops, before.fast_path_ops, "{after}");
             // Own shards {a} first; the BFS meets M, whose twin lives
-            // in unlocked b: one fallback, under every lock.
+            // in unlocked b: one fallback, retried under {a, b} — not
+            // under every shard.
             assert_eq!(after.escalation_fallbacks, before.escalation_fallbacks + 1);
+            assert_eq!(
+                after.escalated_locks_taken,
+                before.escalated_locks_taken + 1 + 2,
+                "{after}"
+            );
         }
         vec![Outcome::SchedulerAborted]
     });
@@ -476,12 +482,11 @@ fn escalated_subsets_are_strict_on_skewed_traffic() {
     let m = e.metrics();
     assert!(m.fast_path_ops > 0, "cold shards must stay fast-path: {m}");
     assert!(m.escalated_partial > 50, "hot pair must lock subsets: {m}");
-    // No acquisition beyond 2 locks outside the rare fallbacks.
-    let full_acqs = m.escalated_subset_hist[2..].iter().sum::<u64>();
-    assert!(
-        full_acqs <= m.escalation_fallbacks,
-        "subsets must stay at 2 locks except fallbacks: {m}"
-    );
+    // No acquisition beyond 2 locks, retries included: a stale set
+    // grows only by the shards its BFS met, and every twin here lives
+    // in the pair.
+    let wide_acqs = m.escalated_subset_hist[2..].iter().sum::<u64>();
+    assert_eq!(wide_acqs, 0, "subsets must stay at 2 locks: {m}");
     assert_eq!(m.boundary_underflows, 0);
 }
 

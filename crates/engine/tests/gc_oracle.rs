@@ -1,10 +1,10 @@
 //! Partial multi-shard GC oracle tests.
 //!
 //! The tentpole claim: deleting a multi-shard transaction while
-//! holding only its **closure** of shard locks (its own span plus the
-//! spans of the neighbors its `D(G, N)` bridges connect) — whether
+//! holding only the shard locks of its own registered span — whether
 //! those are the locks of the commit that finished overwriting it or
-//! of a standalone pass — leaves union reachability, and therefore
+//! of a standalone pass, which retries under a lead's span as re-read
+//! when it grew — leaves union reachability, and therefore
 //! every subsequent accept/reject decision, bit-identical to an engine
 //! that never deletes across shards. Three oracles check it:
 //!
@@ -20,8 +20,8 @@
 //!    committed values — on
 //!    skewed traffic (every closure is the committer's own span, so
 //!    no standalone pass ever has work) and on uniform traffic
-//!    (closures escape the committers, own-span attempts miss and the
-//!    pass falls back to all locks).
+//!    (closures escape the committers, and the standalone pass locks
+//!    each lead's own span).
 //! 3. **A constructed scenario** where losing a single cross-shard
 //!    bridge would flip a decision: the subset-locked deletion must
 //!    still force the abort the preserved ordering demands.
@@ -161,8 +161,7 @@ fn partial_gc_decisions_match_full_scheduler_lockstep() {
     assert!(m.commits > 1000, "workload must make progress: {m}");
     assert!(m.gc_deletions > 400, "GC must be deleting mid-run: {m}");
     assert_eq!(
-        (m.gc_closure_hist, m.gc_closure_fallbacks),
-        ([0; 8], 0),
+        m.gc_closure_hist, [0; 8],
         "every hot-pair candidate goes with the commit that overwrote it: {m}"
     );
     assert_eq!(m.boundary_underflows, 0, "counts stayed consistent");
@@ -209,8 +208,7 @@ fn sharded_and_one_shard_gc_agree_on_every_decision() {
     let m = assert_twins_agree(&make_skewed_scripts(1500, run_seed(0xF6C)));
     assert!(m.gc_deletions > 400, "GC must be deleting mid-run: {m}");
     assert_eq!(
-        (m.gc_closure_hist, m.gc_closure_fallbacks),
-        ([0; 8], 0),
+        m.gc_closure_hist, [0; 8],
         "identical decisions without one lock taken for GC: {m}"
     );
 }
@@ -226,11 +224,11 @@ fn uniform_traffic_twins_agree_with_closures_below_all_shards() {
         m.gc_closure_locks_taken < SHARDS as u64 * m.gc_closure_hist.iter().sum::<u64>(),
         "mean GC closure must be below all-shards: {m}"
     );
-    // A lead falls back only if its span grew between the read and
-    // the lock, which takes a concurrent pass: single-threaded, never.
+    // Every lock set taken for GC is one lead's registered span — two
+    // shards or more, never a lone lock.
     assert_eq!(
-        m.gc_closure_fallbacks, 0,
-        "every lead is deleted under its own span: {m}"
+        m.gc_closure_hist[0], 0,
+        "every GC lock set is a lead's own span: {m}"
     );
 }
 
@@ -253,10 +251,9 @@ fn gc_closures_are_strict_on_skewed_traffic() {
     // This workload's cross traffic never leaves the hot pair, so every
     // closure is the committer's own span (the escalation strictness
     // test relies on the same property of its workload): the sweeps
-    // above found nothing pending, and nothing fell back.
+    // above found nothing pending, and took no lock set.
     assert_eq!(
-        (m.gc_closure_hist, m.gc_closure_fallbacks),
-        ([0; 8], 0),
+        m.gc_closure_hist, [0; 8],
         "no lock may be taken for GC on span-closed traffic: {m}"
     );
     assert_eq!(m.boundary_underflows, 0);

@@ -138,8 +138,8 @@ fn gc_under_churn_partial_sweeps_keep_graph_bounded_and_balances_exact() {
 #[test]
 fn more_than_64_shards_replay_identically_and_conserve_balances() {
     // Nothing in the engine is sized by a 64-bit shard mask: 65 shards
-    // run cross transfers, span-scoped sweeps and the all-locks
-    // fallback under the same oracles as 4.
+    // run cross transfers, span-scoped sweeps and grown-set retries
+    // under the same oracles as 4.
     let (shards, n_entities) = (65u32, 130u32);
     let e = Engine::new(EngineConfig {
         shards: shards as usize,
