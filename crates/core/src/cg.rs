@@ -293,8 +293,10 @@ pub struct CgState {
     /// accessors and writers, in one record.
     entities: IdMap<EntityId, EntityState>,
     /// Completed nodes that may have become deletable since the last
-    /// [`CgState::drain_gc_candidates`]: enqueued at completion and
-    /// whenever a later write overwrites one of their entities. Feeds
+    /// [`CgState::drain_gc_candidates`]: enqueued at completion,
+    /// whenever a later write overwrites one of their entities, and —
+    /// non-boundary ones — when a predecessor goes without a bridge (a
+    /// deleted source, an aborted node), which can leave them sources. Feeds
     /// incremental GC sweeps that avoid full graph scans. Only
     /// populated when [`CgState::set_gc_tracking`] enabled it — a
     /// consumer that never drains must not accumulate the queue.
@@ -422,7 +424,8 @@ impl CgState {
     }
 
     /// Enables (or disables) GC-candidate tracking: with it on, every
-    /// completion and overwrite enqueues affected completed nodes for
+    /// completion, overwrite and unbridged removal enqueues affected
+    /// completed nodes for
     /// [`CgState::drain_gc_candidates`]. Off by default — a consumer
     /// that never drains the queue (the offline schedulers, the
     /// simulators) must not accumulate it.
@@ -653,6 +656,21 @@ impl CgState {
         }
     }
 
+    /// Queues the completed non-boundary nodes among `succs`: a
+    /// predecessor of theirs left the graph without a bridge, so each
+    /// may now be a source. A boundary successor is left alone — its
+    /// transaction is deleted by the multi-shard path, which needs its
+    /// whole span locked. Callers check `track_gc` first.
+    fn enqueue_orphaned(&mut self, succs: &[NodeId]) {
+        for &s in succs {
+            let rec = &self.nodes[s.index()];
+            let completed = rec.info.as_ref().expect("live successor").state == TxnState::Completed;
+            if completed && rec.slot == NO_SLOT {
+                self.enqueue_gc_candidate(s);
+            }
+        }
+    }
+
     fn read(&mut self, t: TxnId, x: EntityId) -> Result<Applied, CgError> {
         let n = self.resolve(t)?;
         if self.info(n).state == TxnState::Completed {
@@ -780,6 +798,9 @@ impl CgState {
         if !preds.is_empty() && !succs.is_empty() && self.bindex.live > 0 {
             self.recompute_masks();
         }
+        if self.track_gc {
+            self.enqueue_orphaned(&succs);
+        }
         self.aborted.insert(txn);
         self.stats.aborts += 1;
     }
@@ -819,6 +840,11 @@ impl CgState {
         let bridge = !deltx_graph::planted::drop_gc_bridge_bug();
         #[cfg(not(feature = "planted"))]
         let bridge = true;
+        if preds.is_empty() && self.track_gc {
+            // A source goes without a bridge: its successors may be
+            // sources now (Lemma 1, `c1.rs`).
+            self.enqueue_orphaned(&succs);
+        }
         if bridge {
             for &p in &preds {
                 for &s in &succs {
@@ -915,9 +941,11 @@ impl CgState {
 
     /// Drains the queue of completed nodes that *may* have become
     /// deletable since the last drain (deduplicated, dead nodes pruned).
-    /// A node enters the queue when it completes and whenever one of its
-    /// entities is overwritten — exactly the events after which the
-    /// noncurrency test of Corollary 1 can newly pass — so a GC loop
+    /// A node enters the queue when it completes, whenever one of its
+    /// entities is overwritten, and (if it is no boundary node) when a
+    /// predecessor leaves without a bridge — exactly the events after
+    /// which Corollary 1's noncurrency test or Lemma 1's "no
+    /// predecessor" can newly pass — so a GC loop
     /// polling this method touches O(affected) nodes per sweep instead
     /// of scanning the whole graph.
     pub fn drain_gc_candidates(&mut self) -> Vec<NodeId> {
@@ -2149,6 +2177,19 @@ mod tests {
         assert_eq!(
             crate::noncurrent::noncurrent_among(&cg, &candidates),
             crate::noncurrent::noncurrent_completed(&cg),
+        );
+        // A deleted source queues the completed successors it orphans;
+        // a boundary one is left to the engine's multi-shard path.
+        let mut cg = CgState::new();
+        cg.set_gc_tracking(true);
+        let p = parse("b1 w1(x) b2 r2(x) w2(y) b3 r3(x) w3(z)").unwrap();
+        cg.run(p.steps()).unwrap();
+        cg.set_boundary(TxnId(3), true);
+        cg.drain_gc_candidates();
+        cg.delete(cg.node_of(TxnId(1)).unwrap()).unwrap();
+        assert_eq!(
+            cg.drain_gc_candidates(),
+            vec![cg.node_of(TxnId(2)).unwrap()]
         );
     }
 }

@@ -17,6 +17,18 @@
 //! deleted by the policy, so every noncurrent transaction's cover is still
 //! present (see `policy::Noncurrent`). Mixing noncurrency with other
 //! deletion criteria re-opens the trap; experiment E6 demonstrates it.
+//!
+//! One mix stays safe, and the online engine runs it: noncurrency plus
+//! Lemma 1's completed **sources** (`c1.rs`). E6 deletes by C1 a
+//! writer that still has a predecessor — Example 1's `T3`, behind the
+//! active `T1` — and so removes the cover a later noncurrent deletion
+//! needs. The cover of a noncurrent `Ti` is a later writer of `Ti`'s
+//! entity; that writer follows `Ti` for as long as `Ti` lives, so it
+//! is never a source, and deleting sources never removes it. Nothing
+//! else ever becomes a source's predecessor: every new arc lands on
+//! the stepping active node or on a node that already has one.
+//! `deltx_sched`'s `equiv` tests run the mix against the full
+//! scheduler (`sources_then_noncurrent_never_diverges`).
 
 use crate::cg::CgState;
 use deltx_graph::NodeId;

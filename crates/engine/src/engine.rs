@@ -23,10 +23,10 @@ use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
 /// Engine construction parameters. There is deliberately no deletion
-/// policy among them: the engine deletes by the noncurrent rule
-/// (Corollary 1) and nothing else, because the WAL's GC-as-checkpoint
-/// is only sound for a rule that never deletes an entity's current
-/// writer (`docs/durability.md` §3). Nor is there a GC thread to
+/// policy among them: the engine deletes completed sources (Lemma 1)
+/// and noncurrent transactions (Corollary 1), with and without a WAL —
+/// the log retires records by supersession and takes no orders from
+/// the graph (`docs/durability.md` §3). Nor is there a GC thread to
 /// configure: every deletion is made by the commit that enabled it.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -196,16 +196,16 @@ impl Engine {
     /// replayed in LSN order into the fresh shards through the live
     /// commit body (conflict graph, store values, multi-shard
     /// registry), so each replayed commit deletes what it made
-    /// deletable — and retires its log segments — as a live commit
-    /// would. One GC sweep then takes the multi-shard candidates the
-    /// replay's locks did not cover. The report says what was rebuilt;
-    /// for a non-durable engine it is all zeros.
+    /// deletable as a live commit would. One GC sweep then takes the
+    /// multi-shard candidates the replay's locks did not cover. The
+    /// report says what was rebuilt; for a non-durable engine it is all
+    /// zeros.
     ///
-    /// Recovery is `O(live graph)`, not `O(history)`: GC-driven
-    /// checkpointing removed every segment whose commits were all
-    /// deleted, and the noncurrent policy guarantees each entity's
-    /// current writer was never deleted, so replaying what remains
-    /// reproduces every current value exactly.
+    /// Recovery is `O(entities)`, not `O(history)`: the log unlinked
+    /// every sealed segment whose entities all have a newer durable
+    /// record, and it never retires an entity's newest record, so
+    /// replaying what remains in LSN order ends on every current value
+    /// exactly.
     pub fn open(cfg: EngineConfig) -> Result<(Self, RecoveryReport), EngineError> {
         let rt = Arc::clone(&cfg.runtime);
         let t0 = rt.now();
@@ -268,8 +268,7 @@ impl Engine {
     /// pending. Commits delete at the source, so under traffic there
     /// is nothing for this to do; it exists for what no commit will
     /// come back for — [`Engine::open`] runs it once after the replay,
-    /// a session blocked on a full log device runs it as a rescue, and
-    /// a caller may run it to drain the idle residue (multi-shard
+    /// and a caller may run it to drain the idle residue (multi-shard
     /// candidates whose closure escaped the committer's locks, fewer
     /// than the 32 that trigger a pass by themselves).
     pub fn gc_sweep(&self) {
@@ -419,7 +418,7 @@ impl EngineInner {
     /// held lock is waited for in three phases — [`LOCK_SPINS`] spins,
     /// [`LOCK_YIELDS`] OS yields, then the blocking `lock()` — because
     /// every hold is a few microseconds (each commit deletes only what
-    /// it made noncurrent) and parking on the futex costs more than
+    /// it made deletable) and parking on the futex costs more than
     /// the wait it avoids. None of it goes through the [`Runtime`]:
     /// simulated tasks switch only at `rt` calls, never inside a lock
     /// hold, so there the first `try_lock` always succeeds and every
@@ -507,9 +506,12 @@ mod tests {
                         SHARD_LOCKS.with(|c| c.set(0));
                         let mut mine = 0usize;
                         while Instant::now() < deadline {
-                            // The store's version list is a counter only
-                            // the lock protects: a lost update would show.
-                            inner.lock_shard(1).store.write(x, 1, TxnId(1));
+                            // A read-modify-write only the lock
+                            // protects: a lost update would show.
+                            let mut g = inner.lock_shard(1);
+                            let v = g.store.read(x);
+                            g.store.write(x, v + 1, TxnId(1));
+                            drop(g);
                             mine += 1;
                         }
                         (mine, SHARD_LOCKS.with(|c| c.get()))
@@ -520,8 +522,8 @@ mod tests {
         });
         let total: usize = per_thread.iter().map(|&(mine, _)| mine).sum();
         assert!(total > 0);
-        let versions = inner.lock_shard(1).store.version_count(x);
-        assert_eq!(versions, total, "mutual exclusion held");
+        let count = inner.lock_shard(1).store.read(x);
+        assert_eq!(count, total as i64, "mutual exclusion held");
         for (mine, counted) in per_thread {
             assert_eq!(counted, mine, "one count per acquisition, not per attempt");
         }

@@ -1,10 +1,19 @@
 //! Deletion at the source and cross-shard deletion.
 //!
-//! *What* is deleted is decided by one rule, Corollary 1's noncurrent
-//! test ([`deltx_core::noncurrent`]), which never deletes an entity's
-//! current writer; this module is about *how* — and about *who*: there
-//! is no GC thread. Every commit deletes what its own write made
-//! noncurrent, under the locks it already holds.
+//! *What* is deleted is decided by two rules. A completed single-shard
+//! transaction with no predecessor goes by Lemma 1 (`deltx_core::c1`):
+//! C1 is vacuous for it, and every arc the engine adds lands on the
+//! stepping active node, on a node that already has a predecessor or on
+//! a boundary node, so it stays a source for good and lies on no future
+//! cycle. Everything else goes by Corollary 1's noncurrent test
+//! ([`deltx_core::noncurrent`]). The source rule deletes current
+//! writers too: their values stay in the store, and their log records
+//! stay on disk until a later record supersedes every entity they hold
+//! (`deltx_wal`). Why the two rules mix safely is in
+//! `docs/architecture.md`, "completed sources at the source". This
+//! module is about *how* — and about *who*: there is no GC thread.
+//! Every commit deletes what its own write made deletable, under the
+//! locks it already holds.
 //!
 //! Deleting a completed transaction is the paper's `D(G, N)`: remove
 //! the node, connect every predecessor to every successor. For a
@@ -61,10 +70,10 @@
 //! bit-identical to a one-shard engine's).
 
 use crate::engine::{EngineInner, Guards, Shard};
-use deltx_core::{noncurrent, CgState, TxnState};
+use deltx_core::{noncurrent, TxnState};
 use deltx_graph::NodeId;
-use deltx_model::{AccessMode, EntityId, Op, Step, TxnId};
-use std::collections::{BTreeMap, BTreeSet};
+use deltx_model::{Op, Step, TxnId};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// Pending multi-shard count at which the committer that reached it
@@ -85,13 +94,6 @@ enum MultiDelete {
     Skipped,
     /// The candidate's own registered span exceeds the locked subset.
     NeedsWider,
-}
-
-/// The entities node `n` wrote: what store truncation prunes once it
-/// is deleted.
-fn written_by(cg: &CgState, n: NodeId) -> impl Iterator<Item = EntityId> + '_ {
-    let access = cg.info(n).access.iter();
-    access.filter_map(|(&x, rec)| (rec.mode == AccessMode::Write).then_some(x))
 }
 
 impl EngineInner {
@@ -127,19 +129,21 @@ impl EngineInner {
         }
     }
 
-    /// Incremental noncurrent reclaim of one shard — **deletion at the
-    /// source**: every commit calls this on each shard it holds, right
-    /// after its install, so the candidates are the ones its own
-    /// `WriteAll` just queued (the overwritten accessors plus itself)
-    /// and the lock hold stays short and uniform. Drains the candidate
-    /// queue, deletes noncurrent single-shard transactions, prunes
-    /// stale store versions, and returns the multi-shard candidates,
-    /// which the caller offers to [`Self::sweep_multi_batch`] under the
-    /// locks it holds. Caller holds the shard's lock. Replayed commits
-    /// run it like live ones; [`Self::gc_sweep`] calls it too.
+    /// Reclaims one shard — **deletion at the source**: every commit
+    /// calls this on each shard it holds, right after its install, so
+    /// the candidates are the ones its own `WriteAll` just queued (the
+    /// overwritten accessors plus itself) and the lock hold stays short
+    /// and uniform. Drains the candidate queue until it stays empty,
+    /// deleting each single-shard candidate that has no predecessor
+    /// (Lemma 1) or is noncurrent (Corollary 1); a deleted source queues
+    /// the successors it orphans, so a chain of sources goes in one
+    /// call. Returns the multi-shard candidates, which the caller offers
+    /// to [`Self::sweep_multi_batch`] under the locks it holds. Caller
+    /// holds the shard's lock. Replayed commits run it like live ones;
+    /// [`Self::gc_sweep`] calls it too.
     pub(crate) fn reclaim_shard(&self, g: &mut Shard) -> Vec<TxnId> {
         let t0 = self.rt.now();
-        let candidates = g.cg.drain_gc_candidates();
+        let mut candidates = g.cg.drain_gc_candidates();
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -149,39 +153,36 @@ impl EngineInner {
         // with none no candidate can be registered: skip the registry
         // stripe lock per candidate.
         let any_registered = g.cg.boundary_count() != 0;
-        let mut deleted: Vec<TxnId> = Vec::new();
         let mut deferred: Vec<TxnId> = Vec::new();
-        let mut written: Vec<EntityId> = Vec::new();
-        for n in candidates {
-            if !g.cg.is_completed(n) {
-                continue;
+        let (mut deleted, mut sources) = (0u64, 0u64);
+        while !candidates.is_empty() {
+            for n in candidates {
+                if !g.cg.is_completed(n) {
+                    continue; // deleted earlier in this drain
+                }
+                let txn = g.cg.info(n).txn;
+                if any_registered && self.coord.reg_contains(txn, &self.metrics) {
+                    deferred.push(txn);
+                    continue;
+                }
+                let source = g.cg.graph().preds(n).is_empty();
+                if source || !noncurrent::is_current(&g.cg, n) {
+                    g.cg.delete(n).expect("completed node deletes");
+                    deleted += 1;
+                    sources += u64::from(source);
+                }
             }
-            let txn = g.cg.info(n).txn;
-            if any_registered && self.coord.reg_contains(txn, &self.metrics) {
-                deferred.push(txn);
-                continue;
-            }
-            if !noncurrent::is_current(&g.cg, n) {
-                written.extend(written_by(&g.cg, n));
-                g.cg.delete(n).expect("completed node deletes");
-                deleted.push(txn);
-            }
+            candidates = g.cg.drain_gc_candidates();
         }
-        let truncated = g.store.truncate_versions_in(&deleted, &written);
-        self.book_deletions(&deleted, truncated, t0);
+        self.metrics.gc_source_deletions.add(sources);
+        self.book_deletions(deleted, t0);
         deferred
     }
 
-    /// Books the deletions of one hold that started at `t0`. `D(G, N)`
-    /// deletion doubles as the durability checkpoint: dead commits
-    /// release their log segments.
-    fn book_deletions(&self, deleted: &[TxnId], truncated: usize, t0: Duration) {
-        if let Some(w) = &self.wal {
-            w.note_deleted(deleted);
-        }
-        self.metrics.gc_deletions.add(deleted.len() as u64);
-        self.metrics.txns_left(deleted.len() as u64);
-        self.metrics.gc_versions_truncated.add(truncated as u64);
+    /// Books `deleted` deletions made in one hold that started at `t0`.
+    fn book_deletions(&self, deleted: u64, t0: Duration) {
+        self.metrics.gc_deletions.add(deleted);
+        self.metrics.txns_left(deleted);
         let pause = self.rt.now().saturating_sub(t0);
         self.metrics.gc_pause_nanos.add(pause.as_nanos() as u64);
     }
@@ -220,21 +221,19 @@ impl EngineInner {
 
     /// Deletes every deletable candidate of `batch` under whatever
     /// shard locks are held — a standalone pass's, or the guards of the
-    /// commit that queued the candidates — then truncates
-    /// stores, re-queues ghosted predecessors, and flushes the touched
-    /// summaries. Returns the candidates whose own span turned out to
-    /// exceed the locked subset, in `batch` order (with one lock held,
-    /// all of them: one lock covers no multi-shard transaction).
+    /// commit that queued the candidates — then reclaims the sources
+    /// those deletions orphaned in the locked shards, re-queues ghosted
+    /// predecessors, and flushes the touched summaries. Returns the
+    /// candidates whose own span turned out to exceed the locked
+    /// subset, in `batch` order (with one lock held, all of them: one
+    /// lock covers no multi-shard transaction).
     pub(crate) fn sweep_multi_batch(&self, guards: &mut Guards<'_>, batch: &[TxnId]) -> Vec<TxnId> {
         if guards.len() < 2 {
             return batch.to_vec();
         }
         let t0 = self.rt.now();
         let mut still_pending: BTreeSet<TxnId> = BTreeSet::new();
-        let mut deleted: Vec<TxnId> = Vec::new();
-        // Entities the deleted transactions wrote, per shard — the
-        // targets for store truncation afterwards.
-        let mut written: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
+        let mut deleted = 0u64;
         let mut ghosts_made = 0u64;
         let mut widen: Vec<TxnId> = Vec::new();
         // Batch the bridge-arc summary maintenance: ghost marks and
@@ -243,25 +242,23 @@ impl EngineInner {
         self.batched(guards, |guards| {
             for &txn in batch {
                 let pending = &mut still_pending;
-                match self.try_delete_multi(guards, txn, pending, &mut written, &mut ghosts_made) {
-                    MultiDelete::Deleted => deleted.push(txn),
+                match self.try_delete_multi(guards, txn, pending, &mut ghosts_made) {
+                    MultiDelete::Deleted => deleted += 1,
                     MultiDelete::Skipped => {}
                     MultiDelete::NeedsWider => widen.push(txn),
                 }
             }
         });
-        // Prune the reclaimed writers' stale versions, only in the
-        // entities they actually wrote.
-        let mut truncated = 0usize;
-        for (&s, xs) in &written {
-            let g = guards.get_mut(s).expect("written shard is locked");
-            truncated += g.store.truncate_versions_in(&deleted, xs);
+        self.metrics.gc_ghosts.add(ghosts_made);
+        self.book_deletions(deleted, t0);
+        if deleted > 0 {
+            for g in guards.values_mut() {
+                still_pending.extend(self.reclaim_shard(g));
+            }
         }
         if !still_pending.is_empty() {
             self.pending_multi.lock().unwrap().extend(still_pending);
         }
-        self.metrics.gc_ghosts.add(ghosts_made);
-        self.book_deletions(&deleted, truncated, t0);
         widen
     }
 
@@ -280,7 +277,6 @@ impl EngineInner {
         guards: &mut Guards<'_>,
         txn: TxnId,
         still_pending: &mut BTreeSet<TxnId>,
-        written: &mut BTreeMap<usize, Vec<EntityId>>,
         ghosts_made: &mut u64,
     ) -> MultiDelete {
         let Some(shards) = self.coord.reg_get(txn, &self.metrics) else {
@@ -312,11 +308,10 @@ impl EngineInner {
             return MultiDelete::Skipped;
         }
         // Collect cross-shard pred/succ transaction pairs (local
-        // pairs are bridged by `delete` itself) and the written
-        // entities, before deleting forgets them.
+        // pairs are bridged by `delete` itself) before deleting forgets
+        // them.
         let mut preds: Vec<(usize, TxnId)> = Vec::new();
         let mut succs: Vec<(usize, TxnId)> = Vec::new();
-        let mut written_local: Vec<(usize, EntityId)> = Vec::new();
         for &(s, n) in &nodes {
             for &p in guards[s].cg.graph().preds(n) {
                 preds.push((s, guards[s].cg.info(p).txn));
@@ -324,7 +319,6 @@ impl EngineInner {
             for &q in guards[s].cg.graph().succs(n) {
                 succs.push((s, guards[s].cg.info(q).txn));
             }
-            written_local.extend(written_by(&guards[s].cg, n).map(|x| (s, x)));
         }
         for &(s, n) in &nodes {
             let g = guards.get_mut(s).expect("span shard is locked");
@@ -340,9 +334,6 @@ impl EngineInner {
                 }
                 *ghosts_made += self.bridge_cross_shard(guards, still_pending, (ps, p), (qs, q));
             }
-        }
-        for (s, x) in written_local {
-            written.entry(s).or_default().push(x);
         }
         MultiDelete::Deleted
     }
@@ -430,7 +421,7 @@ mod tests {
     use crate::engine::SHARD_LOCKS;
     use crate::{Engine, EngineConfig};
     use deltx_core::noncurrent;
-    use deltx_model::{EntityId, TxnId};
+    use deltx_model::TxnId;
     use std::collections::BTreeSet;
 
     fn engine() -> Engine {
@@ -451,15 +442,11 @@ mod tests {
         id
     }
 
-    /// No trace of `txn` or its versions of `xs` is left in shard `s`,
-    /// and the shard has nothing queued for a later sweep.
-    fn assert_gone(e: &Engine, s: usize, txn: TxnId, xs: [u32; 2]) {
+    /// `txn` has no node left in shard `s`, and the shard has nothing
+    /// queued for a later sweep.
+    fn assert_gone(e: &Engine, s: usize, txn: TxnId) {
         let g = e.inner.shards[s].lock().unwrap();
         assert!(g.cg.node_of(txn).is_none(), "{txn} still has a node");
-        for x in xs {
-            assert_eq!(g.store.version_count(EntityId(x)), 1, "e{x} history");
-            assert_ne!(g.store.current_writer(EntityId(x)), Some(txn));
-        }
         assert_eq!(g.cg.gc_candidate_count(), 0, "shard {s} left a backlog");
     }
 
@@ -469,29 +456,76 @@ mod tests {
     #[test]
     fn fast_path_commit_deletes_what_it_made_noncurrent() {
         let e = engine();
+        let mut r = e.begin(); // precedes every writer: none is a source
+        r.read(0).unwrap();
+        r.read(8).unwrap();
         let t1 = overwrite(&e, &[0, 8]); // both in shard 0
         overwrite(&e, &[0]);
-        assert_eq!(e.graph_size().nodes, 2, "T1 is still current on e8");
+        assert_eq!(e.graph_size().nodes, 3, "R, T2; T1 is current on e8");
         overwrite(&e, &[8]);
-        assert_eq!(e.graph_size().nodes, 2, "T2 and T3; T1 went with T3");
-        assert_gone(&e, 0, t1, [0, 8]);
+        assert_eq!(e.graph_size().nodes, 3, "R, T2 and T3; T1 went with T3");
+        assert_gone(&e, 0, t1);
         let m = e.metrics();
-        assert_eq!((m.gc_deletions, m.gc_sweeps, m.escalated_ops), (1, 0, 0));
+        assert_eq!(
+            (
+                m.gc_deletions,
+                m.gc_source_deletions,
+                m.gc_sweeps,
+                m.escalated_ops
+            ),
+            (1, 0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn a_commit_deletes_the_chain_of_sources_it_starts() {
+        let e = engine();
+        let mut r = e.begin();
+        r.read(0).unwrap();
+        let t1 = overwrite(&e, &[0, 8]); // R -> T1, all in shard 0
+        let mut t2 = e.begin();
+        let t2_id = t2.id();
+        t2.read(8).unwrap();
+        t2.write(16, 1);
+        t2.commit().unwrap(); // T1 -> T2
+        assert_eq!(e.graph_size().nodes, 3, "T1 and T2 follow the active R");
+        assert_eq!(e.metrics().gc_deletions, 0);
+        // R's read-only commit makes it a source; its deletion orphans
+        // T1, whose deletion orphans T2, all under R's one lock.
+        SHARD_LOCKS.with(|c| c.set(0));
+        r.commit().unwrap();
+        assert_eq!(SHARD_LOCKS.with(|c| c.get()), 1);
+        assert_eq!(e.graph_size().nodes, 0);
+        for t in [t1, t2_id] {
+            assert_gone(&e, 0, t);
+        }
+        let m = e.metrics();
+        assert_eq!((m.gc_deletions, m.gc_source_deletions), (3, 3));
+        assert_eq!(e.peek(8), 1, "the current writers' values stay");
     }
 
     #[test]
     fn escalated_commit_deletes_its_single_shard_neighbours() {
         let e = engine();
+        let mut r0 = e.begin(); // precede T1 and U1: neither is a source
+        r0.read(0).unwrap();
+        r0.read(8).unwrap();
+        let mut r1 = e.begin();
+        r1.read(1).unwrap();
+        r1.read(9).unwrap();
         let t1 = overwrite(&e, &[0, 8]); // shard 0
         let u1 = overwrite(&e, &[1, 9]); // shard 1
         overwrite(&e, &[0, 1]); // spans shards 0 and 1
-        assert_eq!(e.graph_size().nodes, 4, "T1, U1 current; T2 twice");
+        assert_eq!(e.graph_size().nodes, 6, "R0, R1, T1, U1; T2 twice");
         overwrite(&e, &[8, 9]);
-        assert_eq!(e.graph_size().nodes, 4, "T2 and T3, a node per shard");
-        assert_gone(&e, 0, t1, [0, 8]);
-        assert_gone(&e, 1, u1, [1, 9]);
+        assert_eq!(e.graph_size().nodes, 6, "R0, R1; T2 and T3 twice");
+        assert_gone(&e, 0, t1);
+        assert_gone(&e, 1, u1);
         let m = e.metrics();
-        assert_eq!((m.gc_deletions, m.gc_sweeps), (2, 0));
+        assert_eq!(
+            (m.gc_deletions, m.gc_source_deletions, m.gc_sweeps),
+            (2, 0, 0)
+        );
         assert!(m.escalated_ops >= 2, "both two-shard commits escalated");
     }
 
@@ -552,9 +586,10 @@ mod tests {
         assert!(!has_node(&e, 0, id) && !has_node(&e, 1, id));
         assert_eq!(e.inner.coord.reg_get(id, &e.inner.metrics), None);
         assert_eq!(boundary_counts(&e), [0, 0, 0]);
-        assert_eq!(e.graph_size().nodes, 2, "the two current writers");
+        assert_eq!(e.graph_size().nodes, 0, "R's overwriters went with it");
         let m = e.metrics();
-        assert_eq!((m.gc_deletions, m.gc_sweeps), (3, 0), "two writers and R");
+        assert_eq!((m.gc_deletions, m.gc_sweeps), (5, 0), "four writers and R");
+        assert_eq!(m.gc_source_deletions, 4, "all but R were sources");
         assert_eq!((m.gc_closure_hist, m.boundary_underflows), ([0; 8], 0));
     }
 
@@ -576,7 +611,8 @@ mod tests {
         assert!(!has_node(&e, 0, t1) && !has_node(&e, 1, t1));
         assert_eq!(e.inner.coord.reg_get(t1, &e.inner.metrics), None);
         let m = e.metrics();
-        assert_eq!(m.gc_deletions, 1);
+        // T1, then the two overwriters its deletion left as sources.
+        assert_eq!((m.gc_deletions, m.gc_source_deletions), (3, 2));
         assert_eq!(
             m.gc_closure_hist,
             [0, 1, 0, 0, 0, 0, 0, 0],
@@ -599,7 +635,8 @@ mod tests {
         assert!((0..8).all(|s| !has_node(&e, s, t1)));
         assert_eq!(e.inner.coord.reg_get(t1, &e.inner.metrics), None);
         let m = e.metrics();
-        assert_eq!((m.gc_deletions, m.gc_partial_sweeps), (1, 0));
+        // T1, then the eight overwriters its deletion left as sources.
+        assert_eq!((m.gc_deletions, m.gc_partial_sweeps), (9, 0));
         assert_eq!(
             m.gc_closure_hist,
             [0, 0, 0, 0, 1, 0, 0, 0],

@@ -70,18 +70,22 @@
 //!   accept/reject decisions are bit-identical to a one-shard engine's,
 //!   which has no boundary node, registry entry or ghost at all (the
 //!   twin oracles build their reference that way).
-//! * **GC**: the engine has one deletion rule, the paper's
+//! * **GC**: the engine has two deletion rules and no option to
+//!   change them. A completed single-shard transaction with no
+//!   predecessor goes by the paper's Lemma 1 (C1 is vacuous for it,
+//!   and no later arc can reach it); everything else goes by
 //!   Corollary 1 — a completed transaction that is *noncurrent* can
-//!   always be deleted — and no option to change it: the rule never
-//!   deletes an entity's current writer, which is what lets the WAL
-//!   treat GC as its checkpoint (see the durability bullet). Deletion
-//!   happens **at the source** — every commit, right after its
-//!   install and under the shard locks it already holds, tests the
-//!   candidates its own write just queued
+//!   always be deleted. The source rule deletes current writers too,
+//!   which is safe for the log because the WAL retires a record only
+//!   once later records supersede every entity it holds (see the
+//!   durability bullet). Deletion happens **at the source** — every
+//!   commit, right after its install and under the shard locks it
+//!   already holds, tests the candidates its own write just queued
 //!   ([`deltx_core::CgState::drain_gc_candidates`]: the overwritten
-//!   accessors and itself; no full scans) and deletes the
-//!   single-shard ones that became noncurrent, so shard-lock holds
-//!   stay short and uniform. The commit offers the multi-shard
+//!   accessors, itself, and the successors each deleted source
+//!   orphans; no full scans) and deletes the single-shard ones either
+//!   rule admits, so shard-lock holds stay short and uniform. The
+//!   commit offers the multi-shard
 //!   candidates among them — itself included — to the multi-shard
 //!   deletion under the locks it holds. Deleting a
 //!   multi-shard transaction re-materializes the paper's `D(G, N)`
@@ -96,13 +100,11 @@
 //!   the standalone pass: it locks only the lead candidate's **own
 //!   span**, batches every candidate those locks cover, and takes all
 //!   locks only for a lead whose span is every shard or grew under
-//!   the pass, instead of stopping the world. Reclaimed
-//!   writers' stale versions are pruned with
-//!   [`deltx_storage::Store::truncate_versions_in`]. There is no GC
-//!   thread: what is left when traffic stops is fewer than 32
+//!   the pass, instead of stopping the world. The store keeps one
+//!   value per entity, so deletion has nothing to prune there. There
+//!   is no GC thread: what is left when traffic stops is fewer than 32
 //!   multi-shard candidates, and [`Engine::gc_sweep`] drains them on
-//!   request ([`Engine::open`] runs it once after the replay; a
-//!   session blocked on a full log device runs it as a rescue).
+//!   request ([`Engine::open`] runs it once after the replay).
 //! * **Durability** (opt-in via [`EngineConfig::durability`]): a
 //!   write-ahead log (`deltx-wal`) with leader/follower group commit
 //!   and no thread of its own. Commit records are submitted *while the
@@ -110,11 +112,11 @@
 //!   equals their serialization order — and the client waits for its
 //!   LSN's flush only after the locks are released; the first waiter
 //!   to find no flush running writes and syncs everything queued, for
-//!   itself and the sessions behind it. GC doubles as
-//!   checkpointing: deleting a transaction (`D(G, N)`) also retires
-//!   its log records, and fully-dead sealed segments are unlinked, so
-//!   [`Engine::open`] recovers by replaying `O(live graph)` records,
-//!   not the whole history. [`Engine::inject_crash`] arms simulated
+//!   itself and the sessions behind it. Supersession is the
+//!   checkpoint: a sealed segment is unlinked once every entity it
+//!   holds has a newer durable record elsewhere, whatever the graph
+//!   did, so [`Engine::open`] replays `O(entities)` records, not the
+//!   whole history. [`Engine::inject_crash`] arms simulated
 //!   crash points ([`CrashPoint`]) for fault-injection tests; the
 //!   protocol and proofs live in `docs/durability.md`.
 //! * **Metrics** ([`metrics`]): throughput, aborts, live-graph size,

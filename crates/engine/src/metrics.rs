@@ -91,7 +91,7 @@ pub(crate) struct EngineMetrics {
     pub gc_sweeps: Counter,
     pub gc_deletions: Counter,
     pub gc_ghosts: Counter,
-    pub gc_versions_truncated: Counter,
+    pub gc_source_deletions: Counter,
     pub gc_pause_nanos: Counter,
     pub gc_partial_sweeps: Counter,
     pub gc_closure_locks_taken: Counter,
@@ -113,9 +113,6 @@ pub(crate) struct EngineMetrics {
     /// Writing commits rejected because the WAL is no longer healthy
     /// (degraded read-only mode).
     pub degraded_commit_rejections: Counter,
-    /// Rescue sweeps run by sessions waiting on a WAL append parked on
-    /// ENOSPC backoff.
-    pub gc_pressure_sweeps: Counter,
     /// Session-path shard-lock acquisitions that found the lock held,
     /// by the phase that got it: spinning, yielding, or parked.
     pub shard_lock_spun: Counter,
@@ -184,7 +181,7 @@ impl EngineMetrics {
             gc_sweeps: self.gc_sweeps.get(),
             gc_deletions: self.gc_deletions.get(),
             gc_ghosts: self.gc_ghosts.get(),
-            gc_versions_truncated: self.gc_versions_truncated.get(),
+            gc_source_deletions: self.gc_source_deletions.get(),
             gc_partial_sweeps: self.gc_partial_sweeps.get(),
             gc_closure_locks_taken: self.gc_closure_locks_taken.get(),
             gc_closure_hist: std::array::from_fn(|i| self.gc_closure_hist[i].get()),
@@ -197,7 +194,6 @@ impl EngineMetrics {
             live_txns: self.live_txns.get(),
             peak_live_txns: self.peak_live_txns.load(Ordering::Relaxed),
             degraded_commit_rejections: self.degraded_commit_rejections.get(),
-            gc_pressure_sweeps: self.gc_pressure_sweeps.get(),
             shard_lock_spun: self.shard_lock_spun.get(),
             shard_lock_yielded: self.shard_lock_yielded.get(),
             shard_lock_parked: self.shard_lock_parked.get(),
@@ -253,16 +249,17 @@ pub struct MetricsSnapshot {
     pub boundary_underflows: u64,
     /// Standalone runs of the multi-shard pass — by the committer that
     /// brought the pending set to its threshold, or by an explicit
-    /// [`crate::Engine::gc_sweep`] (recovery and ENOSPC rescues
-    /// included). Deletions made at the source, under a commit's own
-    /// locks, are not sweeps.
+    /// [`crate::Engine::gc_sweep`] (recovery's included). Deletions
+    /// made at the source, under a commit's own locks, are not sweeps.
     pub gc_sweeps: u64,
     /// Completed transactions deleted from the live graph.
     pub gc_deletions: u64,
     /// Ghost nodes materialized for cross-shard bridges.
     pub gc_ghosts: u64,
-    /// Stale versions pruned from the stores.
-    pub gc_versions_truncated: u64,
+    /// Of `gc_deletions`, the single-shard transactions deleted
+    /// because they had no predecessor (Lemma 1); the rest went by
+    /// Corollary 1's noncurrent test.
+    pub gc_source_deletions: u64,
     /// Multi-shard GC acquisitions that locked a **strict subset** of
     /// the shards (a lead candidate's own span).
     pub gc_partial_sweeps: u64,
@@ -300,9 +297,6 @@ pub struct MetricsSnapshot {
     /// I/O failure) so the commit was refused with
     /// [`crate::EngineError::Durability`] before touching any shard.
     pub degraded_commit_rejections: u64,
-    /// ENOSPC rescue sweeps: [`crate::Engine::gc_sweep`] runs made by
-    /// sessions blocked on a WAL append that was parked for space.
-    pub gc_pressure_sweeps: u64,
     /// Session-path shard-lock acquisitions that found the lock held
     /// and got it while spinning (see `EngineInner::lock_shard`).
     /// Uncontended acquisitions count nowhere, so the three
@@ -357,12 +351,11 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "gc: {} sweeps, {} deletions, {} ghosts, \
-             {} versions pruned, {:?} total pause",
+            "gc: {} sweeps, {} deletions ({} sources), {} ghosts, {:?} total pause",
             self.gc_sweeps,
             self.gc_deletions,
+            self.gc_source_deletions,
             self.gc_ghosts,
-            self.gc_versions_truncated,
             self.gc_pause
         )?;
         let gc_acqs: u64 = self.gc_closure_hist.iter().sum();
@@ -418,12 +411,11 @@ impl std::fmt::Display for MetricsSnapshot {
             write!(
                 f,
                 "\nwal faults: {} append retries, flush p50 {:?} / p99 {:?}, \
-                 {} degraded-commit rejections, {} pressure sweeps",
+                 {} degraded-commit rejections",
                 w.append_retries,
                 Duration::from_nanos(w.flush_quantile_nanos(0.50)),
                 Duration::from_nanos(w.flush_quantile_nanos(0.99)),
-                self.degraded_commit_rejections,
-                self.gc_pressure_sweeps
+                self.degraded_commit_rejections
             )?;
         }
         Ok(())

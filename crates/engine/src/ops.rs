@@ -61,9 +61,7 @@
 //! [`EngineInner::sweep_multi_batch`] under the same guards, where the
 //! own-span check decides. What its locks do not cover it leaves
 //! pending, and after releasing them it runs the standalone pass if
-//! enough are waiting ([`EngineInner::drain_multi_backlog`]). A session
-//! waiting on a full log device sweeps as a rescue
-//! ([`EngineInner::finish_durable`]).
+//! enough are waiting ([`EngineInner::drain_multi_backlog`]).
 
 use crate::engine::{EngineInner, Guards, Shard};
 use crate::error::EngineError;
@@ -534,9 +532,7 @@ impl EngineInner {
         // Submit the commit record while every touched shard lock is
         // still held, so the log order of conflicting commits matches
         // their serialization order — and BEFORE the install below: a
-        // version the log refused must never become visible, or GC
-        // would judge its predecessors noncurrent and retire records
-        // that are still the only durable copy of their entities. The
+        // version the log refused must never become visible. The
         // durable wait happens after the locks are released.
         let log = c.submitted.is_none() && !c.writes.is_empty();
         if let Some(w) = self.wal.as_ref().filter(|_| log) {
@@ -554,7 +550,7 @@ impl EngineInner {
         }
         self.record_step(step, Applied::Accepted);
         // Delete at the source: each touched shard reclaims what this
-        // write made noncurrent there. The multi-shard candidates among
+        // write made deletable there. The multi-shard candidates among
         // them — this transaction included, if it spans shards — are
         // offered to the multi-shard deletion under the guards already
         // held; its own-span check decides, and what these locks do not
@@ -580,12 +576,6 @@ impl EngineInner {
     /// must fail even though the in-memory install happened (the WAL is
     /// crashed; no later commit will be accepted either, so the
     /// discrepancy cannot be observed by a recovering client).
-    ///
-    /// While a flush is parked on a full device, the waiting session is
-    /// the rescuer: each wakeup under pressure runs one
-    /// [`Self::gc_sweep`] — every deletion can retire a sealed segment
-    /// and free the bytes the parked append needs. The WAL never runs
-    /// it while this session owns the flush.
     fn finish_durable(&self, submitted: Option<Result<u64, WalError>>) -> Result<(), EngineError> {
         let Some(sub) = submitted else {
             return Ok(());
@@ -594,10 +584,7 @@ impl EngineInner {
         self.wal
             .as_ref()
             .expect("submission implies a wal")
-            .wait_durable_with(lsn, || {
-                self.metrics.gc_pressure_sweeps.add(1);
-                self.gc_sweep();
-            })
+            .wait_durable(lsn)
             .map_err(|e| EngineError::Durability(e.to_string()))
     }
 

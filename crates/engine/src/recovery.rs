@@ -26,11 +26,11 @@ impl EngineInner {
     ///
     /// Replay is sequential, so every `WriteAll` is accepted: all
     /// conflict arcs point from earlier records to later ones and no
-    /// cycle can close. Correctness of the values rests on the
-    /// truncation-safety invariant (see [`crate::Engine::open`]): the
-    /// noncurrent policy never deleted any entity's current writer, so
-    /// the surviving records, applied oldest-first, end on exactly the
-    /// pre-crash current value of every entity.
+    /// cycle can close. Correctness of the values rests on the log's
+    /// retirement rule (see [`crate::Engine::open`]): it never retires
+    /// an entity's newest record, so the surviving records, applied
+    /// oldest-first, end on exactly the pre-crash current value of
+    /// every entity.
     pub(crate) fn replay_commits(&self, commits: &[CommitRecord]) -> u64 {
         let nshards = self.shards.len();
         for rec in commits {
@@ -78,9 +78,10 @@ mod tests {
     /// Blind writes — no reads, so a commit record carries the whole
     /// step — then a sweep. Over entities 0..12 every third transaction
     /// spans two shards and every third writes two entities of one
-    /// shard. The last four set up a ghost: P (shard 0, current on
-    /// e16) -> N {0, 1} -> Q (shard 1), and once O overwrites N's e12
-    /// too, deleting N must bridge P -> Q through a ghost of P.
+    /// shard. The last five set up a ghost: M {0, 1} -> P (shard 0,
+    /// current on e16; M keeps it from being a source) -> N {0, 1} ->
+    /// Q (shard 1), and once O overwrites N's e12 too, deleting N must
+    /// bridge P -> Q through a ghost of P.
     fn workload(e: &Engine) {
         let commit = |xs: &[u32], v: u32| {
             let mut t = e.begin();
@@ -89,7 +90,7 @@ mod tests {
             }
             t.commit().unwrap();
         };
-        for i in 0..TXNS - 4 {
+        for i in 0..TXNS - 5 {
             let x = (i * 7) % 12;
             match i % 3 {
                 0 => commit(&[x, (x + 1) % 12], i),
@@ -97,7 +98,7 @@ mod tests {
                 _ => commit(&[x], i),
             }
         }
-        for xs in [&[12, 16][..], &[12, 13], &[13], &[12]] {
+        for xs in [&[16, 17][..], &[12, 16], &[12, 13], &[13], &[12]] {
             commit(xs, TXNS);
         }
         e.gc_sweep();

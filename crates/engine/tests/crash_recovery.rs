@@ -229,15 +229,15 @@ fn crash_under_concurrent_load_recovers_conserved_balances() {
 
 #[test]
 fn gc_checkpointing_keeps_recovery_o_live_not_o_history() {
-    // Thousands of commits churn a handful of entities; noncurrent GC
-    // deletes the dead transactions, which truncates their log
-    // segments (D(G,N) deletion doubles as the checkpoint). Recovery
-    // must replay only the surviving tail — O(live graph), not
-    // O(history).
+    // Thousands of commits churn a handful of entities; each record
+    // supersedes the older records of the entities it writes, and a
+    // sealed segment none of whose entities is current any more
+    // retires (supersession is the checkpoint). Recovery must replay
+    // only the surviving tail — O(entities), not O(history).
     let dir = TestDir::new("bounded");
     let cfg = EngineConfig {
         durability: Some(DurabilityConfig {
-            segment_bytes: 512, // seal fast so truncation has targets
+            segment_bytes: 512, // seal fast so retirement has targets
             fsync: false,
             ..DurabilityConfig::new(dir.0.clone())
         }),
@@ -259,7 +259,7 @@ fn gc_checkpointing_keeps_recovery_o_live_not_o_history() {
     let wal = e.wal_stats().expect("durable run has a WAL");
     assert!(
         wal.segments_truncated > 0,
-        "GC deletions must retire dead log segments: {wal:?}"
+        "superseded log segments must retire: {wal:?}"
     );
     assert!(
         wal.segments_live < wal.segments_created,
@@ -279,6 +279,43 @@ fn gc_checkpointing_keeps_recovery_o_live_not_o_history() {
             *want,
             "entity {x} diverged across checkpointed recovery"
         );
+    }
+}
+
+/// A log that retired a record when its transaction left the graph
+/// lost seven of these eight values: every writer here has no
+/// predecessor, so each leaves the graph at its own commit while it
+/// still holds a current value. The log must keep each entity's newest
+/// record anyway.
+#[test]
+fn a_current_writer_deleted_as_a_source_keeps_its_record() {
+    let dir = TestDir::new("source-writers");
+    let cfg = || EngineConfig {
+        shards: 8,
+        durability: Some(DurabilityConfig {
+            segment_bytes: 512,
+            fsync: false,
+            ..DurabilityConfig::new(dir.0.clone())
+        }),
+        ..config(&dir, false)
+    };
+    let (e, _) = Engine::open(cfg()).expect("fresh open");
+    let write = |x: u32| {
+        let mut t = e.begin();
+        t.write(x, 50);
+        t.commit().expect("a blind write commits");
+    };
+    (0..8).for_each(write);
+    (0..792).for_each(|_| write(0));
+    let m = e.metrics();
+    assert_eq!(m.graph.nodes, 0, "every writer left the graph");
+    assert_eq!(m.gc_source_deletions, 800, "each as a source: {m}");
+    let wal = e.wal_stats().expect("durable run has a WAL");
+    assert!(wal.segments_truncated > 0, "e0's churn retires: {wal:?}");
+    drop(e);
+    let (r, report) = Engine::open(cfg()).expect("recovery");
+    for x in 0..8 {
+        assert_eq!(r.peek(x), 50, "entity {x} lost its value: {report:?}");
     }
 }
 

@@ -107,30 +107,51 @@ fn noncurrent_gc_reclaims_overwritten_writers() {
     }
     let m = e.metrics();
     assert!(m.gc_deletions >= 48, "overwritten writers reclaimed");
-    assert!(
-        m.gc_versions_truncated >= 48,
-        "stale versions pruned from the store"
+    assert_eq!(
+        m.gc_source_deletions, 0,
+        "every writer follows the active reader: none is a source"
     );
-    assert_eq!(e.peek(0), 49, "current value untouched by truncation");
+    assert_eq!(e.peek(0), 49, "current value untouched by deletion");
+    // The reader's abort orphans the current writer: a source now.
     drop(reader);
+    e.gc_sweep();
+    assert_eq!(e.graph_size().nodes, 0);
+    assert_eq!(e.metrics().gc_source_deletions, 1);
+    assert_eq!(e.peek(0), 49, "its value outlives its node");
 }
 
 #[test]
-fn gc_never_deletes_current_or_active() {
+fn gc_never_deletes_active_or_current_with_a_predecessor() {
     let e = manual_engine(2);
     let mut t = e.begin();
     t.read(0).unwrap();
     t.write(0, 1);
     t.commit().unwrap();
-    e.gc_sweep();
-    // The sole writer of x is current: must survive every sweep.
-    assert_eq!(e.metrics().gc_deletions, 0);
-    assert_eq!(e.metrics().live_txns, 1);
+    // The sole writer of x has no predecessor: gone at its commit,
+    // current or not (Lemma 1), and its value stays.
+    let m = e.metrics();
+    assert_eq!(
+        (m.gc_deletions, m.gc_source_deletions, m.live_txns),
+        (1, 1, 0)
+    );
+    assert_eq!(e.peek(0), 1);
     let mut active = e.begin();
     active.read(0).unwrap();
+    let mut w = e.begin();
+    w.write(0, 2);
+    w.commit().unwrap(); // active -> w
     e.gc_sweep();
-    assert_eq!(e.metrics().gc_deletions, 0, "active nodes untouchable");
-    drop(active);
+    // W is current and follows an active node; the active one is
+    // untouchable.
+    assert_eq!(e.metrics().gc_deletions, 1, "both survive every sweep");
+    assert_eq!(e.metrics().live_txns, 2);
+    active.commit().unwrap(); // a source at its commit, and W with it
+    let m = e.metrics();
+    assert_eq!(
+        (m.gc_deletions, m.gc_source_deletions, m.live_txns),
+        (3, 3, 0)
+    );
+    assert_eq!(e.peek(0), 2);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //!    from the monolithic full scheduler.
 //! 2. **Serializability**: the accepted subschedule of the run passes
 //!    the ground-truth CSR test (`deltx_model::history::is_csr`).
-//! 3. **Bounded memory**: under the noncurrent policy the live graph
+//! 3. **Bounded memory**: under the engine's deletion rules the live graph
 //!    stays `O(active sessions + entities)` no matter how many
 //!    thousands of transactions flow through.
 
@@ -206,14 +206,15 @@ fn own_span_deletions_racing_on_disjoint_lock_sets_replay_identically() {
 
 #[test]
 fn version_truncation_racing_reads_never_surfaces_stale_values() {
-    // Every commit of the writer prunes the version it overwrote
-    // (`Store::truncate_versions_in`) *while* readers keep opening
-    // sessions against the hot entity. Truncation only ever drops
-    // non-newest versions, so every read must return some value the writer
-    // actually committed — and since the writer commits a strictly
-    // increasing counter, each reader's observations must be
-    // monotonically non-decreasing. A truncation that clipped the
-    // current version (or resurrected an old one) breaks that order.
+    // Every commit of the writer drops the version it overwrote (the
+    // store keeps one value per entity) and deletes the previous
+    // writer from the graph, current writer or not, *while* readers
+    // keep opening sessions against the hot entity. Every read must
+    // return some value the writer actually committed — and since the
+    // writer commits a strictly increasing counter, each reader's
+    // observations must be monotonically non-decreasing. An install or
+    // a deletion that clipped the current version (or resurrected an
+    // old one) breaks that order.
     let e = Engine::new(EngineConfig {
         shards: 2,
         record_history: false,
@@ -253,8 +254,8 @@ fn version_truncation_racing_reads_never_surfaces_stale_values() {
     assert_eq!(e.peek(0), total, "newest version survived every sweep");
     let m = e.metrics();
     assert!(
-        m.gc_versions_truncated > 0,
-        "the race must actually exercise truncation: {m}"
+        m.gc_source_deletions > 0,
+        "the race must actually delete current writers: {m}"
     );
 }
 
@@ -314,9 +315,10 @@ fn live_graph_stays_bounded_under_noncurrent_gc() {
         "final live txns {} above bound {bound}",
         m.live_txns
     );
-    // The stores are pruned too: far fewer retained versions than
-    // installed ones.
-    assert!(m.gc_versions_truncated > 0);
+    assert!(
+        m.gc_source_deletions > 0 && m.gc_source_deletions < m.gc_deletions,
+        "the pinned readers leave work for both rules: {m}"
+    );
     drop(pin1);
     drop(pin2);
 }

@@ -74,6 +74,7 @@ mod tests {
     use super::*;
     use crate::preventive::Preventive;
     use crate::reduced::Reduced;
+    use deltx_core::noncurrent;
     use deltx_core::policy::{BatchC2, CommitTimeUnsafe, GreedyC1, Noncurrent};
     use deltx_model::dsl::parse;
     use deltx_model::workload::{WorkloadConfig, WorkloadGen};
@@ -115,6 +116,87 @@ mod tests {
         assert_eq!(d.full, Applied::SelfAborted);
         assert_eq!(d.reduced, Applied::Accepted);
         assert_eq!(d.at, 5, "the final write of T1");
+    }
+
+    /// The online engine's mix, offline and test-only (no `PolicyKind`
+    /// entry): delete every completed source (Lemma 1), then every
+    /// noncurrent node (Corollary 1), until neither rule applies.
+    /// Counts what it deleted.
+    #[derive(Default)]
+    struct SourcesThenNoncurrent {
+        deletions: u64,
+    }
+
+    impl DeletionPolicy for SourcesThenNoncurrent {
+        fn name(&self) -> &'static str {
+            "sources-then-noncurrent"
+        }
+
+        fn reduce(&mut self, cg: &mut CgState) {
+            loop {
+                let completed = cg.completed_nodes().into_iter();
+                let mut doomed: Vec<_> = completed
+                    .filter(|&n| cg.graph().preds(n).is_empty())
+                    .collect();
+                if doomed.is_empty() {
+                    doomed = noncurrent::noncurrent_completed(cg);
+                }
+                if doomed.is_empty() {
+                    return;
+                }
+                cg.delete_set(&doomed).expect("completed nodes delete");
+                self.deletions += doomed.len() as u64;
+            }
+        }
+    }
+
+    /// Runs the mix against the full scheduler on `streams` random
+    /// streams over 3–10 entities at concurrency 2–6; returns how many
+    /// nodes it deleted.
+    fn mix_on_random_streams(streams: u64) -> u64 {
+        let mut mix = SourcesThenNoncurrent::default();
+        for seed in 0..streams {
+            let cfg = WorkloadConfig {
+                n_entities: 3 + (seed % 8) as u32,
+                concurrency: 2 + (seed / 8 % 5) as usize,
+                total_txns: 30,
+                seed,
+                ..WorkloadConfig::default()
+            };
+            let steps: Vec<Step> = WorkloadGen::new(cfg).collect();
+            let d = compare_policy_against_full(&steps, &mut mix);
+            assert_eq!(d, None, "sources-then-noncurrent diverged, seed {seed}");
+        }
+        mix.deletions
+    }
+
+    #[test]
+    fn sources_then_noncurrent_never_diverges() {
+        assert!(mix_on_random_streams(1_000) > 10_000);
+        // The stream that convicts deletion at commit time, and Example
+        // 1 followed by w1(x): deleting T3 there makes T2 unsafe (E6),
+        // but T3 follows the active T1 and is never a source.
+        for src in [
+            "b1 r1(x) b2 r2(y) w2(x) w1(y)",
+            "b1 r1(x) b2 r2(x) w2(x) b3 r3(x) w3(x) w1(x)",
+        ] {
+            let p = parse(src).unwrap();
+            let mut mix = SourcesThenNoncurrent::default();
+            assert_eq!(
+                compare_policy_against_full(p.steps(), &mut mix),
+                None,
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "20 000 streams take minutes in a debug build; CI runs this with --release"
+    )]
+    fn sources_then_noncurrent_never_diverges_on_20k_streams() {
+        assert!(mix_on_random_streams(20_000) > 0);
     }
 
     #[test]

@@ -123,7 +123,7 @@ mod tests {
         buf.abort();
         assert_eq!(store.read(EntityId(0)), 0);
         store.write(EntityId(0), 1, TxnId(4));
-        assert_eq!(store.version_count(EntityId(0)), 1);
+        assert_eq!(store.current_writer(EntityId(0)), Some(TxnId(4)));
     }
 
     #[test]

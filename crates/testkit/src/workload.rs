@@ -141,7 +141,7 @@ pub enum DiskFault {
         at: u64,
     },
     /// The device holds only `bytes`; appends past it fail with
-    /// ENOSPC. GC pressure may rescue the run by retiring segments —
+    /// ENOSPC. Retiring superseded segments may free enough space —
     /// otherwise the engine must degrade to loud read-only, never
     /// wedge.
     Capacity {
@@ -1037,7 +1037,7 @@ fn probe_degraded(spec: &WorkloadSpec, seed: u64, engine: &Engine) {
 /// The error-policy contract of a disk fault, checked after its wave:
 /// bounded retry absorbs transient bursts; any fsync failure poisons
 /// the log fail-stop (and the engine goes loudly read-only); ENOSPC
-/// ends either rescued by GC pressure or refusing writes; the
+/// ends either healthy or refusing writes; the
 /// corruption wave itself runs clean. Returns the log's health.
 fn check_health(spec: &WorkloadSpec, seed: u64, engine: &Engine, fault: DiskFault) -> WalHealth {
     let health = engine.wal_health();
@@ -1058,7 +1058,7 @@ fn check_health(spec: &WorkloadSpec, seed: u64, engine: &Engine, fault: DiskFaul
             probe_degraded(spec, seed, engine);
         }
         DiskFault::Capacity { .. } => match health {
-            // GC pressure retired enough segments to rescue the run.
+            // Retired segments left room for every write.
             WalHealth::Ok => {}
             // The device stayed full: loud read-only, never wedged.
             WalHealth::NoSpace => probe_degraded(spec, seed, engine),

@@ -268,8 +268,8 @@ pub fn disk_fsync_poison() -> WorkloadSpec {
 }
 
 /// A nearly-full device: appends hit ENOSPC and park under backoff
-/// while GC pressure races to retire sealed segments. Ends either
-/// rescued (health `Ok`) or loudly read-only — never wedged, and the
+/// until a flush's durable part retires superseded segments. Ends
+/// either healthy (health `Ok`) or loudly read-only — never wedged, and the
 /// surviving log always replays to a conserving image.
 pub fn disk_enospc_pressure() -> WorkloadSpec {
     WorkloadSpec {

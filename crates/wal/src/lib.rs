@@ -1,23 +1,22 @@
 //! `deltx-wal` — durability for the deletion-centric engine.
 //!
-//! A segmented write-ahead log whose checkpointing *is* the paper's
-//! deletion machinery. Three ideas, all in the `log` module:
+//! A segmented write-ahead log that checkpoints by supersession and
+//! takes no orders from the conflict graph. Three ideas, all in the
+//! `log` module:
 //!
-//! - **Group commit** ([`Wal::submit_commit`] /
-//!   [`Wal::wait_durable_with`]): commit records are enqueued under the
-//!   committing session's shard locks (log order = serialization order
-//!   for conflicting commits) and flushed in batches by the first
-//!   waiter to find no flush running — there is no writer thread; a
-//!   session's commit backpressure is exactly "wait for the fsync
-//!   covering my LSN".
-//! - **GC-driven checkpointing** ([`Wal::note_deleted`]): when the
-//!   engine's noncurrent rule deletes a transaction `D(G,N)`
-//!   and truncates its versions, the WAL decrements that commit's
-//!   segment live count; a sealed all-dead segment is removed once
-//!   every commit that superseded its writes is durable (its
-//!   superseded ceiling). The log stays bounded by the live graph —
-//!   recovery is `O(live)`, not `O(history)`, the durability analogue
-//!   of Theorem 2.
+//! - **Group commit** ([`Wal::submit_commit`] / [`Wal::wait_durable`]):
+//!   commit records are enqueued under the committing session's shard
+//!   locks (log order = serialization order for conflicting commits)
+//!   and flushed in batches by the first waiter to find no flush
+//!   running — there is no writer thread; a session's commit
+//!   backpressure is exactly "wait for the fsync covering my LSN".
+//! - **Supersession is the checkpoint**: each segment counts the
+//!   entities whose newest logged write it holds, updated at submit. A
+//!   sealed segment whose count reaches zero is removed once every
+//!   record that superseded its writes is durable (its superseded
+//!   ceiling). The log stays bounded by the entities written —
+//!   recovery is `O(entities)`, not `O(history)` — whatever the engine
+//!   deletes from its graph, current writers included.
 //! - **Crash-point fault injection** ([`Wal::arm_crash`],
 //!   [`CrashPoint`]): a planted crash executes inside the commit path,
 //!   discards un-flushed batches, and tampers the on-disk tail to
@@ -29,13 +28,12 @@
 //! [`WalStorage`] seam every byte goes through, with the
 //! [`FaultyStorage`] fault injector.
 //!
-//! Why truncation is safe: the noncurrent deletion policy never
-//! deletes the *current* writer of any entity (Corollary 1's test),
-//! so every entity's current-value commit record survives in some
-//! live segment. Replaying the surviving records in LSN order
-//! therefore rebuilds the exact final value of every entity;
-//! overwritten intermediate values are lost, which is precisely the
-//! contract of `Store::truncate_versions_in`.
+//! Why retirement is safe: a segment goes only when every entity it
+//! wrote has a newer durable record elsewhere, so every entity's
+//! newest record survives in some segment. Replaying the surviving
+//! records in LSN order therefore rebuilds the exact final value of
+//! every entity; overwritten intermediate values are lost, and the
+//! engine's store keeps none either (one value per entity).
 
 mod log;
 mod record;

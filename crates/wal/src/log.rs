@@ -1,6 +1,6 @@
-//! The segmented write-ahead log: group commit, GC-driven segment
-//! truncation, crash-point and disk-fault injection, and the recovery
-//! scrub.
+//! The segmented write-ahead log: group commit, segment retirement by
+//! supersession, crash-point and disk-fault injection, and the
+//! recovery scrub.
 //!
 //! # Group commit
 //!
@@ -8,7 +8,7 @@
 //! locks of their commit, so the append order of commit records equals
 //! the serialization order of conflicting transactions. The call only
 //! enqueues bytes and returns the record's LSN. After releasing its
-//! locks the session calls [`Wal::wait_durable_with`] with its LSN, and
+//! locks the session calls [`Wal::wait_durable`] with its LSN, and
 //! there is no writer thread: a waiter that finds records pending and
 //! no flush running **becomes the flusher** — it takes the whole
 //! pending batch, writes and syncs it with no log lock held, advances
@@ -37,41 +37,30 @@
 //!   (reads fine, writes refused) until the log is re-opened.
 //! * **`ENOSPC` degrades gracefully before refusing.** The flusher
 //!   hands its unwritten chunks back to the queue, raises
-//!   [`Wal::space_pressure`] and releases the flush; every waiter, it
-//!   included, runs its caller's rescue ([`Wal::wait_durable_with`]:
-//!   the engine's GC, which frees segments) and waits out a longer
-//!   backoff before one of them retries. Only if the device stays full
-//!   through the whole escalation window does the log fail-stop with
-//!   [`WalError::NoSpace`].
+//!   [`Wal::space_pressure`] and releases the flush; the waiters wait
+//!   out a longer backoff before one of them retries. Only if the
+//!   device stays full through the whole escalation window does the
+//!   log fail-stop with [`WalError::NoSpace`]. Nothing the engine does
+//!   frees log space: a segment retires in the flush that makes its
+//!   supersessors durable (below).
 //!
-//! # GC-driven checkpointing
+//! # Supersession is the checkpoint
 //!
-//! Each commit record is charged to the segment holding it. When the
-//! engine's deletion (the paper's `D(G,N)` applied under the
-//! noncurrent rule) deletes a transaction and truncates its
-//! versions, it also calls [`Wal::note_deleted`]; a sealed segment
-//! whose live count reaches zero is removed from disk. Deletion **is**
-//! the checkpoint boundary: no separate checkpoint writer exists, and
-//! the log stays proportional to the live graph, not to history.
-//!
-//! Two guards keep that retirement crash-safe. First, a transaction is
-//! only deletable because *later* commits superseded its writes — so
-//! each segment tracks a **superseded ceiling**: the highest LSN of
-//! any commit that took over an entity last written in the segment.
-//! When the live count reaches zero that ceiling bounds every direct
-//! supersessor, and the segment is unlinked only once `durable_lsn`
-//! passes it (otherwise a crash between the unlink and the
-//! supersessors' flush would lose BOTH copies of an entity's current
-//! value). Tracking the actual supersessors — rather than stamping the
-//! newest enqueued LSN — matters under `ENOSPC`: the ceiling of an old
-//! segment is usually already durable, so GC pressure can free space
-//! even while the newest record is stuck un-flushed. Second, once the
-//! log has crashed or is closing, `note_deleted` is a no-op: in-memory
-//! commits keep mutating the conflict graph after the log stops
-//! accepting records, so GC may judge a transaction noncurrent on the
-//! strength of a supersessor that was never logged — no retirement
-//! decision made past that point is sound, and the next recovery
-//! re-derives live counts from what actually survived.
+//! Each segment counts the entities whose newest logged write it holds
+//! ([`SegmentMeta::live`]), kept at submit and re-derived by
+//! recovery's scan. A sealed segment whose count reaches zero holds
+//! nothing recovery needs: every entity it wrote has a newer record
+//! elsewhere. It is unlinked once those newer records are durable —
+//! each segment tracks a **superseded ceiling**, the highest LSN of
+//! any record that took over one of its entities, and the unlink waits
+//! until `durable_lsn` passes it (otherwise a crash between the unlink
+//! and the supersessors' flush would lose BOTH copies of an entity's
+//! current value). So retirement happens in the flush that makes the
+//! last supersessor durable, and the log needs no word from the
+//! engine: the conflict graph may delete a transaction whose record
+//! still holds a current value, and that record stays. No separate
+//! checkpoint writer exists, and the log stays proportional to the
+//! entities written, not to history.
 //!
 //! # Crash points
 //!
@@ -133,7 +122,7 @@ pub struct DurabilityConfig {
     /// Directory holding the log segments (created if absent).
     pub dir: PathBuf,
     /// Roll to a new segment once the active one exceeds this many
-    /// bytes. Small segments make GC-driven truncation finer-grained.
+    /// bytes. Small segments make retirement finer-grained.
     pub segment_bytes: u64,
     /// Issue `fsync` after each batch write. Turning this off trades
     /// crash safety for speed (useful in benches and bounded-log
@@ -213,9 +202,9 @@ pub enum WalError {
     /// risk acknowledging lost data — so the log refuses all further
     /// work until re-opened.
     Poisoned(String),
-    /// The device stayed full through the entire GC-pressure
-    /// escalation window; the log is fail-stop until re-opened with
-    /// space available.
+    /// The device stayed full through the entire `ENOSPC` escalation
+    /// window; the log is fail-stop until re-opened with space
+    /// available.
     NoSpace,
 }
 
@@ -233,7 +222,7 @@ impl std::fmt::Display for WalError {
             }
             WalError::NoSpace => write!(
                 f,
-                "wal device full: ENOSPC persisted through GC-pressure escalation"
+                "wal device full: ENOSPC persisted through the escalation window"
             ),
         }
     }
@@ -251,7 +240,7 @@ pub enum WalHealth {
     Crashed,
     /// An `fsync` failure poisoned the log (see [`WalError::Poisoned`]).
     Poisoned,
-    /// The device stayed full through the GC-pressure window.
+    /// The device stayed full through the `ENOSPC` escalation window.
     NoSpace,
     /// A non-transient I/O failure stopped the log.
     Failed,
@@ -328,7 +317,8 @@ pub struct WalStats {
     pub batch_hist: [u64; 8],
     /// Segments rolled since open.
     pub segments_created: u64,
-    /// Segments removed because GC deleted every commit they held.
+    /// Segments removed because later records superseded every entity
+    /// they held.
     pub segments_truncated: u64,
     /// Highest acknowledged (durable) LSN.
     pub durable_lsn: u64,
@@ -400,8 +390,9 @@ fn flush_bucket(nanos: u64) -> usize {
 }
 
 struct SegmentMeta {
-    /// Commit records charged to this segment that GC has not yet
-    /// deleted. Sealed segments with `live == 0` are removed.
+    /// Entities whose newest logged write lies in this segment. Sealed
+    /// segments with `live == 0` are removed once their superseded
+    /// ceiling is durable.
     live: usize,
     sealed: bool,
     /// Bytes enqueued to this segment (durable or pending).
@@ -410,21 +401,19 @@ struct SegmentMeta {
     durable: u64,
     /// Highest LSN of any commit that superseded an entity last
     /// written in this segment. When `live` reaches zero, every
-    /// commit here was deleted *because* such supersessors exist —
-    /// all of them at or below this ceiling — so the segment may only
-    /// be unlinked once `durable_lsn` passes it, or a crash between
-    /// the unlink and their flush would lose BOTH copies.
+    /// supersessor is at or below this ceiling, so the segment may
+    /// only be unlinked once `durable_lsn` passes it, or a crash
+    /// between the unlink and their flush would lose BOTH copies.
     superseded_ceiling: u64,
 }
 
 impl SegmentMeta {
-    /// A segment holding `live` commits in `bytes` durable bytes:
-    /// sealed when recovered with commits, the fresh active segment
-    /// when both are zero.
-    fn new(live: usize, bytes: u64) -> Self {
+    /// A segment of `bytes` durable bytes with no entity counted yet:
+    /// sealed when recovered, the fresh active segment when empty.
+    fn new(sealed: bool, bytes: u64) -> Self {
         SegmentMeta {
-            live,
-            sealed: live > 0,
+            live: 0,
+            sealed,
             bytes,
             durable: bytes,
             superseded_ceiling: 0,
@@ -432,27 +421,29 @@ impl SegmentMeta {
     }
 }
 
+/// Consecutive records bound for one segment, appended in one call.
+struct Chunk {
+    seg: u64,
+    bytes: Vec<u8>,
+    /// LSN of the last record in `bytes`: durable once the chunk is.
+    last_lsn: u64,
+    recs: u64,
+}
+
 #[derive(Default)]
 struct WalState {
     segments: BTreeMap<u64, SegmentMeta>,
     active: u64,
-    /// Which segment holds each live transaction's commit record.
-    txn_seg: HashMap<TxnId, u64>,
     /// The segment holding each entity's newest write.
     current_writer: HashMap<EntityId, u64>,
-    /// Encoded bytes awaiting a flusher, coalesced per segment.
-    pending: Vec<(u64, Vec<u8>)>,
-    pending_recs: u64,
+    /// Encoded records awaiting a flusher, coalesced per segment.
+    pending: Vec<Chunk>,
     /// LSN the next record gets; the newest enqueued is one below.
     next_lsn: u64,
     durable_lsn: u64,
     /// Segments the running flush appends to or syncs: non-empty
     /// exactly while a waiter flushes a batch.
     writing: HashSet<u64>,
-    /// `(segment, bytes)` a flush parked on `ENOSPC` had already
-    /// appended: on disk, not yet synced. The flush that leads the
-    /// retry syncs them with its own.
-    unsynced: Vec<(u64, u64)>,
     /// The parked append's `ENOSPC` budget and the runtime instant
     /// before which no waiter retries it; `Some` exactly while
     /// [`Wal::space_pressure`] is raised.
@@ -472,15 +463,20 @@ impl WalState {
         !self.writing.is_empty()
     }
 
-    /// Makes `seg` the current writer of each entity in `writes`; a
-    /// segment that loses one learns it is superseded up to `lsn`.
+    /// Makes `seg` the current writer of each entity in `writes`: it
+    /// counts the entity, and a segment that loses one stops counting
+    /// it and learns it is superseded up to `lsn`.
     fn supersede(&mut self, writes: &[(EntityId, Value)], lsn: u64, seg: u64) {
         for (e, _) in writes {
             let prev = self.current_writer.insert(*e, seg);
-            if let Some(m) = prev
-                .filter(|&p| p != seg)
-                .and_then(|p| self.segments.get_mut(&p))
-            {
+            if prev == Some(seg) {
+                continue;
+            }
+            if let Some(m) = self.segments.get_mut(&seg) {
+                m.live += 1;
+            }
+            if let Some(m) = prev.and_then(|p| self.segments.get_mut(&p)) {
+                m.live -= 1;
                 m.superseded_ceiling = m.superseded_ceiling.max(lsn);
             }
         }
@@ -539,15 +535,13 @@ impl Wal {
         });
         st.fail = Some(e);
         st.pending.clear();
-        st.pending_recs = 0;
-        st.unsynced.clear();
         st.parked = None;
     }
 }
 
-/// Removes every sealed segment whose commits are all deleted, whose
-/// superseded ceiling is durable (no newer record needs to be), and
-/// that no in-flight, parked or pending write still references.
+/// Removes every sealed segment that holds no entity's newest write,
+/// whose superseded ceiling is durable (no newer record needs to be),
+/// and that no in-flight, parked or pending write still references.
 fn collect_dead(st: &mut WalState, wal: &Wal) {
     let dead: Vec<u64> = st
         .segments
@@ -558,8 +552,7 @@ fn collect_dead(st: &mut WalState, wal: &Wal) {
                 && st.durable_lsn >= m.superseded_ceiling
                 && **id != st.active
                 && !st.writing.contains(id)
-                && !st.unsynced.iter().any(|(s, _)| s == *id)
-                && !st.pending.iter().any(|(s, _)| s == *id)
+                && !st.pending.iter().any(|c| c.seg == **id)
         })
         .map(|(id, _)| *id)
         .collect();
@@ -739,11 +732,10 @@ impl Wal {
                 storage.unlink(s.id).map_err(io_err)?;
                 continue;
             }
-            let meta = SegmentMeta::new(s.recs.len(), s.valid_len);
-            st.segments.insert(s.id, meta);
+            st.segments
+                .insert(s.id, SegmentMeta::new(true, s.valid_len));
             for (rec, _) in s.recs.drain(..) {
                 max_lsn = rec.lsn;
-                st.txn_seg.insert(rec.txn, s.id);
                 st.supersede(&rec.writes, rec.lsn, s.id);
                 commits.push(rec);
             }
@@ -751,7 +743,7 @@ impl Wal {
         scan.max_lsn = max_lsn;
 
         st.active = ids.last().map_or(0, |m| m + 1);
-        st.segments.insert(st.active, SegmentMeta::new(0, 0));
+        st.segments.insert(st.active, SegmentMeta::new(false, 0));
         st.next_lsn = max_lsn + 1;
         st.durable_lsn = max_lsn;
 
@@ -794,20 +786,16 @@ impl Wal {
             return Err(WalError::Crashed);
         }
         st.next_lsn += 1;
-        let seg = self.enqueue(&mut st, bytes);
-        st.txn_seg.insert(txn, seg);
-        if let Some(m) = st.segments.get_mut(&seg) {
-            m.live += 1;
-        }
+        let seg = self.enqueue(&mut st, lsn, bytes);
         // The previous writers' segments learn they are superseded up
         // to this LSN, which holds their unlink once they are all dead.
         st.supersede(writes, lsn, seg);
         Ok(lsn)
     }
 
-    /// Appends encoded bytes to the active segment, rolling first if
-    /// the segment is full. Returns the segment charged.
-    fn enqueue(&self, st: &mut WalState, bytes: Vec<u8>) -> u64 {
+    /// Appends the encoded record `lsn` to the active segment, rolling
+    /// first if the segment is full. Returns the segment charged.
+    fn enqueue(&self, st: &mut WalState, lsn: u64, bytes: Vec<u8>) -> u64 {
         let len = bytes.len() as u64;
         let seg_bytes = st.segments.get(&st.active).map_or(0, |m| m.bytes);
         if seg_bytes > 0 && seg_bytes + len > self.cfg.segment_bytes {
@@ -816,7 +804,7 @@ impl Wal {
             }
             let _ = self.storage.seal(st.active);
             st.active += 1;
-            st.segments.insert(st.active, SegmentMeta::new(0, 0));
+            st.segments.insert(st.active, SegmentMeta::new(false, 0));
             self.stats.segments_created.fetch_add(1, Ordering::Relaxed);
         }
         let seg = st.active;
@@ -824,10 +812,18 @@ impl Wal {
             m.bytes += len;
         }
         match st.pending.last_mut() {
-            Some((s, buf)) if *s == seg => buf.extend_from_slice(&bytes),
-            _ => st.pending.push((seg, bytes)),
+            Some(c) if c.seg == seg => {
+                c.bytes.extend_from_slice(&bytes);
+                c.last_lsn = lsn;
+                c.recs += 1;
+            }
+            _ => st.pending.push(Chunk {
+                seg,
+                bytes,
+                last_lsn: lsn,
+                recs: 1,
+            }),
         }
-        st.pending_recs += 1;
         seg
     }
 
@@ -839,25 +835,7 @@ impl Wal {
     /// means the log was closed before covering the record (a shutdown
     /// raced the submission). The waiter never hangs.
     /// The caller may lead the flush itself (see the module docs).
-    ///
-    /// The engine calls [`Wal::wait_durable_with`]. Outside this crate
-    /// (`close` and the WAL's tests use it), this form stays only because
-    /// `perf/src/micro.rs` calls it.
     pub fn wait_durable(&self, lsn: u64) -> Result<(), WalError> {
-        self.wait_durable_with(lsn, || {})
-    }
-
-    /// [`Wal::wait_durable`] for a waiter that can free space: while an
-    /// append is parked on `ENOSPC` ([`Wal::space_pressure`] raised),
-    /// every wakeup runs `on_pressure` — with no log lock held and never
-    /// while this caller owns the flush. The engine passes its GC sweep:
-    /// a retired segment may free the bytes the parked append needs
-    /// before the escalation window closes.
-    pub fn wait_durable_with(
-        &self,
-        lsn: u64,
-        mut on_pressure: impl FnMut(),
-    ) -> Result<(), WalError> {
         loop {
             let key = self.durable_ev.prepare();
             let st = self.lock();
@@ -875,7 +853,6 @@ impl Wal {
                 match st.parked {
                     Some((_, retry_at)) if self.rt.now() < retry_at => {
                         drop(st);
-                        on_pressure();
                         let now = self.rt.now();
                         if now < retry_at {
                             self.rt.sleep(retry_at - now);
@@ -885,42 +862,9 @@ impl Wal {
                 }
                 continue;
             }
-            // Read under the lock; the key was taken first, so a park
-            // after the drop still wakes the wait below.
-            let pressure = st.parked.is_some();
             drop(st);
-            if pressure {
-                on_pressure();
-            }
             self.durable_ev.wait(key);
         }
-    }
-
-    /// Reports transactions deleted by the engine's GC sweep. Sealed
-    /// segments whose every commit is now deleted are removed from
-    /// disk — `D(G,N)` deletion acting as the checkpoint boundary.
-    pub fn note_deleted(&self, deleted: &[TxnId]) {
-        if deleted.is_empty() {
-            return;
-        }
-        let mut st = self.lock();
-        if st.fail.is_some() || st.closing {
-            // After the log stops accepting records, in-memory commits
-            // still mutate the conflict graph, so GC can judge a
-            // transaction noncurrent on the strength of a supersessor
-            // that was never logged. No retirement decision made past
-            // this point is sound; the next recovery re-derives live
-            // counts from what actually survived on disk.
-            return;
-        }
-        for t in deleted {
-            if let Some(seg) = st.txn_seg.remove(t) {
-                if let Some(m) = st.segments.get_mut(&seg) {
-                    m.live = m.live.saturating_sub(1);
-                }
-            }
-        }
-        collect_dead(&mut st, self);
     }
 
     /// Arms a crash: the next `submit_commit` executes `cp` instead of
@@ -943,8 +887,7 @@ impl Wal {
     }
 
     /// True while an append is parked on `ENOSPC` backoff waiting for
-    /// space — what [`Wal::wait_durable_with`] answers with its
-    /// caller's rescue.
+    /// space.
     pub fn space_pressure(&self) -> bool {
         self.lock().parked.is_some()
     }
@@ -958,8 +901,8 @@ impl Wal {
         self.set_health(WalHealth::Crashed);
         // Let an in-flight flush finish: those records were written
         // before the crash point and their sessions will be acked,
-        // which is correct — they are durable. We hold shard locks
-        // here, so no flush may wait on a rescue (see `park`).
+        // which is correct — they are durable. A flush never waits on
+        // shard locks, which we hold here (see `park`).
         let mut st = loop {
             let key = self.durable_ev.prepare();
             let g = self.lock();
@@ -1065,8 +1008,8 @@ impl Drop for Wal {
 // ── Flush-side retry policy ─────────────────────────────────────────
 // Transient errors get a short budget: they either clear in
 // microseconds or they are not transient. ENOSPC gets a longer one,
-// eight rounds, because the cure (retiring dead segments) needs the
-// waiting sessions to run the engine's GC between them.
+// eight rounds, because the cure (space freed outside the log) takes
+// longer to arrive.
 const TRANSIENT_BASE: Duration = Duration::from_micros(200);
 const TRANSIENT_MAX: Duration = Duration::from_millis(2);
 const TRANSIENT_ATTEMPTS: u32 = 4;
@@ -1128,81 +1071,77 @@ fn fsync_batch(wal: &Wal, segs: &[u64]) -> Result<(), WalError> {
 
 /// Leads one flush: claims it and the whole pending queue, writes and
 /// syncs with no log lock held, then publishes the outcome (durable,
-/// [`park`]ed on `ENOSPC`, or stopped) and wakes every waiter.
+/// [`park`]ed on `ENOSPC`, or stopped) and wakes every waiter. The
+/// chunks appended before an `ENOSPC` are synced and made durable like
+/// a whole batch: that can retire the segments they supersede, which
+/// frees the bytes the parked rest needs.
 fn flush(wal: &Wal, mut st: MutexGuard<'_, WalState>) {
     let mut chunks = std::mem::take(&mut st.pending);
-    // Appended by a flush that parked on `ENOSPC`; synced by this one.
-    let mut written = std::mem::take(&mut st.unsynced);
-    st.writing.extend(chunks.iter().map(|(s, _)| *s));
-    st.writing.extend(written.iter().map(|(s, _)| *s));
-    let nrec = std::mem::take(&mut st.pending_recs);
-    let last = st.next_lsn - 1;
+    st.writing.extend(chunks.iter().map(|c| c.seg));
     drop(st);
-    let carried = written.len();
     let t0 = wal.rt.now();
-    let io = (|| -> Result<(), WalError> {
-        for (seg, bytes) in &chunks {
-            append_with_retry(wal, *seg, bytes)?;
-            written.push((*seg, bytes.len() as u64));
-        }
-        if wal.cfg.fsync {
-            // In segment order: a segment repeats only back to back.
-            let mut segs: Vec<u64> = written.iter().map(|(s, _)| *s).collect();
-            segs.dedup();
-            fsync_batch(wal, &segs)?;
-        }
+    let mut done = 0;
+    let mut io = chunks.iter().try_for_each(|c| {
+        append_with_retry(wal, c.seg, &c.bytes)?;
+        done += 1;
         Ok(())
-    })();
-
+    });
+    if wal.cfg.fsync && done > 0 && matches!(io, Ok(()) | Err(WalError::NoSpace)) {
+        // In segment order: a segment repeats only back to back.
+        let mut segs: Vec<u64> = chunks[..done].iter().map(|c| c.seg).collect();
+        segs.dedup();
+        if let Err(e) = fsync_batch(wal, &segs) {
+            io = Err(e);
+        }
+    }
     let flush_nanos = wal.rt.now().saturating_sub(t0).as_nanos() as u64;
 
     let mut st = wal.lock();
     st.writing.clear();
+    let durable = match io {
+        Ok(()) | Err(WalError::NoSpace) => done,
+        Err(_) => 0,
+    };
+    let unwritten = chunks.split_off(durable);
     match io {
-        Ok(()) => {
-            for (seg, len) in written {
-                if let Some(m) = st.segments.get_mut(&seg) {
-                    m.durable += len;
-                }
-            }
-            st.durable_lsn = last;
-            st.parked = None;
-            wal.stats.flushes.fetch_add(1, Ordering::Relaxed);
-            wal.stats.records.fetch_add(nrec, Ordering::Relaxed);
-            wal.stats.batch_hist[batch_bucket(nrec)].fetch_add(1, Ordering::Relaxed);
-            wal.stats.flush_hist[flush_bucket(flush_nanos)].fetch_add(1, Ordering::Relaxed);
-            collect_dead(&mut st, wal);
-        }
+        Ok(()) => st.parked = None,
         // A crash executed meanwhile: what stopped the batch is the
-        // crash, and the crash discards it.
+        // crash, and the crash discards the rest.
         Err(WalError::NoSpace) if st.fail.is_some() => wal.stop(&mut st, WalError::Crashed),
         Err(WalError::NoSpace) => {
-            let done = written.len() - carried;
-            if done > 0 {
+            if durable > 0 {
                 // Each chunk gets the whole escalation window: an
                 // append that went through restarts the budget.
                 st.parked = None;
             }
-            park(wal, &mut st, chunks.split_off(done), written, nrec);
+            park(wal, &mut st, unwritten);
         }
         Err(e) => wal.stop(&mut st, e),
+    }
+    if let Some(last) = chunks.last() {
+        let nrec: u64 = chunks.iter().map(|c| c.recs).sum();
+        for c in &chunks {
+            if let Some(m) = st.segments.get_mut(&c.seg) {
+                m.durable += c.bytes.len() as u64;
+            }
+        }
+        st.durable_lsn = last.last_lsn;
+        wal.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        wal.stats.records.fetch_add(nrec, Ordering::Relaxed);
+        wal.stats.batch_hist[batch_bucket(nrec)].fetch_add(1, Ordering::Relaxed);
+        wal.stats.flush_hist[flush_bucket(flush_nanos)].fetch_add(1, Ordering::Relaxed);
+        collect_dead(&mut st, wal);
     }
     drop(st);
     wal.durable_ev.notify();
 }
 
-/// Parks a batch the device refused: unwritten chunks go back to the
-/// head of the queue, appended ones wait in `unsynced` for the retry
-/// to sync. The flush is released before its leader runs a rescue (a
-/// GC sweep takes shard locks, and an armed crash waits for the
-/// running flush under shard locks), so the two cannot deadlock.
-fn park(
-    wal: &Wal,
-    st: &mut WalState,
-    unwritten: Vec<(u64, Vec<u8>)>,
-    written: Vec<(u64, u64)>,
-    nrec: u64,
-) {
+/// Parks the chunks the device refused at the head of the queue, for
+/// a waiter to retry once the backoff has passed. The flush is
+/// released before its leader sleeps out the backoff (an armed crash
+/// waits for the running flush under shard locks), so the two cannot
+/// deadlock.
+fn park(wal: &Wal, st: &mut WalState, unwritten: Vec<Chunk>) {
     let mut budget = st.parked.map_or_else(
         || Backoff::new(SPACE_BASE, SPACE_MAX, SPACE_ATTEMPTS),
         |(budget, _)| budget,
@@ -1212,6 +1151,4 @@ fn park(
     };
     st.parked = Some((budget, wal.rt.now() + d));
     st.pending.splice(0..0, unwritten);
-    st.pending_recs += nrec;
-    st.unsynced = written;
 }

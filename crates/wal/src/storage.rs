@@ -266,7 +266,7 @@ pub struct FaultSpec {
     pub fsync_fail_at: Option<u64>,
     /// Device capacity in bytes; an append that would exceed it fails
     /// with [`StorageError::NoSpace`] and writes nothing. Unlinking
-    /// segments frees their bytes, so GC pressure can rescue writes.
+    /// segments frees their bytes, so retirement can make room.
     pub capacity: Option<u64>,
     /// Reads of this segment fail with [`StorageError::Permanent`] —
     /// an unreadable sealed segment for the recovery scrub to refuse

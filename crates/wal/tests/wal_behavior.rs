@@ -1,6 +1,6 @@
 //! Behavior tests for the WAL in isolation: group commit ordering and
-//! who flushes, recovery truncation, GC-driven segment removal, and
-//! every crash point's on-disk image.
+//! who flushes, recovery truncation, segment retirement by
+//! supersession, and every crash point's on-disk image.
 
 use deltx_model::{EntityId, TxnId};
 use deltx_wal::{
@@ -68,38 +68,54 @@ fn commits_survive_reopen_in_lsn_order() {
 }
 
 #[test]
-fn gc_deletion_truncates_dead_segments() {
+fn superseded_segments_retire_with_no_engine_call() {
     let dir = TestDir::new("truncate");
     let mut cfg = dir.cfg();
     cfg.segment_bytes = 128; // a couple of records per segment
     cfg.fsync = false;
     let (wal, _, _) = Wal::open(cfg.clone()).unwrap();
-    let mut txns = Vec::new();
     for i in 0..40u32 {
         commit_one(&wal, i, &[(i % 4, i as i64)]).unwrap();
-        txns.push(TxnId(i));
     }
-    let before = wal.stats();
-    assert!(before.segments_created > 0, "log rolled segments");
-    // Delete everything but the last few writers (the "current" ones a
-    // real sweep would keep): sealed all-dead segments must vanish.
-    wal.note_deleted(&txns[..36]);
-    let after = wal.stats();
+    // Nobody said which transactions the graph deleted: a sealed
+    // segment goes once every entity it wrote has a newer durable
+    // record.
+    let stats = wal.stats();
+    assert!(stats.segments_created > 0, "log rolled segments");
     assert!(
-        after.segments_truncated > 0,
-        "GC deletion must remove dead segments"
+        stats.segments_truncated > 0,
+        "superseded segments must be removed"
     );
-    assert!(after.segments_live < before.segments_live);
+    assert!(stats.segments_live < stats.segments_created + 1);
     drop(wal);
-    // Recovery only sees the survivors.
+    // Recovery only sees the survivors, and every entity's newest
+    // record is among them.
     let (_wal, commits, _) = Wal::open(cfg).unwrap();
-    assert!(commits.len() < 40, "truncated commits are gone");
-    for live in 36..40u32 {
+    assert!(commits.len() < 40, "retired commits are gone");
+    for newest in 36..40u32 {
         assert!(
-            commits.iter().any(|c| c.txn == TxnId(live)),
-            "undeleted txn {live} must survive truncation"
+            commits.iter().any(|c| c.txn == TxnId(newest)),
+            "the newest write of e{} must survive",
+            newest % 4
         );
     }
+}
+
+#[test]
+fn a_segment_retires_in_the_flush_that_supersedes_its_last_entity() {
+    let dir = TestDir::new("last-entity");
+    let mut cfg = dir.cfg();
+    cfg.segment_bytes = 2 * one_write_record_len(); // two records a segment
+    cfg.fsync = false;
+    let (wal, _, _) = Wal::open(cfg).unwrap();
+    let on_disk = |seg: u64| dir.0.join(format!("{seg:08}.wal")).exists();
+    commit_one(&wal, 1, &[(0, 10)]).unwrap(); // segment 0
+    commit_one(&wal, 2, &[(1, 10)]).unwrap(); // segment 0
+    commit_one(&wal, 3, &[(0, 20)]).unwrap(); // segment 1
+    assert!(on_disk(0), "segment 0 still holds e1's newest write");
+    commit_one(&wal, 4, &[(1, 20)]).unwrap(); // segment 1
+    assert!(!on_disk(0), "both entities have newer durable records");
+    assert_eq!(wal.stats().segments_truncated, 1);
 }
 
 #[test]
@@ -267,8 +283,9 @@ fn midlog_corruption_refuses_strict_and_quarantines_on_request() {
     cfg.segment_bytes = 64;
     {
         let (wal, _, _) = Wal::open(cfg.clone()).unwrap();
+        // One entity each: no record is superseded, none retires.
         for i in 0..12u32 {
-            commit_one(&wal, i, &[(0, i as i64)]).unwrap();
+            commit_one(&wal, i, &[(i, i as i64)]).unwrap();
         }
     }
     // Corrupt the middle segment by flipping a byte in its interior.
@@ -395,11 +412,10 @@ fn one_write_record_len() -> u64 {
     deltx_wal::encode_commit(1, TxnId(0), &[(EntityId(0), 0)], &[0]).len() as u64
 }
 
-/// A log whose device holds exactly two one-write records, each in
-/// its own segment, with both written: txn 0, then txn 1 superseding
-/// it. The next append must park under `ENOSPC` until txn 0's segment
-/// is retired.
-fn wal_on_a_full_device(dir: &TestDir) -> Wal {
+/// A log on a device that holds exactly two one-write records, one
+/// per segment, of which `fill` are written (each to its own entity,
+/// so neither supersedes the other), with `fsync` off.
+fn wal_on_a_small_device(dir: &TestDir, fill: u32) -> Wal {
     let rec = one_write_record_len();
     let mut cfg = dir.cfg();
     cfg.segment_bytes = rec; // every record rolls to its own segment
@@ -413,105 +429,52 @@ fn wal_on_a_full_device(dir: &TestDir) -> Wal {
         },
     )));
     let (wal, _, _) = Wal::open(cfg).unwrap();
-    commit_one(&wal, 0, &[(0, 1)]).unwrap(); // segment 0
-    commit_one(&wal, 1, &[(0, 2)]).unwrap(); // segment 1, supersedes txn 0
+    for t in 0..fill {
+        commit_one(&wal, t, &[(t, 1)]).unwrap();
+    }
     wal
-}
-
-/// The rescued log is healthy, retired a segment, and reopens on
-/// exactly the two surviving commits.
-fn assert_rescued(wal: Wal, dir: &TestDir) {
-    assert_eq!(wal.health(), WalHealth::Ok);
-    assert!(wal.stats().segments_truncated >= 1);
-    drop(wal);
-    let (_wal, commits, _) = Wal::open(dir.cfg()).unwrap();
-    let replayed: Vec<u32> = commits.iter().map(|c| c.txn.0).collect();
-    assert_eq!(replayed, vec![1, 2], "rescued commit survives reopen");
-}
-
-#[test]
-fn enospc_parks_the_writer_until_gc_rescue_frees_a_segment() {
-    // Graceful ENOSPC degradation: the full device parks the append
-    // under backoff and raises space pressure; deleting a superseded
-    // transaction retires its (sealed, barrier-durable) segment, the
-    // unlink frees the bytes, and the parked append completes — no
-    // error ever surfaces to the session. Nothing flushes unless
-    // someone waits, so the waiting session is the flusher that parks
-    // and later leads the retry; the rescue comes from another thread.
-    let dir = TestDir::new("rescue");
-    let wal = wal_on_a_full_device(&dir);
-    let lsn = wal
-        .submit_commit(TxnId(2), &[(EntityId(0), 3)], &[0])
-        .unwrap();
-    std::thread::scope(|s| {
-        let waiter = s.spawn(|| wal.wait_durable(lsn));
-        let mut waited = 0;
-        while !wal.space_pressure() {
-            std::thread::sleep(Duration::from_millis(1));
-            waited += 1;
-            assert!(
-                waited < 1000,
-                "the waiting flusher never reported space pressure"
-            );
-        }
-        // GC deletes the superseded txn 0 → its segment retires (the
-        // barrier, txn 1's LSN, is already durable) → space frees.
-        wal.note_deleted(&[TxnId(0)]);
-        assert_eq!(
-            waiter.join().unwrap(),
-            Ok(()),
-            "the parked append completed"
-        );
-    });
-    assert_rescued(wal, &dir);
 }
 
 #[test]
 fn crash_armed_while_the_flush_is_parked_does_not_deadlock_the_rescue() {
     // The hazard of flushing on a waiter: an armed crash executes
     // inside `submit_commit` under the submitter's shard locks and
-    // waits for the running flush, while the rescue a waiter runs under
-    // ENOSPC pressure takes shard locks. A flusher that ran its rescue
-    // while still owning the flush would wait on the crashing
-    // submitter and the submitter on it, for ever. Here the "shard
-    // lock" is held by the submitter from before the park until after
-    // its crash, so the waiter's rescue cannot finish first.
+    // waits for the running flush. A waiter whose append parked on the
+    // full device must have released the flush before it sleeps out
+    // the backoff and retries, or the crash would wait on it for as
+    // long as the device stays full. The device holds two records
+    // that supersede nothing, so the parked append finds no space for
+    // the whole escalation window.
     let dir = TestDir::new("park-crash");
-    let wal = Arc::new(wal_on_a_full_device(&dir));
-    let shard = Arc::new(Mutex::new(()));
+    let wal = Arc::new(wal_on_a_small_device(&dir, 2));
     let lsn = wal
         .submit_commit(TxnId(2), &[(EntityId(0), 3)], &[0])
         .unwrap();
-    let (held_tx, held_rx) = mpsc::channel();
-    let (crash_tx, crash_rx) = mpsc::channel();
-    let submitter = {
-        let (wal, shard) = (Arc::clone(&wal), Arc::clone(&shard));
-        std::thread::spawn(move || {
-            let guard = shard.lock().unwrap();
-            held_tx.send(()).unwrap();
-            while !wal.space_pressure() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            wal.arm_crash(CrashPoint::BeforeAppend);
-            let r = wal.submit_commit(TxnId(3), &[(EntityId(0), 4)], &[0]);
-            drop(guard);
-            crash_tx.send(r).unwrap();
-        })
-    };
-    held_rx.recv().unwrap();
     let (wait_tx, wait_rx) = mpsc::channel();
     let waiter = {
-        let (wal, shard) = (Arc::clone(&wal), Arc::clone(&shard));
+        let wal = Arc::clone(&wal);
+        std::thread::spawn(move || wait_tx.send(wal.wait_durable(lsn)).unwrap())
+    };
+    let mut waited = 0;
+    while !wal.space_pressure() {
+        std::thread::sleep(Duration::from_millis(1));
+        waited += 1;
+        assert!(waited < 1000, "the waiting flusher never parked");
+    }
+    wal.arm_crash(CrashPoint::BeforeAppend);
+    let (crash_tx, crash_rx) = mpsc::channel();
+    let submitter = {
+        let wal = Arc::clone(&wal);
         std::thread::spawn(move || {
-            let r = wal.wait_durable_with(lsn, || drop(shard.lock().unwrap()));
-            wait_tx.send(r).unwrap();
+            let r = wal.submit_commit(TxnId(3), &[(EntityId(0), 4)], &[0]);
+            crash_tx.send(r).unwrap();
         })
     };
     let hang = Duration::from_secs(20);
     assert_eq!(
         crash_rx
             .recv_timeout(hang)
-            .expect("the crash waited on the parked flush's rescue"),
+            .expect("the crash waited on the parked flush"),
         Err(WalError::Crashed)
     );
     assert_eq!(
@@ -528,30 +491,34 @@ fn crash_armed_while_the_flush_is_parked_does_not_deadlock_the_rescue() {
 
 #[test]
 fn parked_append_wakes_its_waiter_whose_rescue_frees_the_segment() {
-    // The same rescue with nobody watching the pressure flag, on one
-    // thread: the waiting session is the flusher, its append parks, it
-    // releases the flush, and its own callback is what deletes txn 0
-    // before it leads the retry.
+    // Graceful ENOSPC degradation with nothing but the log: one
+    // waiter's batch holds T1, which supersedes T0's segment, and T2,
+    // which does not fit beside T0 and T1. The flush appends T1, parks
+    // T2, and makes T1 durable anyway — which retires T0's segment and
+    // frees the bytes T2 needs. The waiter sleeps out the backoff and
+    // leads the retry itself; no error ever surfaces.
     let dir = TestDir::new("self-rescue");
-    let wal = wal_on_a_full_device(&dir);
-    let lsn = wal
-        .submit_commit(TxnId(2), &[(EntityId(0), 3)], &[0])
+    let wal = wal_on_a_small_device(&dir, 1);
+    wal.submit_commit(TxnId(1), &[(EntityId(0), 2)], &[0])
         .unwrap();
-    let mut rescues = 0;
-    let done = wal.wait_durable_with(lsn, || {
-        rescues += 1;
-        wal.note_deleted(&[TxnId(0)]);
-    });
-    assert_eq!(done, Ok(()), "the parked append completed");
-    assert!(rescues >= 1, "the waiter was woken under pressure");
-    assert_rescued(wal, &dir);
+    let lsn = wal
+        .submit_commit(TxnId(2), &[(EntityId(1), 3)], &[0])
+        .unwrap();
+    assert_eq!(wal.wait_durable(lsn), Ok(()), "the parked append completed");
+    assert_eq!(wal.health(), WalHealth::Ok);
+    assert_eq!(wal.stats().segments_truncated, 1, "T0's segment");
+    drop(wal);
+    let (_wal, commits, _) = Wal::open(dir.cfg()).unwrap();
+    let replayed: Vec<u32> = commits.iter().map(|c| c.txn.0).collect();
+    assert_eq!(replayed, vec![1, 2], "the parked commit survives reopen");
 }
 
 #[test]
 fn enospc_at_a_roll_boundary_with_nothing_to_free_fails_stop() {
-    // The other half of the ENOSPC contract: when GC has nothing to
-    // retire, the escalation window closes and the log fail-stops with
-    // a precise error — no hang, no panic, waiters all released.
+    // The other half of the ENOSPC contract: when no durable record
+    // supersedes anything, the escalation window closes and the log
+    // fail-stops with a precise error — no hang, no panic, waiters
+    // all released.
     let dir = TestDir::new("enospc-stop");
     let rec = one_write_record_len();
     let mut cfg = dir.cfg();
@@ -609,8 +576,9 @@ fn unreadable_sealed_segment_refuses_then_quarantines() {
     cfg.segment_bytes = 64;
     {
         let (wal, _, _) = Wal::open(cfg.clone()).unwrap();
+        // One entity each: no record is superseded, none retires.
         for i in 0..12u32 {
-            commit_one(&wal, i, &[(0, i as i64)]).unwrap();
+            commit_one(&wal, i, &[(i, i as i64)]).unwrap();
         }
     }
     // Make a sealed mid-log segment unreadable through the VFS.
@@ -674,46 +642,53 @@ fn unflushed_batch_waiters_observe_the_crash() {
     assert_eq!(wal.wait_durable(1), Ok(()));
 }
 
-/// Regression for a data-loss bug the simulated crash-loop scenario
-/// found: after the log crashes, in-memory commits still mutate the
-/// conflict graph, so the engine's GC can judge a transaction
-/// noncurrent on the strength of a supersessor the log never accepted
-/// — and `note_deleted` would retire the only durable copy of its
-/// writes. Post-crash retirement must be a no-op.
+/// The log keeps a record while it is current, whatever the engine's
+/// graph did with its transaction — the engine deletes current writers
+/// that have no predecessor, and once the log retired such a writer's
+/// only record (seven of eight values lost). A crash must not change
+/// that: recovery re-derives the counts from what survived, and a
+/// supersessor the crash refused supersedes nothing.
 #[test]
-fn retirement_after_crash_is_ignored() {
+fn a_record_holding_a_current_value_never_retires_even_across_a_crash() {
     let dir = TestDir::new("retire-post-crash");
     let mut cfg = dir.cfg();
     cfg.segment_bytes = 64; // roughly one record per segment
     let (wal, _, _) = Wal::open(cfg.clone()).unwrap();
-    for i in 0..6u32 {
-        commit_one(&wal, i, &[(0, i as i64)]).unwrap();
+    for t in 0..6u32 {
+        commit_one(&wal, t, &[(t, i64::from(t))]).unwrap();
     }
-    wal.arm_crash(CrashPoint::MidFlushTorn);
-    assert_eq!(
-        commit_one(&wal, 6, &[(0, 60)]).unwrap_err(),
-        WalError::Crashed
+    // Churn on e6 seals and retires segment after segment around them.
+    for k in 0..10u32 {
+        commit_one(&wal, 10 + k, &[(6, i64::from(k))]).unwrap();
+    }
+    assert!(
+        wal.stats().segments_truncated >= 9,
+        "e6's old writes retire"
     );
-    // A sweep racing the shutdown reports every earlier txn deleted
-    // (their "supersessor" was the record the crash just refused).
-    let victims: Vec<TxnId> = (0..6).map(TxnId).collect();
-    let truncated_before = wal.stats().segments_truncated;
-    wal.note_deleted(&victims);
+    wal.arm_crash(CrashPoint::MidFlushTorn);
+    let everything: Vec<(u32, i64)> = (0..7).map(|x| (x, 60)).collect();
     assert_eq!(
-        wal.stats().segments_truncated,
-        truncated_before,
-        "post-crash retirement must not unlink any segment"
+        commit_one(&wal, 20, &everything).unwrap_err(),
+        WalError::Crashed
     );
     drop(wal);
 
-    // Every durable commit survives to recovery.
+    // Every current value survives recovery; the torn supersessor
+    // superseded nothing.
+    let (wal, commits, _) = Wal::open(cfg.clone()).unwrap();
+    let replayed: Vec<u32> = commits.iter().map(|c| c.txn.0).collect();
+    assert_eq!(replayed, vec![0, 1, 2, 3, 4, 5, 19]);
+    // A durable supersessor after the crash retires what it supersedes
+    // and nothing else.
+    commit_one(&wal, 30, &[(6, 99)]).unwrap();
+    drop(wal);
     let (_wal, commits, _) = Wal::open(cfg).unwrap();
     let replayed: Vec<u32> = commits.iter().map(|c| c.txn.0).collect();
-    assert_eq!(replayed, vec![0, 1, 2, 3, 4, 5]);
+    assert_eq!(replayed, vec![0, 1, 2, 3, 4, 5, 30]);
 }
 
-/// The retirement barrier: a segment whose commits are all deleted stays
-/// on disk until the commits that superseded them are durable, and an
+/// The retirement barrier: a segment whose entities all have newer
+/// records stays on disk until those records are durable, and an
 /// unflushed record that supersedes nothing in it does not hold it.
 #[test]
 fn dead_segment_waits_for_its_supersessors_only() {
@@ -729,7 +704,6 @@ fn dead_segment_waits_for_its_supersessors_only() {
     let t2 = wal
         .submit_commit(TxnId(2), &[(EntityId(0), 20)], &[0])
         .unwrap();
-    wal.note_deleted(&[TxnId(1)]);
     assert!(on_disk(0), "T1's supersessor T2 is not durable yet");
     wal.wait_durable(t2).unwrap();
     assert!(!on_disk(0), "T2 is durable: T1's segment goes");
@@ -741,7 +715,6 @@ fn dead_segment_waits_for_its_supersessors_only() {
     let t6 = wal
         .submit_commit(TxnId(6), &[(EntityId(3), 60)], &[0])
         .unwrap();
-    wal.note_deleted(&[TxnId(4)]);
     assert!(!on_disk(2), "an unrelated unflushed tail holds nothing");
     wal.wait_durable(t6).unwrap();
 }

@@ -1,6 +1,6 @@
 //! Engine stress driver: N worker threads hammer the sharded engine
 //! with a contended banking mix, each commit deleting what it made
-//! noncurrent, so the conflict graph stays bounded with no GC thread.
+//! deletable, so the conflict graph stays bounded with no GC thread.
 //!
 //! ```text
 //! cargo run --release --example engine_stress                  # 8 threads, 10k txns
@@ -189,8 +189,8 @@ fn main() {
         dir
     });
     let durability = |dir: &PathBuf| DurabilityConfig {
-        // Small segments so the long run exercises GC-driven log
-        // truncation; fsync off (unless --fsync) so the default bench
+        // Small segments so the long run exercises segment retirement
+        // by supersession; fsync off (unless --fsync) so the default bench
         // measures the protocol, not the device.
         segment_bytes: 64 * 1024,
         fsync,
@@ -406,7 +406,7 @@ fn main() {
         let recovery_ms = report.elapsed.as_secs_f64() * 1e3;
         println!(
             "recovery: {} commits replayed from {} segments in {recovery_ms:.2}ms \
-             (log bounded by GC: survivors ≪ {} total commits)",
+             (log bounded by supersession: survivors ≪ {} total commits)",
             report.commits_replayed, report.scan.segments_scanned, m.commits
         );
         for (x, want) in expected.iter().enumerate() {
@@ -418,7 +418,7 @@ fn main() {
         }
         assert!(
             wal.segments_truncated > 0 || m.commits < 2_000,
-            "a long durable run must see GC truncate dead log segments [seed {seed}]"
+            "a long durable run must retire superseded log segments [seed {seed}]"
         );
         println!("recovery check passed: all {n_entities} balances survived the crash boundary");
         drop(recovered);
